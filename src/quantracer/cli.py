@@ -60,7 +60,6 @@ class ConfigError(Exception):
 class ScenarioConfig:
     """Flat scenario description; precedence preset < config file < flags."""
 
-    kind: str = "free"
     x_bar: float = -10.0
     v_bar: float = 2.0
     sigma_x0: float = 2.5
@@ -169,6 +168,11 @@ def load_config_file(path: str) -> dict:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    for f in fields(ScenarioConfig):
+        value = getattr(cfg, f.name)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
     if cfg.t_step <= 0.0:
         raise ConfigError("t_step must be positive")
     if cfg.t_max < cfg.t_step:
@@ -276,6 +280,23 @@ def _out_path(cfg: ScenarioConfig, command: str) -> Path:
     return Path(cfg.out) if cfg.out else Path(DEFAULT_OUT[command])
 
 
+def _write_outputs(out: Path, command: str, cfg: ScenarioConfig, header: list,
+                   rows: list, checks: list, started: float,
+                   noun: str = "rows") -> None:
+    write_csv(out, header, rows)
+    write_manifest(out, command, cfg, checks, time.perf_counter() - started)
+    print(f"wrote {len(rows)} {noun} to {out}")
+
+
+def _exit_code(checks: list) -> int:
+    """1 after naming the failed checks, 0 when every check passed."""
+    failed = [name for name, passed, _ in checks if not passed]
+    if failed:
+        print(f"FAILED: {', '.join(failed)}")
+        return 1
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # trajectory table shared by free / dissipative
 
@@ -315,34 +336,20 @@ TRAJECTORY_HEADER = ["P", "t", "x_cdf", "v_cdf", "x_ode", "v_ode",
                      "discrepancy", "status"]
 
 
-def cmd_free(cfg: ScenarioConfig) -> int:
+def cmd_trajectories(cfg: ScenarioConfig, command: str) -> int:
+    """``free`` or ``dissipative``: CDF and ODE trajectories side by side."""
     if not cfg.p_list:
         raise ConfigError("P list must not be empty")
     started = time.perf_counter()
-    tol = _tolerances(cfg)
-    model = free_gaussian_model(_packet(cfg))
-    rows, worst_gap = _trace_table(model, cfg.p_list, _time_grid(cfg), tol)
-    out = _out_path(cfg, "free")
-    write_csv(out, TRAJECTORY_HEADER, rows)
+    packet = _packet(cfg)
+    lossy = command == "dissipative"
+    model = (dissipative_gaussian_model(packet, cfg.loss_rate) if lossy
+             else free_gaussian_model(packet))
+    rows, worst_gap = _trace_table(model, cfg.p_list, _time_grid(cfg),
+                                   _tolerances(cfg))
     checks = [("method_equivalence", worst_gap <= 1e-5,
                f"max |x_cdf - x_ode| = {worst_gap:.3e}")]
-    write_manifest(out, "free", cfg, checks, time.perf_counter() - started)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
-
-
-def cmd_dissipative(cfg: ScenarioConfig) -> int:
-    if not cfg.p_list:
-        raise ConfigError("P list must not be empty")
-    started = time.perf_counter()
-    tol = _tolerances(cfg)
-    model = dissipative_gaussian_model(_packet(cfg), cfg.loss_rate)
-    rows, worst_gap = _trace_table(model, cfg.p_list, _time_grid(cfg), tol)
-    out = _out_path(cfg, "dissipative")
-    write_csv(out, TRAJECTORY_HEADER, rows)
-    checks = [("method_equivalence", worst_gap <= 1e-5,
-               f"max |x_cdf - x_ode| = {worst_gap:.3e}")]
-    if cfg.loss_rate > 0.0:
+    if lossy and cfg.loss_rate > 0.0:
         expected = {P: -math.log(P) / cfg.loss_rate for P in cfg.p_list}
         seen = {}
         for row in rows:
@@ -353,10 +360,9 @@ def cmd_dissipative(cfg: ScenarioConfig) -> int:
         ok = worst <= 1e-6 and all(
             P in seen for P in cfg.p_list if expected[P] <= cfg.t_max)
         checks.append(("termination_time", ok, detail))
-    write_manifest(out, "dissipative", cfg, checks,
-                   time.perf_counter() - started)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    _write_outputs(_out_path(cfg, command), command, cfg, TRAJECTORY_HEADER,
+                   rows, checks, started)
+    return _exit_code(checks)
 
 
 def cmd_tunnel(cfg: ScenarioConfig) -> int:
@@ -365,33 +371,24 @@ def cmd_tunnel(cfg: ScenarioConfig) -> int:
     started = time.perf_counter()
     tol = _tolerances(cfg)
     spectrum, grid, free, tunnel = _spectral_pair(cfg, tol)
-    times = _time_grid(cfg)
-    edge = cfg.barrier_halfwidth
+    verdicts = retardation_scan(free, tunnel, cfg.p_list, _time_grid(cfg),
+                                tol=tol)
     rows = []
-    min_lag_all = math.inf
-    min_lag_beyond = math.inf
-    for P in cfg.p_list:
-        tun = trace_trajectory_cdf(tunnel, P, times, tol)
-        ref = trace_trajectory_cdf(free, P, times, tol)
+    for v in verdicts:
+        ref, tun = v.free_trajectory, v.tunnel_trajectory
         free_at = dict(zip(ref.times.tolist(), ref.positions.tolist()))
-        for t, x_tun in zip(tun.times.tolist(), tun.positions.tolist()):
-            if t not in free_at:
-                continue
-            lag = free_at[t] - x_tun
-            min_lag_all = min(min_lag_all, lag)
-            if x_tun > edge:
-                min_lag_beyond = min(min_lag_beyond, lag)
-            rows.append((P, t, x_tun, free_at[t], lag))
-    out = _out_path(cfg, "tunnel")
-    write_csv(out, ["P", "t", "x_tunnel", "x_free", "lag"], rows)
-    transmitted = packet_transmission_probability(
-        spectrum, BarrierSpec(height=cfg.barrier_height,
-                              half_width=cfg.barrier_halfwidth),
-        grid, mass=cfg.mass)
+        rows.extend((v.P, t, x_tun, free_at[t], free_at[t] - x_tun)
+                    for t, x_tun in zip(tun.times.tolist(), tun.positions.tolist())
+                    if t in free_at)
+    checked = sum(v.checked for v in verdicts)
+    min_lag_beyond = -max(v.worst_margin for v in verdicts)
+    min_lag_all = -max(v.worst_margin_all for v in verdicts)
+    transmitted = packet_transmission_probability(spectrum, tunnel.barrier,
+                                                  grid, mass=cfg.mass)
     checks = [
-        ("retardation_beyond_edge",
-         math.isinf(min_lag_beyond) or min_lag_beyond >= -1e-5,
-         f"min lag beyond barrier edge = {min_lag_beyond:.3e}"),
+        ("retardation_beyond_edge", all(v.ok for v in verdicts),
+         f"{checked} beyond-edge comparisons, min lag beyond barrier edge = "
+         f"{min_lag_beyond:.3e}"),
         ("min_lag_all", True,
          f"min lag over all rows = {min_lag_all:.3e} (diagnostic: pile-up in "
          "front of the barrier may lead transiently)"),
@@ -399,6 +396,7 @@ def cmd_tunnel(cfg: ScenarioConfig) -> int:
          f"transmitted fraction = {transmitted:.9f}; quantiles with P below "
          "this cross the barrier"),
     ]
+    out = _out_path(cfg, "tunnel")
     if cfg.snapshot_times:
         density_rows = []
         for t in cfg.snapshot_times:
@@ -409,14 +407,12 @@ def cmd_tunnel(cfg: ScenarioConfig) -> int:
             mass = tunnel.interval_mass(lo, hi, t)
             checks.append((f"snapshot_mass_t{t:g}", abs(mass - 1.0) <= 1e-6,
                            f"density block integrates to {mass:.12f}"))
-        density_out = out.with_name(out.stem + "_density" + out.suffix)
-        write_csv(density_out, ["t", "x", "rho"], density_rows)
-        write_manifest(density_out, "tunnel", cfg, checks,
-                       time.perf_counter() - started)
-        print(f"wrote {len(density_rows)} density rows to {density_out}")
-    write_manifest(out, "tunnel", cfg, checks, time.perf_counter() - started)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+        _write_outputs(out.with_name(out.stem + "_density" + out.suffix),
+                       "tunnel", cfg, ["t", "x", "rho"], density_rows, checks,
+                       started, noun="density rows")
+    _write_outputs(out, "tunnel", cfg, ["P", "t", "x_tunnel", "x_free", "lag"],
+                   rows, checks, started)
+    return _exit_code(checks)
 
 
 def cmd_delta_p(cfg: ScenarioConfig) -> int:
@@ -435,9 +431,6 @@ def cmd_delta_p(cfg: ScenarioConfig) -> int:
             zip(report.grid, report.dp_direct, report.dp_term1,
                 report.dp_term2, report.dp_term3, report.dp_total,
                 report.agreement_rel, report.positivity_ok)]
-    out = _out_path(cfg, "delta-p")
-    write_csv(out, ["x", "t", "dp_direct", "term1", "term2", "term3",
-                    "dp_total", "agreement_rel", "positivity_ok"], rows)
     agree = report.agreement_ok()
     checks = [
         ("positivity", report.all_positive,
@@ -445,9 +438,11 @@ def cmd_delta_p(cfg: ScenarioConfig) -> int:
         ("route_agreement", bool(agree.all()),
          f"{int(agree.sum())}/{agree.size} points within 1% or 1e-6"),
     ]
-    write_manifest(out, "delta-p", cfg, checks, time.perf_counter() - started)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    _write_outputs(_out_path(cfg, "delta-p"), "delta-p", cfg,
+                   ["x", "t", "dp_direct", "term1", "term2", "term3",
+                    "dp_total", "agreement_rel", "positivity_ok"],
+                   rows, checks, started)
+    return _exit_code(checks)
 
 
 def cmd_sphere3d(cfg: ScenarioConfig) -> int:
@@ -466,15 +461,14 @@ def cmd_sphere3d(cfg: ScenarioConfig) -> int:
         for i, t in enumerate(flow.times):
             x, y, z = flow.paths[s, i]
             rows.append((s, t, x, y, z, enclosed[i]))
-    out = _out_path(cfg, "sphere3d")
-    write_csv(out, ["seed_id", "t", "x", "y", "z", "enclosed_p"], rows)
     spread = max(enclosed) - min(enclosed)
     checks = [("conservation_3d", spread <= 1e-4,
                f"enclosed probability spread = {spread:.3e} "
                f"(P = {flow.P:.6f})")]
-    write_manifest(out, "sphere3d", cfg, checks, time.perf_counter() - started)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    _write_outputs(_out_path(cfg, "sphere3d"), "sphere3d", cfg,
+                   ["seed_id", "t", "x", "y", "z", "enclosed_p"],
+                   rows, checks, started)
+    return _exit_code(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +620,11 @@ def cmd_verify(cfg: ScenarioConfig, inject_fault: str = "") -> int:
     out = _out_path(cfg, "verify")
     write_csv(out, ["check", "passed", "detail"], checks)
     write_manifest(out, "verify", cfg, checks, time.perf_counter() - started)
-    failed = [name for name, passed, _ in checks if not passed]
-    if failed:
-        print(f"FAILED: {', '.join(failed)}")
-        return 1
-    print(f"all {len(checks)} checks passed "
-          f"({time.perf_counter() - started:.1f}s)")
-    return 0
+    code = _exit_code(checks)
+    if code == 0:
+        print(f"all {len(checks)} checks passed "
+              f"({time.perf_counter() - started:.1f}s)")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +676,11 @@ _FLAG_FIELDS = ("out", "p_list", "t_max", "t_step", "loss_rate",
 
 
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    values = {"kind": {"delta-p": "tunnel", "sphere3d": "free3d"}.get(
-        args.command, args.command)}
+    values = {}
     if args.preset:
         values.update(PRESETS[args.preset])
     if args.config:
-        file_values = load_config_file(args.config)
-        file_values.pop("kind", None)   # the subcommand decides the kind
-        values.update(file_values)
+        values.update(load_config_file(args.config))
     for name in _FLAG_FIELDS:
         raw = getattr(args, name, None)
         if raw is None:
@@ -716,8 +705,6 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     handlers = {
-        "free": cmd_free,
-        "dissipative": cmd_dissipative,
         "tunnel": cmd_tunnel,
         "delta-p": cmd_delta_p,
         "sphere3d": cmd_sphere3d,
@@ -725,6 +712,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(cfg, inject_fault=args.inject_fault)
+        if args.command in ("free", "dissipative"):
+            return cmd_trajectories(cfg, args.command)
         return handlers[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ transmitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import GridTooCoarse, InvalidRange
 from .numerics import DEFAULT_TOL, KGrid, Tolerances, integrate_adaptive, nodes_for_phase
-from .quantile import trace_trajectory_cdf
+from .quantile import QuantileTrajectory, trace_trajectory_cdf
 from .wavepacket import (
     HBAR,
     BarrierSpec,
@@ -253,7 +253,7 @@ class RetardationVerdict:
     worst_margin_all drops the beyond-the-edge filter and is diagnostic
     only: in front of the barrier the reflected pile-up can push a
     quantile ahead of its free twin, which the certified statement does
-    not forbid.
+    not forbid.  The two traced trajectories come along for reporting.
     """
 
     P: float
@@ -262,6 +262,8 @@ class RetardationVerdict:
     worst_margin: float
     worst_margin_all: float
     ok: bool
+    tunnel_trajectory: QuantileTrajectory = field(repr=False, compare=False)
+    free_trajectory: QuantileTrajectory = field(repr=False, compare=False)
 
 
 def retardation_scan(free: PacketModel, tunneling: PacketModel,
@@ -297,7 +299,8 @@ def retardation_scan(free: PacketModel, tunneling: PacketModel,
         verdicts.append(RetardationVerdict(
             P=float(P), checked=checked, skipped=t_grid.size - checked,
             worst_margin=worst, worst_margin_all=worst_all,
-            ok=(checked == 0 or worst <= tolerance)))
+            ok=(checked == 0 or worst <= tolerance),
+            tunnel_trajectory=tun, free_trajectory=ref))
     return verdicts
 
 

@@ -380,42 +380,46 @@ def _barrier_coefficients(k, barrier: BarrierSpec, mass: float = 1.0):
     return gamma, T, R, A, B
 
 
-def _mode_values(x, k, gamma, T, R, A, B, half_width):
-    """Region-wise mode values, shape (len(x), len(k))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((x.size, k.size), dtype=complex)
-    left = x < -half_width
-    right = x > half_width
-    mid = ~(left | right)
-    if np.any(left):
-        xs = x[left, None]
-        out[left] = np.exp(1j * k * xs) + R * np.exp(-1j * k * xs)
-    if np.any(mid):
-        xs = x[mid, None]
-        out[mid] = A * np.exp(1j * gamma * xs) + B * np.exp(-1j * gamma * xs)
-    if np.any(right):
-        xs = x[right, None]
-        out[right] = T * np.exp(1j * k * xs)
-    return out
+def _free_coefficients(k):
+    """Exact V = 0 coefficients (gamma, T, R, A, B) = (k, 1, 0, 1, 0)."""
+    one = np.ones(k.shape, dtype=complex)
+    zero = np.zeros(k.shape, dtype=complex)
+    return k.astype(complex), one, zero, one, zero
 
 
-def _mode_derivatives(x, k, gamma, T, R, A, B, half_width):
-    """Analytic x-derivatives of the region-wise modes, shape (len(x), len(k))."""
+def _mode_fields(x, k, gamma, T, R, A, B, half_width, with_derivative):
+    """Region-wise mode values and, if asked, x-derivatives, each (len(x), len(k)).
+
+    Values and derivatives share their exponentials; left of the barrier
+    e^{-ikx} is the conjugate of e^{ikx}.  At V = 0 every region gives the
+    same plane wave, so the free reference passes half_width = -inf and
+    evaluates every point in the transmitted region, the cheapest one.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((x.size, k.size), dtype=complex)
-    left = x < -half_width
+    val = np.empty((x.size, k.size), dtype=complex)
+    der = np.empty_like(val) if with_derivative else None
     right = x > half_width
+    left = (x < -half_width) & ~right
     mid = ~(left | right)
     if np.any(left):
-        xs = x[left, None]
-        out[left] = 1j * k * (np.exp(1j * k * xs) - R * np.exp(-1j * k * xs))
+        e = np.exp(1j * k * x[left, None])
+        r = R * e.conj()
+        val[left] = e + r
+        if with_derivative:
+            der[left] = 1j * k * (e - r)
     if np.any(mid):
         xs = x[mid, None]
-        out[mid] = 1j * gamma * (A * np.exp(1j * gamma * xs) - B * np.exp(-1j * gamma * xs))
+        up = A * np.exp(1j * gamma * xs)
+        down = B * np.exp(-1j * gamma * xs)
+        val[mid] = up + down
+        if with_derivative:
+            der[mid] = 1j * gamma * (up - down)
     if np.any(right):
-        xs = x[right, None]
-        out[right] = 1j * k * T * np.exp(1j * k * xs)
-    return out
+        e = np.exp(1j * k * x[right, None])
+        val[right] = T * e
+        if with_derivative:
+            der[right] = 1j * k * T * e
+    return val, der
 
 
 @dataclass(frozen=True)
@@ -438,13 +442,17 @@ class ScatteringMode:
         return (np.array([self.k]), np.array([self.gamma]), np.array([self.T]),
                 np.array([self.R]), np.array([self.A]), np.array([self.B]))
 
-    def value(self, x):
-        vals = _mode_values(x, *self._arrays(), self.barrier.half_width)[:, 0]
+    def _field(self, x, derivative: bool):
+        val, der = _mode_fields(x, *self._arrays(), self.barrier.half_width,
+                                derivative)
+        vals = (der if derivative else val)[:, 0]
         return complex(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
+    def value(self, x):
+        return self._field(x, derivative=False)
+
     def derivative(self, x):
-        vals = _mode_derivatives(x, *self._arrays(), self.barrier.half_width)[:, 0]
-        return complex(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
+        return self._field(x, derivative=True)
 
 
 def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> ScatteringMode:
@@ -462,61 +470,34 @@ def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> Scatte
 # ---------------------------------------------------------------------------
 
 
-class _PlaneWaveBasis:
-    """Free modes e^{ikx} for the reference packet."""
-
-    scattered = False
-
-    def __init__(self, k):
-        self.k = np.asarray(k, dtype=float)
-
-    def values(self, x):
-        return np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), self.k))
-
-    def derivatives(self, x):
-        return 1j * self.k * self.values(x)
-
-
-class _BarrierBasis:
-    """Square-barrier scattering modes, matched region-wise."""
-
-    scattered = True
-
-    def __init__(self, k, barrier: BarrierSpec, mass: float):
-        self.k = np.asarray(k, dtype=float)
-        self.barrier = barrier
-        (self.gamma, self.T, self.R, self.A, self.B) = _barrier_coefficients(
-            self.k, barrier, mass)
-
-    def values(self, x):
-        return _mode_values(x, self.k, self.gamma, self.T, self.R, self.A,
-                            self.B, self.barrier.half_width)
-
-    def derivatives(self, x):
-        return _mode_derivatives(x, self.k, self.gamma, self.T, self.R, self.A,
-                                 self.B, self.barrier.half_width)
-
-
 class SpectralPacketModel(PacketModel):
     """Packet built as a weighted sum of modes over a wave-number grid.
 
     The amplitude is sum_j w_j psi~(k_j) phi_{k_j}(x) exp(-i k_j x_bar
-    - i hbar k_j^2 t / 2m), with phi either plane waves (free reference) or
-    matched barrier modes.  The spatial derivative is taken analytically
+    - i hbar k_j^2 t / 2m), with phi the matched modes of ``barrier``; with
+    ``barrier=None`` they are the V = 0 modes, plane waves, and the model is
+    the free reference.  The spatial derivative is taken analytically
     per mode, never by finite differences, so the current stays clean near
     density minima.  A phase-resolution guard raises GridTooCoarse instead
     of silently aliasing when an evaluation needs more nodes than the grid
     has.
     """
 
-    def __init__(self, spectrum: SpectralFunction, grid: KGrid, basis, *,
-                 mass: float = 1.0, tol: Tolerances = DEFAULT_TOL,
-                 nodes_per_period: float = 8.0):
+    def __init__(self, spectrum: SpectralFunction, grid: KGrid,
+                 barrier: BarrierSpec | None, *, mass: float = 1.0,
+                 tol: Tolerances = DEFAULT_TOL, nodes_per_period: float = 8.0):
         self.spectrum = spectrum
         self.grid = grid
+        self.barrier = barrier
         self.mass = float(mass)
         self.tol = tol
-        self._basis = basis
+        if barrier is None:
+            coefficients, edge = _free_coefficients(grid.nodes), -math.inf
+        else:
+            coefficients = _barrier_coefficients(grid.nodes, barrier, self.mass)
+            edge = barrier.half_width
+        # Wave numbers, coefficients and region edge, in _mode_fields order.
+        self._modes = (grid.nodes, *coefficients, edge)
         self._nodes_per_period = float(nodes_per_period)
         amp = spectrum.amplitude(grid.nodes)
         self._base_coeffs = (grid.weights * amp
@@ -525,11 +506,6 @@ class SpectralPacketModel(PacketModel):
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
         self._coeff_cache: tuple[float, np.ndarray | None] = (math.nan, None)
-
-    @property
-    def barrier(self) -> BarrierSpec | None:
-        """Barrier the modes scatter on, or None for the free reference."""
-        return getattr(self._basis, "barrier", None)
 
     def _coeffs(self, t: float) -> np.ndarray:
         if self._coeff_cache[0] == t:
@@ -555,9 +531,8 @@ class SpectralPacketModel(PacketModel):
         flat = np.ravel(np.asarray(x, dtype=float))
         self._check_resolution(float(np.max(np.abs(flat))) if flat.size else 0.0, t)
         coeffs = self._coeffs(float(t))
-        psi = self._basis.values(flat) @ coeffs
-        dpsi = self._basis.derivatives(flat) @ coeffs if with_derivative else None
-        return psi, dpsi
+        val, der = _mode_fields(flat, *self._modes, with_derivative)
+        return val @ coeffs, der @ coeffs if with_derivative else None
 
     def amplitude(self, x, t):
         """Summed complex amplitude psi(x, t)."""
@@ -585,7 +560,7 @@ class SpectralPacketModel(PacketModel):
     def _initial_panels(self, span: float) -> int:
         # Sized to the fastest spatial beat of the density, two periods per
         # panel, so the first refinement pass already sees the oscillation.
-        osc_k = 2.0 * self.grid.k_max if self._basis.scattered else \
+        osc_k = 2.0 * self.grid.k_max if self.barrier is not None else \
             self.grid.k_max - self.grid.k_min
         periods = span * osc_k / (2.0 * math.pi)
         return int(min(512, max(8, math.ceil(periods / 2.0))))
@@ -612,7 +587,7 @@ class SpectralPacketModel(PacketModel):
         t = float(t)
         pad = 8.0 * self.spread(t)
         v_hi = HBAR * self.grid.k_max / self.mass
-        if self._basis.scattered:
+        if self.barrier is not None:
             # Reflected branch can travel as far left as the transmitted
             # branch travels right, so take a symmetric bound.
             half = abs(self.spectrum.x_bar) + v_hi * abs(t) + pad
@@ -632,16 +607,14 @@ def spectral_free_model(spectrum: SpectralFunction, grid: KGrid, *,
     This is the reference for barrier comparisons; it uses the identical
     grid and spectrum, not the closed-form Gaussian.
     """
-    return SpectralPacketModel(spectrum, grid, _PlaneWaveBasis(grid.nodes),
-                               mass=mass, tol=tol)
+    return SpectralPacketModel(spectrum, grid, None, mass=mass, tol=tol)
 
 
 def tunneling_packet_model(spectrum: SpectralFunction, barrier: BarrierSpec,
                            grid: KGrid, *, mass: float = 1.0,
                            tol: Tolerances = DEFAULT_TOL) -> SpectralPacketModel:
     """Packet scattering off the square barrier, mode by mode."""
-    basis = _BarrierBasis(grid.nodes, barrier, mass)
-    return SpectralPacketModel(spectrum, grid, basis, mass=mass, tol=tol)
+    return SpectralPacketModel(spectrum, grid, barrier, mass=mass, tol=tol)
 
 
 def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float,
@@ -650,7 +623,7 @@ def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float,
                            headroom: float = 1.15) -> int:
     """Wave-number node count that keeps the phase guard satisfied.
 
-    Sized for evaluations anywhere inside the scattered-packet support out
+    Sized for evaluations anywhere inside the tunneling-packet support out
     to t_max, with a little headroom so tail quadrature never trips the
     guard mid-run.
     """

@@ -86,6 +86,18 @@ class TestConfigResolution:
     def test_nonpositive_step_exits_2(self, tmp_path):
         assert run_cli(tmp_path, "free", "--t-step", "0") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("free", "--t-max", "nan"),
+        ("free", "--t-step", "nan"),
+        ("free", "--t-max", "inf"),
+        ("dissipative", "--lambda", "nan"),
+        ("tunnel", "--barrier-height", "nan"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be finite" in err
+
     def test_small_n_lambda_rejected(self):
         with pytest.raises(Exception):
             validate_config(ScenarioConfig(n_lambda=8))
@@ -157,6 +169,14 @@ class TestDissipativeCommand:
         manifest = read_manifest(tmp_path / "dissipative_trajectories.csv")
         assert checks_by_name(manifest)["termination_time"]["passed"]
 
+    def test_failed_check_exits_1(self, tmp_path):
+        # The CDF and ODE routes part by more than 1e-5 at P = 0.67, whose
+        # trajectory ends just after a grid time; the CSV is still written.
+        assert run_cli(tmp_path, "dissipative", "--preset", "fig1",
+                       "--p-list", "0.67") == 1
+        manifest = read_manifest(tmp_path / "dissipative_trajectories.csv")
+        assert not checks_by_name(manifest)["method_equivalence"]["passed"]
+
     def test_discrepancy_column_small(self, tmp_path):
         assert run_cli(tmp_path, "dissipative", "--p-list", "0.3",
                        "--t-max", "8", "--lambda", "0.1") == 0
@@ -184,6 +204,8 @@ class TestTunnelCommand:
         names = checks_by_name(manifest)
         assert names["snapshot_mass_t0"]["passed"]
         assert names["snapshot_mass_t2"]["passed"]
+        assert names["retardation_beyond_edge"]["detail"].startswith(
+            "0 beyond-edge comparisons")
         # Trapezoid over the emitted block should also come out near 1.
         block = [(float(r["x"]), float(r["rho"])) for r in rows
                  if float(r["t"]) == 0.0]

@@ -191,6 +191,10 @@ class TestRetardationScan:
             assert v.checked > 0
             assert v.ok
             assert v.worst_margin < -0.1    # lags by a visible distance
+            # the verdict carries the trajectories its margins came from
+            tun, ref = v.tunnel_trajectory, v.free_trajectory
+            beyond = tun.positions > DEFAULT_BARRIER.half_width
+            assert np.max((tun.positions - ref.positions)[beyond]) == v.worst_margin
 
     def test_reflected_quantile_is_vacuous_beyond_edge(self, fig2):
         _, _, free, tunnel = fig2

@@ -357,6 +357,22 @@ class TestTunnelingPacketModel:
             assert tunnel.tail(x1, t) - tunnel.tail(x2, t) == pytest.approx(
                 interval, abs=1e-8)
 
+    def test_density_and_current_is_rho_and_current(self, spectral_models):
+        # The fused path shares its exponentials but must not change a bit.
+        _, _, free_sp, tunnel = spectral_models
+        a = DEFAULT_BARRIER.half_width
+        xs = np.array([-12.0, -a, -0.1, 0.0, 0.2, a, 3.5])
+        for model in (free_sp, tunnel):
+            for t in (0.0, 4.0):
+                rho, cur = model.density_and_current(xs, t)
+                assert np.array_equal(rho, model.rho(xs, t))
+                assert np.array_equal(cur, model.current(xs, t))
+                for x in xs:
+                    r, c = model.density_and_current(float(x), t)
+                    assert isinstance(r, float) and isinstance(c, float)
+                    assert r == model.rho(float(x), t)
+                    assert c == model.current(float(x), t)
+
     def test_tail_clamps_outside_hint(self, spectral_models):
         _, _, _, tunnel = spectral_models
         lo, hi = tunnel.support_hint(3.0)
