@@ -42,6 +42,7 @@ from .wavepacket import (
     dissipative_gaussian_model,
     free_gaussian_model,
     gaussian3d_model,
+    recommended_node_count,
     scattering_mode,
     spectral_free_model,
     spectral_setup,
@@ -50,6 +51,13 @@ from .wavepacket import (
 
 UNIT_COMMENT = ("# units: hbar = m = 1; positions in hbar/sqrt(eV*m), "
                 "times in hbar/eV, energies in eV")
+
+# Size limits checked before anything is allocated: the time grid and the
+# Gauss-Legendre k-grid (leggauss builds an n x n companion matrix; 4096
+# nodes take about 6 s and 0.3 GB, the auto count reaches it near t_max =
+# 140 for the stock packet).
+MAX_TIME_POINTS = 100_000
+MAX_K_NODES = 4096
 
 
 class ConfigError(Exception):
@@ -95,7 +103,10 @@ PRESETS = {
     "fig2": {
         "x_bar": -10.0, "v_bar": 2.0, "sigma_x0": 2.5,
         "barrier_height": 10.0, "barrier_halfwidth": 0.3,
-        "p_list": tuple(float(f"{0.1 + 0.05 * i:.2f}") for i in range(13)),
+        # Four levels below the transmitted fraction (0.0216) cross the
+        # barrier and give the retardation check something to compare.
+        "p_list": (0.005, 0.01, 0.015, 0.02)
+                  + tuple(float(f"{0.1 + 0.05 * i:.2f}") for i in range(13)),
         "t_max": 10.0, "t_step": 0.5,
     },
     "fig3": {
@@ -194,8 +205,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("radius must be positive")
     if cfg.n_lambda < 16:
         raise ConfigError("n_lambda must be at least 16")
-    if cfg.k_nodes and cfg.k_nodes < 64:
-        raise ConfigError("k_nodes must be 0 (auto) or at least 64")
+    if cfg.k_nodes and not 64 <= cfg.k_nodes <= MAX_K_NODES:
+        raise ConfigError(f"k_nodes must be 0 (auto) or in [64, {MAX_K_NODES}]")
     if any(t < 0.0 for t in cfg.snapshot_times):
         raise ConfigError("snapshot times must be nonnegative")
 
@@ -213,11 +224,21 @@ def _packet(cfg: ScenarioConfig) -> GaussianPacketParams:
 
 def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
     count = int(math.floor(cfg.t_max / cfg.t_step + 1e-9))
+    if count + 1 > MAX_TIME_POINTS:
+        raise ConfigError(f"t_max / t_step gives {count + 1} grid times, "
+                          f"above the limit {MAX_TIME_POINTS}")
     return np.linspace(0.0, count * cfg.t_step, count + 1)
 
 
 def _spectral_pair(cfg: ScenarioConfig, tol: Tolerances):
     packet = _packet(cfg)
+    if not cfg.k_nodes:
+        needed = recommended_node_count(packet.k_bar, packet.sigma_k,
+                                        packet.x_bar, cfg.t_max,
+                                        mass=packet.mass)
+        if needed > MAX_K_NODES:
+            raise ConfigError(f"t_max = {cfg.t_max:g} needs {needed} wave-number "
+                              f"nodes, above the limit {MAX_K_NODES}")
     spectrum, grid = spectral_setup(packet, cfg.t_max,
                                     n_nodes=cfg.k_nodes or None)
     barrier = BarrierSpec(height=cfg.barrier_height,

@@ -20,9 +20,12 @@ from .errors import InvalidRange, NonConvergence, NoSignChange, StepUnderflow
 __all__ = [
     "Tolerances",
     "KGrid",
+    "Panels",
     "OdePath",
     "erfc",
     "integrate_adaptive",
+    "adaptive_panels",
+    "PANEL_NODES",
     "build_kgrid",
     "nodes_for_phase",
     "find_root_monotone",
@@ -67,32 +70,66 @@ _GL7_X, _GL7_W = leggauss(7)
 _GL15_X, _GL15_W = leggauss(15)
 
 
-def _eval_panels(f, los, his):
-    """Evaluate GL15 values and GL15-GL7 error estimates for a batch of panels."""
+# The 22 abscissae of one panel on [-1, 1]: the GL15 nodes, then the GL7 ones.
+PANEL_NODES = np.concatenate([_GL15_X, _GL7_X])
+
+
+@dataclass(frozen=True)
+class Panels:
+    """Retained panels of one adaptive quadrature, in ascending order.
+
+    ``values[i]`` is the GL15 integral over [los[i], his[i]]; consecutive
+    panels share their edges exactly.  ``total`` is the running sum the
+    refinement kept, which is what integrate_adaptive returns.
+    """
+
+    los: np.ndarray
+    his: np.ndarray
+    values: np.ndarray
+    total: float
+
+
+def _at_panel_nodes(f):
+    """Panel form of a vectorized integrand: (mid, half) -> values (n, 22)."""
+    def panel_f(mid, half):
+        # One call over the concatenated nodes of both rules.
+        x15 = mid[:, None] + half[:, None] * _GL15_X[None, :]
+        x7 = mid[:, None] + half[:, None] * _GL7_X[None, :]
+        xs = np.concatenate([x15.ravel(), x7.ravel()])
+        ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+        n = mid.size
+        return np.concatenate([ys[: 15 * n].reshape(n, 15),
+                               ys[15 * n :].reshape(n, 7)], axis=1)
+    return panel_f
+
+
+def _eval_panels(panel_f, los, his):
+    """GL15 values and GL15-GL7 error estimates for a batch of panels."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
-    # One vectorized call over the concatenated nodes of both rules.
-    x15 = mid[:, None] + half[:, None] * _GL15_X[None, :]
-    x7 = mid[:, None] + half[:, None] * _GL7_X[None, :]
-    xs = np.concatenate([x15.ravel(), x7.ravel()])
-    ys = np.asarray(f(xs), dtype=float)
-    ys = np.broadcast_to(ys, xs.shape)
-    n = los.size
-    y15 = ys[: 15 * n].reshape(n, 15)
-    y7 = ys[15 * n :].reshape(n, 7)
-    v15 = half * (y15 @ _GL15_W)
-    v7 = half * (y7 @ _GL7_W)
+    ys = panel_f(mid, half)
+    # Contiguous copies give the rule sums the pointwise layout's bits.
+    v15 = half * (np.ascontiguousarray(ys[:, :15]) @ _GL15_W)
+    v7 = half * (np.ascontiguousarray(ys[:, 15:]) @ _GL7_W)
     return v15, np.abs(v15 - v7)
 
 
-def _integrate_finite(f, a, b, tol, initial_panels, max_panels):
-    if b == a:
-        return 0.0
-    n0 = max(1, int(initial_panels))
-    edges = np.linspace(a, b, n0 + 1)
-    vals, errs = _eval_panels(f, edges[:-1], edges[1:])
+def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
+                    max_panels: int = 4096) -> Panels:
+    """Adaptive GL7/15 quadrature that keeps its panels.
+
+    ``edges`` is the initial partition, finite and strictly increasing.
+    ``panel_f(mid, half)`` returns the integrand at mid + half * PANEL_NODES
+    for a batch of panels, shape (n, 22).  The panel with the largest
+    GL15-GL7 gap is bisected until the summed gaps satisfy
+    max(quad_abs, quad_rel * |total|).  Raises NonConvergence after
+    ``max_panels`` panels or on a panel narrower than 1e-14 of the range.
+    """
+    edges = np.asarray(edges, dtype=float)
+    n0 = edges.size - 1
+    vals, errs = _eval_panels(panel_f, edges[:-1], edges[1:])
 
     # Heap keyed by largest error estimate; counter keeps ordering deterministic.
     heap = []
@@ -104,7 +141,7 @@ def _integrate_finite(f, a, b, tol, initial_panels, max_panels):
     total = float(np.sum(vals))
     total_err = float(np.sum(errs))
     n_panels = n0
-    width_floor = 1e-14 * abs(b - a)
+    width_floor = 1e-14 * (edges[-1] - edges[0])
 
     while total_err > max(tol.quad_abs, tol.quad_rel * abs(total)):
         if n_panels >= max_panels:
@@ -121,7 +158,7 @@ def _integrate_finite(f, a, b, tol, initial_panels, max_panels):
                 error=total_err,
             )
         mid = 0.5 * (lo + hi)
-        new_vals, new_errs = _eval_panels(f, [lo, mid], [mid, hi])
+        new_vals, new_errs = _eval_panels(panel_f, [lo, mid], [mid, hi])
         total += float(np.sum(new_vals)) - v
         total_err += float(np.sum(new_errs)) - e
         for plo, phi, pv, pe in zip((lo, mid), (mid, hi), new_vals, new_errs):
@@ -129,7 +166,15 @@ def _integrate_finite(f, a, b, tol, initial_panels, max_panels):
             counter += 1
         n_panels += 1
 
-    return total
+    los, his, values = np.array(sorted(entry[2:5] for entry in heap)).T
+    return Panels(los, his, values, total)
+
+
+def _integrate_finite(f, a, b, tol, initial_panels, max_panels):
+    if b == a:
+        return 0.0
+    edges = np.linspace(a, b, max(1, int(initial_panels)) + 1)
+    return adaptive_panels(_at_panel_nodes(f), edges, tol, max_panels=max_panels).total
 
 
 def integrate_adaptive(

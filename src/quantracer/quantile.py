@@ -16,8 +16,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidRange, NormBelowP, StepUnderflow, VelocitySingular
-from .numerics import DEFAULT_TOL, Tolerances, find_root_monotone, integrate_adaptive, integrate_ode
-from .wavepacket import Gaussian3DModel, PacketModel
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerances,
+    find_root_monotone,
+    integrate_adaptive,
+    integrate_ode,
+)
+from .wavepacket import Gaussian3DModel, PacketModel, SpectralPacketModel
 
 __all__ = [
     "Termination",
@@ -134,28 +140,38 @@ def quantile_velocity(model: PacketModel, x: float, t: float, *,
     return (float(cur) - loss_tail) / rho
 
 
-class _AnchoredTail:
-    """tail(x) as one full quadrature plus short interval corrections.
+class _TailTable:
+    """Upper tail of a spectral packet at one time, from one retained
+    adaptive panel quadrature over the support hint.
 
-    Root-finding queries cluster inside a narrow bracket, so anchoring the
-    expensive full-support tail once and extending it with interval masses
-    cuts the inversion cost by an order of magnitude for spectral models.
+    ``upper[i]`` is the mass right of panel i's lower edge (the reverse
+    cumulative panel masses, ``upper[-1] = 0``); a probe at x adds the
+    mass of the partial panel [x, panel top], one GL7/15 panel under the
+    same error control, to the mass right of its panel.
     """
 
-    def __init__(self, model: PacketModel, t: float):
+    def __init__(self, model: SpectralPacketModel, t: float):
         self.model = model
         self.t = t
-        self.x_anchor: float | None = None
-        self.tail_anchor = 0.0
+        panels = model.tail_panels(t)
+        self.los, self.his = panels.los, panels.his
+        self.upper = np.append(np.cumsum(panels.values[::-1])[::-1], 0.0)
 
     def __call__(self, x: float) -> float:
-        if self.model.closed_form_tail:
-            return self.model.tail(x, self.t)
-        if self.x_anchor is None:
-            self.x_anchor = float(x)
-            self.tail_anchor = self.model.tail(x, self.t)
-            return self.tail_anchor
-        return self.tail_anchor + self.model.interval_mass(x, self.x_anchor, self.t)
+        if x <= self.los[0]:
+            return float(self.upper[0])
+        i = int(np.searchsorted(self.his, x))   # first panel with top >= x
+        if i == self.his.size:
+            return 0.0
+        return float(self.upper[i + 1]) + integrate_adaptive(
+            lambda xs: self.model.rho(xs, self.t), x, self.his[i],
+            self.model.tol, initial_panels=1)
+
+    def bracket(self, P: float) -> tuple[float, float]:
+        """Edges of the panel whose edge tails straddle P."""
+        # Last panel whose lower-edge tail is still >= P (upper[-1] = 0 < P).
+        i = max(int(np.searchsorted(-self.upper, -P, side="right")) - 1, 0)
+        return float(self.los[i]), float(self.his[i])
 
 
 def quantile_position(model: PacketModel, P: float, t: float,
@@ -163,7 +179,10 @@ def quantile_position(model: PacketModel, P: float, t: float,
                       x_guess: float | None = None) -> float:
     """Unique x with tail_probability(model, x, t) = P.
 
-    The bracket is seeded at ``x_guess`` (typically the previous time step's
+    A spectral model builds one tail table at t (``_TailTable``) and finds
+    the root inside the one panel that brackets P; ``x_guess`` is not
+    needed there.  Other models answer through their own ``tail``: the
+    bracket is seeded at ``x_guess`` (typically the previous time step's
     quantile) with width four spreads and grown geometrically, falling back
     to the full support hint.  Raises NormBelowP when no quantile exists
     because the total norm has decayed to or below P.
@@ -176,17 +195,21 @@ def quantile_position(model: PacketModel, P: float, t: float,
             f"requested P = {P} but total norm at t = {t:.6g} is {norm:.12g}",
             t_end=t,
         )
-    hint_lo, hint_hi = model.support_hint(t)
-    tail = _AnchoredTail(model, float(t))
+    t = float(t)
+    if isinstance(model, SpectralPacketModel):
+        table = _TailTable(model, t)
+        return find_root_monotone(lambda x: table(x) - P, table.bracket(P), tol)
 
+    def tail(x):
+        return model.tail(x, t)
+
+    hint_lo, hint_hi = model.support_hint(t)
     if x_guess is None:
         lo, hi = hint_lo, hint_hi
-        tail(0.5 * (lo + hi))   # anchor near the middle where mass lives
     else:
         width = 2.0 * model.spread(t)
         lo = max(float(x_guess) - width, hint_lo)
         hi = min(float(x_guess) + width, hint_hi)
-        tail(float(x_guess))
         # Grow each side until the bracket straddles P or hits the hint.
         while tail(lo) - P <= 0.0 and lo > hint_lo:
             lo = max(float(x_guess) - 2.0 * (float(x_guess) - lo), hint_lo)

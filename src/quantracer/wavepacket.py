@@ -17,8 +17,11 @@ import numpy as np
 from .errors import DegenerateK, GridTooCoarse
 from .numerics import (
     DEFAULT_TOL,
+    PANEL_NODES,
     KGrid,
+    Panels,
     Tolerances,
+    adaptive_panels,
     build_kgrid,
     erfc,
     integrate_adaptive,
@@ -185,10 +188,6 @@ class PacketModel(abc.ABC):
     tail(x, t) = integral of rho over [x, +infinity).
     """
 
-    # True when tail() is a cheap closed form; quantile inversion then calls
-    # it directly instead of anchoring one quadrature and extending it.
-    closed_form_tail = False
-
     @abc.abstractmethod
     def rho(self, x, t):
         """Probability density, >= 0."""
@@ -257,8 +256,6 @@ def _gaussian_velocity(params: GaussianPacketParams, x, t):
 class FreeGaussianModel(PacketModel):
     """Closed-form spreading Gaussian packet with conserved norm."""
 
-    closed_form_tail = True
-
     def __init__(self, params: GaussianPacketParams):
         self.params = params
 
@@ -296,8 +293,6 @@ class DissipativeGaussianModel(PacketModel):
     exp(-loss_rate * t); the loss density is loss_rate * rho.  That keeps
     the lossy continuity balance d rho/dt + d j/dx + loss = 0 exact.
     """
-
-    closed_form_tail = True
 
     def __init__(self, params: GaussianPacketParams, loss_rate: float):
         if loss_rate < 0.0:
@@ -469,6 +464,10 @@ def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> Scatte
 # Spectral superpositions.
 # ---------------------------------------------------------------------------
 
+# Most (x, k) entries one pointwise field evaluation holds at once; longer
+# x batches are summed in row chunks, so memory stays bounded for any batch.
+_FIELD_ENTRIES = 1 << 16
+
 
 class SpectralPacketModel(PacketModel):
     """Packet built as a weighted sum of modes over a wave-number grid.
@@ -531,8 +530,74 @@ class SpectralPacketModel(PacketModel):
         flat = np.ravel(np.asarray(x, dtype=float))
         self._check_resolution(float(np.max(np.abs(flat))) if flat.size else 0.0, t)
         coeffs = self._coeffs(float(t))
-        val, der = _mode_fields(flat, *self._modes, with_derivative)
+        rows = max(1, _FIELD_ENTRIES // self.grid.size)
+        if flat.size <= rows:
+            return self._mode_sums(flat, coeffs, with_derivative)
+        chunks = [self._mode_sums(flat[i:i + rows], coeffs, with_derivative)
+                  for i in range(0, flat.size, rows)]
+        psi = np.concatenate([c[0] for c in chunks])
+        return psi, np.concatenate([c[1] for c in chunks]) if with_derivative else None
+
+    def _mode_sums(self, xs, coeffs, with_derivative: bool):
+        val, der = _mode_fields(xs, *self._modes, with_derivative)
         return val @ coeffs, der @ coeffs if with_derivative else None
+
+    def _panel_rho(self, t: float):
+        """Density on the nodes mid + half * PANEL_NODES of batches of panels.
+
+        On a panel wholly inside one region the mode sum factors,
+        e^{iq(m + h xi)} = e^{iqm} e^{iqh xi} (q = k outside the barrier,
+        gamma inside, conjugates for the reflected wave), so equal-width
+        panels cost one exponential per (panel, mode) and wave plus a matmul
+        against the (n_k, 22) matrix e^{iqh xi}, which the returned function
+        keeps per width.  Widths are rounded to 40 significant bits (node
+        shifts far below the quadrature tolerance) so that bisection
+        siblings share a matrix.  Panels across a barrier edge take the
+        pointwise kernel.
+        """
+        k, gamma, T, R, A, B, edge = self._modes
+        coeffs = self._coeffs(t)
+        reach = float(np.max(PANEL_NODES))
+        waves: dict = {}
+
+        def wave(q, h):
+            # e^{iqh xi}; a negative h gives the e^{-iqh xi} of the down wave.
+            key = (q is gamma, h)
+            if key not in waves:
+                waves[key] = np.exp(1j * np.outer(q, h * PANEL_NODES))
+            return waves[key]
+
+        def values(mids, halves):
+            # Regions by the outermost nodes, not the panel edges: a panel
+            # ending on a barrier edge still has all its nodes on one side.
+            lo, hi = mids - reach * halves, mids + reach * halves
+            self._check_resolution(float(np.max(np.maximum(-lo, hi))), t)
+            right = lo > edge
+            left = ~right & (hi < -edge)
+            inside = (lo > -edge) & (hi < edge)
+            across = ~(right | left | inside)
+            out = np.empty((mids.size, PANEL_NODES.size))
+            if np.any(across):
+                xs = mids[across, None] + halves[across, None] * PANEL_NODES
+                out[across] = self.rho(xs.ravel(), t).reshape(xs.shape)
+            mant, expo = np.frexp(halves)
+            widths = np.ldexp(np.round(mant * 2.0 ** 40), expo - 40)
+            # Per region: wave number, coefficients of e^{iqx} and e^{-iqx}.
+            for side, q, up, down in ((right, k, T, None), (left, k, 1.0, R),
+                                      (inside, gamma, A, B)):
+                for h in np.unique(widths[side]):
+                    sel = side & (widths == h)
+                    e = np.exp(1j * np.outer(mids[sel], q))
+                    psi = (e * (coeffs * up)) @ wave(q, h)
+                    if q is k and down is not None:
+                        psi += (e.conj() * (coeffs * down)) @ wave(k, h).conj()
+                    elif q is gamma:
+                        e_down = np.exp(-1j * np.outer(mids[sel], gamma))
+                        psi += (e_down * (coeffs * down)) @ wave(gamma, -h)
+                    out[sel] = psi.real ** 2 + psi.imag ** 2
+            return out
+
+        return values
 
     def amplitude(self, x, t):
         """Summed complex amplitude psi(x, t)."""
@@ -578,6 +643,24 @@ class SpectralPacketModel(PacketModel):
     def tail(self, x, t) -> float:
         t = float(t)
         return self.interval_mass(x, self.support_hint(t)[1], t)
+
+    def tail_panels(self, t) -> Panels:
+        """Retained GL7/15 panels of rho over the support hint at time t.
+
+        Same error control and initial panel count as tail(), plus the
+        barrier edges +-a as panel edges: rho has a curvature jump there,
+        and with it no panel crosses a region boundary, so every panel
+        takes the factored kernel.  tail() keeps the pointwise kernel and
+        starts at its own x, so it stays an independent check of these
+        panels.
+        """
+        t = float(t)
+        lo, hi = self.support_hint(t)
+        edges = np.linspace(lo, hi, self._initial_panels(hi - lo) + 1)
+        if self.barrier is not None:
+            a = self.barrier.half_width
+            edges = np.union1d(edges, [x for x in (-a, a) if lo < x < hi])
+        return adaptive_panels(self._panel_rho(t), edges, self.tol)
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.

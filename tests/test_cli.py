@@ -13,13 +13,17 @@ import numpy as np
 import pytest
 
 from quantracer.cli import (
+    MAX_K_NODES,
     PRESETS,
     ScenarioConfig,
+    build_parser,
     load_config_file,
     main,
     resolve_config,
     validate_config,
 )
+from quantracer.tunneling import packet_transmission_probability
+from quantracer.wavepacket import BarrierSpec, GaussianPacketParams, spectral_setup
 
 
 def run_cli(tmp_path, *argv):
@@ -97,6 +101,21 @@ class TestConfigResolution:
         assert run_cli(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be finite" in err
+
+    @pytest.mark.parametrize("argv, words", [
+        (("sphere3d", "--preset", "fig3", "--t-max", "1e9"), "grid times"),
+        (("free", "--t-max", "1e6", "--t-step", "1"), "grid times"),
+        (("tunnel", "--t-max", "1e5"), "wave-number nodes"),
+        (("delta-p", "--t-max", "500"), "wave-number nodes"),
+        (("tunnel", "--k-nodes", str(MAX_K_NODES + 1)), "k_nodes"),
+    ])
+    def test_oversized_run_refused_up_front(self, tmp_path, capsys, argv, words):
+        # Each is refused from its size estimate before anything is
+        # allocated; none of these runs may be launched for real.
+        assert run_cli(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and words in err
+        assert not any(tmp_path.iterdir())
 
     def test_small_n_lambda_rejected(self):
         with pytest.raises(Exception):
@@ -211,6 +230,19 @@ class TestTunnelCommand:
                  if float(r["t"]) == 0.0]
         xs, ys = zip(*block)
         assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-4)
+
+    def test_fig2_preset_checks_transmitted_levels(self):
+        # Levels below the transmitted fraction cross the barrier, so the
+        # preset's retardation check compares something.
+        cfg = resolve_config(build_parser().parse_args(["tunnel", "--preset", "fig2"]))
+        packet = GaussianPacketParams(x_bar=cfg.x_bar, v_bar=cfg.v_bar,
+                                      sigma_x0=cfg.sigma_x0, mass=cfg.mass)
+        spectrum, grid = spectral_setup(packet, cfg.t_max)
+        barrier = BarrierSpec(height=cfg.barrier_height,
+                              half_width=cfg.barrier_halfwidth)
+        transmitted = packet_transmission_probability(spectrum, barrier, grid,
+                                                      mass=cfg.mass)
+        assert min(cfg.p_list) < transmitted
 
     def test_coarse_k_grid_exits_3(self, tmp_path):
         assert run_cli(tmp_path, "tunnel", "--p-list", "0.5",

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from quantracer.errors import InvalidRange, NonConvergence, NoSignChange, StepUnderflow
 from quantracer.numerics import (
     DEFAULT_TOL,
+    PANEL_NODES,
     Tolerances,
+    adaptive_panels,
     build_kgrid,
     erfc,
     find_root_monotone,
@@ -78,6 +80,21 @@ class TestIntegrateAdaptive:
                 tol=Tolerances(quad_rel=1e-12, quad_abs=1e-15),
                 max_panels=24,
             )
+
+    def test_retained_panels_tile_and_sum(self):
+        f = lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2)
+        edges = np.linspace(-5.0, 4.0, 9)
+
+        def panel_f(mid, half):
+            return f(mid[:, None] + half[:, None] * PANEL_NODES)
+
+        panels = adaptive_panels(panel_f, edges, DEFAULT_TOL)
+        assert panels.los.size > edges.size - 1          # some were bisected
+        assert panels.los[0] == -5.0 and panels.his[-1] == 4.0
+        assert np.array_equal(panels.los[1:], panels.his[:-1])
+        assert panels.values.sum() == pytest.approx(panels.total, rel=1e-13)
+        # integrate_adaptive is the same engine on the same partition.
+        assert integrate_adaptive(f, -5.0, 4.0, initial_panels=8) == panels.total
 
 
 class TestBuildKGrid:

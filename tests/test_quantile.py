@@ -7,7 +7,9 @@ import pytest
 from scipy.special import erfcinv
 
 from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
+from quantracer.numerics import Tolerances, find_root_monotone
 from quantracer.quantile import (
+    _TailTable,
     probability_in_volume,
     quantile_position,
     quantile_velocity,
@@ -22,6 +24,7 @@ from quantracer.wavepacket import (
     DEFAULT_LOSS_RATE,
     DEFAULT_PACKET,
     Gaussian3DParams,
+    SpectralPacketModel,
     dissipative_gaussian_model,
     free_gaussian_model,
     gaussian3d_model,
@@ -92,11 +95,64 @@ class TestQuantilePosition:
                     assert m.tail(x, t) == pytest.approx(P, abs=1e-8)
 
     def test_guess_matches_fresh_inversion(self, tunnel_models):
+        # The table inversion needs no guess; a root of the independent
+        # tail() bracketed around the guess is the second path.
         _, tunnel = tunnel_models
         t = 5.0
         fresh = quantile_position(tunnel, 0.4, t)
         seeded = quantile_position(tunnel, 0.4, t, x_guess=fresh + 1.5)
         assert seeded == pytest.approx(fresh, abs=1e-6)
+        direct = find_root_monotone(lambda x: tunnel.tail(x, t) - 0.4,
+                                    (fresh - 1.5, fresh + 1.5))
+        assert direct == pytest.approx(fresh, abs=1e-6)
+
+    def test_inversion_field_budget(self, tunnel_models, monkeypatch):
+        # One table (factored panel kernel) plus 15-point partial-panel
+        # probes; re-running an adaptive interval mass per probe spent
+        # ~1e4 pointwise points on this inversion.
+        _, tunnel = tunnel_models
+        seen = {"points": 0, "panels": 0}
+        rho, panel_rho = tunnel.rho, tunnel._panel_rho
+
+        def counted_rho(x, t):
+            seen["points"] += np.size(x)
+            return rho(x, t)
+
+        def counted_panel_rho(t):
+            values = panel_rho(t)
+
+            def counted(mids, halves):
+                seen["panels"] += mids.size
+                return values(mids, halves)
+            return counted
+
+        monkeypatch.setattr(tunnel, "rho", counted_rho)
+        monkeypatch.setattr(tunnel, "_panel_rho", counted_panel_rho)
+        x = quantile_position(tunnel, 0.01, 10.0)
+        assert x > DEFAULT_BARRIER.half_width
+        assert seen["points"] <= 300      # measured 110
+        assert seen["panels"] <= 150      # measured 71
+
+    @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
+    def test_table_tail_matches_independent_tail(self, tunnel_models, t):
+        # tail() at the default tolerance is itself off by up to ~4e-9 where
+        # a panel straddles a barrier edge, so the 1e-9 comparison is made
+        # against the same independent route at a tight tolerance.
+        rng = np.random.default_rng(20261018)
+        a = DEFAULT_BARRIER.half_width
+        tight = Tolerances(quad_rel=1e-13, quad_abs=1e-15)
+        for model in tunnel_models:
+            reference = SpectralPacketModel(model.spectrum, model.grid,
+                                            model.barrier, tol=tight)
+            table = _TailTable(model, t)
+            lo, hi = model.support_hint(t)
+            xs = np.concatenate([rng.uniform(lo, hi, 6),
+                                 rng.normal(model.spectrum.x_bar + 2.0 * t,
+                                            model.spread(t), 6),
+                                 [-a, a, lo, hi]])
+            for x in xs:
+                assert abs(table(float(x)) - reference.tail(float(x), t)) <= 1e-9
+                assert abs(table(float(x)) - model.tail(float(x), t)) <= 1e-8
 
     def test_norm_below_p(self):
         m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)

@@ -5,12 +5,14 @@ Oracle values were computed with the high-precision routines in
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quantracer import wavepacket
 from quantracer.errors import DegenerateK, GridTooCoarse
-from quantracer.numerics import build_kgrid, integrate_adaptive
+from quantracer.numerics import PANEL_NODES, build_kgrid, integrate_adaptive
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
@@ -372,6 +374,50 @@ class TestTunnelingPacketModel:
                     assert isinstance(r, float) and isinstance(c, float)
                     assert r == model.rho(float(x), t)
                     assert c == model.current(float(x), t)
+
+    def test_panel_kernel_matches_pointwise(self, spectral_models):
+        # Panels left of, right of, across and inside the barrier, with
+        # shared and distinct widths.
+        _, _, free_sp, tunnel = spectral_models
+        a = DEFAULT_BARRIER.half_width
+        mids = np.array([-20.0, -5.0, -3.0, -a - 0.1, -a, 0.0, a, a + 0.1,
+                         3.0, 3.4, 25.0])
+        halves = np.array([1.0, 1.0, 1.0, 0.05, 0.2, 0.25, 0.3, 0.05,
+                           1.0, 0.5, 0.5])
+        for model in (free_sp, tunnel):
+            for t in (0.0, 5.0, 10.0):
+                fast = model._panel_rho(t)(mids, halves)
+                nodes = mids[:, None] + halves[:, None] * PANEL_NODES
+                slow = model.rho(nodes, t)
+                assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
+
+    def test_tail_panels_cut_at_barrier_edges(self, spectral_models):
+        _, _, _, tunnel = spectral_models
+        a = DEFAULT_BARRIER.half_width
+        for t in (0.0, 10.0):
+            panels = tunnel.tail_panels(t)
+            assert (panels.los[0], panels.his[-1]) == tunnel.support_hint(t)
+            assert np.array_equal(panels.los[1:], panels.his[:-1])
+            assert -a in panels.los and a in panels.los
+
+    def test_long_batches_are_chunked(self, spectral_models, monkeypatch):
+        # 20 000 points x 386 modes would be ~120 MB per complex matrix in
+        # one pass; the chunked pass peaks near a few entry budgets and
+        # gives the same bits.
+        _, grid, _, tunnel = spectral_models
+        xs = np.linspace(-60.0, 60.0, 20_000)
+        tunnel.rho(xs[:3], 5.0)               # coefficient cache warm
+        tracemalloc.start()
+        try:
+            chunked = tunnel.rho(xs, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 8 * 16 * wavepacket._FIELD_ENTRIES + 64 * xs.size
+        assert grid.size * xs.size > 50 * wavepacket._FIELD_ENTRIES
+        assert peak <= budget
+        monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", 1 << 40)
+        assert np.array_equal(chunked[:1001], tunnel.rho(xs[:1001], 5.0))
 
     def test_tail_clamps_outside_hint(self, spectral_models):
         _, _, _, tunnel = spectral_models
