@@ -25,6 +25,7 @@ __all__ = [
     "erfc",
     "integrate_adaptive",
     "adaptive_panels",
+    "initial_edges",
     "PANEL_NODES",
     "build_kgrid",
     "nodes_for_phase",
@@ -88,6 +89,15 @@ class Panels:
     values: np.ndarray
     total: float
 
+    @property
+    def upper(self) -> np.ndarray:
+        """Mass right of each lower edge, then 0 for the top edge."""
+        return np.append(np.cumsum(self.values[::-1])[::-1], 0.0)
+
+    def mass_above(self, edges) -> np.ndarray:
+        """Mass right of each x in ``edges``, every one a panel edge."""
+        return self.upper[np.searchsorted(self.los, edges)]
+
 
 def _at_panel_nodes(f):
     """Panel form of a vectorized integrand: (mid, half) -> values (n, 22)."""
@@ -114,6 +124,13 @@ def _eval_panels(panel_f, los, his):
     v15 = half * (np.ascontiguousarray(ys[:, :15]) @ _GL15_W)
     v7 = half * (np.ascontiguousarray(ys[:, 15:]) @ _GL7_W)
     return v15, np.abs(v15 - v7)
+
+
+def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
+    """n equal panels on [a, b], each of ``points`` inside (a, b) an extra edge."""
+    edges = np.linspace(a, b, n + 1)
+    inner = [p for p in points if a < p < b]
+    return np.union1d(edges, inner) if inner else edges
 
 
 def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
@@ -170,10 +187,10 @@ def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
     return Panels(los, his, values, total)
 
 
-def _integrate_finite(f, a, b, tol, initial_panels, max_panels):
+def _integrate_finite(f, a, b, tol, initial_panels, max_panels, points):
     if b == a:
         return 0.0
-    edges = np.linspace(a, b, max(1, int(initial_panels)) + 1)
+    edges = initial_edges(a, b, max(1, int(initial_panels)), points)
     return adaptive_panels(_at_panel_nodes(f), edges, tol, max_panels=max_panels).total
 
 
@@ -186,6 +203,7 @@ def integrate_adaptive(
     decay_length: float = 1.0,
     initial_panels: int = 8,
     max_panels: int = 4096,
+    points=(),
 ):
     """Adaptive panel quadrature of a vectorized integrand on [a, b].
 
@@ -194,7 +212,9 @@ def integrate_adaptive(
     (a scalar-broadcasting return is fine).  Infinite bounds are mapped to the
     unit interval through an algebraic substitution with scale
     ``decay_length``, which the caller should set to the integrand's decay
-    scale.  Raises NonConvergence after ``max_panels`` subdivisions.
+    scale.  ``points`` inside a finite [a, b] are extra initial panel edges,
+    for kinks and curvature jumps of the integrand.  Raises NonConvergence
+    after ``max_panels`` subdivisions.
     """
     a = float(a)
     b = float(b)
@@ -206,6 +226,7 @@ def integrate_adaptive(
             decay_length=decay_length,
             initial_panels=initial_panels,
             max_panels=max_panels,
+            points=points,
         )
 
     inf_a = math.isinf(a)
@@ -235,7 +256,7 @@ def integrate_adaptive(
             jac = L / (1.0 - u) ** 2
             return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape) * jac
 
-        return _integrate_finite(mapped, 0.0, 1.0, tol, initial_panels, max_panels)
+        return _integrate_finite(mapped, 0.0, 1.0, tol, initial_panels, max_panels, ())
     if inf_a:
         return integrate_adaptive(
             lambda x: f(-np.asarray(x)), -b, math.inf, tol,
@@ -243,7 +264,7 @@ def integrate_adaptive(
             initial_panels=initial_panels,
             max_panels=max_panels,
         )
-    return _integrate_finite(f, a, b, tol, initial_panels, max_panels)
+    return _integrate_finite(f, a, b, tol, initial_panels, max_panels, points)
 
 
 # ---------------------------------------------------------------------------

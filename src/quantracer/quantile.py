@@ -155,7 +155,7 @@ class _TailTable:
         self.t = t
         panels = model.tail_panels(t)
         self.los, self.his = panels.los, panels.his
-        self.upper = np.append(np.cumsum(panels.values[::-1])[::-1], 0.0)
+        self.upper = panels.upper
 
     def __call__(self, x: float) -> float:
         if x <= self.los[0]:

@@ -22,7 +22,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import GridTooCoarse, InvalidRange
-from .numerics import DEFAULT_TOL, KGrid, Tolerances, integrate_adaptive, nodes_for_phase
+from .numerics import (
+    DEFAULT_TOL,
+    KGrid,
+    Tolerances,
+    adaptive_panels,
+    initial_edges,
+    nodes_for_phase,
+)
 from .quantile import QuantileTrajectory, trace_trajectory_cdf
 from .wavepacket import (
     HBAR,
@@ -30,6 +37,8 @@ from .wavepacket import (
     PacketModel,
     SpectralFunction,
     _barrier_coefficients,
+    _factored_rho,
+    _PanelWaves,
     spectral_free_model,
 )
 
@@ -53,6 +62,16 @@ def _term_weights(barrier: BarrierSpec, mass: float) -> tuple[float, float, floa
     return c1, c1 * 4.0 * q, c1 * q / a
 
 
+def _spectral_pair(free: PacketModel, tunneling: PacketModel) -> BarrierSpec:
+    """Barrier of a (free, tunneling) pair of spectral packets over one spectrum."""
+    barrier = getattr(tunneling, "barrier", None)
+    if barrier is None:
+        raise InvalidRange("tunneling model carries no barrier")
+    if getattr(free, "spectrum", None) != tunneling.spectrum:
+        raise InvalidRange("models must share one spectral function")
+    return barrier
+
+
 def delta_p_direct(free: PacketModel, tunneling: PacketModel,
                    x: float, t: float) -> float:
     """Tail-probability deficit tail_free - tail_tunnel at one point.
@@ -61,16 +80,124 @@ def delta_p_direct(free: PacketModel, tunneling: PacketModel,
     and x must lie beyond the barrier edge, where the deficit is the
     retardation statement.
     """
-    barrier = getattr(tunneling, "barrier", None)
-    if barrier is None:
-        raise InvalidRange("tunneling model carries no barrier")
-    if getattr(free, "spectrum", None) != tunneling.spectrum:
-        raise InvalidRange("models must share one spectral function")
+    barrier = _spectral_pair(free, tunneling)
     if x <= barrier.half_width:
         raise InvalidRange(
             f"x = {x:.4g} is not beyond the barrier edge {barrier.half_width:.4g}"
         )
     return free.tail(x, t) - tunneling.tail(x, t)
+
+
+def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
+                      grid: KGrid, xs, ts, n_lambda: int, mass: float,
+                      tol: Tolerances) -> np.ndarray:
+    """term1, term2, term3 and the weighted total, shape (4, len(xs), len(ts)).
+
+    The barrier coefficients and the term3 kernel are built once per call
+    and the two u-kernels once per u-quadrature order reached; each time t
+    applies them to the (n_k, len(xs)) matrix of psi_x columns and takes
+    term3 at every x from one panel quadrature with the x values as panel
+    edges.
+    """
+    if n_lambda < 16:
+        raise InvalidRange("n_lambda must be at least 16")
+    a = barrier.half_width
+    xs = np.asarray(xs, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if np.any(xs <= a):
+        raise InvalidRange(
+            f"x = {xs[xs <= a][0]:.4g} is not beyond the barrier edge {a:.4g}")
+    k = grid.nodes
+    gamma, T, *_ = _barrier_coefficients(k, barrier, mass)
+    denom = 4.0 * k * gamma / T
+    c1, c2, c3 = _term_weights(barrier, mass)
+    # term3 kernel is the u = 1 value of the term2 kernel
+    kernel3 = (np.exp(2j * a * (k + gamma))
+               - np.exp(2j * a * (k - gamma))) / (2j * denom)
+    hint = spectral_free_model(spectrum, grid, mass=mass, tol=tol).support_hint
+    kernels: dict = {}
+
+    def u_terms(n: int, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if n not in kernels:
+            nodes, wts = leggauss(n)
+            u = 0.5 * (nodes + 1.0)
+            ekm = np.outer(u, k - gamma)
+            ekp = np.outer(u, k + gamma)
+            for e in (ekm, ekp):
+                e *= 2j * a
+                np.exp(e, out=e)
+            # exp(2iauk) sin(2au gamma) written via exponentials so the
+            # under-barrier branch is the matching sinh, not a branch cut:
+            # it is (ekp - ekm) / 2i exactly.
+            kernel2 = ekp - ekm
+            kernel2 /= 2j * denom
+            # kernel1 = ((k + gamma) ekm - (k - gamma) ekp) / denom, in place
+            ekm *= k + gamma
+            ekp *= k - gamma
+            ekm -= ekp
+            ekm /= denom
+            kernels[n] = (0.5 * wts, ekm, kernel2)
+        wu, kernel1, kernel2 = kernels[n]
+        i1 = kernel1 @ psi
+        i2 = kernel2 @ psi
+        return (wu @ (i1.real ** 2 + i1.imag ** 2),
+                wu @ (i2.real ** 2 + i2.imag ** 2))
+
+    x_far = float(np.max(np.abs(xs), initial=0.0))
+    out = np.empty((4, xs.size, ts.size))
+    for j, t in enumerate(ts.tolist()):
+        # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
+        # split into x'-independent coefficients and the exp(i k x') factor.
+        coeff = (grid.weights * spectrum.amplitude(k)
+                 * np.exp(-1j * k * spectrum.x_bar
+                          - 1j * HBAR * k * k * t / (2.0 * mass)))
+        hint_hi = hint(t)[1]
+        rate = (max(x_far, abs(hint_hi)) + abs(spectrum.x_bar)
+                + HBAR * grid.k_max * abs(t) / mass)
+        needed = nodes_for_phase(rate, grid.k_min, grid.k_max, minimum=1)
+        if grid.size < needed:
+            raise GridTooCoarse(
+                f"wave-number grid has {grid.size} nodes but the decomposition "
+                f"at x = {x_far:.4g}, t = {t:.4g} needs >= {needed}"
+            )
+        # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from
+        # each x to hint_hi: one quadrature from the smallest x.
+        tops = np.minimum(xs, hint_hi)
+        start = float(np.min(tops, initial=hint_hi))
+        term3 = np.zeros(xs.size)
+        if start < hint_hi:
+            c3_vec = coeff * kernel3
+            waves = _PanelWaves(k)      # widths differ by t: one per quadrature
+
+            def excess_density(mids, halves):
+                everywhere = np.ones(mids.size, dtype=bool)
+                return _factored_rho(mids, halves,
+                                     ((everywhere, waves, c3_vec, None),))
+
+            periods = grid.k_max * (hint_hi - start) / (2.0 * math.pi)
+            edges = initial_edges(start, hint_hi,
+                                  int(min(512, max(8, math.ceil(periods / 2.0)))),
+                                  tops)
+            term3 = adaptive_panels(excess_density, edges, tol).mass_above(tops)
+
+        # Per x, the u-quadrature starts at n_lambda Gauss-Legendre nodes
+        # and doubles until that x's total moves by less than 0.1%.
+        psi = coeff[:, None] * np.exp(1j * np.outer(k, xs))
+        n = int(n_lambda)
+        t1, t2 = u_terms(n, psi)
+        total = c1 * t1 + c2 * t2 + c3 * term3
+        todo = np.arange(xs.size)
+        while n < 512 and todo.size:
+            n *= 2
+            r1, r2 = u_terms(n, psi[:, todo])
+            refined = c1 * r1 + c2 * r2 + c3 * term3[todo]
+            moved = np.abs(refined - total[todo])
+            converged = moved <= 1e-3 * np.maximum(np.abs(refined),
+                                                   np.abs(total[todo]))
+            t1[todo], t2[todo], total[todo] = r1, r2, refined
+            todo = todo[~converged]
+        out[:, :, j] = t1, t2, term3, total
+    return out
 
 
 def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
@@ -84,81 +211,12 @@ def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
     integrates a squared transmitted-excess density over positions beyond
     x.  Each is nonnegative as computed, so the weighted total certifies
     delta_p >= 0.  The u-quadrature starts at n_lambda Gauss-Legendre
-    nodes and doubles until the total moves by less than 0.1%.
+    nodes and doubles until the total moves by less than 0.1%.  This is
+    the one-point call of the kernel delta_p_report runs per time.
     """
-    if n_lambda < 16:
-        raise InvalidRange("n_lambda must be at least 16")
-    a = barrier.half_width
-    if x <= a:
-        raise InvalidRange(f"x = {x:.4g} is not beyond the barrier edge {a:.4g}")
-    k = grid.nodes
-    w = grid.weights
-    gamma, T, *_ = _barrier_coefficients(k, barrier, mass)
-    denom = 4.0 * k * gamma / T
-
-    # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
-    # split into x'-independent coefficients and the exp(i k x') factor.
-    coeff = (w * spectrum.amplitude(k)
-             * np.exp(-1j * k * spectrum.x_bar
-                      - 1j * HBAR * k * k * t / (2.0 * mass)))
-    hint_hi = spectral_free_model(spectrum, grid, mass=mass,
-                                  tol=tol).support_hint(t)[1]
-    rate = (max(abs(x), abs(hint_hi)) + abs(spectrum.x_bar)
-            + HBAR * grid.k_max * abs(t) / mass)
-    needed = nodes_for_phase(rate, grid.k_min, grid.k_max, minimum=1)
-    if grid.size < needed:
-        raise GridTooCoarse(
-            f"wave-number grid has {grid.size} nodes but the decomposition "
-            f"at x = {x:.4g}, t = {t:.4g} needs >= {needed}"
-        )
-    psi_x = coeff * np.exp(1j * k * x)
-    c1, c2, c3 = _term_weights(barrier, mass)
-
-    def u_terms(n: int) -> tuple[float, float]:
-        nodes, wts = leggauss(n)
-        u = 0.5 * (nodes + 1.0)
-        wu = 0.5 * wts
-        ekm = np.exp(2j * a * np.outer(u, k - gamma))
-        ekp = np.exp(2j * a * np.outer(u, k + gamma))
-        z = (k + gamma) * ekm - (k - gamma) * ekp
-        i1 = (z / denom) @ psi_x
-        # exp(2iauk) sin(2au gamma) written via exponentials so the
-        # under-barrier branch is the matching sinh, not a branch cut:
-        # it is (ekp - ekm) / 2i exactly.
-        i2 = ((ekp - ekm) / (2j * denom)) @ psi_x
-        return (float(wu @ (i1.real ** 2 + i1.imag ** 2)),
-                float(wu @ (i2.real ** 2 + i2.imag ** 2)))
-
-    # term3 kernel is the u = 1 value of the term2 kernel
-    kernel3 = (np.exp(2j * a * (k + gamma))
-               - np.exp(2j * a * (k - gamma))) / (2j * denom)
-    c3_vec = coeff * kernel3
-
-    def excess_density(xp):
-        e = np.exp(1j * np.outer(np.ravel(xp), k))
-        vals = e @ c3_vec
-        return vals.real ** 2 + vals.imag ** 2
-
-    if hint_hi > x:
-        periods = grid.k_max * (hint_hi - x) / (2.0 * math.pi)
-        term3 = integrate_adaptive(
-            excess_density, x, hint_hi, tol,
-            initial_panels=int(min(512, max(8, math.ceil(periods / 2.0)))))
-    else:
-        term3 = 0.0
-
-    n = int(n_lambda)
-    t1, t2 = u_terms(n)
-    total = c1 * t1 + c2 * t2 + c3 * term3
-    while n < 512:
-        n *= 2
-        t1, t2 = u_terms(n)
-        refined = c1 * t1 + c2 * t2 + c3 * term3
-        converged = abs(refined - total) <= 1e-3 * max(abs(refined), abs(total))
-        total = refined
-        if converged:
-            break
-    return DeltaPTerms(term1=t1, term2=t2, term3=term3, total=total)
+    terms = _decomposed_terms(spectrum, barrier, grid, [x], [t], n_lambda,
+                              mass, tol)
+    return DeltaPTerms(*(float(v) for v in terms[:, 0, 0]))
 
 
 @dataclass(frozen=True)
@@ -206,38 +264,31 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
                    positivity_tolerance: float = 1e-6,
                    agreement_floor: float = 1e-9,
                    tol: Tolerances = DEFAULT_TOL) -> DeltaPReport:
-    """Evaluate both routes over a grid, row-major with t varying fastest."""
-    barrier = getattr(tunneling, "barrier", None)
-    if barrier is None:
-        raise InvalidRange("tunneling model carries no barrier")
+    """Evaluate both routes over a grid, row-major with t varying fastest.
+
+    Each time takes all x at once: the direct route reads both tails at
+    every x from one panel table per model (SpectralPacketModel.tails),
+    and the decomposed route applies u-kernels built once per order for
+    the whole call.  delta_p_direct and tail() stay the pointwise checks.
+    """
+    barrier = _spectral_pair(free, tunneling)
     default_x, default_t = default_delta_p_grid(barrier)
     xs = np.asarray(default_x if x_values is None else x_values, dtype=float)
     ts = np.asarray(default_t if t_values is None else t_values, dtype=float)
-    if np.any(xs <= barrier.half_width):
-        raise InvalidRange("every x must lie beyond the barrier edge")
+    term1, term2, term3, totals = (
+        _decomposed_terms(tunneling.spectrum, barrier, tunneling.grid, xs, ts,
+                          n_lambda, tunneling.mass, tol)
+        .reshape(4, -1))
+    direct = np.empty((xs.size, ts.size))
+    for j, t in enumerate(ts.tolist()):
+        direct[:, j] = free.tails(xs, t) - tunneling.tails(xs, t)
+    direct = direct.ravel()
     c1, c2, c3 = _term_weights(barrier, tunneling.mass)
-    pts = []
-    direct = np.empty(xs.size * ts.size)
-    w1 = np.empty_like(direct)
-    w2 = np.empty_like(direct)
-    w3 = np.empty_like(direct)
-    totals = np.empty_like(direct)
-    i = 0
-    for x in xs:
-        for t in ts:
-            terms = delta_p_decomposed(tunneling.spectrum, barrier,
-                                       tunneling.grid, float(x), float(t),
-                                       n_lambda, mass=tunneling.mass, tol=tol)
-            pts.append((float(x), float(t)))
-            direct[i] = delta_p_direct(free, tunneling, float(x), float(t))
-            w1[i] = c1 * terms.term1
-            w2[i] = c2 * terms.term2
-            w3[i] = c3 * terms.term3
-            totals[i] = terms.total
-            i += 1
     rel = np.abs(direct - totals) / np.maximum(direct, agreement_floor)
-    return DeltaPReport(grid=tuple(pts), dp_direct=direct, dp_term1=w1,
-                        dp_term2=w2, dp_term3=w3, dp_total=totals,
+    grid = tuple((x, t) for x in xs.tolist() for t in ts.tolist())
+    return DeltaPReport(grid=grid, dp_direct=direct, dp_term1=c1 * term1,
+                        dp_term2=c2 * term2, dp_term3=c3 * term3,
+                        dp_total=totals,
                         positivity_ok=direct >= -positivity_tolerance,
                         agreement_rel=rel)
 

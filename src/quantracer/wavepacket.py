@@ -24,6 +24,7 @@ from .numerics import (
     adaptive_panels,
     build_kgrid,
     erfc,
+    initial_edges,
     integrate_adaptive,
     nodes_for_phase,
 )
@@ -469,6 +470,63 @@ def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> Scatte
 _FIELD_ENTRIES = 1 << 16
 
 
+class _PanelWaves:
+    """Factored sums of the waves e^{+-iqx} over one wave-number set, on panels.
+
+    On a panel with midpoint m and half-width h,
+    e^{iq(m + h xi)} = e^{iqm} e^{iqh xi}, so equal-width panels cost one
+    exponential per (panel, wave number) and a matmul against the
+    (n_q, 22) matrix e^{iqh xi}, kept per width.  Real q (outside the
+    barrier) takes e^{-iqx} as the conjugate.  Panels are summed in row
+    chunks of at most _FIELD_ENTRIES (panel, wave number) entries.
+    """
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+        self._waves: dict = {}
+
+    def _wave(self, h: float) -> np.ndarray:
+        # e^{iqh xi}; a negative h gives the e^{-iqh xi} of the down wave.
+        if h not in self._waves:
+            self._waves[h] = np.exp(1j * np.outer(self.q, h * PANEL_NODES))
+        return self._waves[h]
+
+    def sums(self, mids, h: float, up, down=None) -> np.ndarray:
+        """sum_j up_j e^{iq_j x} + down_j e^{-iq_j x} at x = mids + h * PANEL_NODES."""
+        rows = max(1, _FIELD_ENTRIES // self.q.size)
+        if mids.size > rows:
+            return np.concatenate([self.sums(mids[i:i + rows], h, up, down)
+                                   for i in range(0, mids.size, rows)])
+        e = np.exp(1j * np.outer(mids, self.q))
+        psi = (e * up) @ self._wave(h)
+        if down is None:
+            return psi
+        if np.isrealobj(self.q):
+            return psi + (e.conj() * down) @ self._wave(h).conj()
+        e_down = np.exp(-1j * np.outer(mids, self.q))
+        return psi + (e_down * down) @ self._wave(-h)
+
+
+def _factored_rho(mids, halves, regions) -> np.ndarray:
+    """|psi|^2 on the nodes of panels, region by region.
+
+    ``regions`` holds (mask, waves, up, down): the panels of ``mask`` lie
+    wholly in a region where psi = waves.sums(..., up, down).  Rows no
+    mask selects are left unset.  Half-widths are rounded to 40
+    significant bits (node shifts far below any quadrature tolerance) so
+    that bisection siblings share one e^{iqh xi} matrix.
+    """
+    mant, expo = np.frexp(halves)
+    widths = np.ldexp(np.round(mant * 2.0 ** 40), expo - 40)
+    out = np.empty((mids.size, PANEL_NODES.size))
+    for mask, waves, up, down in regions:
+        for h in np.unique(widths[mask]):
+            sel = mask & (widths == h)
+            psi = waves.sums(mids[sel], h, up, down)
+            out[sel] = psi.real ** 2 + psi.imag ** 2
+    return out
+
+
 class SpectralPacketModel(PacketModel):
     """Packet built as a weighted sum of modes over a wave-number grid.
 
@@ -497,6 +555,8 @@ class SpectralPacketModel(PacketModel):
             edge = barrier.half_width
         # Wave numbers, coefficients and region edge, in _mode_fields order.
         self._modes = (grid.nodes, *coefficients, edge)
+        # Curvature jumps of rho, kept as panel edges by every quadrature.
+        self._cuts = () if barrier is None else (-edge, edge)
         self._nodes_per_period = float(nodes_per_period)
         amp = spectrum.amplitude(grid.nodes)
         self._base_coeffs = (grid.weights * amp
@@ -545,27 +605,14 @@ class SpectralPacketModel(PacketModel):
     def _panel_rho(self, t: float):
         """Density on the nodes mid + half * PANEL_NODES of batches of panels.
 
-        On a panel wholly inside one region the mode sum factors,
-        e^{iq(m + h xi)} = e^{iqm} e^{iqh xi} (q = k outside the barrier,
-        gamma inside, conjugates for the reflected wave), so equal-width
-        panels cost one exponential per (panel, mode) and wave plus a matmul
-        against the (n_k, 22) matrix e^{iqh xi}, which the returned function
-        keeps per width.  Widths are rounded to 40 significant bits (node
-        shifts far below the quadrature tolerance) so that bisection
-        siblings share a matrix.  Panels across a barrier edge take the
-        pointwise kernel.
+        On a panel wholly inside one region the mode sum factors (see
+        _PanelWaves; q = k outside the barrier, gamma inside).  Panels
+        across a barrier edge take the pointwise kernel.
         """
         k, gamma, T, R, A, B, edge = self._modes
         coeffs = self._coeffs(t)
         reach = float(np.max(PANEL_NODES))
-        waves: dict = {}
-
-        def wave(q, h):
-            # e^{iqh xi}; a negative h gives the e^{-iqh xi} of the down wave.
-            key = (q is gamma, h)
-            if key not in waves:
-                waves[key] = np.exp(1j * np.outer(q, h * PANEL_NODES))
-            return waves[key]
+        outside, under = _PanelWaves(k), _PanelWaves(gamma)
 
         def values(mids, halves):
             # Regions by the outermost nodes, not the panel edges: a panel
@@ -576,25 +623,14 @@ class SpectralPacketModel(PacketModel):
             left = ~right & (hi < -edge)
             inside = (lo > -edge) & (hi < edge)
             across = ~(right | left | inside)
-            out = np.empty((mids.size, PANEL_NODES.size))
+            # Per region: waves, coefficients of e^{iqx} and of e^{-iqx}.
+            out = _factored_rho(mids, halves, (
+                (right, outside, coeffs * T, None),
+                (left, outside, coeffs, coeffs * R),
+                (inside, under, coeffs * A, coeffs * B)))
             if np.any(across):
                 xs = mids[across, None] + halves[across, None] * PANEL_NODES
                 out[across] = self.rho(xs.ravel(), t).reshape(xs.shape)
-            mant, expo = np.frexp(halves)
-            widths = np.ldexp(np.round(mant * 2.0 ** 40), expo - 40)
-            # Per region: wave number, coefficients of e^{iqx} and e^{-iqx}.
-            for side, q, up, down in ((right, k, T, None), (left, k, 1.0, R),
-                                      (inside, gamma, A, B)):
-                for h in np.unique(widths[side]):
-                    sel = side & (widths == h)
-                    e = np.exp(1j * np.outer(mids[sel], q))
-                    psi = (e * (coeffs * up)) @ wave(q, h)
-                    if q is k and down is not None:
-                        psi += (e.conj() * (coeffs * down)) @ wave(k, h).conj()
-                    elif q is gamma:
-                        e_down = np.exp(-1j * np.outer(mids[sel], gamma))
-                        psi += (e_down * (coeffs * down)) @ wave(gamma, -h)
-                    out[sel] = psi.real ** 2 + psi.imag ** 2
             return out
 
         return values
@@ -637,30 +673,49 @@ class SpectralPacketModel(PacketModel):
         b = min(max(float(x2), lo), hi)
         if a == b:
             return 0.0
+        # rho has a curvature jump at +-a that a GL15-GL7 gap across it
+        # underestimates, so the barrier edges are panel edges.
         return integrate_adaptive(lambda xs: self.rho(xs, t), a, b, self.tol,
-                                  initial_panels=self._initial_panels(abs(b - a)))
+                                  initial_panels=self._initial_panels(abs(b - a)),
+                                  points=self._cuts)
 
     def tail(self, x, t) -> float:
         t = float(t)
         return self.interval_mass(x, self.support_hint(t)[1], t)
 
+    def _table(self, lo: float, hi: float, t: float, points=()) -> Panels:
+        edges = initial_edges(lo, hi, self._initial_panels(hi - lo),
+                              (*self._cuts, *points))
+        return adaptive_panels(self._panel_rho(t), edges, self.tol)
+
     def tail_panels(self, t) -> Panels:
         """Retained GL7/15 panels of rho over the support hint at time t.
 
-        Same error control and initial panel count as tail(), plus the
-        barrier edges +-a as panel edges: rho has a curvature jump there,
-        and with it no panel crosses a region boundary, so every panel
-        takes the factored kernel.  tail() keeps the pointwise kernel and
-        starts at its own x, so it stays an independent check of these
+        Same error control, initial panel count and barrier-edge cuts as
+        tail(); with the cuts no panel crosses a region boundary, so every
+        panel takes the factored kernel.  tail() keeps the pointwise kernel
+        and starts at its own x, so it stays an independent check of these
         panels.
         """
         t = float(t)
+        return self._table(*self.support_hint(t), t)
+
+    def tails(self, x, t) -> np.ndarray:
+        """tail(x_i, t) at every x from one retained panel table.
+
+        The table spans [min x, top of the support hint] with every x
+        (clamped to the hint, as in tail()) as a panel edge, so each tail
+        is the reverse cumulative panel mass at its edge.  Its error
+        control is that of the widest tail; tail() stays the pointwise
+        independent check.
+        """
+        t = float(t)
         lo, hi = self.support_hint(t)
-        edges = np.linspace(lo, hi, self._initial_panels(hi - lo) + 1)
-        if self.barrier is not None:
-            a = self.barrier.half_width
-            edges = np.union1d(edges, [x for x in (-a, a) if lo < x < hi])
-        return adaptive_panels(self._panel_rho(t), edges, self.tol)
+        xs = np.clip(np.asarray(x, dtype=float), lo, hi)
+        start = float(np.min(xs, initial=hi))
+        if start == hi:
+            return np.zeros(xs.shape)
+        return self._table(start, hi, t, xs.ravel()).mass_above(xs)
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.

@@ -14,6 +14,7 @@ from quantracer.numerics import (
     build_kgrid,
     erfc,
     find_root_monotone,
+    initial_edges,
     integrate_adaptive,
     integrate_ode,
     nodes_for_phase,
@@ -95,6 +96,23 @@ class TestIntegrateAdaptive:
         assert panels.values.sum() == pytest.approx(panels.total, rel=1e-13)
         # integrate_adaptive is the same engine on the same partition.
         assert integrate_adaptive(f, -5.0, 4.0, initial_panels=8) == panels.total
+        # Masses right of panel edges are the reverse cumulative values.
+        upper = panels.upper
+        assert upper[-1] == 0.0 and upper[0] == pytest.approx(panels.total, rel=1e-13)
+        np.testing.assert_array_equal(panels.mass_above(panels.los[::-1]), upper[-2::-1])
+        assert panels.mass_above([4.0])[0] == 0.0
+
+    def test_points_become_panel_edges(self):
+        # |x - 0.3| has a kink at 0.3: as an edge, one GL15 panel per side
+        # is exact.  Points outside (a, b) are ignored.
+        f = lambda x: np.abs(x - 0.3)
+        exact = 0.5 * 1.3 ** 2 + 0.5 * 1.7 ** 2
+        assert integrate_adaptive(f, -1.0, 2.0, initial_panels=1,
+                                  points=(0.3, 5.0, -1.0)) == pytest.approx(exact, abs=1e-15)
+        assert integrate_adaptive(f, 2.0, -1.0, initial_panels=1,
+                                  points=(0.3,)) == pytest.approx(-exact, abs=1e-15)
+        edges = initial_edges(-1.0, 2.0, 3, (0.3, 2.0, 7.0))
+        np.testing.assert_array_equal(edges, [-1.0, 0.0, 0.3, 1.0, 2.0])
 
 
 class TestBuildKGrid:

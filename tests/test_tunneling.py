@@ -1,7 +1,11 @@
 """Tests for the tunneling retardation operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import square_barrier_transmission
@@ -9,6 +13,7 @@ from quantracer.errors import GridTooCoarse, InvalidRange
 from quantracer.numerics import build_kgrid
 from quantracer.tunneling import (
     DeltaPReport,
+    _term_weights,
     default_delta_p_grid,
     delta_p_decomposed,
     delta_p_direct,
@@ -20,6 +25,7 @@ from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_PACKET,
     BarrierSpec,
+    GaussianPacketParams,
     free_gaussian_model,
     spectral_free_model,
     spectral_setup,
@@ -169,6 +175,74 @@ class TestDeltaPReport:
         _, _, free, tunnel = fig2
         with pytest.raises(InvalidRange):
             delta_p_report(free, tunnel, x_values=[0.1], t_values=[0.0])
+
+    def test_batched_matches_pointwise(self, fig2):
+        # Unsorted x, one duplicate, and x = 60 beyond both support hints
+        # (deficit exactly 0); rows stay x-major with t varying fastest.
+        spectrum, grid, free, tunnel = fig2
+        xs, ts = [2.9, 0.45, 60.0, 1.3, 2.9], [7.5, 0.0, 3.0]
+        report = delta_p_report(free, tunnel, x_values=xs, t_values=ts)
+        assert report.grid == tuple((x, t) for x in xs for t in ts)
+        weights = _term_weights(DEFAULT_BARRIER, tunnel.mass)
+        for i, (x, t) in enumerate(report.grid):
+            terms = delta_p_decomposed(spectrum, DEFAULT_BARRIER, grid, x, t)
+            assert abs(report.dp_direct[i]
+                       - delta_p_direct(free, tunnel, x, t)) <= 1e-12
+            for column, weight, term in zip(
+                    (report.dp_term1, report.dp_term2, report.dp_term3),
+                    weights, terms[:3]):
+                assert abs(column[i] - weight * term) <= 1e-12
+            assert abs(report.dp_total[i] - terms.total) <= 1e-12
+        assert np.all(report.dp_direct[6:9] == 0.0)
+        assert np.all(report.dp_term3[6:9] == 0.0)
+        assert report.all_positive and report.agreement_ok().all()
+
+    def test_refuses_coarse_grid(self):
+        spectrum, tiny = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=64)
+        free = spectral_free_model(spectrum, tiny)
+        tunnel = tunneling_packet_model(spectrum, DEFAULT_BARRIER, tiny)
+        with pytest.raises(GridTooCoarse):
+            delta_p_report(free, tunnel, x_values=[1.0, 2.0], t_values=[10.0])
+
+    def test_refuses_foreign_free_models(self, fig2):
+        _, _, _, tunnel = fig2
+        other = GaussianPacketParams(x_bar=-8.0, v_bar=2.0, sigma_x0=2.5)
+        shifted = spectral_free_model(*spectral_setup(other, t_max=10.0))
+        for free in (free_gaussian_model(DEFAULT_PACKET), shifted):
+            with pytest.raises(InvalidRange):
+                delta_p_report(free, tunnel, x_values=[1.0], t_values=[1.0])
+
+    def test_memory_is_bounded(self):
+        # One point at t = 60 on the 1766-node auto grid: the u-kernels
+        # live for one call at the orders reached, and term3 and both tails
+        # come from row-chunked factored panels.  The per-point route with
+        # unchunked quadrature batches peaked at 85.7 MiB here.
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=60.0)
+        assert grid.size == 1766
+        free = spectral_free_model(spectrum, grid)
+        tunnel = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
+        tracemalloc.start()
+        try:
+            delta_p_report(free, tunnel, x_values=[0.5], t_values=[60.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2 ** 20
+
+    @settings(max_examples=20, deadline=None)
+    @given(height=st.floats(1.0, 20.0), half_width=st.floats(0.1, 0.8),
+           beyond=st.floats(0.01, 5.0), t=st.floats(0.0, 10.0))
+    def test_routes_agree_on_random_barriers(self, fig2, height, half_width,
+                                              beyond, t):
+        _, grid, free, _ = fig2
+        barrier = BarrierSpec(height=height, half_width=half_width)
+        tunnel = tunneling_packet_model(free.spectrum, barrier, grid)
+        report = delta_p_report(free, tunnel, x_values=[half_width + beyond],
+                                t_values=[t])
+        assert report.dp_direct[0] >= -1e-6
+        assert min(report.dp_term1[0], report.dp_term2[0],
+                   report.dp_term3[0]) >= 0.0
+        assert report.agreement_ok(rel=1e-2, abs_floor=1e-6).all()
 
 
 class TestRetardationScan:

@@ -12,7 +12,7 @@ import pytest
 
 from quantracer import wavepacket
 from quantracer.errors import DegenerateK, GridTooCoarse
-from quantracer.numerics import PANEL_NODES, build_kgrid, integrate_adaptive
+from quantracer.numerics import PANEL_NODES, Tolerances, build_kgrid, integrate_adaptive
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
@@ -399,6 +399,40 @@ class TestTunnelingPacketModel:
             assert (panels.los[0], panels.his[-1]) == tunnel.support_hint(t)
             assert np.array_equal(panels.los[1:], panels.his[:-1])
             assert -a in panels.los and a in panels.los
+
+    def test_tails_match_pointwise_tail(self, spectral_models):
+        # One table per time with the x values as panel edges: unsorted,
+        # duplicated, on the barrier edges, and clamped below and above
+        # the support hint.
+        _, _, free_sp, tunnel = spectral_models
+        a = DEFAULT_BARRIER.half_width
+        xs = np.array([3.0, -200.0, a, 1.1, 1.1, -a, -8.558, 200.0])
+        for model in (free_sp, tunnel):
+            for t in (0.0, 5.0, 10.0):
+                tails = model.tails(xs, t)
+                assert tails.shape == xs.shape and tails[-1] == 0.0
+                for x, tail in zip(xs, tails):
+                    assert abs(tail - model.tail(float(x), t)) <= 1e-12
+            assert model.tails([], 5.0).shape == (0,)
+
+    def test_tail_splits_at_barrier_edges(self, spectral_models):
+        # Linspace panels from x = -8.558 put the curvature jump of rho at
+        # +-a inside one panel whose GL15-GL7 gap underestimated its error,
+        # 3.6e-9 off at quad_rel 1e-9; with +-a as panel edges it is not.
+        spectrum, grid, _, tunnel = spectral_models
+        tight = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid,
+                                       tol=Tolerances(quad_rel=1e-14))
+        assert abs(tunnel.tail(-8.558, 5.0) - tight.tail(-8.558, 5.0)) <= 1e-9
+
+    def test_factored_panels_are_chunked(self, spectral_models, monkeypatch):
+        # 40 equal panels in row chunks of 3 give the one-pass values.
+        _, grid, _, tunnel = spectral_models
+        mids = np.linspace(-30.0, -2.0, 40)
+        halves = np.full(mids.size, 0.35)
+        one_pass = tunnel._panel_rho(4.0)(mids, halves)
+        monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", 3 * grid.size)
+        chunked = tunnel._panel_rho(4.0)(mids, halves)
+        assert np.max(np.abs(chunked - one_pass)) <= 1e-14 * np.max(one_pass)
 
     def test_long_batches_are_chunked(self, spectral_models, monkeypatch):
         # 20 000 points x 386 modes would be ~120 MB per complex matrix in
