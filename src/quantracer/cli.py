@@ -14,14 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from .errors import QuantracerError
+from . import __version__
+from .errors import InvalidRange, QuantracerError
 from .numerics import Tolerances
 from .quantile import (
     probability_in_volume,
@@ -52,12 +55,14 @@ from .wavepacket import (
 UNIT_COMMENT = ("# units: hbar = m = 1; positions in hbar/sqrt(eV*m), "
                 "times in hbar/eV, energies in eV")
 
-# Size limits checked before anything is allocated: the time grid and the
+# Size limits checked before anything is allocated: the time grid, the
 # Gauss-Legendre k-grid (leggauss builds an n x n companion matrix; 4096
 # nodes take about 6 s and 0.3 GB, the auto count reaches it near t_max =
-# 140 for the stock packet).
+# 140 for the stock packet) and the first u-order of the thickness
+# quadrature (its kernels are n x k-nodes; the order stops doubling at 512).
 MAX_TIME_POINTS = 100_000
 MAX_K_NODES = 4096
+MAX_LAMBDA_NODES = 512
 
 
 class ConfigError(Exception):
@@ -203,8 +208,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("center and velocity must have three components")
     if cfg.radius <= 0.0:
         raise ConfigError("radius must be positive")
-    if cfg.n_lambda < 16:
-        raise ConfigError("n_lambda must be at least 16")
+    if not 16 <= cfg.n_lambda <= MAX_LAMBDA_NODES:
+        raise ConfigError(f"n_lambda must be in [16, {MAX_LAMBDA_NODES}]")
     if cfg.k_nodes and not 64 <= cfg.k_nodes <= MAX_K_NODES:
         raise ConfigError(f"k_nodes must be 0 (auto) or in [64, {MAX_K_NODES}]")
     if any(t < 0.0 for t in cfg.snapshot_times):
@@ -223,19 +228,23 @@ def _packet(cfg: ScenarioConfig) -> GaussianPacketParams:
 
 
 def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
-    count = int(math.floor(cfg.t_max / cfg.t_step + 1e-9))
-    if count + 1 > MAX_TIME_POINTS:
-        raise ConfigError(f"t_max / t_step gives {count + 1} grid times, "
-                          f"above the limit {MAX_TIME_POINTS}")
+    steps = cfg.t_max / cfg.t_step + 1e-9     # may overflow to inf
+    if not steps < MAX_TIME_POINTS:
+        raise ConfigError(f"t_max / t_step gives {steps + 1.0:.6g} "
+                          f"grid times, above the limit {MAX_TIME_POINTS}")
+    count = int(math.floor(steps))
     return np.linspace(0.0, count * cfg.t_step, count + 1)
 
 
 def _spectral_pair(cfg: ScenarioConfig, tol: Tolerances):
     packet = _packet(cfg)
     if not cfg.k_nodes:
-        needed = recommended_node_count(packet.k_bar, packet.sigma_k,
-                                        packet.x_bar, cfg.t_max,
-                                        mass=packet.mass)
+        try:
+            needed = recommended_node_count(packet.k_bar, packet.sigma_k,
+                                            packet.x_bar, cfg.t_max,
+                                            mass=packet.mass)
+        except InvalidRange:        # more nodes than a float can count
+            needed = math.inf
         if needed > MAX_K_NODES:
             raise ConfigError(f"t_max = {cfg.t_max:g} needs {needed} wave-number "
                               f"nodes, above the limit {MAX_K_NODES}")
@@ -287,6 +296,10 @@ def write_manifest(data_path: Path, command: str, cfg: ScenarioConfig,
             "ode_abs": cfg.ode_abs,
         },
         "wall_clock_s": round(wall_clock, 3),
+        "versions": {
+            "quantracer": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+        },
         "checks": [{"name": n, "passed": bool(p), "detail": d}
                    for n, p, d in checks],
     }
@@ -601,12 +614,20 @@ def _check_conservation_3d(cfg: ScenarioConfig, tol: Tolerances):
 
 def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances):
     packet = _packet(cfg)
-    models = [free_gaussian_model(packet),
-              dissipative_gaussian_model(packet, cfg.loss_rate or 0.1)]
-    times = np.linspace(0.0, 4.0 if cfg.quick else 8.0, 5 if cfg.quick else 17)
+    t_max = 4.0 if cfg.quick else 8.0
+    spectrum, grid, _, tunnel = _spectral_pair(replace(cfg, t_max=t_max), tol)
+    # One spectral level that crosses the barrier and one that reflects,
+    # kept inside (0, 1) for a barrier that passes or stops everything.
+    transmitted = packet_transmission_probability(spectrum, tunnel.barrier,
+                                                  grid, mass=cfg.mass)
+    levels = np.clip([0.5 * transmitted, 0.5 * (1.0 + transmitted)], 0.01, 0.99)
+    cases = [(free_gaussian_model(packet), (0.3, 0.7)),
+             (dissipative_gaussian_model(packet, cfg.loss_rate or 0.1), (0.3, 0.7)),
+             (tunnel, levels.tolist())]
+    times = np.linspace(0.0, t_max, 5 if cfg.quick else 17)
     rows = []
-    for model in models:
-        for P in (0.3, 0.7):
+    for model, levels in cases:
+        for P in levels:
             traj = trace_trajectory_cdf(model, P, times, tol)
             rows.extend((model, P, t, x) for t, x in
                         zip(traj.times.tolist(), traj.positions.tolist()))
@@ -730,12 +751,15 @@ def main(argv=None) -> int:
         "delta-p": cmd_delta_p,
         "sphere3d": cmd_sphere3d,
     }
+    # Overflow and NaN surface as the one-line failures below (a NaN root
+    # function raises NonConvergence), not as floating-point warnings.
     try:
-        if args.command == "verify":
-            return cmd_verify(cfg, inject_fault=args.inject_fault)
-        if args.command in ("free", "dissipative"):
-            return cmd_trajectories(cfg, args.command)
-        return handlers[args.command](cfg)
+        with np.errstate(all="ignore"):
+            if args.command == "verify":
+                return cmd_verify(cfg, inject_fault=args.inject_fault)
+            if args.command in ("free", "dissipative"):
+                return cmd_trajectories(cfg, args.command)
+            return handlers[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legvander
 from scipy import special
 from scipy.integrate import RK45
 
@@ -74,19 +74,28 @@ _GL15_X, _GL15_W = leggauss(15)
 # The 22 abscissae of one panel on [-1, 1]: the GL15 nodes, then the GL7 ones.
 PANEL_NODES = np.concatenate([_GL15_X, _GL7_X])
 
+# Legendre antiderivatives of the 15 Lagrange polynomials on the GL15
+# nodes, shape (16, 15).  The rule integrates P_n * P_m exactly for
+# n + m <= 28, so column j of the interpolant's Legendre coefficients is
+# (n + 1/2) w_j P_n(x_j); legint makes each antiderivative vanish at -1.
+_GL15_ANTIDERIVATIVES = legint(
+    (np.arange(15) + 0.5)[:, None] * legvander(_GL15_X, 14).T * _GL15_W, axis=0)
+
 
 @dataclass(frozen=True)
 class Panels:
     """Retained panels of one adaptive quadrature, in ascending order.
 
-    ``values[i]`` is the GL15 integral over [los[i], his[i]]; consecutive
-    panels share their edges exactly.  ``total`` is the running sum the
+    ``values[i]`` is the GL15 integral over [los[i], his[i]] and
+    ``nodes[i]`` the integrand at its 15 GL15 nodes; consecutive panels
+    share their edges exactly.  ``total`` is the running sum the
     refinement kept, which is what integrate_adaptive returns.
     """
 
     los: np.ndarray
     his: np.ndarray
     values: np.ndarray
+    nodes: np.ndarray
     total: float
 
     @property
@@ -97,6 +106,22 @@ class Panels:
     def mass_above(self, edges) -> np.ndarray:
         """Mass right of each x in ``edges``, every one a panel edge."""
         return self.upper[np.searchsorted(self.los, edges)]
+
+    def partial_mass(self, i: int, x: float) -> float:
+        """Integral over [x, his[i]] of the degree-14 interpolant of panel
+        i's GL15 node values, for x in [los[i], his[i]].
+
+        It reads only the stored node values, never the integrand; it is 0
+        at x = his[i] exactly and values[i] up to rounding at x = los[i].
+        """
+        half = 0.5 * (self.his[i] - self.los[i])
+        xi = 1.0 - (self.his[i] - x) / half
+        # F_j(1) - F_j(xi) from legvander's recurrence, with every P_n(1) = 1.
+        p = [1.0, xi]
+        for n in range(2, 16):
+            p.append((p[n - 1] * xi * (2 * n - 1) - p[n - 2] * (n - 1)) / n)
+        weights = (1.0 - np.array(p)) @ _GL15_ANTIDERIVATIVES
+        return float(half * (weights @ self.nodes[i]))
 
 
 def _at_panel_nodes(f):
@@ -114,16 +139,18 @@ def _at_panel_nodes(f):
 
 
 def _eval_panels(panel_f, los, his):
-    """GL15 values and GL15-GL7 error estimates for a batch of panels."""
+    """GL15 values, GL15-GL7 error estimates and GL15 node values (n, 15)
+    for a batch of panels."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
     ys = panel_f(mid, half)
     # Contiguous copies give the rule sums the pointwise layout's bits.
-    v15 = half * (np.ascontiguousarray(ys[:, :15]) @ _GL15_W)
+    y15 = np.ascontiguousarray(ys[:, :15])
+    v15 = half * (y15 @ _GL15_W)
     v7 = half * (np.ascontiguousarray(ys[:, 15:]) @ _GL7_W)
-    return v15, np.abs(v15 - v7)
+    return v15, np.abs(v15 - v7), y15
 
 
 def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
@@ -133,26 +160,18 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
     return np.union1d(edges, inner) if inner else edges
 
 
-def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
-                    max_panels: int = 4096) -> Panels:
-    """Adaptive GL7/15 quadrature that keeps its panels.
-
-    ``edges`` is the initial partition, finite and strictly increasing.
-    ``panel_f(mid, half)`` returns the integrand at mid + half * PANEL_NODES
-    for a batch of panels, shape (n, 22).  The panel with the largest
-    GL15-GL7 gap is bisected until the summed gaps satisfy
-    max(quad_abs, quad_rel * |total|).  Raises NonConvergence after
-    ``max_panels`` panels or on a panel narrower than 1e-14 of the range.
-    """
+def _refine(panel_f, edges, tol, max_panels):
+    """Heap of (-error, order, lo, hi, value, error, node values) entries
+    and the running total of an adaptive GL7/15 quadrature."""
     edges = np.asarray(edges, dtype=float)
     n0 = edges.size - 1
-    vals, errs = _eval_panels(panel_f, edges[:-1], edges[1:])
+    vals, errs, ys = _eval_panels(panel_f, edges[:-1], edges[1:])
 
     # Heap keyed by largest error estimate; counter keeps ordering deterministic.
     heap = []
     counter = 0
-    for lo, hi, v, e in zip(edges[:-1], edges[1:], vals, errs):
-        heapq.heappush(heap, (-e, counter, lo, hi, v, e))
+    for lo, hi, v, e, y in zip(edges[:-1], edges[1:], vals, errs, ys):
+        heapq.heappush(heap, (-e, counter, lo, hi, v, e, y))
         counter += 1
 
     total = float(np.sum(vals))
@@ -167,7 +186,7 @@ def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
                 value=total,
                 error=total_err,
             )
-        neg_e, _, lo, hi, v, e = heapq.heappop(heap)
+        neg_e, _, lo, hi, v, e, _ = heapq.heappop(heap)
         if hi - lo < width_floor:
             raise NonConvergence(
                 "quadrature stalled on an unresolvable feature",
@@ -175,23 +194,39 @@ def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
                 error=total_err,
             )
         mid = 0.5 * (lo + hi)
-        new_vals, new_errs = _eval_panels(panel_f, [lo, mid], [mid, hi])
+        new_vals, new_errs, new_ys = _eval_panels(panel_f, [lo, mid], [mid, hi])
         total += float(np.sum(new_vals)) - v
         total_err += float(np.sum(new_errs)) - e
-        for plo, phi, pv, pe in zip((lo, mid), (mid, hi), new_vals, new_errs):
-            heapq.heappush(heap, (-pe, counter, plo, phi, pv, pe))
+        for plo, phi, pv, pe, py in zip((lo, mid), (mid, hi), new_vals,
+                                        new_errs, new_ys):
+            heapq.heappush(heap, (-pe, counter, plo, phi, pv, pe, py))
             counter += 1
         n_panels += 1
+    return heap, total
 
-    los, his, values = np.array(sorted(entry[2:5] for entry in heap)).T
-    return Panels(los, his, values, total)
+
+def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
+                    max_panels: int = 4096) -> Panels:
+    """Adaptive GL7/15 quadrature that keeps its panels.
+
+    ``edges`` is the initial partition, finite and strictly increasing.
+    ``panel_f(mid, half)`` returns the integrand at mid + half * PANEL_NODES
+    for a batch of panels, shape (n, 22).  The panel with the largest
+    GL15-GL7 gap is bisected until the summed gaps satisfy
+    max(quad_abs, quad_rel * |total|).  Raises NonConvergence after
+    ``max_panels`` panels or on a panel narrower than 1e-14 of the range.
+    """
+    heap, total = _refine(panel_f, edges, tol, max_panels)
+    heap.sort(key=lambda entry: entry[2])
+    los, his, values = np.array([entry[2:5] for entry in heap]).T
+    return Panels(los, his, values, np.array([entry[6] for entry in heap]), total)
 
 
 def _integrate_finite(f, a, b, tol, initial_panels, max_panels, points):
     if b == a:
         return 0.0
     edges = initial_edges(a, b, max(1, int(initial_panels)), points)
-    return adaptive_panels(_at_panel_nodes(f), edges, tol, max_panels=max_panels).total
+    return _refine(_at_panel_nodes(f), edges, tol, max_panels)[1]
 
 
 def integrate_adaptive(
@@ -320,6 +355,8 @@ def nodes_for_phase(max_phase_rate, k_lo, k_hi, nodes_per_period=8, minimum=64):
     oscillation period of exp(i*phase(k)), given the largest |d phase/dk|
     over the evaluation domain."""
     periods = abs(max_phase_rate) * (k_hi - k_lo) / (2.0 * math.pi)
+    if not math.isfinite(nodes_per_period * periods):
+        raise InvalidRange(f"phase rate {max_phase_rate:g} needs unboundedly many nodes")
     return max(int(minimum), int(math.ceil(nodes_per_period * periods)))
 
 
@@ -333,13 +370,19 @@ def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
 
     Uses Brent's bracketing method (bisection fallback built in), so
     convergence is guaranteed once the bracket straddles a sign change;
-    raises NoSignChange otherwise.
+    raises NoSignChange otherwise, and NonConvergence where g is NaN.
     """
+    def checked(x):
+        value = float(g(x))
+        if math.isnan(value):
+            raise NonConvergence(f"root function is NaN at x = {x}")
+        return value
+
     lo, hi = float(bracket[0]), float(bracket[1])
     if hi < lo:
         lo, hi = hi, lo
-    glo = float(g(lo))
-    ghi = float(g(hi))
+    glo = checked(lo)
+    ghi = checked(hi)
     if glo == 0.0:
         return lo
     if ghi == 0.0:
@@ -350,8 +393,8 @@ def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
         )
     from scipy.optimize import brentq
 
-    return float(brentq(g, lo, hi, xtol=tol.root_abs, rtol=4 * np.finfo(float).eps,
-                        maxiter=200))
+    return float(brentq(checked, lo, hi, xtol=tol.root_abs,
+                        rtol=4 * np.finfo(float).eps, maxiter=200))
 
 
 # ---------------------------------------------------------------------------

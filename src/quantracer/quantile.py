@@ -145,17 +145,17 @@ class _TailTable:
     adaptive panel quadrature over the support hint.
 
     ``upper[i]`` is the mass right of panel i's lower edge (the reverse
-    cumulative panel masses, ``upper[-1] = 0``); a probe at x adds the
-    mass of the partial panel [x, panel top], one GL7/15 panel under the
-    same error control, to the mass right of its panel.
+    cumulative panel masses, ``upper[-1] = 0``).  A probe at x adds to the
+    mass right of its panel the integral over [x, panel top] of the
+    degree-14 interpolant of that panel's 15 GL15 node values
+    (``Panels.partial_mass``), so a probe evaluates no field and agrees
+    with ``upper`` at every panel edge.
     """
 
     def __init__(self, model: SpectralPacketModel, t: float):
-        self.model = model
-        self.t = t
-        panels = model.tail_panels(t)
-        self.los, self.his = panels.los, panels.his
-        self.upper = panels.upper
+        self.panels = model.tail_panels(t)
+        self.los, self.his = self.panels.los, self.panels.his
+        self.upper = self.panels.upper
 
     def __call__(self, x: float) -> float:
         if x <= self.los[0]:
@@ -163,9 +163,7 @@ class _TailTable:
         i = int(np.searchsorted(self.his, x))   # first panel with top >= x
         if i == self.his.size:
             return 0.0
-        return float(self.upper[i + 1]) + integrate_adaptive(
-            lambda xs: self.model.rho(xs, self.t), x, self.his[i],
-            self.model.tol, initial_panels=1)
+        return float(self.upper[i + 1]) + self.panels.partial_mass(i, x)
 
     def bracket(self, P: float) -> tuple[float, float]:
         """Edges of the panel whose edge tails straddle P."""

@@ -8,20 +8,29 @@ round-trips, determinism, and the verify suite's fault response.
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import quantracer
+from quantracer import quantile
 from quantracer.cli import (
+    DEFAULT_OUT,
     MAX_K_NODES,
     PRESETS,
     ScenarioConfig,
+    _check_trajectory_roundtrip,
     build_parser,
     load_config_file,
     main,
     resolve_config,
     validate_config,
 )
+from quantracer.numerics import Tolerances
 from quantracer.tunneling import packet_transmission_probability
 from quantracer.wavepacket import BarrierSpec, GaussianPacketParams, spectral_setup
 
@@ -52,6 +61,39 @@ def read_manifest(path):
 
 def checks_by_name(manifest):
     return {c["name"]: c for c in manifest["checks"]}
+
+
+# Per flag: a cheap valid value, then nan, inf, negative, zero and
+# oversized values.  Every oversized size (grid times, k-nodes, u-order) is
+# refused before allocating, and a run on the valid values spans t <= 1, so
+# no draw can launch a long run.
+CONTRACT_FLAGS = {
+    "--t-max": ("1", "nan", "inf", "-inf", "-1", "0", "1e6", "1e300"),
+    "--t-step": ("0.5", "nan", "inf", "-0.5", "0", "1e-300"),
+    "--p-list": ("0.3", "nan", "inf", "-0.5", "0", "1", "1e300", "0.5,0.3", ""),
+    "--lambda": ("0.1", "nan", "inf", "-0.1", "0", "1e300"),
+    "--barrier-height": ("10", "nan", "inf", "-10", "0", "1e300"),
+    "--barrier-halfwidth": ("0.3", "nan", "inf", "-0.3", "0", "1e300"),
+    "--k-nodes": ("0", "-1", "63", str(MAX_K_NODES + 1), "1000000000"),
+}
+CONTRACT_EXTRA = {
+    "tunnel": {"--snapshot-times": ("0", "nan", "inf", "-1")},
+    "delta-p": {"--n-lambda": ("32", "-5", "0", "15", "513", "1000000000")},
+}
+
+
+@st.composite
+def contract_argv(draw):
+    """A command with every flag set: up to three flags drawn from their
+    hostile values, the others at their valid one."""
+    command = draw(st.sampled_from(sorted(DEFAULT_OUT)))
+    flags = {**CONTRACT_FLAGS, **CONTRACT_EXTRA.get(command, {})}
+    hostile = draw(st.sets(st.sampled_from(sorted(flags)), max_size=3))
+    argv = [command] + ["--quick"] * (command == "verify")
+    for flag, (valid, *bad) in flags.items():
+        value = draw(st.sampled_from(bad)) if flag in hostile else valid
+        argv.append(f"{flag}={value}")
+    return argv
 
 
 class TestConfigResolution:
@@ -108,6 +150,9 @@ class TestConfigResolution:
         (("tunnel", "--t-max", "1e5"), "wave-number nodes"),
         (("delta-p", "--t-max", "500"), "wave-number nodes"),
         (("tunnel", "--k-nodes", str(MAX_K_NODES + 1)), "k_nodes"),
+        (("tunnel", "--t-max", "1e300"), "wave-number nodes"),
+        (("free", "--t-max", "1", "--t-step", "1e-310"), "grid times"),
+        (("delta-p", "--n-lambda", "513"), "n_lambda"),
     ])
     def test_oversized_run_refused_up_front(self, tmp_path, capsys, argv, words):
         # Each is refused from its size estimate before anything is
@@ -116,6 +161,26 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and words in err
         assert not any(tmp_path.iterdir())
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=contract_argv())
+    def test_any_flag_config_ends_in_a_contract_exit(self, tmp_path, capsys, argv):
+        code = run_cli(tmp_path, *argv, "--out=run.csv")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in out + err
+        assert err.count("\n") == (1 if code in (2, 3) else 0), err
+
+    @pytest.mark.parametrize("argv", [
+        ("free", "--t-max", "1e300", "--t-step", "1e299"),
+        ("tunnel", "--t-max", "1", "--barrier-height", "1e300"),
+    ])
+    def test_nan_root_function_exits_3(self, tmp_path, capsys, argv):
+        # Overflow makes the tail NaN; brentq used to raise a ValueError.
+        assert run_cli(tmp_path, *argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "NonConvergence" in err
 
     def test_small_n_lambda_rejected(self):
         with pytest.raises(Exception):
@@ -173,6 +238,13 @@ class TestFreeCommand:
         assert manifest["config"]["p_list"] == [0.5]
         assert "wall_clock_s" in manifest
         assert checks_by_name(manifest)["method_equivalence"]["passed"]
+
+    def test_manifest_names_versions(self, tmp_path):
+        assert run_cli(tmp_path, "free", "--preset", "fig1") == 0
+        versions = read_manifest(tmp_path / "free_trajectories.csv")["versions"]
+        assert versions == {"quantracer": quantracer.__version__,
+                            "python": platform.python_version(),
+                            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 class TestDissipativeCommand:
@@ -316,6 +388,24 @@ class TestVerifyCommand:
             "method_equivalence", "unitarity", "continuity", "retardation",
             "delta_p_agreement", "conservation_3d", "trajectory_roundtrip"}
         assert all(r["passed"] == "true" for r in rows)
+
+    def test_roundtrip_reinverts_spectral_quantiles(self, monkeypatch):
+        # A spectral table off by 1e-5 in tail fails only the check that
+        # compares its inversions with the independent tail().
+        probe = quantile._TailTable.__call__
+        monkeypatch.setattr(quantile._TailTable, "__call__",
+                            lambda self, x: probe(self, x) + 1e-5)
+        cfg = ScenarioConfig(quick=True)
+        passed, detail = _check_trajectory_roundtrip(cfg, Tolerances())
+        assert not passed and "worst |tail - P| = 1.0" in detail
+
+    @pytest.mark.parametrize("height", [0.0, 1e3])
+    def test_roundtrip_levels_exist_for_any_barrier(self, height):
+        # Transmitted fraction 1 (no barrier) or ~0 (opaque) still gives
+        # two spectral levels inside (0, 1).
+        cfg = ScenarioConfig(quick=True, barrier_height=height)
+        passed, detail = _check_trajectory_roundtrip(cfg, Tolerances())
+        assert passed, detail
 
     def test_injected_fault_fails_continuity(self, tmp_path):
         assert run_cli(tmp_path, "verify", "--quick",

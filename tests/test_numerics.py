@@ -102,6 +102,38 @@ class TestIntegrateAdaptive:
         np.testing.assert_array_equal(panels.mass_above(panels.los[::-1]), upper[-2::-1])
         assert panels.mass_above([4.0])[0] == 0.0
 
+    def test_panels_keep_gl15_node_values(self):
+        f = lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2)
+
+        def panel_f(mid, half):
+            return f(mid[:, None] + half[:, None] * PANEL_NODES)
+
+        panels = adaptive_panels(panel_f, np.linspace(-5.0, 4.0, 9), DEFAULT_TOL)
+        mids = 0.5 * (panels.los + panels.his)
+        halves = 0.5 * (panels.his - panels.los)
+        np.testing.assert_array_equal(panels.nodes,
+                                      panel_f(mids, halves)[:, :15])
+
+    def test_partial_mass_integrates_the_node_interpolant(self):
+        # A degree-14 integrand is its own interpolant on the GL15 nodes,
+        # so the partial mass is its exact integral over [x, panel top].
+        coeffs = np.random.default_rng(7).normal(size=15)
+        f = np.polynomial.Polynomial(coeffs, domain=[-1.0, 2.0])
+        F = f.integ()
+
+        def panel_f(mid, half):
+            return f(mid[:, None] + half[:, None] * PANEL_NODES)
+
+        panels = adaptive_panels(panel_f, [-1.0, 0.5, 2.0], DEFAULT_TOL)
+        scale = np.max(np.abs(f(np.linspace(-1.0, 2.0, 301))))
+        for i, (lo, hi) in enumerate(zip(panels.los, panels.his)):
+            assert panels.partial_mass(i, hi) == 0.0
+            assert panels.partial_mass(i, lo) == pytest.approx(
+                panels.values[i], abs=1e-14 * scale)
+            for x in np.linspace(lo, hi, 7):
+                assert panels.partial_mass(i, x) == pytest.approx(
+                    F(hi) - F(x), abs=1e-13 * scale)
+
     def test_points_become_panel_edges(self):
         # |x - 0.3| has a kink at 0.3: as an edge, one GL15 panel per side
         # is exact.  Points outside (a, b) are ignored.
@@ -157,6 +189,14 @@ class TestFindRootMonotone:
     def test_linear(self):
         r = find_root_monotone(lambda x: x - 3.0, (0.0, 10.0))
         assert r == pytest.approx(3.0, abs=1e-9)
+
+    def test_nan_function_raises_nonconvergence(self):
+        # At a bracket end and inside the bracket alike.
+        with pytest.raises(NonConvergence):
+            find_root_monotone(lambda x: math.nan if x < -1.0 else x, (-2.0, 1.0))
+        with pytest.raises(NonConvergence):
+            find_root_monotone(lambda x: math.nan if 0.0 < x < 0.9 else x - 0.5,
+                               (0.0, 1.0))
 
     def test_erfc_unit_level(self):
         r = find_root_monotone(lambda x: erfc(x) - 1.0, (-5.0, 5.0))

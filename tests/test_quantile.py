@@ -107,9 +107,10 @@ class TestQuantilePosition:
         assert direct == pytest.approx(fresh, abs=1e-6)
 
     def test_inversion_field_budget(self, tunnel_models, monkeypatch):
-        # One table (factored panel kernel) plus 15-point partial-panel
-        # probes; re-running an adaptive interval mass per probe spent
-        # ~1e4 pointwise points on this inversion.
+        # One table (factored panel kernel); each probe integrates its
+        # panel's GL15 interpolant, so no pointwise point is evaluated.
+        # Re-running an adaptive interval mass per probe spent ~1e4
+        # pointwise points on this inversion, a partial panel per probe ~110.
         _, tunnel = tunnel_models
         seen = {"points": 0, "panels": 0}
         rho, panel_rho = tunnel.rho, tunnel._panel_rho
@@ -130,8 +131,21 @@ class TestQuantilePosition:
         monkeypatch.setattr(tunnel, "_panel_rho", counted_panel_rho)
         x = quantile_position(tunnel, 0.01, 10.0)
         assert x > DEFAULT_BARRIER.half_width
-        assert seen["points"] <= 300      # measured 110
+        assert seen["points"] == 0
         assert seen["panels"] <= 150      # measured 71
+
+    @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
+    def test_probe_is_continuous_at_panel_edges(self, tunnel_models, t):
+        # At an edge the probe reads the panel below at its top; just above
+        # it, the panel above integrates its whole interpolant.
+        for model in tunnel_models:
+            table = _TailTable(model, t)
+            bound = 1e-15 * model.norm(t)
+            for i, edge in enumerate(np.append(table.los, table.his[-1])):
+                assert abs(table(float(edge)) - table.upper[i]) <= bound
+            for i, edge in enumerate(table.los):
+                above = float(np.nextafter(edge, math.inf))
+                assert abs(table(above) - table.upper[i]) <= bound
 
     @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
     def test_table_tail_matches_independent_tail(self, tunnel_models, t):
