@@ -29,7 +29,6 @@ from .quantile import (
     quantile_position,
     quantile_velocity,
     sphere_seeds,
-    tail_probability,
     trace_flowmap_3d,
     trace_trajectory_cdf,
     trace_trajectory_ode,

@@ -29,7 +29,6 @@ __all__ = [
     "Termination",
     "QuantileTrajectory",
     "FlowMap3D",
-    "tail_probability",
     "quantile_position",
     "quantile_velocity",
     "trace_trajectory_cdf",
@@ -120,11 +119,6 @@ class FlowMap3D:
 # ---------------------------------------------------------------------------
 
 
-def tail_probability(model: PacketModel, x: float, t: float) -> float:
-    """Probability to the right of x at time t."""
-    return model.tail(x, t)
-
-
 def quantile_velocity(model: PacketModel, x: float, t: float, *,
                       floor_rel: float = DENSITY_FLOOR_REL) -> float:
     """Quantile velocity at (x, t): current over density, minus the loss
@@ -175,7 +169,7 @@ class _TailTable:
 def quantile_position(model: PacketModel, P: float, t: float,
                       tol: Tolerances = DEFAULT_TOL, *,
                       x_guess: float | None = None) -> float:
-    """Unique x with tail_probability(model, x, t) = P.
+    """Unique x with model.tail(x, t) = P.
 
     A spectral model builds one tail table at t (``_TailTable``) and finds
     the root inside the one panel that brackets P; ``x_guess`` is not

@@ -26,8 +26,6 @@ from .numerics import (
     DEFAULT_TOL,
     KGrid,
     Tolerances,
-    adaptive_panels,
-    initial_edges,
     nodes_for_phase,
 )
 from .quantile import QuantileTrajectory, trace_trajectory_cdf
@@ -37,8 +35,6 @@ from .wavepacket import (
     PacketModel,
     SpectralFunction,
     _barrier_coefficients,
-    _factored_rho,
-    _PanelWaves,
     spectral_free_model,
 )
 
@@ -96,8 +92,8 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
     The barrier coefficients and the term3 kernel are built once per call
     and the two u-kernels once per u-quadrature order reached; each time t
     applies them to the (n_k, len(xs)) matrix of psi_x columns and takes
-    term3 at every x from one panel quadrature with the x values as panel
-    edges.
+    term3 at every x from one panel table on the lattice of the call's
+    free reference model, with the x values as panel edges.
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -114,7 +110,7 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
     # term3 kernel is the u = 1 value of the term2 kernel
     kernel3 = (np.exp(2j * a * (k + gamma))
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
-    hint = spectral_free_model(spectrum, grid, mass=mass, tol=tol).support_hint
+    free = spectral_free_model(spectrum, grid, mass=mass, tol=tol)
     kernels: dict = {}
 
     def u_terms(n: int, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +147,7 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
         coeff = (grid.weights * spectrum.amplitude(k)
                  * np.exp(-1j * k * spectrum.x_bar
                           - 1j * HBAR * k * k * t / (2.0 * mass)))
-        hint_hi = hint(t)[1]
+        hint_hi = free.support_hint(t)[1]
         rate = (max(x_far, abs(hint_hi)) + abs(spectrum.x_bar)
                 + HBAR * grid.k_max * abs(t) / mass)
         needed = nodes_for_phase(rate, grid.k_min, grid.k_max, minimum=1)
@@ -161,24 +157,9 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
                 f"at x = {x_far:.4g}, t = {t:.4g} needs >= {needed}"
             )
         # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from
-        # each x to hint_hi: one quadrature from the smallest x.
-        tops = np.minimum(xs, hint_hi)
-        start = float(np.min(tops, initial=hint_hi))
-        term3 = np.zeros(xs.size)
-        if start < hint_hi:
-            c3_vec = coeff * kernel3
-            waves = _PanelWaves(k)      # widths differ by t: one per quadrature
-
-            def excess_density(mids, halves):
-                everywhere = np.ones(mids.size, dtype=bool)
-                return _factored_rho(mids, halves,
-                                     ((everywhere, waves, c3_vec, None),))
-
-            periods = grid.k_max * (hint_hi - start) / (2.0 * math.pi)
-            edges = initial_edges(start, hint_hi,
-                                  int(min(512, max(8, math.ceil(periods / 2.0)))),
-                                  tops)
-            term3 = adaptive_panels(excess_density, edges, tol).mass_above(tops)
+        # each x to hint_hi: one table on the free reference's lattice,
+        # whose kept panel waves serve every time of the call.
+        term3 = free.tails(xs, t, coeffs=coeff * kernel3)
 
         # Per x, the u-quadrature starts at n_lambda Gauss-Legendre nodes
         # and doubles until that x's total moves by less than 0.1%.

@@ -24,7 +24,6 @@ from .numerics import (
     adaptive_panels,
     build_kgrid,
     erfc,
-    initial_edges,
     integrate_adaptive,
     nodes_for_phase,
 )
@@ -470,61 +469,103 @@ def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> Scatte
 _FIELD_ENTRIES = 1 << 16
 
 
+# Most lattice half-widths one wave-number set keeps matrices for across
+# quadratures; further ones live for one quadrature, like off-lattice ones.
+_KEPT_WIDTHS = 16
+
+# Slack, in units of eps * |x|, within which panel widths and spacings
+# count as lattice ones: rounding of the panel edges, nothing more.
+_ULPS = 16.0 * np.finfo(float).eps
+
+
 class _PanelWaves:
     """Factored sums of the waves e^{+-iqx} over one wave-number set, on panels.
 
     On a panel with midpoint m and half-width h,
-    e^{iq(m + h xi)} = e^{iqm} e^{iqh xi}, so equal-width panels cost one
-    exponential per (panel, wave number) and a matmul against the
-    (n_q, 22) matrix e^{iqh xi}, kept per width.  Real q (outside the
-    barrier) takes e^{-iqx} as the conjugate.  Panels are summed in row
-    chunks of at most _FIELD_ENTRIES (panel, wave number) entries.
+    e^{iq(m + h xi)} = e^{iqm} e^{iqh xi}: equal-width panels share a
+    matmul against the (n_q, 22) matrix e^{iqh xi}, and equal-width panels
+    spaced 2h apart take e^{iqm_j} = e^{iqm_0} e^{iq j 2h}, one
+    exponential per run times the shift rows e^{iq j 2h}.  Half-widths
+    base * 2^m (a model's panel lattice and its bisection children) keep
+    their matrix and shift rows across calls and times, in ``kept``, up to
+    _KEPT_WIDTHS of them; other widths, rounded to 40 significant bits so
+    that bisection siblings match, live in one quadrature's view
+    (``call()``) and go with it.  e^{-iqm} is the conjugate of e^{iqm}
+    for real q (outside the barrier) and its inverse for complex q.
+    Panels are summed in row chunks of at most
+    _FIELD_ENTRIES (panel, wave number) entries, which also caps the shift
+    rows of a width.
     """
 
-    def __init__(self, q: np.ndarray):
+    def __init__(self, q: np.ndarray, base: float, kept: dict | None = None):
         self.q = q
-        self._waves: dict = {}
+        self.base = base
+        self.kept = {} if kept is None else kept
+        self._scratch: dict = {}
 
-    def _wave(self, h: float) -> np.ndarray:
-        # e^{iqh xi}; a negative h gives the e^{-iqh xi} of the down wave.
-        if h not in self._waves:
-            self._waves[h] = np.exp(1j * np.outer(self.q, h * PANEL_NODES))
-        return self._waves[h]
+    def call(self) -> "_PanelWaves":
+        """View for one quadrature: shares ``kept``, drops the rest with it."""
+        return _PanelWaves(self.q, self.base, self.kept)
 
-    def sums(self, mids, h: float, up, down=None) -> np.ndarray:
+    def _entry(self, h: float) -> list:
+        # [e^{iqh xi}, shift rows]; a negative h gives the waves of e^{-iqx}.
+        on_lattice = math.frexp(abs(h) / self.base)[0] == 0.5
+        store = self.kept if on_lattice and (
+            h in self.kept or len(self.kept) < _KEPT_WIDTHS) else self._scratch
+        if h not in store:
+            store[h] = [np.exp(1j * np.outer(self.q, h * PANEL_NODES)),
+                        np.ones((1, self.q.size), dtype=complex)]
+        return store[h]
+
+    def _phases(self, mids, h: float, entry: list):
+        """(rows, first) with e^{iqm} = rows * first at each mid.
+
+        Mids on one lattice 2h apart, the lowest at m0, take the kept shift
+        rows and first = e^{iqm0}; others take their own exponentials.
+        """
+        m0 = float(mids.min())
+        step = 2.0 * h
+        d = (mids - m0) / step
+        j = np.rint(d)
+        cap = max(1, _FIELD_ENTRIES // self.q.size)
+        slack = _ULPS * max(abs(m0), abs(float(mids.max()))) / step
+        if j.max() < cap and (np.abs(d - j) <= slack).all():
+            j = j.astype(int)
+            if entry[1].shape[0] <= j.max():
+                entry[1] = np.exp(1j * np.outer(np.arange(j.max() + 1) * step, self.q))
+            return entry[1][j], np.exp((1j * m0) * self.q)
+        return np.exp(1j * np.outer(mids, self.q)), 1.0
+
+    def _sums(self, mids, h: float, up, down) -> np.ndarray:
         """sum_j up_j e^{iq_j x} + down_j e^{-iq_j x} at x = mids + h * PANEL_NODES."""
-        rows = max(1, _FIELD_ENTRIES // self.q.size)
-        if mids.size > rows:
-            return np.concatenate([self.sums(mids[i:i + rows], h, up, down)
-                                   for i in range(0, mids.size, rows)])
-        e = np.exp(1j * np.outer(mids, self.q))
-        psi = (e * up) @ self._wave(h)
+        entry = self._entry(h)
+        rows, first = self._phases(mids, h, entry)
+        psi = (rows * (first * up)) @ entry[0]
         if down is None:
             return psi
         if np.isrealobj(self.q):
-            return psi + (e.conj() * down) @ self._wave(h).conj()
-        e_down = np.exp(-1j * np.outer(mids, self.q))
-        return psi + (e_down * down) @ self._wave(-h)
+            # conj(e) down = conj(e conj(down)): the up phases serve both.
+            return psi + ((rows * (first * down.conj())) @ entry[0]).conj()
+        # e^{-iqm} = 1 / e^{iqm}; the e^{-iqh xi} matrix is kept under -h.
+        return psi + ((down / first) / rows) @ self._entry(-h)[0]
 
-
-def _factored_rho(mids, halves, regions) -> np.ndarray:
-    """|psi|^2 on the nodes of panels, region by region.
-
-    ``regions`` holds (mask, waves, up, down): the panels of ``mask`` lie
-    wholly in a region where psi = waves.sums(..., up, down).  Rows no
-    mask selects are left unset.  Half-widths are rounded to 40
-    significant bits (node shifts far below any quadrature tolerance) so
-    that bisection siblings share one e^{iqh xi} matrix.
-    """
-    mant, expo = np.frexp(halves)
-    widths = np.ldexp(np.round(mant * 2.0 ** 40), expo - 40)
-    out = np.empty((mids.size, PANEL_NODES.size))
-    for mask, waves, up, down in regions:
-        for h in np.unique(widths[mask]):
-            sel = mask & (widths == h)
-            psi = waves.sums(mids[sel], h, up, down)
-            out[sel] = psi.real ** 2 + psi.imag ** 2
-    return out
+    def rho(self, mids, halves, up, down=None) -> np.ndarray:
+        """|up e^{iqx} + down e^{-iqx}|^2 summed over q, on the panels' nodes."""
+        # Lattice half-widths snap to their exact value, the others round.
+        widths = self.base * np.exp2(np.rint(np.log2(halves / self.base)))
+        off = np.abs(halves - widths) > _ULPS * (np.abs(mids) + halves)
+        if off.any():
+            mant, expo = np.frexp(halves[off])
+            widths[off] = np.ldexp(np.round(mant * 2.0 ** 40), expo - 40)
+        rows = max(1, _FIELD_ENTRIES // self.q.size)
+        out = np.empty((mids.size, PANEL_NODES.size))
+        for h in np.unique(widths):
+            sel = np.flatnonzero(widths == h)
+            for i in range(0, sel.size, rows):
+                chunk = sel[i:i + rows]
+                psi = self._sums(mids[chunk], float(h), up, down)
+                out[chunk] = psi.real ** 2 + psi.imag ** 2
+        return out
 
 
 class SpectralPacketModel(PacketModel):
@@ -557,6 +598,14 @@ class SpectralPacketModel(PacketModel):
         self._modes = (grid.nodes, *coefficients, edge)
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
+        # Lattice pitch: two periods of the fastest spatial beat of rho, so
+        # the first refinement pass already sees the oscillation.
+        osc_k = 2.0 * grid.k_max if barrier is not None else grid.k_max - grid.k_min
+        self._pitch = 4.0 * math.pi / osc_k
+        # Panel waves outside the barrier (q = k) and under it (q = gamma),
+        # kept across times; empty until the first table.
+        self._waves = (_PanelWaves(grid.nodes, 0.5 * self._pitch),
+                       _PanelWaves(coefficients[0], edge if barrier else 1.0))
         self._nodes_per_period = float(nodes_per_period)
         amp = spectrum.amplitude(grid.nodes)
         self._base_coeffs = (grid.weights * amp
@@ -602,33 +651,38 @@ class SpectralPacketModel(PacketModel):
         val, der = _mode_fields(xs, *self._modes, with_derivative)
         return val @ coeffs, der @ coeffs if with_derivative else None
 
-    def _panel_rho(self, t: float):
+    def _panel_rho(self, t: float, coeffs=None):
         """Density on the nodes mid + half * PANEL_NODES of batches of panels.
 
         On a panel wholly inside one region the mode sum factors (see
-        _PanelWaves; q = k outside the barrier, gamma inside).  Panels
-        across a barrier edge take the pointwise kernel.
+        _PanelWaves; q = k outside the barrier, gamma inside), with the
+        model's kept lattice waves.  Panels across a barrier edge take the
+        pointwise kernel.  ``coeffs`` replaces the mode coefficients at t,
+        for other plane-wave sums on the free reference's lattice.
         """
         k, gamma, T, R, A, B, edge = self._modes
-        coeffs = self._coeffs(t)
+        if coeffs is None:
+            coeffs = self._coeffs(t)
         reach = float(np.max(PANEL_NODES))
-        outside, under = _PanelWaves(k), _PanelWaves(gamma)
+        outside, under = (waves.call() for waves in self._waves)
+        # Per region: waves, coefficients of e^{iqx} and of e^{-iqx}.
+        regions = ((outside, coeffs * T, None), (outside, coeffs, coeffs * R),
+                   (under, coeffs * A, coeffs * B))
 
         def values(mids, halves):
             # Regions by the outermost nodes, not the panel edges: a panel
             # ending on a barrier edge still has all its nodes on one side.
             lo, hi = mids - reach * halves, mids + reach * halves
-            self._check_resolution(float(np.max(np.maximum(-lo, hi))), t)
+            self._check_resolution(max(-float(lo.min()), float(hi.max())), t)
             right = lo > edge
             left = ~right & (hi < -edge)
             inside = (lo > -edge) & (hi < edge)
             across = ~(right | left | inside)
-            # Per region: waves, coefficients of e^{iqx} and of e^{-iqx}.
-            out = _factored_rho(mids, halves, (
-                (right, outside, coeffs * T, None),
-                (left, outside, coeffs, coeffs * R),
-                (inside, under, coeffs * A, coeffs * B)))
-            if np.any(across):
+            out = np.empty((mids.size, PANEL_NODES.size))
+            for mask, (waves, up, down) in zip((right, left, inside), regions):
+                if mask.any():
+                    out[mask] = waves.rho(mids[mask], halves[mask], up, down)
+            if across.any():
                 xs = mids[across, None] + halves[across, None] * PANEL_NODES
                 out[across] = self.rho(xs.ravel(), t).reshape(xs.shape)
             return out
@@ -658,14 +712,6 @@ class SpectralPacketModel(PacketModel):
             return float(rho[0]), float(cur[0])
         return rho.reshape(np.shape(x)), cur.reshape(np.shape(x))
 
-    def _initial_panels(self, span: float) -> int:
-        # Sized to the fastest spatial beat of the density, two periods per
-        # panel, so the first refinement pass already sees the oscillation.
-        osc_k = 2.0 * self.grid.k_max if self.barrier is not None else \
-            self.grid.k_max - self.grid.k_min
-        periods = span * osc_k / (2.0 * math.pi)
-        return int(min(512, max(8, math.ceil(periods / 2.0))))
-
     def interval_mass(self, x1, x2, t) -> float:
         t = float(t)
         lo, hi = self.support_hint(t)
@@ -674,65 +720,96 @@ class SpectralPacketModel(PacketModel):
         if a == b:
             return 0.0
         # rho has a curvature jump at +-a that a GL15-GL7 gap across it
-        # underestimates, so the barrier edges are panel edges.
+        # underestimates, so the barrier edges are panel edges; one panel
+        # per pitch, as the tables start.
+        n = min(512, max(8, math.ceil(abs(b - a) / self._pitch)))
         return integrate_adaptive(lambda xs: self.rho(xs, t), a, b, self.tol,
-                                  initial_panels=self._initial_panels(abs(b - a)),
-                                  points=self._cuts)
+                                  initial_panels=n, points=self._cuts)
 
     def tail(self, x, t) -> float:
         t = float(t)
         return self.interval_mass(x, self.support_hint(t)[1], t)
 
-    def _table(self, lo: float, hi: float, t: float, points=()) -> Panels:
-        edges = initial_edges(lo, hi, self._initial_panels(hi - lo),
-                              (*self._cuts, *points))
-        return adaptive_panels(self._panel_rho(t), edges, self.tol)
+    def _lattice(self, t: float) -> np.ndarray:
+        """Initial panel edges of the tables at time t, over the support hint.
+
+        The pitch is the model's pitch times 2^n, the rung that gives the
+        unsnapped hint 8 to 509 panels.  Edges sit at +-a + j * pitch
+        outside the barrier (at j * pitch for the free reference), and
+        [-a, a] holds 2^m equal panels no wider than the pitch, so the
+        panel widths are time-independent.  The hint's ends snap outward to
+        the nearest edges.
+        """
+        pad = 8.0 * self.spread(t)
+        v_hi = HBAR * self.grid.k_max / self.mass
+        if self.barrier is not None:
+            # Reflected branch can travel as far left as the transmitted
+            # branch travels right, so take a symmetric bound.
+            hi = abs(self.spectrum.x_bar) + v_hi * abs(t) + pad
+            lo = -hi
+        else:
+            c = self.spectrum.x_bar
+            lo = c + HBAR * self.grid.k_min / self.mass * t - pad
+            hi = c + v_hi * t + pad
+        pitch = self._pitch
+        while hi - lo > 509.0 * pitch:
+            pitch *= 2.0
+        while hi - lo < 8.0 * pitch:
+            pitch *= 0.5
+        if self.barrier is None:
+            return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
+        a = self.barrier.half_width
+        inner = np.linspace(-a, a, 1 + 2 ** max(0, math.ceil(math.log2(2.0 * a / pitch))))
+        outer = a + pitch * np.arange(1, math.ceil(max(hi - a, -lo - a, 0.0) / pitch) + 1)
+        edges = np.concatenate([-outer[::-1], inner, outer])
+        first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
+        return edges[first:int(np.searchsorted(edges, hi)) + 1]
 
     def tail_panels(self, t) -> Panels:
         """Retained GL7/15 panels of rho over the support hint at time t.
 
-        Same error control, initial panel count and barrier-edge cuts as
-        tail(); with the cuts no panel crosses a region boundary, so every
-        panel takes the factored kernel.  tail() keeps the pointwise kernel
-        and starts at its own x, so it stays an independent check of these
-        panels.
+        The initial panels are the lattice of _lattice(t): the barrier
+        edges are panel edges, no panel crosses a region boundary, and
+        every initial panel and its bisection children have a width the
+        model keeps its panel waves for across times.  Error control as in
+        tail(), which keeps the pointwise kernel and starts at its own x,
+        so it stays an independent check of these panels.
         """
         t = float(t)
-        return self._table(*self.support_hint(t), t)
+        return adaptive_panels(self._panel_rho(t), self._lattice(t), self.tol)
 
-    def tails(self, x, t) -> np.ndarray:
+    def tails(self, x, t, *, coeffs=None) -> np.ndarray:
         """tail(x_i, t) at every x from one retained panel table.
 
-        The table spans [min x, top of the support hint] with every x
-        (clamped to the hint, as in tail()) as a panel edge, so each tail
-        is the reverse cumulative panel mass at its edge.  Its error
-        control is that of the widest tail; tail() stays the pointwise
-        independent check.
+        The table spans [min x, top of the support hint]: the lattice edges
+        above min x plus every x (clamped to the hint, as in tail()) as a
+        panel edge, so each tail is the reverse cumulative panel mass at
+        its edge.  Pieces the x values cut from lattice panels are off the
+        lattice and their waves last one call.  Its error control is that
+        of the widest tail; tail() stays the pointwise independent check.
+        ``coeffs`` integrates another sum over the modes instead (the
+        delta-p decomposition's transmitted excess, on the free reference).
         """
         t = float(t)
-        lo, hi = self.support_hint(t)
-        xs = np.clip(np.asarray(x, dtype=float), lo, hi)
-        start = float(np.min(xs, initial=hi))
-        if start == hi:
+        lattice = self._lattice(t)
+        xs = np.clip(np.asarray(x, dtype=float), lattice[0], lattice[-1])
+        start = float(np.min(xs, initial=lattice[-1]))
+        if start == lattice[-1]:
             return np.zeros(xs.shape)
-        return self._table(start, hi, t, xs.ravel()).mass_above(xs)
+        edges = np.union1d(lattice[lattice > start], xs.ravel())
+        return adaptive_panels(self._panel_rho(t, coeffs), edges,
+                               self.tol).mass_above(xs)
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.
         return 1.0
 
     def support_hint(self, t) -> tuple[float, float]:
-        t = float(t)
-        pad = 8.0 * self.spread(t)
-        v_hi = HBAR * self.grid.k_max / self.mass
-        if self.barrier is not None:
-            # Reflected branch can travel as far left as the transmitted
-            # branch travels right, so take a symmetric bound.
-            half = abs(self.spectrum.x_bar) + v_hi * abs(t) + pad
-            return (-half, half)
-        v_lo = HBAR * self.grid.k_min / self.mass
-        c = self.spectrum.x_bar
-        return (c + v_lo * t - pad, c + v_hi * t + pad)
+        """8 spreads beyond the fastest and slowest branches (both ways
+        with a barrier), snapped outward to the panel lattice (_lattice),
+        by at most one pitch, so tail() and the tables span one range."""
+        edges = self._lattice(float(t))
+        return float(edges[0]), float(edges[-1])
 
     def spread(self, t) -> float:
         return float(_width_at(self._sigma_x0, self._sigma_v, float(t)))

@@ -9,6 +9,8 @@ import json
 import math
 import os
 import platform
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quantracer
-from quantracer import quantile
+from quantracer import cli, quantile
 from quantracer.cli import (
     DEFAULT_OUT,
     MAX_K_NODES,
     PRESETS,
     ScenarioConfig,
+    MIN_CROSSING_LEVEL,
+    _check_retardation,
     _check_trajectory_roundtrip,
     build_parser,
     load_config_file,
@@ -406,6 +410,30 @@ class TestVerifyCommand:
         cfg = ScenarioConfig(quick=True, barrier_height=height)
         passed, detail = _check_trajectory_roundtrip(cfg, Tolerances())
         assert passed, detail
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_retardation_needs_comparisons_at_a_passing_barrier(self, quick,
+                                                               monkeypatch):
+        # The stock barrier passes T = 0.0216, so levels below it cross and
+        # must be compared; a scan that compares nothing there fails.
+        cfg = ScenarioConfig(quick=quick)
+        passed, detail = _check_retardation(cfg, Tolerances())
+        assert passed and int(detail.split()[0]) > 0, detail
+        scan = cli.retardation_scan
+        monkeypatch.setattr(cli, "retardation_scan", lambda *args, **kwargs: [
+            replace(v, checked=0) for v in scan(*args, **kwargs)])
+        passed, detail = _check_retardation(cfg, Tolerances())
+        assert not passed and detail.startswith("0 beyond-edge comparisons")
+
+    def test_opaque_barrier_passes_retardation_vacuously(self, tmp_path):
+        # At 1000 eV no level crosses; verify states the count and T.
+        assert run_cli(tmp_path, "verify", "--quick",
+                       "--barrier-height", "1000") == 0
+        _, rows = read_csv(tmp_path / "verify_report.csv")
+        detail = {r["check"]: r["detail"] for r in rows}["retardation"]
+        assert detail.startswith("0 beyond-edge comparisons")
+        transmitted = float(re.search(r"T = (\S+);", detail).group(1))
+        assert 0.0 <= transmitted < MIN_CROSSING_LEVEL
 
     def test_injected_fault_fails_continuity(self, tmp_path):
         assert run_cli(tmp_path, "verify", "--quick",

@@ -14,7 +14,6 @@ from quantracer.quantile import (
     quantile_position,
     quantile_velocity,
     sphere_seeds,
-    tail_probability,
     trace_flowmap_3d,
     trace_trajectory_cdf,
     trace_trajectory_ode,
@@ -59,13 +58,13 @@ def tunnel_models():
 class TestTailProbability:
     def test_median_and_limits(self):
         m = free_gaussian_model(DEFAULT_PACKET)
-        assert tail_probability(m, DEFAULT_PACKET.center(3.0), 3.0) == pytest.approx(0.5, abs=1e-14)
-        assert tail_probability(m, -math.inf, 3.0) == 1.0
+        assert m.tail(DEFAULT_PACKET.center(3.0), 3.0) == pytest.approx(0.5, abs=1e-14)
+        assert m.tail(-math.inf, 3.0) == 1.0
 
     def test_dissipative_tail_limit_is_survival(self):
         m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         t = 4.0
-        assert tail_probability(m, -math.inf, t) == pytest.approx(math.exp(-0.1 * t), rel=1e-14)
+        assert m.tail(-math.inf, t) == pytest.approx(math.exp(-0.1 * t), rel=1e-14)
 
 
 class TestQuantilePosition:

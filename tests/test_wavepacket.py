@@ -391,6 +391,78 @@ class TestTunnelingPacketModel:
                 slow = model.rho(nodes, t)
                 assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
 
+    @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
+    def test_shift_rows_match_pointwise(self, spectral_models, t):
+        # Runs of lattice panels (one exponential per run times the kept
+        # shift rows) and their bisection children, left of, inside and
+        # right of the barrier.
+        _, _, free_sp, tunnel = spectral_models
+        for model in (free_sp, tunnel):
+            edges = model._lattice(t)
+            mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            kids = np.concatenate([mids - 0.5 * halves, mids + 0.5 * halves])
+            for m, h in ((mids, halves), (kids, np.tile(0.5 * halves, 2))):
+                fast = model._panel_rho(t)(m, h)
+                slow = model.rho(m[:, None] + h[:, None] * PANEL_NODES, t)
+                assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
+            rows = [entry[1].shape[0] for waves in model._waves
+                    for entry in waves.kept.values()]
+            assert max(rows) >= mids.size // 2
+
+    def test_table_widths_sit_on_the_lattice(self):
+        # Over t = 0, 0.5, ..., 10 every retained panel of a fresh model is
+        # a lattice panel or a bisection child of one: width pitch * 2^n
+        # outside the barrier, 2a * 2^-n inside.  Each table starts with 8
+        # to 512 panels, anchored at +-a (at 0 for the free reference), and
+        # the hint reaches at most one pitch past its unsnapped ends.
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
+        a = DEFAULT_BARRIER.half_width
+        for model in (spectral_free_model(spectrum, grid),
+                      tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
+            anchor = 0.0 if model.barrier is None else a
+            for t in np.arange(0.0, 10.25, 0.5):
+                panels = model.tail_panels(t)
+                widths = panels.his - panels.los
+                inside = (panels.los >= -anchor) & (panels.his <= anchor)
+                rung = np.log2(np.where(inside, 2.0 * anchor, model._pitch) / widths)
+                assert np.max(np.abs(rung - np.rint(rung))) <= 1e-9
+                edges = model._lattice(t)
+                assert 8 <= edges.size - 1 <= 512
+                pitch = edges[-1] - edges[-2]
+                outer = np.abs(edges[np.abs(edges) >= anchor]) - anchor
+                assert np.max(np.abs(outer / pitch - np.rint(outer / pitch))) <= 1e-9
+                reach = 8.0 * model.spread(t) + grid.k_max * t
+                raw_hi = spectrum.x_bar + reach if model.barrier is None \
+                    else abs(spectrum.x_bar) + reach
+                assert 0.0 <= model.support_hint(t)[1] - raw_hi <= pitch
+
+    def test_kept_waves_are_bounded(self):
+        # After a sweep over t = 0, 0.5, ..., 10 and a tails() call that
+        # cuts lattice panels into odd pieces, each model keeps at most
+        # eight e^{iqh xi} matrices (measured 2 and 4), all of lattice
+        # widths, and both hold under 3 MiB (measured 1.2 MiB).
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
+        models = (spectral_free_model(spectrum, grid),
+                  tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid))
+        for model in models:
+            model._coeffs(0.0)
+        xs = np.array([-7.3, -0.1, 0.7, 1.1, 2.9, 4.45])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for model in models:
+                for t in np.arange(0.0, 10.25, 0.5):
+                    model.tail_panels(t)
+                model.tails(xs, 7.25)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        for model in models:
+            kept = [(waves.base, h) for waves in model._waves for h in waves.kept]
+            assert len(kept) <= 8
+            assert all(math.frexp(abs(h) / base)[0] == 0.5 for base, h in kept)
+        assert held <= 3 * 2 ** 20
+
     def test_tail_panels_cut_at_barrier_edges(self, spectral_models):
         _, _, _, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
@@ -425,14 +497,20 @@ class TestTunnelingPacketModel:
         assert abs(tunnel.tail(-8.558, 5.0) - tight.tail(-8.558, 5.0)) <= 1e-9
 
     def test_factored_panels_are_chunked(self, spectral_models, monkeypatch):
-        # 40 equal panels in row chunks of 3 give the one-pass values.
+        # 40 equal panels off the lattice in row chunks of 3 give the
+        # one-pass values; so do the lattice panels, whose runs restart
+        # their exponential every 3 rows (phases q m ~ 100 rad, so a few
+        # ulps of them apart: 1e-13).
         _, grid, _, tunnel = spectral_models
-        mids = np.linspace(-30.0, -2.0, 40)
-        halves = np.full(mids.size, 0.35)
-        one_pass = tunnel._panel_rho(4.0)(mids, halves)
-        monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", 3 * grid.size)
-        chunked = tunnel._panel_rho(4.0)(mids, halves)
-        assert np.max(np.abs(chunked - one_pass)) <= 1e-14 * np.max(one_pass)
+        edges = tunnel._lattice(4.0)
+        for mids, halves, bound in (
+                (np.linspace(-30.0, -2.0, 40), np.full(40, 0.35), 1e-14),
+                (0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges), 1e-13)):
+            one_pass = tunnel._panel_rho(4.0)(mids, halves)
+            with monkeypatch.context() as patch:
+                patch.setattr(wavepacket, "_FIELD_ENTRIES", 3 * grid.size)
+                chunked = tunnel._panel_rho(4.0)(mids, halves)
+            assert np.max(np.abs(chunked - one_pass)) <= bound * np.max(one_pass)
 
     def test_long_batches_are_chunked(self, spectral_models, monkeypatch):
         # 20 000 points x 386 modes would be ~120 MB per complex matrix in
