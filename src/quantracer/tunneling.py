@@ -159,7 +159,7 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
         # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from
         # each x to hint_hi: one table on the free reference's lattice,
         # whose kept panel waves serve every time of the call.
-        term3 = free.tails(xs, t, coeffs=coeff * kernel3)
+        term3 = free._tails(xs, t, coeff * kernel3)
 
         # Per x, the u-quadrature starts at n_lambda Gauss-Legendre nodes
         # and doubles until that x's total moves by less than 0.1%.

@@ -734,11 +734,13 @@ class SpectralPacketModel(PacketModel):
         """Initial panel edges of the tables at time t, over the support hint.
 
         The pitch is the model's pitch times 2^n, the rung that gives the
-        unsnapped hint 8 to 509 panels.  Edges sit at +-a + j * pitch
-        outside the barrier (at j * pitch for the free reference), and
-        [-a, a] holds 2^m equal panels no wider than the pitch, so the
-        panel widths are time-independent.  The hint's ends snap outward to
-        the nearest edges.
+        unsnapped hint 8 to 509 panels (doubled again while the barrier's
+        narrower inner panels would make it over 512).  Edges sit at
+        +-a + j * pitch outside the barrier (at j * pitch for the free
+        reference), and [-a, a] holds 2^m equal panels no wider than the
+        pitch, so the panel widths are time-independent.  The hint's ends
+        snap outward to the nearest edges; only edges near the hint are
+        made, so a barrier much wider than the hint costs nothing.
         """
         pad = 8.0 * self.spread(t)
         v_hi = HBAR * self.grid.k_max / self.mass
@@ -759,11 +761,23 @@ class SpectralPacketModel(PacketModel):
         if self.barrier is None:
             return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
         a = self.barrier.half_width
-        inner = np.linspace(-a, a, 1 + 2 ** max(0, math.ceil(math.log2(2.0 * a / pitch))))
-        outer = a + pitch * np.arange(1, math.ceil(max(hi - a, -lo - a, 0.0) / pitch) + 1)
-        edges = np.concatenate([-outer[::-1], inner, outer])
-        first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)
-        return edges[first:int(np.searchsorted(edges, hi)) + 1]
+        while True:
+            # The hint and lattice are symmetric: the edges in (0, hi] and
+            # one beyond are j * w inside (w = 2a / 2^m exactly, so 0 is an
+            # edge too when m > 0) and a + j * pitch outside.
+            m = max(0, math.ceil(math.log2(a) + 1.0 - math.log2(pitch)))
+            if m == 0:
+                half = [np.array([a])]
+            else:
+                w = math.ldexp(a, 1 - m)
+                half = [w * np.arange(1, min(2 ** (m - 1), math.ceil(hi / w)) + 1)]
+            if hi > a:
+                half.append(a + pitch * np.arange(1, math.ceil((hi - a) / pitch) + 1))
+            half = np.concatenate(half)
+            edges = np.concatenate([-half[::-1], [0.0] * (m > 0), half])
+            if edges.size <= 513:
+                return edges
+            pitch *= 2.0
 
     def tail_panels(self, t) -> Panels:
         """Retained GL7/15 panels of rho over the support hint at time t.
@@ -778,7 +792,7 @@ class SpectralPacketModel(PacketModel):
         t = float(t)
         return adaptive_panels(self._panel_rho(t), self._lattice(t), self.tol)
 
-    def tails(self, x, t, *, coeffs=None) -> np.ndarray:
+    def tails(self, x, t) -> np.ndarray:
         """tail(x_i, t) at every x from one retained panel table.
 
         The table spans [min x, top of the support hint]: the lattice edges
@@ -787,10 +801,15 @@ class SpectralPacketModel(PacketModel):
         its edge.  Pieces the x values cut from lattice panels are off the
         lattice and their waves last one call.  Its error control is that
         of the widest tail; tail() stays the pointwise independent check.
-        ``coeffs`` integrates another sum over the modes instead (the
-        delta-p decomposition's transmitted excess, on the free reference).
         """
-        t = float(t)
+        return self._tails(x, float(t), None)
+
+    def _tails(self, x, t: float, coeffs) -> np.ndarray:
+        """tails(), or with ``coeffs`` the same integral of
+        |sum_j coeffs_j e^{ik_j x}|^2 on the free reference's lattice (the
+        delta-p decomposition's transmitted excess)."""
+        if coeffs is not None and self.barrier is not None:
+            raise ValueError("plane-wave coefficients need the free reference")
         lattice = self._lattice(t)
         xs = np.clip(np.asarray(x, dtype=float), lattice[0], lattice[-1])
         start = float(np.min(xs, initial=lattice[-1]))

@@ -179,6 +179,9 @@ class TestConfigResolution:
     @pytest.mark.parametrize("argv", [
         ("free", "--t-max", "1e300", "--t-step", "1e299"),
         ("tunnel", "--t-max", "1", "--barrier-height", "1e300"),
+        # A barrier far wider than the packet's range: the panel lattice
+        # makes only the edges near the support hint, not 2^1000 of them.
+        ("tunnel", "--t-max", "1", "--barrier-halfwidth", "1e300"),
     ])
     def test_nan_root_function_exits_3(self, tmp_path, capsys, argv):
         # Overflow makes the tail NaN; brentq used to raise a ValueError.

@@ -436,6 +436,34 @@ class TestTunnelingPacketModel:
                     else abs(spectrum.x_bar) + reach
                 assert 0.0 <= model.support_hint(t)[1] - raw_hi <= pitch
 
+    @pytest.mark.parametrize("a", [20.0, 1e8, 1e300])
+    def test_wide_barrier_lattice_stays_bounded(self, a):
+        # Only edges near the hint are made, however wide the barrier, and
+        # its inner panels (down to half a pitch wide) still start a table
+        # with 8 to 512 panels.  At V = 0 the barrier scatters nothing, so
+        # the tails are the free reference's (at 1e300 the coefficients
+        # overflow; only the lattice is checked).
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
+        with np.errstate(all="ignore"):
+            model = tunneling_packet_model(spectrum, BarrierSpec(0.0, a), grid)
+        free = spectral_free_model(spectrum, grid)
+        xs = np.array([-20.0, -3.0, 0.0, 2.5, 11.0])
+        for t in (0.0, 5.0, 10.0):
+            edges = model._lattice(t)
+            assert 8 <= edges.size - 1 <= 512
+            assert (edges[0], edges[-1]) == model.support_hint(t)
+            if a < 1e300:
+                gap = model.tails(xs, t) - free.tails(xs, t)
+                assert np.max(np.abs(gap)) <= 1e-9
+
+    def test_tails_with_coefficients_need_the_free_reference(self, spectral_models):
+        _, grid, free_sp, tunnel = spectral_models
+        coeffs = free_sp._coeffs(2.0)
+        assert np.array_equal(free_sp._tails([0.5, 3.0], 2.0, coeffs),
+                              free_sp.tails([0.5, 3.0], 2.0))
+        with pytest.raises(ValueError):
+            tunnel._tails([0.5], 2.0, coeffs)
+
     def test_kept_waves_are_bounded(self):
         # After a sweep over t = 0, 0.5, ..., 10 and a tails() call that
         # cuts lattice panels into odd pieces, each model keeps at most
