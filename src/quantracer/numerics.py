@@ -1,4 +1,4 @@
-"""Shared numerical kernels: special functions, quadrature, root finding, ODE stepping.
+"""Shared numerical kernels: quadrature, root finding, ODE stepping.
 
 Everything here is pure and reentrant; internal units are hbar = 1, m = 1
 (positions in hbar/sqrt(eV*m), times in hbar/eV).
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legvander
-from scipy import special
-from scipy.integrate import RK45
 
 from .errors import InvalidRange, NonConvergence, NoSignChange, StepUnderflow
 
@@ -22,7 +20,6 @@ __all__ = [
     "KGrid",
     "Panels",
     "OdePath",
-    "erfc",
     "integrate_adaptive",
     "adaptive_panels",
     "initial_edges",
@@ -56,11 +53,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-def erfc(x):
-    """Complementary error function, vectorized, relative error <= 1e-12 for |x| <= 10."""
-    return special.erfc(x)
 
 
 # ---------------------------------------------------------------------------
@@ -222,84 +214,37 @@ def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
     return Panels(los, his, values, np.array([entry[6] for entry in heap]), total)
 
 
-def _integrate_finite(f, a, b, tol, initial_panels, max_panels, points):
-    if b == a:
-        return 0.0
-    edges = initial_edges(a, b, max(1, int(initial_panels)), points)
-    return _refine(_at_panel_nodes(f), edges, tol, max_panels)[1]
-
-
 def integrate_adaptive(
     f,
     a,
     b,
     tol: Tolerances = DEFAULT_TOL,
     *,
-    decay_length: float = 1.0,
     initial_panels: int = 8,
     max_panels: int = 4096,
     points=(),
 ):
-    """Adaptive panel quadrature of a vectorized integrand on [a, b].
+    """Adaptive panel quadrature of a vectorized integrand on a finite [a, b].
 
     The estimate satisfies |error| <= max(quad_abs, quad_rel * |value|) and is
     deterministic for fixed inputs.  ``f`` must accept an ndarray of abscissae
-    (a scalar-broadcasting return is fine).  Infinite bounds are mapped to the
-    unit interval through an algebraic substitution with scale
-    ``decay_length``, which the caller should set to the integrand's decay
-    scale.  ``points`` inside a finite [a, b] are extra initial panel edges,
-    for kinks and curvature jumps of the integrand.  Raises NonConvergence
-    after ``max_panels`` subdivisions.
+    (a scalar-broadcasting return is fine).  ``points`` inside (a, b) are
+    extra initial panel edges, for kinks and curvature jumps of the
+    integrand.  Reversed bounds give the negated integral.  Raises
+    InvalidRange for a non-finite bound and NonConvergence after
+    ``max_panels`` subdivisions.
     """
     a = float(a)
     b = float(b)
-    if math.isnan(a) or math.isnan(b):
-        raise InvalidRange("integration bounds must not be NaN")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidRange(f"integration bounds must be finite, got [{a}, {b}]")
     if a > b:
-        return -integrate_adaptive(
-            f, b, a, tol,
-            decay_length=decay_length,
-            initial_panels=initial_panels,
-            max_panels=max_panels,
-            points=points,
-        )
-
-    inf_a = math.isinf(a)
-    inf_b = math.isinf(b)
-    if inf_a and inf_b:
-        left = integrate_adaptive(
-            f, 0.0, math.inf, tol,
-            decay_length=decay_length,
-            initial_panels=initial_panels,
-            max_panels=max_panels,
-        )
-        right = integrate_adaptive(
-            f, -math.inf, 0.0, tol,
-            decay_length=decay_length,
-            initial_panels=initial_panels,
-            max_panels=max_panels,
-        )
-        return left + right
-    if inf_b:
-        L = float(decay_length)
-        if L <= 0.0:
-            raise InvalidRange("decay_length must be positive for infinite bounds")
-
-        def mapped(u):
-            u = np.asarray(u)
-            x = a + L * u / (1.0 - u)
-            jac = L / (1.0 - u) ** 2
-            return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape) * jac
-
-        return _integrate_finite(mapped, 0.0, 1.0, tol, initial_panels, max_panels, ())
-    if inf_a:
-        return integrate_adaptive(
-            lambda x: f(-np.asarray(x)), -b, math.inf, tol,
-            decay_length=decay_length,
-            initial_panels=initial_panels,
-            max_panels=max_panels,
-        )
-    return _integrate_finite(f, a, b, tol, initial_panels, max_panels, points)
+        return -integrate_adaptive(f, b, a, tol, initial_panels=initial_panels,
+                                   max_panels=max_panels, points=points)
+    if b == a:
+        return 0.0
+    edges = initial_edges(a, b, max(1, int(initial_panels)), points)
+    return _refine(_at_panel_nodes(f), edges, tol, max_panels)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +343,7 @@ def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive ODE integration (embedded Runge-Kutta 5(4) with dense output).
+# Adaptive ODE integration (Dormand-Prince 5(4) with a terminal stop event).
 # ---------------------------------------------------------------------------
 
 
@@ -412,20 +357,6 @@ class OdePath:
     stop_time: float | None = None
 
 
-def _refine_stop_time(dense, stop, t_lo, t_hi, y_hi):
-    """Earliest time in (t_lo, t_hi] at which the stop predicate holds."""
-    for _ in range(80):
-        if t_hi - t_lo <= 1e-12 * max(1.0, abs(t_hi)):
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        if stop(mid, dense(mid)):
-            t_hi = mid
-            y_hi = dense(mid)
-        else:
-            t_lo = mid
-    return t_hi, y_hi
-
-
 def integrate_ode(
     rhs,
     x0,
@@ -434,83 +365,54 @@ def integrate_ode(
     tol: Tolerances = DEFAULT_TOL,
     stop=None,
     t_eval=None,
-    max_step=np.inf,
 ) -> OdePath:
     """Integrate dx/dt = rhs(t, x) adaptively from t0 to t1.
 
-    ``x0`` may be a scalar or a 1-d state vector.  Dense output is sampled at
-    ``t_eval`` when given, otherwise at the accepted step points.  ``stop`` is
-    an optional predicate stop(t, x) -> bool checked along the path; the
-    crossing time is refined by bisection on the dense output and reported in
-    the returned path.  Raises StepUnderflow (with the last accepted state)
-    when the controller cannot advance.
+    One ``solve_ivp`` RK45 run.  ``x0`` may be a scalar or a 1-d state
+    vector.  The path is sampled at ``t_eval`` when given, otherwise at the
+    accepted step points.  ``stop`` is an optional event g(t, x): the path
+    stops where g falls through zero (located by a root solve on the dense
+    output, and always its last sample), or at t0 if g(t0, x0) <= 0.
+    Raises StepUnderflow (with the last returned state) when the controller
+    cannot advance.
     """
+    from scipy.integrate import solve_ivp
+
     y0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
             raise InvalidRange("t_eval must lie within [t0, t1]")
+        t_eval = np.clip(t_eval, t0, t1)
 
-    if stop is not None and stop(t0, y0):
-        return OdePath(
-            times=np.array([t0]), states=y0[None, :].copy(),
-            stop_reason="stopped", stop_time=t0,
-        )
+    events = None
+    if stop is not None:
+        if stop(t0, y0) <= 0.0:
+            return OdePath(times=np.array([t0]), states=y0[None, :].copy(),
+                           stop_reason="stopped", stop_time=t0)
+
+        def events(t, y):
+            return stop(t, y)
+        events.terminal = True
+        events.direction = -1
     if t1 == t0:
         return OdePath(times=np.array([t0]), states=y0[None, :].copy(),
                        stop_reason="completed")
 
-    solver = RK45(rhs, t0, y0, t_bound=t1, rtol=tol.ode_rel, atol=tol.ode_abs,
-                  max_step=max_step)
-    times = [t0]
-    states = [y0.copy()]
-    eval_idx = 0
+    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", t_eval=t_eval,
+                    events=events, rtol=tol.ode_rel, atol=tol.ode_abs)
+    times = np.asarray(sol.t, dtype=float)
+    states = np.reshape(np.transpose(sol.y), (times.size, y0.size))
+    if sol.status == -1:
+        t_last, y_last = (times[-1], states[-1]) if times.size else (t0, y0)
+        raise StepUnderflow(f"ODE step failed after t = {t_last}: {sol.message}",
+                            t=float(t_last), x=y_last.copy())
+    if sol.status == 0:
+        return OdePath(times=times, states=states, stop_reason="completed")
+    t_stop, y_stop = float(sol.t_events[0][0]), sol.y_events[0][0]
     if t_eval is not None:
-        times = []
-        states = []
-        while eval_idx < t_eval.size and t_eval[eval_idx] <= t0:
-            times.append(t_eval[eval_idx])
-            states.append(y0.copy())
-            eval_idx += 1
-
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepUnderflow(
-                f"ODE step failed at t = {solver.t}: {message}",
-                t=solver.t, x=solver.y.copy(),
-            )
-        dense = solver.dense_output()
-        t_lo, t_hi = solver.t_old, solver.t
-
-        stopped_at = None
-        if stop is not None and stop(t_hi, solver.y):
-            stopped_at, y_stop = _refine_stop_time(dense, stop, t_lo, t_hi, solver.y)
-
-        if t_eval is not None:
-            limit = stopped_at if stopped_at is not None else t_hi
-            while eval_idx < t_eval.size and t_eval[eval_idx] <= limit + 1e-14:
-                te = min(t_eval[eval_idx], t_hi)
-                times.append(te)
-                states.append(np.atleast_1d(dense(te)))
-                eval_idx += 1
-        elif stopped_at is None:
-            times.append(t_hi)
-            states.append(solver.y.copy())
-
-        if stopped_at is not None:
-            times.append(stopped_at)
-            states.append(np.atleast_1d(y_stop))
-            return OdePath(
-                times=np.asarray(times), states=np.asarray(states),
-                stop_reason="stopped", stop_time=stopped_at,
-            )
-
-    if t_eval is not None:
-        # Cover evaluation points at exactly t1 that the loop's tolerance missed.
-        while eval_idx < t_eval.size:
-            times.append(t_eval[eval_idx])
-            states.append(solver.y.copy())
-            eval_idx += 1
-    return OdePath(times=np.asarray(times), states=np.asarray(states),
-                   stop_reason="completed")
+        # With t_eval, solve_ivp samples up to the event but not the event.
+        times = np.append(times, t_stop)
+        states = np.vstack([states, y_stop])
+    return OdePath(times=times, states=states, stop_reason="stopped",
+                   stop_time=t_stop)

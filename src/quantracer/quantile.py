@@ -272,9 +272,11 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
     The initial position comes from one CDF inversion at t0.  For lossy
     models the integration horizon is clamped just short of the exact norm
     crossing, which is recorded as the termination time.  When the density
-    under the quantile falls below the floor (interference nodes), the
-    tracer re-anchors by CDF inversion slightly later and resumes, counting
-    the episode.
+    under the quantile falls below the floor (interference nodes), a
+    terminal event stops the integration and the tracer re-anchors by CDF
+    inversion one skip later, counting the episode.  The skip starts at
+    1e-6 of the span and doubles whenever a path stops within one skip of
+    its anchor; a skip that would pass the end re-anchors at the end.
     """
     t0 = float(t0)
     t1 = float(t1)
@@ -293,13 +295,21 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         # Stop just short of the crossing; the quantile dives to -inf there.
         t_stop = t_end - max(1e-9, 8.0 * np.finfo(float).eps * abs(t_end))
 
-    def rhs(t, y):
-        rho, cur = model.density_and_current(float(y[0]), t)
-        rho = max(float(rho), floor_rel * model.peak_density(t))
-        return np.array([(float(cur) - model.loss_tail(float(y[0]), t)) / rho])
+    last = [None, 0.0]      # (t, x) of the latest rhs call and its density
 
-    def below_floor(t, y):
-        return float(model.rho(float(y[0]), t)) <= floor_rel * model.peak_density(t)
+    def rhs(t, y):
+        x = float(y[0])
+        rho, cur = model.density_and_current(x, t)
+        last[:] = (t, x), float(rho)
+        rho = max(float(rho), floor_rel * model.peak_density(t))
+        return np.array([(float(cur) - model.loss_tail(x, t)) / rho])
+
+    def floor_margin(t, y):
+        # After an accepted step the last rhs call (RK45 evaluates the step
+        # end for its next step) was at this point, so its density serves.
+        x = float(y[0])
+        rho = last[1] if last[0] == (t, x) else float(model.rho(x, t))
+        return rho - floor_rel * model.peak_density(t)
 
     x_cur = quantile_position(model, P, t0, tol)
     t_cur = t0
@@ -308,6 +318,11 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
     floor_episodes = 0
     skip = max(1e-6, 1e-6 * (t1 - t0))
 
+    def record(t, x):
+        if t > times[-1] + 1e-13 * max(1.0, abs(t)):
+            times.append(float(t))
+            xs.append(float(x))
+
     while t_cur < t_stop:
         seg_eval = None
         if t_eval is not None:
@@ -315,14 +330,12 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
             seg_eval = np.concatenate(([t_cur], t_eval[mask]))
         try:
             path = integrate_ode(rhs, x_cur, t_cur, t_stop, tol,
-                                 stop=below_floor, t_eval=seg_eval)
+                                 stop=floor_margin, t_eval=seg_eval)
         except StepUnderflow as err:
             termination = Termination.velocity_singular(err.t, float(np.atleast_1d(err.x)[0]))
             break
         for tt, state in zip(path.times, path.states):
-            if tt > times[-1] + 1e-13 * max(1.0, abs(tt)):
-                times.append(float(tt))
-                xs.append(float(state[0]))
+            record(tt, state[0])
         if path.stop_reason == "completed":
             break
         # Density floor hit: re-anchor by CDF inversion a little later.
@@ -331,13 +344,11 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
             termination = Termination.velocity_singular(path.stop_time,
                                                         float(path.states[-1, 0]))
             break
-        t_next = min(path.stop_time + skip, t_stop)
-        if t_next <= t_cur + skip * 0.5:
-            skip *= 2.0
-        if t_next >= t_stop:
-            break
-        x_cur = quantile_position(model, P, t_next, tol, x_guess=float(path.states[-1, 0]))
-        t_cur = t_next
+        if path.stop_time < t_cur + skip:
+            skip *= 2.0     # stalled inside the low-density region
+        t_cur = min(path.stop_time + skip, t_stop)
+        x_cur = quantile_position(model, P, t_cur, tol, x_guess=float(path.states[-1, 0]))
+        record(t_cur, x_cur)
 
     times = np.array(times)
     xs = np.array(xs)

@@ -224,14 +224,14 @@ class DeltaPReport:
     def all_positive(self) -> bool:
         return bool(np.all(self.positivity_ok))
 
-    @property
-    def worst_agreement(self) -> float:
-        return float(np.max(self.agreement_rel)) if self.agreement_rel.size else 0.0
+    def agreement_share(self, rel: float = 1e-2, abs_floor: float = 1e-6) -> np.ndarray:
+        """Per-point |direct - total| as a share of max(rel*|direct|, floor)."""
+        gap = np.abs(self.dp_direct - self.dp_total)
+        return gap / np.maximum(rel * np.abs(self.dp_direct), abs_floor)
 
     def agreement_ok(self, rel: float = 1e-2, abs_floor: float = 1e-6) -> np.ndarray:
-        """Per-point route agreement |direct - total| <= max(rel*|direct|, floor)."""
-        gap = np.abs(self.dp_direct - self.dp_total)
-        return gap <= np.maximum(rel * np.abs(self.dp_direct), abs_floor)
+        """Per-point route agreement: a share of at most 1."""
+        return self.agreement_share(rel, abs_floor) <= 1.0
 
 
 def default_delta_p_grid(barrier: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:

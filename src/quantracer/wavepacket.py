@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateK, GridTooCoarse
+from .errors import DegenerateK, GridTooCoarse, QuantracerError
 from .numerics import (
     DEFAULT_TOL,
     PANEL_NODES,
@@ -23,7 +23,6 @@ from .numerics import (
     Tolerances,
     adaptive_panels,
     build_kgrid,
-    erfc,
     integrate_adaptive,
     nodes_for_phase,
 )
@@ -154,7 +153,7 @@ class SpectralFunction:
             raise ValueError("empty spectral support")
         # Retained |amplitude|^2 mass of the unit Gaussian on [lo, hi].
         scale = math.sqrt(2.0) * sigma_k
-        mass = 0.5 * (float(erfc((lo - k_bar) / scale)) - float(erfc((hi - k_bar) / scale)))
+        mass = 0.5 * (math.erfc((lo - k_bar) / scale) - math.erfc((hi - k_bar) / scale))
         if mass <= 0.0:
             raise ValueError("spectral support carries no probability")
         return cls(k_bar=float(k_bar), sigma_k=float(sigma_k), x_bar=float(x_bar),
@@ -272,7 +271,7 @@ class FreeGaussianModel(PacketModel):
     def tail(self, x, t) -> float:
         sig = self.params.sigma_x(t)
         z = (float(x) - self.params.center(t)) / (math.sqrt(2.0) * sig)
-        return 0.5 * float(erfc(z))
+        return 0.5 * math.erfc(z)
 
     def norm(self, t) -> float:
         return 1.0
@@ -372,6 +371,10 @@ def _barrier_coefficients(k, barrier: BarrierSpec, mass: float = 1.0):
     B = half_t * (1.0 - k / gamma) * np.exp(1j * gamma * a)
     R = (A * np.exp(-1j * gamma * a) + B * np.exp(1j * gamma * a)
          - np.exp(-1j * k * a)) * np.exp(-1j * k * a)
+    if not all(np.all(np.isfinite(c)) for c in (gamma, T, R, A, B)):
+        raise QuantracerError(
+            f"barrier coefficients overflow: height {barrier.height:g} and "
+            f"half-width {a:g} make gamma, T, R, A or B non-finite")
     return gamma, T, R, A, B
 
 

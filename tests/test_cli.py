@@ -185,9 +185,12 @@ class TestConfigResolution:
     ])
     def test_nan_root_function_exits_3(self, tmp_path, capsys, argv):
         # Overflow makes the tail NaN; brentq used to raise a ValueError.
+        # An overflowing barrier is refused where its coefficients are made.
+        expected = ("NonConvergence" if argv[0] == "free"
+                    else "QuantracerError: barrier coefficients overflow")
         assert run_cli(tmp_path, *argv) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "NonConvergence" in err
+        assert err.count("\n") == 1 and expected in err
 
     def test_small_n_lambda_rejected(self):
         with pytest.raises(Exception):
@@ -437,6 +440,27 @@ class TestVerifyCommand:
         assert detail.startswith("0 beyond-edge comparisons")
         transmitted = float(re.search(r"T = (\S+);", detail).group(1))
         assert 0.0 <= transmitted < MIN_CROSSING_LEVEL
+
+    @pytest.mark.parametrize("flag", ["--barrier-halfwidth", "--barrier-height"])
+    def test_overflowing_barrier_passes_no_barrier_check(self, tmp_path, capsys,
+                                                         flag):
+        # NaN coefficients once read as "max residual = 0" and "T = nan".
+        assert run_cli(tmp_path, "verify", "--quick", flag, "1e300") == 1
+        out = capsys.readouterr().out
+        for name in ("continuity", "retardation"):
+            assert (f"[FAIL] {name}: raised QuantracerError: barrier "
+                    "coefficients overflow") in out
+
+    def test_delta_p_points_follow_the_barrier_edge(self, tmp_path):
+        # The points sit at a + 0.7 (quick), beyond any barrier edge, and
+        # the detail states the worst gap as a share of its bound.
+        assert run_cli(tmp_path, "verify", "--quick",
+                       "--barrier-halfwidth", "2") == 0
+        _, rows = read_csv(tmp_path / "verify_report.csv")
+        detail = {r["check"]: r["detail"] for r in rows}["delta_p_agreement"]
+        share = float(re.search(r"worst \|direct - total\| = (\S+) of max\(1% "
+                                r"\|direct\|; 1e-6\)", detail).group(1))
+        assert 0.0 <= share <= 1.0
 
     def test_injected_fault_fails_continuity(self, tmp_path):
         assert run_cli(tmp_path, "verify", "--quick",

@@ -302,6 +302,19 @@ class TestTraceTrajectoryOde:
         with pytest.raises(InvalidRange):
             trace_trajectory_ode(m, 0.5, 3.0, 3.0)
 
+    @pytest.mark.parametrize("P, floor_rel", [(0.35, 0.2), (0.017, 0.02)])
+    def test_floor_reanchoring_reaches_the_end(self, tunnel_models, P, floor_rel):
+        # A high floor makes re-anchored paths stop at their own start; the
+        # skip doubles until it escapes, and a skip past t1 re-anchors there.
+        _, tunnel = tunnel_models
+        traj = trace_trajectory_ode(tunnel, P, 0.0, 10.0, floor_rel=floor_rel)
+        assert traj.termination.kind == "completed"
+        assert traj.times[-1] == 10.0
+        assert 1 <= traj.floor_episodes < 100
+        gaps = [abs(tunnel.tails([x], t)[0] - P)
+                for t, x in zip(traj.times, traj.positions)]
+        assert max(gaps) <= 1e-6
+
 
 class TestSphereSeeds:
     def test_geometry(self):
