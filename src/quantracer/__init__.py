@@ -50,6 +50,8 @@ from .wavepacket import (
     DEFAULT_PACKET,
     DEFAULT_PACKET_3D,
     BarrierSpec,
+    DissipativeGaussianModel,
+    FreeGaussianModel,
     Gaussian3DModel,
     Gaussian3DParams,
     GaussianPacketParams,
@@ -57,9 +59,6 @@ from .wavepacket import (
     ScatteringMode,
     SpectralFunction,
     SpectralPacketModel,
-    dissipative_gaussian_model,
-    free_gaussian_model,
-    gaussian3d_model,
     recommended_node_count,
     scattering_mode,
     spectral_free_model,

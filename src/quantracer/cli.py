@@ -40,11 +40,11 @@ from .tunneling import (
 )
 from .wavepacket import (
     BarrierSpec,
+    DissipativeGaussianModel,
+    FreeGaussianModel,
+    Gaussian3DModel,
     Gaussian3DParams,
     GaussianPacketParams,
-    dissipative_gaussian_model,
-    free_gaussian_model,
-    gaussian3d_model,
     recommended_node_count,
     scattering_mode,
     spectral_free_model,
@@ -343,10 +343,10 @@ def _trace_table(model, p_list, times, tol):
 
     A trajectory that ends before the last grid time gets one trailing
     sentinel row carrying the exact termination time and kind; positions
-    have no finite value there.
+    have no finite value there.  The worst gap is NaN when any gap is.
     """
     rows = []
-    worst_gap = 0.0
+    gaps = []
     for P in p_list:
         cdf = trace_trajectory_cdf(model, P, times, tol)
         ode = trace_trajectory_ode(model, P, float(times[0]), float(times[-1]),
@@ -360,14 +360,14 @@ def _trace_table(model, p_list, times, tol):
             if t in ode_at:
                 xo, vo = ode_at[t]
                 gap = abs(x - xo)
-                worst_gap = max(worst_gap, gap)
+                gaps.append(gap)
                 rows.append((P, t, x, v, xo, vo, gap, status))
             else:
                 rows.append((P, t, x, v, "", "", "", status))
         if cdf.termination.kind != "completed":
             rows.append((P, cdf.termination.time, "", "", "", "", "",
                          cdf.termination.kind))
-    return rows, worst_gap
+    return rows, float(np.max(gaps, initial=0.0))
 
 
 TRAJECTORY_HEADER = ["P", "t", "x_cdf", "v_cdf", "x_ode", "v_ode",
@@ -381,8 +381,8 @@ def cmd_trajectories(cfg: ScenarioConfig, command: str) -> int:
     started = time.perf_counter()
     packet = _packet(cfg)
     lossy = command == "dissipative"
-    model = (dissipative_gaussian_model(packet, cfg.loss_rate) if lossy
-             else free_gaussian_model(packet))
+    model = (DissipativeGaussianModel(packet, cfg.loss_rate) if lossy
+             else FreeGaussianModel(packet))
     rows, worst_gap = _trace_table(model, cfg.p_list, _time_grid(cfg),
                                    _tolerances(cfg))
     checks = [("method_equivalence", worst_gap <= 1e-5,
@@ -393,7 +393,8 @@ def cmd_trajectories(cfg: ScenarioConfig, command: str) -> int:
         for row in rows:
             if row[-1] == "norm_below_p":
                 seen[row[0]] = row[1]
-        worst = max((abs(seen[P] - expected[P]) for P in seen), default=0.0)
+        worst = float(np.max([abs(seen[P] - expected[P]) for P in seen],
+                             initial=0.0))
         detail = f"{len(seen)}/{len(cfg.p_list)} terminated, worst |dt_end| = {worst:.3e}"
         ok = worst <= 1e-6 and all(
             P in seen for P in cfg.p_list if expected[P] <= cfg.t_max)
@@ -488,7 +489,7 @@ def cmd_sphere3d(cfg: ScenarioConfig) -> int:
     tol = _tolerances(cfg)
     params = Gaussian3DParams(center=cfg.center, velocity=cfg.velocity,
                               sigma_x0=cfg.sigma_x0, mass=cfg.mass)
-    field = gaussian3d_model(params)
+    field = Gaussian3DModel(params)
     seeds = sphere_seeds(cfg.center, cfg.radius)
     times = _time_grid(cfg)
     flow = trace_flowmap_3d(field, seeds, times, tol)
@@ -499,7 +500,7 @@ def cmd_sphere3d(cfg: ScenarioConfig) -> int:
         for i, t in enumerate(flow.times):
             x, y, z = flow.paths[s, i]
             rows.append((s, t, x, y, z, enclosed[i]))
-    spread = max(enclosed) - min(enclosed)
+    spread = float(np.max(enclosed) - np.min(enclosed))
     checks = [("conservation_3d", spread <= 1e-4,
                f"enclosed probability spread = {spread:.3e} "
                f"(P = {flow.P:.6f})")]
@@ -528,35 +529,34 @@ class _CurrentFlipped:
 def _check_method_equivalence(cfg: ScenarioConfig, tol: Tolerances):
     quick = cfg.quick
     packet = _packet(cfg)
-    worst = 0.0
     cases = []
-    free = free_gaussian_model(packet)
+    free = FreeGaussianModel(packet)
     cases.append((free, (0.5,) if quick else (0.3, 0.7),
                   np.linspace(0.0, 5.0 if quick else 10.0, 6 if quick else 21)))
-    lossy = dissipative_gaussian_model(packet, cfg.loss_rate or 0.1)
+    lossy = DissipativeGaussianModel(packet, cfg.loss_rate or 0.1)
     cases.append((lossy, (0.5,),
                   np.linspace(0.0, 5.0 if quick else 10.0, 6 if quick else 21)))
     spectral_cfg = replace(cfg, t_max=3.0 if quick else 6.0)
     _, _, _, tunnel = _spectral_pair(spectral_cfg, tol)
     cases.append((tunnel, (0.3,),
                   np.linspace(0.0, 3.0 if quick else 6.0, 7 if quick else 13)))
-    for model, p_values, times in cases:
-        _, gap = _trace_table(model, p_values, times, tol)
-        worst = max(worst, gap)
+    worst = float(np.max([_trace_table(model, p_values, times, tol)[1]
+                          for model, p_values, times in cases]))
     return worst <= 1e-5, f"max |x_cdf - x_ode| = {worst:.3e}"
 
 
 def _check_unitarity(cfg: ScenarioConfig, tol: Tolerances):
     rng = np.random.default_rng(20260814)
     count = 25 if cfg.quick else 100
-    worst = 0.0
+    defects = []
     for _ in range(count):
         k = rng.uniform(0.2, 6.0)
         height = rng.uniform(0.0, 20.0)
         half_width = rng.uniform(0.05, 1.0)
         mode = scattering_mode(k, BarrierSpec(height=height,
                                               half_width=half_width))
-        worst = max(worst, abs(abs(mode.T) ** 2 + abs(mode.R) ** 2 - 1.0))
+        defects.append(abs(abs(mode.T) ** 2 + abs(mode.R) ** 2 - 1.0))
+    worst = float(np.max(defects))
     return worst <= 1e-12, f"max ||T|^2 + |R|^2 - 1| = {worst:.3e} ({count} modes)"
 
 
@@ -566,13 +566,14 @@ def _check_continuity(cfg: ScenarioConfig, tol: Tolerances, inject_fault: str):
     model = _CurrentFlipped(tunnel) if inject_fault == "flip-current" else tunnel
     d = 1e-4
     t_values = (4.0,) if cfg.quick else (2.0, 5.0)
-    worst = 0.0
+    residuals = []
     for t in t_values:
         xs = np.linspace(-12.0, 6.0, 21 if cfg.quick else 41)
         drho_dt = (model.rho(xs, t + d) - model.rho(xs, t - d)) / (2 * d)
         dj_dx = (model.current(xs + d, t) - model.current(xs - d, t)) / (2 * d)
         scale = float(np.max(np.abs(dj_dx)))
-        worst = max(worst, float(np.max(np.abs(drho_dt + dj_dx))) / scale)
+        residuals.append(float(np.max(np.abs(drho_dt + dj_dx))) / scale)
+    worst = float(np.max(residuals))
     return worst <= 1e-4, f"max residual = {worst:.3e} of local scale"
 
 
@@ -616,13 +617,13 @@ def _check_delta_p(cfg: ScenarioConfig, tol: Tolerances):
 def _check_conservation_3d(cfg: ScenarioConfig, tol: Tolerances):
     params = Gaussian3DParams(center=(0.0, 0.0, 0.0), velocity=(2.0, 0.0, 0.0),
                               sigma_x0=cfg.sigma_x0, mass=cfg.mass)
-    field = gaussian3d_model(params)
+    field = Gaussian3DModel(params)
     seeds = sphere_seeds((0.0, 0.0, 0.0), 3.0 * cfg.sigma_x0)
     times = np.array([0.0, 4.0]) if cfg.quick else np.array([0.0, 5.0, 10.0])
     flow = trace_flowmap_3d(field, seeds, times, tol)
     masses = [probability_in_volume(field, flow.points_at(i), float(t), tol)
               for i, t in enumerate(flow.times)]
-    spread = max(masses) - min(masses)
+    spread = float(np.max(masses) - np.min(masses))
     return spread <= 1e-4, f"enclosed probability spread = {spread:.3e}"
 
 
@@ -635,8 +636,8 @@ def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances):
     transmitted = packet_transmission_probability(spectrum, tunnel.barrier,
                                                   grid, mass=cfg.mass)
     levels = np.clip([0.5 * transmitted, 0.5 * (1.0 + transmitted)], 0.01, 0.99)
-    cases = [(free_gaussian_model(packet), (0.3, 0.7)),
-             (dissipative_gaussian_model(packet, cfg.loss_rate or 0.1), (0.3, 0.7)),
+    cases = [(FreeGaussianModel(packet), (0.3, 0.7)),
+             (DissipativeGaussianModel(packet, cfg.loss_rate or 0.1), (0.3, 0.7)),
              (tunnel, levels.tolist())]
     times = np.linspace(0.0, t_max, 5 if cfg.quick else 17)
     rows = []
@@ -646,9 +647,8 @@ def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances):
             rows.extend((model, P, t, x) for t, x in
                         zip(traj.times.tolist(), traj.positions.tolist()))
     stride = max(1, len(rows) // 100)
-    worst = 0.0
-    for model, P, t, x in rows[::stride]:
-        worst = max(worst, abs(model.tail(x, t) - P))
+    worst = float(np.max([abs(model.tail(x, t) - P)
+                          for model, P, t, x in rows[::stride]], initial=0.0))
     return worst <= 1e-6, (f"{len(rows[::stride])}/{len(rows)} rows "
                            f"re-inverted, worst |tail - P| = {worst:.3e}")
 

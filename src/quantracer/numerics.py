@@ -82,6 +82,8 @@ class Panels:
     ``nodes[i]`` the integrand at its 15 GL15 nodes; consecutive panels
     share their edges exactly.  ``total`` is the running sum the
     refinement kept, which is what integrate_adaptive returns.
+    ``upper[i]`` is the mass right of los[i] (the reverse cumulative
+    panel values), then 0 for the top edge.
     """
 
     los: np.ndarray
@@ -89,15 +91,28 @@ class Panels:
     values: np.ndarray
     nodes: np.ndarray
     total: float
-
-    @property
-    def upper(self) -> np.ndarray:
-        """Mass right of each lower edge, then 0 for the top edge."""
-        return np.append(np.cumsum(self.values[::-1])[::-1], 0.0)
+    upper: np.ndarray
 
     def mass_above(self, edges) -> np.ndarray:
         """Mass right of each x in ``edges``, every one a panel edge."""
         return self.upper[np.searchsorted(self.los, edges)]
+
+    def tail(self, x: float) -> float:
+        """Mass right of any x: the mass right of x's panel plus
+        partial_mass over [x, panel top], so a probe evaluates no
+        integrand and agrees with ``upper`` at every panel edge."""
+        if x <= self.los[0]:
+            return float(self.upper[0])
+        i = int(np.searchsorted(self.his, x))   # first panel with top >= x
+        if i == self.his.size:
+            return 0.0
+        return float(self.upper[i + 1]) + self.partial_mass(i, x)
+
+    def bracket(self, P: float) -> tuple[float, float]:
+        """Edges of the panel whose edge tails straddle P."""
+        # Last panel whose lower-edge tail is still >= P (upper[-1] = 0 < P).
+        i = max(int(np.searchsorted(-self.upper, -P, side="right")) - 1, 0)
+        return float(self.los[i]), float(self.his[i])
 
     def partial_mass(self, i: int, x: float) -> float:
         """Integral over [x, his[i]] of the degree-14 interpolant of panel
@@ -211,7 +226,9 @@ def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
     heap, total = _refine(panel_f, edges, tol, max_panels)
     heap.sort(key=lambda entry: entry[2])
     los, his, values = np.array([entry[2:5] for entry in heap]).T
-    return Panels(los, his, values, np.array([entry[6] for entry in heap]), total)
+    upper = np.append(np.cumsum(values[::-1])[::-1], 0.0)
+    return Panels(los, his, values, np.array([entry[6] for entry in heap]),
+                  total, upper)
 
 
 def integrate_adaptive(
@@ -295,14 +312,19 @@ def build_kgrid(k_mean, k_width, n_sigma=6.0, n_nodes=256) -> KGrid:
     return KGrid(nodes=lo + half * (x + 1.0), weights=half * w, k_min=lo, k_max=hi)
 
 
-def nodes_for_phase(max_phase_rate, k_lo, k_hi, nodes_per_period=8, minimum=64):
-    """Node count that keeps >= ``nodes_per_period`` quadrature nodes per
+# Quadrature nodes per oscillation period of a phase factor that the
+# phase-resolution guard demands.
+_NODES_PER_PERIOD = 8
+
+
+def nodes_for_phase(max_phase_rate, k_lo, k_hi, minimum=64):
+    """Node count that keeps >= _NODES_PER_PERIOD quadrature nodes per
     oscillation period of exp(i*phase(k)), given the largest |d phase/dk|
     over the evaluation domain."""
     periods = abs(max_phase_rate) * (k_hi - k_lo) / (2.0 * math.pi)
-    if not math.isfinite(nodes_per_period * periods):
+    if not math.isfinite(_NODES_PER_PERIOD * periods):
         raise InvalidRange(f"phase rate {max_phase_rate:g} needs unboundedly many nodes")
-    return max(int(minimum), int(math.ceil(nodes_per_period * periods)))
+    return max(int(minimum), int(math.ceil(_NODES_PER_PERIOD * periods)))
 
 
 # ---------------------------------------------------------------------------

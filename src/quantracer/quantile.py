@@ -94,11 +94,6 @@ class QuantileTrajectory:
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
 
-    @property
-    def samples(self):
-        """Ordered (t, x, v) triples."""
-        return list(zip(self.times, self.positions, self.velocities))
-
 
 @dataclass
 class FlowMap3D:
@@ -134,50 +129,15 @@ def quantile_velocity(model: PacketModel, x: float, t: float, *,
     return (float(cur) - loss_tail) / rho
 
 
-class _TailTable:
-    """Upper tail of a spectral packet at one time, from one retained
-    adaptive panel quadrature over the support hint.
-
-    ``upper[i]`` is the mass right of panel i's lower edge (the reverse
-    cumulative panel masses, ``upper[-1] = 0``).  A probe at x adds to the
-    mass right of its panel the integral over [x, panel top] of the
-    degree-14 interpolant of that panel's 15 GL15 node values
-    (``Panels.partial_mass``), so a probe evaluates no field and agrees
-    with ``upper`` at every panel edge.
-    """
-
-    def __init__(self, model: SpectralPacketModel, t: float):
-        self.panels = model.tail_panels(t)
-        self.los, self.his = self.panels.los, self.panels.his
-        self.upper = self.panels.upper
-
-    def __call__(self, x: float) -> float:
-        if x <= self.los[0]:
-            return float(self.upper[0])
-        i = int(np.searchsorted(self.his, x))   # first panel with top >= x
-        if i == self.his.size:
-            return 0.0
-        return float(self.upper[i + 1]) + self.panels.partial_mass(i, x)
-
-    def bracket(self, P: float) -> tuple[float, float]:
-        """Edges of the panel whose edge tails straddle P."""
-        # Last panel whose lower-edge tail is still >= P (upper[-1] = 0 < P).
-        i = max(int(np.searchsorted(-self.upper, -P, side="right")) - 1, 0)
-        return float(self.los[i]), float(self.his[i])
-
-
 def quantile_position(model: PacketModel, P: float, t: float,
-                      tol: Tolerances = DEFAULT_TOL, *,
-                      x_guess: float | None = None) -> float:
+                      tol: Tolerances = DEFAULT_TOL) -> float:
     """Unique x with model.tail(x, t) = P.
 
-    A spectral model builds one tail table at t (``_TailTable``) and finds
-    the root inside the one panel that brackets P; ``x_guess`` is not
-    needed there.  Other models answer through their own ``tail``: the
-    bracket is seeded at ``x_guess`` (typically the previous time step's
-    quantile) with width four spreads and grown geometrically, falling back
-    to the full support hint.  Raises NormBelowP when no quantile exists
-    because the total norm has decayed to or below P.
+    One monotone root solve.  A spectral model builds one retained panel
+    table at t (``tail_panels``) and solves its table tail inside the one
+    panel whose edge tails straddle P; every other model inverts its own
+    ``tail`` over its support hint.  Raises NormBelowP when no quantile
+    exists because the total norm has decayed to or below P.
     """
     if not 0.0 < P < 1.0:
         raise InvalidRange(f"P must lie in (0, 1), got {P}")
@@ -189,26 +149,11 @@ def quantile_position(model: PacketModel, P: float, t: float,
         )
     t = float(t)
     if isinstance(model, SpectralPacketModel):
-        table = _TailTable(model, t)
-        return find_root_monotone(lambda x: table(x) - P, table.bracket(P), tol)
-
-    def tail(x):
-        return model.tail(x, t)
-
-    hint_lo, hint_hi = model.support_hint(t)
-    if x_guess is None:
-        lo, hi = hint_lo, hint_hi
+        panels = model.tail_panels(t)
+        tail, bracket = panels.tail, panels.bracket(P)
     else:
-        width = 2.0 * model.spread(t)
-        lo = max(float(x_guess) - width, hint_lo)
-        hi = min(float(x_guess) + width, hint_hi)
-        # Grow each side until the bracket straddles P or hits the hint.
-        while tail(lo) - P <= 0.0 and lo > hint_lo:
-            lo = max(float(x_guess) - 2.0 * (float(x_guess) - lo), hint_lo)
-        while tail(hi) - P >= 0.0 and hi < hint_hi:
-            hi = min(float(x_guess) + 2.0 * (hi - float(x_guess)), hint_hi)
-
-    return find_root_monotone(lambda x: tail(x) - P, (lo, hi), tol)
+        tail, bracket = (lambda x: model.tail(x, t)), model.support_hint(t)
+    return find_root_monotone(lambda x: tail(x) - P, bracket, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +187,12 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
     times, xs, vs = [], [], []
     floor_episodes = 0
     termination = Termination.completed()
-    prev_x = None
     for i, t in enumerate(ts):
         if model.norm(t) <= P:
             t_end = _norm_crossing_time(model, P, ts[i - 1], t, tol)
             termination = Termination.norm_below_p(t_end)
             break
-        x = quantile_position(model, P, t, tol, x_guess=prev_x)
+        x = quantile_position(model, P, t, tol)
         try:
             v = quantile_velocity(model, x, t)
         except VelocitySingular:
@@ -257,7 +201,6 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
         times.append(t)
         xs.append(x)
         vs.append(v)
-        prev_x = x
     return QuantileTrajectory(P=P, times=np.array(times), positions=np.array(xs),
                               velocities=np.array(vs), termination=termination,
                               floor_episodes=floor_episodes)
@@ -347,7 +290,7 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         if path.stop_time < t_cur + skip:
             skip *= 2.0     # stalled inside the low-density region
         t_cur = min(path.stop_time + skip, t_stop)
-        x_cur = quantile_position(model, P, t_cur, tol, x_guess=float(path.states[-1, 0]))
+        x_cur = quantile_position(model, P, t_cur, tol)
         record(t_cur, x_cur)
 
     times = np.array(times)

@@ -21,13 +21,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import GridTooCoarse, InvalidRange
-from .numerics import (
-    DEFAULT_TOL,
-    KGrid,
-    Tolerances,
-    nodes_for_phase,
-)
+from .errors import InvalidRange
+from .numerics import DEFAULT_TOL, KGrid, Tolerances
 from .quantile import QuantileTrajectory, trace_trajectory_cdf
 from .wavepacket import (
     HBAR,
@@ -58,8 +53,9 @@ def _term_weights(barrier: BarrierSpec, mass: float) -> tuple[float, float, floa
     return c1, c1 * 4.0 * q, c1 * q / a
 
 
-def _spectral_pair(free: PacketModel, tunneling: PacketModel) -> BarrierSpec:
-    """Barrier of a (free, tunneling) pair of spectral packets over one spectrum."""
+def _pair_barrier(free: PacketModel, tunneling: PacketModel) -> BarrierSpec:
+    """Barrier of a (free, tunneling) pair of spectral packets, after
+    checking that both share one spectrum."""
     barrier = getattr(tunneling, "barrier", None)
     if barrier is None:
         raise InvalidRange("tunneling model carries no barrier")
@@ -76,7 +72,7 @@ def delta_p_direct(free: PacketModel, tunneling: PacketModel,
     and x must lie beyond the barrier edge, where the deficit is the
     retardation statement.
     """
-    barrier = _spectral_pair(free, tunneling)
+    barrier = _pair_barrier(free, tunneling)
     if x <= barrier.half_width:
         raise InvalidRange(
             f"x = {x:.4g} is not beyond the barrier edge {barrier.half_width:.4g}"
@@ -147,15 +143,8 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
         coeff = (grid.weights * spectrum.amplitude(k)
                  * np.exp(-1j * k * spectrum.x_bar
                           - 1j * HBAR * k * k * t / (2.0 * mass)))
-        hint_hi = free.support_hint(t)[1]
-        rate = (max(x_far, abs(hint_hi)) + abs(spectrum.x_bar)
-                + HBAR * grid.k_max * abs(t) / mass)
-        needed = nodes_for_phase(rate, grid.k_min, grid.k_max, minimum=1)
-        if grid.size < needed:
-            raise GridTooCoarse(
-                f"wave-number grid has {grid.size} nodes but the decomposition "
-                f"at x = {x_far:.4g}, t = {t:.4g} needs >= {needed}"
-            )
+        # The psi_x columns reach x_far and term3 the top of the hint.
+        free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
         # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from
         # each x to hint_hi: one table on the free reference's lattice,
         # whose kept panel waves serve every time of the call.
@@ -240,10 +229,14 @@ def default_delta_p_grid(barrier: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(a + 0.2, a + 5.0, 12), np.arange(0.0, 11.0)
 
 
+# Most negative direct deficit delta_p_report still counts as positive,
+# and the floor of agreement_rel's denominator where both routes vanish.
+_POSITIVITY_TOLERANCE = 1e-6
+_AGREEMENT_FLOOR = 1e-9
+
+
 def delta_p_report(free: PacketModel, tunneling: PacketModel,
                    x_values=None, t_values=None, *, n_lambda: int = 32,
-                   positivity_tolerance: float = 1e-6,
-                   agreement_floor: float = 1e-9,
                    tol: Tolerances = DEFAULT_TOL) -> DeltaPReport:
     """Evaluate both routes over a grid, row-major with t varying fastest.
 
@@ -252,7 +245,7 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     and the decomposed route applies u-kernels built once per order for
     the whole call.  delta_p_direct and tail() stay the pointwise checks.
     """
-    barrier = _spectral_pair(free, tunneling)
+    barrier = _pair_barrier(free, tunneling)
     default_x, default_t = default_delta_p_grid(barrier)
     xs = np.asarray(default_x if x_values is None else x_values, dtype=float)
     ts = np.asarray(default_t if t_values is None else t_values, dtype=float)
@@ -265,12 +258,12 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
         direct[:, j] = free.tails(xs, t) - tunneling.tails(xs, t)
     direct = direct.ravel()
     c1, c2, c3 = _term_weights(barrier, tunneling.mass)
-    rel = np.abs(direct - totals) / np.maximum(direct, agreement_floor)
+    rel = np.abs(direct - totals) / np.maximum(direct, _AGREEMENT_FLOOR)
     grid = tuple((x, t) for x in xs.tolist() for t in ts.tolist())
     return DeltaPReport(grid=grid, dp_direct=direct, dp_term1=c1 * term1,
                         dp_term2=c2 * term2, dp_term3=c3 * term3,
                         dp_total=totals,
-                        positivity_ok=direct >= -positivity_tolerance,
+                        positivity_ok=direct >= -_POSITIVITY_TOLERANCE,
                         agreement_rel=rel)
 
 

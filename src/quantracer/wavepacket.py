@@ -39,13 +39,9 @@ __all__ = [
     "SpectralPacketModel",
     "Gaussian3DParams",
     "Gaussian3DModel",
-    "free_gaussian_model",
-    "dissipative_gaussian_model",
     "scattering_mode",
     "spectral_free_model",
     "tunneling_packet_model",
-    "gaussian3d_model",
-    "loss_tail_by_quadrature",
     "recommended_node_count",
     "spectral_setup",
     "DEFAULT_PACKET",
@@ -225,20 +221,11 @@ class PacketModel(abc.ABC):
 
     @abc.abstractmethod
     def spread(self, t) -> float:
-        """Characteristic packet width, used for brackets and density floors."""
+        """Characteristic packet width, used for density floors."""
 
     def peak_density(self, t) -> float:
         """Order-of-magnitude density scale (Gaussian envelope estimate)."""
         return self.norm(t) / (math.sqrt(2.0 * math.pi) * self.spread(t))
-
-
-def loss_tail_by_quadrature(model: PacketModel, x, t, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Quadrature fallback for the loss tail, for models without a closed form."""
-    lo, hi = model.support_hint(t)
-    start = min(max(float(x), lo), hi)
-    if start >= hi:
-        return 0.0
-    return integrate_adaptive(lambda xs: model.loss(xs, t), start, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +314,6 @@ class DissipativeGaussianModel(PacketModel):
 
     def spread(self, t) -> float:
         return self._free.spread(t)
-
-
-def free_gaussian_model(params: GaussianPacketParams) -> FreeGaussianModel:
-    return FreeGaussianModel(params)
-
-
-def dissipative_gaussian_model(params: GaussianPacketParams, loss_rate: float) -> DissipativeGaussianModel:
-    return DissipativeGaussianModel(params, loss_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +565,7 @@ class SpectralPacketModel(PacketModel):
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
                  barrier: BarrierSpec | None, *, mass: float = 1.0,
-                 tol: Tolerances = DEFAULT_TOL, nodes_per_period: float = 8.0):
+                 tol: Tolerances = DEFAULT_TOL):
         self.spectrum = spectrum
         self.grid = grid
         self.barrier = barrier
@@ -609,7 +588,6 @@ class SpectralPacketModel(PacketModel):
         # kept across times; empty until the first table.
         self._waves = (_PanelWaves(grid.nodes, 0.5 * self._pitch),
                        _PanelWaves(coefficients[0], edge if barrier else 1.0))
-        self._nodes_per_period = float(nodes_per_period)
         amp = spectrum.amplitude(grid.nodes)
         self._base_coeffs = (grid.weights * amp
                              * np.exp(-1j * grid.nodes * spectrum.x_bar)
@@ -630,8 +608,7 @@ class SpectralPacketModel(PacketModel):
         # Upper bound on |d phase/dk| across all mode branches at this x span.
         rate = (x_absmax + abs(self.spectrum.x_bar)
                 + HBAR * self.grid.k_max * abs(t) / self.mass)
-        needed = nodes_for_phase(rate, self.grid.k_min, self.grid.k_max,
-                                 nodes_per_period=self._nodes_per_period, minimum=1)
+        needed = nodes_for_phase(rate, self.grid.k_min, self.grid.k_max, minimum=1)
         if self.grid.size < needed:
             raise GridTooCoarse(
                 f"wave-number grid has {self.grid.size} nodes but evaluating "
@@ -854,10 +831,13 @@ def tunneling_packet_model(spectrum: SpectralFunction, barrier: BarrierSpec,
     return SpectralPacketModel(spectrum, grid, barrier, mass=mass, tol=tol)
 
 
+# Factor recommended_node_count puts on the guard's node count.
+_NODE_HEADROOM = 1.15
+
+
 def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float,
                            t_max: float, *, n_sigma: float = 6.0,
-                           mass: float = 1.0, nodes_per_period: float = 8.0,
-                           headroom: float = 1.15) -> int:
+                           mass: float = 1.0) -> int:
     """Wave-number node count that keeps the phase guard satisfied.
 
     Sized for evaluations anywhere inside the tunneling-packet support out
@@ -871,8 +851,8 @@ def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float,
     v_hi = HBAR * k_hi / mass
     half = abs(x_bar) + v_hi * t_max + 8.0 * _width_at(sigma_x0, sigma_v, t_max)
     rate = half + abs(x_bar) + v_hi * t_max
-    n = nodes_for_phase(rate, k_lo, k_hi, nodes_per_period=nodes_per_period)
-    return int(math.ceil(headroom * n))
+    n = nodes_for_phase(rate, k_lo, k_hi)
+    return int(math.ceil(_NODE_HEADROOM * n))
 
 
 def spectral_setup(params: GaussianPacketParams, t_max: float, *,
@@ -952,10 +932,6 @@ class Gaussian3DModel:
 
     def current(self, points, t):
         return self.rho(points, t)[..., None] * self.velocity(points, t)
-
-
-def gaussian3d_model(params: Gaussian3DParams) -> Gaussian3DModel:
-    return Gaussian3DModel(params)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ from quantracer import (
     DEFAULT_BARRIER,
     DEFAULT_PACKET,
     BarrierSpec,
+    DissipativeGaussianModel,
+    FreeGaussianModel,
+    Gaussian3DModel,
     Gaussian3DParams,
     GaussianPacketParams,
     delta_p_report,
-    dissipative_gaussian_model,
-    free_gaussian_model,
-    gaussian3d_model,
     packet_transmission_probability,
     probability_in_volume,
     retardation_scan,
@@ -69,7 +69,7 @@ def closed_form_position(params: GaussianPacketParams, P: float, t: float) -> fl
 
 def test_criterion_01_free_closed_form():
     started = time.perf_counter()
-    model = free_gaussian_model(DEFAULT_PACKET)
+    model = FreeGaussianModel(DEFAULT_PACKET)
     times = np.linspace(0.0, 20.0, 41)
     worst = 0.0
     for P in P_STEP_02:
@@ -94,10 +94,10 @@ def test_criterion_01_free_closed_form():
 def test_criterion_02_method_equivalence(models10):
     started = time.perf_counter()
     _, _, free, tunnel = models10
-    lossy = dissipative_gaussian_model(DEFAULT_PACKET, 0.1)
+    lossy = DissipativeGaussianModel(DEFAULT_PACKET, 0.1)
     times = np.linspace(0.0, 10.0, 21)
     worst = 0.0
-    for model, p_values in ((free_gaussian_model(DEFAULT_PACKET), (0.1, 0.5, 0.9)),
+    for model, p_values in ((FreeGaussianModel(DEFAULT_PACKET), (0.1, 0.5, 0.9)),
                             (lossy, (0.3, 0.5)),
                             (free, (0.3,)),
                             (tunnel, (0.1, 0.3, 0.7))):
@@ -121,7 +121,7 @@ def test_criterion_02_method_equivalence(models10):
 
 def test_criterion_03_dissipative_termination():
     loss_rate = 0.1
-    model = dissipative_gaussian_model(DEFAULT_PACKET, loss_rate)
+    model = DissipativeGaussianModel(DEFAULT_PACKET, loss_rate)
     times = np.linspace(0.0, 24.0, 49)
     worst_dt = 0.0
     for P in P_STEP_02:
@@ -237,7 +237,7 @@ def test_criterion_09_3d_conservation():
     started = time.perf_counter()
     params = Gaussian3DParams(center=(0.0, 0.0, 0.0), velocity=(2.0, 0.0, 0.0),
                               sigma_x0=2.5)
-    field = gaussian3d_model(params)
+    field = Gaussian3DModel(params)
     times = np.linspace(0.0, 10.0, 11)
     flow = trace_flowmap_3d(field, sphere_seeds((0.0, 0.0, 0.0), 2.5),
                             times, TOL)
@@ -245,7 +245,7 @@ def test_criterion_09_3d_conservation():
               for i, t in enumerate(flow.times)]
     spread = max(masses) - min(masses)
 
-    still = gaussian3d_model(Gaussian3DParams(
+    still = Gaussian3DModel(Gaussian3DParams(
         center=(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0), sigma_x0=2.5))
     still_flow = trace_flowmap_3d(still, sphere_seeds((0.0, 0.0, 0.0), 2.5),
                                   times, TOL)

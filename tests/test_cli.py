@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quantracer
-from quantracer import cli, quantile
+from quantracer import cli, numerics
 from quantracer.cli import (
     DEFAULT_OUT,
     MAX_K_NODES,
@@ -36,7 +36,12 @@ from quantracer.cli import (
 )
 from quantracer.numerics import Tolerances
 from quantracer.tunneling import packet_transmission_probability
-from quantracer.wavepacket import BarrierSpec, GaussianPacketParams, spectral_setup
+from quantracer.wavepacket import (
+    BarrierSpec,
+    GaussianPacketParams,
+    SpectralPacketModel,
+    spectral_setup,
+)
 
 
 def run_cli(tmp_path, *argv):
@@ -402,8 +407,8 @@ class TestVerifyCommand:
     def test_roundtrip_reinverts_spectral_quantiles(self, monkeypatch):
         # A spectral table off by 1e-5 in tail fails only the check that
         # compares its inversions with the independent tail().
-        probe = quantile._TailTable.__call__
-        monkeypatch.setattr(quantile._TailTable, "__call__",
+        probe = numerics.Panels.tail
+        monkeypatch.setattr(numerics.Panels, "tail",
                             lambda self, x: probe(self, x) + 1e-5)
         cfg = ScenarioConfig(quick=True)
         passed, detail = _check_trajectory_roundtrip(cfg, Tolerances())
@@ -461,6 +466,15 @@ class TestVerifyCommand:
         share = float(re.search(r"worst \|direct - total\| = (\S+) of max\(1% "
                                 r"\|direct\|; 1e-6\)", detail).group(1))
         assert 0.0 <= share <= 1.0
+
+    def test_nan_current_fails_continuity(self, tmp_path, monkeypatch, capsys):
+        # A NaN residual must fail its check, not fold away as 0.
+        monkeypatch.setattr(SpectralPacketModel, "current",
+                            lambda self, x, t: np.full(np.shape(x), np.nan))
+        assert run_cli(tmp_path, "verify", "--quick") == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] continuity: max residual = nan" in out
+        assert "continuity" in out.splitlines()[-1]
 
     def test_injected_fault_fails_continuity(self, tmp_path):
         assert run_cli(tmp_path, "verify", "--quick",

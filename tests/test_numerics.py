@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -321,3 +322,12 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["numerics", "quantile", "wavepacket"])
+def test_every_exported_name_resolves(module):
+    # A name dropped from a module but left in its __all__ breaks
+    # ``from quantracer.<module> import *``.
+    mod = importlib.import_module(f"quantracer.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -9,7 +9,6 @@ from scipy.special import erfcinv
 from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
 from quantracer.numerics import Tolerances, find_root_monotone
 from quantracer.quantile import (
-    _TailTable,
     probability_in_volume,
     quantile_position,
     quantile_velocity,
@@ -22,11 +21,11 @@ from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
     DEFAULT_PACKET,
+    DissipativeGaussianModel,
+    FreeGaussianModel,
+    Gaussian3DModel,
     Gaussian3DParams,
     SpectralPacketModel,
-    dissipative_gaussian_model,
-    free_gaussian_model,
-    gaussian3d_model,
     spectral_free_model,
     spectral_setup,
     tunneling_packet_model,
@@ -57,25 +56,25 @@ def tunnel_models():
 
 class TestTailProbability:
     def test_median_and_limits(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         assert m.tail(DEFAULT_PACKET.center(3.0), 3.0) == pytest.approx(0.5, abs=1e-14)
         assert m.tail(-math.inf, 3.0) == 1.0
 
     def test_dissipative_tail_limit_is_survival(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         t = 4.0
         assert m.tail(-math.inf, t) == pytest.approx(math.exp(-0.1 * t), rel=1e-14)
 
 
 class TestQuantilePosition:
     def test_median_positions(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         assert quantile_position(m, 0.5, 0.0) == pytest.approx(-10.0, abs=1e-9)
         assert quantile_position(m, 0.5, 5.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_round_trip_closed_form_models(self):
-        models = [free_gaussian_model(DEFAULT_PACKET),
-                  dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)]
+        models = [FreeGaussianModel(DEFAULT_PACKET),
+                  DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)]
         for m in models:
             for t in (0.0, 3.0, 7.0):
                 norm = m.norm(t)
@@ -84,6 +83,20 @@ class TestQuantilePosition:
                         continue
                     x = quantile_position(m, float(P), t)
                     assert m.tail(x, t) == pytest.approx(P, abs=1e-8)
+
+    def test_round_trip_near_support_hint_ends(self):
+        # Closed-form models solve over their whole support hint: a level
+        # far out in the right tail and one just under the lossy norm.
+        free = FreeGaussianModel(DEFAULT_PACKET)
+        lossy = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        for t in (0.0, 3.0, 7.0):
+            x = quantile_position(free, 1e-9, t)
+            assert x == pytest.approx(closed_form_position(DEFAULT_PACKET, 1e-9, t),
+                                      abs=1e-9)
+            assert free.tail(x, t) == pytest.approx(1e-9, rel=1e-6)
+            P = lossy.norm(t) - 1e-6
+            x = quantile_position(lossy, P, t)
+            assert lossy.tail(x, t) == pytest.approx(P, abs=1e-12)
 
     def test_round_trip_spectral_models(self, tunnel_models):
         free_sp, tunnel = tunnel_models
@@ -94,13 +107,11 @@ class TestQuantilePosition:
                     assert m.tail(x, t) == pytest.approx(P, abs=1e-8)
 
     def test_guess_matches_fresh_inversion(self, tunnel_models):
-        # The table inversion needs no guess; a root of the independent
-        # tail() bracketed around the guess is the second path.
+        # A root of the independent tail() bracketed around the table root
+        # is the second path.
         _, tunnel = tunnel_models
         t = 5.0
         fresh = quantile_position(tunnel, 0.4, t)
-        seeded = quantile_position(tunnel, 0.4, t, x_guess=fresh + 1.5)
-        assert seeded == pytest.approx(fresh, abs=1e-6)
         direct = find_root_monotone(lambda x: tunnel.tail(x, t) - 0.4,
                                     (fresh - 1.5, fresh + 1.5))
         assert direct == pytest.approx(fresh, abs=1e-6)
@@ -138,13 +149,13 @@ class TestQuantilePosition:
         # At an edge the probe reads the panel below at its top; just above
         # it, the panel above integrates its whole interpolant.
         for model in tunnel_models:
-            table = _TailTable(model, t)
+            panels = model.tail_panels(t)
             bound = 1e-15 * model.norm(t)
-            for i, edge in enumerate(np.append(table.los, table.his[-1])):
-                assert abs(table(float(edge)) - table.upper[i]) <= bound
-            for i, edge in enumerate(table.los):
+            for i, edge in enumerate(np.append(panels.los, panels.his[-1])):
+                assert abs(panels.tail(float(edge)) - panels.upper[i]) <= bound
+            for i, edge in enumerate(panels.los):
                 above = float(np.nextafter(edge, math.inf))
-                assert abs(table(above) - table.upper[i]) <= bound
+                assert abs(panels.tail(above) - panels.upper[i]) <= bound
 
     @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
     def test_table_tail_matches_independent_tail(self, tunnel_models, t):
@@ -156,24 +167,24 @@ class TestQuantilePosition:
         for model in tunnel_models:
             reference = SpectralPacketModel(model.spectrum, model.grid,
                                             model.barrier, tol=tight)
-            table = _TailTable(model, t)
+            panels = model.tail_panels(t)
             lo, hi = model.support_hint(t)
             xs = np.concatenate([rng.uniform(lo, hi, 6),
                                  rng.normal(model.spectrum.x_bar + 2.0 * t,
                                             model.spread(t), 6),
                                  [-a, a, lo, hi]])
             for x in xs:
-                assert abs(table(float(x)) - reference.tail(float(x), t)) <= 1e-9
-                assert abs(table(float(x)) - model.tail(float(x), t)) <= 1e-9
+                assert abs(panels.tail(float(x)) - reference.tail(float(x), t)) <= 1e-9
+                assert abs(panels.tail(float(x)) - model.tail(float(x), t)) <= 1e-9
 
     def test_norm_below_p(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         # survival at t=8 is exp(-0.8) ~ 0.449 < 0.5
         with pytest.raises(NormBelowP):
             quantile_position(m, 0.5, 8.0)
 
     def test_rejects_bad_p(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises((InvalidRange, NormBelowP)):
                 quantile_position(m, bad, 1.0)
@@ -181,13 +192,13 @@ class TestQuantilePosition:
 
 class TestQuantileVelocity:
     def test_mean_velocity_at_center(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         for t in (0.0, 2.0, 9.0):
             v = quantile_velocity(m, DEFAULT_PACKET.center(t), t)
             assert v == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_closed_form_field(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         p = DEFAULT_PACKET
         t = 4.0
         for x in np.linspace(-20.0, 5.0, 11):
@@ -197,8 +208,8 @@ class TestQuantileVelocity:
     def test_dissipative_integro_differential_form(self):
         # v = j/rho - loss_tail/rho; the survival factor cancels, so it also
         # equals the free velocity minus loss_rate * free_tail / free_rho.
-        lossy = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
-        free = free_gaussian_model(DEFAULT_PACKET)
+        lossy = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        free = FreeGaussianModel(DEFAULT_PACKET)
         t = 3.0
         for x in (-14.0, -9.0, -2.0):
             v = quantile_velocity(lossy, x, t)
@@ -207,14 +218,14 @@ class TestQuantileVelocity:
             assert v == pytest.approx(expected, rel=1e-12)
 
     def test_density_floor_raises(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         with pytest.raises(VelocitySingular):
             quantile_velocity(m, -10.0 + 40.0 * 2.5, 0.0)
 
 
 class TestTraceTrajectoryCdf:
     def test_median_is_straight_line(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         grid = np.linspace(0.0, 20.0, 41)
         traj = trace_trajectory_cdf(m, 0.5, grid)
         assert np.max(np.abs(traj.positions - (-10.0 + 2.0 * grid))) <= 1e-8
@@ -222,7 +233,7 @@ class TestTraceTrajectoryCdf:
         assert traj.termination.kind == "completed"
 
     def test_matches_closed_form_all_p(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         grid = np.linspace(0.0, 20.0, 41)
         for P in (0.1, 0.3, 0.5, 0.7, 0.9):
             traj = trace_trajectory_cdf(m, P, grid)
@@ -232,7 +243,7 @@ class TestTraceTrajectoryCdf:
             assert np.max(np.abs(traj.velocities - vref)) <= 1e-6
 
     def test_trajectories_do_not_cross(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         grid = np.linspace(0.0, 12.0, 25)
         trajs = [trace_trajectory_cdf(m, P, grid) for P in (0.2, 0.4, 0.6, 0.8)]
         for lower, upper in zip(trajs[1:], trajs[:-1]):
@@ -240,7 +251,7 @@ class TestTraceTrajectoryCdf:
             assert np.all(upper.positions - lower.positions > 0.0)
 
     def test_dissipative_termination_time(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         grid = np.linspace(0.0, 20.0, 81)
         traj = trace_trajectory_cdf(m, 0.3, grid)
         t_end = -math.log(0.3) / DEFAULT_LOSS_RATE
@@ -250,19 +261,19 @@ class TestTraceTrajectoryCdf:
         assert np.all(np.diff(traj.times) > 0.0)
 
     def test_rejects_start_below_norm(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         with pytest.raises(NormBelowP):
             trace_trajectory_cdf(m, 0.9, np.linspace(2.0, 5.0, 4))
 
     def test_rejects_unsorted_grid(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         with pytest.raises(InvalidRange):
             trace_trajectory_cdf(m, 0.5, np.array([0.0, 2.0, 1.0]))
 
 
 class TestTraceTrajectoryOde:
     def test_free_matches_closed_form(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         grid = np.linspace(0.0, 20.0, 41)
         for P in (0.1, 0.5, 0.9):
             traj = trace_trajectory_ode(m, P, 0.0, 20.0, t_eval=grid)
@@ -271,7 +282,7 @@ class TestTraceTrajectoryOde:
             assert traj.termination.kind == "completed"
 
     def test_dissipative_matches_cdf_until_termination(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         grid = np.linspace(0.0, 20.0, 81)
         cdf = trace_trajectory_cdf(m, 0.5, grid)
         ode = trace_trajectory_ode(m, 0.5, 0.0, 20.0, t_eval=grid)
@@ -298,7 +309,7 @@ class TestTraceTrajectoryOde:
         assert max(diffs) <= 1e-5
 
     def test_rejects_empty_span(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         with pytest.raises(InvalidRange):
             trace_trajectory_ode(m, 0.5, 3.0, 3.0)
 
@@ -331,7 +342,7 @@ class TestFlowMap3D:
     def test_drift_only_translation(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(1.0, -0.5, 0.25), sigma_x0=1e6)
-        field = gaussian3d_model(params)
+        field = Gaussian3DModel(params)
         seeds = sphere_seeds((0.0, 0.0, 0.0), 2.0)
         fm = trace_flowmap_3d(field, seeds, np.linspace(0.0, 10.0, 6))
         for i, t in enumerate(fm.times):
@@ -341,7 +352,7 @@ class TestFlowMap3D:
     def test_zero_drift_spheres_stay_spheres(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(0.0, 0.0, 0.0), sigma_x0=2.5)
-        field = gaussian3d_model(params)
+        field = Gaussian3DModel(params)
         r0 = 2.5
         fm = trace_flowmap_3d(field, sphere_seeds((0.0, 0.0, 0.0), r0),
                               np.linspace(0.0, 10.0, 11))
@@ -360,7 +371,7 @@ class TestFlowMap3D:
     def test_probability_conserved_with_drift(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(2.0, 0.0, 0.0), sigma_x0=2.5)
-        field = gaussian3d_model(params)
+        field = Gaussian3DModel(params)
         fm = trace_flowmap_3d(field, sphere_seeds((0.0, 0.0, 0.0), 7.5),
                               np.linspace(0.0, 10.0, 6))
         assert fm.P == pytest.approx(BALL_MASS_3SIGMA, abs=1e-9)
@@ -373,7 +384,7 @@ class TestProbabilityInVolume:
     def test_three_sigma_ball_oracle(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(2.0, 0.0, 0.0), sigma_x0=2.5)
-        field = gaussian3d_model(params)
+        field = Gaussian3DModel(params)
         seeds = sphere_seeds((0.0, 0.0, 0.0), 3.0 * 2.5)
         assert probability_in_volume(field, seeds, 0.0) == pytest.approx(
             BALL_MASS_3SIGMA, abs=1e-9)
@@ -381,6 +392,6 @@ class TestProbabilityInVolume:
     def test_whole_space_limit(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(0.0, 0.0, 0.0), sigma_x0=2.5)
-        field = gaussian3d_model(params)
+        field = Gaussian3DModel(params)
         seeds = sphere_seeds((0.0, 0.0, 0.0), 50.0 * 2.5)
         assert probability_in_volume(field, seeds, 0.0) == pytest.approx(1.0, abs=1e-9)

@@ -25,8 +25,8 @@ from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_PACKET,
     BarrierSpec,
+    FreeGaussianModel,
     GaussianPacketParams,
-    free_gaussian_model,
     spectral_free_model,
     spectral_setup,
     tunneling_packet_model,
@@ -76,7 +76,7 @@ class TestDeltaPDirect:
     def test_rejects_foreign_free_model(self, fig2):
         _, _, _, tunnel = fig2
         with pytest.raises(InvalidRange):
-            delta_p_direct(free_gaussian_model(DEFAULT_PACKET), tunnel, 1.0, 1.0)
+            delta_p_direct(FreeGaussianModel(DEFAULT_PACKET), tunnel, 1.0, 1.0)
 
 
 class TestDeltaPDecomposed:
@@ -208,7 +208,7 @@ class TestDeltaPReport:
         _, _, _, tunnel = fig2
         other = GaussianPacketParams(x_bar=-8.0, v_bar=2.0, sigma_x0=2.5)
         shifted = spectral_free_model(*spectral_setup(other, t_max=10.0))
-        for free in (free_gaussian_model(DEFAULT_PACKET), shifted):
+        for free in (FreeGaussianModel(DEFAULT_PACKET), shifted):
             with pytest.raises(InvalidRange):
                 delta_p_report(free, tunnel, x_values=[1.0], t_values=[1.0])
 

@@ -18,13 +18,12 @@ from quantracer.wavepacket import (
     DEFAULT_LOSS_RATE,
     DEFAULT_PACKET,
     BarrierSpec,
+    DissipativeGaussianModel,
+    FreeGaussianModel,
+    Gaussian3DModel,
     Gaussian3DParams,
     GaussianPacketParams,
     SpectralFunction,
-    dissipative_gaussian_model,
-    free_gaussian_model,
-    gaussian3d_model,
-    loss_tail_by_quadrature,
     scattering_mode,
     spectral_free_model,
     spectral_setup,
@@ -78,43 +77,43 @@ class TestGaussianPacketParams:
 
 class TestFreeGaussianModel:
     def test_peak_density(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         for t in (0.0, 5.0):
             peak = 1.0 / (math.sqrt(2.0 * math.pi) * DEFAULT_PACKET.sigma_x(t))
             x = DEFAULT_PACKET.center(t)
             assert float(m.rho(x, t)) == pytest.approx(peak, rel=1e-14)
 
     def test_tail_at_center_is_half(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         for t in (0.0, 3.0, 12.0):
             assert m.tail(DEFAULT_PACKET.center(t), t) == pytest.approx(0.5, abs=1e-14)
 
     def test_tail_one_sigma(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         t = 4.0
         x = DEFAULT_PACKET.center(t) + DEFAULT_PACKET.sigma_x(t)
         assert m.tail(x, t) == pytest.approx(NORMAL_TAIL_1SIGMA, abs=1e-14)
 
     def test_tail_limits_and_norm(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         assert m.tail(-math.inf, 2.0) == 1.0
         assert m.tail(math.inf, 2.0) == 0.0
         assert m.norm(7.0) == 1.0
 
     def test_support_hint_captures_mass(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         for t in (0.0, 10.0):
             lo, hi = m.support_hint(t)
             assert m.tail(lo, t) >= 1.0 - 1e-12
             assert m.tail(hi, t) <= 1e-12
 
     def test_tail_monotone(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         for t in (0.0, 5.0, 20.0):
             assert_tail_monotone(m, t)
 
     def test_continuity_residual(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         d = 1e-4
         for t in (1.0, 6.0):
             xs = np.linspace(-20.0, 10.0, 61)
@@ -124,7 +123,7 @@ class TestFreeGaussianModel:
             assert np.max(np.abs(drho_dt + dj_dx)) <= 1e-6 * scale
 
     def test_vectorized_shapes(self):
-        m = free_gaussian_model(DEFAULT_PACKET)
+        m = FreeGaussianModel(DEFAULT_PACKET)
         xs = np.zeros((4, 3))
         assert m.rho(xs, 1.0).shape == (4, 3)
         assert m.current(xs, 1.0).shape == (4, 3)
@@ -133,8 +132,8 @@ class TestFreeGaussianModel:
 
 class TestDissipativeGaussianModel:
     def test_zero_rate_matches_free(self):
-        free = free_gaussian_model(DEFAULT_PACKET)
-        lossy = dissipative_gaussian_model(DEFAULT_PACKET, 0.0)
+        free = FreeGaussianModel(DEFAULT_PACKET)
+        lossy = DissipativeGaussianModel(DEFAULT_PACKET, 0.0)
         xs = np.linspace(-25.0, 15.0, 101)
         for t in (0.0, 4.0, 9.0):
             assert np.allclose(lossy.rho(xs, t), free.rho(xs, t), rtol=0, atol=0)
@@ -142,7 +141,7 @@ class TestDissipativeGaussianModel:
             assert lossy.tail(-3.0, t) == free.tail(-3.0, t)
 
     def test_norm_tracks_survival(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         assert m.norm(0.0) == 1.0
         t_half = math.log(2.0) / DEFAULT_LOSS_RATE
         assert m.norm(t_half) == pytest.approx(0.5, rel=1e-14)
@@ -153,7 +152,7 @@ class TestDissipativeGaussianModel:
             assert mass == pytest.approx(math.exp(-DEFAULT_LOSS_RATE * t), abs=1e-8)
 
     def test_loss_density_and_tail(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         xs = np.linspace(-15.0, 0.0, 31)
         t = 2.5
         assert np.allclose(m.loss(xs, t), DEFAULT_LOSS_RATE * m.rho(xs, t),
@@ -161,11 +160,13 @@ class TestDissipativeGaussianModel:
         for x in (-12.0, -8.0, -2.0):
             analytic = m.loss_tail(x, t)
             assert analytic == DEFAULT_LOSS_RATE * m.tail(x, t)
-            assert loss_tail_by_quadrature(m, x, t) == pytest.approx(analytic, abs=1e-6)
+            by_quadrature = integrate_adaptive(lambda xs: m.loss(xs, t), x,
+                                               m.support_hint(t)[1])
+            assert by_quadrature == pytest.approx(analytic, abs=1e-6)
 
     def test_lossy_continuity_balance(self):
         # d rho/dt + d j/dx + loss = 0
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         d = 1e-4
         t = 3.0
         xs = np.linspace(-20.0, 5.0, 61)
@@ -177,10 +178,10 @@ class TestDissipativeGaussianModel:
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
-            dissipative_gaussian_model(DEFAULT_PACKET, -0.1)
+            DissipativeGaussianModel(DEFAULT_PACKET, -0.1)
 
     def test_tail_monotone(self):
-        m = dissipative_gaussian_model(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
         assert_tail_monotone(m, 5.0)
 
 
@@ -293,7 +294,7 @@ class TestSpectralFreeModel:
         # The 6-sigma spectral truncation causes ~1e-5 ringing; anything
         # beyond that indicates a broken superposition chain.
         _, _, free_sp, _ = spectral_models
-        closed = free_gaussian_model(DEFAULT_PACKET)
+        closed = FreeGaussianModel(DEFAULT_PACKET)
         for t in (0.0, 5.0, 10.0):
             xs = np.linspace(*closed.support_hint(t), 301)
             peak = 1.0 / (math.sqrt(2.0 * math.pi) * DEFAULT_PACKET.sigma_x(t))
@@ -570,8 +571,8 @@ class TestGaussian3DModel:
     def test_density_factorizes(self):
         params = Gaussian3DParams(center=(1.0, -2.0, 0.5),
                                   velocity=(2.0, 0.0, -1.0), sigma_x0=2.5)
-        m = gaussian3d_model(params)
-        axes = [free_gaussian_model(GaussianPacketParams(params.center[i],
+        m = Gaussian3DModel(params)
+        axes = [FreeGaussianModel(GaussianPacketParams(params.center[i],
                                                          params.velocity[i],
                                                          params.sigma_x0))
                 for i in range(3)]
@@ -585,7 +586,7 @@ class TestGaussian3DModel:
     def test_peak_drifts_with_mean(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(2.0, 0.0, 0.0), sigma_x0=2.5)
-        m = gaussian3d_model(params)
+        m = Gaussian3DModel(params)
         t = 3.0
         peak = m.rho(m.center(t), t)
         sig = m.sigma_x(t)
@@ -596,7 +597,7 @@ class TestGaussian3DModel:
     def test_zero_drift_current_is_radial(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(0.0, 0.0, 0.0), sigma_x0=2.5)
-        m = gaussian3d_model(params)
+        m = Gaussian3DModel(params)
         rng = np.random.default_rng(11)
         pts = rng.normal(scale=3.0, size=(40, 3))
         j = m.current(pts, 2.0)
@@ -606,7 +607,7 @@ class TestGaussian3DModel:
     def test_velocity_at_t0_is_drift(self):
         params = Gaussian3DParams(center=(1.0, 2.0, 3.0),
                                   velocity=(0.3, -0.2, 0.1), sigma_x0=1.5)
-        m = gaussian3d_model(params)
+        m = Gaussian3DModel(params)
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
         v = m.velocity(pts, 0.0)
         assert np.allclose(v, params.velocity, rtol=0, atol=0)
