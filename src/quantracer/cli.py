@@ -3,10 +3,10 @@
 Subcommands mirror the library surface: ``free``, ``dissipative`` and
 ``tunnel`` emit trajectory tables, ``delta-p`` emits the two-route tail
 deficit report, ``sphere3d`` emits a transported-sphere flow map, and
-``verify`` runs the invariant suite.  Every data file gets a JSON run
-manifest next to it, and identical configs reproduce output files byte
-for byte.  Exit codes: 0 success, 1 verification failure, 2 configuration
-error, 3 numerical failure.
+``verify`` runs the invariant suite.  Each returns its tables and checks;
+``main`` writes every table with a JSON run manifest next to it, and
+identical configs reproduce output files byte for byte.  Exit codes: 0
+success, 1 verification failure, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -314,18 +314,6 @@ def write_manifest(data_path: Path, command: str, cfg: ScenarioConfig,
     return path
 
 
-def _out_path(cfg: ScenarioConfig, command: str) -> Path:
-    return Path(cfg.out) if cfg.out else Path(DEFAULT_OUT[command])
-
-
-def _write_outputs(out: Path, command: str, cfg: ScenarioConfig, header: list,
-                   rows: list, checks: list, started: float,
-                   noun: str = "rows") -> None:
-    write_csv(out, header, rows)
-    write_manifest(out, command, cfg, checks, time.perf_counter() - started)
-    print(f"wrote {len(rows)} {noun} to {out}")
-
-
 def _exit_code(checks: list) -> int:
     """1 after naming the failed checks, 0 when every check passed."""
     failed = [name for name, passed, _ in checks if not passed]
@@ -374,11 +362,10 @@ TRAJECTORY_HEADER = ["P", "t", "x_cdf", "v_cdf", "x_ode", "v_ode",
                      "discrepancy", "status"]
 
 
-def cmd_trajectories(cfg: ScenarioConfig, command: str) -> int:
+def cmd_trajectories(cfg: ScenarioConfig, command: str) -> tuple[list, list]:
     """``free`` or ``dissipative``: CDF and ODE trajectories side by side."""
     if not cfg.p_list:
         raise ConfigError("P list must not be empty")
-    started = time.perf_counter()
     packet = _packet(cfg)
     lossy = command == "dissipative"
     model = (DissipativeGaussianModel(packet, cfg.loss_rate) if lossy
@@ -399,15 +386,12 @@ def cmd_trajectories(cfg: ScenarioConfig, command: str) -> int:
         ok = worst <= 1e-6 and all(
             P in seen for P in cfg.p_list if expected[P] <= cfg.t_max)
         checks.append(("termination_time", ok, detail))
-    _write_outputs(_out_path(cfg, command), command, cfg, TRAJECTORY_HEADER,
-                   rows, checks, started)
-    return _exit_code(checks)
+    return [("", TRAJECTORY_HEADER, rows)], checks
 
 
-def cmd_tunnel(cfg: ScenarioConfig) -> int:
+def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
     if not cfg.p_list:
         raise ConfigError("P list must not be empty")
-    started = time.perf_counter()
     tol = _tolerances(cfg)
     spectrum, grid, free, tunnel = _spectral_pair(cfg, tol)
     verdicts = retardation_scan(free, tunnel, cfg.p_list, _time_grid(cfg),
@@ -435,7 +419,7 @@ def cmd_tunnel(cfg: ScenarioConfig) -> int:
          f"transmitted fraction = {transmitted:.9f}; quantiles with P below "
          "this cross the barrier"),
     ]
-    out = _out_path(cfg, "tunnel")
+    tables = []
     if cfg.snapshot_times:
         density_rows = []
         for t in cfg.snapshot_times:
@@ -446,16 +430,12 @@ def cmd_tunnel(cfg: ScenarioConfig) -> int:
             mass = tunnel.interval_mass(lo, hi, t)
             checks.append((f"snapshot_mass_t{t:g}", abs(mass - 1.0) <= 1e-6,
                            f"density block integrates to {mass:.12f}"))
-        _write_outputs(out.with_name(out.stem + "_density" + out.suffix),
-                       "tunnel", cfg, ["t", "x", "rho"], density_rows, checks,
-                       started, noun="density rows")
-    _write_outputs(out, "tunnel", cfg, ["P", "t", "x_tunnel", "x_free", "lag"],
-                   rows, checks, started)
-    return _exit_code(checks)
+        tables.append(("_density", ["t", "x", "rho"], density_rows))
+    tables.append(("", ["P", "t", "x_tunnel", "x_free", "lag"], rows))
+    return tables, checks
 
 
-def cmd_delta_p(cfg: ScenarioConfig) -> int:
-    started = time.perf_counter()
+def cmd_delta_p(cfg: ScenarioConfig) -> tuple[list, list]:
     tol = _tolerances(cfg)
     if any(x <= cfg.barrier_halfwidth for x in cfg.delta_x):
         raise ConfigError("delta_x values must lie beyond the barrier edge")
@@ -477,15 +457,11 @@ def cmd_delta_p(cfg: ScenarioConfig) -> int:
         ("route_agreement", bool(agree.all()),
          f"{int(agree.sum())}/{agree.size} points within 1% or 1e-6"),
     ]
-    _write_outputs(_out_path(cfg, "delta-p"), "delta-p", cfg,
-                   ["x", "t", "dp_direct", "term1", "term2", "term3",
-                    "dp_total", "agreement_rel", "positivity_ok"],
-                   rows, checks, started)
-    return _exit_code(checks)
+    return [("", ["x", "t", "dp_direct", "term1", "term2", "term3",
+                  "dp_total", "agreement_rel", "positivity_ok"], rows)], checks
 
 
-def cmd_sphere3d(cfg: ScenarioConfig) -> int:
-    started = time.perf_counter()
+def cmd_sphere3d(cfg: ScenarioConfig) -> tuple[list, list]:
     tol = _tolerances(cfg)
     params = Gaussian3DParams(center=cfg.center, velocity=cfg.velocity,
                               sigma_x0=cfg.sigma_x0, mass=cfg.mass)
@@ -504,10 +480,7 @@ def cmd_sphere3d(cfg: ScenarioConfig) -> int:
     checks = [("conservation_3d", spread <= 1e-4,
                f"enclosed probability spread = {spread:.3e} "
                f"(P = {flow.P:.6f})")]
-    _write_outputs(_out_path(cfg, "sphere3d"), "sphere3d", cfg,
-                   ["seed_id", "t", "x", "y", "z", "enclosed_p"],
-                   rows, checks, started)
-    return _exit_code(checks)
+    return [("", ["seed_id", "t", "x", "y", "z", "enclosed_p"], rows)], checks
 
 
 # ---------------------------------------------------------------------------
@@ -614,17 +587,12 @@ def _check_delta_p(cfg: ScenarioConfig, tol: Tolerances):
                 f"{np.max(report.agreement_share()):.3e} of max(1% |direct|, 1e-6)")
 
 
-def _check_conservation_3d(cfg: ScenarioConfig, tol: Tolerances):
-    params = Gaussian3DParams(center=(0.0, 0.0, 0.0), velocity=(2.0, 0.0, 0.0),
-                              sigma_x0=cfg.sigma_x0, mass=cfg.mass)
-    field = Gaussian3DModel(params)
-    seeds = sphere_seeds((0.0, 0.0, 0.0), 3.0 * cfg.sigma_x0)
-    times = np.array([0.0, 4.0]) if cfg.quick else np.array([0.0, 5.0, 10.0])
-    flow = trace_flowmap_3d(field, seeds, times, tol)
-    masses = [probability_in_volume(field, flow.points_at(i), float(t), tol)
-              for i, t in enumerate(flow.times)]
-    spread = float(np.max(masses) - np.min(masses))
-    return spread <= 1e-4, f"enclosed probability spread = {spread:.3e}"
+def _check_conservation_3d(cfg: ScenarioConfig):
+    sphere = replace(cfg, center=(0.0, 0.0, 0.0), velocity=(2.0, 0.0, 0.0),
+                     radius=3.0 * cfg.sigma_x0, t_max=4.0 if cfg.quick else 10.0,
+                     t_step=4.0 if cfg.quick else 5.0)
+    _, [(_, passed, detail)] = cmd_sphere3d(sphere)
+    return passed, detail
 
 
 def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances):
@@ -653,8 +621,7 @@ def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances):
                            f"re-inverted, worst |tail - P| = {worst:.3e}")
 
 
-def cmd_verify(cfg: ScenarioConfig, inject_fault: str = "") -> int:
-    started = time.perf_counter()
+def cmd_verify(cfg: ScenarioConfig, inject_fault: str) -> tuple[list, list]:
     tol = _tolerances(cfg)
     suite = [
         ("method_equivalence", lambda: _check_method_equivalence(cfg, tol)),
@@ -662,7 +629,7 @@ def cmd_verify(cfg: ScenarioConfig, inject_fault: str = "") -> int:
         ("continuity", lambda: _check_continuity(cfg, tol, inject_fault)),
         ("retardation", lambda: _check_retardation(cfg, tol)),
         ("delta_p_agreement", lambda: _check_delta_p(cfg, tol)),
-        ("conservation_3d", lambda: _check_conservation_3d(cfg, tol)),
+        ("conservation_3d", lambda: _check_conservation_3d(cfg)),
         ("trajectory_roundtrip", lambda: _check_trajectory_roundtrip(cfg, tol)),
     ]
     checks = []
@@ -673,14 +640,7 @@ def cmd_verify(cfg: ScenarioConfig, inject_fault: str = "") -> int:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         checks.append((name, passed, detail))
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    out = _out_path(cfg, "verify")
-    write_csv(out, ["check", "passed", "detail"], checks)
-    write_manifest(out, "verify", cfg, checks, time.perf_counter() - started)
-    code = _exit_code(checks)
-    if code == 0:
-        print(f"all {len(checks)} checks passed "
-              f"({time.perf_counter() - started:.1f}s)")
-    return code
+    return [("", ["check", "passed", "detail"], checks)], checks
 
 
 # ---------------------------------------------------------------------------
@@ -760,20 +720,20 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    handlers = {
-        "tunnel": cmd_tunnel,
-        "delta-p": cmd_delta_p,
-        "sphere3d": cmd_sphere3d,
-    }
+    command = {
+        "free": lambda: cmd_trajectories(cfg, "free"),
+        "dissipative": lambda: cmd_trajectories(cfg, "dissipative"),
+        "tunnel": lambda: cmd_tunnel(cfg),
+        "delta-p": lambda: cmd_delta_p(cfg),
+        "sphere3d": lambda: cmd_sphere3d(cfg),
+        "verify": lambda: cmd_verify(cfg, args.inject_fault),
+    }[args.command]
+    started = time.perf_counter()
     # Overflow and NaN surface as the one-line failures below (a NaN root
     # function raises NonConvergence), not as floating-point warnings.
     try:
         with np.errstate(all="ignore"):
-            if args.command == "verify":
-                return cmd_verify(cfg, inject_fault=args.inject_fault)
-            if args.command in ("free", "dissipative"):
-                return cmd_trajectories(cfg, args.command)
-            return handlers[args.command](cfg)
+            tables, checks = command()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -781,6 +741,18 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
+    # A run that ends in exit 2 or 3 above writes nothing.
+    out = Path(cfg.out or DEFAULT_OUT[args.command])
+    for suffix, header, rows in tables:
+        path = out.parent / (out.stem + suffix + out.suffix)
+        write_csv(path, header, rows)
+        write_manifest(path, args.command, cfg, checks, time.perf_counter() - started)
+        if args.command != "verify":
+            print(f"wrote {len(rows)} {(suffix[1:] + ' rows').lstrip()} to {path}")
+    code = _exit_code(checks)
+    if code == 0 and args.command == "verify":
+        print(f"all {len(checks)} checks passed ({time.perf_counter() - started:.1f}s)")
+    return code
 
 
 if __name__ == "__main__":

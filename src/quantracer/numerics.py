@@ -297,14 +297,18 @@ class KGrid:
         return self.nodes.size
 
 
-def build_kgrid(k_mean, k_width, n_sigma=6.0, n_nodes=256) -> KGrid:
-    """Gauss-Legendre nodes/weights on [max(0, k_mean - n_sigma*k_width), k_mean + n_sigma*k_width]."""
+# Half-width of every wave-number grid, in spectral standard deviations.
+N_SIGMA = 6.0
+
+
+def build_kgrid(k_mean, k_width, n_nodes=256) -> KGrid:
+    """Gauss-Legendre nodes/weights on [max(0, k_mean - N_SIGMA*k_width), k_mean + N_SIGMA*k_width]."""
     if n_nodes < 64:
         raise ValueError("n_nodes must be at least 64")
-    hi = k_mean + n_sigma * k_width
+    hi = k_mean + N_SIGMA * k_width
     if hi <= 0.0:
         raise InvalidRange("upper wave-number bound must be positive")
-    lo = max(0.0, k_mean - n_sigma * k_width)
+    lo = max(0.0, k_mean - N_SIGMA * k_width)
     if hi <= lo:
         raise InvalidRange("empty wave-number interval")
     x, w = leggauss(int(n_nodes))

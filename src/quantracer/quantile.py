@@ -43,6 +43,9 @@ __all__ = [
 # the velocity j/rho is treated as numerically singular.
 DENSITY_FLOOR_REL = 1e-14
 
+# Floor episodes after which an ODE trace ends velocity_singular.
+_MAX_FLOOR_EPISODES = 100
+
 
 @dataclass(frozen=True)
 class Termination:
@@ -208,8 +211,7 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
 
 def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
                          tol: Tolerances = DEFAULT_TOL, *, t_eval=None,
-                         floor_rel: float = DENSITY_FLOOR_REL,
-                         max_floor_episodes: int = 100) -> QuantileTrajectory:
+                         floor_rel: float = DENSITY_FLOOR_REL) -> QuantileTrajectory:
     """Trace x_P(t) by integrating the quantile-velocity field.
 
     The initial position comes from one CDF inversion at t0.  For lossy
@@ -283,7 +285,7 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
             break
         # Density floor hit: re-anchor by CDF inversion a little later.
         floor_episodes += 1
-        if floor_episodes >= max_floor_episodes:
+        if floor_episodes >= _MAX_FLOOR_EPISODES:
             termination = Termination.velocity_singular(path.stop_time,
                                                         float(path.states[-1, 0]))
             break

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateK, GridTooCoarse, QuantracerError
 from .numerics import (
     DEFAULT_TOL,
+    N_SIGMA,
     PANEL_NODES,
     KGrid,
     Panels,
@@ -452,7 +453,7 @@ _FIELD_ENTRIES = 1 << 16
 
 
 # Most lattice half-widths one wave-number set keeps matrices for across
-# quadratures; further ones live for one quadrature, like off-lattice ones.
+# tables; further ones are built for one batch, like off-lattice ones.
 _KEPT_WIDTHS = 16
 
 # Slack, in units of eps * |x|, within which panel widths and spacings
@@ -471,33 +472,27 @@ class _PanelWaves:
     base * 2^m (a model's panel lattice and its bisection children) keep
     their matrix and shift rows across calls and times, in ``kept``, up to
     _KEPT_WIDTHS of them; other widths, rounded to 40 significant bits so
-    that bisection siblings match, live in one quadrature's view
-    (``call()``) and go with it.  e^{-iqm} is the conjugate of e^{iqm}
-    for real q (outside the barrier) and its inverse for complex q.
-    Panels are summed in row chunks of at most
-    _FIELD_ENTRIES (panel, wave number) entries, which also caps the shift
-    rows of a width.
+    that bisection siblings share a batch, get theirs built for the batch
+    and dropped after it.  e^{-iqm} is the conjugate of e^{iqm} for real
+    q (outside the barrier) and its inverse for complex q.  Panels are
+    summed in row chunks of at most _FIELD_ENTRIES (panel, wave number)
+    entries, which also caps the shift rows of a width.
     """
 
-    def __init__(self, q: np.ndarray, base: float, kept: dict | None = None):
+    def __init__(self, q: np.ndarray, base: float):
         self.q = q
         self.base = base
-        self.kept = {} if kept is None else kept
-        self._scratch: dict = {}
-
-    def call(self) -> "_PanelWaves":
-        """View for one quadrature: shares ``kept``, drops the rest with it."""
-        return _PanelWaves(self.q, self.base, self.kept)
+        self.kept: dict = {}
 
     def _entry(self, h: float) -> list:
         # [e^{iqh xi}, shift rows]; a negative h gives the waves of e^{-iqx}.
-        on_lattice = math.frexp(abs(h) / self.base)[0] == 0.5
-        store = self.kept if on_lattice and (
-            h in self.kept or len(self.kept) < _KEPT_WIDTHS) else self._scratch
-        if h not in store:
-            store[h] = [np.exp(1j * np.outer(self.q, h * PANEL_NODES)),
-                        np.ones((1, self.q.size), dtype=complex)]
-        return store[h]
+        if h in self.kept:
+            return self.kept[h]
+        entry = [np.exp(1j * np.outer(self.q, h * PANEL_NODES)),
+                 np.ones((1, self.q.size), dtype=complex)]
+        if math.frexp(abs(h) / self.base)[0] == 0.5 and len(self.kept) < _KEPT_WIDTHS:
+            self.kept[h] = entry
+        return entry
 
     def _phases(self, mids, h: float, entry: list):
         """(rows, first) with e^{iqm} = rows * first at each mid.
@@ -518,18 +513,18 @@ class _PanelWaves:
             return entry[1][j], np.exp((1j * m0) * self.q)
         return np.exp(1j * np.outer(mids, self.q)), 1.0
 
-    def _sums(self, mids, h: float, up, down) -> np.ndarray:
-        """sum_j up_j e^{iq_j x} + down_j e^{-iq_j x} at x = mids + h * PANEL_NODES."""
-        entry = self._entry(h)
+    def _sums(self, mids, h: float, up, down, entry: list, back) -> np.ndarray:
+        """sum_j up_j e^{iq_j x} + down_j e^{-iq_j x} at x = mids + h * PANEL_NODES,
+        from the entries of h and (complex q with ``down``) of -h."""
         rows, first = self._phases(mids, h, entry)
         psi = (rows * (first * up)) @ entry[0]
         if down is None:
             return psi
-        if np.isrealobj(self.q):
+        if back is None:
             # conj(e) down = conj(e conj(down)): the up phases serve both.
             return psi + ((rows * (first * down.conj())) @ entry[0]).conj()
-        # e^{-iqm} = 1 / e^{iqm}; the e^{-iqh xi} matrix is kept under -h.
-        return psi + ((down / first) / rows) @ self._entry(-h)[0]
+        # e^{-iqm} = 1 / e^{iqm}; the e^{-iqh xi} matrix is the entry of -h.
+        return psi + ((down / first) / rows) @ back[0]
 
     def rho(self, mids, halves, up, down=None) -> np.ndarray:
         """|up e^{iqx} + down e^{-iqx}|^2 summed over q, on the panels' nodes."""
@@ -541,11 +536,13 @@ class _PanelWaves:
             widths[off] = np.ldexp(np.round(mant * 2.0 ** 40), expo - 40)
         rows = max(1, _FIELD_ENTRIES // self.q.size)
         out = np.empty((mids.size, PANEL_NODES.size))
-        for h in np.unique(widths):
+        for h in np.unique(widths).tolist():
+            entry = self._entry(h)
+            back = None if down is None or np.isrealobj(self.q) else self._entry(-h)
             sel = np.flatnonzero(widths == h)
             for i in range(0, sel.size, rows):
                 chunk = sel[i:i + rows]
-                psi = self._sums(mids[chunk], float(h), up, down)
+                psi = self._sums(mids[chunk], h, up, down, entry, back)
                 out[chunk] = psi.real ** 2 + psi.imag ** 2
         return out
 
@@ -634,17 +631,18 @@ class SpectralPacketModel(PacketModel):
     def _panel_rho(self, t: float, coeffs=None):
         """Density on the nodes mid + half * PANEL_NODES of batches of panels.
 
-        On a panel wholly inside one region the mode sum factors (see
-        _PanelWaves; q = k outside the barrier, gamma inside), with the
-        model's kept lattice waves.  Panels across a barrier edge take the
-        pointwise kernel.  ``coeffs`` replaces the mode coefficients at t,
+        Each panel lies wholly inside one region, as every table's panels
+        do (the lattice makes +-a panel edges), and there the mode sum
+        factors (see _PanelWaves; q = k outside the barrier, gamma inside),
+        with the model's kept lattice waves.  A panel across a barrier edge
+        raises ValueError.  ``coeffs`` replaces the mode coefficients at t,
         for other plane-wave sums on the free reference's lattice.
         """
         k, gamma, T, R, A, B, edge = self._modes
         if coeffs is None:
             coeffs = self._coeffs(t)
         reach = float(np.max(PANEL_NODES))
-        outside, under = (waves.call() for waves in self._waves)
+        outside, under = self._waves
         # Per region: waves, coefficients of e^{iqx} and of e^{-iqx}.
         regions = ((outside, coeffs * T, None), (outside, coeffs, coeffs * R),
                    (under, coeffs * A, coeffs * B))
@@ -657,14 +655,12 @@ class SpectralPacketModel(PacketModel):
             right = lo > edge
             left = ~right & (hi < -edge)
             inside = (lo > -edge) & (hi < edge)
-            across = ~(right | left | inside)
+            if not (right | left | inside).all():
+                raise ValueError("a panel crosses a barrier edge")
             out = np.empty((mids.size, PANEL_NODES.size))
             for mask, (waves, up, down) in zip((right, left, inside), regions):
                 if mask.any():
                     out[mask] = waves.rho(mids[mask], halves[mask], up, down)
-            if across.any():
-                xs = mids[across, None] + halves[across, None] * PANEL_NODES
-                out[across] = self.rho(xs.ravel(), t).reshape(xs.shape)
             return out
 
         return values
@@ -779,7 +775,7 @@ class SpectralPacketModel(PacketModel):
         above min x plus every x (clamped to the hint, as in tail()) as a
         panel edge, so each tail is the reverse cumulative panel mass at
         its edge.  Pieces the x values cut from lattice panels are off the
-        lattice and their waves last one call.  Its error control is that
+        lattice and their waves last one batch.  Its error control is that
         of the widest tail; tail() stays the pointwise independent check.
         """
         return self._tails(x, float(t), None)
@@ -836,16 +832,15 @@ _NODE_HEADROOM = 1.15
 
 
 def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float,
-                           t_max: float, *, n_sigma: float = 6.0,
-                           mass: float = 1.0) -> int:
+                           t_max: float, *, mass: float = 1.0) -> int:
     """Wave-number node count that keeps the phase guard satisfied.
 
     Sized for evaluations anywhere inside the tunneling-packet support out
     to t_max, with a little headroom so tail quadrature never trips the
     guard mid-run.
     """
-    k_hi = k_bar + n_sigma * sigma_k
-    k_lo = max(0.0, k_bar - n_sigma * sigma_k)
+    k_hi = k_bar + N_SIGMA * sigma_k
+    k_lo = max(0.0, k_bar - N_SIGMA * sigma_k)
     sigma_x0 = 1.0 / (2.0 * sigma_k)
     sigma_v = HBAR * sigma_k / mass
     v_hi = HBAR * k_hi / mass
@@ -856,14 +851,12 @@ def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float,
 
 
 def spectral_setup(params: GaussianPacketParams, t_max: float, *,
-                   n_sigma: float = 6.0, n_nodes: int | None = None) -> tuple[SpectralFunction, KGrid]:
+                   n_nodes: int | None = None) -> tuple[SpectralFunction, KGrid]:
     """Build a grid and truncated spectrum sized for evaluations out to t_max."""
     if n_nodes is None:
         n_nodes = recommended_node_count(params.k_bar, params.sigma_k,
-                                         params.x_bar, t_max,
-                                         n_sigma=n_sigma, mass=params.mass)
-    grid = build_kgrid(params.k_bar, params.sigma_k, n_sigma=n_sigma,
-                       n_nodes=n_nodes)
+                                         params.x_bar, t_max, mass=params.mass)
+    grid = build_kgrid(params.k_bar, params.sigma_k, n_nodes=n_nodes)
     return SpectralFunction.for_packet(params, grid), grid
 
 

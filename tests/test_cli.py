@@ -334,6 +334,8 @@ class TestTunnelCommand:
     def test_coarse_k_grid_exits_3(self, tmp_path):
         assert run_cli(tmp_path, "tunnel", "--p-list", "0.5",
                        "--t-max", "8", "--k-nodes", "64") == 3
+        # Commands compute before main writes: a failed run leaves no file.
+        assert not any(tmp_path.iterdir())
 
 
 class TestDeltaPCommand:
@@ -364,6 +366,7 @@ class TestDeltaPCommand:
         conf.write_text("delta_x = 0.1\ndelta_t = 3\n", encoding="utf-8")
         assert run_cli(tmp_path, "delta-p", "--preset", "fig2",
                        "--config", str(conf)) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dp.conf"]
 
 
 class TestSphere3DCommand:

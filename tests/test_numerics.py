@@ -163,20 +163,20 @@ class TestIntegrateAdaptive:
 
 class TestBuildKGrid:
     def test_fig_bounds(self):
-        grid = build_kgrid(2.0, 0.2, n_sigma=6.0, n_nodes=256)
+        grid = build_kgrid(2.0, 0.2, n_nodes=256)
         assert grid.size == 256
         assert grid.k_min == pytest.approx(0.8)
         assert grid.k_max == pytest.approx(3.2)
         assert np.all(np.diff(grid.nodes) > 0)
 
     def test_weights_sum_to_length(self):
-        grid = build_kgrid(2.0, 0.2, n_sigma=6.0, n_nodes=128)
+        grid = build_kgrid(2.0, 0.2, n_nodes=128)
         assert grid.weights.sum() == pytest.approx(2.4, rel=1e-14)
 
     def test_truncated_gaussian_mass(self):
         # renormalized truncated Gaussian |psi~|^2 integrates to 1 on the grid,
         # cross-checked against the adaptive quadrature oracle
-        grid = build_kgrid(2.0, 0.2, n_sigma=6.0, n_nodes=256)
+        grid = build_kgrid(2.0, 0.2, n_nodes=256)
         sig = 0.2
         mass = 0.5 * (erfc(-(grid.k_max - 2.0) / (sig * math.sqrt(2)))
                       - erfc(-(grid.k_min - 2.0) / (sig * math.sqrt(2))))
@@ -187,7 +187,7 @@ class TestBuildKGrid:
 
     def test_negative_band_rejected(self):
         with pytest.raises(InvalidRange):
-            build_kgrid(-5.0, 0.2, n_sigma=6.0, n_nodes=128)
+            build_kgrid(-5.0, 0.2, n_nodes=128)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):

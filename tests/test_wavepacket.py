@@ -270,7 +270,7 @@ class TestScatteringMode:
 
 class TestSpectralFunction:
     def test_unit_mass_on_grid(self):
-        grid = build_kgrid(2.0, 0.2, n_sigma=6.0, n_nodes=256)
+        grid = build_kgrid(2.0, 0.2, n_nodes=256)
         spec = SpectralFunction.for_packet(DEFAULT_PACKET, grid)
         mass = float(np.sum(grid.weights * spec.amplitude(grid.nodes) ** 2))
         assert mass == pytest.approx(1.0, abs=1e-10)
@@ -377,20 +377,22 @@ class TestTunnelingPacketModel:
                     assert c == model.current(float(x), t)
 
     def test_panel_kernel_matches_pointwise(self, spectral_models):
-        # Panels left of, right of, across and inside the barrier, with
-        # shared and distinct widths.
+        # Panels left of, right of and inside the barrier, with shared and
+        # distinct widths; a panel across a barrier edge is refused.
         _, _, free_sp, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
-        mids = np.array([-20.0, -5.0, -3.0, -a - 0.1, -a, 0.0, a, a + 0.1,
+        mids = np.array([-20.0, -5.0, -3.0, -a - 0.1, 0.0, a + 0.1,
                          3.0, 3.4, 25.0])
-        halves = np.array([1.0, 1.0, 1.0, 0.05, 0.2, 0.25, 0.3, 0.05,
-                           1.0, 0.5, 0.5])
+        halves = np.array([1.0, 1.0, 1.0, 0.05, 0.25, 0.05, 1.0, 0.5, 0.5])
         for model in (free_sp, tunnel):
             for t in (0.0, 5.0, 10.0):
                 fast = model._panel_rho(t)(mids, halves)
                 nodes = mids[:, None] + halves[:, None] * PANEL_NODES
                 slow = model.rho(nodes, t)
                 assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
+        for mid, half in ((-a, 0.2), (a, 0.3)):
+            with pytest.raises(ValueError, match="crosses a barrier edge"):
+                tunnel._panel_rho(5.0)(np.append(mids, mid), np.append(halves, half))
 
     @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
     def test_shift_rows_match_pointwise(self, spectral_models, t):
