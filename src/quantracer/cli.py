@@ -745,8 +745,14 @@ def main(argv=None) -> int:
     out = Path(cfg.out or DEFAULT_OUT[args.command])
     for suffix, header, rows in tables:
         path = out.parent / (out.stem + suffix + out.suffix)
-        write_csv(path, header, rows)
-        write_manifest(path, args.command, cfg, checks, time.perf_counter() - started)
+        try:
+            write_csv(path, header, rows)
+            write_manifest(path, args.command, cfg, checks,
+                           time.perf_counter() - started)
+        except OSError as exc:   # a missing directory, a directory as --out, ...
+            print(f"configuration error: cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         if args.command != "verify":
             print(f"wrote {len(rows)} {(suffix[1:] + ' rows').lstrip()} to {path}")
     code = _exit_code(checks)

@@ -66,12 +66,12 @@ _GL15_X, _GL15_W = leggauss(15)
 # The 22 abscissae of one panel on [-1, 1]: the GL15 nodes, then the GL7 ones.
 PANEL_NODES = np.concatenate([_GL15_X, _GL7_X])
 
-# Legendre antiderivatives of the 15 Lagrange polynomials on the GL15
-# nodes, shape (16, 15).  The rule integrates P_n * P_m exactly for
-# n + m <= 28, so column j of the interpolant's Legendre coefficients is
-# (n + 1/2) w_j P_n(x_j); legint makes each antiderivative vanish at -1.
-_GL15_ANTIDERIVATIVES = legint(
-    (np.arange(15) + 0.5)[:, None] * legvander(_GL15_X, 14).T * _GL15_W, axis=0)
+# Columns of the 21 distinct abscissae (both rules share the middle node 0),
+# and the Legendre antiderivatives of the 21 Lagrange polynomials on them,
+# shape (22, 21): legint of the inverse Legendre Vandermonde.  Their
+# constant terms cancel in F(1) - F(xi).
+_DISTINCT = np.delete(np.arange(PANEL_NODES.size), 15 + 3)
+_ANTIDERIVATIVES = legint(np.linalg.inv(legvander(PANEL_NODES[_DISTINCT], 20)), axis=0)
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class Panels:
     """Retained panels of one adaptive quadrature, in ascending order.
 
     ``values[i]`` is the GL15 integral over [los[i], his[i]] and
-    ``nodes[i]`` the integrand at its 15 GL15 nodes; consecutive panels
-    share their edges exactly.  ``total`` is the running sum the
+    ``nodes[i]`` the integrand at its 21 distinct PANEL_NODES; consecutive
+    panels share their edges exactly.  ``total`` is the running sum the
     refinement kept, which is what integrate_adaptive returns.
     ``upper[i]`` is the mass right of los[i] (the reverse cumulative
     panel values), then 0 for the top edge.
@@ -93,14 +93,10 @@ class Panels:
     total: float
     upper: np.ndarray
 
-    def mass_above(self, edges) -> np.ndarray:
-        """Mass right of each x in ``edges``, every one a panel edge."""
-        return self.upper[np.searchsorted(self.los, edges)]
-
     def tail(self, x: float) -> float:
         """Mass right of any x: the mass right of x's panel plus
         partial_mass over [x, panel top], so a probe evaluates no
-        integrand and agrees with ``upper`` at every panel edge."""
+        integrand and equals ``upper`` at every panel edge."""
         if x <= self.los[0]:
             return float(self.upper[0])
         i = int(np.searchsorted(self.his, x))   # first panel with top >= x
@@ -115,20 +111,22 @@ class Panels:
         return float(self.los[i]), float(self.his[i])
 
     def partial_mass(self, i: int, x: float) -> float:
-        """Integral over [x, his[i]] of the degree-14 interpolant of panel
-        i's GL15 node values, for x in [los[i], his[i]].
+        """Integral over [x, his[i]] of the degree-20 interpolant of panel
+        i's 21 node values, for x in [los[i], his[i]].
 
         It reads only the stored node values, never the integrand; it is 0
-        at x = his[i] exactly and values[i] up to rounding at x = los[i].
+        at x = his[i] exactly and values[i] up to the GL15 error at los[i].
         """
-        half = 0.5 * (self.his[i] - self.los[i])
-        xi = 1.0 - (self.his[i] - x) / half
-        # F_j(1) - F_j(xi) from legvander's recurrence, with every P_n(1) = 1.
-        p = [1.0, xi]
-        for n in range(2, 16):
-            p.append((p[n - 1] * xi * (2 * n - 1) - p[n - 2] * (n - 1)) / n)
-        weights = (1.0 - np.array(p)) @ _GL15_ANTIDERIVATIVES
-        return float(half * (weights @ self.nodes[i]))
+        lo, hi = self.los[i].item(), self.his[i].item()   # numpy scalars are slower
+        half = 0.5 * (hi - lo)
+        xi = 1.0 - (hi - float(x)) / half
+        # sum_n c_n (1 - P_n(xi)), c the interpolant's antiderivative coefficients.
+        c = (_ANTIDERIVATIVES @ self.nodes[i]).tolist()
+        p0, p1, acc = 1.0, xi, c[1] * (1.0 - xi)
+        for n in range(2, 22):
+            p0, p1 = p1, (p1 * xi * (2 * n - 1) - p0 * (n - 1)) / n
+            acc += c[n] * (1.0 - p1)
+        return half * acc
 
 
 def _at_panel_nodes(f):
@@ -146,18 +144,17 @@ def _at_panel_nodes(f):
 
 
 def _eval_panels(panel_f, los, his):
-    """GL15 values, GL15-GL7 error estimates and GL15 node values (n, 15)
-    for a batch of panels."""
+    """GL15 values, GL15-GL7 error estimates and the values at the 21
+    distinct nodes, (n, 21), for a batch of panels."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
     ys = panel_f(mid, half)
     # Contiguous copies give the rule sums the pointwise layout's bits.
-    y15 = np.ascontiguousarray(ys[:, :15])
-    v15 = half * (y15 @ _GL15_W)
+    v15 = half * (np.ascontiguousarray(ys[:, :15]) @ _GL15_W)
     v7 = half * (np.ascontiguousarray(ys[:, 15:]) @ _GL7_W)
-    return v15, np.abs(v15 - v7), y15
+    return v15, np.abs(v15 - v7), ys[:, _DISTINCT]
 
 
 def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:

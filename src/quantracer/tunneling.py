@@ -87,9 +87,9 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
 
     The barrier coefficients and the term3 kernel are built once per call
     and the two u-kernels once per u-quadrature order reached; each time t
-    applies them to the (n_k, len(xs)) matrix of psi_x columns and takes
+    applies them to the (n_k, len(xs)) matrix of psi_x columns and reads
     term3 at every x from one panel table on the lattice of the call's
-    free reference model, with the x values as panel edges.
+    free reference model (SpectralPacketModel.tails).
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateK, GridTooCoarse, QuantracerError
+from .errors import DegenerateK, GridTooCoarse, InvalidRange, QuantracerError
 from .numerics import (
     DEFAULT_TOL,
     N_SIGMA,
@@ -452,8 +452,8 @@ def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> Scatte
 _FIELD_ENTRIES = 1 << 16
 
 
-# Most lattice half-widths one wave-number set keeps matrices for across
-# tables; further ones are built for one batch, like off-lattice ones.
+# Most half-widths one wave-number set keeps matrices for across tables;
+# further ones are built for one batch and dropped after it.
 _KEPT_WIDTHS = 16
 
 # Slack, in units of eps * |x|, within which panel widths and spacings
@@ -468,12 +468,11 @@ class _PanelWaves:
     e^{iq(m + h xi)} = e^{iqm} e^{iqh xi}: equal-width panels share a
     matmul against the (n_q, 22) matrix e^{iqh xi}, and equal-width panels
     spaced 2h apart take e^{iqm_j} = e^{iqm_0} e^{iq j 2h}, one
-    exponential per run times the shift rows e^{iq j 2h}.  Half-widths
-    base * 2^m (a model's panel lattice and its bisection children) keep
-    their matrix and shift rows across calls and times, in ``kept``, up to
-    _KEPT_WIDTHS of them; other widths, rounded to 40 significant bits so
-    that bisection siblings share a batch, get theirs built for the batch
-    and dropped after it.  e^{-iqm} is the conjugate of e^{iqm} for real
+    exponential per run times the shift rows e^{iq j 2h}.  Every
+    half-width is base * 2^m (a model's panel lattice and its bisection
+    children; another one raises ValueError), and each keeps its matrix
+    and shift rows across calls and times, in ``kept``, up to
+    _KEPT_WIDTHS of them.  e^{-iqm} is the conjugate of e^{iqm} for real
     q (outside the barrier) and its inverse for complex q.  Panels are
     summed in row chunks of at most _FIELD_ENTRIES (panel, wave number)
     entries, which also caps the shift rows of a width.
@@ -490,7 +489,7 @@ class _PanelWaves:
             return self.kept[h]
         entry = [np.exp(1j * np.outer(self.q, h * PANEL_NODES)),
                  np.ones((1, self.q.size), dtype=complex)]
-        if math.frexp(abs(h) / self.base)[0] == 0.5 and len(self.kept) < _KEPT_WIDTHS:
+        if len(self.kept) < _KEPT_WIDTHS:
             self.kept[h] = entry
         return entry
 
@@ -528,12 +527,10 @@ class _PanelWaves:
 
     def rho(self, mids, halves, up, down=None) -> np.ndarray:
         """|up e^{iqx} + down e^{-iqx}|^2 summed over q, on the panels' nodes."""
-        # Lattice half-widths snap to their exact value, the others round.
+        # Lattice half-widths snap to their exact value.
         widths = self.base * np.exp2(np.rint(np.log2(halves / self.base)))
-        off = np.abs(halves - widths) > _ULPS * (np.abs(mids) + halves)
-        if off.any():
-            mant, expo = np.frexp(halves[off])
-            widths[off] = np.ldexp(np.round(mant * 2.0 ** 40), expo - 40)
+        if (np.abs(halves - widths) > _ULPS * (np.abs(mids) + halves)).any():
+            raise ValueError("a panel half-width is off the panel lattice")
         rows = max(1, _FIELD_ENTRIES // self.q.size)
         out = np.empty((mids.size, PANEL_NODES.size))
         for h in np.unique(widths).tolist():
@@ -635,8 +632,9 @@ class SpectralPacketModel(PacketModel):
         do (the lattice makes +-a panel edges), and there the mode sum
         factors (see _PanelWaves; q = k outside the barrier, gamma inside),
         with the model's kept lattice waves.  A panel across a barrier edge
-        raises ValueError.  ``coeffs`` replaces the mode coefficients at t,
-        for other plane-wave sums on the free reference's lattice.
+        or with a half-width off the lattice raises ValueError.  ``coeffs``
+        replaces the mode coefficients at t, for other plane-wave sums on
+        the free reference's lattice.
         """
         k, gamma, T, R, A, B, edge = self._modes
         if coeffs is None:
@@ -689,10 +687,12 @@ class SpectralPacketModel(PacketModel):
         return rho.reshape(np.shape(x)), cur.reshape(np.shape(x))
 
     def interval_mass(self, x1, x2, t) -> float:
-        t = float(t)
+        t, x1, x2 = float(t), float(x1), float(x2)
+        if math.isnan(x1) or math.isnan(x2):
+            raise InvalidRange("tail position is NaN")
         lo, hi = self.support_hint(t)
-        a = min(max(float(x1), lo), hi)   # outside the hint rho is ~1e-12 small
-        b = min(max(float(x2), lo), hi)
+        a = min(max(x1, lo), hi)   # outside the hint rho is ~1e-12 small
+        b = min(max(x2, lo), hi)
         if a == b:
             return 0.0
         # rho has a curvature jump at +-a that a GL15-GL7 gap across it
@@ -771,12 +771,11 @@ class SpectralPacketModel(PacketModel):
     def tails(self, x, t) -> np.ndarray:
         """tail(x_i, t) at every x from one retained panel table.
 
-        The table spans [min x, top of the support hint]: the lattice edges
-        above min x plus every x (clamped to the hint, as in tail()) as a
-        panel edge, so each tail is the reverse cumulative panel mass at
-        its edge.  Pieces the x values cut from lattice panels are off the
-        lattice and their waves last one batch.  Its error control is that
+        The table starts at the lattice edge at or below min x (each x
+        clamped to the hint, as in tail()) and each x is read through
+        Panels.tail, so no x is a panel edge.  Its error control is that
         of the widest tail; tail() stays the pointwise independent check.
+        A NaN x raises InvalidRange.
         """
         return self._tails(x, float(t), None)
 
@@ -788,12 +787,15 @@ class SpectralPacketModel(PacketModel):
             raise ValueError("plane-wave coefficients need the free reference")
         lattice = self._lattice(t)
         xs = np.clip(np.asarray(x, dtype=float), lattice[0], lattice[-1])
-        start = float(np.min(xs, initial=lattice[-1]))
-        if start == lattice[-1]:
+        low = np.min(xs, initial=lattice[-1])     # NaN if any x is NaN
+        if math.isnan(low):
+            raise InvalidRange("tail position is NaN")
+        start = int(np.searchsorted(lattice, low, side="right")) - 1
+        if start == lattice.size - 1:
             return np.zeros(xs.shape)
-        edges = np.union1d(lattice[lattice > start], xs.ravel())
-        return adaptive_panels(self._panel_rho(t, coeffs), edges,
-                               self.tol).mass_above(xs)
+        panels = adaptive_panels(self._panel_rho(t, coeffs), lattice[start:],
+                                 self.tol)
+        return np.reshape([panels.tail(v) for v in xs.ravel().tolist()], xs.shape)
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.

@@ -197,6 +197,16 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and expected in err
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        # A missing directory and an existing directory as --out.
+        code = run_cli(tmp_path, "free", "--p-list", "0.5", "--t-max", "1",
+                       "--out", str(tmp_path / target))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.count("\n") == 1 and "cannot write" in err
+        assert "Traceback" not in out + err
+
     def test_small_n_lambda_rejected(self):
         with pytest.raises(Exception):
             validate_config(ScenarioConfig(n_lambda=8))

@@ -113,8 +113,9 @@ class TestIntegrateAdaptive:
         # Masses right of panel edges are the reverse cumulative values.
         upper = panels.upper
         assert upper[-1] == 0.0 and upper[0] == pytest.approx(panels.total, rel=1e-13)
-        np.testing.assert_array_equal(panels.mass_above(panels.los[::-1]), upper[-2::-1])
-        assert panels.mass_above([4.0])[0] == 0.0
+        np.testing.assert_array_equal([panels.tail(x) for x in panels.los[::-1]],
+                                      upper[-2::-1])
+        assert panels.tail(4.0) == 0.0
 
     def test_panels_keep_gl15_node_values(self):
         f = lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2)
@@ -125,8 +126,11 @@ class TestIntegrateAdaptive:
         panels = adaptive_panels(panel_f, np.linspace(-5.0, 4.0, 9), DEFAULT_TOL)
         mids = 0.5 * (panels.los + panels.his)
         halves = 0.5 * (panels.his - panels.los)
+        # The GL15 columns, then the GL7 ones but the shared middle node.
+        distinct = [c for c in range(PANEL_NODES.size) if c != 15 + 3]
+        assert panels.nodes.shape == (panels.los.size, 21)
         np.testing.assert_array_equal(panels.nodes,
-                                      panel_f(mids, halves)[:, :15])
+                                      panel_f(mids, halves)[:, distinct])
 
     def test_partial_mass_integrates_the_node_interpolant(self):
         # A degree-14 integrand is its own interpolant on the GL15 nodes,

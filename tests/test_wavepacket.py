@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quantracer import wavepacket
-from quantracer.errors import DegenerateK, GridTooCoarse
+from quantracer.errors import DegenerateK, GridTooCoarse, InvalidRange
 from quantracer.numerics import PANEL_NODES, Tolerances, build_kgrid, integrate_adaptive
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
@@ -378,18 +378,26 @@ class TestTunnelingPacketModel:
 
     def test_panel_kernel_matches_pointwise(self, spectral_models):
         # Panels left of, right of and inside the barrier, with shared and
-        # distinct widths; a panel across a barrier edge is refused.
+        # distinct lattice widths (half a pitch times 2^-n, a / 2 inside
+        # the barrier); a width off the lattice and a panel across a
+        # barrier edge are refused.
         _, _, free_sp, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
         mids = np.array([-20.0, -5.0, -3.0, -a - 0.1, 0.0, a + 0.1,
                          3.0, 3.4, 25.0])
-        halves = np.array([1.0, 1.0, 1.0, 0.05, 0.25, 0.05, 1.0, 0.5, 0.5])
+        rungs = np.array([0, 0, 0, 5, 1, 5, 0, 1, 1])
         for model in (free_sp, tunnel):
+            halves = 0.5 * model._pitch * np.exp2(-rungs)
+            if model.barrier is not None:
+                halves[4] = a / 2
             for t in (0.0, 5.0, 10.0):
                 fast = model._panel_rho(t)(mids, halves)
                 nodes = mids[:, None] + halves[:, None] * PANEL_NODES
                 slow = model.rho(nodes, t)
                 assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
+            with pytest.raises(ValueError, match="off the panel lattice"):
+                model._panel_rho(5.0)(np.append(mids, -12.0),
+                                      np.append(halves, 0.35))
         for mid, half in ((-a, 0.2), (a, 0.3)):
             with pytest.raises(ValueError, match="crosses a barrier edge"):
                 tunnel._panel_rho(5.0)(np.append(mids, mid), np.append(halves, half))
@@ -468,8 +476,8 @@ class TestTunnelingPacketModel:
             tunnel._tails([0.5], 2.0, coeffs)
 
     def test_kept_waves_are_bounded(self):
-        # After a sweep over t = 0, 0.5, ..., 10 and a tails() call that
-        # cuts lattice panels into odd pieces, each model keeps at most
+        # After a sweep over t = 0, 0.5, ..., 10 and a tails() call read
+        # at six x values off the lattice edges, each model keeps at most
         # eight e^{iqh xi} matrices (measured 2 and 4), all of lattice
         # widths, and both hold under 3 MiB (measured 1.2 MiB).
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
@@ -504,9 +512,8 @@ class TestTunnelingPacketModel:
             assert -a in panels.los and a in panels.los
 
     def test_tails_match_pointwise_tail(self, spectral_models):
-        # One table per time with the x values as panel edges: unsorted,
-        # duplicated, on the barrier edges, and clamped below and above
-        # the support hint.
+        # One table per time, read at each x: unsorted, duplicated, on the
+        # barrier edges, and clamped below and above the support hint.
         _, _, free_sp, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
         xs = np.array([3.0, -200.0, a, 1.1, 1.1, -a, -8.558, 200.0])
@@ -518,6 +525,27 @@ class TestTunnelingPacketModel:
                     assert abs(tail - model.tail(float(x), t)) <= 1e-12
             assert model.tails([], 5.0).shape == (0,)
 
+    def test_tails_refuse_a_nan_position(self, spectral_models):
+        # A NaN x raises rather than reading as a tail of 0; +-inf clamps
+        # to the support hint.
+        _, _, free_sp, tunnel = spectral_models
+        for model in (free_sp, tunnel):
+            with pytest.raises(InvalidRange):
+                model.tails([1.0, math.nan], 2.0)
+            lo = model.support_hint(2.0)[0]
+            assert model.tails([-math.inf, math.inf], 2.0).tolist() == [
+                model.tails([lo], 2.0)[0], 0.0]
+
+    def test_tail_refuses_a_nan_position(self, spectral_models):
+        _, _, free_sp, tunnel = spectral_models
+        for model in (free_sp, tunnel):
+            with pytest.raises(InvalidRange):
+                model.tail(math.nan, 2.0)
+            with pytest.raises(InvalidRange):
+                model.interval_mass(0.0, math.nan, 2.0)
+            assert model.tail(-math.inf, 2.0) == model.interval_mass(
+                *model.support_hint(2.0), 2.0)
+
     def test_tail_splits_at_barrier_edges(self, spectral_models):
         # Linspace panels from x = -8.558 put the curvature jump of rho at
         # +-a inside one panel whose GL15-GL7 gap underestimated its error,
@@ -528,14 +556,15 @@ class TestTunnelingPacketModel:
         assert abs(tunnel.tail(-8.558, 5.0) - tight.tail(-8.558, 5.0)) <= 1e-9
 
     def test_factored_panels_are_chunked(self, spectral_models, monkeypatch):
-        # 40 equal panels off the lattice in row chunks of 3 give the
-        # one-pass values; so do the lattice panels, whose runs restart
-        # their exponential every 3 rows (phases q m ~ 100 rad, so a few
-        # ulps of them apart: 1e-13).
+        # 40 panels of a lattice width, spaced off the 2h run so each takes
+        # its own exponential, in row chunks of 3 give the one-pass values;
+        # so do the lattice panels, whose runs restart their exponential
+        # every 3 rows (phases q m ~ 100 rad, so a few ulps of them apart:
+        # 1e-13).
         _, grid, _, tunnel = spectral_models
         edges = tunnel._lattice(4.0)
         for mids, halves, bound in (
-                (np.linspace(-30.0, -2.0, 40), np.full(40, 0.35), 1e-14),
+                (np.linspace(-30.0, -2.0, 40), np.full(40, tunnel._pitch / 8), 1e-14),
                 (0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges), 1e-13)):
             one_pass = tunnel._panel_rho(4.0)(mids, halves)
             with monkeypatch.context() as patch:
