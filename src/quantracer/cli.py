@@ -284,6 +284,10 @@ def write_csv(path: Path, header: list, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _manifest_path(data_path: Path) -> Path:
+    return Path(str(data_path) + ".manifest.json")
+
+
 def write_manifest(data_path: Path, command: str, cfg: ScenarioConfig,
                    checks: list, wall_clock: float) -> Path:
     config_echo = {}
@@ -307,7 +311,7 @@ def write_manifest(data_path: Path, command: str, cfg: ScenarioConfig,
         "checks": [{"name": n, "passed": bool(p), "detail": d}
                    for n, p, d in checks],
     }
-    path = Path(str(data_path) + ".manifest.json")
+    path = _manifest_path(data_path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -376,10 +380,7 @@ def cmd_trajectories(cfg: ScenarioConfig, command: str) -> tuple[list, list]:
                f"max |x_cdf - x_ode| = {worst_gap:.3e}")]
     if lossy and cfg.loss_rate > 0.0:
         expected = {P: -math.log(P) / cfg.loss_rate for P in cfg.p_list}
-        seen = {}
-        for row in rows:
-            if row[-1] == "norm_below_p":
-                seen[row[0]] = row[1]
+        seen = {row[0]: row[1] for row in rows if row[-1] == "norm_below_p"}
         worst = float(np.max([abs(seen[P] - expected[P]) for P in seen],
                              initial=0.0))
         detail = f"{len(seen)}/{len(cfg.p_list)} terminated, worst |dt_end| = {worst:.3e}"
@@ -396,13 +397,9 @@ def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
     spectrum, grid, free, tunnel = _spectral_pair(cfg, tol)
     verdicts = retardation_scan(free, tunnel, cfg.p_list, _time_grid(cfg),
                                 tol=tol)
-    rows = []
-    for v in verdicts:
-        ref, tun = v.free_trajectory, v.tunnel_trajectory
-        free_at = dict(zip(ref.times.tolist(), ref.positions.tolist()))
-        rows.extend((v.P, t, x_tun, free_at[t], free_at[t] - x_tun)
-                    for t, x_tun in zip(tun.times.tolist(), tun.positions.tolist())
-                    if t in free_at)
+    rows = [(v.P, *row) for v in verdicts for row in
+            zip(v.times.tolist(), v.x_tunnel.tolist(), v.x_free.tolist(),
+                (v.x_free - v.x_tunnel).tolist())]
     checked = sum(v.checked for v in verdicts)
     min_lag_beyond = -max(v.worst_margin for v in verdicts)
     min_lag_all = -max(v.worst_margin_all for v in verdicts)
@@ -741,15 +738,21 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    # A run that ends in exit 2 or 3 above writes nothing.
+    # A run that ends in exit 2 or 3 writes nothing: every output path is
+    # checked before the first write.
     out = Path(cfg.out or DEFAULT_OUT[args.command])
-    for suffix, header, rows in tables:
-        path = out.parent / (out.stem + suffix + out.suffix)
+    paths = [out.parent / (out.stem + suffix + out.suffix) for suffix, _, _ in tables]
+    for path in paths + [_manifest_path(path) for path in paths]:
+        if path.is_dir() or not path.parent.is_dir():
+            print(f"configuration error: cannot write {path}: it is a directory "
+                  "or its directory is missing", file=sys.stderr)
+            return 2
+    for path, (suffix, header, rows) in zip(paths, tables):
         try:
             write_csv(path, header, rows)
             write_manifest(path, args.command, cfg, checks,
                            time.perf_counter() - started)
-        except OSError as exc:   # a missing directory, a directory as --out, ...
+        except OSError as exc:   # a read-only file or directory, a full disk, ...
             print(f"configuration error: cannot write {path}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2

@@ -62,6 +62,8 @@ DEFAULT_TOL = Tolerances()
 _GL7_X, _GL7_W = leggauss(7)
 _GL15_X, _GL15_W = leggauss(15)
 
+# Panels after which an adaptive quadrature raises NonConvergence.
+_MAX_PANELS = 4096
 
 # The 22 abscissae of one panel on [-1, 1]: the GL15 nodes, then the GL7 ones.
 PANEL_NODES = np.concatenate([_GL15_X, _GL7_X])
@@ -164,7 +166,7 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
     return np.union1d(edges, inner) if inner else edges
 
 
-def _refine(panel_f, edges, tol, max_panels):
+def _refine(panel_f, edges, tol):
     """Heap of (-error, order, lo, hi, value, error, node values) entries
     and the running total of an adaptive GL7/15 quadrature."""
     edges = np.asarray(edges, dtype=float)
@@ -184,9 +186,9 @@ def _refine(panel_f, edges, tol, max_panels):
     width_floor = 1e-14 * (edges[-1] - edges[0])
 
     while total_err > max(tol.quad_abs, tol.quad_rel * abs(total)):
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_PANELS:
             raise NonConvergence(
-                f"quadrature needed more than {max_panels} panels",
+                f"quadrature needed more than {_MAX_PANELS} panels",
                 value=total,
                 error=total_err,
             )
@@ -209,8 +211,7 @@ def _refine(panel_f, edges, tol, max_panels):
     return heap, total
 
 
-def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
-                    max_panels: int = 4096) -> Panels:
+def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL) -> Panels:
     """Adaptive GL7/15 quadrature that keeps its panels.
 
     ``edges`` is the initial partition, finite and strictly increasing.
@@ -218,9 +219,9 @@ def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL, *,
     for a batch of panels, shape (n, 22).  The panel with the largest
     GL15-GL7 gap is bisected until the summed gaps satisfy
     max(quad_abs, quad_rel * |total|).  Raises NonConvergence after
-    ``max_panels`` panels or on a panel narrower than 1e-14 of the range.
+    _MAX_PANELS panels or on a panel narrower than 1e-14 of the range.
     """
-    heap, total = _refine(panel_f, edges, tol, max_panels)
+    heap, total = _refine(panel_f, edges, tol)
     heap.sort(key=lambda entry: entry[2])
     los, his, values = np.array([entry[2:5] for entry in heap]).T
     upper = np.append(np.cumsum(values[::-1])[::-1], 0.0)
@@ -235,7 +236,6 @@ def integrate_adaptive(
     tol: Tolerances = DEFAULT_TOL,
     *,
     initial_panels: int = 8,
-    max_panels: int = 4096,
     points=(),
 ):
     """Adaptive panel quadrature of a vectorized integrand on a finite [a, b].
@@ -246,7 +246,7 @@ def integrate_adaptive(
     extra initial panel edges, for kinks and curvature jumps of the
     integrand.  Reversed bounds give the negated integral.  Raises
     InvalidRange for a non-finite bound and NonConvergence after
-    ``max_panels`` subdivisions.
+    _MAX_PANELS panels.
     """
     a = float(a)
     b = float(b)
@@ -254,11 +254,11 @@ def integrate_adaptive(
         raise InvalidRange(f"integration bounds must be finite, got [{a}, {b}]")
     if a > b:
         return -integrate_adaptive(f, b, a, tol, initial_panels=initial_panels,
-                                   max_panels=max_panels, points=points)
+                                   points=points)
     if b == a:
         return 0.0
     edges = initial_edges(a, b, max(1, int(initial_panels)), points)
-    return _refine(_at_panel_nodes(f), edges, tol, max_panels)[1]
+    return _refine(_at_panel_nodes(f), edges, tol)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -132,31 +132,33 @@ def quantile_velocity(model: PacketModel, x: float, t: float, *,
     return (float(cur) - loss_tail) / rho
 
 
-def quantile_position(model: PacketModel, P: float, t: float,
-                      tol: Tolerances = DEFAULT_TOL) -> float:
-    """Unique x with model.tail(x, t) = P.
+def quantile_position(model: PacketModel, P, t: float,
+                      tol: Tolerances = DEFAULT_TOL):
+    """Unique x with model.tail(x, t) = P: a float, or an array of P's shape.
 
-    One monotone root solve.  A spectral model builds one retained panel
-    table at t (``tail_panels``) and solves its table tail inside the one
-    panel whose edge tails straddle P; every other model inverts its own
-    ``tail`` over its support hint.  Raises NormBelowP when no quantile
-    exists because the total norm has decayed to or below P.
+    One root solve per level.  A spectral model builds one panel table at t
+    (``tail_panels``) and solves each level inside the panel whose edge
+    tails straddle it; other models invert their own ``tail`` over the
+    support hint.  Raises InvalidRange for a level outside (0, 1) or NaN,
+    and NormBelowP where the total norm has decayed to or below a level.
     """
-    if not 0.0 < P < 1.0:
+    levels = np.asarray(P, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise InvalidRange(f"P must lie in (0, 1), got {P}")
     norm = model.norm(t)
-    if P >= norm:
-        raise NormBelowP(
-            f"requested P = {P} but total norm at t = {t:.6g} is {norm:.12g}",
-            t_end=t,
-        )
+    if np.any(levels >= norm):
+        raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
+                         f"t = {t:.6g} is {norm:.12g}", t_end=t)
     t = float(t)
     if isinstance(model, SpectralPacketModel):
         panels = model.tail_panels(t)
-        tail, bracket = panels.tail, panels.bracket(P)
+        tail, bracket = panels.tail, panels.bracket
     else:
-        tail, bracket = (lambda x: model.tail(x, t)), model.support_hint(t)
-    return find_root_monotone(lambda x: tail(x) - P, bracket, tol)
+        hint = model.support_hint(t)
+        tail, bracket = (lambda x: model.tail(x, t)), (lambda p: hint)
+    xs = [find_root_monotone(lambda x: tail(x) - p, bracket(p), tol)
+          for p in levels.ravel().tolist()]
+    return xs[0] if levels.ndim == 0 else np.reshape(xs, levels.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +181,8 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
     are NaN (with a floor_episodes count) where the density floor is hit.
     """
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise InvalidRange("t_grid must be a non-empty 1-d array")
-    if np.any(np.diff(ts) <= 0.0):
-        raise InvalidRange("t_grid must be strictly increasing")
+    if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
+        raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
     if model.norm(ts[0]) <= P:
         raise NormBelowP(
             f"norm at the first grid time is already <= P = {P}", t_end=ts[0])

@@ -7,7 +7,7 @@ tunneled quantile trails its free counterpart at every time.  Two
 independent routes compute it: direct spatial integration of the two
 densities, and a decomposition into three manifestly nonnegative
 integrals; their agreement certifies both.  A scan utility compares
-traced quantile trajectories pairwise, and the packet transmission
+tunneled and free quantile positions pairwise, and the packet transmission
 probability marks the threshold below which quantiles end up
 transmitted.
 """
@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidRange
 from .numerics import DEFAULT_TOL, KGrid, Tolerances
-from .quantile import QuantileTrajectory, trace_trajectory_cdf
+from .quantile import quantile_position
 from .wavepacket import (
     HBAR,
     BarrierSpec,
@@ -271,14 +271,14 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
 class RetardationVerdict:
     """Outcome of one quantile-lag comparison at fixed P.
 
-    checked counts grid times where both positions exist and the tunneled
-    quantile sits beyond the barrier edge; the rest are skipped.
-    worst_margin is the largest x_tunnel - x_free over checked times
-    (-inf when nothing qualified, which passes vacuously).
-    worst_margin_all drops the beyond-the-edge filter and is diagnostic
-    only: in front of the barrier the reflected pile-up can push a
-    quantile ahead of its free twin, which the certified statement does
-    not forbid.  The two traced trajectories come along for reporting.
+    checked counts grid times where the tunneled quantile sits beyond the
+    barrier edge; the rest are skipped.  worst_margin is the largest
+    x_tunnel - x_free over checked times (-inf when nothing qualified,
+    which passes vacuously).  worst_margin_all drops the beyond-the-edge
+    filter and is diagnostic only: in front of the barrier the reflected
+    pile-up can push a quantile ahead of its free twin, which the certified
+    statement does not forbid.  ``times``, ``x_tunnel`` and ``x_free`` are
+    the compared positions at every grid time, for reporting.
     """
 
     P: float
@@ -287,45 +287,41 @@ class RetardationVerdict:
     worst_margin: float
     worst_margin_all: float
     ok: bool
-    tunnel_trajectory: QuantileTrajectory = field(repr=False, compare=False)
-    free_trajectory: QuantileTrajectory = field(repr=False, compare=False)
+    times: np.ndarray = field(repr=False, compare=False)
+    x_tunnel: np.ndarray = field(repr=False, compare=False)
+    x_free: np.ndarray = field(repr=False, compare=False)
 
 
 def retardation_scan(free: PacketModel, tunneling: PacketModel,
                      P_list: Sequence[float], t_grid, *,
                      tolerance: float = 1e-5,
                      tol: Tolerances = DEFAULT_TOL) -> list[RetardationVerdict]:
-    """Trace both quantile families and compare them time by time.
+    """Compare the tunneled and free quantile positions time by time.
 
     For every P the tunneled quantile must not lead the free one at any
-    grid time where it has already crossed the barrier edge.
+    grid time where it has already crossed the barrier edge.  The pair must
+    be spectral (as for delta_p_report), so no norm decays below a level;
+    each model inverts every level of a time on one panel table.
     """
-    barrier = getattr(tunneling, "barrier", None)
-    edge = barrier.half_width if barrier is not None else 0.0
-    t_grid = np.asarray(t_grid, dtype=float)
+    edge = _pair_barrier(free, tunneling).half_width
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
+        raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
+    levels = np.asarray(P_list, dtype=float).ravel()
+    x_tun, x_free = (np.array([quantile_position(model, levels, t, tol)   # (t, P)
+                               for t in ts.tolist()]).reshape(ts.size, levels.size)
+                     for model in (tunneling, free))
     verdicts = []
-    for P in P_list:
-        tun = trace_trajectory_cdf(tunneling, float(P), t_grid, tol)
-        ref = trace_trajectory_cdf(free, float(P), t_grid, tol)
-        free_at = dict(zip(ref.times.tolist(), ref.positions.tolist()))
-        checked = 0
-        worst = -math.inf
-        worst_all = -math.inf
-        for tt, x_tun in zip(tun.times.tolist(), tun.positions.tolist()):
-            x_free = free_at.get(tt)
-            if (x_free is None or not math.isfinite(x_tun)
-                    or not math.isfinite(x_free)):
-                continue
-            worst_all = max(worst_all, x_tun - x_free)
-            if x_tun <= edge:
-                continue
-            checked += 1
-            worst = max(worst, x_tun - x_free)
+    for j, P in enumerate(levels.tolist()):
+        lead = x_tun[:, j] - x_free[:, j]
+        beyond = x_tun[:, j] > edge
+        checked = int(np.count_nonzero(beyond))
+        worst = float(np.max(lead[beyond], initial=-math.inf))
         verdicts.append(RetardationVerdict(
-            P=float(P), checked=checked, skipped=t_grid.size - checked,
-            worst_margin=worst, worst_margin_all=worst_all,
+            P=P, checked=checked, skipped=ts.size - checked,
+            worst_margin=worst, worst_margin_all=float(np.max(lead)),
             ok=(checked == 0 or worst <= tolerance),
-            tunnel_trajectory=tun, free_trajectory=ref))
+            times=ts, x_tunnel=x_tun[:, j], x_free=x_free[:, j]))
     return verdicts
 
 

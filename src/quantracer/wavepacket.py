@@ -257,8 +257,9 @@ class FreeGaussianModel(PacketModel):
         return self.rho(x, t) * _gaussian_velocity(self.params, x, t)
 
     def tail(self, x, t) -> float:
-        sig = self.params.sigma_x(t)
-        z = (float(x) - self.params.center(t)) / (math.sqrt(2.0) * sig)
+        if math.isnan(x):
+            raise InvalidRange("tail position is NaN")
+        z = (float(x) - self.params.center(t)) / (math.sqrt(2.0) * self.params.sigma_x(t))
         return 0.5 * math.erfc(z)
 
     def norm(self, t) -> float:

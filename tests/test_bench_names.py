@@ -1,8 +1,11 @@
-"""Names the benchmark tracer (perfbench/spans.py) rebinds by identity.
+"""Names the benchmark tracer (perfbench/spans.py) rebinds by identity,
+and the result fields its counters read.
 
-Tier-1 does not run the benchmark, so a rename that would leave one of
-its spans unbound fails here instead.
+Tier-1 does not run the benchmark, so a rename or a return-type change
+that would break one of its spans or counters fails here instead.
 """
+
+import numpy as np
 
 from quantracer import cli, numerics, quantile, tunneling, wavepacket
 
@@ -28,3 +31,20 @@ def test_traced_field_methods_are_defined_on_the_class():
     fields = wavepacket.SpectralPacketModel.__dict__
     assert all(callable(fields.get(name))
                for name in ("rho", "current", "density_and_current"))
+
+
+def test_counted_results_keep_their_fields():
+    # The tracer adds traj.floor_episodes of both tracers and v.checked of
+    # every retardation verdict; the retardation workload also inverts one
+    # scalar level at a time.
+    packet = wavepacket.DEFAULT_PACKET
+    model = wavepacket.FreeGaussianModel(packet)
+    for traj in (quantile.trace_trajectory_cdf(model, 0.5, [0.0, 1.0]),
+                 quantile.trace_trajectory_ode(model, 0.5, 0.0, 1.0)):
+        assert type(traj.floor_episodes) is int
+    spectrum, grid = wavepacket.spectral_setup(packet, t_max=1.0)
+    free = wavepacket.spectral_free_model(spectrum, grid)
+    tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
+    verdicts = tunneling.retardation_scan(free, tunnel, [0.3], np.linspace(0.0, 1.0, 3))
+    assert [type(v.checked) for v in verdicts] == [int]
+    assert type(quantile.quantile_position(tunnel, 0.3, 1.0)) is float

@@ -207,6 +207,19 @@ class TestConfigResolution:
         assert err.count("\n") == 1 and "cannot write" in err
         assert "Traceback" not in out + err
 
+    def test_unwritable_main_table_writes_no_density_file(self, tmp_path, capsys):
+        # The _density table comes first; its own path is writable, but the
+        # main table's is a directory, so the run must not start writing.
+        (tmp_path / "d").mkdir()
+        code = run_cli(tmp_path, "tunnel", "--t-max", "1", "--p-list", "0.5",
+                       "--snapshot-times", "0", "--out", str(tmp_path / "d"))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.count("\n") == 1 and "cannot write" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert not any((tmp_path / "d").iterdir())
+
     def test_small_n_lambda_rejected(self):
         with pytest.raises(Exception):
             validate_config(ScenarioConfig(n_lambda=8))

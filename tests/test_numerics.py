@@ -88,12 +88,12 @@ class TestIntegrateAdaptive:
         scale = abs(lhs) + abs(rhs) + 1.0
         assert abs(lhs - rhs) <= 2 * max(DEFAULT_TOL.quad_abs, DEFAULT_TOL.quad_rel * scale)
 
-    def test_nonconvergence_raises(self):
-        with pytest.raises(NonConvergence):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(quantracer.numerics, "_MAX_PANELS", 24)
+        with pytest.raises(NonConvergence, match="more than 24 panels"):
             integrate_adaptive(
                 lambda x: np.sin(1.0 / x), 1e-12, 1.0,
                 tol=Tolerances(quad_rel=1e-12, quad_abs=1e-15),
-                max_panels=24,
             )
 
     def test_retained_panels_tile_and_sum(self):

@@ -106,6 +106,35 @@ class TestQuantilePosition:
                     x = quantile_position(m, P, t)
                     assert m.tail(x, t) == pytest.approx(P, abs=1e-8)
 
+    @pytest.mark.parametrize("which", ["free", "tunnel", "closed-form"])
+    def test_array_of_levels_shares_one_table(self, tunnel_models, which,
+                                              monkeypatch):
+        # Every level of an array call reads one table and solves as a
+        # scalar call does, so the positions are the same bits.
+        model = {"free": tunnel_models[0], "tunnel": tunnel_models[1],
+                 "closed-form": FreeGaussianModel(DEFAULT_PACKET)}[which]
+        levels = np.array([[0.005, 0.02, 0.3], [0.5, 0.7, 0.95]])
+        t = 7.5
+        scalar = [quantile_position(model, P, t) for P in levels.ravel().tolist()]
+        assert all(type(x) is float for x in scalar)
+        builds = []
+        tail_panels = SpectralPacketModel.tail_panels
+        monkeypatch.setattr(SpectralPacketModel, "tail_panels",
+                            lambda self, t: builds.append(t) or tail_panels(self, t))
+        xs = quantile_position(model, levels, t)
+        assert xs.shape == levels.shape
+        assert xs.ravel().tolist() == scalar
+        assert builds == ([] if which == "closed-form" else [t])
+
+    @pytest.mark.parametrize("levels", [[0.3, 1.2], [0.3, math.nan], [0.0, 0.5],
+                                        [[0.2], [-0.1]]])
+    def test_array_with_a_bad_level_raises(self, tunnel_models, levels):
+        for model in (tunnel_models[1], FreeGaussianModel(DEFAULT_PACKET)):
+            with pytest.raises(InvalidRange):
+                quantile_position(model, levels, 1.0)
+        with pytest.raises(InvalidRange):
+            quantile_position(tunnel_models[1], math.nan, 1.0)
+
     def test_guess_matches_fresh_inversion(self, tunnel_models):
         # A root of the independent tail() bracketed around the table root
         # is the second path.

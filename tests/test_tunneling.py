@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import square_barrier_transmission
+from quantracer.cli import PRESETS
 from quantracer.errors import GridTooCoarse, InvalidRange
 from quantracer.numerics import build_kgrid
+from quantracer.quantile import quantile_position
 from quantracer.tunneling import (
     DeltaPReport,
     _term_weights,
@@ -27,6 +29,7 @@ from quantracer.wavepacket import (
     BarrierSpec,
     FreeGaussianModel,
     GaussianPacketParams,
+    SpectralPacketModel,
     spectral_free_model,
     spectral_setup,
     tunneling_packet_model,
@@ -265,10 +268,46 @@ class TestRetardationScan:
             assert v.checked > 0
             assert v.ok
             assert v.worst_margin < -0.1    # lags by a visible distance
-            # the verdict carries the trajectories its margins came from
-            tun, ref = v.tunnel_trajectory, v.free_trajectory
-            beyond = tun.positions > DEFAULT_BARRIER.half_width
-            assert np.max((tun.positions - ref.positions)[beyond]) == v.worst_margin
+            # the verdict carries the positions its margins came from
+            beyond = v.x_tunnel > DEFAULT_BARRIER.half_width
+            assert np.max((v.x_tunnel - v.x_free)[beyond]) == v.worst_margin
+
+    def test_one_table_per_model_and_time(self, fig2, monkeypatch):
+        # fig2: 17 levels x 21 times share 2 x 21 tables and sample no
+        # velocity; the positions are those of one-level inversions.
+        _, _, free, tunnel = fig2
+        levels = PRESETS["fig2"]["p_list"]
+        times = np.linspace(0.0, 10.0, 21)
+        calls = {"tail_panels": 0, "density_and_current": 0}
+        for name in calls:
+            original = getattr(SpectralPacketModel, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(SpectralPacketModel, name, counted)
+        verdicts = retardation_scan(free, tunnel, levels, times)
+        assert calls == {"tail_panels": 42, "density_and_current": 0}
+        assert [v.P for v in verdicts] == list(levels)
+        v = verdicts[3]
+        assert v.times.tolist() == times.tolist()
+        assert v.x_tunnel[-1] == quantile_position(tunnel, levels[3], 10.0)
+        assert v.x_free[-1] == quantile_position(free, levels[3], 10.0)
+
+    @pytest.mark.parametrize("pair, t_grid", [
+        ("closed-form free", np.linspace(0.0, 2.0, 3)),
+        ("no barrier", np.linspace(0.0, 2.0, 3)),
+        ("spectral", []),
+        ("spectral", [0.0, 2.0, 1.0]),
+        ("spectral", [[0.0, 1.0]]),
+    ])
+    def test_refuses_a_foreign_pair_or_bad_grid(self, fig2, pair, t_grid):
+        _, _, free, tunnel = fig2
+        free, tunnel = {"closed-form free": (FreeGaussianModel(DEFAULT_PACKET), tunnel),
+                        "no barrier": (free, free),
+                        "spectral": (free, tunnel)}[pair]
+        with pytest.raises(InvalidRange):
+            retardation_scan(free, tunnel, [0.01, 0.3], t_grid)
 
     def test_reflected_quantile_is_vacuous_beyond_edge(self, fig2):
         _, _, free, tunnel = fig2

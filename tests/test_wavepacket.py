@@ -100,6 +100,20 @@ class TestFreeGaussianModel:
         assert m.tail(math.inf, 2.0) == 0.0
         assert m.norm(7.0) == 1.0
 
+    @pytest.mark.parametrize("call", [
+        lambda: FreeGaussianModel(DEFAULT_PACKET).tail(math.nan, 1.0),
+        lambda: DissipativeGaussianModel(DEFAULT_PACKET, 0.1).tail(math.nan, 1.0),
+        lambda: FreeGaussianModel(DEFAULT_PACKET).interval_mass(0.0, math.nan, 1.0),
+    ], ids=["free-tail", "lossy-tail", "free-interval"])
+    def test_closed_form_refuses_a_nan_position(self, call):
+        # As the spectral models do; +-inf still gives the limits.
+        with pytest.raises(InvalidRange, match="tail position is NaN"):
+            call()
+        for model in (FreeGaussianModel(DEFAULT_PACKET),
+                      DissipativeGaussianModel(DEFAULT_PACKET, 0.1)):
+            assert model.tail(math.inf, 1.0) == 0.0
+            assert model.tail(-math.inf, 1.0) == model.norm(1.0)
+
     def test_support_hint_captures_mass(self):
         m = FreeGaussianModel(DEFAULT_PACKET)
         for t in (0.0, 10.0):
