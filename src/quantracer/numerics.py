@@ -333,12 +333,22 @@ def nodes_for_phase(max_phase_rate, k_lo, k_hi, minimum=64):
 # ---------------------------------------------------------------------------
 
 
+# Relative bracket tolerance and iteration cap of the Brent loop.
+_ROOT_REL = 4.0 * float(np.finfo(float).eps)
+_ROOT_MAXITER = 200
+
+
 def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
     """Root of a monotone function within ``bracket``.
 
-    Uses Brent's bracketing method (bisection fallback built in), so
-    convergence is guaranteed once the bracket straddles a sign change;
-    raises NoSignChange otherwise, and NonConvergence where g is NaN.
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973), step for step as scipy's ``brentq``: inverse
+    quadratic or secant steps, bisection where they would not shrink the
+    bracket fast enough, down to a width of root_abs + 4 eps |x|.  It
+    returns the bits of ``brentq(g, lo, hi, xtol=root_abs, rtol=4*eps,
+    maxiter=200)`` but evaluates each bracket end once.  Raises NoSignChange
+    unless the bracket straddles a sign change, NonConvergence where g is
+    NaN or after 200 iterations.
     """
     def checked(x):
         value = float(g(x))
@@ -349,20 +359,46 @@ def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if hi < lo:
         lo, hi = hi, lo
-    glo = checked(lo)
-    ghi = checked(hi)
+    glo, ghi = checked(lo), checked(hi)
     if glo == 0.0:
         return lo
     if ghi == 0.0:
         return hi
-    if glo * ghi > 0.0:
+    if (glo < 0.0) == (ghi < 0.0):
         raise NoSignChange(
             f"g({lo}) = {glo} and g({hi}) = {ghi} have the same sign"
         )
-    from scipy.optimize import brentq
-
-    return float(brentq(checked, lo, hi, xtol=tol.root_abs,
-                        rtol=4 * np.finfo(float).eps, maxiter=200))
+    # pre: the previous iterate; blk: the bracket end opposite cur;
+    # spre, scur: the step before last and the last step.
+    xpre, fpre, xcur, fcur = lo, glo, hi, ghi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (tol.root_abs + _ROOT_REL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)   # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = checked(xcur)
+    raise NonConvergence(f"root not bracketed to {tol.root_abs:g} after "
+                         f"{_ROOT_MAXITER} iterations", value=xcur,
+                         error=abs(xblk - xcur))
 
 
 # ---------------------------------------------------------------------------

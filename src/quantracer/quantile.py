@@ -139,10 +139,13 @@ def quantile_position(model: PacketModel, P, t: float,
     One root solve per level.  A spectral model builds one panel table at t
     (``tail_panels``) and solves each level inside the panel whose edge
     tails straddle it; other models invert their own ``tail`` over the
-    support hint.  Raises InvalidRange for a level outside (0, 1) or NaN,
-    and NormBelowP where the total norm has decayed to or below a level.
+    support hint.  An empty P reads nothing and returns an empty array of
+    its shape.  Raises InvalidRange for a level outside (0, 1) or NaN, and
+    NormBelowP where the total norm has decayed to or below a level.
     """
     levels = np.asarray(P, dtype=float)
+    if levels.size == 0:
+        return np.empty(levels.shape)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise InvalidRange(f"P must lie in (0, 1), got {P}")
     norm = model.norm(t)

@@ -48,3 +48,19 @@ def test_counted_results_keep_their_fields():
     verdicts = tunneling.retardation_scan(free, tunnel, [0.3], np.linspace(0.0, 1.0, 3))
     assert [type(v.checked) for v in verdicts] == [int]
     assert type(quantile.quantile_position(tunnel, 0.3, 1.0)) is float
+
+
+def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
+    # The tracer counts numerics.root.evals by rebinding
+    # quantile.find_root_monotone and wrapping its argument 0; a solve that
+    # went round that binding would read 0 evaluations.
+    evals = []
+    solve = quantile.find_root_monotone
+
+    def counted_solve(g, *args, **kwargs):
+        return solve(lambda x: evals.append(x) or g(x), *args, **kwargs)
+    monkeypatch.setattr(quantile, "find_root_monotone", counted_solve)
+    spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=1.0)
+    tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
+    quantile.quantile_position(tunnel, 0.3, 1.0)
+    assert len(evals) >= 3

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import quantracer
 from quantracer.errors import InvalidRange, NonConvergence, NoSignChange, StepUnderflow
@@ -243,6 +244,38 @@ class TestFindRootMonotone:
         g_scale = max(abs(g(-8.0)), abs(g(8.0)))
         assert abs(g(x)) <= g_scale * 1e-8
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.0, 10.0),
+        b=st.floats(0.0, 5.0),
+        c=st.floats(0.01, 50.0),
+        root=st.floats(-3.0, 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        lo=st.floats(-8.0, -3.5),
+        hi=st.floats(3.5, 8.0),
+    )
+    def test_same_bits_as_scipy_brentq(self, a, b, c, root, sign, lo, hi):
+        def g(x):
+            return sign * (a * (x - root) + b * (x - root) ** 3 + math.tanh(c * (x - root)))
+        expected = brentq(g, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps,
+                          maxiter=200)
+        assert find_root_monotone(g, (lo, hi)) == expected
+
+    def test_each_bracket_end_evaluated_once(self):
+        seen = []
+        x = find_root_monotone(lambda x: seen.append(x) or math.tanh(3.0 * (x - 0.3)),
+                               (5.0, -2.0))
+        assert x == pytest.approx(0.3, abs=1e-10)
+        assert seen[:2] == [-2.0, 5.0]
+        assert seen.count(-2.0) == seen.count(5.0) == 1
+
+    def test_iteration_cap_raises_nonconvergence(self):
+        # A jump at 0 cannot be bracketed to 1e-300 in 200 iterations.
+        with pytest.raises(NonConvergence) as exc:
+            find_root_monotone(lambda x: math.copysign(1.0, x), (-1.0, 3.0),
+                               Tolerances(root_abs=1e-300))
+        assert abs(exc.value.value) <= exc.value.error < 1e-50
+
 
 class TestIntegrateOde:
     def test_constant_velocity(self):
@@ -315,17 +348,43 @@ class TestIntegrateOde:
         assert exc.value.t is not None
 
 
-def test_package_import_loads_no_scipy():
-    # scipy is imported inside the kernels that use it (brentq, solve_ivp),
-    # and erfc is math.erfc, so importing the package stays numpy-only.
+def _run_fresh(code, cwd=None):
+    """stdout of ``code`` run in a fresh interpreter that finds this package."""
     src = os.path.dirname(os.path.dirname(quantracer.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=cwd,
+                          capture_output=True, text=True).stdout
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is imported only inside the ODE driver (solve_ivp), and erfc is
+    # math.erfc, so importing the package stays numpy-only.
     code = ("import sys, quantracer; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_inversion_loads_no_scipy_optimize(tmp_path):
+    # Root solves are the library's own Brent loop: inverting spectral and
+    # closed-form models, a retardation scan and a small tunnel run leave
+    # scipy.optimize unloaded.
+    code = """if True:
+        import sys
+        import numpy as np
+        from quantracer import cli, quantile, tunneling, wavepacket
+        spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=2.0)
+        free = wavepacket.spectral_free_model(spectrum, grid)
+        tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
+        quantile.quantile_position(tunnel, [0.3, 0.6], 2.0)
+        quantile.quantile_position(wavepacket.FreeGaussianModel(wavepacket.DEFAULT_PACKET),
+                                   0.3, 2.0)
+        tunneling.retardation_scan(free, tunnel, [0.01, 0.3], np.linspace(0.0, 2.0, 3))
+        assert cli.main(["tunnel", "--t-max", "1", "--p-list", "0.5"]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+    """
+    assert _run_fresh(code, cwd=tmp_path).strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "tunnel_trajectories.csv").exists()
 
 
 @pytest.mark.parametrize("module", ["numerics", "quantile", "wavepacket"])

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import erfcinv
 
 from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
@@ -134,6 +137,28 @@ class TestQuantilePosition:
                 quantile_position(model, levels, 1.0)
         with pytest.raises(InvalidRange):
             quantile_position(tunnel_models[1], math.nan, 1.0)
+
+    @pytest.mark.parametrize("levels", [[], np.empty((2, 0))])
+    def test_no_level_reads_no_norm_and_builds_no_table(self, tunnel_models, levels,
+                                                        monkeypatch):
+        def refuse(self, t):
+            raise AssertionError("an empty level list read the model")
+        for name in ("norm", "tail_panels"):
+            monkeypatch.setattr(SpectralPacketModel, name, refuse)
+        xs = quantile_position(tunnel_models[1], levels, 1.0)
+        assert xs.shape == np.shape(levels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(P=st.floats(0.001, 0.999), t=st.sampled_from([0.0, 5.0, 10.0]),
+           which=st.sampled_from([0, 1]))
+    def test_table_solve_same_bits_as_scipy_brentq(self, tunnel_models, P, t, which):
+        model = tunnel_models[which]
+        panels = model.tail_panels(t)
+        lo, hi = panels.bracket(P)
+        expected = brentq(lambda x: panels.tail(x) - P, lo, hi, xtol=1e-10,
+                          rtol=4 * np.finfo(float).eps, maxiter=200)
+        assert find_root_monotone(lambda x: panels.tail(x) - P, (lo, hi)) == expected
+        assert quantile_position(model, P, t) == expected
 
     def test_guess_matches_fresh_inversion(self, tunnel_models):
         # A root of the independent tail() bracketed around the table root

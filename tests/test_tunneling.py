@@ -294,6 +294,15 @@ class TestRetardationScan:
         assert v.x_tunnel[-1] == quantile_position(tunnel, levels[3], 10.0)
         assert v.x_free[-1] == quantile_position(free, levels[3], 10.0)
 
+    def test_empty_level_list_builds_no_table(self, fig2, monkeypatch):
+        _, _, free, tunnel = fig2
+        builds = []
+        tail_panels = SpectralPacketModel.tail_panels
+        monkeypatch.setattr(SpectralPacketModel, "tail_panels",
+                            lambda self, t: builds.append(t) or tail_panels(self, t))
+        assert retardation_scan(free, tunnel, [], np.linspace(0.0, 8.0, 5)) == []
+        assert builds == []
+
     @pytest.mark.parametrize("pair, t_grid", [
         ("closed-form free", np.linspace(0.0, 2.0, 3)),
         ("no barrier", np.linspace(0.0, 2.0, 3)),
