@@ -6,10 +6,14 @@ class QuantracerError(Exception):
 
 
 class NonConvergence(QuantracerError):
-    """Adaptive quadrature ran out of subdivisions before meeting its tolerance.
+    """A quadrature or root solve stopped short of its tolerance.
 
-    Carries the best available estimate and its error bound so callers can
-    decide whether to accept a degraded result.
+    Adaptive quadrature raises it after its panel cap or on a panel too
+    narrow to split; ``value`` is then the running total and ``error`` its
+    summed error estimate.  find_root_monotone raises it for a NaN root
+    function (no value or error) and after its 200 iterations, with the
+    last iterate as ``value`` and the bracket width as ``error``.  Callers
+    can decide whether to accept a degraded result.
     """
 
     def __init__(self, message, value=None, error=None):
@@ -25,7 +29,9 @@ class NoSignChange(QuantracerError):
 class StepUnderflow(QuantracerError):
     """ODE stepper needed a step below machine scale (near-singular velocity).
 
-    Carries the last accepted state so callers can recover or report it.
+    ``t`` and ``x`` are the last sample the path returned before the
+    failure (an accepted step point, or the last ``t_eval`` sample), or the
+    start (t0, x0) when there is none, so callers can recover or report it.
     """
 
     def __init__(self, message, t=None, x=None):

@@ -406,6 +406,38 @@ def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Dormand & Prince's 5(4) pair: nodes C, stage coefficients A, fifth-order
+# weights B, error weights E (fifth minus fourth order, the FSAL stage
+# last), and Shampine's quartic dense-output matrix P.  A keeps scipy's
+# (6, 5) layout, so every np.dot sees the operands that scipy's RK45 does.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+# Step control: safety factor, bounds on one step change, and the exponent
+# -1 / (4 + 1) of the fourth-order error estimate.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 5
+
+# Stop events are located to 4 eps absolute and relative.
+_EVENT_TOL = Tolerances(root_abs=_ROOT_REL)
+
+
 @dataclass
 class OdePath:
     """Sampled solution of an ODE trace with its stop record."""
@@ -414,6 +446,37 @@ class OdePath:
     states: np.ndarray       # (n, d)
     stop_reason: str         # "completed" or "stopped"
     stop_time: float | None = None
+
+
+def _rms(v):
+    """RMS norm, as np.linalg.norm(v) / sqrt(v.size)."""
+    return np.sqrt(v.dot(v)) / v.size ** 0.5
+
+
+def _first_step(fun, t0, y0, f0, t1, rtol, atol):
+    """Initial step of Hairer, Norsett & Wanner, II.4, for error order 4."""
+    span = t1 - t0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _dense_output(K, t_old, t, y_old):
+    """Shampine's interpolant y_old + h (K^T P) [x, x^2, x^3, x^4] on the step
+    [t_old, t], x = (s - t_old) / h; an array of s gives one row per s."""
+    h, Q = t - t_old, K.T.dot(_DP_P)
+
+    def at(s):
+        x = (np.asarray(s) - t_old) / h
+        p = np.cumprod(np.repeat(x[None], 4, axis=0), axis=0)
+        return (h * np.dot(Q, p)).T + y_old
+    return at
 
 
 def integrate_ode(
@@ -425,53 +488,98 @@ def integrate_ode(
     stop=None,
     t_eval=None,
 ) -> OdePath:
-    """Integrate dx/dt = rhs(t, x) adaptively from t0 to t1.
+    """Integrate dx/dt = rhs(t, x) adaptively from t0 to t1 >= t0.
 
-    One ``solve_ivp`` RK45 run.  ``x0`` may be a scalar or a 1-d state
-    vector.  The path is sampled at ``t_eval`` when given, otherwise at the
-    accepted step points.  ``stop`` is an optional event g(t, x): the path
-    stops where g falls through zero (located by a root solve on the dense
-    output, and always its last sample), or at t0 if g(t0, x0) <= 0.
-    Raises StepUnderflow (with the last returned state) when the controller
-    cannot advance.
+    Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) with
+    Shampine's quartic dense output (Math. Comp. 46, 1986), and the initial
+    step and step control of Hairer, Norsett & Wanner, *Solving ODEs I*,
+    II.4, at ode_rel / ode_abs.  It follows scipy's RK45 and ``solve_ivp``
+    step for step and returns their bits after their rhs calls: 2, then 6
+    per step tried.  ``x0`` may be a scalar or a 1-d state vector.  The
+    path is sampled at ``t_eval`` (strictly increasing within [t0, t1])
+    when given, otherwise at t0 and each step end.  ``stop`` is an optional
+    event g(t, x), evaluated at t0 and at each step end: the path stops
+    where g falls through zero (a root solve on the dense output to 4 eps,
+    and always its last sample), or at t0 if g(t0, x0) <= 0.  Raises
+    InvalidRange for t1 < t0 or an empty or non-finite x0, and
+    StepUnderflow (with the last sample returned, or (t0, x0)) once the
+    step falls below 10 spacings of t.
     """
-    from scipy.integrate import solve_ivp
-
+    t0, t1 = float(t0), float(t1)
     y0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not (-math.inf < t0 <= t1 < math.inf and y0.size and np.isfinite(y0).all()):
+        raise InvalidRange(f"need finite x0 and t0 <= t1, got {x0} on [{t0}, {t1}]")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
-            raise InvalidRange("t_eval must lie within [t0, t1]")
+        if np.any(np.diff(t_eval) <= 0.0) or t_eval.size and (
+                t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
+            raise InvalidRange("t_eval must increase strictly within [t0, t1]")
         t_eval = np.clip(t_eval, t0, t1)
 
-    events = None
     if stop is not None:
-        if stop(t0, y0) <= 0.0:
+        g_old = stop(t0, y0)
+        if g_old <= 0.0:
             return OdePath(times=np.array([t0]), states=y0[None, :].copy(),
                            stop_reason="stopped", stop_time=t0)
-
-        def events(t, y):
-            return stop(t, y)
-        events.terminal = True
-        events.direction = -1
     if t1 == t0:
         return OdePath(times=np.array([t0]), states=y0[None, :].copy(),
                        stop_reason="completed")
 
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", t_eval=t_eval,
-                    events=events, rtol=tol.ode_rel, atol=tol.ode_abs)
-    times = np.asarray(sol.t, dtype=float)
-    states = np.reshape(np.transpose(sol.y), (times.size, y0.size))
-    if sol.status == -1:
-        t_last, y_last = (times[-1], states[-1]) if times.size else (t0, y0)
-        raise StepUnderflow(f"ODE step failed after t = {t_last}: {sol.message}",
-                            t=float(t_last), x=y_last.copy())
-    if sol.status == 0:
-        return OdePath(times=times, states=states, stop_reason="completed")
-    t_stop, y_stop = float(sol.t_events[0][0]), sol.y_events[0][0]
-    if t_eval is not None:
-        # With t_eval, solve_ivp samples up to the event but not the event.
-        times = np.append(times, t_stop)
-        states = np.vstack([states, y_stop])
-    return OdePath(times=times, states=states, stop_reason="stopped",
-                   stop_time=t_stop)
+    def fun(t, y):
+        return np.asarray(rhs(t, y), dtype=float)
+
+    rtol, atol = max(tol.ode_rel, 100 * np.finfo(float).eps), tol.ode_abs
+    f = fun(t0, y0)
+    h_abs = _first_step(fun, t0, y0, f, t1, rtol, atol)
+    K = np.empty((7, y0.size))
+    t, y, i_eval, stopped = t0, y0, 0, False
+    times, states = ([t0], [y0]) if t_eval is None else ([], [])
+    while not stopped and t < t1:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:     # shrink until the step passes, then grow for the next
+            if h_abs < min_step:
+                t_last, y_last = (times[-1], states[-1]) if times else (t0, y0)
+                raise StepUnderflow(f"ODE step below {min_step:g} after t = {t_last}",
+                                    t=float(t_last), x=y_last.copy())
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:6].T, _DP_B)
+            f_new = K[6] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else
+                          min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+
+        at = None
+        if stop is not None:
+            g_new = stop(t, y)
+            if g_old >= 0 and g_new <= 0:       # g falls through zero
+                at = _dense_output(K, t_old, t, y_old)
+                t = find_root_monotone(lambda s: stop(s, at(s)), (t_old, t), _EVENT_TOL)
+                y, stopped = at(t), True
+            g_old = g_new
+        if t_eval is not None:
+            j = int(np.searchsorted(t_eval, t, side="right"))
+            if j > i_eval:
+                at = at or _dense_output(K, t_old, t, y_old)
+                times.extend(t_eval[i_eval:j])
+                states.extend(at(t_eval[i_eval:j]))
+                i_eval = j
+        if t_eval is None or stopped:
+            times.append(t)
+            states.append(y)
+    return OdePath(times=np.array(times, dtype=float),
+                   states=np.array(states).reshape(len(times), y0.size),
+                   stop_reason="stopped" if stopped else "completed",
+                   stop_time=float(t) if stopped else None)

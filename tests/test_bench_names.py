@@ -64,3 +64,18 @@ def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
     tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
     quantile.quantile_position(tunnel, 0.3, 1.0)
     assert len(evals) >= 3
+
+
+def test_ode_trace_steps_through_the_traced_ode_binding(monkeypatch):
+    # The tracer counts numerics.ode.rhs_evals by rebinding
+    # quantile.integrate_ode and wrapping its argument 0; a driver that
+    # went round that binding would read 0 rhs calls.
+    calls = []
+    integrate = quantile.integrate_ode
+
+    def counted_integrate(rhs, *args, **kwargs):
+        return integrate(lambda t, x: calls.append(t) or rhs(t, x), *args, **kwargs)
+    monkeypatch.setattr(quantile, "integrate_ode", counted_integrate)
+    model = wavepacket.FreeGaussianModel(wavepacket.DEFAULT_PACKET)
+    quantile.trace_trajectory_ode(model, 0.5, 0.0, 1.0)
+    assert len(calls) > 6

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import quantracer
@@ -15,6 +16,7 @@ from quantracer.errors import InvalidRange, NonConvergence, NoSignChange, StepUn
 from quantracer.numerics import (
     DEFAULT_TOL,
     PANEL_NODES,
+    OdePath,
     Tolerances,
     adaptive_panels,
     build_kgrid,
@@ -347,6 +349,109 @@ class TestIntegrateOde:
             integrate_ode(lambda t, x: x * x, 1.0, 0.0, 2.0)
         assert exc.value.t is not None
 
+    def test_step_underflow_carries_last_sample(self):
+        # With t_eval the failure reports the last sample returned before
+        # the blow-up at t = 1, where x = 1 / (1 - t).
+        with pytest.raises(StepUnderflow) as exc:
+            integrate_ode(lambda t, x: x * x, 1.0, 0.0, 2.0, t_eval=[0.0, 0.45, 0.9, 1.5])
+        assert exc.value.t == 0.9
+        assert exc.value.x[0] == pytest.approx(10.0, rel=1e-6)
+
+    @pytest.mark.parametrize("x0, t1, t_eval", [
+        (1.0, -1.0, None), (math.nan, 1.0, None), ([], 1.0, None),
+        (1.0, 1.0, [0.0, 0.5, 0.5]), (1.0, 1.0, [0.5, 0.2]),
+    ])
+    def test_refuses_what_it_cannot_integrate(self, x0, t1, t_eval):
+        with pytest.raises(InvalidRange):
+            integrate_ode(lambda t, x: x, x0, 0.0, t1, t_eval=t_eval)
+
+    def test_stop_evaluated_once_at_t0(self):
+        at_t0 = []
+
+        def stop(t, x):
+            if t == 0.5:
+                at_t0.append(x[0])
+            return 2.0 - x[0]
+        path = integrate_ode(lambda t, x: np.ones_like(x), 0.0, 0.5, 10.0, stop=stop)
+        assert path.stop_reason == "stopped"
+        assert at_t0 == [0.0]
+
+    def test_rhs_calls_equal_solve_ivp_nfev(self):
+        calls = []
+        rhs = lambda t, x: x * math.cos(t)
+        integrate_ode(lambda t, x: calls.append(t) or rhs(t, x), 1.0, 0.0, 50.0)
+        sol = solve_ivp(rhs, (0.0, 50.0), [1.0], method="RK45",
+                        rtol=DEFAULT_TOL.ode_rel, atol=DEFAULT_TOL.ode_abs)
+        assert len(calls) == sol.nfev > 100
+
+
+def _solve_ivp_path(rhs, x0, t1, tol, stop, t_eval):
+    """What integrate_ode returned as one ``solve_ivp`` RK45 run from t = 0,
+    and that run's rhs call count."""
+    y0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    events = None
+    if stop is not None:
+        def events(t, y):
+            return stop(t, y)
+        events.terminal, events.direction = True, -1
+    sol = solve_ivp(rhs, (0.0, t1), y0, method="RK45", t_eval=t_eval, events=events,
+                    rtol=tol.ode_rel, atol=tol.ode_abs)
+    times = np.asarray(sol.t, dtype=float)
+    states = np.reshape(np.transpose(sol.y), (times.size, y0.size))
+    if sol.status == 0:
+        return OdePath(times, states, "completed"), sol.nfev
+    t_stop = float(sol.t_events[0][0])
+    if t_eval is not None:
+        # solve_ivp samples t_eval up to the event but not the event.
+        times = np.append(times, t_stop)
+        states = np.vstack([states, sol.y_events[0][0]])
+    return OdePath(times, states, "stopped", t_stop), sol.nfev
+
+
+def _smooth_problem(kind, rate, x0):
+    """(rhs, x0) of a smooth ODE: linear decay or growth, x cos t, or a
+    rotation of a 3-vector about the axis (rate, 1, -0.5)."""
+    if kind == "linear":
+        return (lambda t, x: rate * x), x0
+    if kind == "xcos":
+        return (lambda t, x: x * math.cos(rate * t)), x0
+    axis = np.array([rate, 1.0, -0.5])
+    return (lambda t, x: np.cross(axis, x)), np.array([x0, 0.5, -1.0])
+
+
+class TestSameBitsAsSolveIvp:
+    """integrate_ode follows scipy's RK45 step for step; solve_ivp is the oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "xcos", "rotation"]),
+        rate=st.floats(-2.0, 2.0),
+        x0=st.floats(-3.0, 3.0),
+        t1=st.floats(0.1, 10.0),
+        tol=st.sampled_from([DEFAULT_TOL, Tolerances(ode_rel=1e-4, ode_abs=1e-6),
+                             Tolerances(ode_rel=1e-11, ode_abs=1e-13)]),
+        fractions=st.none() | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        margin=st.none() | st.floats(0.01, 3.0),
+    )
+    def test_same_path_and_rhs_calls(self, kind, rate, x0, t1, tol, fractions, margin):
+        rhs, x0 = _smooth_problem(kind, rate, x0)
+        t_eval = None if fractions is None else np.unique(t1 * np.array(fractions))
+        stop = None
+        if margin is not None:
+            # Positive at t = 0; falls through zero once |x_0| grows or t passes.
+            bound = float(np.atleast_1d(x0)[0]) ** 2 + margin
+            stop = lambda t, x: bound - x[0] * x[0] - 0.3 * t
+        expected, nfev = _solve_ivp_path(rhs, x0, t1, tol, stop, t_eval)
+        calls = []
+        path = integrate_ode(lambda t, x: calls.append(t) or rhs(t, x), x0, 0.0, t1, tol,
+                             stop=stop, t_eval=t_eval)
+        assert path.stop_reason == expected.stop_reason
+        assert path.stop_time == expected.stop_time
+        np.testing.assert_array_equal(path.times, expected.times)
+        np.testing.assert_array_equal(path.states, expected.states)
+        assert path.states.shape == expected.states.shape
+        assert len(calls) == nfev
+
 
 def _run_fresh(code, cwd=None):
     """stdout of ``code`` run in a fresh interpreter that finds this package."""
@@ -358,17 +463,19 @@ def _run_fresh(code, cwd=None):
 
 
 def test_package_import_loads_no_scipy():
-    # scipy is imported only inside the ODE driver (solve_ivp), and erfc is
-    # math.erfc, so importing the package stays numpy-only.
+    # erfc is math.erfc, and the library's only scipy import is cli's
+    # ``import scipy`` for the manifest's version field, so importing the
+    # package stays numpy-only.
     code = ("import sys, quantracer; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run_fresh(code).strip() == "[]"
 
 
-def test_inversion_loads_no_scipy_optimize(tmp_path):
-    # Root solves are the library's own Brent loop: inverting spectral and
-    # closed-form models, a retardation scan and a small tunnel run leave
-    # scipy.optimize unloaded.
+def test_library_runs_load_no_scipy_submodule(tmp_path):
+    # Root solves are the library's own Brent loop and ODE steps its own
+    # Dormand-Prince loop: inversions, a retardation scan, trajectories on
+    # both routes, a 3D flow map and CLI runs of every ODE command leave
+    # scipy.integrate and scipy.optimize unloaded.
     code = """if True:
         import sys
         import numpy as np
@@ -380,11 +487,22 @@ def test_inversion_loads_no_scipy_optimize(tmp_path):
         quantile.quantile_position(wavepacket.FreeGaussianModel(wavepacket.DEFAULT_PACKET),
                                    0.3, 2.0)
         tunneling.retardation_scan(free, tunnel, [0.01, 0.3], np.linspace(0.0, 2.0, 3))
+        quantile.trace_trajectory_ode(tunnel, 0.3, 0.0, 1.0)
+        field = wavepacket.Gaussian3DModel(wavepacket.Gaussian3DParams(
+            center=(0.0, 0.0, 0.0), velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
+        quantile.trace_flowmap_3d(field, quantile.sphere_seeds((0.0, 0.0, 0.0), 2.5),
+                                  [0.0, 0.5, 1.0])
         assert cli.main(["tunnel", "--t-max", "1", "--p-list", "0.5"]) == 0
-        print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+        for command in ("free", "dissipative"):
+            assert cli.main([command, "--t-max", "1", "--p-list", "0.5"]) == 0
+        assert cli.main(["verify", "--quick"]) == 0
+        print(sorted(m for m in sys.modules
+                     if m.startswith(("scipy.integrate", "scipy.optimize"))))
     """
     assert _run_fresh(code, cwd=tmp_path).strip().splitlines()[-1] == "[]"
-    assert (tmp_path / "tunnel_trajectories.csv").exists()
+    for name in ("tunnel_trajectories", "free_trajectories",
+                 "dissipative_trajectories", "verify_report"):
+        assert (tmp_path / f"{name}.csv").exists()
 
 
 @pytest.mark.parametrize("module", ["numerics", "quantile", "wavepacket"])
