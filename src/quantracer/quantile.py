@@ -121,7 +121,11 @@ def quantile_velocity(model: PacketModel, x: float, t: float, *,
                       floor_rel: float = DENSITY_FLOOR_REL) -> float:
     """Quantile velocity at (x, t): current over density, minus the loss
     tail over density for lossy models (the integro-differential form)."""
-    rho, cur = model.density_and_current(x, t)
+    return _field_velocity(model, x, t, *model.density_and_current(x, t), floor_rel)
+
+
+def _field_velocity(model: PacketModel, x, t, rho, cur, floor_rel: float) -> float:
+    """quantile_velocity from the (rho, current) pair already evaluated at (x, t)."""
     rho = float(rho)
     if rho <= floor_rel * model.peak_density(t):
         raise VelocitySingular(
@@ -243,20 +247,28 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         # Stop just short of the crossing; the quantile dives to -inf there.
         t_stop = t_end - max(1e-9, 8.0 * np.finfo(float).eps * abs(t_end))
 
-    last = [None, 0.0]      # (t, x) of the latest rhs call and its density
+    # (rho, j) of the rhs calls made exactly at a sample, by (t, x): each
+    # segment's anchor and each accepted step end (evaluated for the next
+    # step; floor_margin sees the match).  Sample velocities reuse them.
+    fields = {}
+    last = [None, None]     # (t, x) of the latest rhs call and its pair
 
     def rhs(t, y):
         x = float(y[0])
-        rho, cur = model.density_and_current(x, t)
-        last[:] = (t, x), float(rho)
-        rho = max(float(rho), floor_rel * model.peak_density(t))
-        return np.array([(float(cur) - model.loss_tail(x, t)) / rho])
+        pair = model.density_and_current(x, t)
+        if (t, x) == anchor:
+            fields[anchor] = pair
+        last[:] = (t, x), pair
+        rho = max(float(pair[0]), floor_rel * model.peak_density(t))
+        return np.array([(float(pair[1]) - model.loss_tail(x, t)) / rho])
 
     def floor_margin(t, y):
-        # After an accepted step the last rhs call (RK45 evaluates the step
-        # end for its next step) was at this point, so its density serves.
         x = float(y[0])
-        rho = last[1] if last[0] == (t, x) else float(model.rho(x, t))
+        if last[0] == (t, x):
+            fields[t, x] = last[1]
+            rho = float(last[1][0])
+        else:
+            rho = float(model.rho(x, t))
         return rho - floor_rel * model.peak_density(t)
 
     x_cur = quantile_position(model, P, t0, tol)
@@ -272,6 +284,7 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
             xs.append(float(x))
 
     while t_cur < t_stop:
+        anchor = (t_cur, x_cur)
         seg_eval = None
         if t_eval is not None:
             mask = (t_eval > t_cur) & (t_eval <= t_stop)
@@ -302,8 +315,9 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
     xs = np.array(xs)
     vs = np.empty_like(xs)
     for i, (tt, xx) in enumerate(zip(times, xs)):
+        pair = fields.get((tt, xx)) or model.density_and_current(xx, tt)
         try:
-            vs[i] = quantile_velocity(model, xx, tt, floor_rel=floor_rel)
+            vs[i] = _field_velocity(model, xx, tt, *pair, floor_rel)
         except VelocitySingular:
             vs[i] = math.nan
     return QuantileTrajectory(P=P, times=times, positions=xs, velocities=vs,

@@ -201,7 +201,12 @@ class PacketModel(abc.ABC):
         return 0.0
 
     def density_and_current(self, x, t):
-        """(rho, current) in one call; models may fuse the evaluation."""
+        """(rho, current) in one call, with the bits of rho and current.
+
+        Models may fuse the evaluation: a spectral model shares the mode
+        exponentials and calls neither method, and for a scalar x runs only
+        its region's kernel (no masks or row chunks), returning two floats.
+        """
         return self.rho(x, t), self.current(x, t)
 
     @abc.abstractmethod
@@ -366,38 +371,51 @@ def _free_coefficients(k):
     return k.astype(complex), one, zero, one, zero
 
 
+def _region_fields(region: int, xs, k, gamma, T, R, A, B, with_derivative):
+    """Mode values and, if asked, x-derivatives, each (n, len(k)), at an
+    (n, 1) column xs in one region: 0 left (e^{ikx} + R e^{-ikx}, the
+    conjugate giving e^{-ikx}), 1 inside (A e^{i gamma x} + B e^{-i gamma x}),
+    2 right (T e^{ikx}).  Values and derivatives share their exponentials."""
+    if region == 0:
+        e = np.exp(1j * k * xs)
+        r = R * e.conj()
+        return e + r, 1j * k * (e - r) if with_derivative else None
+    if region == 1:
+        up = A * np.exp(1j * gamma * xs)
+        down = B * np.exp(-1j * gamma * xs)
+        return up + down, 1j * gamma * (up - down) if with_derivative else None
+    e = np.exp(1j * k * xs)
+    return T * e, 1j * k * T * e if with_derivative else None
+
+
+def _point_fields(x: float, k, gamma, T, R, A, B, half_width, with_derivative):
+    """_mode_fields at one position, each (1, len(k)): two comparisons pick
+    its region, whose kernel alone runs, on a (1, 1) x."""
+    region = 2 if x > half_width else 0 if x < -half_width else 1
+    return _region_fields(region, np.array([[x]]), k, gamma, T, R, A, B,
+                          with_derivative)
+
+
 def _mode_fields(x, k, gamma, T, R, A, B, half_width, with_derivative):
     """Region-wise mode values and, if asked, x-derivatives, each (len(x), len(k)).
 
-    Values and derivatives share their exponentials; left of the barrier
-    e^{-ikx} is the conjugate of e^{ikx}.  At V = 0 every region gives the
-    same plane wave, so the free reference passes half_width = -inf and
-    evaluates every point in the transmitted region, the cheapest one.
+    Each region present among the x values is one _region_fields call; at
+    V = 0 every region gives the same plane wave, so the free reference
+    passes half_width = -inf and evaluates every point in the transmitted
+    region, the cheapest one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     val = np.empty((x.size, k.size), dtype=complex)
     der = np.empty_like(val) if with_derivative else None
     right = x > half_width
     left = (x < -half_width) & ~right
-    mid = ~(left | right)
-    if np.any(left):
-        e = np.exp(1j * k * x[left, None])
-        r = R * e.conj()
-        val[left] = e + r
-        if with_derivative:
-            der[left] = 1j * k * (e - r)
-    if np.any(mid):
-        xs = x[mid, None]
-        up = A * np.exp(1j * gamma * xs)
-        down = B * np.exp(-1j * gamma * xs)
-        val[mid] = up + down
-        if with_derivative:
-            der[mid] = 1j * gamma * (up - down)
-    if np.any(right):
-        e = np.exp(1j * k * x[right, None])
-        val[right] = T * e
-        if with_derivative:
-            der[right] = 1j * k * T * e
+    for region, mask in enumerate((left, ~(left | right), right)):
+        if np.any(mask):
+            v, d = _region_fields(region, x[mask, None], k, gamma, T, R, A, B,
+                                  with_derivative)
+            val[mask] = v
+            if with_derivative:
+                der[mask] = d
     return val, der
 
 
@@ -417,15 +435,17 @@ class ScatteringMode:
     A: complex
     B: complex
 
-    def _arrays(self):
-        return (np.array([self.k]), np.array([self.gamma]), np.array([self.T]),
-                np.array([self.R]), np.array([self.A]), np.array([self.B]))
+    def __post_init__(self):
+        # One-mode coefficient arrays and region edge, in _mode_fields order.
+        arrays = [np.array([c]) for c in (self.k, self.gamma, self.T, self.R, self.A, self.B)]
+        object.__setattr__(self, "_modes", (*arrays, self.barrier.half_width))
 
     def _field(self, x, derivative: bool):
-        val, der = _mode_fields(x, *self._arrays(), self.barrier.half_width,
-                                derivative)
-        vals = (der if derivative else val)[:, 0]
-        return complex(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
+        if np.ndim(x) == 0:
+            val, der = _point_fields(float(x), *self._modes, derivative)
+            return complex((der if derivative else val)[0, 0])
+        val, der = _mode_fields(x, *self._modes, derivative)
+        return (der if derivative else val)[:, 0].reshape(np.shape(x))
 
     def value(self, x):
         return self._field(x, derivative=False)
@@ -589,12 +609,14 @@ class SpectralPacketModel(PacketModel):
                              / math.sqrt(2.0 * math.pi))
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
+        # Time-independent factor of the mode phases, -i hbar k^2.
+        self._phase_rate = -1j * HBAR * grid.nodes ** 2
         self._coeff_cache: tuple[float, np.ndarray | None] = (math.nan, None)
 
     def _coeffs(self, t: float) -> np.ndarray:
         if self._coeff_cache[0] == t:
             return self._coeff_cache[1]
-        phase = np.exp(-1j * HBAR * self.grid.nodes ** 2 * t / (2.0 * self.mass))
+        phase = np.exp(self._phase_rate * t / (2.0 * self.mass))
         coeffs = self._base_coeffs * phase
         self._coeff_cache = (t, coeffs)
         return coeffs
@@ -611,19 +633,25 @@ class SpectralPacketModel(PacketModel):
             )
 
     def _fields(self, x, t: float, with_derivative: bool):
+        """psi and, if asked, d psi/dx at the flattened x, as arrays: a
+        scalar x through _point_fields, batches in row chunks."""
+        if np.ndim(x) == 0:
+            x = float(x)
+            self._check_resolution(abs(x), t)
+            return self._mode_sums(_point_fields, x, self._coeffs(t), with_derivative)
         flat = np.ravel(np.asarray(x, dtype=float))
         self._check_resolution(float(np.max(np.abs(flat))) if flat.size else 0.0, t)
-        coeffs = self._coeffs(float(t))
+        coeffs = self._coeffs(t)
         rows = max(1, _FIELD_ENTRIES // self.grid.size)
         if flat.size <= rows:
-            return self._mode_sums(flat, coeffs, with_derivative)
-        chunks = [self._mode_sums(flat[i:i + rows], coeffs, with_derivative)
+            return self._mode_sums(_mode_fields, flat, coeffs, with_derivative)
+        chunks = [self._mode_sums(_mode_fields, flat[i:i + rows], coeffs, with_derivative)
                   for i in range(0, flat.size, rows)]
         psi = np.concatenate([c[0] for c in chunks])
         return psi, np.concatenate([c[1] for c in chunks]) if with_derivative else None
 
-    def _mode_sums(self, xs, coeffs, with_derivative: bool):
-        val, der = _mode_fields(xs, *self._modes, with_derivative)
+    def _mode_sums(self, kernel, xs, coeffs, with_derivative: bool):
+        val, der = kernel(xs, *self._modes, with_derivative)
         return val @ coeffs, der @ coeffs if with_derivative else None
 
     def _panel_rho(self, t: float, coeffs=None):

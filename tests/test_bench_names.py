@@ -79,3 +79,21 @@ def test_ode_trace_steps_through_the_traced_ode_binding(monkeypatch):
     model = wavepacket.FreeGaussianModel(wavepacket.DEFAULT_PACKET)
     quantile.trace_trajectory_ode(model, 0.5, 0.0, 1.0)
     assert len(calls) > 6
+
+
+def test_scalar_fields_do_not_go_through_rho_or_current(monkeypatch):
+    # The tracer wraps rho, current and density_and_current on the class
+    # and counts each call as one field evaluation; a scalar
+    # density_and_current that went through rho or current would count twice.
+    def refuse(self, x, t):
+        raise AssertionError("density_and_current called rho or current")
+    spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=1.0)
+    for model in (wavepacket.spectral_free_model(spectrum, grid),
+                  wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER,
+                                                    grid)):
+        with monkeypatch.context() as patch:
+            for name in ("rho", "current"):
+                patch.setattr(wavepacket.SpectralPacketModel, name, refuse)
+            for x in (-5.0, 0.1, 4.0):
+                rho, cur = model.density_and_current(x, 0.5)
+                assert type(rho) is float and type(cur) is float

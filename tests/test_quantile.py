@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import erfcinv
 
+from quantracer import quantile
 from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
 from quantracer.numerics import Tolerances, find_root_monotone
 from quantracer.quantile import (
+    DENSITY_FLOOR_REL,
     probability_in_volume,
     quantile_position,
     quantile_velocity,
@@ -361,6 +363,50 @@ class TestTraceTrajectoryOde:
                  if t in by_time]
         assert len(diffs) == len(grid)
         assert max(diffs) <= 1e-5
+
+    @pytest.mark.parametrize("t_eval, floor_rel", [
+        (None, DENSITY_FLOOR_REL), (np.linspace(0.0, 4.0, 17), DENSITY_FLOOR_REL),
+        (None, 0.2)], ids=["steps", "t_eval", "floor"])
+    def test_sample_velocities_reuse_the_rhs_fields(self, tunnel_models, monkeypatch,
+                                                    t_eval, floor_rel):
+        # A sample's velocity takes the (rho, j) of the rhs call made at its
+        # exact (t, x) -- a segment's anchor or an accepted step end -- and
+        # only samples no rhs call saw (t_eval points, event stops,
+        # re-anchors that stall at once) get a field call of their own.
+        _, tunnel = tunnel_models
+        rhs_points, field_points = [], []
+        integrate = quantile.integrate_ode
+
+        def counted_integrate(rhs, *args, **kwargs):
+            return integrate(lambda t, y: rhs_points.append((t, float(y[0]))) or rhs(t, y),
+                             *args, **kwargs)
+        fields = tunnel.density_and_current
+
+        def counted_fields(x, t):
+            field_points.append((float(t), float(x)))
+            return fields(x, t)
+        monkeypatch.setattr(quantile, "integrate_ode", counted_integrate)
+        monkeypatch.setattr(tunnel, "density_and_current", counted_fields)
+        traj = trace_trajectory_ode(tunnel, 0.35, 0.0, 4.0, t_eval=t_eval,
+                                    floor_rel=floor_rel)
+        monkeypatch.undo()
+        seen = set(rhs_points)
+        unseen = [s for s in zip(traj.times.tolist(), traj.positions.tolist())
+                  if s not in seen]
+        assert len(field_points) == len(rhs_points) + len(unseen)
+        assert sorted(set(field_points) - seen) == sorted(unseen)
+        if t_eval is None and floor_rel == DENSITY_FLOOR_REL:
+            assert traj.floor_episodes == 0 and not unseen
+        else:
+            assert unseen
+        if floor_rel != DENSITY_FLOOR_REL:
+            assert traj.floor_episodes >= 1
+        for t, x, v in zip(traj.times, traj.positions, traj.velocities):
+            try:
+                expected = quantile_velocity(tunnel, x, t, floor_rel=floor_rel)
+            except VelocitySingular:
+                expected = math.nan
+            assert float(v).hex() == float(expected).hex()
 
     def test_rejects_empty_span(self):
         m = FreeGaussianModel(DEFAULT_PACKET)

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantracer import wavepacket
 from quantracer.errors import DegenerateK, GridTooCoarse, InvalidRange
@@ -389,6 +391,51 @@ class TestTunnelingPacketModel:
                     assert isinstance(r, float) and isinstance(c, float)
                     assert r == model.rho(float(x), t)
                     assert c == model.current(float(x), t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.one_of(st.floats(-25.0, -DEFAULT_BARRIER.half_width),
+                       st.floats(-DEFAULT_BARRIER.half_width, DEFAULT_BARRIER.half_width),
+                       st.floats(DEFAULT_BARRIER.half_width, 25.0),
+                       st.sampled_from([-DEFAULT_BARRIER.half_width,
+                                        DEFAULT_BARRIER.half_width])),
+           t=st.floats(0.0, 10.0))
+    def test_scalar_x_has_the_bits_of_a_one_point_array(self, spectral_models, x, t):
+        # A scalar x evaluates its one region without masks or chunks; it
+        # must give what the array path gives for np.array([x]).
+        _, _, free_sp, tunnel = spectral_models
+        for model in (free_sp, tunnel):
+            rho, cur = model.density_and_current(x, t)
+            rhos, curs = model.density_and_current(np.array([x]), t)
+            pairs = ((rho, rhos), (cur, curs), (model.rho(x, t), model.rho(np.array([x]), t)),
+                     (model.current(x, t), model.current(np.array([x]), t)))
+            for one, array in pairs:
+                assert isinstance(one, float)
+                assert one.hex() == float(array[0]).hex()
+
+    def test_scalar_x_is_guarded_as_an_array(self, spectral_models):
+        # NaN raises InvalidRange; the phase guard trips at the same |x| for
+        # scalar and array input, on both sides.
+        _, _, free_sp, tunnel = spectral_models
+        t = 10.0
+        for model in (free_sp, tunnel):
+            for x in (math.nan, np.array([math.nan])):
+                with pytest.raises(InvalidRange):
+                    model.density_and_current(x, t)
+            ok, bad = 0.0, 1e6          # bisect to adjacent floats
+            while math.nextafter(ok, math.inf) < bad:
+                mid = 0.5 * (ok + bad)
+                try:
+                    model.rho(mid, t)
+                    ok = mid
+                except GridTooCoarse:
+                    bad = mid
+            for x in (ok, -ok):
+                model.density_and_current(x, t)
+                model.density_and_current(np.array([x]), t)
+            for x in (bad, -bad):
+                for arg in (x, np.array([x])):
+                    with pytest.raises(GridTooCoarse):
+                        model.density_and_current(arg, t)
 
     def test_panel_kernel_matches_pointwise(self, spectral_models):
         # Panels left of, right of and inside the barrier, with shared and
