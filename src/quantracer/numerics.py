@@ -501,18 +501,21 @@ def integrate_ode(
     event g(t, x), evaluated at t0 and at each step end: the path stops
     where g falls through zero (a root solve on the dense output to 4 eps,
     and always its last sample), or at t0 if g(t0, x0) <= 0.  Raises
-    InvalidRange for t1 < t0 or an empty or non-finite x0, and
-    StepUnderflow (with the last sample returned, or (t0, x0)) once the
-    step falls below 10 spacings of t.
+    InvalidRange (one line, naming the state's size, not its values) for
+    t1 < t0, a non-finite t0, t1 or x0, an empty x0 or a t_eval that is
+    not strictly increasing within [t0, t1], and StepUnderflow (with the
+    last sample returned, or (t0, x0)) once the step falls below 10
+    spacings of t.
     """
     t0, t1 = float(t0), float(t1)
     y0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not (-math.inf < t0 <= t1 < math.inf and y0.size and np.isfinite(y0).all()):
-        raise InvalidRange(f"need finite x0 and t0 <= t1, got {x0} on [{t0}, {t1}]")
+        raise InvalidRange(f"need a non-empty finite x0 and t0 <= t1, got "
+                           f"{y0.size} components on [{t0}, {t1}]")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if np.any(np.diff(t_eval) <= 0.0) or t_eval.size and (
-                t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
+        if not np.all(np.diff(t_eval) > 0.0) or t_eval.size and not (
+                t0 - 1e-12 <= t_eval[0] and t_eval[-1] <= t1 + 1e-12):
             raise InvalidRange("t_eval must increase strictly within [t0, t1]")
         t_eval = np.clip(t_eval, t0, t1)
 

@@ -9,6 +9,7 @@ agreement is the main internal consistency check of the library.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -223,12 +224,16 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
 
     The initial position comes from one CDF inversion at t0.  For lossy
     models the integration horizon is clamped just short of the exact norm
-    crossing, which is recorded as the termination time.  When the density
-    under the quantile falls below the floor (interference nodes), a
-    terminal event stops the integration and the tracer re-anchors by CDF
-    inversion one skip later, counting the episode.  The skip starts at
-    1e-6 of the span and doubles whenever a path stops within one skip of
-    its anchor; a skip that would pass the end re-anchors at the end.
+    crossing, which is recorded as the termination time.  With ``t_eval``
+    the integration ends at the last sample time at or before that horizon
+    (t1 or the clamp), so the path covers [t0, last sample]; a lossy
+    trace's termination record still holds the exact crossing beyond it.
+    When the density under the quantile falls below the floor
+    (interference nodes), a terminal event stops the integration and the
+    tracer re-anchors by CDF inversion one skip later, counting the
+    episode.  The skip starts at 1e-6 of the span and doubles whenever a
+    path stops within one skip of its anchor; a skip that would pass the
+    end re-anchors at the end.
     """
     t0 = float(t0)
     t1 = float(t1)
@@ -246,6 +251,11 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         termination = Termination.norm_below_p(t_end)
         # Stop just short of the crossing; the quantile dives to -inf there.
         t_stop = t_end - max(1e-9, 8.0 * np.finfo(float).eps * abs(t_end))
+    if t_eval is not None:
+        # No sample lies past the last one: the path needs no steps there.
+        sampled = t_eval[(t_eval > t0) & (t_eval <= t_stop)]
+        if sampled.size:
+            t_stop = float(sampled.max())
 
     # (rho, j) of the rhs calls made exactly at a sample, by (t, x): each
     # segment's anchor and each accepted step end (evaluated for the next
@@ -332,8 +342,10 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
 
 def sphere_seeds(center, radius: float) -> np.ndarray:
     """26 deterministic points on a sphere: 6 axial, 12 edge, 8 corner."""
-    if radius <= 0.0:
-        raise InvalidRange("radius must be positive")
+    center = np.asarray(center, dtype=float)
+    if not (0.0 < radius < math.inf and np.isfinite(center).all()):
+        raise InvalidRange(f"need a finite center and a finite positive radius, "
+                           f"got radius {radius}")
     dirs = []
     for i in range(3):
         for s in (1.0, -1.0):
@@ -352,7 +364,7 @@ def sphere_seeds(center, radius: float) -> np.ndarray:
         for sy in (1.0, -1.0):
             for sz in (1.0, -1.0):
                 dirs.append(np.array([sx, sy, sz]) / math.sqrt(3.0))
-    return np.asarray(center, dtype=float) + radius * np.array(dirs)
+    return center + radius * np.array(dirs)
 
 
 def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,
@@ -368,7 +380,7 @@ def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,
     if seeds.ndim != 2 or seeds.shape[1] != 3:
         raise InvalidRange("seeds must have shape (m, 3)")
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
+    if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0.0):
         raise InvalidRange("t_grid must be strictly increasing with >= 2 points")
 
     def rhs(t, y):
@@ -381,6 +393,22 @@ def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,
                      paths=paths, P=content)
 
 
+@functools.cache
+def _shell_rule():
+    """Angular rule of every enclosed-probability shell, built on first use:
+    24-point Gauss-Legendre in cos(theta) times the 24-point midpoint rule
+    in phi.  Returns the x, y, z direction columns, each (576,), and the
+    weights."""
+    n_mu, n_phi = 24, 24
+    mu, w_mu = leggauss(n_mu)
+    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    sin_theta = np.sqrt(1.0 - mu ** 2)
+    dirs = (np.outer(sin_theta, np.cos(phi)).ravel(),
+            np.outer(sin_theta, np.sin(phi)).ravel(),
+            np.repeat(mu, n_phi))
+    return dirs, np.repeat(w_mu, n_phi) * (2.0 * math.pi / n_phi)
+
+
 def probability_in_volume(field: Gaussian3DModel, surface_points, t: float,
                           tol: Tolerances = DEFAULT_TOL) -> float:
     """Probability inside the sphere spanned by transported seed points.
@@ -388,32 +416,30 @@ def probability_in_volume(field: Gaussian3DModel, surface_points, t: float,
     The enclosing ball is reconstructed from the point cloud (center of
     mass, mean radius) and integrated in spherical coordinates: adaptive
     Gauss-Legendre radially, a product angular rule that is spectrally
-    accurate for the smooth densities at hand.
+    accurate for the smooth densities at hand.  A batch of radii holds
+    one (radii, directions) array per axis, never the 3D point cloud.
+    Raises InvalidRange for a non-finite point, radius or time.
     """
     pts = np.asarray(surface_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidRange("surface_points must have shape (m, 3)")
+    if not (np.isfinite(pts).all() and math.isfinite(t)):
+        raise InvalidRange(f"surface points and time must be finite, got t = {t}")
     center = pts.mean(axis=0)
     radius = float(np.linalg.norm(pts - center, axis=1).mean())
+    if not math.isfinite(radius):
+        raise InvalidRange("surface points too far apart: their radius overflows")
     if radius == 0.0:
         return 0.0
-
-    n_mu, n_phi = 24, 24
-    mu, w_mu = leggauss(n_mu)
-    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-    sin_theta = np.sqrt(1.0 - mu ** 2)
-    dirs = np.stack([
-        np.outer(sin_theta, np.cos(phi)).ravel(),
-        np.outer(sin_theta, np.sin(phi)).ravel(),
-        np.repeat(mu, n_phi),
-    ], axis=-1)                                  # (n_mu*n_phi, 3)
-    w_ang = np.repeat(w_mu, n_phi) * (2.0 * math.pi / n_phi)
+    packet_center = field.center(t)
+    dirs, weights = _shell_rule()
 
     def shell(rs):
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        points = center + rs[:, None, None] * dirs[None, :, :]
-        rho = field.rho(points, t)
-        return rs * rs * (rho @ w_ang)
+        # Squared distance to the packet center, summed in axis order.
+        r2 = sum(((c + rs[:, None] * u) - p) ** 2
+                 for c, u, p in zip(center, dirs, packet_center))
+        return rs * rs * (field._density_r2(r2, t) @ weights)
 
     sigma = field.sigma_x(t)
     n0 = int(min(64, max(8, math.ceil(radius / (2.0 * sigma)))))

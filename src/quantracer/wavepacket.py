@@ -9,6 +9,7 @@ positions in hbar/sqrt(eV*m), times in hbar/eV, energies in eV.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,9 +56,11 @@ HBAR = 1.0
 
 
 def _width_at(sigma_x0: float, sigma_v: float, t) -> float:
-    """Spreading width sigma_x0 * sqrt(1 + (sigma_v t / sigma_x0)^2)."""
+    """Spreading width sigma_x0 * sqrt(1 + (sigma_v t / sigma_x0)^2); a
+    scalar t takes math.sqrt, which rounds as np.sqrt does."""
     ratio = sigma_v * t / sigma_x0
-    return sigma_x0 * np.sqrt(1.0 + ratio * ratio)
+    root = math.sqrt if isinstance(ratio, float) else np.sqrt
+    return sigma_x0 * root(1.0 + ratio * ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +91,7 @@ class GaussianPacketParams:
     def sigma_p(self) -> float:
         return HBAR / (2.0 * self.sigma_x0)
 
-    @property
+    @functools.cached_property
     def sigma_v(self) -> float:
         return self.sigma_p / self.mass
 
@@ -203,9 +206,10 @@ class PacketModel(abc.ABC):
     def density_and_current(self, x, t):
         """(rho, current) in one call, with the bits of rho and current.
 
-        Models may fuse the evaluation: a spectral model shares the mode
-        exponentials and calls neither method, and for a scalar x runs only
-        its region's kernel (no masks or row chunks), returning two floats.
+        Models may fuse the evaluation: the closed-form Gaussians evaluate
+        rho once, and a spectral model shares the mode exponentials and
+        calls neither method, and for a scalar x runs only its region's
+        kernel (no masks or row chunks), returning two floats.
         """
         return self.rho(x, t), self.current(x, t)
 
@@ -261,6 +265,11 @@ class FreeGaussianModel(PacketModel):
         x = np.asarray(x, dtype=float)
         return self.rho(x, t) * _gaussian_velocity(self.params, x, t)
 
+    def density_and_current(self, x, t):
+        x = np.asarray(x, dtype=float)
+        rho = self.rho(x, t)
+        return rho, rho * _gaussian_velocity(self.params, x, t)
+
     def tail(self, x, t) -> float:
         if math.isnan(x):
             raise InvalidRange("tail position is NaN")
@@ -302,6 +311,11 @@ class DissipativeGaussianModel(PacketModel):
 
     def current(self, x, t):
         return self._survival(t) * self._free.current(x, t)
+
+    def density_and_current(self, x, t):
+        survival = self._survival(t)
+        rho, cur = self._free.density_and_current(x, t)
+        return survival * rho, survival * cur
 
     def loss(self, x, t):
         return self.loss_rate * self.rho(x, t)
@@ -371,33 +385,35 @@ def _free_coefficients(k):
     return k.astype(complex), one, zero, one, zero
 
 
-def _region_fields(region: int, xs, k, gamma, T, R, A, B, with_derivative):
-    """Mode values and, if asked, x-derivatives, each (n, len(k)), at an
+def _region_fields(region: int, xs, ik, igamma, T, R, A, B, with_derivative):
+    """Mode values and, if asked, x-derivatives, each (n, len(ik)), at an
     (n, 1) column xs in one region: 0 left (e^{ikx} + R e^{-ikx}, the
     conjugate giving e^{-ikx}), 1 inside (A e^{i gamma x} + B e^{-i gamma x}),
-    2 right (T e^{ikx}).  Values and derivatives share their exponentials."""
+    2 right (T e^{ikx}).  The modes come as ik = 1j * k and
+    igamma = 1j * gamma, the only products the kernel takes of k and gamma.
+    Values and derivatives share their exponentials."""
     if region == 0:
-        e = np.exp(1j * k * xs)
+        e = np.exp(ik * xs)
         r = R * e.conj()
-        return e + r, 1j * k * (e - r) if with_derivative else None
+        return e + r, ik * (e - r) if with_derivative else None
     if region == 1:
-        up = A * np.exp(1j * gamma * xs)
-        down = B * np.exp(-1j * gamma * xs)
-        return up + down, 1j * gamma * (up - down) if with_derivative else None
-    e = np.exp(1j * k * xs)
-    return T * e, 1j * k * T * e if with_derivative else None
+        up = A * np.exp(igamma * xs)
+        down = B * np.exp(-igamma * xs)
+        return up + down, igamma * (up - down) if with_derivative else None
+    e = np.exp(ik * xs)
+    return T * e, ik * T * e if with_derivative else None
 
 
-def _point_fields(x: float, k, gamma, T, R, A, B, half_width, with_derivative):
-    """_mode_fields at one position, each (1, len(k)): two comparisons pick
+def _point_fields(x: float, ik, igamma, T, R, A, B, half_width, with_derivative):
+    """_mode_fields at one position, each (1, len(ik)): two comparisons pick
     its region, whose kernel alone runs, on a (1, 1) x."""
     region = 2 if x > half_width else 0 if x < -half_width else 1
-    return _region_fields(region, np.array([[x]]), k, gamma, T, R, A, B,
+    return _region_fields(region, np.array([[x]]), ik, igamma, T, R, A, B,
                           with_derivative)
 
 
-def _mode_fields(x, k, gamma, T, R, A, B, half_width, with_derivative):
-    """Region-wise mode values and, if asked, x-derivatives, each (len(x), len(k)).
+def _mode_fields(x, ik, igamma, T, R, A, B, half_width, with_derivative):
+    """Region-wise mode values and, if asked, x-derivatives, each (len(x), len(ik)).
 
     Each region present among the x values is one _region_fields call; at
     V = 0 every region gives the same plane wave, so the free reference
@@ -405,13 +421,13 @@ def _mode_fields(x, k, gamma, T, R, A, B, half_width, with_derivative):
     region, the cheapest one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = np.empty((x.size, k.size), dtype=complex)
+    val = np.empty((x.size, ik.size), dtype=complex)
     der = np.empty_like(val) if with_derivative else None
     right = x > half_width
     left = (x < -half_width) & ~right
     for region, mask in enumerate((left, ~(left | right), right)):
         if np.any(mask):
-            v, d = _region_fields(region, x[mask, None], k, gamma, T, R, A, B,
+            v, d = _region_fields(region, x[mask, None], ik, igamma, T, R, A, B,
                                   with_derivative)
             val[mask] = v
             if with_derivative:
@@ -436,9 +452,12 @@ class ScatteringMode:
     B: complex
 
     def __post_init__(self):
-        # One-mode coefficient arrays and region edge, in _mode_fields order.
-        arrays = [np.array([c]) for c in (self.k, self.gamma, self.T, self.R, self.A, self.B)]
-        object.__setattr__(self, "_modes", (*arrays, self.barrier.half_width))
+        # One-mode arrays (1j * k, 1j * gamma, coefficients) and region
+        # edge, in _mode_fields order.
+        k, gamma, *coefficients = [np.array([c]) for c in
+                                   (self.k, self.gamma, self.T, self.R, self.A, self.B)]
+        object.__setattr__(self, "_modes", (1j * k, 1j * gamma, *coefficients,
+                                            self.barrier.half_width))
 
     def _field(self, x, derivative: bool):
         if np.ndim(x) == 0:
@@ -591,8 +610,9 @@ class SpectralPacketModel(PacketModel):
         else:
             coefficients = _barrier_coefficients(grid.nodes, barrier, self.mass)
             edge = barrier.half_width
-        # Wave numbers, coefficients and region edge, in _mode_fields order.
-        self._modes = (grid.nodes, *coefficients, edge)
+        # 1j * k, 1j * gamma, T, R, A, B and region edge, in _mode_fields order.
+        gamma, *rest = coefficients
+        self._modes = (1j * grid.nodes, 1j * gamma, *rest, edge)
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
         # Lattice pitch: two periods of the fastest spatial beat of rho, so
@@ -602,7 +622,7 @@ class SpectralPacketModel(PacketModel):
         # Panel waves outside the barrier (q = k) and under it (q = gamma),
         # kept across times; empty until the first table.
         self._waves = (_PanelWaves(grid.nodes, 0.5 * self._pitch),
-                       _PanelWaves(coefficients[0], edge if barrier else 1.0))
+                       _PanelWaves(gamma, edge if barrier else 1.0))
         amp = spectrum.amplitude(grid.nodes)
         self._base_coeffs = (grid.weights * amp
                              * np.exp(-1j * grid.nodes * spectrum.x_bar)
@@ -665,7 +685,7 @@ class SpectralPacketModel(PacketModel):
         replaces the mode coefficients at t, for other plane-wave sums on
         the free reference's lattice.
         """
-        k, gamma, T, R, A, B, edge = self._modes
+        T, R, A, B, edge = self._modes[2:]
         if coeffs is None:
             coeffs = self._coeffs(t)
         reach = float(np.max(PANEL_NODES))
@@ -915,7 +935,7 @@ class Gaussian3DParams:
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
 
-    @property
+    @functools.cached_property
     def sigma_v(self) -> float:
         return HBAR / (2.0 * self.sigma_x0) / self.mass
 
@@ -941,10 +961,12 @@ class Gaussian3DModel:
         return float(self.params.sigma_x(t))
 
     def rho(self, points, t):
-        pts = np.asarray(points, dtype=float)
+        d = np.asarray(points, dtype=float) - self.center(t)
+        return self._density_r2(np.sum(d * d, axis=-1), t)
+
+    def _density_r2(self, r2, t):
+        """Density at squared distance r2 from the packet center."""
         sig = self.sigma_x(t)
-        d = pts - self.center(t)
-        r2 = np.sum(d * d, axis=-1)
         return np.exp(-0.5 * r2 / sig ** 2) / (math.sqrt(2.0 * math.pi) * sig) ** 3
 
     def velocity(self, points, t):

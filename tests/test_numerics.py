@@ -360,10 +360,15 @@ class TestIntegrateOde:
     @pytest.mark.parametrize("x0, t1, t_eval", [
         (1.0, -1.0, None), (math.nan, 1.0, None), ([], 1.0, None),
         (1.0, 1.0, [0.0, 0.5, 0.5]), (1.0, 1.0, [0.5, 0.2]),
+        (np.linspace(-1.0, 1.0, 78), math.nan, None),
+        (np.linspace(-1.0, 1.0, 78), math.inf, None),
+        (1.0, 1.0, [0.0, math.nan, 1.0]), (1.0, 1.0, [math.nan]),
     ])
     def test_refuses_what_it_cannot_integrate(self, x0, t1, t_eval):
-        with pytest.raises(InvalidRange):
+        # One line: a 78-component state (26 3D seeds) is named by its size.
+        with pytest.raises(InvalidRange) as exc:
             integrate_ode(lambda t, x: x, x0, 0.0, t1, t_eval=t_eval)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) < 120
 
     def test_stop_evaluated_once_at_t0(self):
         at_t0 = []

@@ -1,17 +1,19 @@
 """Tests for quantile inversion, trajectory tracing, and 3D flow maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 from scipy.special import erfcinv
 
 from quantracer import quantile
 from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
-from quantracer.numerics import Tolerances, find_root_monotone
+from quantracer.numerics import Tolerances, find_root_monotone, integrate_adaptive
 from quantracer.quantile import (
     DENSITY_FLOOR_REL,
     probability_in_volume,
@@ -408,6 +410,44 @@ class TestTraceTrajectoryOde:
                 expected = math.nan
             assert float(v).hex() == float(expected).hex()
 
+    @pytest.mark.parametrize("P", [0.23, 0.5, 0.81])
+    def test_lossy_trace_stops_at_its_last_sample(self, monkeypatch, P):
+        # No rhs call lies past the last sample at or before the norm
+        # crossing; the path is the one a trace ending there integrates,
+        # and the termination keeps the exact crossing beyond it.
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        grid = np.linspace(0.0, 20.0, 41)
+        t_end = -math.log(P) / DEFAULT_LOSS_RATE
+        last = float(grid[grid <= t_end][-1])
+        rhs_times = []
+        integrate = quantile.integrate_ode
+
+        def counted_integrate(rhs, *args, **kwargs):
+            return integrate(lambda t, y: rhs_times.append(t) or rhs(t, y),
+                             *args, **kwargs)
+        monkeypatch.setattr(quantile, "integrate_ode", counted_integrate)
+        traj = trace_trajectory_ode(m, P, 0.0, 20.0, t_eval=grid)
+        monkeypatch.undo()
+        assert rhs_times and max(rhs_times) <= last
+        assert traj.times[-1] == last
+        assert traj.termination.kind == "norm_below_p"
+        assert traj.termination.time == pytest.approx(t_end, abs=1e-9)
+        unsampled = trace_trajectory_ode(m, P, 0.0, 20.0)
+        assert traj.termination == unsampled.termination
+        short = trace_trajectory_ode(m, P, 0.0, last, t_eval=grid)
+        assert short.termination.kind == "completed"
+        for a, b in ((traj.times, short.times), (traj.positions, short.positions),
+                     (traj.velocities, short.velocities)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_trace_without_samples_runs_to_the_crossing(self):
+        # Without t_eval the path still ends just short of the crossing.
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        traj = trace_trajectory_ode(m, 0.5, 0.0, 20.0)
+        t_end = traj.termination.time
+        assert t_end == pytest.approx(-math.log(0.5) / DEFAULT_LOSS_RATE, abs=1e-9)
+        assert t_end - 1e-8 < traj.times[-1] < t_end
+
     def test_rejects_empty_span(self):
         m = FreeGaussianModel(DEFAULT_PACKET)
         with pytest.raises(InvalidRange):
@@ -436,6 +476,14 @@ class TestSphereSeeds:
         # symmetric direction set sums to zero
         assert np.allclose(seeds.mean(axis=0), [1.0, -2.0, 0.5], atol=1e-14)
         assert len({tuple(np.round(s, 12)) for s in seeds}) == 26
+
+    @pytest.mark.parametrize("center, radius", [
+        ((0.0, 0.0, 0.0), math.nan), ((0.0, 0.0, 0.0), math.inf),
+        ((0.0, 0.0, 0.0), 0.0), ((0.0, math.nan, 0.0), 1.0), ((math.inf, 0.0, 0.0), 1.0),
+    ])
+    def test_refuses_a_non_finite_sphere(self, center, radius):
+        with pytest.raises(InvalidRange):
+            sphere_seeds(center, radius)
 
 
 class TestFlowMap3D:
@@ -468,6 +516,16 @@ class TestFlowMap3D:
             dirs = pts / radii[:, None]
             assert np.max(np.abs(dirs - dirs0)) <= 1e-8
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, math.nan], [math.nan, 1.0],
+                                       [0.0, math.inf]])
+    def test_refuses_a_non_finite_time_in_one_line(self, times):
+        # The refusal names no state vector (26 seeds are 78 numbers).
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
+        with pytest.raises(InvalidRange) as exc:
+            trace_flowmap_3d(field, sphere_seeds((0.0, 0.0, 0.0), 2.5), times)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) < 120
+
     def test_probability_conserved_with_drift(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(2.0, 0.0, 0.0), sigma_x0=2.5)
@@ -495,3 +553,65 @@ class TestProbabilityInVolume:
         field = Gaussian3DModel(params)
         seeds = sphere_seeds((0.0, 0.0, 0.0), 50.0 * 2.5)
         assert probability_in_volume(field, seeds, 0.0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.fixture(scope="class")
+    def fig3_flows(self):
+        # The sphere3d fig3 preset and verify's 3 sigma sphere.
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
+        times = np.arange(0.0, 11.0)
+        return field, [trace_flowmap_3d(field, sphere_seeds((0.0, 0.0, 0.0), r), times)
+                       for r in (2.5, 7.5)]
+
+    def test_shell_has_the_bits_of_the_point_cloud(self, fig3_flows):
+        # Oracle: the shell as the (radii, directions, 3) point cloud of
+        # field.rho, on the same 24 x 24 angular rule and radial panels.
+        field, flows = fig3_flows
+        mu, w_mu = leggauss(24)
+        phi = 2.0 * math.pi * (np.arange(24) + 0.5) / 24
+        sin_theta = np.sqrt(1.0 - mu ** 2)
+        dirs = np.stack([np.outer(sin_theta, np.cos(phi)).ravel(),
+                         np.outer(sin_theta, np.sin(phi)).ravel(),
+                         np.repeat(mu, 24)], axis=-1)
+        w_ang = np.repeat(w_mu, 24) * (2.0 * math.pi / 24)
+
+        def cloud_volume(points, t):
+            center = points.mean(axis=0)
+            radius = float(np.linalg.norm(points - center, axis=1).mean())
+
+            def shell(rs):
+                rs = np.atleast_1d(rs)
+                cloud = center + rs[:, None, None] * dirs[None, :, :]
+                return rs * rs * (field.rho(cloud, t) @ w_ang)
+            n0 = int(min(64, max(8, math.ceil(radius / (2.0 * field.sigma_x(t))))))
+            return integrate_adaptive(shell, 0.0, radius, initial_panels=n0)
+
+        for flow in flows:
+            for i, t in enumerate(flow.times):
+                points = flow.points_at(i)
+                got = probability_in_volume(field, points, float(t))
+                assert got.hex() == cloud_volume(points, float(t)).hex()
+
+    def test_shell_memory_is_bounded(self, fig3_flows):
+        # A batch of radii keeps one (radii, directions) array per axis and
+        # never the 3D cloud: the fig3 call peaked at 7.8 MiB with it.
+        field, flows = fig3_flows
+        points = flows[0].points_at(10)
+        tracemalloc.start()
+        try:
+            probability_in_volume(field, points, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
+
+    @pytest.mark.parametrize("value, t", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (0.0, math.nan)],
+                             ids=["nan-point", "inf-point", "nan-time"])
+    def test_refuses_non_finite_input(self, value, t):
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
+        points = sphere_seeds((0.0, 0.0, 0.0), 2.5)
+        points[0, 0] += value
+        with pytest.raises(InvalidRange):
+            probability_in_volume(field, points, t)

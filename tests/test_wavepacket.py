@@ -138,6 +138,20 @@ class TestFreeGaussianModel:
             scale = np.max(np.abs(dj_dx))
             assert np.max(np.abs(drho_dt + dj_dx)) <= 1e-6 * scale
 
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(-60.0, 40.0), t=st.floats(0.0, 20.0), as_array=st.booleans(),
+           rate=st.sampled_from([None, 0.0, DEFAULT_LOSS_RATE]))
+    def test_density_and_current_has_the_bits_of_rho_and_current(self, x, t, as_array,
+                                                                 rate):
+        # The fused pair evaluates rho once; it must equal the two methods.
+        model = (FreeGaussianModel(DEFAULT_PACKET) if rate is None
+                 else DissipativeGaussianModel(DEFAULT_PACKET, rate))
+        xs = np.array([x, x + 1.5, -x]) if as_array else x
+        rho, cur = model.density_and_current(xs, t)
+        for got, expected in ((rho, model.rho(xs, t)), (cur, model.current(xs, t))):
+            assert np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     def test_vectorized_shapes(self):
         m = FreeGaussianModel(DEFAULT_PACKET)
         xs = np.zeros((4, 3))
