@@ -12,6 +12,7 @@ success, 1 verification failure, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import platform
@@ -683,6 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process; build_parser gives a fresh one.
+_parser = functools.cache(build_parser)
+
+
 _FLAG_FIELDS = ("out", "p_list", "t_max", "t_step", "loss_rate",
                 "barrier_height", "barrier_halfwidth", "k_nodes",
                 "snapshot_times", "n_lambda")
@@ -710,8 +715,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:

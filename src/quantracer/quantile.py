@@ -122,13 +122,14 @@ def quantile_velocity(model: PacketModel, x: float, t: float, *,
                       floor_rel: float = DENSITY_FLOOR_REL) -> float:
     """Quantile velocity at (x, t): current over density, minus the loss
     tail over density for lossy models (the integro-differential form)."""
-    return _field_velocity(model, x, t, *model.density_and_current(x, t), floor_rel)
+    return _field_velocity(model, x, t, *model.density_and_current(x, t),
+                           floor_rel * model.peak_density(t))
 
 
-def _field_velocity(model: PacketModel, x, t, rho, cur, floor_rel: float) -> float:
-    """quantile_velocity from the (rho, current) pair already evaluated at (x, t)."""
+def _field_velocity(model: PacketModel, x, t, rho, cur, floor: float) -> float:
+    """quantile_velocity from (rho, current) at (x, t) and the floor at t."""
     rho = float(rho)
-    if rho <= floor_rel * model.peak_density(t):
+    if rho <= floor:
         raise VelocitySingular(
             f"density {rho:.3e} at x = {x:.6g}, t = {t:.6g} is below the floor",
             t=t, x=x,
@@ -257,29 +258,27 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         if sampled.size:
             t_stop = float(sampled.max())
 
-    # (rho, j) of the rhs calls made exactly at a sample, by (t, x): each
-    # segment's anchor and each accepted step end (evaluated for the next
-    # step; floor_margin sees the match).  Sample velocities reuse them.
+    # (rho, j, floor) of the rhs calls made exactly at a sample, by (t, x):
+    # each segment's anchor and each accepted step end (evaluated for the
+    # next step; floor_margin sees the match).  Sample velocities reuse them.
     fields = {}
-    last = [None, None]     # (t, x) of the latest rhs call and its pair
+    last = [None, None]     # (t, x) of the latest rhs call and its triple
 
     def rhs(t, y):
         x = float(y[0])
-        pair = model.density_and_current(x, t)
+        triple = (*model.density_and_current(x, t), floor_rel * model.peak_density(t))
         if (t, x) == anchor:
-            fields[anchor] = pair
-        last[:] = (t, x), pair
-        rho = max(float(pair[0]), floor_rel * model.peak_density(t))
-        return np.array([(float(pair[1]) - model.loss_tail(x, t)) / rho])
+            fields[anchor] = triple
+        last[:] = (t, x), triple
+        rho = max(float(triple[0]), triple[2])
+        return np.array([(float(triple[1]) - model.loss_tail(x, t)) / rho])
 
     def floor_margin(t, y):
         x = float(y[0])
         if last[0] == (t, x):
             fields[t, x] = last[1]
-            rho = float(last[1][0])
-        else:
-            rho = float(model.rho(x, t))
-        return rho - floor_rel * model.peak_density(t)
+            return float(last[1][0]) - last[1][2]
+        return float(model.rho(x, t)) - floor_rel * model.peak_density(t)
 
     x_cur = quantile_position(model, P, t0, tol)
     t_cur = t0
@@ -325,9 +324,10 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
     xs = np.array(xs)
     vs = np.empty_like(xs)
     for i, (tt, xx) in enumerate(zip(times, xs)):
-        pair = fields.get((tt, xx)) or model.density_and_current(xx, tt)
+        triple = fields.get((tt, xx)) or (*model.density_and_current(xx, tt),
+                                          floor_rel * model.peak_density(tt))
         try:
-            vs[i] = _field_velocity(model, xx, tt, *pair, floor_rel)
+            vs[i] = _field_velocity(model, xx, tt, *triple)
         except VelocitySingular:
             vs[i] = math.nan
     return QuantileTrajectory(P=P, times=times, positions=xs, velocities=vs,

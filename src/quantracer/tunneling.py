@@ -44,9 +44,24 @@ class DeltaPTerms(NamedTuple):
 
 
 def _term_weights(barrier: BarrierSpec, mass: float) -> tuple[float, float, float]:
-    # q = k^2 - gamma^2 = 2mV/hbar^2 is the constant the thickness
-    # derivative of the barrier denominator produces; the direct route
-    # pins these normalizations numerically (see tests).
+    """Weights (c1, c2, c3) of term1, term2 and term3 in the tail deficit.
+
+    Beyond the barrier the packets are sum_k c_k e^{ikx'} and
+    sum_k c_k T_k e^{ikx'}, c_k the coefficients at t over sqrt(2 pi), so
+    integrating e^{i(k'-k)x'} over x' > x makes the deficit at x the form
+    sum conj(c_k) c_k' e^{i(k'-k)x} K, K = i (1 - conj(T_k) T_k') / (k' - k).
+    With q = k^2 - gamma^2 = 2mV/hbar^2, D = 4 k gamma / T and 0 <= y <= 2a,
+        K1(y) = e^{iky} ((k + gamma) e^{-i gamma y} - (k - gamma) e^{i gamma y}) / D,
+        K2(y) = e^{iky} sin(gamma y) / D,    K3 = K2(2a)   (|2q K3| = |R|),
+    K splits into Gram kernels (an identity in k, k'; the y-integrals are
+    elementary): K = 2q int_0^2a conj(K1) K1' dy + 8q^2 int_0^2a conj(K2) K2' dy
+    + 4q^2 i conj(K3) K3' / (k' - k).  So the deficit is
+    2q int_0^2a |sum c K1(y) e^{ikx}|^2 dy + 8q^2 int_0^2a |sum c K2(y) e^{ikx}|^2 dy
+    + 4q^2 int_x^inf |sum c K3 e^{ikx'}|^2 dx', nonnegative term by term.
+    _decomposed_terms drops the 1/sqrt(2 pi) (2 pi per term) and integrates
+    over u = y / 2a: c1 = 2q 2a / 2 pi, c2 = 8q^2 2a / 2 pi = 4q c1 and
+    c3 = 4q^2 / 2 pi = c1 q / a.  The direct route checks the sum (tests).
+    """
     a = barrier.half_width
     q = 2.0 * mass * barrier.height / HBAR ** 2
     c1 = (2.0 * a / math.pi) * q

@@ -207,9 +207,8 @@ class PacketModel(abc.ABC):
         """(rho, current) in one call, with the bits of rho and current.
 
         Models may fuse the evaluation: the closed-form Gaussians evaluate
-        rho once, and a spectral model shares the mode exponentials and
-        calls neither method, and for a scalar x runs only its region's
-        kernel (no masks or row chunks), returning two floats.
+        rho once, and a spectral model runs its mode kernel once and calls
+        neither method; a scalar x gives two floats.
         """
         return self.rho(x, t), self.current(x, t)
 
@@ -385,54 +384,87 @@ def _free_coefficients(k):
     return k.astype(complex), one, zero, one, zero
 
 
-def _region_fields(region: int, xs, ik, igamma, T, R, A, B, with_derivative):
-    """Mode values and, if asked, x-derivatives, each (n, len(ik)), at an
-    (n, 1) column xs in one region: 0 left (e^{ikx} + R e^{-ikx}, the
-    conjugate giving e^{-ikx}), 1 inside (A e^{i gamma x} + B e^{-i gamma x}),
-    2 right (T e^{ikx}).  The modes come as ik = 1j * k and
-    igamma = 1j * gamma, the only products the kernel takes of k and gamma.
-    Values and derivatives share their exponentials."""
-    if region == 0:
-        e = np.exp(ik * xs)
-        r = R * e.conj()
-        return e + r, ik * (e - r) if with_derivative else None
-    if region == 1:
-        up = A * np.exp(igamma * xs)
-        down = B * np.exp(-igamma * xs)
-        return up + down, igamma * (up - down) if with_derivative else None
-    e = np.exp(ik * xs)
-    return T * e, ik * T * e if with_derivative else None
+# Most (x, k) entries one pointwise field evaluation holds at once; longer
+# x batches are summed in row chunks, so memory stays bounded for any batch.
+_FIELD_ENTRIES = 1 << 16
 
 
-def _point_fields(x: float, ik, igamma, T, R, A, B, half_width, with_derivative):
-    """_mode_fields at one position, each (1, len(ik)): two comparisons pick
-    its region, whose kernel alone runs, on a (1, 1) x."""
-    region = 2 if x > half_width else 0 if x < -half_width else 1
-    return _region_fields(region, np.array([[x]]), ik, igamma, T, R, A, B,
-                          with_derivative)
+def _region_waves(k, gamma, T, R, A, B, weights, rate):
+    """Per region (left, inside, right) its iq (q = k outside, gamma
+    inside) and [value, derivative] (len(k), 2) matrices with weights w:
+    left [w, ik w] on e^{ikx} and [w R, -ik w R] on e^{-ikx}, inside
+    [w A, i gamma w A] on e^{i gamma x} and [w B, -i gamma w B] on
+    e^{-i gamma x}, right [w T, ik w T] on e^{ikx}; then the time phase
+    rate, -i hbar k^2 / 2m.  Built once, not per call."""
+    ik, igamma = 1j * k, 1j * gamma
+
+    def stack(c, q):
+        return np.stack([weights * c, q * weights * c], axis=1)
+    return ((ik, stack(1.0, ik), stack(R, -ik)), (igamma, stack(A, igamma), stack(B, -igamma)),
+            (ik, stack(T, ik)), rate)
 
 
-def _mode_fields(x, ik, igamma, T, R, A, B, half_width, with_derivative):
-    """Region-wise mode values and, if asked, x-derivatives, each (len(x), len(ik)).
+def _region_fields(region: int, x, t: float, waves):
+    """(psi, d psi/dx) in the last axis at x in one region (0 left, 1
+    inside, 2 right): shape (2,) for a float x, (n, 2) for an (n, 1) column.
 
-    Each region present among the x values is one _region_fields call; at
-    V = 0 every region gives the same plane wave, so the free reference
-    passes half_width = -inf and evaluates every point in the transmitted
-    region, the cheapest one.
+    The time phase rides in the exponent, so the right region's wave
+    e^{ikx + rate t} is its one exponential.  The reflected wave
+    e^{-ikx + rate t} is the conjugate of the incident one, and the
+    under-barrier e^{-i gamma x + rate t} the reciprocal of
+    e^{i gamma x + rate t}, each times e^{2 rate t}: at most two
+    exponentials, the second over the modes only, not per (x, k) entry.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = np.empty((x.size, ik.size), dtype=complex)
-    der = np.empty_like(val) if with_derivative else None
-    right = x > half_width
-    left = (x < -half_width) & ~right
-    for region, mask in enumerate((left, ~(left | right), right)):
-        if np.any(mask):
-            v, d = _region_fields(region, x[mask, None], ik, igamma, T, R, A, B,
-                                  with_derivative)
-            val[mask] = v
-            if with_derivative:
-                der[mask] = d
-    return val, der
+    iq, *matrices = waves[region]
+    rate_t = waves[3] * t
+    wave = np.exp(iq * x + rate_t)
+    if region == 2:
+        return wave @ matrices[0]
+    echo = np.exp(2.0 * rate_t)
+    second = wave.conj() * echo if region == 0 else echo / wave
+    return wave @ matrices[0] + second @ matrices[1]
+
+
+def _mode_sums(x, t: float, waves, half_width):
+    """(psi, d psi/dx) at x (see _region_fields): two complex numbers for
+    a scalar x, whose region two comparisons pick and whose kernel alone
+    runs, on the float; for an array, two arrays over its flattened
+    values, a _region_fields call per region in each row chunk of at most
+    _FIELD_ENTRIES (x, k) entries.  A one-point array runs the scalar's
+    kernel on a (1, 1) column and keeps its bits.  The free reference
+    passes half_width = -inf: at V = 0 every region has the same plane
+    waves, and every point goes to the right region, the cheapest one.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        region = 2 if x > half_width else 0 if x < -half_width else 1
+        return _region_fields(region, x, t, waves).tolist()
+    flat = np.ravel(np.asarray(x, dtype=float))
+    out = np.empty((flat.size, 2), dtype=complex)
+    rows = max(1, _FIELD_ENTRIES // waves[3].size)
+    for i in range(0, flat.size, rows):
+        xs, chunk = flat[i:i + rows], out[i:i + rows]
+        right = xs > half_width
+        left = (xs < -half_width) & ~right
+        for region, mask in enumerate((left, ~(left | right), right)):
+            if mask.any():
+                chunk[mask] = _region_fields(region, xs[mask, None], t, waves)
+    return out[:, 0], out[:, 1]
+
+
+def _density(psi):
+    """|psi|^2 in real operations: a complex and an array entry agree."""
+    return psi.real * psi.real + psi.imag * psi.imag
+
+
+def _flux(psi, dpsi):
+    """Im(conj(psi) d psi/dx) in real operations, as _density."""
+    return psi.real * dpsi.imag - psi.imag * dpsi.real
+
+
+def _shaped(x, values):
+    """Values over the flattened x, in x's shape; a scalar x's as they are."""
+    return values.reshape(np.shape(x)) if isinstance(values, np.ndarray) else values
 
 
 @dataclass(frozen=True)
@@ -441,6 +473,8 @@ class ScatteringMode:
 
     Piecewise form: e^{ikx} + R e^{-ikx} left of the barrier,
     A e^{i gamma x} + B e^{-i gamma x} inside, T e^{ikx} to the right.
+    value and derivative run the spectral packets' kernel (_mode_sums) on
+    this one mode at t = 0, so a scalar x gives a complex number.
     """
 
     k: float
@@ -452,25 +486,18 @@ class ScatteringMode:
     B: complex
 
     def __post_init__(self):
-        # One-mode arrays (1j * k, 1j * gamma, coefficients) and region
-        # edge, in _mode_fields order.
+        # One-mode waves, at t = 0 with unit weight, and the region edge.
         k, gamma, *coefficients = [np.array([c]) for c in
                                    (self.k, self.gamma, self.T, self.R, self.A, self.B)]
-        object.__setattr__(self, "_modes", (1j * k, 1j * gamma, *coefficients,
-                                            self.barrier.half_width))
-
-    def _field(self, x, derivative: bool):
-        if np.ndim(x) == 0:
-            val, der = _point_fields(float(x), *self._modes, derivative)
-            return complex((der if derivative else val)[0, 0])
-        val, der = _mode_fields(x, *self._modes, derivative)
-        return (der if derivative else val)[:, 0].reshape(np.shape(x))
+        object.__setattr__(self, "_modes", (
+            _region_waves(k, gamma, *coefficients, np.ones(1), np.zeros(1)),
+            self.barrier.half_width))
 
     def value(self, x):
-        return self._field(x, derivative=False)
+        return _shaped(x, _mode_sums(x, 0.0, *self._modes)[0])
 
     def derivative(self, x):
-        return self._field(x, derivative=True)
+        return _shaped(x, _mode_sums(x, 0.0, *self._modes)[1])
 
 
 def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> ScatteringMode:
@@ -486,11 +513,6 @@ def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> Scatte
 # ---------------------------------------------------------------------------
 # Spectral superpositions.
 # ---------------------------------------------------------------------------
-
-# Most (x, k) entries one pointwise field evaluation holds at once; longer
-# x batches are summed in row chunks, so memory stays bounded for any batch.
-_FIELD_ENTRIES = 1 << 16
-
 
 # Most half-widths one wave-number set keeps matrices for across tables;
 # further ones are built for one batch and dropped after it.
@@ -594,7 +616,11 @@ class SpectralPacketModel(PacketModel):
     per mode, never by finite differences, so the current stays clean near
     density minima.  A phase-resolution guard raises GridTooCoarse instead
     of silently aliasing when an evaluation needs more nodes than the grid
-    has.
+    has.  Pointwise fields run _mode_sums with the time phase in the mode
+    exponent: one complex exponential over the modes and one product with
+    a (modes, 2) matrix give (psi, d psi/dx) right of the barrier (every
+    point of the free reference), two exponentials left of or inside it.
+    Panel tables sum with _PanelWaves and the coefficients of _coeffs(t).
     """
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
@@ -610,9 +636,7 @@ class SpectralPacketModel(PacketModel):
         else:
             coefficients = _barrier_coefficients(grid.nodes, barrier, self.mass)
             edge = barrier.half_width
-        # 1j * k, 1j * gamma, T, R, A, B and region edge, in _mode_fields order.
-        gamma, *rest = coefficients
-        self._modes = (1j * grid.nodes, 1j * gamma, *rest, edge)
+        gamma, *self._coefficients = coefficients       # T, R, A, B
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
         # Lattice pitch: two periods of the fastest spatial beat of rho, so
@@ -631,6 +655,9 @@ class SpectralPacketModel(PacketModel):
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
         # Time-independent factor of the mode phases, -i hbar k^2.
         self._phase_rate = -1j * HBAR * grid.nodes ** 2
+        # Region waves and edge, in _mode_sums order.
+        self._modes = (_region_waves(grid.nodes, gamma, *self._coefficients, self._base_coeffs,
+                                     self._phase_rate / (2.0 * self.mass)), edge)
         self._coeff_cache: tuple[float, np.ndarray | None] = (math.nan, None)
 
     def _coeffs(self, t: float) -> np.ndarray:
@@ -652,27 +679,16 @@ class SpectralPacketModel(PacketModel):
                 f"out to |x| = {x_absmax:.4g} at t = {t:.4g} needs >= {needed}"
             )
 
-    def _fields(self, x, t: float, with_derivative: bool):
-        """psi and, if asked, d psi/dx at the flattened x, as arrays: a
-        scalar x through _point_fields, batches in row chunks."""
-        if np.ndim(x) == 0:
+    def _fields(self, x, t: float):
+        """(psi, d psi/dx) at x through _mode_sums, after the phase guard:
+        two complex numbers for a scalar x, arrays over the flattened x."""
+        if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
             self._check_resolution(abs(x), t)
-            return self._mode_sums(_point_fields, x, self._coeffs(t), with_derivative)
-        flat = np.ravel(np.asarray(x, dtype=float))
-        self._check_resolution(float(np.max(np.abs(flat))) if flat.size else 0.0, t)
-        coeffs = self._coeffs(t)
-        rows = max(1, _FIELD_ENTRIES // self.grid.size)
-        if flat.size <= rows:
-            return self._mode_sums(_mode_fields, flat, coeffs, with_derivative)
-        chunks = [self._mode_sums(_mode_fields, flat[i:i + rows], coeffs, with_derivative)
-                  for i in range(0, flat.size, rows)]
-        psi = np.concatenate([c[0] for c in chunks])
-        return psi, np.concatenate([c[1] for c in chunks]) if with_derivative else None
-
-    def _mode_sums(self, kernel, xs, coeffs, with_derivative: bool):
-        val, der = kernel(xs, *self._modes, with_derivative)
-        return val @ coeffs, der @ coeffs if with_derivative else None
+        else:
+            x = np.asarray(x, dtype=float)
+            self._check_resolution(float(np.max(np.abs(x), initial=0.0)), t)
+        return _mode_sums(x, t, *self._modes)
 
     def _panel_rho(self, t: float, coeffs=None):
         """Density on the nodes mid + half * PANEL_NODES of batches of panels.
@@ -685,7 +701,8 @@ class SpectralPacketModel(PacketModel):
         replaces the mode coefficients at t, for other plane-wave sums on
         the free reference's lattice.
         """
-        T, R, A, B, edge = self._modes[2:]
+        T, R, A, B = self._coefficients
+        edge = self._modes[1]
         if coeffs is None:
             coeffs = self._coeffs(t)
         reach = float(np.max(PANEL_NODES))
@@ -714,26 +731,20 @@ class SpectralPacketModel(PacketModel):
 
     def amplitude(self, x, t):
         """Summed complex amplitude psi(x, t)."""
-        psi, _ = self._fields(x, float(t), with_derivative=False)
-        return complex(psi[0]) if np.ndim(x) == 0 else psi.reshape(np.shape(x))
+        psi, _ = self._fields(x, float(t))
+        return _shaped(x, psi)
 
     def rho(self, x, t):
-        psi, _ = self._fields(x, float(t), with_derivative=False)
-        out = psi.real ** 2 + psi.imag ** 2
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+        psi, _ = self._fields(x, float(t))
+        return _shaped(x, _density(psi))
 
     def current(self, x, t):
-        psi, dpsi = self._fields(x, float(t), with_derivative=True)
-        out = (HBAR / self.mass) * np.imag(np.conj(psi) * dpsi)
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+        psi, dpsi = self._fields(x, float(t))
+        return _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
 
     def density_and_current(self, x, t):
-        psi, dpsi = self._fields(x, float(t), with_derivative=True)
-        rho = psi.real ** 2 + psi.imag ** 2
-        cur = (HBAR / self.mass) * np.imag(np.conj(psi) * dpsi)
-        if np.ndim(x) == 0:
-            return float(rho[0]), float(cur[0])
-        return rho.reshape(np.shape(x)), cur.reshape(np.shape(x))
+        psi, dpsi = self._fields(x, float(t))
+        return _shaped(x, _density(psi)), _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
 
     def interval_mass(self, x1, x2, t) -> float:
         t, x1, x2 = float(t), float(x1), float(x2)

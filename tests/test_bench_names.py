@@ -97,3 +97,34 @@ def test_scalar_fields_do_not_go_through_rho_or_current(monkeypatch):
             for x in (-5.0, 0.1, 4.0):
                 rho, cur = model.density_and_current(x, 0.5)
                 assert type(rho) is float and type(cur) is float
+
+
+def test_each_field_call_reaches_the_mode_kernel_once(monkeypatch):
+    # The tracer counts each rho, current or density_and_current call as one
+    # field evaluation of np.size(x) points.  That holds if each call, for
+    # a scalar and for a one-point array, runs the mode kernel once and
+    # none of the other two methods.
+    names = ("rho", "current", "density_and_current")
+    kernel = wavepacket._mode_sums
+    calls = []
+
+    def counted_kernel(x, *args):
+        calls.append(x)
+        return kernel(x, *args)
+
+    def refuse(self, x, t):
+        raise AssertionError("a field method called another one")
+    monkeypatch.setattr(wavepacket, "_mode_sums", counted_kernel)
+    spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=1.0)
+    for model in (wavepacket.spectral_free_model(spectrum, grid),
+                  wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER,
+                                                    grid)):
+        for name in names:
+            with monkeypatch.context() as patch:
+                for other in set(names) - {name}:
+                    patch.setattr(wavepacket.SpectralPacketModel, other, refuse)
+                for x in (-5.0, 0.1, 4.0):
+                    for arg in (x, np.array([x])):
+                        calls.clear()
+                        getattr(model, name)(arg, 0.5)
+                        assert len(calls) == 1 and np.size(calls[0]) == 1

@@ -19,6 +19,7 @@ from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
     DEFAULT_PACKET,
+    HBAR,
     BarrierSpec,
     DissipativeGaussianModel,
     FreeGaussianModel,
@@ -349,6 +350,69 @@ class TestSpectralFreeModel:
         assert float(m.rho(-10.0, 0.1)) > 0.0
         with pytest.raises(GridTooCoarse):
             m.rho(30.0, 10.0)
+
+
+@pytest.fixture(scope="module")
+def reference_modes(spectral_models):
+    """Mode weights and (gamma, T, R, A, B) of both spectral models, taken
+    mode by mode from scattering_mode for the barrier and written out as
+    plane waves (T = A = 1, R = B = 0) for the free reference."""
+    spectrum, grid, _, _ = spectral_models
+    k = grid.nodes
+    weight = (grid.weights * spectrum.amplitude(k) * np.exp(-1j * k * spectrum.x_bar)
+              / math.sqrt(2.0 * math.pi))
+    modes = [scattering_mode(kj, DEFAULT_BARRIER) for kj in k.tolist()]
+    barrier = np.array([[m.gamma, m.T, m.R, m.A, m.B] for m in modes]).T
+    one, zero = np.ones(k.size, dtype=complex), np.zeros(k.size, dtype=complex)
+    plane = (k.astype(complex), one, zero, one, zero)
+    return k, weight, plane, barrier
+
+
+def _reference_fields(k, weight, coefficients, half_width, x, t):
+    """psi and d psi/dx at (x, t) as a per-mode sum with explicit
+    e^{+-ikx}, e^{+-i gamma x} and e^{-i hbar k^2 t / 2m} factors (m = 1):
+    x < -a left, x > a right, inside otherwise."""
+    gamma, T, R, A, B = coefficients
+    if x < -half_width:
+        incident, reflected = np.exp(1j * k * x), R * np.exp(-1j * k * x)
+        value, slope = incident + reflected, 1j * k * (incident - reflected)
+    elif x > half_width:
+        value = T * np.exp(1j * k * x)
+        slope = 1j * k * value
+    else:
+        up, down = A * np.exp(1j * gamma * x), B * np.exp(-1j * gamma * x)
+        value, slope = up + down, 1j * gamma * (up - down)
+    c = weight * np.exp(-1j * HBAR * k * k * t / 2.0)
+    return complex(np.sum(c * value)), complex(np.sum(c * slope))
+
+
+class TestIndependentModeSum:
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.one_of(st.floats(-25.0, -DEFAULT_BARRIER.half_width),
+                       st.floats(-DEFAULT_BARRIER.half_width, DEFAULT_BARRIER.half_width),
+                       st.floats(DEFAULT_BARRIER.half_width, 25.0),
+                       st.sampled_from([-DEFAULT_BARRIER.half_width,
+                                        DEFAULT_BARRIER.half_width])),
+           t=st.floats(0.0, 10.0))
+    def test_scalar_fields_match_a_written_out_mode_sum(self, spectral_models,
+                                                        reference_modes, x, t):
+        # The kernel folds the time phase into its mode waves and takes the
+        # reflected and under-barrier waves from the incident ones; this sum
+        # shares none of that, only the coefficients.  Bounds are 1e-12 of
+        # the peak scale: sqrt(peak) for psi, times k_max for d psi/dx.
+        _, grid, free_sp, tunnel = spectral_models
+        k, weight, plane, barrier = reference_modes
+        for model, coefficients, a in ((free_sp, plane, -math.inf),
+                                       (tunnel, barrier, DEFAULT_BARRIER.half_width)):
+            psi, dpsi = _reference_fields(k, weight, coefficients, a, x, t)
+            scale = math.sqrt(model.peak_density(t))
+            amplitude = model.amplitude(x, t)
+            assert isinstance(amplitude, complex)
+            assert abs(amplitude - psi) <= 1e-12 * scale
+            assert abs(model._fields(x, t)[1] - dpsi) <= 1e-12 * grid.k_max * scale
+            assert abs(model.rho(x, t) - abs(psi) ** 2) <= 1e-12 * scale ** 2
+            flux = (psi.conjugate() * dpsi).imag
+            assert abs(model.current(x, t) - flux) <= 1e-12 * grid.k_max * scale ** 2
 
 
 class TestTunnelingPacketModel:
