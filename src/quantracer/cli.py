@@ -65,8 +65,8 @@ MAX_TIME_POINTS = 100_000
 MAX_K_NODES = 4096
 MAX_LAMBDA_NODES = 512
 
-# Smallest P the verify retardation check inverts: below it a quantile sits
-# where the tail tables carry ~1e-12 absolute error, too close to resolve.
+# Smallest P that tunnel and verify's retardation check invert: below it a
+# quantile sits where the tail tables carry ~1e-12 absolute error.
 MIN_CROSSING_LEVEL = 1e-6
 
 
@@ -394,6 +394,9 @@ def cmd_trajectories(cfg: ScenarioConfig, command: str) -> tuple[list, list]:
 def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
     if not cfg.p_list:
         raise ConfigError("P list must not be empty")
+    if min(cfg.p_list) < MIN_CROSSING_LEVEL:
+        raise ConfigError(f"tunnel P values must be at least MIN_CROSSING_LEVEL = "
+                          f"{MIN_CROSSING_LEVEL:g}, got {min(cfg.p_list):g}")
     tol = _tolerances(cfg)
     spectrum, grid, free, tunnel = _spectral_pair(cfg, tol)
     verdicts = retardation_scan(free, tunnel, cfg.p_list, _time_grid(cfg),

@@ -132,30 +132,29 @@ class Panels:
 
 
 def _at_panel_nodes(f):
-    """Panel form of a vectorized integrand: (mid, half) -> values (n, 22)."""
-    def panel_f(mid, half):
-        # One call over the concatenated nodes of both rules.
-        x15 = mid[:, None] + half[:, None] * _GL15_X[None, :]
-        x7 = mid[:, None] + half[:, None] * _GL7_X[None, :]
-        xs = np.concatenate([x15.ravel(), x7.ravel()])
+    """Panel form of a vectorized integrand: (table, mid, half) -> values (n, 22)."""
+    def panel_f(table, mid, half):
+        # One call over every panel's GL15 nodes, then every GL7 node.
+        nodes = mid[:, None] + half[:, None] * PANEL_NODES
+        xs = np.concatenate([nodes[:, :15].ravel(), nodes[:, 15:].ravel()])
         ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
         n = mid.size
-        return np.concatenate([ys[: 15 * n].reshape(n, 15),
-                               ys[15 * n :].reshape(n, 7)], axis=1)
+        return np.concatenate([ys[: 15 * n].reshape(n, 15), ys[15 * n :].reshape(n, 7)], axis=1)
     return panel_f
 
 
-def _eval_panels(panel_f, los, his):
+def _eval_panels(panel_f, table, los, his):
     """GL15 values, GL15-GL7 error estimates and the values at the 21
-    distinct nodes, (n, 21), for a batch of panels."""
+    distinct nodes, (n, 21), for a batch of panels of the given tables."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
-    ys = panel_f(mid, half)
-    # Contiguous copies give the rule sums the pointwise layout's bits.
-    v15 = half * (np.ascontiguousarray(ys[:, :15]) @ _GL15_W)
-    v7 = half * (np.ascontiguousarray(ys[:, 15:]) @ _GL7_W)
+    ys = panel_f(table, mid, half)
+    # einsum, not a BLAS matvec (whose rows round by batch size): a
+    # panel's sums do not depend on the panels evaluated with it.
+    v15 = half * np.einsum("ij,j->i", ys[:, :15], _GL15_W)
+    v7 = half * np.einsum("ij,j->i", ys[:, 15:], _GL7_W)
     return v15, np.abs(v15 - v7), ys[:, _DISTINCT]
 
 
@@ -166,67 +165,69 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
     return np.union1d(edges, inner) if inner else edges
 
 
-def _refine(panel_f, edges, tol):
-    """Heap of (-error, order, lo, hi, value, error, node values) entries
-    and the running total of an adaptive GL7/15 quadrature."""
-    edges = np.asarray(edges, dtype=float)
-    n0 = edges.size - 1
-    vals, errs, ys = _eval_panels(panel_f, edges[:-1], edges[1:])
-
-    # Heap keyed by largest error estimate; counter keeps ordering deterministic.
-    heap = []
-    counter = 0
-    for lo, hi, v, e, y in zip(edges[:-1], edges[1:], vals, errs, ys):
-        heapq.heappush(heap, (-e, counter, lo, hi, v, e, y))
-        counter += 1
-
-    total = float(np.sum(vals))
-    total_err = float(np.sum(errs))
-    n_panels = n0
-    width_floor = 1e-14 * (edges[-1] - edges[0])
-
-    while total_err > max(tol.quad_abs, tol.quad_rel * abs(total)):
-        if n_panels >= _MAX_PANELS:
-            raise NonConvergence(
-                f"quadrature needed more than {_MAX_PANELS} panels",
-                value=total,
-                error=total_err,
-            )
-        neg_e, _, lo, hi, v, e, _ = heapq.heappop(heap)
-        if hi - lo < width_floor:
-            raise NonConvergence(
-                "quadrature stalled on an unresolvable feature",
-                value=total,
-                error=total_err,
-            )
-        mid = 0.5 * (lo + hi)
-        new_vals, new_errs, new_ys = _eval_panels(panel_f, [lo, mid], [mid, hi])
-        total += float(np.sum(new_vals)) - v
-        total_err += float(np.sum(new_errs)) - e
-        for plo, phi, pv, pe, py in zip((lo, mid), (mid, hi), new_vals,
-                                        new_errs, new_ys):
-            heapq.heappush(heap, (-pe, counter, plo, phi, pv, pe, py))
-            counter += 1
-        n_panels += 1
-    return heap, total
+def _refine(panel_f, partitions, tol):
+    """Per initial partition, the heap of (-error, order, lo, hi, value,
+    error, node values) entries and the running total of an adaptive
+    GL7/15 quadrature, all refined in lockstep (see adaptive_panels)."""
+    parts = [np.asarray(edges, dtype=float) for edges in partitions]
+    # Per table: heap (keyed by largest error estimate, its push counter
+    # keeps ordering deterministic), total, summed error, panels, pushes.
+    states = [[[], 0.0, 0.0, edges.size - 1, 0] for edges in parts]
+    # Panels to evaluate: (table, los, his, value and error they replace).
+    batch = [(k, e[:-1].tolist(), e[1:].tolist(), 0.0, 0.0) for k, e in enumerate(parts)]
+    while batch:
+        sizes = [len(los) for _, los, *_ in batch]
+        vals, errs, ys = _eval_panels(
+            panel_f, np.array([k for k, los, *_ in batch for _ in los]),
+            [lo for _, los, *_ in batch for lo in los],
+            [hi for _, _, his, *_ in batch for hi in his])
+        start = 0
+        for (k, los, his, v, e), n in zip(batch, sizes):
+            state, rows, start = states[k], slice(start, start + n), start + n
+            state[1] += float(np.sum(vals[rows])) - v
+            state[2] += float(np.sum(errs[rows])) - e
+            for lo, hi, pv, pe, py in zip(los, his, vals[rows], errs[rows], ys[rows]):
+                heapq.heappush(state[0], (-pe, state[4], lo, hi, pv, pe, py))
+                state[4] += 1
+        batch = []
+        for k, (heap, total, total_err, n_panels, _) in enumerate(states):
+            if total_err <= max(tol.quad_abs, tol.quad_rel * abs(total)):
+                continue
+            if n_panels >= _MAX_PANELS:
+                raise NonConvergence(f"quadrature needed more than {_MAX_PANELS} panels",
+                                     value=total, error=total_err)
+            _, _, lo, hi, v, e, _ = heapq.heappop(heap)
+            if hi - lo < 1e-14 * (parts[k][-1] - parts[k][0]):
+                raise NonConvergence("quadrature stalled on an unresolvable feature",
+                                     value=total, error=total_err)
+            states[k][3] += 1
+            batch.append((k, (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi), v, e))
+    return [(heap, total) for heap, total, *_ in states]
 
 
-def adaptive_panels(panel_f, edges, tol: Tolerances = DEFAULT_TOL) -> Panels:
-    """Adaptive GL7/15 quadrature that keeps its panels.
+def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Adaptive GL7/15 quadratures that keep their panels, refined in lockstep.
 
-    ``edges`` is the initial partition, finite and strictly increasing.
-    ``panel_f(mid, half)`` returns the integrand at mid + half * PANEL_NODES
-    for a batch of panels, shape (n, 22).  The panel with the largest
-    GL15-GL7 gap is bisected until the summed gaps satisfy
-    max(quad_abs, quad_rel * |total|).  Raises NonConvergence after
-    _MAX_PANELS panels or on a panel narrower than 1e-14 of the range.
+    Each of ``partitions`` is one table's initial partition, finite and
+    strictly increasing; ``panel_f(table, mid, half)`` returns the
+    integrand at mid + half * PANEL_NODES for a batch of panels of the
+    tables ``table``, shape (n, 22).  Each table keeps its own heap and
+    bisects its panel with the largest GL15-GL7 gap until its summed gaps
+    satisfy max(quad_abs, quad_rel * |total|).  One panel_f call evaluates
+    all initial panels and round r the r-th bisection of every table still
+    refining, so each table has its one-table build's panels and bits if
+    panel_f gives each row the bits it has alone.  Returns one Panels per
+    partition.  Raises NonConvergence once a table needs _MAX_PANELS panels
+    or bisects one narrower than 1e-14 of its range.
     """
-    heap, total = _refine(panel_f, edges, tol)
-    heap.sort(key=lambda entry: entry[2])
-    los, his, values = np.array([entry[2:5] for entry in heap]).T
-    upper = np.append(np.cumsum(values[::-1])[::-1], 0.0)
-    return Panels(los, his, values, np.array([entry[6] for entry in heap]),
-                  total, upper)
+    tables = []
+    for heap, total in _refine(panel_f, partitions, tol):
+        heap.sort(key=lambda entry: entry[2])
+        los, his, values = np.array([entry[2:5] for entry in heap]).T
+        upper = np.append(np.cumsum(values[::-1])[::-1], 0.0)
+        tables.append(Panels(los, his, values, np.array([entry[6] for entry in heap]),
+                             total, upper))
+    return tables
 
 
 def integrate_adaptive(
@@ -258,7 +259,7 @@ def integrate_adaptive(
     if b == a:
         return 0.0
     edges = initial_edges(a, b, max(1, int(initial_panels)), points)
-    return _refine(_at_panel_nodes(f), edges, tol)[1]
+    return _refine(_at_panel_nodes(f), [edges], tol)[0][1]
 
 
 # ---------------------------------------------------------------------------

@@ -139,13 +139,13 @@ def _field_velocity(model: PacketModel, x, t, rho, cur, floor: float) -> float:
 
 
 def quantile_position(model: PacketModel, P, t: float,
-                      tol: Tolerances = DEFAULT_TOL):
+                      tol: Tolerances = DEFAULT_TOL, *, panels=None):
     """Unique x with model.tail(x, t) = P: a float, or an array of P's shape.
 
     One root solve per level.  A spectral model builds one panel table at t
-    (``tail_panels``) and solves each level inside the panel whose edge
-    tails straddle it; other models invert their own ``tail`` over the
-    support hint.  An empty P reads nothing and returns an empty array of
+    (``tail_panels``; ``panels`` is one already built) and solves each level
+    inside the panel whose edge tails straddle it; other models invert their
+    own ``tail`` over the support hint.  An empty P reads nothing and returns an empty array of
     its shape.  Raises InvalidRange for a level outside (0, 1) or NaN, and
     NormBelowP where the total norm has decayed to or below a level.
     """
@@ -159,8 +159,9 @@ def quantile_position(model: PacketModel, P, t: float,
         raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
                          f"t = {t:.6g} is {norm:.12g}", t_end=t)
     t = float(t)
-    if isinstance(model, SpectralPacketModel):
+    if panels is None and isinstance(model, SpectralPacketModel):
         panels = model.tail_panels(t)
+    if panels is not None:
         tail, bracket = panels.tail, panels.bracket
     else:
         hint = model.support_hint(t)
@@ -185,6 +186,7 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
                          tol: Tolerances = DEFAULT_TOL) -> QuantileTrajectory:
     """Trace x_P(t) by inverting the tail probability at each grid time.
 
+    A spectral model builds all its tables in one call (``tail_tables``).
     Stops with a norm_below_p termination at the exact crossing time once
     the total norm falls to P; velocities come from quantile_velocity and
     are NaN (with a floor_episodes count) where the density floor is hit.
@@ -199,12 +201,14 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
     times, xs, vs = [], [], []
     floor_episodes = 0
     termination = Termination.completed()
-    for i, t in enumerate(ts):
+    tables = (model.tail_tables(ts) if isinstance(model, SpectralPacketModel)
+              else [None] * ts.size)
+    for i, (t, panels) in enumerate(zip(ts, tables)):
         if model.norm(t) <= P:
             t_end = _norm_crossing_time(model, P, ts[i - 1], t, tol)
             termination = Termination.norm_below_p(t_end)
             break
-        x = quantile_position(model, P, t, tol)
+        x = quantile_position(model, P, t, tol, panels=panels)
         try:
             v = quantile_velocity(model, x, t)
         except VelocitySingular:

@@ -103,8 +103,9 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
     The barrier coefficients and the term3 kernel are built once per call
     and the two u-kernels once per u-quadrature order reached; each time t
     applies them to the (n_k, len(xs)) matrix of psi_x columns and reads
-    term3 at every x from one panel table on the lattice of the call's
-    free reference model (SpectralPacketModel.tails).
+    term3 at every x from its panel table on the lattice of the call's
+    free reference model, the tables of all times built in one lockstep
+    pass (SpectralPacketModel._tails).
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -151,20 +152,19 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
                 wu @ (i2.real ** 2 + i2.imag ** 2))
 
     x_far = float(np.max(np.abs(xs), initial=0.0))
-    out = np.empty((4, xs.size, ts.size))
-    for j, t in enumerate(ts.tolist()):
-        # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
-        # split into x'-independent coefficients and the exp(i k x') factor.
-        coeff = (grid.weights * spectrum.amplitude(k)
-                 * np.exp(-1j * k * spectrum.x_bar
-                          - 1j * HBAR * k * k * t / (2.0 * mass)))
+    for t in ts.tolist():
         # The psi_x columns reach x_far and term3 the top of the hint.
         free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
-        # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from
-        # each x to hint_hi: one table on the free reference's lattice,
-        # whose kept panel waves serve every time of the call.
-        term3 = free._tails(xs, t, coeff * kernel3)
-
+    # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
+    # split into x'-independent coefficients (a row per t) and exp(i k x').
+    phases = np.exp(-1j * k * spectrum.x_bar - 1j * HBAR * k * k * ts[:, None] / (2.0 * mass))
+    coeffs = grid.weights * spectrum.amplitude(k) * phases
+    # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
+    # x to hint_hi: a table per t on the free reference's lattice, all
+    # built in one lockstep pass.
+    term3s = free._tails(xs, ts, coeffs * kernel3)
+    out = np.empty((4, xs.size, ts.size))
+    for j, (coeff, term3) in enumerate(zip(coeffs, term3s)):
         # Per x, the u-quadrature starts at n_lambda Gauss-Legendre nodes
         # and doubles until that x's total moves by less than 0.1%.
         psi = coeff[:, None] * np.exp(1j * np.outer(k, xs))
@@ -256,7 +256,8 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     """Evaluate both routes over a grid, row-major with t varying fastest.
 
     Each time takes all x at once: the direct route reads both tails at
-    every x from one panel table per model (SpectralPacketModel.tails),
+    every x from one panel table per model and time, each model's tables
+    of all times built in one lockstep pass (SpectralPacketModel._tails),
     and the decomposed route applies u-kernels built once per order for
     the whole call.  delta_p_direct and tail() stay the pointwise checks.
     """
@@ -268,10 +269,7 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
         _decomposed_terms(tunneling.spectrum, barrier, tunneling.grid, xs, ts,
                           n_lambda, tunneling.mass, tol)
         .reshape(4, -1))
-    direct = np.empty((xs.size, ts.size))
-    for j, t in enumerate(ts.tolist()):
-        direct[:, j] = free.tails(xs, t) - tunneling.tails(xs, t)
-    direct = direct.ravel()
+    direct = (free._tails(xs, ts) - tunneling._tails(xs, ts)).T.ravel()
     c1, c2, c3 = _term_weights(barrier, tunneling.mass)
     rel = np.abs(direct - totals) / np.maximum(direct, _AGREEMENT_FLOOR)
     grid = tuple((x, t) for x in xs.tolist() for t in ts.tolist())
@@ -315,17 +313,21 @@ def retardation_scan(free: PacketModel, tunneling: PacketModel,
 
     For every P the tunneled quantile must not lead the free one at any
     grid time where it has already crossed the barrier edge.  The pair must
-    be spectral (as for delta_p_report), so no norm decays below a level;
-    each model inverts every level of a time on one panel table.
+    be spectral (as for delta_p_report), so no norm decays below a level.
+    Each model builds its tables of all grid times in one lockstep pass
+    (tail_tables) and inverts every level of a time on its table
+    (quantile_position).
     """
     edge = _pair_barrier(free, tunneling).half_width
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
     levels = np.asarray(P_list, dtype=float).ravel()
-    x_tun, x_free = (np.array([quantile_position(model, levels, t, tol)   # (t, P)
-                               for t in ts.tolist()]).reshape(ts.size, levels.size)
-                     for model in (tunneling, free))
+    def positions(model):     # (t, P)
+        tables = model.tail_tables(ts) if levels.size else [None] * ts.size
+        return np.array([quantile_position(model, levels, t, tol, panels=panels) for t, panels
+                         in zip(ts.tolist(), tables)]).reshape(ts.size, levels.size)
+    x_tun, x_free = positions(tunneling), positions(free)
     verdicts = []
     for j, P in enumerate(levels.tolist()):
         lead = x_tun[:, j] - x_free[:, j]

@@ -523,85 +523,109 @@ _KEPT_WIDTHS = 16
 _ULPS = 16.0 * np.finfo(float).eps
 
 
+# Most rows of one BLAS product: with several BLAS threads a row's bits
+# change with the row count beyond 16, and a one-row product runs gemv.
+_PRODUCT_ROWS = 16
+
+
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in products of 2 to _PRODUCT_ROWS rows, where each row has the
+    bits it has alone (a lone row is doubled, or joins its predecessor)."""
+    n, m = a.shape[0], a.shape[0] - a.shape[0] % _PRODUCT_ROWS
+    if n <= _PRODUCT_ROWS:
+        return a @ b if n > 1 else (np.repeat(a, 2, axis=0) @ b)[:1]
+    head = (a[:m].reshape(-1, _PRODUCT_ROWS, a.shape[1]) @ b).reshape(m, b.shape[1])
+    rest = a[min(m, n - 2):] @ b      # two rows at least
+    return np.concatenate([head, rest[rest.shape[0] - (n - m):]])
+
+
 class _PanelWaves:
     """Factored sums of the waves e^{+-iqx} over one wave-number set, on panels.
 
     On a panel with midpoint m and half-width h,
-    e^{iq(m + h xi)} = e^{iqm} e^{iqh xi}: equal-width panels share a
-    matmul against the (n_q, 22) matrix e^{iqh xi}, and equal-width panels
-    spaced 2h apart take e^{iqm_j} = e^{iqm_0} e^{iq j 2h}, one
-    exponential per run times the shift rows e^{iq j 2h}.  Every
-    half-width is base * 2^m (a model's panel lattice and its bisection
-    children; another one raises ValueError), and each keeps its matrix
-    and shift rows across calls and times, in ``kept``, up to
-    _KEPT_WIDTHS of them.  e^{-iqm} is the conjugate of e^{iqm} for real
-    q (outside the barrier) and its inverse for complex q.  Panels are
-    summed in row chunks of at most _FIELD_ENTRIES (panel, wave number)
-    entries, which also caps the shift rows of a width.
+    e^{iq(m + h xi)} = e^{iqm} e^{iqh xi}: equal-width panels of any times
+    share a product with the (n_q, 22) matrix e^{iqh xi}.  A region's panels
+    sit on the lattice m = o + h + j 2h, o a barrier edge outside the
+    barrier and 0 inside it and for the free reference.  A lattice panel
+    takes e^{iqm} = exp(iq (o + h + j 2h)) from rows kept for a window of
+    at most cap consecutive j per origin (cap the rows of one _FIELD_ENTRIES
+    chunk), or computes that row afresh outside the window; a panel off its
+    lattice takes exp(iqm).  Every half-width is base * 2^m (a model's
+    lattice and its bisection children; another one raises ValueError) and
+    keeps its matrix and phase rows in ``kept``, up to _KEPT_WIDTHS of them.
+    e^{-iqm} is the conjugate of e^{iqm} for real q (outside the barrier),
+    its inverse for complex q.  Panels are summed in row chunks of at most
+    _FIELD_ENTRIES (panel, wave number) entries, and each has the bits it
+    has alone: its phase row is its own, products go through _rowwise, and
+    every complex product keeps its temporary operand on the left (numpy
+    computes x * temporary as temporary * x in the temporary's buffer past
+    256 KiB, and complex products do not commute bit for bit).
     """
 
     def __init__(self, q: np.ndarray, base: float):
         self.q = q
+        self.iq = 1j * q
         self.base = base
         self.kept: dict = {}
 
     def _entry(self, h: float) -> list:
-        # [e^{iqh xi}, shift rows]; a negative h gives the waves of e^{-iqx}.
+        # [e^{iqh xi}, {origin: (lowest j, kept rows)}]; -h gives e^{-iqx}.
         if h in self.kept:
             return self.kept[h]
-        entry = [np.exp(1j * np.outer(self.q, h * PANEL_NODES)),
-                 np.ones((1, self.q.size), dtype=complex)]
+        entry = [np.exp(np.outer(self.iq, h * PANEL_NODES)), {}]
         if len(self.kept) < _KEPT_WIDTHS:
             self.kept[h] = entry
         return entry
 
-    def _phases(self, mids, h: float, entry: list):
-        """(rows, first) with e^{iqm} = rows * first at each mid.
-
-        Mids on one lattice 2h apart, the lowest at m0, take the kept shift
-        rows and first = e^{iqm0}; others take their own exponentials.
-        """
-        m0 = float(mids.min())
+    def _phases(self, mids, h: float, origin: float, entry: list) -> np.ndarray:
+        """e^{iqm} at each mid, (len(mids), n_q), row by row."""
         step = 2.0 * h
-        d = (mids - m0) / step
-        j = np.rint(d)
-        cap = max(1, _FIELD_ENTRIES // self.q.size)
-        slack = _ULPS * max(abs(m0), abs(float(mids.max()))) / step
-        if j.max() < cap and (np.abs(d - j) <= slack).all():
-            j = j.astype(int)
-            if entry[1].shape[0] <= j.max():
-                entry[1] = np.exp(1j * np.outer(np.arange(j.max() + 1) * step, self.q))
-            return entry[1][j], np.exp((1j * m0) * self.q)
-        return np.exp(1j * np.outer(mids, self.q)), 1.0
+        j = np.rint((mids - (origin + h)) / step)
+        spot = origin + h + j * step
+        on = np.abs(mids - spot) <= _ULPS * np.maximum(abs(origin + h), np.abs(mids))
+        low, kept = entry[1].get(origin, (0.0, np.empty((0, self.q.size), dtype=complex)))
+        if on.any():
+            lo, hi = j[on].min(), j[on].max()
+            if kept.size:
+                lo, hi = min(lo, low), max(hi, low + len(kept) - 1)
+            if hi - lo < max(1, _FIELD_ENTRIES // self.q.size) and hi - lo + 1 > len(kept):
+                low, kept = lo, np.exp(np.outer(origin + h + np.arange(lo, hi + 1) * step, self.iq))
+                entry[1][origin] = (low, kept)
+        i = j - low
+        fresh = ~on | (i < 0) | (i >= len(kept))
+        phases = kept[np.where(fresh, 0, i).astype(int)] if kept.size else np.empty(
+            (mids.size, self.q.size), dtype=complex)
+        if fresh.any():
+            phases[fresh] = np.exp(np.outer(np.where(on, spot, mids)[fresh], self.iq))
+        return phases
 
-    def _sums(self, mids, h: float, up, down, entry: list, back) -> np.ndarray:
-        """sum_j up_j e^{iq_j x} + down_j e^{-iq_j x} at x = mids + h * PANEL_NODES,
-        from the entries of h and (complex q with ``down``) of -h."""
-        rows, first = self._phases(mids, h, entry)
-        psi = (rows * (first * up)) @ entry[0]
-        if down is None:
-            return psi
-        if back is None:
-            # conj(e) down = conj(e conj(down)): the up phases serve both.
-            return psi + ((rows * (first * down.conj())) @ entry[0]).conj()
-        # e^{-iqm} = 1 / e^{iqm}; the e^{-iqh xi} matrix is the entry of -h.
-        return psi + ((down / first) / rows) @ back[0]
-
-    def rho(self, mids, halves, up, down=None) -> np.ndarray:
-        """|up e^{iqx} + down e^{-iqx}|^2 summed over q, on the panels' nodes."""
+    def rho(self, table, mids, halves, origin: float, up, down=None) -> np.ndarray:
+        """|u e^{iqx} + d e^{-iqx}|^2 summed over q on the panels' nodes, with
+        u = up[table] and d = down[table] (no e^{-iqx} wave for down None)
+        the coefficients of each panel's time."""
         # Lattice half-widths snap to their exact value.
         widths = self.base * np.exp2(np.rint(np.log2(halves / self.base)))
         if (np.abs(halves - widths) > _ULPS * (np.abs(mids) + halves)).any():
             raise ValueError("a panel half-width is off the panel lattice")
-        rows = max(1, _FIELD_ENTRIES // self.q.size)
+        # A chunk holds about four (rows, n_q) arrays at once.
+        rows = max(1, _FIELD_ENTRIES // (4 * self.q.size))
         out = np.empty((mids.size, PANEL_NODES.size))
+        if down is not None and np.isrealobj(self.q):
+            down = down.conj()    # conj(e) d = conj(e conj(d)): one phase serves both
         for h in np.unique(widths).tolist():
             entry = self._entry(h)
             back = None if down is None or np.isrealobj(self.q) else self._entry(-h)
             sel = np.flatnonzero(widths == h)
             for i in range(0, sel.size, rows):
                 chunk = sel[i:i + rows]
-                psi = self._sums(mids[chunk], h, up, down, entry, back)
+                phases = self._phases(mids[chunk], h, origin, entry)
+                c = table[chunk]
+                psi = _rowwise(up[c] * phases, entry[0])
+                if down is not None and back is None:
+                    psi += _rowwise(down[c] * phases, entry[0]).conj()
+                elif down is not None:
+                    # e^{-iqm} = 1 / e^{iqm}; the e^{-iqh xi} matrix is the entry of -h.
+                    psi += _rowwise(down[c] / phases, back[0])
                 out[chunk] = psi.real ** 2 + psi.imag ** 2
         return out
 
@@ -658,15 +682,11 @@ class SpectralPacketModel(PacketModel):
         # Region waves and edge, in _mode_sums order.
         self._modes = (_region_waves(grid.nodes, gamma, *self._coefficients, self._base_coeffs,
                                      self._phase_rate / (2.0 * self.mass)), edge)
-        self._coeff_cache: tuple[float, np.ndarray | None] = (math.nan, None)
 
-    def _coeffs(self, t: float) -> np.ndarray:
-        if self._coeff_cache[0] == t:
-            return self._coeff_cache[1]
-        phase = np.exp(self._phase_rate * t / (2.0 * self.mass))
-        coeffs = self._base_coeffs * phase
-        self._coeff_cache = (t, coeffs)
-        return coeffs
+    def _coeffs(self, ts) -> np.ndarray:
+        """Mode coefficients at each time of ts (or at one t), (n_t, n_k)."""
+        phases = np.exp(np.outer(ts, self._phase_rate) / (2.0 * self.mass))
+        return self._base_coeffs * phases
 
     def _check_resolution(self, x_absmax: float, t: float):
         # Upper bound on |d phase/dk| across all mode branches at this x span.
@@ -690,41 +710,46 @@ class SpectralPacketModel(PacketModel):
             self._check_resolution(float(np.max(np.abs(x), initial=0.0)), t)
         return _mode_sums(x, t, *self._modes)
 
-    def _panel_rho(self, t: float, coeffs=None):
-        """Density on the nodes mid + half * PANEL_NODES of batches of panels.
+    def _panel_rho(self, ts, coeffs=None):
+        """Density on the nodes mid + half * PANEL_NODES of batches of panels,
+        each at its own time: values(table, mids, halves) takes panel i at
+        time ts[table[i]].
 
         Each panel lies wholly inside one region, as every table's panels
         do (the lattice makes +-a panel edges), and there the mode sum
         factors (see _PanelWaves; q = k outside the barrier, gamma inside),
         with the model's kept lattice waves.  A panel across a barrier edge
         or with a half-width off the lattice raises ValueError.  ``coeffs``
-        replaces the mode coefficients at t, for other plane-wave sums on
-        the free reference's lattice.
+        (a row per time) replaces the mode coefficients, for other plane-wave
+        sums on the free reference's lattice.
         """
         T, R, A, B = self._coefficients
         edge = self._modes[1]
+        ts = np.asarray(ts, dtype=float).ravel().tolist()
         if coeffs is None:
-            coeffs = self._coeffs(t)
+            coeffs = self._coeffs(ts)
         reach = float(np.max(PANEL_NODES))
         outside, under = self._waves
-        # Per region: waves, coefficients of e^{iqx} and of e^{-iqx}.
-        regions = ((outside, coeffs * T, None), (outside, coeffs, coeffs * R),
-                   (under, coeffs * A, coeffs * B))
+        # Per region: waves, lattice origin, coefficients (a row per time)
+        # of e^{iqx} and of e^{-iqx}.
+        origin = edge if self.barrier is not None else 0.0
+        regions = ((outside, origin, coeffs * T, None), (outside, -origin, coeffs, coeffs * R),
+                   (under, 0.0, coeffs * A, coeffs * B))
 
-        def values(mids, halves):
+        def values(table, mids, halves):
             # Regions by the outermost nodes, not the panel edges: a panel
             # ending on a barrier edge still has all its nodes on one side.
             lo, hi = mids - reach * halves, mids + reach * halves
-            self._check_resolution(max(-float(lo.min()), float(hi.max())), t)
             right = lo > edge
             left = ~right & (hi < -edge)
             inside = (lo > -edge) & (hi < edge)
             if not (right | left | inside).all():
                 raise ValueError("a panel crosses a barrier edge")
             out = np.empty((mids.size, PANEL_NODES.size))
-            for mask, (waves, up, down) in zip((right, left, inside), regions):
+            for mask, (waves, start, up, down) in zip((right, left, inside), regions):
                 if mask.any():
-                    out[mask] = waves.rho(mids[mask], halves[mask], up, down)
+                    out[mask] = waves.rho(table[mask], mids[mask], halves[mask],
+                                          start, up, down)
             return out
 
         return values
@@ -823,10 +848,23 @@ class SpectralPacketModel(PacketModel):
         every initial panel and its bisection children have a width the
         model keeps its panel waves for across times.  Error control as in
         tail(), which keeps the pointwise kernel and starts at its own x,
-        so it stays an independent check of these panels.
+        so it stays an independent check of these panels.  It is the
+        one-time call of tail_tables, with the same bits.
         """
-        t = float(t)
-        return adaptive_panels(self._panel_rho(t), self._lattice(t), self.tol)
+        return self.tail_tables([t])[0]
+
+    def tail_tables(self, ts, partitions=None, coeffs=None) -> list[Panels]:
+        """tail_panels(t) at every t of ts in one lockstep pass (adaptive_panels)
+        after the phase guard over each table: each round's panels of all
+        times share one _panel_rho call, and each table has the bits of its
+        one-time build.  ``partitions`` and ``coeffs`` replace the lattices
+        and mode coefficients (see _tails)."""
+        ts = np.asarray(ts, dtype=float).ravel()
+        if partitions is None:
+            partitions = [self._lattice(t) for t in ts.tolist()]
+        for t, edges in zip(ts.tolist(), partitions):
+            self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
+        return adaptive_panels(self._panel_rho(ts, coeffs), partitions, self.tol)
 
     def tails(self, x, t) -> np.ndarray:
         """tail(x_i, t) at every x from one retained panel table.
@@ -837,25 +875,35 @@ class SpectralPacketModel(PacketModel):
         of the widest tail; tail() stays the pointwise independent check.
         A NaN x raises InvalidRange.
         """
-        return self._tails(x, float(t), None)
+        return self._tails(x, [t])[0]
 
-    def _tails(self, x, t: float, coeffs) -> np.ndarray:
-        """tails(), or with ``coeffs`` the same integral of
-        |sum_j coeffs_j e^{ik_j x}|^2 on the free reference's lattice (the
-        delta-p decomposition's transmitted excess)."""
+    def _tails(self, x, ts, coeffs=None) -> np.ndarray:
+        """tails(x, t) at every t of ts, shape (len(ts), *x.shape), from
+        tables built in one lockstep pass; with ``coeffs`` (one row per
+        time) the same integrals of |sum_j coeffs_j e^{ik_j x}|^2 on the
+        free reference's lattice (the delta-p decomposition's transmitted
+        excess)."""
         if coeffs is not None and self.barrier is not None:
             raise ValueError("plane-wave coefficients need the free reference")
-        lattice = self._lattice(t)
-        xs = np.clip(np.asarray(x, dtype=float), lattice[0], lattice[-1])
-        low = np.min(xs, initial=lattice[-1])     # NaN if any x is NaN
-        if math.isnan(low):
-            raise InvalidRange("tail position is NaN")
-        start = int(np.searchsorted(lattice, low, side="right")) - 1
-        if start == lattice.size - 1:
-            return np.zeros(xs.shape)
-        panels = adaptive_panels(self._panel_rho(t, coeffs), lattice[start:],
-                                 self.tol)
-        return np.reshape([panels.tail(v) for v in xs.ravel().tolist()], xs.shape)
+        x = np.asarray(x, dtype=float)
+        ts = np.asarray(ts, dtype=float).ravel()
+        out = np.zeros((ts.size,) + x.shape)
+        built = []     # (time index, read positions, initial partition)
+        for i, t in enumerate(ts.tolist()):
+            lattice = self._lattice(t)
+            xs = np.clip(x, lattice[0], lattice[-1])
+            low = np.min(xs, initial=lattice[-1])     # NaN if any x is NaN
+            if math.isnan(low):
+                raise InvalidRange("tail position is NaN")
+            start = int(np.searchsorted(lattice, low, side="right")) - 1
+            if start < lattice.size - 1:
+                built.append((i, xs.ravel().tolist(), lattice[start:]))
+        rows = [i for i, *_ in built]
+        tables = self.tail_tables(ts[rows], [edges for *_, edges in built],
+                                  None if coeffs is None else coeffs[rows])
+        for (i, xs, _), panels in zip(built, tables):
+            out[i] = np.reshape([panels.tail(v) for v in xs], x.shape)
+        return out
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.

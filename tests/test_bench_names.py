@@ -66,6 +66,47 @@ def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
     assert len(evals) >= 3
 
 
+def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
+    # The tracer counts numerics.root.evals through quantile.find_root_monotone
+    # and opens a quantile.inversion span per call of the quantile_position
+    # binding of tunneling.  A scan builds each model's tables of all its
+    # times in one wavepacket.adaptive_panels call, which the tracer does not
+    # wrap (the builds land in the tunneling.retardation span's self time),
+    # then inverts each (model, t) table through those bindings; delta_p_report
+    # builds its direct and term3 tables the same way and solves nothing.  A
+    # path round these bindings would read 0 evaluations or inversions.
+    counts = {"evals": 0, "inversions": 0, "builds": 0, "tables": 0}
+    solve, invert = quantile.find_root_monotone, tunneling.quantile_position
+    build = wavepacket.adaptive_panels
+
+    def counted_solve(g, *args, **kwargs):
+        def counted_g(x):
+            counts["evals"] += 1
+            return g(x)
+        return solve(counted_g, *args, **kwargs)
+
+    def counted_invert(*args, **kwargs):
+        counts["inversions"] += 1
+        return invert(*args, **kwargs)
+
+    def counted_build(panel_f, partitions, *args):
+        counts["builds"] += 1
+        counts["tables"] += len(partitions)
+        return build(panel_f, partitions, *args)
+    monkeypatch.setattr(quantile, "find_root_monotone", counted_solve)
+    monkeypatch.setattr(tunneling, "quantile_position", counted_invert)
+    monkeypatch.setattr(wavepacket, "adaptive_panels", counted_build)
+    spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=2.0)
+    free = wavepacket.spectral_free_model(spectrum, grid)
+    tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
+    tunneling.retardation_scan(free, tunnel, [0.01, 0.3], np.linspace(0.0, 2.0, 3))
+    assert counts["inversions"] == 6 and counts["evals"] >= 3 * 12
+    assert (counts["builds"], counts["tables"]) == (2, 6)
+    counts.update(evals=0, inversions=0, builds=0, tables=0)
+    tunneling.delta_p_report(free, tunnel, [0.5, 1.5], [0.0, 1.0, 2.0])
+    assert counts == {"evals": 0, "inversions": 0, "builds": 3, "tables": 9}
+
+
 def test_ode_trace_steps_through_the_traced_ode_binding(monkeypatch):
     # The tracer counts numerics.ode.rhs_evals by rebinding
     # quantile.integrate_ode and wrapping its argument 0; a driver that

@@ -341,6 +341,16 @@ class TestTunnelCommand:
         xs, ys = zip(*block)
         assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("level", ["1e-12", "1e-13", "9.9e-7"])
+    def test_level_below_the_crossing_floor_exits_2(self, tmp_path, capsys, level):
+        # Below MIN_CROSSING_LEVEL the free quantile clamps at its support
+        # hint's top while the tunneling hint runs on, which read as a lead
+        # of 21.56 (FAILED: retardation_beyond_edge) at 1e-12; it is refused.
+        assert run_cli(tmp_path, "tunnel", "--preset", "fig2", "--p-list", level) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "MIN_CROSSING_LEVEL = 1e-06" in err
+        assert not any(tmp_path.iterdir())
+
     def test_fig2_preset_checks_transmitted_levels(self):
         # Levels below the transmitted fraction cross the barrier, so the
         # preset's retardation check compares something.

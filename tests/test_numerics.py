@@ -103,10 +103,10 @@ class TestIntegrateAdaptive:
         f = lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2)
         edges = np.linspace(-5.0, 4.0, 9)
 
-        def panel_f(mid, half):
+        def panel_f(table, mid, half):
             return f(mid[:, None] + half[:, None] * PANEL_NODES)
 
-        panels = adaptive_panels(panel_f, edges, DEFAULT_TOL)
+        (panels,) = adaptive_panels(panel_f, [edges], DEFAULT_TOL)
         assert panels.los.size > edges.size - 1          # some were bisected
         assert panels.los[0] == -5.0 and panels.his[-1] == 4.0
         assert np.array_equal(panels.los[1:], panels.his[:-1])
@@ -123,17 +123,17 @@ class TestIntegrateAdaptive:
     def test_panels_keep_gl15_node_values(self):
         f = lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2)
 
-        def panel_f(mid, half):
+        def panel_f(table, mid, half):
             return f(mid[:, None] + half[:, None] * PANEL_NODES)
 
-        panels = adaptive_panels(panel_f, np.linspace(-5.0, 4.0, 9), DEFAULT_TOL)
+        (panels,) = adaptive_panels(panel_f, [np.linspace(-5.0, 4.0, 9)], DEFAULT_TOL)
         mids = 0.5 * (panels.los + panels.his)
         halves = 0.5 * (panels.his - panels.los)
         # The GL15 columns, then the GL7 ones but the shared middle node.
         distinct = [c for c in range(PANEL_NODES.size) if c != 15 + 3]
         assert panels.nodes.shape == (panels.los.size, 21)
         np.testing.assert_array_equal(panels.nodes,
-                                      panel_f(mids, halves)[:, distinct])
+                                      panel_f(None, mids, halves)[:, distinct])
 
     def test_partial_mass_integrates_the_node_interpolant(self):
         # A degree-14 integrand is its own interpolant on the GL15 nodes,
@@ -142,10 +142,10 @@ class TestIntegrateAdaptive:
         f = np.polynomial.Polynomial(coeffs, domain=[-1.0, 2.0])
         F = f.integ()
 
-        def panel_f(mid, half):
+        def panel_f(table, mid, half):
             return f(mid[:, None] + half[:, None] * PANEL_NODES)
 
-        panels = adaptive_panels(panel_f, [-1.0, 0.5, 2.0], DEFAULT_TOL)
+        (panels,) = adaptive_panels(panel_f, [[-1.0, 0.5, 2.0]], DEFAULT_TOL)
         scale = np.max(np.abs(f(np.linspace(-1.0, 2.0, 301))))
         for i, (lo, hi) in enumerate(zip(panels.los, panels.his)):
             assert panels.partial_mass(i, hi) == 0.0

@@ -187,12 +187,12 @@ class TestQuantilePosition:
             seen["points"] += np.size(x)
             return rho(x, t)
 
-        def counted_panel_rho(t):
-            values = panel_rho(t)
+        def counted_panel_rho(ts, coeffs=None):
+            values = panel_rho(ts, coeffs)
 
-            def counted(mids, halves):
+            def counted(table, mids, halves):
                 seen["panels"] += mids.size
-                return values(mids, halves)
+                return values(table, mids, halves)
             return counted
 
         monkeypatch.setattr(tunnel, "rho", counted_rho)

@@ -278,16 +278,17 @@ class TestRetardationScan:
         _, _, free, tunnel = fig2
         levels = PRESETS["fig2"]["p_list"]
         times = np.linspace(0.0, 10.0, 21)
-        calls = {"tail_panels": 0, "density_and_current": 0}
+        calls = {"tail_tables": 0, "density_and_current": 0}
         for name in calls:
             original = getattr(SpectralPacketModel, name)
 
             def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
+                # Tables built, one per time; field calls, one per call.
+                calls[_name] += len(args[0]) if _name == "tail_tables" else 1
                 return _original(self, *args)
             monkeypatch.setattr(SpectralPacketModel, name, counted)
         verdicts = retardation_scan(free, tunnel, levels, times)
-        assert calls == {"tail_panels": 42, "density_and_current": 0}
+        assert calls == {"tail_tables": 42, "density_and_current": 0}
         assert [v.P for v in verdicts] == list(levels)
         v = verdicts[3]
         assert v.times.tolist() == times.tolist()
@@ -297,9 +298,9 @@ class TestRetardationScan:
     def test_empty_level_list_builds_no_table(self, fig2, monkeypatch):
         _, _, free, tunnel = fig2
         builds = []
-        tail_panels = SpectralPacketModel.tail_panels
-        monkeypatch.setattr(SpectralPacketModel, "tail_panels",
-                            lambda self, t: builds.append(t) or tail_panels(self, t))
+        tail_tables = SpectralPacketModel.tail_tables
+        monkeypatch.setattr(SpectralPacketModel, "tail_tables",
+                            lambda self, ts: builds.extend(ts) or tail_tables(self, ts))
         assert retardation_scan(free, tunnel, [], np.linspace(0.0, 8.0, 5)) == []
         assert builds == []
 

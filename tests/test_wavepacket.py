@@ -48,6 +48,11 @@ def spectral_models():
     return spectrum, grid, free, tunnel
 
 
+def panel_rho(model, t, mids, halves):
+    """The panel kernel at one time t."""
+    return model._panel_rho([t])(np.zeros(mids.size, dtype=int), mids, halves)
+
+
 def assert_tail_monotone(model, t, n_points=200):
     # Two independent quadratures each carry ~quad_rel*|tail| error, so a
     # difference can read positive by up to twice that; allow 4e-9.
@@ -530,33 +535,32 @@ class TestTunnelingPacketModel:
             if model.barrier is not None:
                 halves[4] = a / 2
             for t in (0.0, 5.0, 10.0):
-                fast = model._panel_rho(t)(mids, halves)
+                fast = panel_rho(model, t, mids, halves)
                 nodes = mids[:, None] + halves[:, None] * PANEL_NODES
                 slow = model.rho(nodes, t)
                 assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
             with pytest.raises(ValueError, match="off the panel lattice"):
-                model._panel_rho(5.0)(np.append(mids, -12.0),
-                                      np.append(halves, 0.35))
+                panel_rho(model, 5.0, np.append(mids, -12.0), np.append(halves, 0.35))
         for mid, half in ((-a, 0.2), (a, 0.3)):
             with pytest.raises(ValueError, match="crosses a barrier edge"):
-                tunnel._panel_rho(5.0)(np.append(mids, mid), np.append(halves, half))
+                panel_rho(tunnel, 5.0, np.append(mids, mid), np.append(halves, half))
 
     @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
     def test_shift_rows_match_pointwise(self, spectral_models, t):
-        # Runs of lattice panels (one exponential per run times the kept
-        # shift rows) and their bisection children, left of, inside and
-        # right of the barrier.
+        # Runs of lattice panels (kept rows of lattice phases, one window
+        # per width and region origin) and their bisection children, left
+        # of, inside and right of the barrier.
         _, _, free_sp, tunnel = spectral_models
         for model in (free_sp, tunnel):
             edges = model._lattice(t)
             mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
             kids = np.concatenate([mids - 0.5 * halves, mids + 0.5 * halves])
             for m, h in ((mids, halves), (kids, np.tile(0.5 * halves, 2))):
-                fast = model._panel_rho(t)(m, h)
+                fast = panel_rho(model, t, m, h)
                 slow = model.rho(m[:, None] + h[:, None] * PANEL_NODES, t)
                 assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
-            rows = [entry[1].shape[0] for waves in model._waves
-                    for entry in waves.kept.values()]
+            rows = [len(kept) for waves in model._waves for entry in waves.kept.values()
+                    for _, kept in entry[1].values()]
             assert max(rows) >= mids.size // 2
 
     def test_table_widths_sit_on_the_lattice(self):
@@ -609,16 +613,17 @@ class TestTunnelingPacketModel:
     def test_tails_with_coefficients_need_the_free_reference(self, spectral_models):
         _, grid, free_sp, tunnel = spectral_models
         coeffs = free_sp._coeffs(2.0)
-        assert np.array_equal(free_sp._tails([0.5, 3.0], 2.0, coeffs),
+        assert np.array_equal(free_sp._tails([0.5, 3.0], [2.0], coeffs)[0],
                               free_sp.tails([0.5, 3.0], 2.0))
         with pytest.raises(ValueError):
-            tunnel._tails([0.5], 2.0, coeffs)
+            tunnel._tails([0.5], [2.0], coeffs)
 
     def test_kept_waves_are_bounded(self):
         # After a sweep over t = 0, 0.5, ..., 10 and a tails() call read
         # at six x values off the lattice edges, each model keeps at most
         # eight e^{iqh xi} matrices (measured 2 and 4), all of lattice
-        # widths, and both hold under 3 MiB (measured 1.2 MiB).
+        # widths, and both hold under 3 MiB (measured 2.4 MiB; 2.2 MiB with
+        # shift rows relative to each batch's lowest mid).
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
         models = (spectral_free_model(spectrum, grid),
                   tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid))
@@ -705,10 +710,10 @@ class TestTunnelingPacketModel:
         for mids, halves, bound in (
                 (np.linspace(-30.0, -2.0, 40), np.full(40, tunnel._pitch / 8), 1e-14),
                 (0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges), 1e-13)):
-            one_pass = tunnel._panel_rho(4.0)(mids, halves)
+            one_pass = panel_rho(tunnel, 4.0, mids, halves)
             with monkeypatch.context() as patch:
                 patch.setattr(wavepacket, "_FIELD_ENTRIES", 3 * grid.size)
-                chunked = tunnel._panel_rho(4.0)(mids, halves)
+                chunked = panel_rho(tunnel, 4.0, mids, halves)
             assert np.max(np.abs(chunked - one_pass)) <= bound * np.max(one_pass)
 
     def test_long_batches_are_chunked(self, spectral_models, monkeypatch):
@@ -735,6 +740,90 @@ class TestTunnelingPacketModel:
         lo, hi = tunnel.support_hint(3.0)
         assert tunnel.tail(hi + 5.0, 3.0) == 0.0
         assert tunnel.tail(lo - 1e6, 3.0) == pytest.approx(1.0, abs=1e-6)
+
+
+def assert_same_tables(batched, alone):
+    """Two lists of Panels, equal bit for bit."""
+    assert len(batched) == len(alone)
+    for b, a in zip(batched, alone):
+        for name in ("los", "his", "values", "nodes", "upper"):
+            assert np.array_equal(getattr(b, name), getattr(a, name)), name
+        assert b.total == a.total
+
+
+# Sorted sets of 1 to 25 distinct times in [0, 10], of every size alike.
+TIME_SETS = st.integers(1, 25).flatmap(lambda n: st.lists(
+    st.floats(0.0, 10.0), min_size=n, max_size=n, unique=True).map(sorted))
+
+
+class TestBatchedTables:
+    """A lockstep build of many times gives every table the bits of its
+    one-time build, whatever times share the batch."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(ts=TIME_SETS, which=st.sampled_from([2, 3]))
+    def test_batched_tables_equal_one_time_builds(self, spectral_models, ts, which):
+        model = spectral_models[which]
+        assert_same_tables(model.tail_tables(ts), [model.tail_panels(t) for t in ts])
+
+    @settings(max_examples=8, deadline=None)
+    @given(ts=TIME_SETS)
+    def test_batched_plane_wave_tails_equal_one_time_builds(self, spectral_models, ts):
+        # The delta-p term3 tables: other coefficients on the free
+        # reference's lattice, read at x off the lattice edges.
+        _, grid, free_sp, _ = spectral_models
+        ts = np.array(ts)
+        coeffs = free_sp._coeffs(ts) * np.exp(0.7j * grid.nodes)
+        xs = np.array([0.5, 1.7, 4.45])
+        batched = free_sp._tails(xs, ts, coeffs)
+        for i, t in enumerate(ts.tolist()):
+            assert np.array_equal(batched[i], free_sp._tails(xs, [t], coeffs[i:i + 1])[0])
+
+    def test_rows_keep_their_bits_in_any_batch(self, spectral_models):
+        # The panel kernel on rows of three times: each row alone, in its
+        # time's group and in the whole batch, including a group of one row
+        # (the one inner panel of a width) and an off-lattice panel.
+        _, _, _, tunnel = spectral_models
+        ts = [0.0, 4.5, 10.0]
+        values = tunnel._panel_rho(ts)
+        table, mids, halves = [], [], []
+        for i, t in enumerate(ts):
+            edges = tunnel._lattice(t)
+            n = edges.size - 1
+            table += [i] * (n + 1)
+            mids += (0.5 * (edges[1:] + edges[:-1])).tolist() + [-7.0 - 0.37 * i]
+            halves += (0.5 * np.diff(edges)).tolist() + [tunnel._pitch / 8]
+        table, mids, halves = np.array(table), np.array(mids), np.array(halves)
+        table[-1], mids[-1], halves[-1] = 1, 0.15, 0.075      # alone at its width
+        batch = values(table, mids, halves)
+        for i in range(mids.size):
+            alone = values(table[i:i + 1], mids[i:i + 1], halves[i:i + 1])
+            assert np.array_equal(alone[0], batch[i])
+        for i in range(len(ts)):
+            rows = table == i
+            assert np.array_equal(values(table[rows], mids[rows], halves[rows]), batch[rows])
+
+    def test_batched_build_memory_is_chunk_bounded(self, monkeypatch):
+        # 101 times of the fig2 tunneling model, 5351 panels: the build
+        # peaked at 6.8-7.7 MiB here, about 6.4 MiB of it growing with the
+        # panels (heap entries and node values, ~1.2 KiB a panel) and the
+        # rest in row chunks of a quarter of _FIELD_ENTRIES complex entries
+        # (256 KiB each); with _FIELD_ENTRIES / 8 it peaked at 6.8 MiB.
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
+        ts = np.linspace(0.0, 10.0, 101)
+        for entries in (wavepacket._FIELD_ENTRIES, wavepacket._FIELD_ENTRIES // 8):
+            monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", entries)
+            model = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
+            model.tail_tables(ts)                 # kept waves in place
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tables = model.tail_tables(ts)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            panels = sum(p.los.size for p in tables)
+            assert peak <= 4 * 16 * entries + 1536 * panels
 
 
 class TestGaussian3DModel:
