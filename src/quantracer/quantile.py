@@ -138,22 +138,29 @@ def _field_velocity(model: PacketModel, x, t, rho, cur, floor: float) -> float:
     return (float(cur) - loss_tail) / rho
 
 
+def _levels(P) -> np.ndarray:
+    """P as a float array, each level checked to lie in (0, 1)."""
+    levels = np.asarray(P, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
+        raise InvalidRange(f"P must lie in (0, 1), got {P}")
+    return levels
+
+
 def quantile_position(model: PacketModel, P, t: float,
                       tol: Tolerances = DEFAULT_TOL, *, panels=None):
     """Unique x with model.tail(x, t) = P: a float, or an array of P's shape.
 
     One root solve per level.  A spectral model builds one panel table at t
-    (``tail_panels``; ``panels`` is one already built) and solves each level
-    inside the panel whose edge tails straddle it; other models invert their
-    own ``tail`` over the support hint.  An empty P reads nothing and returns an empty array of
-    its shape.  Raises InvalidRange for a level outside (0, 1) or NaN, and
-    NormBelowP where the total norm has decayed to or below a level.
+    (``tail_panels``; ``panels`` is one it already built at t, from
+    tail_tables, else ValueError) and solves each level inside the panel
+    whose edge tails straddle it; other models invert their own ``tail``
+    over the support hint.  An empty P reads nothing and returns an empty
+    array of its shape.  Raises InvalidRange for a level outside (0, 1) or
+    NaN, and NormBelowP where the total norm has decayed to or below a level.
     """
-    levels = np.asarray(P, dtype=float)
+    levels = _levels(P)
     if levels.size == 0:
         return np.empty(levels.shape)
-    if not np.all((levels > 0.0) & (levels < 1.0)):
-        raise InvalidRange(f"P must lie in (0, 1), got {P}")
     norm = model.norm(t)
     if np.any(levels >= norm):
         raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
@@ -161,6 +168,8 @@ def quantile_position(model: PacketModel, P, t: float,
     t = float(t)
     if panels is None and isinstance(model, SpectralPacketModel):
         panels = model.tail_panels(t)
+    elif panels is not None and panels.key != (model, t):
+        raise ValueError(f"the panel table was not built by this model at t = {t:.6g}")
     if panels is not None:
         tail, bracket = panels.tail, panels.bracket
     else:
@@ -186,14 +195,15 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
                          tol: Tolerances = DEFAULT_TOL) -> QuantileTrajectory:
     """Trace x_P(t) by inverting the tail probability at each grid time.
 
-    A spectral model builds all its tables in one call (``tail_tables``).
     Stops with a norm_below_p termination at the exact crossing time once
     the total norm falls to P; velocities come from quantile_velocity and
     are NaN (with a floor_episodes count) where the density floor is hit.
+    A spectral model reads its tables from one ``tail_tables`` call.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
+    _levels(P)
     if model.norm(ts[0]) <= P:
         raise NormBelowP(
             f"norm at the first grid time is already <= P = {P}", t_end=ts[0])

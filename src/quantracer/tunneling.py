@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidRange
 from .numerics import DEFAULT_TOL, KGrid, Tolerances
-from .quantile import quantile_position
+from .quantile import _levels, quantile_position
 from .wavepacket import (
     HBAR,
     BarrierSpec,
@@ -104,8 +104,7 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
     and the two u-kernels once per u-quadrature order reached; each time t
     applies them to the (n_k, len(xs)) matrix of psi_x columns and reads
     term3 at every x from its panel table on the lattice of the call's
-    free reference model, the tables of all times built in one lockstep
-    pass (SpectralPacketModel._tails).
+    free reference model, all from one tail_tables call (_tails).
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -161,7 +160,7 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
     coeffs = grid.weights * spectrum.amplitude(k) * phases
     # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
     # x to hint_hi: a table per t on the free reference's lattice, all
-    # built in one lockstep pass.
+    # from one tail_tables call.
     term3s = free._tails(xs, ts, coeffs * kernel3)
     out = np.empty((4, xs.size, ts.size))
     for j, (coeff, term3) in enumerate(zip(coeffs, term3s)):
@@ -256,8 +255,8 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     """Evaluate both routes over a grid, row-major with t varying fastest.
 
     Each time takes all x at once: the direct route reads both tails at
-    every x from one panel table per model and time, each model's tables
-    of all times built in one lockstep pass (SpectralPacketModel._tails),
+    every x from one panel table per model and time, all from one
+    tail_tables call per model (SpectralPacketModel._tails),
     and the decomposed route applies u-kernels built once per order for
     the whole call.  delta_p_direct and tail() stay the pointwise checks.
     """
@@ -314,15 +313,14 @@ def retardation_scan(free: PacketModel, tunneling: PacketModel,
     For every P the tunneled quantile must not lead the free one at any
     grid time where it has already crossed the barrier edge.  The pair must
     be spectral (as for delta_p_report), so no norm decays below a level.
-    Each model builds its tables of all grid times in one lockstep pass
-    (tail_tables) and inverts every level of a time on its table
-    (quantile_position).
+    Each model reads its tables from one tail_tables call and inverts every
+    level of a time on its table (quantile_position).
     """
     edge = _pair_barrier(free, tunneling).half_width
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
-    levels = np.asarray(P_list, dtype=float).ravel()
+    levels = _levels(np.asarray(P_list, dtype=float).ravel())
     def positions(model):     # (t, P)
         tables = model.tail_tables(ts) if levels.size else [None] * ts.size
         return np.array([quantile_position(model, levels, t, tol, panels=panels) for t, panels

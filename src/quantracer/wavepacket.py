@@ -11,6 +11,7 @@ from __future__ import annotations
 import abc
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -522,44 +523,39 @@ _KEPT_WIDTHS = 16
 # count as lattice ones: rounding of the panel edges, nothing more.
 _ULPS = 16.0 * np.finfo(float).eps
 
+# Most tables one lockstep pass builds (a pass holds all their heaps).
+_TABLE_BLOCK = 32
 
-# Most rows of one BLAS product: with several BLAS threads a row's bits
-# change with the row count beyond 16, and a one-row product runs gemv.
+# Most rows of one BLAS product: with OpenBLAS 0.3.31 on 2 threads a row's
+# bits changed beyond 16 rows (at 386 modes; see README), one row runs gemv.
 _PRODUCT_ROWS = 16
 
 
 def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b in products of 2 to _PRODUCT_ROWS rows, where each row has the
-    bits it has alone (a lone row is doubled, or joins its predecessor)."""
-    n, m = a.shape[0], a.shape[0] - a.shape[0] % _PRODUCT_ROWS
-    if n <= _PRODUCT_ROWS:
-        return a @ b if n > 1 else (np.repeat(a, 2, axis=0) @ b)[:1]
-    head = (a[:m].reshape(-1, _PRODUCT_ROWS, a.shape[1]) @ b).reshape(m, b.shape[1])
-    rest = a[min(m, n - 2):] @ b      # two rows at least
-    return np.concatenate([head, rest[rest.shape[0] - (n - m):]])
+    bits it has alone (a lone row is doubled)."""
+    if a.shape[0] <= _PRODUCT_ROWS:
+        return a @ b if a.shape[0] > 1 else (np.repeat(a, 2, axis=0) @ b)[:1]
+    return np.concatenate([part @ b for part in np.array_split(a, -(-a.shape[0] // _PRODUCT_ROWS))])
 
 
 class _PanelWaves:
     """Factored sums of the waves e^{+-iqx} over one wave-number set, on panels.
 
-    On a panel with midpoint m and half-width h,
-    e^{iq(m + h xi)} = e^{iqm} e^{iqh xi}: equal-width panels of any times
-    share a product with the (n_q, 22) matrix e^{iqh xi}.  A region's panels
-    sit on the lattice m = o + h + j 2h, o a barrier edge outside the
-    barrier and 0 inside it and for the free reference.  A lattice panel
-    takes e^{iqm} = exp(iq (o + h + j 2h)) from rows kept for a window of
-    at most cap consecutive j per origin (cap the rows of one _FIELD_ENTRIES
-    chunk), or computes that row afresh outside the window; a panel off its
-    lattice takes exp(iqm).  Every half-width is base * 2^m (a model's
-    lattice and its bisection children; another one raises ValueError) and
-    keeps its matrix and phase rows in ``kept``, up to _KEPT_WIDTHS of them.
-    e^{-iqm} is the conjugate of e^{iqm} for real q (outside the barrier),
-    its inverse for complex q.  Panels are summed in row chunks of at most
-    _FIELD_ENTRIES (panel, wave number) entries, and each has the bits it
-    has alone: its phase row is its own, products go through _rowwise, and
-    every complex product keeps its temporary operand on the left (numpy
-    computes x * temporary as temporary * x in the temporary's buffer past
-    256 KiB, and complex products do not commute bit for bit).
+    On a panel with midpoint m and half-width h, e^{iq(m + h xi)} =
+    e^{iqm} e^{iqh xi}: equal-width panels of any times share a product
+    with the (n_q, 22) matrix e^{iqh xi}.  A lattice panel (m = o + h + j 2h,
+    o a barrier edge outside the barrier, else 0) takes the row
+    exp(iq (o + h + j 2h)) from a kept window of at most one chunk's rows
+    per origin, or computes it; a panel off its lattice takes exp(iqm).
+    Half-widths are base * 2^m (others raise ValueError), each with its
+    matrix and rows kept in ``kept``, up to _KEPT_WIDTHS of them.  e^{-iqm}
+    is the conjugate of e^{iqm} for real q, its inverse for complex q.
+    Rows are summed in chunks of at most _FIELD_ENTRIES (panel, q) entries
+    and keep the bits they have alone: own phase rows, _rowwise products,
+    and numpy's elidable temporary on the left of every complex product
+    (past 256 KiB numpy computes x * temporary in the temporary's buffer,
+    and complex products do not commute bit for bit).
     """
 
     def __init__(self, q: np.ndarray, base: float):
@@ -851,20 +847,27 @@ class SpectralPacketModel(PacketModel):
         so it stays an independent check of these panels.  It is the
         one-time call of tail_tables, with the same bits.
         """
-        return self.tail_tables([t])[0]
+        return next(self.tail_tables([t]))
 
-    def tail_tables(self, ts, partitions=None, coeffs=None) -> list[Panels]:
-        """tail_panels(t) at every t of ts in one lockstep pass (adaptive_panels)
-        after the phase guard over each table: each round's panels of all
-        times share one _panel_rho call, and each table has the bits of its
-        one-time build.  ``partitions`` and ``coeffs`` replace the lattices
-        and mode coefficients (see _tails)."""
+    def tail_tables(self, ts, low=-math.inf, coeffs=None) -> Iterator[Panels]:
+        """tail_panels(t) for each t of ts, with the bits of its one-time build,
+        yielded in order from lockstep passes (adaptive_panels) over blocks of
+        _TABLE_BLOCK times, a block when its first table is read, after the
+        phase guard over each table.  A table's key is (model, t), or None
+        when it starts at the lattice edge at or below ``low`` (the last
+        panel at most) or sums ``coeffs`` (see _tails)."""
         ts = np.asarray(ts, dtype=float).ravel()
-        if partitions is None:
-            partitions = [self._lattice(t) for t in ts.tolist()]
-        for t, edges in zip(ts.tolist(), partitions):
-            self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
-        return adaptive_panels(self._panel_rho(ts, coeffs), partitions, self.tol)
+        for i in range(0, ts.size, _TABLE_BLOCK):
+            block = ts[i:i + _TABLE_BLOCK].tolist()
+            parts = [self._lattice(t) for t in block]
+            if low > -math.inf:
+                parts = [e[min(e.size - 2, max(0, int(np.searchsorted(e, low, "right")) - 1)):]
+                         for e in parts]
+            for t, edges in zip(block, parts):
+                self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
+            keys = [(self, t) for t in block] if low == -math.inf and coeffs is None else None
+            rho = self._panel_rho(block, None if coeffs is None else coeffs[i:i + _TABLE_BLOCK])
+            yield from adaptive_panels(rho, parts, self.tol, keys)
 
     def tails(self, x, t) -> np.ndarray:
         """tail(x_i, t) at every x from one retained panel table.
@@ -879,31 +882,19 @@ class SpectralPacketModel(PacketModel):
 
     def _tails(self, x, ts, coeffs=None) -> np.ndarray:
         """tails(x, t) at every t of ts, shape (len(ts), *x.shape), from
-        tables built in one lockstep pass; with ``coeffs`` (one row per
+        the tables of one tail_tables call; with ``coeffs`` (one row per
         time) the same integrals of |sum_j coeffs_j e^{ik_j x}|^2 on the
         free reference's lattice (the delta-p decomposition's transmitted
         excess)."""
         if coeffs is not None and self.barrier is not None:
             raise ValueError("plane-wave coefficients need the free reference")
         x = np.asarray(x, dtype=float)
-        ts = np.asarray(ts, dtype=float).ravel()
-        out = np.zeros((ts.size,) + x.shape)
-        built = []     # (time index, read positions, initial partition)
-        for i, t in enumerate(ts.tolist()):
-            lattice = self._lattice(t)
-            xs = np.clip(x, lattice[0], lattice[-1])
-            low = np.min(xs, initial=lattice[-1])     # NaN if any x is NaN
-            if math.isnan(low):
-                raise InvalidRange("tail position is NaN")
-            start = int(np.searchsorted(lattice, low, side="right")) - 1
-            if start < lattice.size - 1:
-                built.append((i, xs.ravel().tolist(), lattice[start:]))
-        rows = [i for i, *_ in built]
-        tables = self.tail_tables(ts[rows], [edges for *_, edges in built],
-                                  None if coeffs is None else coeffs[rows])
-        for (i, xs, _), panels in zip(built, tables):
-            out[i] = np.reshape([panels.tail(v) for v in xs], x.shape)
-        return out
+        low = np.min(x, initial=math.inf)     # NaN if any x is NaN
+        if math.isnan(low):
+            raise InvalidRange("tail position is NaN")
+        reads = [[table.tail(v) for v in np.clip(x, table.los[0], table.his[-1]).ravel().tolist()]
+                 for table in self.tail_tables(ts, low, coeffs)]
+        return np.reshape(reads, (len(reads),) + x.shape)
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.

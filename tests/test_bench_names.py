@@ -69,7 +69,7 @@ def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
 def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
     # The tracer counts numerics.root.evals through quantile.find_root_monotone
     # and opens a quantile.inversion span per call of the quantile_position
-    # binding of tunneling.  A scan builds each model's tables of all its
+    # binding of tunneling.  A scan builds each model's tables of up to 32
     # times in one wavepacket.adaptive_panels call, which the tracer does not
     # wrap (the builds land in the tunneling.retardation span's self time),
     # then inverts each (model, t) table through those bindings; delta_p_report

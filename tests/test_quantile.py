@@ -248,6 +248,16 @@ class TestQuantilePosition:
                 quantile_position(m, bad, 1.0)
 
 
+    def test_prebuilt_table_must_be_the_models_at_t(self, tunnel_models):
+        free, tunnel = tunnel_models
+        table = next(tunnel.tail_tables([4.0]))
+        assert quantile_position(tunnel, 0.3, 4.0, panels=table) == quantile_position(
+            tunnel, 0.3, 4.0)
+        for model, t in ((free, 4.0), (tunnel, 4.5)):
+            with pytest.raises(ValueError, match="not built by this model"):
+                quantile_position(model, 0.3, t, panels=table)
+
+
 class TestQuantileVelocity:
     def test_mean_velocity_at_center(self):
         m = FreeGaussianModel(DEFAULT_PACKET)
@@ -327,6 +337,13 @@ class TestTraceTrajectoryCdf:
         m = FreeGaussianModel(DEFAULT_PACKET)
         with pytest.raises(InvalidRange):
             trace_trajectory_cdf(m, 0.5, np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("P", [0.0, -0.1, 1.0, math.nan])
+    def test_rejects_a_level_before_building_tables(self, tunnel_models, monkeypatch, P):
+        _, tunnel = tunnel_models
+        monkeypatch.setattr(type(tunnel), "tail_tables", lambda *args: pytest.fail("built"))
+        with pytest.raises(InvalidRange):
+            trace_trajectory_cdf(tunnel, P, np.linspace(0.0, 10.0, 41))
 
 
 class TestTraceTrajectoryOde:

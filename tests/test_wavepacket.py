@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from quantracer import wavepacket
 from quantracer.errors import DegenerateK, GridTooCoarse, InvalidRange
-from quantracer.numerics import PANEL_NODES, Tolerances, build_kgrid, integrate_adaptive
+from quantracer.numerics import PANEL_NODES, KGrid, Tolerances, build_kgrid, integrate_adaptive
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
@@ -743,7 +743,8 @@ class TestTunnelingPacketModel:
 
 
 def assert_same_tables(batched, alone):
-    """Two lists of Panels, equal bit for bit."""
+    """Two sequences of Panels, equal bit for bit."""
+    batched, alone = list(batched), list(alone)
     assert len(batched) == len(alone)
     for b, a in zip(batched, alone):
         for name in ("los", "his", "values", "nodes", "upper"):
@@ -779,6 +780,20 @@ class TestBatchedTables:
         for i, t in enumerate(ts.tolist()):
             assert np.array_equal(batched[i], free_sp._tails(xs, [t], coeffs[i:i + 1])[0])
 
+    def test_batched_tables_on_the_largest_grid(self):
+        # 4096 wave numbers, the CLI's largest grid: a row chunk holds 4
+        # rows and each BLAS product is 10x the stock one's.  Midpoint
+        # nodes over the stock band stand in for the slow 4096-node GL rule.
+        band = spectral_setup(DEFAULT_PACKET, t_max=10.0)[1]
+        cell = (band.k_max - band.k_min) / 4096
+        grid = KGrid(band.k_min + cell * (np.arange(4096) + 0.5), np.full(4096, cell),
+                     band.k_min, band.k_max)
+        spectrum = SpectralFunction.for_packet(DEFAULT_PACKET, grid)
+        ts = [0.0, 2.5, 5.5, 10.0]
+        for model in (spectral_free_model(spectrum, grid),
+                      tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
+            assert_same_tables(model.tail_tables(ts), [model.tail_panels(t) for t in ts])
+
     def test_rows_keep_their_bits_in_any_batch(self, spectral_models):
         # The panel kernel on rows of three times: each row alone, in its
         # time's group and in the whole batch, including a group of one row
@@ -803,27 +818,53 @@ class TestBatchedTables:
             rows = table == i
             assert np.array_equal(values(table[rows], mids[rows], halves[rows]), batch[rows])
 
-    def test_batched_build_memory_is_chunk_bounded(self, monkeypatch):
-        # 101 times of the fig2 tunneling model, 5351 panels: the build
-        # peaked at 6.8-7.7 MiB here, about 6.4 MiB of it growing with the
-        # panels (heap entries and node values, ~1.2 KiB a panel) and the
-        # rest in row chunks of a quarter of _FIELD_ENTRIES complex entries
-        # (256 KiB each); with _FIELD_ENTRIES / 8 it peaked at 6.8 MiB.
+    def test_blocks_are_built_as_they_are_read(self, spectral_models, monkeypatch):
+        # Blocks of three times: the tables keep their one-time bits across
+        # block edges, and reading the first table builds the first block only.
+        _, _, _, tunnel = spectral_models
+        ts = [0.0, 1.25, 2.5, 4.0, 5.5, 7.0, 8.5, 10.0]
+        builds = []
+        build = wavepacket.adaptive_panels
+
+        def counted(panel_f, partitions, *args):
+            builds.append(len(partitions))
+            return build(panel_f, partitions, *args)
+        monkeypatch.setattr(wavepacket, "_TABLE_BLOCK", 3)
+        monkeypatch.setattr(wavepacket, "adaptive_panels", counted)
+        tables = tunnel.tail_tables(ts)
+        first = next(tables)
+        assert builds == [3]
+        assert_same_tables([first, *tables], [tunnel.tail_panels(t) for t in ts])
+        assert builds[:3] == [3, 3, 2]
+
+    def test_batched_build_memory_does_not_grow_with_times(self, monkeypatch):
+        # Tables of the fig2 tunneling model read one by one and dropped.
+        # Measured here: 2.8 MiB at 101 times (5351 panels, at most 71 a
+        # table) and at 1001 times, 2.2 MiB with _FIELD_ENTRIES / 8: the
+        # heaps and node values of one block of _TABLE_BLOCK tables (~1.2
+        # KiB a panel) and row chunks of a quarter of _FIELD_ENTRIES complex
+        # entries.  One pass over all 101 times peaked at 7 MiB.
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
-        ts = np.linspace(0.0, 10.0, 101)
-        for entries in (wavepacket._FIELD_ENTRIES, wavepacket._FIELD_ENTRIES // 8):
-            monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", entries)
-            model = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
-            model.tail_tables(ts)                 # kept waves in place
+
+        def peak(model, n):
+            ts = np.linspace(0.0, 10.0, n)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                tables = model.tail_tables(ts)
-                peak = tracemalloc.get_traced_memory()[1] - before
+                for _ in model.tail_tables(ts):
+                    pass
+                return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            panels = sum(p.los.size for p in tables)
-            assert peak <= 4 * 16 * entries + 1536 * panels
+
+        for entries in (wavepacket._FIELD_ENTRIES // 8, wavepacket._FIELD_ENTRIES):
+            monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", entries)
+            model = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
+            for _ in model.tail_tables(np.linspace(0.0, 10.0, 33)):
+                pass                              # kept waves in place
+            small = peak(model, 101)
+            assert small <= 4 * 16 * entries + wavepacket._TABLE_BLOCK * 80 * 1536
+        assert peak(model, 301) <= small + (1 << 18)
 
 
 class TestGaussian3DModel:
