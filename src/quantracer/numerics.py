@@ -85,8 +85,7 @@ class Panels:
     panels share their edges exactly.  ``total`` is the running sum the
     refinement kept, which is what integrate_adaptive returns.
     ``upper[i]`` is the mass right of los[i] (the reverse cumulative
-    panel values), then 0 for the top edge.  ``key`` names what the
-    table was built for, as its builder sets it.
+    panel values), then 0 for the top edge.
     """
 
     los: np.ndarray
@@ -95,7 +94,6 @@ class Panels:
     nodes: np.ndarray
     total: float
     upper: np.ndarray
-    key: object = None
 
     def tail(self, x: float) -> float:
         """Mass right of any x: the mass right of x's panel plus
@@ -207,7 +205,7 @@ def _refine(panel_f, partitions, tol):
     return [(heap, total) for heap, total, *_ in states]
 
 
-def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL, keys=None) -> list:
+def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL) -> list:
     """Adaptive GL7/15 quadratures that keep their panels, refined in lockstep.
 
     Each of ``partitions`` is one table's initial partition, finite and
@@ -219,17 +217,16 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL, keys=Non
     all initial panels and round r the r-th bisection of every table still
     refining, so each table has its one-table build's panels and bits if
     panel_f gives each row the bits it has alone.  Returns one Panels per
-    partition, keyed by ``keys`` (one per partition) if given.  Raises
-    NonConvergence once a table needs _MAX_PANELS panels or bisects one
-    narrower than 1e-14 of its range.
+    partition.  Raises NonConvergence once a table needs _MAX_PANELS panels
+    or bisects one narrower than 1e-14 of its range.
     """
     tables = []
-    for k, (heap, total) in enumerate(_refine(panel_f, partitions, tol)):
+    for heap, total in _refine(panel_f, partitions, tol):
         heap.sort(key=lambda entry: entry[2])
         los, his, values = np.array([entry[2:5] for entry in heap]).T
         upper = np.append(np.cumsum(values[::-1])[::-1], 0.0)
         tables.append(Panels(los, his, values, np.array([entry[6] for entry in heap]),
-                             total, upper, None if keys is None else keys[k]))
+                             total, upper))
     return tables
 
 

@@ -146,38 +146,42 @@ def _levels(P) -> np.ndarray:
     return levels
 
 
-def quantile_position(model: PacketModel, P, t: float,
-                      tol: Tolerances = DEFAULT_TOL, *, panels=None):
-    """Unique x with model.tail(x, t) = P: a float, or an array of P's shape.
+def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
+    """Unique x with model.tail(x, t) = P: a float for a scalar P and t, else
+    an array of shape t.shape + P.shape.
 
-    One root solve per level.  A spectral model builds one panel table at t
-    (``tail_panels``; ``panels`` is one it already built at t, from
-    tail_tables, else ValueError) and solves each level inside the panel
+    One root solve per (time, level), each with the bits of its one-time
+    scalar call.  A spectral model builds one panel table per time, all
+    from one ``tail_tables`` call, and solves each level inside the panel
     whose edge tails straddle it; other models invert their own ``tail``
-    over the support hint.  An empty P reads nothing and returns an empty
-    array of its shape.  Raises InvalidRange for a level outside (0, 1) or
-    NaN, and NormBelowP where the total norm has decayed to or below a level.
+    over the support hint.  An empty P or t reads nothing and returns an
+    empty array.  Raises InvalidRange for a level outside (0, 1) or NaN,
+    and NormBelowP (t_end the first such time) where the total norm has
+    decayed to or below a level, before any table is built.
     """
     levels = _levels(P)
-    if levels.size == 0:
-        return np.empty(levels.shape)
-    norm = model.norm(t)
-    if np.any(levels >= norm):
-        raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
-                         f"t = {t:.6g} is {norm:.12g}", t_end=t)
-    t = float(t)
-    if panels is None and isinstance(model, SpectralPacketModel):
-        panels = model.tail_panels(t)
-    elif panels is not None and panels.key != (model, t):
-        raise ValueError(f"the panel table was not built by this model at t = {t:.6g}")
-    if panels is not None:
-        tail, bracket = panels.tail, panels.bracket
-    else:
-        hint = model.support_hint(t)
-        tail, bracket = (lambda x: model.tail(x, t)), (lambda p: hint)
-    xs = [find_root_monotone(lambda x: tail(x) - p, bracket(p), tol)
-          for p in levels.ravel().tolist()]
-    return xs[0] if levels.ndim == 0 else np.reshape(xs, levels.shape)
+    times = np.asarray(t, dtype=float)
+    if levels.size == 0 or times.size == 0:
+        return np.empty(times.shape + levels.shape)
+    ts = times.ravel().tolist()
+    for s in ts:
+        norm = model.norm(s)
+        if np.any(levels >= norm):
+            raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
+                             f"t = {s:.6g} is {norm:.12g}", t_end=s)
+    tables = (model.tail_tables(ts) if isinstance(model, SpectralPacketModel)
+              else [None] * len(ts))
+    xs = []
+    for s, panels in zip(ts, tables):
+        if panels is not None:
+            tail, bracket = panels.tail, panels.bracket
+        else:
+            hint = model.support_hint(s)
+            tail, bracket = functools.partial(model.tail, t=s), (lambda p: hint)
+        xs += [find_root_monotone(lambda x: tail(x) - p, bracket(p), tol)
+               for p in levels.ravel().tolist()]
+    return xs[0] if times.ndim == levels.ndim == 0 else np.reshape(
+        xs, times.shape + levels.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +195,13 @@ def _norm_crossing_time(model: PacketModel, P: float, t_lo: float, t_hi: float,
     return find_root_monotone(lambda t: model.norm(t) - P, (t_lo, t_hi), tol)
 
 
+def _one_level(P) -> None:
+    """Refuse a P that is not one level in (0, 1): a trajectory follows one."""
+    if np.ndim(P) != 0:
+        raise InvalidRange(f"a trajectory follows one level P, got shape {np.shape(P)}")
+    _levels(P)
+
+
 def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
                          tol: Tolerances = DEFAULT_TOL) -> QuantileTrajectory:
     """Trace x_P(t) by inverting the tail probability at each grid time.
@@ -198,38 +209,32 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
     Stops with a norm_below_p termination at the exact crossing time once
     the total norm falls to P; velocities come from quantile_velocity and
     are NaN (with a floor_episodes count) where the density floor is hit.
-    A spectral model reads its tables from one ``tail_tables`` call.
+    Every grid time before the first one whose norm is at or below P is
+    inverted in one quantile_position call.
     """
-    ts = np.asarray(t_grid, dtype=float)
+    ts = np.array(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
-    _levels(P)
-    if model.norm(ts[0]) <= P:
+    _one_level(P)
+    n = next((i for i, t in enumerate(ts.tolist()) if model.norm(t) <= P), ts.size)
+    if n == 0:
         raise NormBelowP(
             f"norm at the first grid time is already <= P = {P}", t_end=ts[0])
-
-    times, xs, vs = [], [], []
-    floor_episodes = 0
     termination = Termination.completed()
-    tables = (model.tail_tables(ts) if isinstance(model, SpectralPacketModel)
-              else [None] * ts.size)
-    for i, (t, panels) in enumerate(zip(ts, tables)):
-        if model.norm(t) <= P:
-            t_end = _norm_crossing_time(model, P, ts[i - 1], t, tol)
-            termination = Termination.norm_below_p(t_end)
-            break
-        x = quantile_position(model, P, t, tol, panels=panels)
+    if n < ts.size:
+        termination = Termination.norm_below_p(
+            _norm_crossing_time(model, P, ts[n - 1], ts[n], tol))
+    xs = quantile_position(model, P, ts[:n], tol)
+    vs = []
+    floor_episodes = 0
+    for t, x in zip(ts[:n], xs.tolist()):
         try:
-            v = quantile_velocity(model, x, t)
+            vs.append(quantile_velocity(model, x, t))
         except VelocitySingular:
-            v = math.nan
+            vs.append(math.nan)
             floor_episodes += 1
-        times.append(t)
-        xs.append(x)
-        vs.append(v)
-    return QuantileTrajectory(P=P, times=np.array(times), positions=np.array(xs),
-                              velocities=np.array(vs), termination=termination,
-                              floor_episodes=floor_episodes)
+    return QuantileTrajectory(P=P, times=ts[:n], positions=xs, velocities=vs,
+                              termination=termination, floor_episodes=floor_episodes)
 
 
 def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
@@ -250,6 +255,7 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
     path stops within one skip of its anchor; a skip that would pass the
     end re-anchors at the end.
     """
+    _one_level(P)
     t0 = float(t0)
     t1 = float(t1)
     if t1 <= t0:

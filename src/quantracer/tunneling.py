@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidRange
 from .numerics import DEFAULT_TOL, KGrid, Tolerances
-from .quantile import _levels, quantile_position
+from .quantile import quantile_position
 from .wavepacket import (
     HBAR,
     BarrierSpec,
@@ -313,19 +313,17 @@ def retardation_scan(free: PacketModel, tunneling: PacketModel,
     For every P the tunneled quantile must not lead the free one at any
     grid time where it has already crossed the barrier edge.  The pair must
     be spectral (as for delta_p_report), so no norm decays below a level.
-    Each model reads its tables from one tail_tables call and inverts every
-    level of a time on its table (quantile_position).
+    One quantile_position call per model inverts every level at every
+    grid time, on one table per time.
     """
     edge = _pair_barrier(free, tunneling).half_width
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
-    levels = _levels(np.asarray(P_list, dtype=float).ravel())
-    def positions(model):     # (t, P)
-        tables = model.tail_tables(ts) if levels.size else [None] * ts.size
-        return np.array([quantile_position(model, levels, t, tol, panels=panels) for t, panels
-                         in zip(ts.tolist(), tables)]).reshape(ts.size, levels.size)
-    x_tun, x_free = positions(tunneling), positions(free)
+    levels = np.asarray(P_list, dtype=float).ravel()
+    # Positions by (t, P).
+    x_tun = quantile_position(tunneling, levels, ts, tol)
+    x_free = quantile_position(free, levels, ts, tol)
     verdicts = []
     for j, P in enumerate(levels.tolist()):
         lead = x_tun[:, j] - x_free[:, j]

@@ -243,41 +243,54 @@ class PacketModel(abc.ABC):
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_velocity(params: GaussianPacketParams, x, t):
-    """Velocity field of the spreading Gaussian: v_bar plus the dilation term."""
-    sig2 = params.sigma_x(t) ** 2
-    return params.v_bar + params.sigma_v ** 2 * t * (x - params.center(t)) / sig2
+class DissipativeGaussianModel(PacketModel):
+    """Closed-form spreading Gaussian packet with a global exponential loss.
 
+    Density, current and tail are the free-packet expressions scaled by
+    exp(-loss_rate * t); the loss density is loss_rate * rho.  That keeps
+    the lossy continuity balance d rho/dt + d j/dx + loss = 0 exact.  At
+    loss_rate 0 (FreeGaussianModel) the scale is 1.0 and the loss tail
+    0.0, without an exponential or erfc.
+    """
 
-class FreeGaussianModel(PacketModel):
-    """Closed-form spreading Gaussian packet with conserved norm."""
-
-    def __init__(self, params: GaussianPacketParams):
+    def __init__(self, params: GaussianPacketParams, loss_rate: float = 0.0):
+        if loss_rate < 0.0:
+            raise ValueError("loss_rate must be non-negative")
         self.params = params
+        self.loss_rate = float(loss_rate)
+
+    def norm(self, t) -> float:
+        return math.exp(-self.loss_rate * float(t)) if self.loss_rate else 1.0
 
     def rho(self, x, t):
-        x = np.asarray(x, dtype=float)
-        sig = self.params.sigma_x(t)
-        z = (x - self.params.center(t)) / sig
-        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sig)
+        return self.density_and_current(x, t)[0]
 
     def current(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return self.rho(x, t) * _gaussian_velocity(self.params, x, t)
+        return self.density_and_current(x, t)[1]
 
     def density_and_current(self, x, t):
-        x = np.asarray(x, dtype=float)
-        rho = self.rho(x, t)
-        return rho, rho * _gaussian_velocity(self.params, x, t)
+        p = self.params
+        sig = p.sigma_x(t)
+        offset = np.asarray(x, dtype=float) - p.center(t)
+        z = offset / sig
+        rho = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sig)
+        # Velocity: v_bar plus the dilation term of the spreading width.
+        velocity = p.v_bar + p.sigma_v ** 2 * t * offset / sig ** 2
+        survival = self.norm(t)
+        return survival * rho, survival * (rho * velocity)
+
+    def loss(self, x, t):
+        return self.loss_rate * self.rho(x, t)
+
+    def loss_tail(self, x, t) -> float:
+        # Analytic identity for global loss: integral of loss_rate * rho.
+        return self.loss_rate * self.tail(x, t) if self.loss_rate else 0.0
 
     def tail(self, x, t) -> float:
         if math.isnan(x):
             raise InvalidRange("tail position is NaN")
         z = (float(x) - self.params.center(t)) / (math.sqrt(2.0) * self.params.sigma_x(t))
-        return 0.5 * math.erfc(z)
-
-    def norm(self, t) -> float:
-        return 1.0
+        return self.norm(t) * (0.5 * math.erfc(z))
 
     def support_hint(self, t) -> tuple[float, float]:
         c = self.params.center(t)
@@ -288,53 +301,8 @@ class FreeGaussianModel(PacketModel):
         return float(self.params.sigma_x(t))
 
 
-class DissipativeGaussianModel(PacketModel):
-    """Spreading Gaussian with a global exponential probability loss.
-
-    Density, current, and tail are the free-packet expressions scaled by
-    exp(-loss_rate * t); the loss density is loss_rate * rho.  That keeps
-    the lossy continuity balance d rho/dt + d j/dx + loss = 0 exact.
-    """
-
-    def __init__(self, params: GaussianPacketParams, loss_rate: float):
-        if loss_rate < 0.0:
-            raise ValueError("loss_rate must be non-negative")
-        self.params = params
-        self.loss_rate = float(loss_rate)
-        self._free = FreeGaussianModel(params)
-
-    def _survival(self, t) -> float:
-        return math.exp(-self.loss_rate * float(t))
-
-    def rho(self, x, t):
-        return self._survival(t) * self._free.rho(x, t)
-
-    def current(self, x, t):
-        return self._survival(t) * self._free.current(x, t)
-
-    def density_and_current(self, x, t):
-        survival = self._survival(t)
-        rho, cur = self._free.density_and_current(x, t)
-        return survival * rho, survival * cur
-
-    def loss(self, x, t):
-        return self.loss_rate * self.rho(x, t)
-
-    def loss_tail(self, x, t) -> float:
-        # Analytic identity for global loss: integral of loss_rate * rho.
-        return self.loss_rate * self.tail(x, t)
-
-    def tail(self, x, t) -> float:
-        return self._survival(t) * self._free.tail(x, t)
-
-    def norm(self, t) -> float:
-        return self._survival(t)
-
-    def support_hint(self, t) -> tuple[float, float]:
-        return self._free.support_hint(t)
-
-    def spread(self, t) -> float:
-        return self._free.spread(t)
+# The norm-conserving closed-form packet: DissipativeGaussianModel(params).
+FreeGaussianModel = DissipativeGaussianModel
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +821,13 @@ class SpectralPacketModel(PacketModel):
         """tail_panels(t) for each t of ts, with the bits of its one-time build,
         yielded in order from lockstep passes (adaptive_panels) over blocks of
         _TABLE_BLOCK times, a block when its first table is read, after the
-        phase guard over each table.  A table's key is (model, t), or None
-        when it starts at the lattice edge at or below ``low`` (the last
-        panel at most) or sums ``coeffs`` (see _tails)."""
+        phase guard over each table.  With ``low`` each table starts at the
+        lattice edge at or below it (the last panel at most); ``coeffs`` (a
+        row per time) replaces the mode coefficients, on the free reference
+        only (see _tails): on a barrier model the first read raises
+        ValueError."""
+        if coeffs is not None and self.barrier is not None:
+            raise ValueError("plane-wave coefficients need the free reference")
         ts = np.asarray(ts, dtype=float).ravel()
         for i in range(0, ts.size, _TABLE_BLOCK):
             block = ts[i:i + _TABLE_BLOCK].tolist()
@@ -865,9 +837,8 @@ class SpectralPacketModel(PacketModel):
                          for e in parts]
             for t, edges in zip(block, parts):
                 self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
-            keys = [(self, t) for t in block] if low == -math.inf and coeffs is None else None
             rho = self._panel_rho(block, None if coeffs is None else coeffs[i:i + _TABLE_BLOCK])
-            yield from adaptive_panels(rho, parts, self.tol, keys)
+            yield from adaptive_panels(rho, parts, self.tol)
 
     def tails(self, x, t) -> np.ndarray:
         """tail(x_i, t) at every x from one retained panel table.
@@ -886,8 +857,6 @@ class SpectralPacketModel(PacketModel):
         time) the same integrals of |sum_j coeffs_j e^{ik_j x}|^2 on the
         free reference's lattice (the delta-p decomposition's transmitted
         excess)."""
-        if coeffs is not None and self.barrier is not None:
-            raise ValueError("plane-wave coefficients need the free reference")
         x = np.asarray(x, dtype=float)
         low = np.min(x, initial=math.inf)     # NaN if any x is NaN
         if math.isnan(low):

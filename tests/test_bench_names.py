@@ -69,13 +69,14 @@ def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
 def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
     # The tracer counts numerics.root.evals through quantile.find_root_monotone
     # and opens a quantile.inversion span per call of the quantile_position
-    # binding of tunneling.  A scan builds each model's tables of up to 32
-    # times in one wavepacket.adaptive_panels call, which the tracer does not
-    # wrap (the builds land in the tunneling.retardation span's self time),
-    # then inverts each (model, t) table through those bindings; delta_p_report
-    # builds its direct and term3 tables the same way and solves nothing.  A
-    # path round these bindings would read 0 evaluations or inversions.
+    # binding of tunneling.  A scan makes one such call per model with the
+    # whole time grid, which builds the model's tables of up to 32 times in
+    # one wavepacket.adaptive_panels call (not wrapped by the tracer) and
+    # solves every (t, P) through the root binding; delta_p_report builds its
+    # direct and term3 tables the same way and solves nothing.  A path round
+    # these bindings would read 0 evaluations or inversions.
     counts = {"evals": 0, "inversions": 0, "builds": 0, "tables": 0}
+    grids = []
     solve, invert = quantile.find_root_monotone, tunneling.quantile_position
     build = wavepacket.adaptive_panels
 
@@ -85,9 +86,10 @@ def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
             return g(x)
         return solve(counted_g, *args, **kwargs)
 
-    def counted_invert(*args, **kwargs):
+    def counted_invert(model, P, t, *args):
         counts["inversions"] += 1
-        return invert(*args, **kwargs)
+        grids.append(np.array(t))
+        return invert(model, P, t, *args)
 
     def counted_build(panel_f, partitions, *args):
         counts["builds"] += 1
@@ -99,8 +101,10 @@ def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
     spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=2.0)
     free = wavepacket.spectral_free_model(spectrum, grid)
     tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
-    tunneling.retardation_scan(free, tunnel, [0.01, 0.3], np.linspace(0.0, 2.0, 3))
-    assert counts["inversions"] == 6 and counts["evals"] >= 3 * 12
+    times = np.linspace(0.0, 2.0, 3)
+    tunneling.retardation_scan(free, tunnel, [0.01, 0.3], times)
+    assert counts["inversions"] == 2 and counts["evals"] >= 3 * 12
+    assert [grid.tolist() for grid in grids] == [times.tolist()] * 2
     assert (counts["builds"], counts["tables"]) == (2, 6)
     counts.update(evals=0, inversions=0, builds=0, tables=0)
     tunneling.delta_p_report(free, tunnel, [0.5, 1.5], [0.0, 1.0, 2.0])

@@ -125,9 +125,9 @@ class TestQuantilePosition:
         scalar = [quantile_position(model, P, t) for P in levels.ravel().tolist()]
         assert all(type(x) is float for x in scalar)
         builds = []
-        tail_panels = SpectralPacketModel.tail_panels
-        monkeypatch.setattr(SpectralPacketModel, "tail_panels",
-                            lambda self, t: builds.append(t) or tail_panels(self, t))
+        tail_tables = SpectralPacketModel.tail_tables
+        monkeypatch.setattr(SpectralPacketModel, "tail_tables",
+                            lambda self, ts: builds.extend(ts) or tail_tables(self, ts))
         xs = quantile_position(model, levels, t)
         assert xs.shape == levels.shape
         assert xs.ravel().tolist() == scalar
@@ -147,7 +147,7 @@ class TestQuantilePosition:
                                                         monkeypatch):
         def refuse(self, t):
             raise AssertionError("an empty level list read the model")
-        for name in ("norm", "tail_panels"):
+        for name in ("norm", "tail_tables"):
             monkeypatch.setattr(SpectralPacketModel, name, refuse)
         xs = quantile_position(tunnel_models[1], levels, 1.0)
         assert xs.shape == np.shape(levels)
@@ -247,15 +247,43 @@ class TestQuantilePosition:
             with pytest.raises((InvalidRange, NormBelowP)):
                 quantile_position(m, bad, 1.0)
 
+    @pytest.mark.parametrize("which", ["free", "tunnel", "closed-form"])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_array_of_times_equals_one_time_calls(self, tunnel_models, which, data):
+        # Random sorted time sets of 1 to 40 times, so that some cross a
+        # 32-time table block edge; each time keeps its one-time bits.
+        model = {"free": tunnel_models[0], "tunnel": tunnel_models[1],
+                 "closed-form": FreeGaussianModel(DEFAULT_PACKET)}[which]
+        n = data.draw(st.integers(1, 40))
+        ts = sorted(set(data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))))
+        levels = np.array(data.draw(st.lists(st.floats(0.005, 0.995), min_size=1, max_size=3)))
+        xs = quantile_position(model, levels, ts)
+        assert xs.shape == (len(ts), levels.size)
+        assert xs.tolist() == [quantile_position(model, levels, t).tolist() for t in ts]
+        assert xs[0, 0] == quantile_position(model, float(levels[0]), ts[0])
 
-    def test_prebuilt_table_must_be_the_models_at_t(self, tunnel_models):
-        free, tunnel = tunnel_models
-        table = next(tunnel.tail_tables([4.0]))
-        assert quantile_position(tunnel, 0.3, 4.0, panels=table) == quantile_position(
-            tunnel, 0.3, 4.0)
-        for model, t in ((free, 4.0), (tunnel, 4.5)):
-            with pytest.raises(ValueError, match="not built by this model"):
-                quantile_position(model, 0.3, t, panels=table)
+    def test_array_of_times_keeps_its_shape(self, tunnel_models, monkeypatch):
+        # A (3, 12) time array across a table block edge, with a (2,) level
+        # array: positions of shape (3, 12, 2) from one tail_tables call.
+        _, tunnel = tunnel_models
+        ts = np.linspace(0.0, 10.0, 36).reshape(3, 12)
+        levels = np.array([0.02, 0.6])
+        builds = []
+        tail_tables = SpectralPacketModel.tail_tables
+        monkeypatch.setattr(SpectralPacketModel, "tail_tables",
+                            lambda self, ts: builds.append(len(ts)) or tail_tables(self, ts))
+        xs = quantile_position(tunnel, levels, ts)
+        assert xs.shape == (3, 12, 2) and builds == [36]
+        assert xs[2, 11].tolist() == quantile_position(tunnel, levels, 10.0).tolist()
+        assert quantile_position(tunnel, levels, np.empty((2, 0))).shape == (2, 0, 2)
+
+    def test_lossy_array_of_times_stops_at_the_first_time_below_a_level(self):
+        m = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        # The norm exp(-0.1 t) falls to 0.5 at t = 6.93; the times need not be sorted.
+        with pytest.raises(NormBelowP) as raised:
+            quantile_position(m, [0.3, 0.5], [1.0, 6.0, 9.0, 8.0, 2.0])
+        assert raised.value.t_end == 9.0
 
 
 class TestQuantileVelocity:
@@ -337,6 +365,16 @@ class TestTraceTrajectoryCdf:
         m = FreeGaussianModel(DEFAULT_PACKET)
         with pytest.raises(InvalidRange):
             trace_trajectory_cdf(m, 0.5, np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("P", [np.array([0.3, 0.5]), [0.3, 0.5], [0.3]])
+    def test_tracers_refuse_more_than_one_level(self, P):
+        for m in (FreeGaussianModel(DEFAULT_PACKET),
+                  DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)):
+            with pytest.raises(InvalidRange, match="one level") as cdf:
+                trace_trajectory_cdf(m, P, np.linspace(0.0, 10.0, 3))
+            with pytest.raises(InvalidRange, match="one level") as ode:
+                trace_trajectory_ode(m, P, 0.0, 10.0)
+            assert "\n" not in str(cdf.value) + str(ode.value)
 
     @pytest.mark.parametrize("P", [0.0, -0.1, 1.0, math.nan])
     def test_rejects_a_level_before_building_tables(self, tunnel_models, monkeypatch, P):

@@ -618,6 +618,16 @@ class TestTunnelingPacketModel:
         with pytest.raises(ValueError):
             tunnel._tails([0.5], [2.0], coeffs)
 
+    def test_tail_tables_with_coefficients_need_the_free_reference(self, spectral_models):
+        # Plane-wave coefficients on a barrier model would build a table of
+        # no meaning, with or without a lowest read position.
+        _, _, free_sp, tunnel = spectral_models
+        coeffs = np.ones((1, free_sp.grid.size), dtype=complex)
+        assert next(free_sp.tail_tables([2.0], coeffs=coeffs)).total > 0.0
+        for low in (-math.inf, 0.5):
+            with pytest.raises(ValueError, match="free reference"):
+                next(tunnel.tail_tables([2.0], low, coeffs))
+
     def test_kept_waves_are_bounded(self):
         # After a sweep over t = 0, 0.5, ..., 10 and a tails() call read
         # at six x values off the lattice edges, each model keeps at most
