@@ -35,6 +35,7 @@ from .quantile import (
     trace_trajectory_ode,
 )
 from .tunneling import (
+    default_delta_p_grid,
     delta_p_report,
     packet_transmission_probability,
     retardation_scan,
@@ -251,7 +252,7 @@ def _spectral_pair(cfg: ScenarioConfig, tol: Tolerances):
         except InvalidRange:        # more nodes than a float can count
             needed = math.inf
         if needed > MAX_K_NODES:
-            raise ConfigError(f"t_max = {cfg.t_max:g} needs {needed} wave-number "
+            raise ConfigError(f"times up to {cfg.t_max:g} need {needed} wave-number "
                               f"nodes, above the limit {MAX_K_NODES}")
     spectrum, grid = spectral_setup(packet, cfg.t_max,
                                     n_nodes=cfg.k_nodes or None)
@@ -440,11 +441,14 @@ def cmd_delta_p(cfg: ScenarioConfig) -> tuple[list, list]:
     tol = _tolerances(cfg)
     if any(x <= cfg.barrier_halfwidth for x in cfg.delta_x):
         raise ConfigError("delta_x values must lie beyond the barrier edge")
-    _, _, free, tunnel = _spectral_pair(cfg, tol)
+    times = list(cfg.delta_t) or default_delta_p_grid(
+        BarrierSpec(cfg.barrier_height, cfg.barrier_halfwidth))[1].tolist()
+    # The wave-number grid must resolve the latest report time, not only t_max.
+    _, _, free, tunnel = _spectral_pair(replace(cfg, t_max=max(cfg.t_max, *times)), tol)
     report = delta_p_report(
         free, tunnel,
         x_values=list(cfg.delta_x) or None,
-        t_values=list(cfg.delta_t) or None,
+        t_values=times,
         n_lambda=cfg.n_lambda, tol=tol)
     rows = [(x, t, d, t1, t2, t3, tot, rel, ok)
             for (x, t), d, t1, t2, t3, tot, rel, ok in

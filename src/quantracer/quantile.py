@@ -14,14 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidRange, NormBelowP, StepUnderflow, VelocitySingular
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     find_root_monotone,
-    integrate_adaptive,
     integrate_ode,
 )
 from .wavepacket import Gaussian3DModel, PacketModel, SpectralPacketModel
@@ -138,9 +136,17 @@ def _field_velocity(model: PacketModel, x, t, rho, cur, floor: float) -> float:
     return (float(cur) - loss_tail) / rho
 
 
+def _floats(values, name: str) -> np.ndarray:
+    """values as a new float array; a ragged nesting is an InvalidRange."""
+    try:
+        return np.array(values, dtype=float)
+    except ValueError:
+        raise InvalidRange(f"{name} must be a number or a regular array of numbers") from None
+
+
 def _levels(P) -> np.ndarray:
     """P as a float array, each level checked to lie in (0, 1)."""
-    levels = np.asarray(P, dtype=float)
+    levels = _floats(P, "P")
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise InvalidRange(f"P must lie in (0, 1), got {P}")
     return levels
@@ -157,10 +163,13 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
     over the support hint.  An empty P or t reads nothing and returns an
     empty array.  Raises InvalidRange for a level outside (0, 1) or NaN,
     and NormBelowP (t_end the first such time) where the total norm has
-    decayed to or below a level, before any table is built.
+    decayed to or below a level, before any table is built.  A ragged P
+    or t and a non-finite time are an InvalidRange too.
     """
     levels = _levels(P)
-    times = np.asarray(t, dtype=float)
+    times = _floats(t, "t")
+    if not np.isfinite(times).all():
+        raise InvalidRange("every time must be finite")
     if levels.size == 0 or times.size == 0:
         return np.empty(times.shape + levels.shape)
     ts = times.ravel().tolist()
@@ -197,9 +206,18 @@ def _norm_crossing_time(model: PacketModel, P: float, t_lo: float, t_hi: float,
 
 def _one_level(P) -> None:
     """Refuse a P that is not one level in (0, 1): a trajectory follows one."""
-    if np.ndim(P) != 0:
-        raise InvalidRange(f"a trajectory follows one level P, got shape {np.shape(P)}")
-    _levels(P)
+    levels = _levels(P)
+    if levels.ndim != 0:
+        raise InvalidRange(f"a trajectory follows one level P, got shape {levels.shape}")
+
+
+def _time_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array, refused unless 1-d, non-empty, finite and
+    strictly increasing."""
+    ts = _floats(t_grid, "t_grid")
+    if not (ts.ndim == 1 and ts.size and np.isfinite(ts).all() and np.all(np.diff(ts) > 0)):
+        raise InvalidRange("t_grid must be a non-empty, finite, strictly increasing 1-d array")
+    return ts
 
 
 def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
@@ -212,9 +230,7 @@ def trace_trajectory_cdf(model: PacketModel, P: float, t_grid,
     Every grid time before the first one whose norm is at or below P is
     inverted in one quantile_position call.
     """
-    ts = np.array(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
-        raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
+    ts = _time_grid(t_grid)
     _one_level(P)
     n = next((i for i, t in enumerate(ts.tolist()) if model.norm(t) <= P), ts.size)
     if n == 0:
@@ -258,7 +274,7 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
     _one_level(P)
     t0 = float(t0)
     t1 = float(t1)
-    if t1 <= t0:
+    if not t1 > t0:     # a NaN end would trace nothing
         raise InvalidRange("t1 must exceed t0")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
@@ -394,7 +410,9 @@ def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,
     All seeds travel in one stacked ODE state so they share step control;
     the field is smooth everywhere for Gaussian packets, so no floor logic
     is needed.  P is the probability enclosed by the seed sphere at the
-    first grid time.
+    first grid time (probability_in_volume, in closed form).  The paths are
+    integrated, not mapped by the field's known affine flow: that the
+    ball they span keeps P is what the 3D conservation check tests.
     """
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[1] != 3:
@@ -413,31 +431,14 @@ def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,
                      paths=paths, P=content)
 
 
-@functools.cache
-def _shell_rule():
-    """Angular rule of every enclosed-probability shell, built on first use:
-    24-point Gauss-Legendre in cos(theta) times the 24-point midpoint rule
-    in phi.  Returns the x, y, z direction columns, each (576,), and the
-    weights."""
-    n_mu, n_phi = 24, 24
-    mu, w_mu = leggauss(n_mu)
-    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-    sin_theta = np.sqrt(1.0 - mu ** 2)
-    dirs = (np.outer(sin_theta, np.cos(phi)).ravel(),
-            np.outer(sin_theta, np.sin(phi)).ravel(),
-            np.repeat(mu, n_phi))
-    return dirs, np.repeat(w_mu, n_phi) * (2.0 * math.pi / n_phi)
-
-
 def probability_in_volume(field: Gaussian3DModel, surface_points, t: float,
                           tol: Tolerances = DEFAULT_TOL) -> float:
     """Probability inside the sphere spanned by transported seed points.
 
     The enclosing ball is reconstructed from the point cloud (center of
-    mass, mean radius) and integrated in spherical coordinates: adaptive
-    Gauss-Legendre radially, a product angular rule that is spectrally
-    accurate for the smooth densities at hand.  A batch of radii holds
-    one (radii, directions) array per axis, never the 3D point cloud.
+    mass, mean radius), and the packet's mass in it is the closed form of
+    Gaussian3DModel._ball_mass: exact to rounding for any radius and
+    offset, so ``tol`` is not read, and exactly 0 for a zero radius.
     Raises InvalidRange for a non-finite point, radius or time.
     """
     pts = np.asarray(surface_points, dtype=float)
@@ -449,18 +450,4 @@ def probability_in_volume(field: Gaussian3DModel, surface_points, t: float,
     radius = float(np.linalg.norm(pts - center, axis=1).mean())
     if not math.isfinite(radius):
         raise InvalidRange("surface points too far apart: their radius overflows")
-    if radius == 0.0:
-        return 0.0
-    packet_center = field.center(t)
-    dirs, weights = _shell_rule()
-
-    def shell(rs):
-        rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        # Squared distance to the packet center, summed in axis order.
-        r2 = sum(((c + rs[:, None] * u) - p) ** 2
-                 for c, u, p in zip(center, dirs, packet_center))
-        return rs * rs * (field._density_r2(r2, t) @ weights)
-
-    sigma = field.sigma_x(t)
-    n0 = int(min(64, max(8, math.ceil(radius / (2.0 * sigma)))))
-    return integrate_adaptive(shell, 0.0, radius, tol, initial_panels=n0)
+    return field._ball_mass(center, radius, t)

@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidRange
 from .numerics import DEFAULT_TOL, KGrid, Tolerances
-from .quantile import quantile_position
+from .quantile import _levels, _time_grid, quantile_position
 from .wavepacket import (
     HBAR,
     BarrierSpec,
@@ -317,10 +317,8 @@ def retardation_scan(free: PacketModel, tunneling: PacketModel,
     grid time, on one table per time.
     """
     edge = _pair_barrier(free, tunneling).half_width
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
-        raise InvalidRange("t_grid must be a non-empty, strictly increasing 1-d array")
-    levels = np.asarray(P_list, dtype=float).ravel()
+    ts = _time_grid(t_grid)
+    levels = _levels(P_list).ravel()
     # Positions by (t, P).
     x_tun = quantile_position(tunneling, levels, ts, tol)
     x_free = quantile_position(free, levels, ts, tol)

@@ -765,8 +765,11 @@ class SpectralPacketModel(PacketModel):
         reference), and [-a, a] holds 2^m equal panels no wider than the
         pitch, so the panel widths are time-independent.  The hint's ends
         snap outward to the nearest edges; only edges near the hint are
-        made, so a barrier much wider than the hint costs nothing.
+        made, so a barrier much wider than the hint costs nothing.  A
+        non-finite t is an InvalidRange.
         """
+        if not math.isfinite(t):
+            raise InvalidRange(f"time must be finite, got t = {t}")
         pad = 8.0 * self.spread(t)
         v_hi = HBAR * self.grid.k_max / self.mass
         if self.barrier is not None:
@@ -965,8 +968,9 @@ class Gaussian3DParams:
 class Gaussian3DModel:
     """Product of three 1D Gaussian packets sharing one isotropic width.
 
-    Exposes the density and vector velocity field the 3D tracer needs; the
-    1D PacketModel tail interface does not apply here.
+    Exposes the density and vector velocity field the 3D tracer needs, and
+    the closed-form mass in a ball (_ball_mass) that probability_in_volume
+    reads; the 1D PacketModel tail interface does not apply here.
     """
 
     def __init__(self, params: Gaussian3DParams):
@@ -981,12 +985,26 @@ class Gaussian3DModel:
 
     def rho(self, points, t):
         d = np.asarray(points, dtype=float) - self.center(t)
-        return self._density_r2(np.sum(d * d, axis=-1), t)
-
-    def _density_r2(self, r2, t):
-        """Density at squared distance r2 from the packet center."""
         sig = self.sigma_x(t)
-        return np.exp(-0.5 * r2 / sig ** 2) / (math.sqrt(2.0 * math.pi) * sig) ** 3
+        return (np.exp(-0.5 * np.sum(d * d, axis=-1) / sig ** 2)
+                / (math.sqrt(2.0 * math.pi) * sig) ** 3)
+
+    def _ball_mass(self, center, radius: float, t) -> float:
+        """Probability in the ball of this radius about center, in closed
+        form: with s = sigma_x(t), d the ball's offset from the packet
+        center and a = R d / s^2 it is (erf((R - d)/(sqrt2 s)) +
+        erf((R + d)/(sqrt2 s)))/2 - sqrt(2/pi) (R/s) exp(-(R - d)^2/(2 s^2))
+        (1 - e^(-2a))/(2a), the last factor 1 at a = 0.  Its error is
+        rounding's, absolute (~1e-16); a ball far from the packet, which
+        rounding can leave at -1e-33, reads 0, and a NaN stays NaN."""
+        s = self.sigma_x(t)
+        d = float(np.linalg.norm(center - self.center(t)))
+        a = radius * d / s ** 2
+        shape = -math.expm1(-2.0 * a) / (2.0 * a) if a > 0.0 else 1.0
+        return max(0.5 * (math.erf((radius - d) / (math.sqrt(2.0) * s))
+                          + math.erf((radius + d) / (math.sqrt(2.0) * s)))
+                   - math.sqrt(2.0 / math.pi) * (radius / s)
+                   * math.exp(-0.5 * ((radius - d) / s) ** 2) * shape, 0.0)
 
     def velocity(self, points, t):
         """Component-wise free-Gaussian velocity field."""

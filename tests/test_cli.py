@@ -394,6 +394,22 @@ class TestDeltaPCommand:
         assert names["positivity"]["passed"]
         assert names["route_agreement"]["passed"]
 
+    @pytest.mark.parametrize("t_max", ["2", "5"])
+    def test_short_t_max_runs_the_default_grid(self, tmp_path, t_max):
+        # The default report runs to t = 10 whatever t_max is, so the
+        # wave-number grid is sized for the later of the two.
+        assert run_cli(tmp_path, "delta-p", "--t-max", t_max) == 0
+        _, rows = read_csv(tmp_path / "delta_p_report.csv")
+        assert len(rows) == 132 and max(float(r["t"]) for r in rows) == 10.0
+
+    def test_report_time_beyond_the_node_limit_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "dp.conf"
+        conf.write_text("delta_t = 3 500\n", encoding="utf-8")
+        assert run_cli(tmp_path, "delta-p", "--t-max", "2", "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "wave-number nodes" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dp.conf"]
+
     def test_x_inside_barrier_exits_2(self, tmp_path):
         conf = tmp_path / "dp.conf"
         conf.write_text("delta_x = 0.1\ndelta_t = 3\n", encoding="utf-8")

@@ -477,10 +477,12 @@ def test_package_import_loads_no_scipy():
 
 
 def test_library_runs_load_no_scipy_submodule(tmp_path):
-    # Root solves are the library's own Brent loop and ODE steps its own
-    # Dormand-Prince loop: inversions, a retardation scan, trajectories on
-    # both routes, a 3D flow map and CLI runs of every ODE command leave
-    # scipy.integrate and scipy.optimize unloaded.
+    # Root solves are the library's own Brent loop, ODE steps its own
+    # Dormand-Prince loop and the mass in a 3D ball takes math.erf:
+    # inversions, a retardation scan, trajectories on both routes, a 3D
+    # flow map and its enclosed probability, and CLI runs of every ODE
+    # command leave scipy.integrate, scipy.optimize and scipy.special
+    # unloaded.
     code = """if True:
         import sys
         import numpy as np
@@ -495,18 +497,20 @@ def test_library_runs_load_no_scipy_submodule(tmp_path):
         quantile.trace_trajectory_ode(tunnel, 0.3, 0.0, 1.0)
         field = wavepacket.Gaussian3DModel(wavepacket.Gaussian3DParams(
             center=(0.0, 0.0, 0.0), velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
-        quantile.trace_flowmap_3d(field, quantile.sphere_seeds((0.0, 0.0, 0.0), 2.5),
-                                  [0.0, 0.5, 1.0])
+        flow = quantile.trace_flowmap_3d(field, quantile.sphere_seeds((0.0, 0.0, 0.0), 2.5),
+                                         [0.0, 0.5, 1.0])
+        quantile.probability_in_volume(field, flow.points_at(2), 1.0)
         assert cli.main(["tunnel", "--t-max", "1", "--p-list", "0.5"]) == 0
         for command in ("free", "dissipative"):
             assert cli.main([command, "--t-max", "1", "--p-list", "0.5"]) == 0
+        assert cli.main(["sphere3d", "--t-max", "2"]) == 0
         assert cli.main(["verify", "--quick"]) == 0
-        print(sorted(m for m in sys.modules
-                     if m.startswith(("scipy.integrate", "scipy.optimize"))))
+        print(sorted(m for m in sys.modules if m.startswith(
+            ("scipy.integrate", "scipy.optimize", "scipy.special"))))
     """
     assert _run_fresh(code, cwd=tmp_path).strip().splitlines()[-1] == "[]"
     for name in ("tunnel_trajectories", "free_trajectories",
-                 "dissipative_trajectories", "verify_report"):
+                 "dissipative_trajectories", "sphere3d_flowmap", "verify_report"):
         assert (tmp_path / f"{name}.csv").exists()
 
 

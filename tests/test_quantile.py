@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss
+from scipy.integrate import dblquad
 from scipy.optimize import brentq
 from scipy.special import erfcinv
 
 from quantracer import quantile
 from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
-from quantracer.numerics import Tolerances, find_root_monotone, integrate_adaptive
+from quantracer.numerics import Tolerances, find_root_monotone
 from quantracer.quantile import (
     DENSITY_FLOOR_REL,
     probability_in_volume,
@@ -247,6 +247,23 @@ class TestQuantilePosition:
             with pytest.raises((InvalidRange, NormBelowP)):
                 quantile_position(m, bad, 1.0)
 
+    @pytest.mark.parametrize("P, t", [([[0.2], [0.1, 0.3]], 1.0),
+                                      (0.3, [[0.0], [1.0, 2.0]])])
+    def test_ragged_levels_or_times_are_invalid(self, P, t):
+        with pytest.raises(InvalidRange) as exc:
+            quantile_position(FreeGaussianModel(DEFAULT_PACKET), P, t)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, [1.0, -math.inf]])
+    def test_refuses_a_non_finite_time(self, tunnel_models, t):
+        # Refused up front for every model: a closed form would say "tail
+        # position is NaN" and a spectral table would overflow.
+        for m in (FreeGaussianModel(DEFAULT_PACKET),
+                  DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE),
+                  *tunnel_models):
+            with pytest.raises(InvalidRange, match="finite"):
+                quantile_position(m, 0.3, t)
+
     @pytest.mark.parametrize("which", ["free", "tunnel", "closed-form"])
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
@@ -365,6 +382,19 @@ class TestTraceTrajectoryCdf:
         m = FreeGaussianModel(DEFAULT_PACKET)
         with pytest.raises(InvalidRange):
             trace_trajectory_cdf(m, 0.5, np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("t_grid", [[0.0, math.nan], [math.nan], [0.0, math.inf],
+                                        [[0.0], [1.0, 2.0]]])
+    def test_rejects_a_non_finite_or_ragged_grid(self, t_grid):
+        with pytest.raises(InvalidRange, match="t_grid"):
+            trace_trajectory_cdf(FreeGaussianModel(DEFAULT_PACKET), 0.5, t_grid)
+
+    def test_tracers_refuse_ragged_levels(self):
+        m = FreeGaussianModel(DEFAULT_PACKET)
+        with pytest.raises(InvalidRange, match="regular array"):
+            trace_trajectory_cdf(m, [[0.2], [0.1, 0.3]], np.linspace(0.0, 10.0, 3))
+        with pytest.raises(InvalidRange, match="regular array"):
+            trace_trajectory_ode(m, [[0.2], [0.1, 0.3]], 0.0, 10.0)
 
     @pytest.mark.parametrize("P", [np.array([0.3, 0.5]), [0.3, 0.5], [0.3]])
     def test_tracers_refuse_more_than_one_level(self, P):
@@ -508,6 +538,11 @@ class TestTraceTrajectoryOde:
         with pytest.raises(InvalidRange):
             trace_trajectory_ode(m, 0.5, 3.0, 3.0)
 
+    def test_rejects_a_nan_end(self):
+        # It used to return the one sample at t0 as a completed trace.
+        with pytest.raises(InvalidRange, match="t1 must exceed t0"):
+            trace_trajectory_ode(FreeGaussianModel(DEFAULT_PACKET), 0.5, 0.0, math.nan)
+
     @pytest.mark.parametrize("P, floor_rel", [(0.35, 0.2), (0.017, 0.02)])
     def test_floor_reanchoring_reaches_the_end(self, tunnel_models, P, floor_rel):
         # A high floor makes re-anchored paths stop at their own start; the
@@ -618,38 +653,49 @@ class TestProbabilityInVolume:
         return field, [trace_flowmap_3d(field, sphere_seeds((0.0, 0.0, 0.0), r), times)
                        for r in (2.5, 7.5)]
 
-    def test_shell_has_the_bits_of_the_point_cloud(self, fig3_flows):
-        # Oracle: the shell as the (radii, directions, 3) point cloud of
-        # field.rho, on the same 24 x 24 angular rule and radial panels.
-        field, flows = fig3_flows
-        mu, w_mu = leggauss(24)
-        phi = 2.0 * math.pi * (np.arange(24) + 0.5) / 24
-        sin_theta = np.sqrt(1.0 - mu ** 2)
-        dirs = np.stack([np.outer(sin_theta, np.cos(phi)).ravel(),
-                         np.outer(sin_theta, np.sin(phi)).ravel(),
-                         np.repeat(mu, 24)], axis=-1)
-        w_ang = np.repeat(w_mu, 24) * (2.0 * math.pi / 24)
+    @staticmethod
+    def _oracle(radius, d, s):
+        # The mass in a ball of this radius whose center sits d from the
+        # packet center, by dblquad over the radius r and mu = cos(theta)
+        # about the offset axis; the radial range is cut at d and d +- 8s.
+        def integrand(mu, r):
+            r2 = (r - d) ** 2 + 2.0 * r * d * (1.0 - mu)
+            return (2.0 * math.pi * r * r * math.exp(-0.5 * r2 / s ** 2)
+                    / (2.0 * math.pi * s * s) ** 1.5)
+        cuts = sorted({0.0, radius, *(min(radius, max(0.0, d + k * s))
+                                      for k in (-8.0, 0.0, 8.0))})
+        return sum(dblquad(integrand, a, b, -1.0, 1.0, epsabs=1e-16, epsrel=1e-13)[0]
+                   for a, b in zip(cuts, cuts[1:]))
 
-        def cloud_volume(points, t):
+    def test_closed_form_matches_a_quadrature_oracle(self, fig3_flows):
+        # The fig3 flows at every time, then off-centre, far (d >> R),
+        # enclosing (R >> d), centred (d = 0) and tiny balls.
+        field, flows = fig3_flows
+        balls = [(flow.points_at(i), float(t)) for flow in flows
+                 for i, t in enumerate(flow.times)]
+        balls += [(sphere_seeds(center, radius), t) for center, radius, t in [
+            ((40.0, 0.0, 0.0), 30.0, 3.0), ((10.0, 5.0, 0.0), 30.0, 0.0),
+            ((20.0, 0.0, 0.0), 2.5, 10.0), ((200.0, 0.0, 0.0), 1.0, 0.0),
+            ((0.0, 100.0, 0.0), 10.0, 3.0), ((6.0, 0.0, 0.0), 200.0, 3.0),
+            ((0.0, 0.0, 0.0), 200.0, 10.0), ((20.0, 0.0, 0.0), 7.5, 10.0),
+            ((1.0, 2.0, 3.0), 1e-3, 0.0), ((6.0, 0.0, 0.0), 1e-3, 3.0)]]
+        for points, t in balls:
             center = points.mean(axis=0)
             radius = float(np.linalg.norm(points - center, axis=1).mean())
+            d = float(np.linalg.norm(center - np.array([2.0 * t, 0.0, 0.0])))
+            got = probability_in_volume(field, points, t)
+            assert 0.0 <= got <= 1.0
+            assert abs(got - self._oracle(radius, d, field.sigma_x(t))) <= 1e-13
 
-            def shell(rs):
-                rs = np.atleast_1d(rs)
-                cloud = center + rs[:, None, None] * dirs[None, :, :]
-                return rs * rs * (field.rho(cloud, t) @ w_ang)
-            n0 = int(min(64, max(8, math.ceil(radius / (2.0 * field.sigma_x(t))))))
-            return integrate_adaptive(shell, 0.0, radius, initial_panels=n0)
-
-        for flow in flows:
-            for i, t in enumerate(flow.times):
-                points = flow.points_at(i)
-                got = probability_in_volume(field, points, float(t))
-                assert got.hex() == cloud_volume(points, float(t)).hex()
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (5.0, -3.0, 1.0)])
+    def test_zero_radius_encloses_exactly_nothing(self, center):
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
+        points = np.tile(center, (26, 1))
+        assert probability_in_volume(field, points, 1.0) == 0.0
 
     def test_shell_memory_is_bounded(self, fig3_flows):
-        # A batch of radii keeps one (radii, directions) array per axis and
-        # never the 3D cloud: the fig3 call peaked at 7.8 MiB with it.
+        # The closed form allocates only the point cloud's own arrays.
         field, flows = fig3_flows
         points = flows[0].points_at(10)
         tracemalloc.start()

@@ -1,5 +1,6 @@
 """Tests for the tunneling retardation operations."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,12 @@ class TestDeltaPReport:
         with pytest.raises(GridTooCoarse):
             delta_p_report(free, tunnel, x_values=[1.0, 2.0], t_values=[10.0])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_refuses_a_non_finite_time(self, fig2, t):
+        _, _, free, tunnel = fig2
+        with pytest.raises(InvalidRange, match="finite"):
+            delta_p_report(free, tunnel, x_values=[1.0], t_values=[1.0, t])
+
     def test_refuses_foreign_free_models(self, fig2):
         _, _, _, tunnel = fig2
         other = GaussianPacketParams(x_bar=-8.0, v_bar=2.0, sigma_x0=2.5)
@@ -310,6 +317,8 @@ class TestRetardationScan:
         ("spectral", []),
         ("spectral", [0.0, 2.0, 1.0]),
         ("spectral", [[0.0, 1.0]]),
+        ("spectral", [0.0, math.nan]),
+        ("spectral", [[0.0], [1.0, 2.0]]),
     ])
     def test_refuses_a_foreign_pair_or_bad_grid(self, fig2, pair, t_grid):
         _, _, free, tunnel = fig2

@@ -700,6 +700,18 @@ class TestTunnelingPacketModel:
             assert model.tail(-math.inf, 2.0) == model.interval_mass(
                 *model.support_hint(2.0), 2.0)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_tables_refuse_a_non_finite_time(self, spectral_models, t):
+        # The panel lattice is refused in one line instead of ending in an
+        # OverflowError or a NaN-to-int ValueError.
+        _, _, free_sp, tunnel = spectral_models
+        for call in (lambda m: m.tail(1.0, t), lambda m: m.tails([1.0], t),
+                     lambda m: m.tail_panels(t)):
+            for model in (free_sp, tunnel):
+                with pytest.raises(InvalidRange, match="finite") as exc:
+                    call(model)
+                assert "\n" not in str(exc.value)
+
     def test_tail_splits_at_barrier_edges(self, spectral_models):
         # Linspace panels from x = -8.558 put the curvature jump of rho at
         # +-a inside one panel whose GL15-GL7 gap underestimated its error,
