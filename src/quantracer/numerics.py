@@ -6,6 +6,7 @@ Everything here is pure and reentrant; internal units are hbar = 1, m = 1
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -309,9 +310,18 @@ def build_kgrid(k_mean, k_width, n_nodes=256) -> KGrid:
     lo = max(0.0, k_mean - N_SIGMA * k_width)
     if hi <= lo:
         raise InvalidRange("empty wave-number interval")
-    x, w = leggauss(int(n_nodes))
+    return KGrid(*_gauss_rule(lo, hi, int(n_nodes)), k_min=lo, k_max=hi)
+
+
+# leggauss(n) solves an n x n eigenproblem (about 18 ms at n = 386): keep it.
+_legendre = functools.lru_cache(maxsize=16)(leggauss)
+
+
+def _gauss_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
+    x, w = _legendre(n)
     half = 0.5 * (hi - lo)
-    return KGrid(nodes=lo + half * (x + 1.0), weights=half * w, k_min=lo, k_max=hi)
+    return lo + half * (x + 1.0), half * w
 
 
 # Quadrature nodes per oscillation period of a phase factor that the
@@ -322,11 +332,14 @@ _NODES_PER_PERIOD = 8
 def nodes_for_phase(max_phase_rate, k_lo, k_hi, minimum=64):
     """Node count that keeps >= _NODES_PER_PERIOD quadrature nodes per
     oscillation period of exp(i*phase(k)), given the largest |d phase/dk|
-    over the evaluation domain."""
-    periods = abs(max_phase_rate) * (k_hi - k_lo) / (2.0 * math.pi)
-    if not math.isfinite(_NODES_PER_PERIOD * periods):
-        raise InvalidRange(f"phase rate {max_phase_rate:g} needs unboundedly many nodes")
-    return max(int(minimum), int(math.ceil(_NODES_PER_PERIOD * periods)))
+    over the evaluation domain; an array of rates gives a float array of
+    counts, each with the bits of its rate's own count."""
+    need = _NODES_PER_PERIOD * (abs(max_phase_rate) * (k_hi - k_lo) / (2.0 * math.pi))
+    one = isinstance(need, float)
+    if not (math.isfinite(need) if one else np.isfinite(need).all()):
+        raise InvalidRange(f"phase rate {np.max(np.abs(max_phase_rate)):g} "
+                           f"needs unboundedly many nodes")
+    return max(int(minimum), math.ceil(need)) if one else np.maximum(minimum, np.ceil(need))
 
 
 # ---------------------------------------------------------------------------

@@ -414,12 +414,12 @@ def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,
     integrated, not mapped by the field's known affine flow: that the
     ball they span keeps P is what the 3D conservation check tests.
     """
-    seeds = np.asarray(seeds, dtype=float)
+    seeds = _floats(seeds, "seeds")
     if seeds.ndim != 2 or seeds.shape[1] != 3:
         raise InvalidRange("seeds must have shape (m, 3)")
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0.0):
-        raise InvalidRange("t_grid must be strictly increasing with >= 2 points")
+    ts = _time_grid(t_grid)
+    if ts.size < 2:
+        raise InvalidRange("t_grid must have at least two points")
 
     def rhs(t, y):
         return field.velocity(y.reshape(-1, 3), t).ravel()

@@ -9,6 +9,7 @@ positions in hbar/sqrt(eV*m), times in hbar/eV, energies in eV.
 from __future__ import annotations
 
 import abc
+import bisect
 import functools
 import math
 from collections.abc import Iterator
@@ -24,6 +25,7 @@ from .numerics import (
     KGrid,
     Panels,
     Tolerances,
+    _gauss_rule,
     adaptive_panels,
     build_kgrid,
     integrate_adaptive,
@@ -388,10 +390,16 @@ def _region_fields(region: int, x, t: float, waves):
     rate_t = waves[3] * t
     wave = np.exp(iq * x + rate_t)
     if region == 2:
-        return wave @ matrices[0]
+        return _rows(wave, matrices[0])
     echo = np.exp(2.0 * rate_t)
     second = wave.conj() * echo if region == 0 else echo / wave
-    return wave @ matrices[0] + second @ matrices[1]
+    return _rows(wave, matrices[0]) + _rows(second, matrices[1])
+
+
+def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, a 2-d ``a`` row by row: a BLAS product's rows change their bits
+    with its row count (OpenBLAS 0.3.31, 2 threads), a vector product's not."""
+    return a @ b if a.ndim == 1 else np.array([row @ b for row in a])
 
 
 def _mode_sums(x, t: float, waves, half_width):
@@ -399,8 +407,8 @@ def _mode_sums(x, t: float, waves, half_width):
     a scalar x, whose region two comparisons pick and whose kernel alone
     runs, on the float; for an array, two arrays over its flattened
     values, a _region_fields call per region in each row chunk of at most
-    _FIELD_ENTRIES (x, k) entries.  A one-point array runs the scalar's
-    kernel on a (1, 1) column and keeps its bits.  The free reference
+    _FIELD_ENTRIES (x, k) entries, each row with the bits of its scalar
+    call.  The free reference
     passes half_width = -inf: at V = 0 every region has the same plane
     waves, and every point goes to the right region, the cheapest one.
     """
@@ -608,7 +616,10 @@ class SpectralPacketModel(PacketModel):
     exponent: one complex exponential over the modes and one product with
     a (modes, 2) matrix give (psi, d psi/dx) right of the barrier (every
     point of the free reference), two exponentials left of or inside it.
-    Panel tables sum with _PanelWaves and the coefficients of _coeffs(t).
+    Each point sums on the smallest rung (_rung) the guard accepts at its
+    |x| and t; converged at 8 nodes per phase period, a rung moves rho and
+    j by about 1e-13 of the peak density.  Panel tables sum with
+    _PanelWaves and the coefficients of _coeffs(t), on the whole grid.
     """
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
@@ -619,12 +630,9 @@ class SpectralPacketModel(PacketModel):
         self.barrier = barrier
         self.mass = float(mass)
         self.tol = tol
-        if barrier is None:
-            coefficients, edge = _free_coefficients(grid.nodes), -math.inf
-        else:
-            coefficients = _barrier_coefficients(grid.nodes, barrier, self.mass)
-            edge = barrier.half_width
-        gamma, *self._coefficients = coefficients       # T, R, A, B
+        edge = -math.inf if barrier is None else barrier.half_width
+        waves, (gamma, *self._coefficients), self._base_coeffs = self._rule_waves(
+            grid.nodes, grid.weights)                   # T, R, A, B
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
         # Lattice pitch: two periods of the fastest spatial beat of rho, so
@@ -635,44 +643,81 @@ class SpectralPacketModel(PacketModel):
         # kept across times; empty until the first table.
         self._waves = (_PanelWaves(grid.nodes, 0.5 * self._pitch),
                        _PanelWaves(gamma, edge if barrier else 1.0))
-        amp = spectrum.amplitude(grid.nodes)
-        self._base_coeffs = (grid.weights * amp
-                             * np.exp(-1j * grid.nodes * spectrum.x_bar)
-                             / math.sqrt(2.0 * math.pi))
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
         # Time-independent factor of the mode phases, -i hbar k^2.
         self._phase_rate = -1j * HBAR * grid.nodes ** 2
         # Region waves and edge, in _mode_sums order.
-        self._modes = (_region_waves(grid.nodes, gamma, *self._coefficients, self._base_coeffs,
-                                     self._phase_rate / (2.0 * self.mass)), edge)
+        self._modes = (waves, edge)
+        # Pointwise rungs (_rung): node counts 64 * 2^j below the grid's, then the grid's.
+        self._sizes = [64 << j for j in range(grid.size.bit_length()) if 64 << j < grid.size]
+        self._sizes.append(grid.size)
+        self._rungs = [None] * (len(self._sizes) - 1) + [waves]
+
+    def _rule_waves(self, nodes, weights):
+        """Region waves of the modes at these wave numbers and weights, their
+        (gamma, T, R, A, B) and their coefficients at t = 0."""
+        coefficients = (_free_coefficients(nodes) if self.barrier is None
+                        else _barrier_coefficients(nodes, self.barrier, self.mass))
+        base = (weights * self.spectrum.amplitude(nodes)
+                * np.exp(-1j * nodes * self.spectrum.x_bar) / math.sqrt(2.0 * math.pi))
+        rate = -1j * HBAR * nodes ** 2 / (2.0 * self.mass)
+        return _region_waves(nodes, *coefficients, base, rate), coefficients, base
+
+    def _rung(self, j: int):
+        """Region waves of the Gauss-Legendre rule of _sizes[j] nodes on the
+        grid's band, built on first use; the grid itself if that is not such
+        a rule, and the next rung if the rule's nodes raise DegenerateK."""
+        waves = self._rungs[j]
+        if waves is None:
+            g = self.grid
+            # A rule's end weights are below its middle one: a midpoint grid
+            # is refused before leggauss(g.size) runs (4 s at 4096 nodes).
+            gauss = (g.weights[0] < g.weights[g.size // 2] and np.array_equal(
+                _gauss_rule(g.k_min, g.k_max, g.size), (g.nodes, g.weights)))
+            try:
+                waves = (self._rule_waves(*_gauss_rule(g.k_min, g.k_max, self._sizes[j]))[0]
+                         if gauss else self._rungs[-1])
+            except DegenerateK:
+                waves = self._rung(j + 1)
+            self._rungs[j] = waves
+        return waves
 
     def _coeffs(self, ts) -> np.ndarray:
         """Mode coefficients at each time of ts (or at one t), (n_t, n_k)."""
         phases = np.exp(np.outer(ts, self._phase_rate) / (2.0 * self.mass))
         return self._base_coeffs * phases
 
-    def _check_resolution(self, x_absmax: float, t: float):
-        # Upper bound on |d phase/dk| across all mode branches at this x span.
-        rate = (x_absmax + abs(self.spectrum.x_bar)
-                + HBAR * self.grid.k_max * abs(t) / self.mass)
+    def _check_resolution(self, x_abs, t: float):
+        """Nodes the phase guard asks for at each |x| of x_abs (a float or an
+        array) at time t; GridTooCoarse where the most exceeds the grid."""
+        # Upper bound on |d phase/dk| across all mode branches at this |x|.
+        rate = x_abs + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max * abs(t) / self.mass
         needed = nodes_for_phase(rate, self.grid.k_min, self.grid.k_max, minimum=1)
-        if self.grid.size < needed:
+        most = needed if isinstance(needed, int) else np.max(needed, initial=1.0)
+        if self.grid.size < most:
             raise GridTooCoarse(
                 f"wave-number grid has {self.grid.size} nodes but evaluating "
-                f"out to |x| = {x_absmax:.4g} at t = {t:.4g} needs >= {needed}"
+                f"out to |x| = {np.max(x_abs):.4g} at t = {t:.4g} needs >= {most:.0f}"
             )
+        return needed
 
     def _fields(self, x, t: float):
-        """(psi, d psi/dx) at x through _mode_sums, after the phase guard:
-        two complex numbers for a scalar x, arrays over the flattened x."""
+        """(psi, d psi/dx) at x through _mode_sums, after the phase guard, on
+        the smallest rung (_rung) with the nodes it asks for at each point's
+        own |x|: two complex numbers for a scalar x, two rows over the
+        flattened x of an array, a _mode_sums call per rung."""
+        edge = self._modes[1]
         if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
-            self._check_resolution(abs(x), t)
-        else:
-            x = np.asarray(x, dtype=float)
-            self._check_resolution(float(np.max(np.abs(x), initial=0.0)), t)
-        return _mode_sums(x, t, *self._modes)
+            j = bisect.bisect_left(self._sizes, self._check_resolution(abs(x), t))
+            return _mode_sums(x, t, self._rung(j), edge)
+        x = np.ravel(np.asarray(x, dtype=float))
+        rungs = np.searchsorted(self._sizes, self._check_resolution(np.abs(x), t))
+        fields = np.empty((2, x.size), dtype=complex)
+        for j in np.unique(rungs).tolist():
+            fields[:, rungs == j] = _mode_sums(x[rungs == j], t, self._rung(j), edge)
+        return fields
 
     def _panel_rho(self, ts, coeffs=None):
         """Density on the nodes mid + half * PANEL_NODES of batches of panels,
@@ -996,15 +1041,17 @@ class Gaussian3DModel:
         erf((R + d)/(sqrt2 s)))/2 - sqrt(2/pi) (R/s) exp(-(R - d)^2/(2 s^2))
         (1 - e^(-2a))/(2a), the last factor 1 at a = 0.  Its error is
         rounding's, absolute (~1e-16); a ball far from the packet, which
-        rounding can leave at -1e-33, reads 0, and a NaN stays NaN."""
+        rounding can leave at -1e-33, reads 0, and a NaN stays NaN.  The second
+        term is 0 (not inf * 0) where |R - d| >= 40 s or R/s overflows."""
         s = self.sigma_x(t)
         d = float(np.linalg.norm(center - self.center(t)))
         a = radius * d / s ** 2
         shape = -math.expm1(-2.0 * a) / (2.0 * a) if a > 0.0 else 1.0
+        z = (radius - d) / s
+        spill = (math.sqrt(2.0 / math.pi) * (radius / s) * math.exp(-0.5 * z ** 2) * shape
+                 if abs(z) < 40.0 and radius / s < math.inf else 0.0)
         return max(0.5 * (math.erf((radius - d) / (math.sqrt(2.0) * s))
-                          + math.erf((radius + d) / (math.sqrt(2.0) * s)))
-                   - math.sqrt(2.0 / math.pi) * (radius / s)
-                   * math.exp(-0.5 * ((radius - d) / s) ** 2) * shape, 0.0)
+                          + math.erf((radius + d) / (math.sqrt(2.0) * s))) - spill, 0.0)
 
     def velocity(self, points, t):
         """Component-wise free-Gaussian velocity field."""

@@ -11,9 +11,9 @@ from scipy.integrate import dblquad
 from scipy.optimize import brentq
 from scipy.special import erfcinv
 
-from quantracer import quantile
+from quantracer import quantile, wavepacket
 from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
-from quantracer.numerics import Tolerances, find_root_monotone
+from quantracer.numerics import Tolerances, find_root_monotone, nodes_for_phase
 from quantracer.quantile import (
     DENSITY_FLOOR_REL,
     probability_in_volume,
@@ -451,6 +451,31 @@ class TestTraceTrajectoryOde:
         assert len(diffs) == len(grid)
         assert max(diffs) <= 1e-5
 
+    def test_tunneling_trace_sums_the_smallest_admissible_rung(self, tunnel_models,
+                                                                monkeypatch):
+        # Every mode sum of the trace uses the smallest Gauss-Legendre rung
+        # (64 * 2^j nodes below the grid's, then the grid) with the nodes
+        # the phase guard asks for at its |x| and t: a fall-back to the
+        # whole grid at every point fails here, and so does a rung below
+        # what the guard asks for.
+        _, tunnel = tunnel_models
+        grid, x_bar = tunnel.grid, tunnel.spectrum.x_bar
+        ladder = [64, 128, 256, grid.size]
+        sums = []
+        kernel = wavepacket._region_fields
+
+        def counted(region, x, t, waves):
+            sums.append((float(np.max(np.abs(x))), t, waves[3].size))
+            return kernel(region, x, t, waves)
+        monkeypatch.setattr(wavepacket, "_region_fields", counted)
+        trace_trajectory_ode(tunnel, 0.3, 0.0, 2.0)
+        assert len(sums) > 100
+        for x, t, modes in sums:
+            needed = nodes_for_phase(x + abs(x_bar) + grid.k_max * t,
+                                     grid.k_min, grid.k_max, minimum=1)
+            assert modes == min(n for n in ladder if n >= needed)
+        assert max(modes for *_, modes in sums) < grid.size
+
     @pytest.mark.parametrize("t_eval, floor_rel", [
         (None, DENSITY_FLOOR_REL), (np.linspace(0.0, 4.0, 17), DENSITY_FLOOR_REL),
         (None, 0.2)], ids=["steps", "t_eval", "floor"])
@@ -616,6 +641,20 @@ class TestFlowMap3D:
             trace_flowmap_3d(field, sphere_seeds((0.0, 0.0, 0.0), 2.5), times)
         assert "\n" not in str(exc.value) and len(str(exc.value)) < 120
 
+    @pytest.mark.parametrize("seeds, times", [
+        (sphere_seeds((0.0, 0.0, 0.0), 2.5), [[0.0, 1.0], [2.0]]),
+        (sphere_seeds((0.0, 0.0, 0.0), 2.5), [0.0]),
+        (sphere_seeds((0.0, 0.0, 0.0), 2.5), [[0.0, 1.0]]),
+        (sphere_seeds((0.0, 0.0, 0.0), 2.5), [1.0, 0.5]),
+        ([[0.0, 0.0, 1.0], [1.0, 0.0]], [0.0, 1.0]),
+    ], ids=["ragged-grid", "one-time", "2-d-grid", "decreasing", "ragged-seeds"])
+    def test_refuses_a_bad_grid_or_seed_cloud_in_one_line(self, seeds, times):
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
+        with pytest.raises(InvalidRange) as exc:
+            trace_flowmap_3d(field, seeds, times)
+        assert "\n" not in str(exc.value) and len(str(exc.value)) < 120
+
     def test_probability_conserved_with_drift(self):
         params = Gaussian3DParams(center=(0.0, 0.0, 0.0),
                                   velocity=(2.0, 0.0, 0.0), sigma_x0=2.5)
@@ -686,6 +725,14 @@ class TestProbabilityInVolume:
             got = probability_in_volume(field, points, t)
             assert 0.0 <= got <= 1.0
             assert abs(got - self._oracle(radius, d, field.sigma_x(t))) <= 1e-13
+
+    @pytest.mark.parametrize("radius", [1e150, 1e100, 1e10])
+    def test_a_ball_far_wider_than_the_packet_holds_all_of_it(self, radius):
+        # R / s overflows (1e150 / 1e-160) or its square does: the second
+        # term is 0 there, not inf * 0 (NaN) or an OverflowError.
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(0.0, 0.0, 0.0), sigma_x0=1e-160))
+        assert probability_in_volume(field, sphere_seeds((0.0, 0.0, 0.0), radius), 0.0) == 1.0
 
     @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (5.0, -3.0, 1.0)])
     def test_zero_radius_encloses_exactly_nothing(self, center):

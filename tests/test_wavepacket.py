@@ -4,6 +4,7 @@ Oracle values were computed with the high-precision routines in
 ``oracles.py`` before the implementation and are frozen here as literals.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,9 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantracer import wavepacket
+from quantracer import numerics, wavepacket
 from quantracer.errors import DegenerateK, GridTooCoarse, InvalidRange
-from quantracer.numerics import PANEL_NODES, KGrid, Tolerances, build_kgrid, integrate_adaptive
+from quantracer.numerics import (
+    PANEL_NODES,
+    KGrid,
+    Tolerances,
+    build_kgrid,
+    integrate_adaptive,
+    nodes_for_phase,
+)
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
@@ -418,6 +426,134 @@ class TestIndependentModeSum:
             assert abs(model.rho(x, t) - abs(psi) ** 2) <= 1e-12 * scale ** 2
             flux = (psi.conjugate() * dpsi).imag
             assert abs(model.current(x, t) - flux) <= 1e-12 * grid.k_max * scale ** 2
+
+
+def _full_grid(model, x, t):
+    """(rho, current) at x summed over the model's whole grid, whatever
+    rung its pointwise fields pick."""
+    psi, dpsi = wavepacket._mode_sums(x, t, *model._modes)
+    return wavepacket._density(psi), (HBAR / model.mass) * wavepacket._flux(psi, dpsi)
+
+
+def _guard_reach(model, t):
+    """Largest |x| the phase guard admits at time t, to rounding (m = 1)."""
+    grid = model.grid
+    return (grid.size * 2.0 * math.pi / (8.0 * (grid.k_max - grid.k_min))
+            - abs(model.spectrum.x_bar) - HBAR * grid.k_max * t)
+
+
+class TestRungs:
+    """Pointwise fields sum on the smallest Gauss-Legendre rule of 64 * 2^j
+    nodes (or the grid) that the phase guard accepts at each point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.floats(-1.0, 1.0), t=st.floats(0.0, 10.0), as_array=st.booleans())
+    def test_rung_sums_match_the_whole_grid(self, spectral_models, u, t, as_array):
+        # rho and j within 1e-11 of the peak density, and so j / rho within
+        # 2e-11 peak (1 + |v|) / rho wherever rho is above 2e-11 peak.
+        _, _, free_sp, tunnel = spectral_models
+        for model in (free_sp, tunnel):
+            x = 0.999 * u * _guard_reach(model, t)
+            arg = np.array([x, -x, 0.5 * x]) if as_array else x
+            rho, cur = model.density_and_current(arg, t)
+            rho_full, cur_full = _full_grid(model, np.atleast_1d(arg), t)
+            peak = model.peak_density(t)
+            assert np.max(np.abs(rho - rho_full)) <= 1e-11 * peak
+            assert np.max(np.abs(cur - cur_full)) <= 1e-11 * peak
+            ok = rho_full >= 2e-11 * peak
+            v_full = cur_full[ok] / rho_full[ok]
+            v = np.atleast_1d(cur)[ok] / np.atleast_1d(rho)[ok]
+            assert np.all(np.abs(v - v_full) <= 2e-11 * peak * (1.0 + np.abs(v_full))
+                          / rho_full[ok])
+
+    def test_a_point_has_its_own_bits_in_any_batch(self, spectral_models):
+        # Points across every rung and region, alone, with far-off points
+        # and in one batch, all with the bits of their scalar call.
+        _, _, free_sp, tunnel = spectral_models
+        a = DEFAULT_BARRIER.half_width
+        for model in (free_sp, tunnel):
+            rungs = set()
+            for t in (0.0, 4.5, 10.0):
+                reach = 0.999 * _guard_reach(model, t)
+                xs = np.concatenate([np.linspace(-reach, reach, 41), [-a, -0.1, a, 2.0]])
+                rungs |= set(np.searchsorted(model._sizes,
+                                             model._check_resolution(np.abs(xs), t)).tolist())
+                batch = model.density_and_current(xs, t)
+                for i, x in enumerate(xs.tolist()):
+                    alone = model.density_and_current(x, t)
+                    far = model.density_and_current(np.array([x, -reach, reach]), t)
+                    for one, many, among in zip(alone, batch, far):
+                        assert one.hex() == float(many[i]).hex() == float(among[0]).hex()
+            assert rungs == set(range(len(model._sizes)))
+
+    def test_a_hand_made_grid_keeps_the_whole_grid_kernel(self, spectral_models):
+        # Midpoint nodes, and the Gauss-Legendre rule of a slightly wider
+        # band, are not the rule of their grid's band: no smaller rung, so
+        # every point has the bits of the whole-grid sum.
+        _, band, _, _ = spectral_models
+        cell = (band.k_max - band.k_min) / band.size
+        midpoint = (band.k_min + cell * (np.arange(band.size) + 0.5), np.full(band.size, cell))
+        wider = numerics._gauss_rule(band.k_min, band.k_max + 0.01, band.size)
+        xs = np.array([-12.0, -DEFAULT_BARRIER.half_width, -0.1, 0.2, 3.5, 40.0])
+        for nodes, weights in (midpoint, wider):
+            grid = KGrid(nodes, weights, band.k_min, band.k_max)
+            spectrum = SpectralFunction.for_packet(DEFAULT_PACKET, grid)
+            for model, t in itertools.product(
+                    (spectral_free_model(spectrum, grid),
+                     tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)), (0.0, 3.0)):
+                rho, cur = model.density_and_current(xs, t)
+                rho_full, cur_full = _full_grid(model, xs, t)
+                assert np.array_equal(rho, rho_full) and np.array_equal(cur, cur_full)
+                for x in xs.tolist():
+                    assert model.density_and_current(x, t) == _full_grid(model, x, t)
+
+    def test_guard_trips_where_the_grid_runs_out(self, spectral_models):
+        # The guard still asks nodes_for_phase at the largest |x| of a call,
+        # and raises exactly where that exceeds the grid, whatever the rungs.
+        spectrum, grid, free_sp, tunnel = spectral_models
+
+        def needed(x, t):
+            return nodes_for_phase(abs(x) + abs(spectrum.x_bar) + HBAR * grid.k_max * t,
+                                   grid.k_min, grid.k_max, minimum=1)
+        for model in (free_sp, tunnel):
+            for t in (0.0, 7.0):
+                ok, bad = 0.0, 1e6          # bisect to adjacent floats
+                while math.nextafter(ok, math.inf) < bad:
+                    mid = 0.5 * (ok + bad)
+                    try:
+                        model.rho(mid, t)
+                        ok = mid
+                    except GridTooCoarse:
+                        bad = mid
+                assert needed(ok, t) <= grid.size < needed(bad, t)
+                model.rho(np.array([0.5, -ok, 3.0]), t)
+                with pytest.raises(GridTooCoarse):
+                    model.rho(np.array([0.5, -bad, 3.0]), t)
+
+    def test_a_64_node_grid_is_its_own_only_rung(self):
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=64)
+        xs = np.array([-8.0, -0.1, 2.0])
+        for model in (spectral_free_model(spectrum, grid),
+                      tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
+            assert model._sizes == [64]
+            rho, cur = model.density_and_current(xs, 0.0)
+            assert np.array_equal(rho, _full_grid(model, xs, 0.0)[0])
+            assert np.array_equal(cur, _full_grid(model, xs, 0.0)[1])
+            with pytest.raises(GridTooCoarse):
+                model.rho(30.0, 10.0)
+
+    def test_a_degenerate_rung_defers_to_the_next(self, spectral_models):
+        # A barrier whose top sits on a 64-node rung's wave number: that rung
+        # raises DegenerateK, so its points sum on the 128-node rung.
+        spectrum, grid, _, _ = spectral_models
+        k = numerics._gauss_rule(grid.k_min, grid.k_max, 64)[0][20]
+        barrier = BarrierSpec(height=k * k / 2.0, half_width=0.3)
+        model = tunneling_packet_model(spectrum, barrier, grid)
+        x, t = -10.0, 0.0
+        assert model._check_resolution(abs(x), t) <= 64
+        psi, dpsi = wavepacket._mode_sums(x, t, model._rung(1), barrier.half_width)
+        assert model.rho(x, t) == wavepacket._density(psi)
+        assert model._rungs[0] is model._rungs[1]
 
 
 class TestTunnelingPacketModel:
