@@ -70,6 +70,11 @@ MAX_LAMBDA_NODES = 512
 # quantile sits where the tail tables carry ~1e-12 absolute error.
 MIN_CROSSING_LEVEL = 1e-6
 
+# Packet widths sigma_x0 the CLI accepts.  Outside them sigma_v^2 or
+# sigma_x(t)^2 overflows or underflows (1e-160, 1e300), or the support
+# hint x_bar +- 10 sigma_x0 collapses to one float (1e-20 at x_bar = -10).
+PACKET_WIDTHS = (1e-6, 1e6)
+
 
 class ConfigError(Exception):
     """Scenario configuration rejected before any numerics ran."""
@@ -201,6 +206,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("t_max must be at least one t_step")
     if cfg.sigma_x0 <= 0.0 or cfg.mass <= 0.0:
         raise ConfigError("sigma_x0 and mass must be positive")
+    if not PACKET_WIDTHS[0] <= cfg.sigma_x0 <= PACKET_WIDTHS[1]:
+        raise ConfigError(f"sigma_x0 = {cfg.sigma_x0:g} is outside the packet-width range "
+                          f"[{PACKET_WIDTHS[0]:g}, {PACKET_WIDTHS[1]:g}]")
     if cfg.loss_rate < 0.0:
         raise ConfigError("lambda (loss rate) must be nonnegative")
     if cfg.barrier_height < 0.0 or cfg.barrier_halfwidth <= 0.0:

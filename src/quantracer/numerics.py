@@ -7,12 +7,13 @@ Everything here is pure and reentrant; internal units are hbar = 1, m = 1
 from __future__ import annotations
 
 import functools
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legvander
+from numpy.polynomial.chebyshev import chebint, chebvander
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import InvalidRange, NonConvergence, NoSignChange, StepUnderflow
 
@@ -28,6 +29,7 @@ __all__ = [
     "build_kgrid",
     "nodes_for_phase",
     "find_root_monotone",
+    "invert_tables",
     "integrate_ode",
     "DEFAULT_TOL",
 ]
@@ -70,11 +72,31 @@ _MAX_PANELS = 4096
 PANEL_NODES = np.concatenate([_GL15_X, _GL7_X])
 
 # Columns of the 21 distinct abscissae (both rules share the middle node 0),
-# and the Legendre antiderivatives of the 21 Lagrange polynomials on them,
-# shape (22, 21): legint of the inverse Legendre Vandermonde.  Their
-# constant terms cancel in F(1) - F(xi).
+# and the Chebyshev coefficients of their degree-20 interpolant (_CHEB_RHO)
+# and its antiderivative (_CHEB_MASS, 22 x 21): the interpolant at the
+# Chebyshev points _Z, then their discrete cosine transform (inverting the
+# Chebyshev Vandermonde on the panel nodes left reads 5e-16 off).
 _DISTINCT = np.delete(np.arange(PANEL_NODES.size), 15 + 3)
-_ANTIDERIVATIVES = legint(np.linalg.inv(legvander(PANEL_NODES[_DISTINCT], 20)), axis=0)
+_Z = np.cos(np.pi * (np.arange(21) + 0.5) / 21)
+_CHEB_RHO = (chebvander(_Z, 20).T * np.append(1.0, np.full(20, 2.0))[:, None] / 21) @ (
+    legvander(_Z, 20) @ np.linalg.inv(legvander(PANEL_NODES[_DISTINCT], 20)))
+_CHEB_MASS = chebint(_CHEB_RHO, axis=0)
+_SOLVE = np.concatenate([_CHEB_MASS, np.pad(_CHEB_RHO, ((0, 1), (0, 0)))])
+# invert_tables reads tails at a grid of _GRID_CELLS cells (T_n there:
+# _GRID_T) for first guesses, then takes _NEWTON_ROUNDS Newton steps.
+_GRID_CELLS, _NEWTON_ROUNDS = 64, 2
+_GRID_T = chebvander(np.linspace(-1.0, 1.0, _GRID_CELLS + 1), 21).T
+_ORDERS = np.arange(22.0)
+
+
+def _chebyshev(xi):
+    """T_n(xi) = cos(n arccos xi), n = 0..21, along a new last axis."""
+    return np.cos(np.arccos(xi)[..., None] * _ORDERS)
+
+
+def _mass_above(c, half, T):
+    """Interpolant mass over [x, panel top] from _CHEB_MASS coefficients c."""
+    return half * np.einsum("ij,...ij->...i", c, 1.0 - T)
 
 
 @dataclass(frozen=True)
@@ -86,7 +108,8 @@ class Panels:
     panels share their edges exactly.  ``total`` is the running sum the
     refinement kept, which is what integrate_adaptive returns.
     ``upper[i]`` is the mass right of los[i] (the reverse cumulative
-    panel values), then 0 for the top edge.
+    panel values), then 0 for the top edge.  Inside a panel the tail
+    integrates the degree-20 interpolant of its node values.
     """
 
     los: np.ndarray
@@ -96,40 +119,20 @@ class Panels:
     total: float
     upper: np.ndarray
 
-    def tail(self, x: float) -> float:
-        """Mass right of any x: the mass right of x's panel plus
-        partial_mass over [x, panel top], so a probe evaluates no
-        integrand and equals ``upper`` at every panel edge."""
-        if x <= self.los[0]:
-            return float(self.upper[0])
-        i = int(np.searchsorted(self.his, x))   # first panel with top >= x
-        if i == self.his.size:
-            return 0.0
-        return float(self.upper[i + 1]) + self.partial_mass(i, x)
-
-    def bracket(self, P: float) -> tuple[float, float]:
-        """Edges of the panel whose edge tails straddle P."""
-        # Last panel whose lower-edge tail is still >= P (upper[-1] = 0 < P).
-        i = max(int(np.searchsorted(-self.upper, -P, side="right")) - 1, 0)
-        return float(self.los[i]), float(self.his[i])
-
-    def partial_mass(self, i: int, x: float) -> float:
-        """Integral over [x, his[i]] of the degree-20 interpolant of panel
-        i's 21 node values, for x in [los[i], his[i]].
-
-        It reads only the stored node values, never the integrand; it is 0
-        at x = his[i] exactly and values[i] up to the GL15 error at los[i].
-        """
-        lo, hi = self.los[i].item(), self.his[i].item()   # numpy scalars are slower
+    def tail(self, x):
+        """Mass right of x (a float, or an array of x's shape, each x with
+        its scalar read's bits), from stored values only: ``upper`` at and
+        below every panel edge, 0 above the top."""
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        i = np.minimum(np.searchsorted(self.his, flat), self.his.size - 1)
+        lo, hi = self.los[i], self.his[i]     # x's panel: the first with top >= x
         half = 0.5 * (hi - lo)
-        xi = 1.0 - (hi - float(x)) / half
-        # sum_n c_n (1 - P_n(xi)), c the interpolant's antiderivative coefficients.
-        c = (_ANTIDERIVATIVES @ self.nodes[i]).tolist()
-        p0, p1, acc = 1.0, xi, c[1] * (1.0 - xi)
-        for n in range(2, 22):
-            p0, p1 = p1, (p1 * xi * (2 * n - 1) - p0 * (n - 1)) / n
-            acc += c[n] * (1.0 - p1)
-        return half * acc
+        T = _chebyshev(np.clip(1.0 - (hi - flat) / half, -1.0, 1.0))
+        c = np.einsum("ij,kj->ki", _CHEB_MASS, self.nodes[i])    # einsum: no batch rounding
+        mass = self.upper[i + 1] + _mass_above(c, half, T)
+        mass = np.where(flat <= self.los[0], self.upper[0], mass)
+        return float(mass[0]) if xs.ndim == 0 else mass.reshape(xs.shape)
 
 
 def _at_panel_nodes(f):
@@ -145,8 +148,8 @@ def _at_panel_nodes(f):
 
 
 def _eval_panels(panel_f, table, los, his):
-    """GL15 values, GL15-GL7 error estimates and the values at the 21
-    distinct nodes, (n, 21), for a batch of panels of the given tables."""
+    """GL15 values, GL15-GL7 error estimates and the integrand at the
+    panel nodes, (n, 22), for a batch of panels of the given tables."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     half = 0.5 * (his - los)
@@ -156,7 +159,7 @@ def _eval_panels(panel_f, table, los, his):
     # panel's sums do not depend on the panels evaluated with it.
     v15 = half * np.einsum("ij,j->i", ys[:, :15], _GL15_W)
     v7 = half * np.einsum("ij,j->i", ys[:, 15:], _GL7_W)
-    return v15, np.abs(v15 - v7), ys[:, _DISTINCT]
+    return v15, np.abs(v15 - v7), ys
 
 
 def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
@@ -167,43 +170,64 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
 
 
 def _refine(panel_f, partitions, tol):
-    """Per initial partition, the heap of (-error, order, lo, hi, value,
-    error, node values) entries and the running total of an adaptive
-    GL7/15 quadrature, all refined in lockstep (see adaptive_panels)."""
+    """Per initial partition, the (los, his, values, node values) of the
+    retained panels of an adaptive GL7/15 quadrature, in ascending order,
+    and its running total, all refined in lockstep (see adaptive_panels)."""
     parts = [np.asarray(edges, dtype=float) for edges in partitions]
-    # Per table: heap (keyed by largest error estimate, its push counter
-    # keeps ordering deterministic), total, summed error, panels, pushes.
-    states = [[[], 0.0, 0.0, edges.size - 1, 0] for edges in parts]
-    # Panels to evaluate: (table, los, his, value and error they replace).
-    batch = [(k, e[:-1].tolist(), e[1:].tolist(), 0.0, 0.0) for k, e in enumerate(parts)]
-    while batch:
-        sizes = [len(los) for _, los, *_ in batch]
-        vals, errs, ys = _eval_panels(
-            panel_f, np.array([k for k, los, *_ in batch for _ in los]),
-            [lo for _, los, *_ in batch for lo in los],
-            [hi for _, _, his, *_ in batch for hi in his])
-        start = 0
-        for (k, los, his, v, e), n in zip(batch, sizes):
-            state, rows, start = states[k], slice(start, start + n), start + n
-            state[1] += float(np.sum(vals[rows])) - v
-            state[2] += float(np.sum(errs[rows])) - e
-            for lo, hi, pv, pe, py in zip(los, his, vals[rows], errs[rows], ys[rows]):
-                heapq.heappush(state[0], (-pe, state[4], lo, hi, pv, pe, py))
-                state[4] += 1
-        batch = []
-        for k, (heap, total, total_err, n_panels, _) in enumerate(states):
-            if total_err <= max(tol.quad_abs, tol.quad_rel * abs(total)):
-                continue
-            if n_panels >= _MAX_PANELS:
-                raise NonConvergence(f"quadrature needed more than {_MAX_PANELS} panels",
-                                     value=total, error=total_err)
-            _, _, lo, hi, v, e, _ = heapq.heappop(heap)
-            if hi - lo < 1e-14 * (parts[k][-1] - parts[k][0]):
-                raise NonConvergence("quadrature stalled on an unresolvable feature",
-                                     value=total, error=total_err)
-            states[k][3] += 1
-            batch.append((k, (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi), v, e))
-    return [(heap, total) for heap, total, *_ in states]
+    sizes = [edges.size - 1 for edges in parts]
+    los, his = np.concatenate([e[:-1] for e in parts]), np.concatenate([e[1:] for e in parts])
+    vals, errs, ys = _eval_panels(panel_f, np.repeat(np.arange(len(parts)), sizes), los, his)
+    # Panels made, in order: lo, hi, value, error, node values (by chunk).
+    # errors and rows [k, j]: table k's j-th panel made (-inf, -1 once split
+    # or unused); round r's children take columns n + 2r and n + 2r + 1.
+    made, chunks, col = [a.tolist() for a in (los, his, vals, errs)], [ys], max(sizes)
+    errors, rows = np.full((len(parts), col + 64), -np.inf), np.full((len(parts), col + 64), -1)
+    states = []     # per table: running total, summed error, panel count, range
+    for k, (end, size, edges) in enumerate(zip(itertools.accumulate(sizes), sizes, parts)):
+        errors[k, :size], rows[k, :size] = errs[end - size:end], np.arange(end - size, end)
+        states.append([float(np.sum(vals[end - size:end])), float(np.sum(errs[end - size:end])),
+                       size, edges[-1] - edges[0]])
+    while ks := [k for k, (total, error, *_) in enumerate(states)
+                 if not error <= max(tol.quad_abs, tol.quad_rel * abs(total))]:
+        kk = np.array(ks)
+        at = np.argmax(errors[kk], axis=1)     # the largest, the earliest made on ties
+        picked = rows[kk, at].tolist()
+        errors[kk, at], rows[kk, at] = -np.inf, -1
+        los, his = [], []
+        for k, row in zip(ks, picked):
+            total, error, count, span = states[k]
+            lo, hi = made[0][row], made[1][row]
+            if count >= _MAX_PANELS or hi - lo < 1e-14 * span:
+                raise NonConvergence(f"quadrature needed more than {_MAX_PANELS} panels"
+                                     if count >= _MAX_PANELS else
+                                     "quadrature stalled on an unresolvable feature",
+                                     value=total, error=error)
+            los += (lo, 0.5 * (lo + hi))
+            his += (0.5 * (lo + hi), hi)
+        vals, errs, ys = _eval_panels(panel_f, np.repeat(kk, 2), los, his)
+        v, e = vals.tolist(), errs.tolist()
+        for j, (k, row) in enumerate(zip(ks, picked)):
+            state = states[k]
+            state[:3] = (state[0] + ((v[2 * j] + v[2 * j + 1]) - made[2][row]),
+                         state[1] + ((e[2 * j] + e[2 * j + 1]) - made[3][row]), state[2] + 1)
+        if col + 2 > errors.shape[1]:
+            errors = np.concatenate([errors, np.full(errors.shape, -np.inf)], axis=1)
+            rows = np.concatenate([rows, np.full(rows.shape, -1)], axis=1)
+        errors[kk, col:col + 2] = errs.reshape(-1, 2)
+        rows[kk, col:col + 2] = np.arange(len(made[0]), len(made[0]) + errs.size).reshape(-1, 2)
+        for column, new in zip(made, (los, his, v, e)):
+            column += new
+        chunks.append(ys)
+        col += 2
+    # Every table's kept panels, by table and then by lower edge.
+    kept = rows >= 0
+    data = np.array(made[:3])[:, rows[kept]]
+    order = np.lexsort((data[0], np.nonzero(kept)[0]))
+    los, his, vals = data[:, order]
+    nodes = np.concatenate(chunks)[rows[kept][order, None], _DISTINCT]
+    cuts = [0, *itertools.accumulate(kept.sum(axis=1).tolist())]
+    return [(los[a:b], his[a:b], vals[a:b], nodes[a:b], state[0])
+            for a, b, state in zip(cuts, cuts[1:], states)]
 
 
 def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -212,22 +236,20 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL) -> list:
     Each of ``partitions`` is one table's initial partition, finite and
     strictly increasing; ``panel_f(table, mid, half)`` returns the
     integrand at mid + half * PANEL_NODES for a batch of panels of the
-    tables ``table``, shape (n, 22).  Each table keeps its own heap and
-    bisects its panel with the largest GL15-GL7 gap until its summed gaps
-    satisfy max(quad_abs, quad_rel * |total|).  One panel_f call evaluates
-    all initial panels and round r the r-th bisection of every table still
+    tables ``table``, shape (n, 22).  Every table keeps its panels in flat
+    arrays and, each round, bisects its panel with the largest GL15-GL7
+    gap (the earliest made on ties) until its summed gaps satisfy
+    max(quad_abs, quad_rel * |total|).  One panel_f call evaluates all
+    initial panels and round r the r-th bisection of every table still
     refining, so each table has its one-table build's panels and bits if
     panel_f gives each row the bits it has alone.  Returns one Panels per
     partition.  Raises NonConvergence once a table needs _MAX_PANELS panels
     or bisects one narrower than 1e-14 of its range.
     """
     tables = []
-    for heap, total in _refine(panel_f, partitions, tol):
-        heap.sort(key=lambda entry: entry[2])
-        los, his, values = np.array([entry[2:5] for entry in heap]).T
+    for los, his, values, nodes, total in _refine(panel_f, partitions, tol):
         upper = np.append(np.cumsum(values[::-1])[::-1], 0.0)
-        tables.append(Panels(los, his, values, np.array([entry[6] for entry in heap]),
-                             total, upper))
+        tables.append(Panels(los, his, values, nodes, total, upper))
     return tables
 
 
@@ -260,7 +282,7 @@ def integrate_adaptive(
     if b == a:
         return 0.0
     edges = initial_edges(a, b, max(1, int(initial_panels)), points)
-    return _refine(_at_panel_nodes(f), [edges], tol)[0][1]
+    return _refine(_at_panel_nodes(f), [edges], tol)[0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +421,18 @@ def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
             return xcur
         short = False
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:    # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:               # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+            # A division by zero, where brentq's C floats give an inf or
+            # NaN step and so bisect, bisects here too.
+            try:
+                if xpre == xblk:    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass
         spre, scur = (scur, stry) if short else (sbis, sbis)   # else bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
@@ -413,6 +440,58 @@ def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
     raise NonConvergence(f"root not bracketed to {tol.root_abs:g} after "
                          f"{_ROOT_MAXITER} iterations", value=xcur,
                          error=abs(xblk - xcur))
+
+
+def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """x with table.tail(x) = P for every table and level, shape
+    (len(tables), levels.size), from one batched solve.
+
+    Each pair solves in its bracketing panel, the last one whose lower edge
+    tail is >= P: a chord across the cell of a _GRID_CELLS grid whose tails
+    straddle P, then _NEWTON_ROUNDS Newton steps kept in the panel (the
+    interpolant of rho is minus the slope).  x is returned once Panels.tail
+    straddles P across x +- delta, delta = (root_abs + 4 eps |x|) / 2, the
+    tail taken as the panel's edge tail beyond it: Brent's stop rule,
+    certified.  The arithmetic is elementwise, so a pair has the same bits
+    alone or in any batch; a pair that fails the test is solved by
+    find_root_monotone on the panel.  Raises NoSignChange for a level not in
+    (0, mass of the table].
+    """
+    levels = np.asarray(levels, dtype=float).ravel()
+    if not tables or not levels.size:
+        return np.empty((len(tables), levels.size))
+    if not levels.min() > 0.0 or levels.max() > min(table.upper[0] for table in tables):
+        raise NoSignChange(f"levels {levels.min()} to {levels.max()} are not all in (0, "
+                           f"mass of the table]")
+    picks = []
+    for table in tables:
+        # The last panel whose lower-edge tail is >= P (upper[-1] = 0 < P).
+        i = table.upper.size - 1 - np.searchsorted(table.upper[::-1], levels)
+        picks.append((table.los[i], table.his[i], table.upper[i + 1], table.nodes[i], levels))
+    lo, hi, base, nodes, P = (column[0] if len(tables) == 1 else np.concatenate(column)
+                              for column in zip(*picks))
+    half = 0.5 * (hi - lo)
+    coeffs = np.einsum("ij,kj->ki", _SOLVE, nodes)      # einsum: no batch rounding
+    # Newton runs on u = (hi - x) / half in [0, 2], where tail - P is
+    # base - P + half * sum_n c_n (1 - T_n(1 - u)) and its slope half * rho.
+    scaled = (coeffs * half[:, None]).reshape(-1, 2, 22)
+    top = np.einsum("ij->i", scaled[:, 0]) + (base - P)
+    f = top[:, None] - np.einsum("ij,jk->ik", scaled[:, 0], _GRID_T)    # at u = 2 - j / 32
+    cell = (f[:, 1:-1] >= 0.0).sum(axis=1)
+    fl, fr = f[np.arange(P.size), cell], f[np.arange(P.size), cell + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.fmin(np.fmax(2.0 - (cell + fl / (fl - fr)) * (2.0 / _GRID_CELLS), 0.0), 2.0)
+        for _ in range(_NEWTON_ROUNDS):
+            sums = np.einsum("ikj,ij->ik", scaled, _chebyshev(1.0 - u))
+            u = np.fmin(np.fmax(u - (top - sums[:, 0]) / sums[:, 1], 0.0), 2.0)
+    x = hi - u * half
+    ends = x + np.multiply.outer((-1.0, 1.0), 0.5 * tol.root_abs + (0.5 * _ROOT_REL) * np.abs(x))
+    T = _chebyshev(1.0 - (hi - np.fmin(np.fmax(ends, lo), hi)) / half)
+    f = (base + _mass_above(coeffs[:, :22], half, T)) - P      # Panels.tail's arithmetic
+    for j in np.flatnonzero(~(((ends[0] <= lo) | (f[0] >= 0.0)) & (f[1] <= 0.0))).tolist():
+        x[j] = find_root_monotone(lambda x: tables[j // levels.size].tail(x) - P[j],
+                                  (lo[j], hi[j]), tol)
+    return x.reshape(len(tables), levels.size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quantile kinematics over packet models.
 
-Tail-probability evaluation, quantile inversion by monotone root finding,
+Tail-probability evaluation, quantile inversion (one batched table solve
+for a spectral model, monotone root finding for a closed-form one),
 trajectory tracing by repeated CDF inversion and by velocity-field ODE
 (conserved, lossy, and 3D), and probability transport through spherical
 flow maps.  The two 1D tracing routes are independent on purpose: their
@@ -9,7 +10,6 @@ agreement is the main internal consistency check of the library.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +21,7 @@ from .numerics import (
     Tolerances,
     find_root_monotone,
     integrate_ode,
+    invert_tables,
 )
 from .wavepacket import Gaussian3DModel, PacketModel, SpectralPacketModel
 
@@ -156,13 +157,13 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
     """Unique x with model.tail(x, t) = P: a float for a scalar P and t, else
     an array of shape t.shape + P.shape.
 
-    One root solve per (time, level), each with the bits of its one-time
-    scalar call.  A spectral model builds one panel table per time, all
-    from one ``tail_tables`` call, and solves each level inside the panel
-    whose edge tails straddle it; other models invert their own ``tail``
-    over the support hint.  An empty P or t reads nothing and returns an
-    empty array.  Raises InvalidRange for a level outside (0, 1) or NaN,
-    and NormBelowP (t_end the first such time) where the total norm has
+    A spectral model builds one panel table per time, all from one
+    ``tail_tables`` call, and solves every (time, level) on them in one
+    invert_tables call; other models invert their own ``tail`` over the
+    support hint, one root solve per (time, level).  Each position has the
+    bits it has alone.  An empty P or t reads nothing and returns an empty
+    array.  Raises InvalidRange for a level outside (0, 1) or NaN, and
+    NormBelowP (t_end the first such time) where the total norm has
     decayed to or below a level, before any table is built.  A ragged P
     or t and a non-finite time are an InvalidRange too.
     """
@@ -178,18 +179,13 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
         if np.any(levels >= norm):
             raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
                              f"t = {s:.6g} is {norm:.12g}", t_end=s)
-    tables = (model.tail_tables(ts) if isinstance(model, SpectralPacketModel)
-              else [None] * len(ts))
-    xs = []
-    for s, panels in zip(ts, tables):
-        if panels is not None:
-            tail, bracket = panels.tail, panels.bracket
-        else:
-            hint = model.support_hint(s)
-            tail, bracket = functools.partial(model.tail, t=s), (lambda p: hint)
-        xs += [find_root_monotone(lambda x: tail(x) - p, bracket(p), tol)
+    if isinstance(model, SpectralPacketModel):
+        xs = invert_tables(list(model.tail_tables(ts)), levels, tol)
+    else:
+        xs = [[find_root_monotone(lambda x: model.tail(x, s) - p, hint, tol)
                for p in levels.ravel().tolist()]
-    return xs[0] if times.ndim == levels.ndim == 0 else np.reshape(
+              for s, hint in zip(ts, map(model.support_hint, ts))]
+    return float(xs[0][0]) if times.ndim == levels.ndim == 0 else np.reshape(
         xs, times.shape + levels.shape)
 
 

@@ -499,7 +499,7 @@ _KEPT_WIDTHS = 16
 # count as lattice ones: rounding of the panel edges, nothing more.
 _ULPS = 16.0 * np.finfo(float).eps
 
-# Most tables one lockstep pass builds (a pass holds all their heaps).
+# Most tables one lockstep pass builds (a pass holds all their panels).
 _TABLE_BLOCK = 32
 
 # Most rows of one BLAS product: with OpenBLAS 0.3.31 on 2 threads a row's
@@ -892,24 +892,24 @@ class SpectralPacketModel(PacketModel):
         """tail(x_i, t) at every x from one retained panel table.
 
         The table starts at the lattice edge at or below min x (each x
-        clamped to the hint, as in tail()) and each x is read through
-        Panels.tail, so no x is a panel edge.  Its error control is that
-        of the widest tail; tail() stays the pointwise independent check.
-        A NaN x raises InvalidRange.
+        clamped to the hint, as in tail()) and all x are read in one
+        Panels.tail call, so no x is a panel edge.  Its error control is
+        that of the widest tail; tail() stays the pointwise independent
+        check.  A NaN x raises InvalidRange.
         """
         return self._tails(x, [t])[0]
 
     def _tails(self, x, ts, coeffs=None) -> np.ndarray:
-        """tails(x, t) at every t of ts, shape (len(ts), *x.shape), from
-        the tables of one tail_tables call; with ``coeffs`` (one row per
-        time) the same integrals of |sum_j coeffs_j e^{ik_j x}|^2 on the
-        free reference's lattice (the delta-p decomposition's transmitted
-        excess)."""
+        """tails(x, t) at every t of ts, shape (len(ts), *x.shape), one
+        Panels.tail read per table of one tail_tables call; with ``coeffs``
+        (one row per time) the same integrals of |sum_j coeffs_j e^{ik_j x}|^2
+        on the free reference's lattice (the delta-p decomposition's
+        transmitted excess)."""
         x = np.asarray(x, dtype=float)
         low = np.min(x, initial=math.inf)     # NaN if any x is NaN
         if math.isnan(low):
             raise InvalidRange("tail position is NaN")
-        reads = [[table.tail(v) for v in np.clip(x, table.los[0], table.his[-1]).ravel().tolist()]
+        reads = [table.tail(np.clip(x, table.los[0], table.his[-1]))
                  for table in self.tail_tables(ts, low, coeffs)]
         return np.reshape(reads, (len(reads),) + x.shape)
 

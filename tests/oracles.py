@@ -1,11 +1,16 @@
-"""Independent high-precision oracles used to freeze expected test values.
+"""Independent oracles used to freeze expected test values.
 
-Everything here goes through mpmath (arbitrary precision, series/continued
+The numeric oracles go through mpmath (arbitrary precision, series/continued
 fraction implementations) and never through the package under test, so the
 numbers asserted in the test suite are derived on an independent path.
+heap_refine is a reference algorithm instead: the heap-based adaptive
+refinement the package's flat one must reproduce bit for bit.
 """
 
+import heapq
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 30
 
@@ -61,3 +66,47 @@ def square_barrier_transmission(k, height, half_width):
         return float(1 / (1 + 2 * V * a * a * k * k / (2 * E)))
     q = mp.sqrt(k * k - 2 * V)
     return float(1 / (1 + V**2 * mp.sin(2 * a * q) ** 2 / (4 * E * (E - V))))
+
+
+def heap_refine(eval_panels, partitions, tol, max_panels=4096):
+    """Per partition, (los, his, values, node values, total) of the adaptive
+    GL7/15 refinement with one heap per table, refined in lockstep.
+
+    Each round pops every unconverged table's panel with the largest error
+    estimate (the earliest pushed on ties, by a push counter) and evaluates
+    both halves of all of them in one eval_panels(table, los, his) call,
+    which returns each panel's value, error estimate and node values.
+    Totals take the children's sum minus the parent, in Python floats.
+    """
+    parts = [np.asarray(edges, dtype=float) for edges in partitions]
+    states = [[[], 0.0, 0.0, edges.size - 1, 0] for edges in parts]
+    batch = [(k, e[:-1].tolist(), e[1:].tolist(), 0.0, 0.0) for k, e in enumerate(parts)]
+    while batch:
+        sizes = [len(los) for _, los, *_ in batch]
+        vals, errs, ys = eval_panels(
+            np.array([k for k, los, *_ in batch for _ in los]),
+            [lo for _, los, *_ in batch for lo in los],
+            [hi for _, _, his, *_ in batch for hi in his])
+        start = 0
+        for (k, los, his, v, e), n in zip(batch, sizes):
+            state, rows, start = states[k], slice(start, start + n), start + n
+            state[1] += float(np.sum(vals[rows])) - v
+            state[2] += float(np.sum(errs[rows])) - e
+            for lo, hi, pv, pe, py in zip(los, his, vals[rows], errs[rows], ys[rows]):
+                heapq.heappush(state[0], (-pe, state[4], lo, hi, pv, pe, py))
+                state[4] += 1
+        batch = []
+        for k, (heap, total, total_err, n_panels, _) in enumerate(states):
+            if total_err <= max(tol.quad_abs, tol.quad_rel * abs(total)):
+                continue
+            if n_panels >= max_panels:
+                raise RuntimeError("too many panels")
+            _, _, lo, hi, v, e, _ = heapq.heappop(heap)
+            states[k][3] += 1
+            batch.append((k, (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi), v, e))
+    out = []
+    for heap, total, *_ in states:
+        heap.sort(key=lambda entry: entry[2])
+        los, his, values = np.array([entry[2:5] for entry in heap]).T
+        out.append((los, his, values, np.array([entry[6] for entry in heap]), total))
+    return out

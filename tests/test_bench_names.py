@@ -52,39 +52,55 @@ def test_counted_results_keep_their_fields():
 
 def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
     # The tracer counts numerics.root.evals by rebinding
-    # quantile.find_root_monotone and wrapping its argument 0; a solve that
-    # went round that binding would read 0 evaluations.
-    evals = []
-    solve = quantile.find_root_monotone
+    # quantile.find_root_monotone and wrapping its argument 0.  Closed-form
+    # models still invert through that binding; a spectral model solves all
+    # its (time, level) pairs in one quantile.invert_tables call, which the
+    # tracer does not wrap, so its root counters read 0 for spectral
+    # inversions.
+    evals, solves = [], []
+    solve, invert = quantile.find_root_monotone, quantile.invert_tables
+    assert invert is numerics.invert_tables
 
     def counted_solve(g, *args, **kwargs):
         return solve(lambda x: evals.append(x) or g(x), *args, **kwargs)
+
+    def counted_invert(tables, *args):
+        solves.append(len(tables))
+        return invert(tables, *args)
     monkeypatch.setattr(quantile, "find_root_monotone", counted_solve)
+    monkeypatch.setattr(quantile, "invert_tables", counted_invert)
+    quantile.quantile_position(wavepacket.FreeGaussianModel(wavepacket.DEFAULT_PACKET), 0.3, 1.0)
+    assert len(evals) >= 3 and solves == []
+    evals.clear()
     spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=1.0)
     tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
-    quantile.quantile_position(tunnel, 0.3, 1.0)
-    assert len(evals) >= 3
+    quantile.quantile_position(tunnel, [0.3, 0.6], [0.0, 1.0])
+    assert evals == [] and solves == [2]
 
 
 def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
-    # The tracer counts numerics.root.evals through quantile.find_root_monotone
-    # and opens a quantile.inversion span per call of the quantile_position
-    # binding of tunneling.  A scan makes one such call per model with the
-    # whole time grid, which builds the model's tables of up to 32 times in
-    # one wavepacket.adaptive_panels call (not wrapped by the tracer) and
-    # solves every (t, P) through the root binding; delta_p_report builds its
-    # direct and term3 tables the same way and solves nothing.  A path round
-    # these bindings would read 0 evaluations or inversions.
-    counts = {"evals": 0, "inversions": 0, "builds": 0, "tables": 0}
+    # The tracer opens a quantile.inversion span per call of the
+    # quantile_position binding of tunneling.  A scan makes one such call
+    # per model with the whole time grid, which builds the model's tables of
+    # up to 32 times in one wavepacket.adaptive_panels call (not wrapped by
+    # the tracer) and solves every (t, P) in one quantile.invert_tables call,
+    # not through the root binding the tracer counts; delta_p_report builds
+    # its direct and term3 tables the same way and solves nothing.  A path
+    # round these bindings would read 0 inversions.
+    counts = {"evals": 0, "solves": 0, "inversions": 0, "builds": 0, "tables": 0}
     grids = []
     solve, invert = quantile.find_root_monotone, tunneling.quantile_position
-    build = wavepacket.adaptive_panels
+    build, table_solve = wavepacket.adaptive_panels, quantile.invert_tables
 
     def counted_solve(g, *args, **kwargs):
         def counted_g(x):
             counts["evals"] += 1
             return g(x)
         return solve(counted_g, *args, **kwargs)
+
+    def counted_table_solve(tables, *args):
+        counts["solves"] += 1
+        return table_solve(tables, *args)
 
     def counted_invert(model, P, t, *args):
         counts["inversions"] += 1
@@ -96,6 +112,7 @@ def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
         counts["tables"] += len(partitions)
         return build(panel_f, partitions, *args)
     monkeypatch.setattr(quantile, "find_root_monotone", counted_solve)
+    monkeypatch.setattr(quantile, "invert_tables", counted_table_solve)
     monkeypatch.setattr(tunneling, "quantile_position", counted_invert)
     monkeypatch.setattr(wavepacket, "adaptive_panels", counted_build)
     spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=2.0)
@@ -103,12 +120,12 @@ def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
     tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
     times = np.linspace(0.0, 2.0, 3)
     tunneling.retardation_scan(free, tunnel, [0.01, 0.3], times)
-    assert counts["inversions"] == 2 and counts["evals"] >= 3 * 12
+    assert counts["inversions"] == 2 and (counts["evals"], counts["solves"]) == (0, 2)
     assert [grid.tolist() for grid in grids] == [times.tolist()] * 2
     assert (counts["builds"], counts["tables"]) == (2, 6)
-    counts.update(evals=0, inversions=0, builds=0, tables=0)
+    counts.update(evals=0, solves=0, inversions=0, builds=0, tables=0)
     tunneling.delta_p_report(free, tunnel, [0.5, 1.5], [0.0, 1.0, 2.0])
-    assert counts == {"evals": 0, "inversions": 0, "builds": 3, "tables": 9}
+    assert counts == {"evals": 0, "solves": 0, "inversions": 0, "builds": 3, "tables": 9}
 
 
 def test_ode_trace_steps_through_the_traced_ode_binding(monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quantracer
-from quantracer import cli, numerics
+from quantracer import cli, wavepacket
 from quantracer.cli import (
     DEFAULT_OUT,
     MAX_K_NODES,
@@ -128,6 +128,28 @@ class TestConfigResolution:
         conf = tmp_path / "bad.conf"
         conf.write_text("just some words\n", encoding="utf-8")
         assert run_cli(tmp_path, "free", "--config", str(conf)) == 2
+
+    @pytest.mark.parametrize("command, width", [
+        # sigma_v ** 2 * t / sig ** 2 overflowed (an OverflowError traceback).
+        ("sphere3d", "1e-160"), ("sphere3d", "1e300"),
+        # The closed-form ball mass divided by sigma_x(t) ** 2 = 0.
+        ("sphere3d", "1e-170"),
+        # A zero-width support hint: exit 3, "g(-10.0) = 0.4 and g(-10.0) = 0.4".
+        ("free", "1e-100"), ("free", "1e-20"),
+        # A step of Brent's loop divided by zero (a ZeroDivisionError traceback).
+        ("free", "1e300")])
+    def test_packet_width_outside_its_range_exits_2(self, tmp_path, capsys, command, width):
+        conf = tmp_path / "width.conf"
+        conf.write_text(f"sigma_x0 = {width}\n", encoding="utf-8")
+        assert run_cli(tmp_path, command, "--preset", "fig3" if command == "sphere3d" else "fig1",
+                       "--config", str(conf)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and f"sigma_x0 = {float(width):g}" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_packet_width_range_edges_are_accepted(self):
+        for width in cli.PACKET_WIDTHS:
+            validate_config(ScenarioConfig(sigma_x0=width))
 
     def test_empty_p_list_exits_2(self, tmp_path):
         assert run_cli(tmp_path, "free", "--p-list", "", "--t-max", "2") == 2
@@ -457,11 +479,12 @@ class TestVerifyCommand:
         assert all(r["passed"] == "true" for r in rows)
 
     def test_roundtrip_reinverts_spectral_quantiles(self, monkeypatch):
-        # A spectral table off by 1e-5 in tail fails only the check that
+        # A spectral table whose edge tails (what the table solve reads, with
+        # the node values) are off by 1e-5 fails only the check that
         # compares its inversions with the independent tail().
-        probe = numerics.Panels.tail
-        monkeypatch.setattr(numerics.Panels, "tail",
-                            lambda self, x: probe(self, x) + 1e-5)
+        build = wavepacket.adaptive_panels
+        monkeypatch.setattr(wavepacket, "adaptive_panels", lambda *args: [
+            replace(table, upper=table.upper + 1e-5) for table in build(*args)])
         cfg = ScenarioConfig(quick=True)
         passed, detail = _check_trajectory_roundtrip(cfg, Tolerances())
         assert not passed and "worst |tail - P| = 1.0" in detail

@@ -26,8 +26,10 @@ from quantracer.numerics import (
     integrate_ode,
     nodes_for_phase,
 )
+from quantracer.numerics import _at_panel_nodes, _eval_panels
+from quantracer.wavepacket import FreeGaussianModel, GaussianPacketParams
 
-from oracles import erfc_highprec, normal_tail_quantile
+from oracles import erfc_highprec, heap_refine, normal_tail_quantile
 
 erfc = math.erfc
 
@@ -135,9 +137,10 @@ class TestIntegrateAdaptive:
         np.testing.assert_array_equal(panels.nodes,
                                       panel_f(None, mids, halves)[:, distinct])
 
-    def test_partial_mass_integrates_the_node_interpolant(self):
+    def test_tail_integrates_the_node_interpolant(self):
         # A degree-14 integrand is its own interpolant on the GL15 nodes,
-        # so the partial mass is its exact integral over [x, panel top].
+        # so inside panel i the tail is upper[i + 1] plus its exact
+        # integral over [x, panel top]; at every edge it is upper exactly.
         coeffs = np.random.default_rng(7).normal(size=15)
         f = np.polynomial.Polynomial(coeffs, domain=[-1.0, 2.0])
         F = f.integ()
@@ -147,13 +150,60 @@ class TestIntegrateAdaptive:
 
         (panels,) = adaptive_panels(panel_f, [[-1.0, 0.5, 2.0]], DEFAULT_TOL)
         scale = np.max(np.abs(f(np.linspace(-1.0, 2.0, 301))))
+        np.testing.assert_array_equal(panels.tail(panels.his), panels.upper[1:])
+        np.testing.assert_array_equal(panels.tail(panels.los), panels.upper[:-1])
         for i, (lo, hi) in enumerate(zip(panels.los, panels.his)):
-            assert panels.partial_mass(i, hi) == 0.0
-            assert panels.partial_mass(i, lo) == pytest.approx(
-                panels.values[i], abs=1e-14 * scale)
-            for x in np.linspace(lo, hi, 7):
-                assert panels.partial_mass(i, x) == pytest.approx(
-                    F(hi) - F(x), abs=1e-13 * scale)
+            xs = np.linspace(lo, hi, 7)[1:]
+            np.testing.assert_allclose(panels.tail(xs) - panels.upper[i + 1], F(hi) - F(xs),
+                                       rtol=0.0, atol=1e-13 * scale)
+            assert panels.tail(np.nextafter(lo, hi)) == pytest.approx(
+                panels.upper[i + 1] + panels.values[i], abs=1e-14 * scale)
+
+    def test_vector_tail_equals_scalar_reads(self):
+        f = lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2)
+
+        def panel_f(table, mid, half):
+            return f(mid[:, None] + half[:, None] * PANEL_NODES)
+
+        (panels,) = adaptive_panels(panel_f, [np.linspace(-5.0, 4.0, 9)], DEFAULT_TOL)
+        xs = np.concatenate([np.random.default_rng(3).uniform(-6.0, 5.0, 200), panels.los,
+                             panels.his, [-np.inf, np.inf]])
+        reads = panels.tail(xs)
+        assert reads.shape == xs.shape
+        assert reads.tolist() == [panels.tail(x) for x in xs.tolist()]
+        assert all(type(panels.tail(x)) is float for x in (-6.0, 0.3, 5.0))
+        np.testing.assert_array_equal(panels.tail(xs.reshape(2, -1)), reads.reshape(2, -1))
+        assert panels.tail(-np.inf) == panels.upper[0] and panels.tail(np.inf) == 0.0
+
+    def test_flat_refinement_keeps_the_heap_refinements_bits(self):
+        # The flat refinement picks each table's largest estimate, the
+        # earliest made on ties, as a heap keyed by (-error, push order)
+        # does.  Panels of equal width on one side of 0 tie exactly here.
+        def tied(table, mid, half):
+            weight = np.where(mid < 0.0, 1.0, 2.0) * (1.0 + table)
+            return weight[:, None] * (1.0 + half[:, None] ** 3 * PANEL_NODES ** 20)
+
+        edges = np.linspace(-4.0, 4.0, 9)
+        _, errs, _ = _eval_panels(tied, np.zeros(8, dtype=int), edges[:-1], edges[1:])
+        assert np.unique(errs).size == 2        # four-way ties on each side of 0
+
+        smooth = _at_panel_nodes(lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2))
+        tol = Tolerances(quad_rel=1e-10)
+        for panel_f, partitions in ((tied, [edges, np.linspace(-2.0, 6.0, 5)]),
+                                    (smooth, [np.linspace(-5.0, 4.0, 9),
+                                              np.linspace(-3.0, 3.0, 4), [0.0, 1.0]])):
+            def eval_panels(table, los, his):
+                vals, errs, ys = _eval_panels(panel_f, table, los, his)
+                return vals, errs, ys[:, [c for c in range(22) if c != 15 + 3]]
+            expected = heap_refine(eval_panels, partitions, tol)
+            got = adaptive_panels(panel_f, partitions, tol)
+            assert len(got) == len(expected)
+            for table, edges, (los, his, values, nodes, total) in zip(got, partitions, expected):
+                assert los.size > len(edges) - 1        # refined beyond the partition
+                for name, want in (("los", los), ("his", his), ("values", values),
+                                   ("nodes", nodes)):
+                    np.testing.assert_array_equal(getattr(table, name), want, err_msg=name)
+                assert table.total == total
 
     def test_points_become_panel_edges(self):
         # |x - 0.3| has a kink at 0.3: as an edge, one GL15 panel per side
@@ -261,6 +311,20 @@ class TestFindRootMonotone:
             return sign * (a * (x - root) + b * (x - root) ** 3 + math.tanh(c * (x - root)))
         expected = brentq(g, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps,
                           maxiter=200)
+        assert find_root_monotone(g, (lo, hi)) == expected
+
+    @pytest.mark.parametrize("P", [0.1, 0.5, 0.9])
+    def test_a_step_that_divides_by_zero_bisects_as_brentq(self, P):
+        # A packet 1e300 wide: the inverse quadratic step divides by a
+        # product that underflows to 0.  In brentq's C floats that step is
+        # inf and it bisects; the loop must too, with brentq's bits.
+        model = FreeGaussianModel(GaussianPacketParams(x_bar=-10.0, v_bar=2.0,
+                                                       sigma_x0=1e300))
+        lo, hi = model.support_hint(0.0)
+
+        def g(x):
+            return model.tail(x, 0.0) - P
+        expected = brentq(g, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps, maxiter=200)
         assert find_root_monotone(g, (lo, hi)) == expected
 
     def test_each_bracket_end_evaluated_once(self):

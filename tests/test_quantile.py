@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from scipy.optimize import brentq
 from scipy.special import erfcinv
 
 from quantracer import quantile, wavepacket
-from quantracer.errors import InvalidRange, NormBelowP, VelocitySingular
-from quantracer.numerics import Tolerances, find_root_monotone, nodes_for_phase
+from quantracer.errors import InvalidRange, NormBelowP, NoSignChange, VelocitySingular
+from quantracer.numerics import Tolerances, find_root_monotone, invert_tables, nodes_for_phase
 from quantracer.quantile import (
     DENSITY_FLOOR_REL,
     probability_in_volume,
@@ -52,6 +53,23 @@ def closed_form_velocity(params, P, t):
     x0 = params.x_bar + math.sqrt(2.0) * params.sigma_x0 * erfcinv(2.0 * P)
     sig = params.sigma_x(t)
     return params.v_bar + params.sigma_v ** 2 * t * (x0 - params.x_bar) / (sig * params.sigma_x0)
+
+
+def bracketing_panel(panels, P):
+    """Edges of the last panel whose lower-edge tail is still >= P."""
+    i = panels.upper.size - 1 - np.searchsorted(panels.upper[::-1], P)
+    return panels.los[i], panels.his[i]
+
+
+def assert_certified(panels, P, x, root_abs=1e-10):
+    """Panels.tail straddles P across x +- (root_abs + 4 eps |x|) / 2,
+    Brent's stop rule, with the tail beyond the bracketing panel read as
+    that panel's edge tail, as invert_tables reads it (the next panel's
+    interpolant can differ from that edge tail in its last bits)."""
+    lo, hi = bracketing_panel(panels, P)
+    delta = 0.5 * (root_abs + 4.0 * np.finfo(float).eps * abs(x))
+    assert lo <= x <= hi
+    assert panels.tail(max(x - delta, lo)) >= P >= panels.tail(min(x + delta, hi))
 
 
 @pytest.fixture(scope="module")
@@ -155,14 +173,17 @@ class TestQuantilePosition:
     @settings(max_examples=40, deadline=None)
     @given(P=st.floats(0.001, 0.999), t=st.sampled_from([0.0, 5.0, 10.0]),
            which=st.sampled_from([0, 1]))
-    def test_table_solve_same_bits_as_scipy_brentq(self, tunnel_models, P, t, which):
+    def test_table_solve_is_certified_near_scipy_brentq(self, tunnel_models, P, t, which):
+        # The batched table solve keeps Brent's stop rule as a certificate
+        # and lands within root_abs of brentq on the bracketing panel.
         model = tunnel_models[which]
         panels = model.tail_panels(t)
-        lo, hi = panels.bracket(P)
+        x = quantile_position(model, P, t)
+        assert_certified(panels, P, x)
+        lo, hi = bracketing_panel(panels, P)
         expected = brentq(lambda x: panels.tail(x) - P, lo, hi, xtol=1e-10,
                           rtol=4 * np.finfo(float).eps, maxiter=200)
-        assert find_root_monotone(lambda x: panels.tail(x) - P, (lo, hi)) == expected
-        assert quantile_position(model, P, t) == expected
+        assert abs(x - expected) <= 1e-10
 
     def test_guess_matches_fresh_inversion(self, tunnel_models):
         # A root of the independent tail() bracketed around the table root
@@ -301,6 +322,92 @@ class TestQuantilePosition:
         with pytest.raises(NormBelowP) as raised:
             quantile_position(m, [0.3, 0.5], [1.0, 6.0, 9.0, 8.0, 2.0])
         assert raised.value.t_end == 9.0
+
+
+class TestTableSolve:
+    """invert_tables: every (table, level) in one batched in-panel solve."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(levels=st.lists(st.floats(0.0005, 0.9995), min_size=1, max_size=4),
+           times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+           which=st.sampled_from([0, 1]))
+    def test_random_pairs_certified_near_brentq_with_their_lone_bits(
+            self, tunnel_models, levels, times, which):
+        model = tunnel_models[which]
+        xs = quantile_position(model, levels, times)
+        assert xs.shape == (len(times), len(levels))
+        for t, row in zip(times, xs.tolist()):
+            panels = model.tail_panels(t)
+            for P, x in zip(levels, row):
+                assert_certified(panels, P, x)
+                lo, hi = bracketing_panel(panels, P)
+                oracle = brentq(lambda x: panels.tail(x) - P, lo, hi, xtol=1e-10,
+                                rtol=4 * np.finfo(float).eps, maxiter=200)
+                assert abs(x - oracle) <= 1e-10
+                assert invert_tables([panels], [P])[0, 0] == x
+                assert quantile_position(model, P, t) == x
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_level_at_an_edge_tail_returns_that_edge(self, tunnel_models, which):
+        panels = tunnel_models[which].tail_panels(5.0)
+        # The first panel's edge, an inner one, and the last panel's.
+        picks = [0, panels.los.size // 2, panels.los.size - 1]
+        xs = invert_tables([panels], panels.upper[picks])[0]
+        for i, P, x in zip(picks, panels.upper[picks], xs):
+            assert_certified(panels, P, x)
+            assert abs(x - panels.los[i]) <= 1e-10
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_first_and_last_panels(self, tunnel_models, which):
+        panels = tunnel_models[which].tail_panels(10.0)
+        levels = [0.5 * (panels.upper[0] + panels.upper[1]),
+                  0.5 * panels.upper[-2], panels.upper[-2] * 1e-3]
+        xs = invert_tables([panels], levels)[0]
+        assert panels.los[0] < xs[0] < panels.his[0]
+        assert panels.los[-1] < xs[1] < xs[2] < panels.his[-1]
+        for P, x in zip(levels, xs):
+            assert_certified(panels, P, x)
+
+    @pytest.mark.parametrize("jump", [-1e-9, 1e-9])
+    def test_levels_inside_a_jump_of_the_tail_at_a_panel_edge(self, tunnel_models, jump):
+        # Just above its lower edge a panel's interpolant tail may differ from
+        # the edge tail upper[i] (here by rounding only; a GL15 value is the
+        # exact integral of the degree-20 interpolant), so Panels.tail can
+        # jump there.  With a planted jump, a level inside it solves where
+        # brentq does, certified in its bracketing panel: at the edge when
+        # the jump is down, where the panel below crosses it when up.
+        panels = tunnel_models[1].tail_panels(5.0)
+        i = panels.los.size // 2
+        panels = replace(panels, upper=np.concatenate([panels.upper[:i + 1] - jump,
+                                                       panels.upper[i + 1:]]))
+        inside = panels.tail(np.nextafter(panels.los[i], panels.his[i]))
+        assert (inside > panels.upper[i]) == (jump > 0)
+        P = 0.5 * (inside + panels.upper[i])
+        x = invert_tables([panels], [P])[0, 0]
+        assert_certified(panels, P, x)
+        lo, hi = bracketing_panel(panels, P)
+        assert (lo == panels.los[i]) == (jump < 0)
+        oracle = brentq(lambda x: panels.tail(x) - P, lo, hi, xtol=1e-10,
+                        rtol=4 * np.finfo(float).eps, maxiter=200)
+        assert abs(x - oracle) <= 1e-10
+        if jump < 0:
+            assert abs(x - panels.los[i]) <= 1e-10
+
+    def test_level_above_the_table_raises_no_sign_change(self, tunnel_models):
+        _, tunnel = tunnel_models
+        panels = tunnel.tail_panels(5.0)
+        P = float(np.nextafter(panels.upper[0], 1.0))
+        with pytest.raises(NoSignChange):
+            invert_tables([panels], [0.3, P])
+        with pytest.raises(NoSignChange):
+            quantile_position(tunnel, P, 5.0)
+        with pytest.raises(NoSignChange):
+            invert_tables([panels], [0.0])
+
+    def test_no_table_or_no_level_solves_nothing(self, tunnel_models):
+        panels = tunnel_models[0].tail_panels(1.0)
+        assert invert_tables([], [0.3]).shape == (0, 1)
+        assert invert_tables([panels] * 2, []).shape == (2, 0)
 
 
 class TestQuantileVelocity:
