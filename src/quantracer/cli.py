@@ -75,6 +75,12 @@ MIN_CROSSING_LEVEL = 1e-6
 # hint x_bar +- 10 sigma_x0 collapses to one float (1e-20 at x_bar = -10).
 PACKET_WIDTHS = (1e-6, 1e6)
 
+# Velocity widths sigma_v = hbar / (2 mass sigma_x0) the CLI accepts: the 3D
+# velocity field squares sigma_v, which overflows above 1.3e154 (mass < 1.5e-155).
+VELOCITY_WIDTHS = (1e-150, 1e150)
+
+TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
+
 
 class ConfigError(Exception):
     """Scenario configuration rejected before any numerics ran."""
@@ -200,6 +206,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         numbers = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if f.name in TOLERANCE_KEYS and not value > 0.0:
+            raise ConfigError(f"{f.name} must be positive, got {value!r}")
     if cfg.t_step <= 0.0:
         raise ConfigError("t_step must be positive")
     if cfg.t_max < cfg.t_step:
@@ -209,6 +217,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if not PACKET_WIDTHS[0] <= cfg.sigma_x0 <= PACKET_WIDTHS[1]:
         raise ConfigError(f"sigma_x0 = {cfg.sigma_x0:g} is outside the packet-width range "
                           f"[{PACKET_WIDTHS[0]:g}, {PACKET_WIDTHS[1]:g}]")
+    sigma_v = _packet(cfg).sigma_v
+    if not VELOCITY_WIDTHS[0] <= sigma_v <= VELOCITY_WIDTHS[1]:
+        raise ConfigError(f"mass = {cfg.mass:g} gives the velocity width sigma_v = {sigma_v:.3g}, "
+                          f"outside [{VELOCITY_WIDTHS[0]:g}, {VELOCITY_WIDTHS[1]:g}]")
     if cfg.loss_rate < 0.0:
         raise ConfigError("lambda (loss rate) must be nonnegative")
     if cfg.barrier_height < 0.0 or cfg.barrier_halfwidth <= 0.0:
@@ -231,9 +243,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 def _tolerances(cfg: ScenarioConfig) -> Tolerances:
-    return Tolerances(quad_rel=cfg.quad_rel, quad_abs=cfg.quad_abs,
-                      root_abs=cfg.root_abs, ode_rel=cfg.ode_rel,
-                      ode_abs=cfg.ode_abs)
+    return Tolerances(**{key: getattr(cfg, key) for key in TOLERANCE_KEYS})
 
 
 def _packet(cfg: ScenarioConfig) -> GaussianPacketParams:
@@ -251,25 +261,22 @@ def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _spectral_pair(cfg: ScenarioConfig, tol: Tolerances):
+    """(free, tunneling) models on one k-grid, sized once for times up to cfg.t_max."""
     packet = _packet(cfg)
-    if not cfg.k_nodes:
+    n_nodes = cfg.k_nodes
+    if not n_nodes:
         try:
-            needed = recommended_node_count(packet.k_bar, packet.sigma_k,
-                                            packet.x_bar, cfg.t_max,
-                                            mass=packet.mass)
+            n_nodes = recommended_node_count(packet.k_bar, packet.sigma_k, packet.x_bar,
+                                             cfg.t_max, mass=packet.mass)
         except InvalidRange:        # more nodes than a float can count
-            needed = math.inf
-        if needed > MAX_K_NODES:
-            raise ConfigError(f"times up to {cfg.t_max:g} need {needed} wave-number "
+            n_nodes = math.inf
+        if n_nodes > MAX_K_NODES:
+            raise ConfigError(f"times up to {cfg.t_max:g} need {n_nodes:.3g} wave-number "
                               f"nodes, above the limit {MAX_K_NODES}")
-    spectrum, grid = spectral_setup(packet, cfg.t_max,
-                                    n_nodes=cfg.k_nodes or None)
-    barrier = BarrierSpec(height=cfg.barrier_height,
-                          half_width=cfg.barrier_halfwidth)
-    free = spectral_free_model(spectrum, grid, mass=cfg.mass, tol=tol)
-    tunnel = tunneling_packet_model(spectrum, barrier, grid,
-                                    mass=cfg.mass, tol=tol)
-    return spectrum, grid, free, tunnel
+    spectrum, grid = spectral_setup(packet, cfg.t_max, n_nodes=n_nodes)
+    barrier = BarrierSpec(cfg.barrier_height, cfg.barrier_halfwidth)
+    return (spectral_free_model(spectrum, grid, mass=cfg.mass, tol=tol),
+            tunneling_packet_model(spectrum, barrier, grid, mass=cfg.mass, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +315,7 @@ def write_manifest(data_path: Path, command: str, cfg: ScenarioConfig,
         "command": command,
         "config": config_echo,
         "units": UNIT_COMMENT.lstrip("# "),
-        "tolerances": {
-            "quad_rel": cfg.quad_rel, "quad_abs": cfg.quad_abs,
-            "root_abs": cfg.root_abs, "ode_rel": cfg.ode_rel,
-            "ode_abs": cfg.ode_abs,
-        },
+        "tolerances": {key: getattr(cfg, key) for key in TOLERANCE_KEYS},
         "wall_clock_s": round(wall_clock, 3),
         "versions": {
             "quantracer": __version__, "python": platform.python_version(),
@@ -326,15 +329,6 @@ def write_manifest(data_path: Path, command: str, cfg: ScenarioConfig,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _exit_code(checks: list) -> int:
-    """1 after naming the failed checks, 0 when every check passed."""
-    failed = [name for name, passed, _ in checks if not passed]
-    if failed:
-        print(f"FAILED: {', '.join(failed)}")
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +401,7 @@ def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
         raise ConfigError(f"tunnel P values must be at least MIN_CROSSING_LEVEL = "
                           f"{MIN_CROSSING_LEVEL:g}, got {min(cfg.p_list):g}")
     tol = _tolerances(cfg)
-    spectrum, grid, free, tunnel = _spectral_pair(cfg, tol)
+    free, tunnel = _spectral_pair(cfg, tol)
     verdicts = retardation_scan(free, tunnel, cfg.p_list, _time_grid(cfg),
                                 tol=tol)
     rows = [(v.P, *row) for v in verdicts for row in
@@ -416,8 +410,8 @@ def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
     checked = sum(v.checked for v in verdicts)
     min_lag_beyond = -max(v.worst_margin for v in verdicts)
     min_lag_all = -max(v.worst_margin_all for v in verdicts)
-    transmitted = packet_transmission_probability(spectrum, tunnel.barrier,
-                                                  grid, mass=cfg.mass)
+    transmitted = packet_transmission_probability(tunnel.spectrum, tunnel.barrier,
+                                                  tunnel.grid, mass=cfg.mass)
     checks = [
         ("retardation_beyond_edge", all(v.ok for v in verdicts),
          f"{checked} beyond-edge comparisons, min lag beyond barrier edge = "
@@ -446,18 +440,15 @@ def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
 
 
 def cmd_delta_p(cfg: ScenarioConfig) -> tuple[list, list]:
-    tol = _tolerances(cfg)
     if any(x <= cfg.barrier_halfwidth for x in cfg.delta_x):
         raise ConfigError("delta_x values must lie beyond the barrier edge")
     times = list(cfg.delta_t) or default_delta_p_grid(
         BarrierSpec(cfg.barrier_height, cfg.barrier_halfwidth))[1].tolist()
     # The wave-number grid must resolve the latest report time, not only t_max.
-    _, _, free, tunnel = _spectral_pair(replace(cfg, t_max=max(cfg.t_max, *times)), tol)
-    report = delta_p_report(
-        free, tunnel,
-        x_values=list(cfg.delta_x) or None,
-        t_values=times,
-        n_lambda=cfg.n_lambda, tol=tol)
+    free, tunnel = _spectral_pair(replace(cfg, t_max=max(cfg.t_max, *times)),
+                                  _tolerances(cfg))
+    report = delta_p_report(free, tunnel, list(cfg.delta_x) or None, times,
+                            n_lambda=cfg.n_lambda)
     rows = [(x, t, d, t1, t2, t3, tot, rel, ok)
             for (x, t), d, t1, t2, t3, tot, rel, ok in
             zip(report.grid, report.dp_direct, report.dp_term1,
@@ -481,6 +472,9 @@ def cmd_sphere3d(cfg: ScenarioConfig) -> tuple[list, list]:
     field = Gaussian3DModel(params)
     seeds = sphere_seeds(cfg.center, cfg.radius)
     times = _time_grid(cfg)
+    width = field.sigma_x(times[-1])   # rho cubes it and the velocity field squares it
+    if not width <= 1e100:
+        raise ConfigError(f"t_max = {cfg.t_max:g} spreads the 3D packet to {width:.3g} > 1e100")
     flow = trace_flowmap_3d(field, seeds, times, tol)
     enclosed = [probability_in_volume(field, flow.points_at(i), float(t), tol)
                 for i, t in enumerate(flow.times)]
@@ -512,20 +506,22 @@ class _CurrentFlipped:
         return -np.asarray(self._model.current(x, t))
 
 
-def _check_method_equivalence(cfg: ScenarioConfig, tol: Tolerances):
+def _verify_pair(cfg: ScenarioConfig, tol: Tolerances):
+    """(free, tunneling, transmitted fraction) that verify's spectral checks
+    share, sized for t = 8, the latest time they read."""
+    free, tunnel = _spectral_pair(replace(cfg, t_max=8.0), tol)
+    return free, tunnel, packet_transmission_probability(
+        tunnel.spectrum, tunnel.barrier, tunnel.grid, mass=cfg.mass)
+
+
+def _check_method_equivalence(cfg: ScenarioConfig, tol: Tolerances, pair):
     quick = cfg.quick
     packet = _packet(cfg)
-    cases = []
-    free = FreeGaussianModel(packet)
-    cases.append((free, (0.5,) if quick else (0.3, 0.7),
-                  np.linspace(0.0, 5.0 if quick else 10.0, 6 if quick else 21)))
-    lossy = DissipativeGaussianModel(packet, cfg.loss_rate or 0.1)
-    cases.append((lossy, (0.5,),
-                  np.linspace(0.0, 5.0 if quick else 10.0, 6 if quick else 21)))
-    spectral_cfg = replace(cfg, t_max=3.0 if quick else 6.0)
-    _, _, _, tunnel = _spectral_pair(spectral_cfg, tol)
-    cases.append((tunnel, (0.3,),
-                  np.linspace(0.0, 3.0 if quick else 6.0, 7 if quick else 13)))
+    analytic = np.linspace(0.0, 5.0 if quick else 10.0, 6 if quick else 21)
+    cases = [(FreeGaussianModel(packet), (0.5,) if quick else (0.3, 0.7), analytic),
+             (DissipativeGaussianModel(packet, cfg.loss_rate or 0.1), (0.5,), analytic),
+             (pair[1], (0.3,),
+              np.linspace(0.0, 3.0 if quick else 6.0, 7 if quick else 13))]
     worst = float(np.max([_trace_table(model, p_values, times, tol)[1]
                           for model, p_values, times in cases]))
     return worst <= 1e-5, f"max |x_cdf - x_ode| = {worst:.3e}"
@@ -546,9 +542,8 @@ def _check_unitarity(cfg: ScenarioConfig, tol: Tolerances):
     return worst <= 1e-12, f"max ||T|^2 + |R|^2 - 1| = {worst:.3e} ({count} modes)"
 
 
-def _check_continuity(cfg: ScenarioConfig, tol: Tolerances, inject_fault: str):
-    spectral_cfg = replace(cfg, t_max=6.0)
-    _, _, _, tunnel = _spectral_pair(spectral_cfg, tol)
+def _check_continuity(cfg: ScenarioConfig, pair, inject_fault: str):
+    tunnel = pair[1]
     model = _CurrentFlipped(tunnel) if inject_fault == "flip-current" else tunnel
     d = 1e-4
     t_values = (4.0,) if cfg.quick else (2.0, 5.0)
@@ -563,15 +558,12 @@ def _check_continuity(cfg: ScenarioConfig, tol: Tolerances, inject_fault: str):
     return worst <= 1e-4, f"max residual = {worst:.3e} of local scale"
 
 
-def _check_retardation(cfg: ScenarioConfig, tol: Tolerances):
+def _check_retardation(cfg: ScenarioConfig, tol: Tolerances, pair):
     # Quantiles below the transmitted fraction T cross the edge late, around
     # t = 7.5 for the default packet, so the scan must reach past that.  A
     # barrier with T below MIN_CROSSING_LEVEL lets no invertible level
     # through and passes vacuously, with 0 comparisons in its detail.
-    spectral_cfg = replace(cfg, t_max=8.0)
-    spectrum, grid, free, tunnel = _spectral_pair(spectral_cfg, tol)
-    transmitted = packet_transmission_probability(spectrum, tunnel.barrier,
-                                                  grid, mass=cfg.mass)
+    free, tunnel, transmitted = pair
     fractions = (0.9,) if cfg.quick else (0.45, 0.9)
     crossing = [f * transmitted for f in fractions
                 if f * transmitted >= MIN_CROSSING_LEVEL]
@@ -587,14 +579,12 @@ def _check_retardation(cfg: ScenarioConfig, tol: Tolerances):
         f"T = {transmitted:.3e}, worst margin = {worst:.3e}")
 
 
-def _check_delta_p(cfg: ScenarioConfig, tol: Tolerances):
-    spectral_cfg = replace(cfg, t_max=8.0)
-    _, _, free, tunnel = _spectral_pair(spectral_cfg, tol)
+def _check_delta_p(cfg: ScenarioConfig, pair):
+    free, tunnel, _ = pair
     a = cfg.barrier_halfwidth
     xs = [a + 0.7] if cfg.quick else [a + 0.2, a + 2.6]
     ts = [6.0] if cfg.quick else [3.0, 8.0]
-    report = delta_p_report(free, tunnel, x_values=xs, t_values=ts,
-                            n_lambda=cfg.n_lambda, tol=tol)
+    report = delta_p_report(free, tunnel, xs, ts, n_lambda=cfg.n_lambda)
     ok = report.all_positive and bool(report.agreement_ok().all())
     return ok, (f"{len(report.grid)} points, worst |direct - total| = "
                 f"{np.max(report.agreement_share()):.3e} of max(1% |direct|, 1e-6)")
@@ -608,14 +598,12 @@ def _check_conservation_3d(cfg: ScenarioConfig):
     return passed, detail
 
 
-def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances):
+def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances, pair):
     packet = _packet(cfg)
     t_max = 4.0 if cfg.quick else 8.0
-    spectrum, grid, _, tunnel = _spectral_pair(replace(cfg, t_max=t_max), tol)
+    _, tunnel, transmitted = pair
     # One spectral level that crosses the barrier and one that reflects,
     # kept inside (0, 1) for a barrier that passes or stops everything.
-    transmitted = packet_transmission_probability(spectrum, tunnel.barrier,
-                                                  grid, mass=cfg.mass)
     levels = np.clip([0.5 * transmitted, 0.5 * (1.0 + transmitted)], 0.01, 0.99)
     cases = [(FreeGaussianModel(packet), (0.3, 0.7)),
              (DissipativeGaussianModel(packet, cfg.loss_rate or 0.1), (0.3, 0.7)),
@@ -636,19 +624,24 @@ def _check_trajectory_roundtrip(cfg: ScenarioConfig, tol: Tolerances):
 
 def cmd_verify(cfg: ScenarioConfig, inject_fault: str) -> tuple[list, list]:
     tol = _tolerances(cfg)
+    # The spectral checks share one pair, built on first use; a failed
+    # build fails each check that needs it, and a ConfigError ends the run.
+    pair = functools.cache(lambda: _verify_pair(cfg, tol))
     suite = [
-        ("method_equivalence", lambda: _check_method_equivalence(cfg, tol)),
+        ("method_equivalence", lambda: _check_method_equivalence(cfg, tol, pair())),
         ("unitarity", lambda: _check_unitarity(cfg, tol)),
-        ("continuity", lambda: _check_continuity(cfg, tol, inject_fault)),
-        ("retardation", lambda: _check_retardation(cfg, tol)),
-        ("delta_p_agreement", lambda: _check_delta_p(cfg, tol)),
+        ("continuity", lambda: _check_continuity(cfg, pair(), inject_fault)),
+        ("retardation", lambda: _check_retardation(cfg, tol, pair())),
+        ("delta_p_agreement", lambda: _check_delta_p(cfg, pair())),
         ("conservation_3d", lambda: _check_conservation_3d(cfg)),
-        ("trajectory_roundtrip", lambda: _check_trajectory_roundtrip(cfg, tol)),
+        ("trajectory_roundtrip", lambda: _check_trajectory_roundtrip(cfg, tol, pair())),
     ]
     checks = []
     for name, fn in suite:
         try:
             passed, detail = fn()
+        except ConfigError:        # an oversized grid ends the run (exit 2)
+            raise
         except Exception as exc:   # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         checks.append((name, passed, detail))
@@ -777,10 +770,13 @@ def main(argv=None) -> int:
             return 2
         if args.command != "verify":
             print(f"wrote {len(rows)} {(suffix[1:] + ' rows').lstrip()} to {path}")
-    code = _exit_code(checks)
-    if code == 0 and args.command == "verify":
+    failed = [name for name, passed, _ in checks if not passed]
+    if failed:
+        print(f"FAILED: {', '.join(failed)}")
+        return 1
+    if args.command == "verify":
         print(f"all {len(checks)} checks passed ({time.perf_counter() - started:.1f}s)")
-    return code
+    return 0
 
 
 if __name__ == "__main__":

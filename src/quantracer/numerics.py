@@ -634,7 +634,7 @@ def integrate_ode(
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:     # shrink until the step passes, then grow for the next
-            if h_abs < min_step:
+            if not h_abs >= min_step:     # a NaN rhs makes h_abs NaN
                 t_last, y_last = (times[-1], states[-1]) if times else (t0, y0)
                 raise StepUnderflow(f"ODE step below {min_step:g} after t = {t_last}",
                                     t=float(t_last), x=y_last.copy())

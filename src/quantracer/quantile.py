@@ -435,7 +435,7 @@ def probability_in_volume(field: Gaussian3DModel, surface_points, t: float,
     mass, mean radius), and the packet's mass in it is the closed form of
     Gaussian3DModel._ball_mass: exact to rounding for any radius and
     offset, so ``tol`` is not read, and exactly 0 for a zero radius.
-    Raises InvalidRange for a non-finite point, radius or time.
+    Raises InvalidRange for a non-finite point, radius or time, or a 0 or inf sigma_x(t)^2.
     """
     pts = np.asarray(surface_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidRange
-from .numerics import DEFAULT_TOL, KGrid, Tolerances
+from .numerics import DEFAULT_TOL, KGrid, Tolerances, _gauss_rule
 from .quantile import _levels, _time_grid, quantile_position
 from .wavepacket import (
     HBAR,
@@ -69,13 +68,16 @@ def _term_weights(barrier: BarrierSpec, mass: float) -> tuple[float, float, floa
 
 
 def _pair_barrier(free: PacketModel, tunneling: PacketModel) -> BarrierSpec:
-    """Barrier of a (free, tunneling) pair of spectral packets, after
-    checking that both share one spectrum."""
+    """Barrier of a (free, tunneling) pair of spectral packets, after checking
+    that both share one spectrum, mass and grid (both delta-p routes read one)."""
     barrier = getattr(tunneling, "barrier", None)
     if barrier is None:
         raise InvalidRange("tunneling model carries no barrier")
     if getattr(free, "spectrum", None) != tunneling.spectrum:
         raise InvalidRange("models must share one spectral function")
+    if (free.mass != tunneling.mass or not np.array_equal(free.grid.nodes, tunneling.grid.nodes)
+            or not np.array_equal(free.grid.weights, tunneling.grid.weights)):
+        raise InvalidRange("models must share one mass and one wave-number grid")
     return barrier
 
 
@@ -95,16 +97,16 @@ def delta_p_direct(free: PacketModel, tunneling: PacketModel,
     return free.tail(x, t) - tunneling.tail(x, t)
 
 
-def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
-                      grid: KGrid, xs, ts, n_lambda: int, mass: float,
-                      tol: Tolerances) -> np.ndarray:
+def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
+                      xs, ts, n_lambda: int) -> np.ndarray:
     """term1, term2, term3 and the weighted total, shape (4, len(xs), len(ts)).
 
-    The barrier coefficients and the term3 kernel are built once per call
-    and the two u-kernels once per u-quadrature order reached; each time t
-    applies them to the (n_k, len(xs)) matrix of psi_x columns and reads
-    term3 at every x from its panel table on the lattice of the call's
-    free reference model, all from one tail_tables call (_tails).
+    The route reads spectrum, grid, mass and tolerances from ``free``, the
+    pair's spectral free model.  The barrier coefficients and the term3 kernel
+    are built once per call and the two u-kernels once per u-order reached,
+    on that order's cached Gauss-Legendre rule; each time t applies them to
+    the (n_k, len(xs)) psi_x columns and reads term3 at every x from free's
+    panel tables, on its lattice, all from one tail_tables call (_tails).
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -114,6 +116,7 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
     if np.any(xs <= a):
         raise InvalidRange(
             f"x = {xs[xs <= a][0]:.4g} is not beyond the barrier edge {a:.4g}")
+    spectrum, grid, mass = free.spectrum, free.grid, free.mass
     k = grid.nodes
     gamma, T, *_ = _barrier_coefficients(k, barrier, mass)
     denom = 4.0 * k * gamma / T
@@ -121,13 +124,11 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
     # term3 kernel is the u = 1 value of the term2 kernel
     kernel3 = (np.exp(2j * a * (k + gamma))
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
-    free = spectral_free_model(spectrum, grid, mass=mass, tol=tol)
     kernels: dict = {}
 
     def u_terms(n: int, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if n not in kernels:
-            nodes, wts = leggauss(n)
-            u = 0.5 * (nodes + 1.0)
+            u, wu = _gauss_rule(0.0, 1.0, n)
             ekm = np.outer(u, k - gamma)
             ekp = np.outer(u, k + gamma)
             for e in (ekm, ekp):
@@ -143,7 +144,7 @@ def _decomposed_terms(spectrum: SpectralFunction, barrier: BarrierSpec,
             ekp *= k - gamma
             ekm -= ekp
             ekm /= denom
-            kernels[n] = (0.5 * wts, ekm, kernel2)
+            kernels[n] = (wu, ekm, kernel2)
         wu, kernel1, kernel2 = kernels[n]
         i1 = kernel1 @ psi
         i2 = kernel2 @ psi
@@ -196,10 +197,11 @@ def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
     x.  Each is nonnegative as computed, so the weighted total certifies
     delta_p >= 0.  The u-quadrature starts at n_lambda Gauss-Legendre
     nodes and doubles until the total moves by less than 0.1%.  This is
-    the one-point call of the kernel delta_p_report runs per time.
+    the one-point call of the kernel delta_p_report runs per time, on a
+    free model built here from spectrum, grid, mass and tol.
     """
-    terms = _decomposed_terms(spectrum, barrier, grid, [x], [t], n_lambda,
-                              mass, tol)
+    free = spectral_free_model(spectrum, grid, mass=mass, tol=tol)
+    terms = _decomposed_terms(free, barrier, [x], [t], n_lambda)
     return DeltaPTerms(*(float(v) for v in terms[:, 0, 0]))
 
 
@@ -250,24 +252,21 @@ _AGREEMENT_FLOOR = 1e-9
 
 
 def delta_p_report(free: PacketModel, tunneling: PacketModel,
-                   x_values=None, t_values=None, *, n_lambda: int = 32,
-                   tol: Tolerances = DEFAULT_TOL) -> DeltaPReport:
+                   x_values=None, t_values=None, *,
+                   n_lambda: int = 32) -> DeltaPReport:
     """Evaluate both routes over a grid, row-major with t varying fastest.
 
-    Each time takes all x at once: the direct route reads both tails at
-    every x from one panel table per model and time, all from one
-    tail_tables call per model (SpectralPacketModel._tails),
-    and the decomposed route applies u-kernels built once per order for
-    the whole call.  delta_p_direct and tail() stay the pointwise checks.
+    Both routes run on the given pair under its tolerances, all x of a time
+    at once: the direct route reads both tails from one tail_tables call
+    per model (SpectralPacketModel._tails), and the decomposed route runs
+    on ``free`` with u-kernels built once per order for the whole call.
+    delta_p_direct and tail() stay the pointwise checks.
     """
     barrier = _pair_barrier(free, tunneling)
     default_x, default_t = default_delta_p_grid(barrier)
     xs = np.asarray(default_x if x_values is None else x_values, dtype=float)
     ts = np.asarray(default_t if t_values is None else t_values, dtype=float)
-    term1, term2, term3, totals = (
-        _decomposed_terms(tunneling.spectrum, barrier, tunneling.grid, xs, ts,
-                          n_lambda, tunneling.mass, tol)
-        .reshape(4, -1))
+    term1, term2, term3, totals = _decomposed_terms(free, barrier, xs, ts, n_lambda).reshape(4, -1)
     direct = (free._tails(xs, ts) - tunneling._tails(xs, ts)).T.ravel()
     c1, c2, c3 = _term_weights(barrier, tunneling.mass)
     rel = np.abs(direct - totals) / np.maximum(direct, _AGREEMENT_FLOOR)

@@ -1042,8 +1042,11 @@ class Gaussian3DModel:
         (1 - e^(-2a))/(2a), the last factor 1 at a = 0.  Its error is
         rounding's, absolute (~1e-16); a ball far from the packet, which
         rounding can leave at -1e-33, reads 0, and a NaN stays NaN.  The second
-        term is 0 (not inf * 0) where |R - d| >= 40 s or R/s overflows."""
+        term is 0 (not inf * 0) where |R - d| >= 40 s or R/s overflows.
+        InvalidRange where s^2 underflows to 0 or overflows."""
         s = self.sigma_x(t)
+        if not 0.0 < s * s < math.inf:
+            raise InvalidRange(f"sigma_x(t)^2 = {s:.3g}^2 at t = {t:.3g} is not a positive float")
         d = float(np.linalg.norm(center - self.center(t)))
         a = radius * d / s ** 2
         shape = -math.expm1(-2.0 * a) / (2.0 * a) if a > 0.0 else 1.0

@@ -163,7 +163,7 @@ def test_criterion_04_retardation(models10):
 def test_criterion_05_positive_definite_identity(models10):
     started = time.perf_counter()
     _, _, free, tunnel = models10
-    rep = delta_p_report(free, tunnel, tol=TOL)   # default 12 x 11 grid
+    rep = delta_p_report(free, tunnel)   # default 12 x 11 grid
     n = len(rep.grid)
     terms_ok = bool(np.all(rep.dp_term1 >= 0.0) and np.all(rep.dp_term2 >= 0.0)
                     and np.all(rep.dp_term3 >= 0.0))

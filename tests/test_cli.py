@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import quantracer
@@ -28,6 +28,7 @@ from quantracer.cli import (
     MIN_CROSSING_LEVEL,
     _check_retardation,
     _check_trajectory_roundtrip,
+    _verify_pair,
     build_parser,
     load_config_file,
     main,
@@ -105,6 +106,47 @@ def contract_argv(draw):
     return argv
 
 
+# Keys only a config file can set, with their preset or default values, and
+# the ones each fuzzed command reads.  Every float is drawn as that value, an
+# edge float or a random magnitude.
+CONFIG_ONLY = {
+    "sigma_x0": 2.5, "x_bar": -10.0, "v_bar": 2.0, "mass": 1.0, "radius": 2.5,
+    "center": (0.0, 0.0, 0.0), "velocity": (2.0, 0.0, 0.0), "quad_rel": 1e-9,
+    "quad_abs": 1e-12, "root_abs": 1e-10, "ode_rel": 1e-8, "ode_abs": 1e-10,
+    "delta_x": (0.5, 1.0), "delta_t": (0.5, 1.0),
+}
+PACKET_KEYS = ("sigma_x0", "mass", *cli.TOLERANCE_KEYS)
+COMMAND_KEYS = {
+    "free": PACKET_KEYS + ("x_bar", "v_bar"),
+    "dissipative": PACKET_KEYS + ("x_bar", "v_bar"),
+    "delta-p": PACKET_KEYS + ("x_bar", "v_bar", "delta_x", "delta_t"),
+    "sphere3d": PACKET_KEYS + ("radius", "center", "velocity"),
+}
+EDGE_FLOATS = (0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-200, 1e-160, 1e160, 1e200,
+               1e300, math.inf, -math.inf, math.nan)
+
+
+def config_float(preset):
+    magnitude = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                          st.sampled_from((1.0, -1.0)), st.floats(-300.0, 300.0))
+    return st.one_of(st.just(preset), st.sampled_from(EDGE_FLOATS), magnitude)
+
+
+@st.composite
+def config_file_case(draw):
+    """A cheap command and one to three of the config-only keys it reads,
+    each with its preset or drawn values (one to three for a tuple key)."""
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    keys = draw(st.sets(st.sampled_from(COMMAND_KEYS[command]), min_size=1, max_size=3))
+    values = {}
+    for key in sorted(keys):
+        preset = CONFIG_ONLY[key]
+        values[key] = (draw(st.one_of(st.just(preset), st.lists(
+            config_float(preset[0]), min_size=1, max_size=3).map(tuple)))
+            if isinstance(preset, tuple) else (draw(config_float(preset)),))
+    return command, values
+
+
 class TestConfigResolution:
     def test_preset_below_config_file_below_flags(self, tmp_path):
         conf = tmp_path / "scenario.conf"
@@ -146,6 +188,44 @@ class TestConfigResolution:
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0 and f"sigma_x0 = {float(width):g}" in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, line", [
+        ("free", "quad_rel = 0"), ("tunnel", "quad_abs = -1e-12"),
+        ("sphere3d", "root_abs = -1"), ("free", "ode_rel = 0"), ("sphere3d", "ode_abs = 0")])
+    def test_nonpositive_tolerance_exits_2(self, tmp_path, capsys, command, line):
+        # Tolerances() raised a ValueError traceback in the middle of the run.
+        conf = tmp_path / "tol.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        assert run_cli(tmp_path, command, "--t-max", "1", "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{line.split()[0]} must be positive" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tol.conf"]
+
+    @pytest.mark.parametrize("command, mass", [
+        # sigma_v ** 2 overflowed in the 3D velocity field (an OverflowError
+        # traceback), and an infinite sigma_v made the flow-map ODE loop.
+        ("sphere3d", "1e-300"), ("sphere3d", "5e-324"),
+        # sigma_v = 2e-301 is below the range's floor.
+        ("free", "1e300")])
+    def test_mass_outside_the_velocity_width_range_exits_2(self, tmp_path, capsys,
+                                                           command, mass):
+        conf = tmp_path / "mass.conf"
+        conf.write_text(f"mass = {mass}\n", encoding="utf-8")
+        assert run_cli(tmp_path, command, "--t-max", "1", "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"mass = {float(mass):g} gives" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mass.conf"]
+
+    def test_masses_inside_the_velocity_width_range_are_accepted(self):
+        for mass in (1e-140, 1e140):
+            validate_config(ScenarioConfig(mass=mass))
+
+    def test_sphere3d_spread_past_its_cap_exits_2(self, tmp_path, capsys):
+        # sigma_x(t) ** 2 overflowed in the velocity field at t = 1e200.
+        assert run_cli(tmp_path, "sphere3d", "--t-max", "1e200", "--t-step", "5e199") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "spreads the 3D packet" in err
+        assert not any(tmp_path.iterdir())
 
     def test_packet_width_range_edges_are_accepted(self):
         for width in cli.PACKET_WIDTHS:
@@ -198,6 +278,29 @@ class TestConfigResolution:
     @given(argv=contract_argv())
     def test_any_flag_config_ends_in_a_contract_exit(self, tmp_path, capsys, argv):
         code = run_cli(tmp_path, *argv, "--out=run.csv")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in out + err
+        assert err.count("\n") == (1 if code in (2, 3) else 0), err
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=config_file_case())
+    # Two inputs that escaped as tracebacks, from Tolerances() and from
+    # sigma_v ** 2 in the 3D velocity field; both are now refused.
+    @example(case=("free", {"ode_abs": (0.0,)}))
+    @example(case=("sphere3d", {"mass": (1e-300,)}))
+    def test_any_config_file_ends_in_a_contract_exit(self, tmp_path, capsys, case):
+        # The config-only keys, which the flag fuzzer above cannot reach;
+        # delta-p gets one report time unless delta_t is drawn.
+        command, values = case
+        if command == "delta-p":
+            values = {"delta_t": (0.5,), **values}
+        conf = tmp_path / "fuzz.conf"
+        conf.write_text("".join(f"{key} = {' '.join(map(repr, v))}\n"
+                                for key, v in values.items()), encoding="utf-8")
+        code = run_cli(tmp_path, command, "--config", str(conf), "--t-max", "1",
+                       "--t-step", "0.5", "--p-list", "0.5", "--out=run.csv")
         out, err = capsys.readouterr()
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in out + err
@@ -432,6 +535,14 @@ class TestDeltaPCommand:
         assert err.count("\n") == 1 and "wave-number nodes" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dp.conf"]
 
+    def test_node_count_is_printed_in_three_digits(self, tmp_path, capsys):
+        # x_bar = 1e300 needs a 300-digit node count, printed to 3 digits.
+        conf = tmp_path / "far.conf"
+        conf.write_text("x_bar = 1e300\n", encoding="utf-8")
+        assert run_cli(tmp_path, "tunnel", "--t-max", "2", "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "need 7.03e+300 wave-number nodes" in err
+
     def test_x_inside_barrier_exits_2(self, tmp_path):
         conf = tmp_path / "dp.conf"
         conf.write_text("delta_x = 0.1\ndelta_t = 3\n", encoding="utf-8")
@@ -486,7 +597,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(wavepacket, "adaptive_panels", lambda *args: [
             replace(table, upper=table.upper + 1e-5) for table in build(*args)])
         cfg = ScenarioConfig(quick=True)
-        passed, detail = _check_trajectory_roundtrip(cfg, Tolerances())
+        passed, detail = _check_trajectory_roundtrip(cfg, Tolerances(),
+                                                     _verify_pair(cfg, Tolerances()))
         assert not passed and "worst |tail - P| = 1.0" in detail
 
     @pytest.mark.parametrize("height", [0.0, 1e3])
@@ -494,7 +606,8 @@ class TestVerifyCommand:
         # Transmitted fraction 1 (no barrier) or ~0 (opaque) still gives
         # two spectral levels inside (0, 1).
         cfg = ScenarioConfig(quick=True, barrier_height=height)
-        passed, detail = _check_trajectory_roundtrip(cfg, Tolerances())
+        passed, detail = _check_trajectory_roundtrip(cfg, Tolerances(),
+                                                     _verify_pair(cfg, Tolerances()))
         assert passed, detail
 
     @pytest.mark.parametrize("quick", [True, False])
@@ -503,13 +616,38 @@ class TestVerifyCommand:
         # The stock barrier passes T = 0.0216, so levels below it cross and
         # must be compared; a scan that compares nothing there fails.
         cfg = ScenarioConfig(quick=quick)
-        passed, detail = _check_retardation(cfg, Tolerances())
+        pair = _verify_pair(cfg, Tolerances())
+        passed, detail = _check_retardation(cfg, Tolerances(), pair)
         assert passed and int(detail.split()[0]) > 0, detail
         scan = cli.retardation_scan
         monkeypatch.setattr(cli, "retardation_scan", lambda *args, **kwargs: [
             replace(v, checked=0) for v in scan(*args, **kwargs)])
-        passed, detail = _check_retardation(cfg, Tolerances())
+        passed, detail = _check_retardation(cfg, Tolerances(), pair)
         assert not passed and detail.startswith("0 beyond-edge comparisons")
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_spectral_checks_share_one_pair(self, tmp_path, monkeypatch, quick):
+        # One k-grid and one (free, tunneling) pair, sized for t = 8, serve
+        # the five spectral checks; each check once built its own.
+        setups, models = [], []
+        setup, init = cli.spectral_setup, SpectralPacketModel.__init__
+        monkeypatch.setattr(cli, "spectral_setup", lambda *args, **kwargs:
+                            setups.append(args) or setup(*args, **kwargs))
+        monkeypatch.setattr(SpectralPacketModel, "__init__", lambda self, *args, **kwargs:
+                            models.append(args) or init(self, *args, **kwargs))
+        assert run_cli(tmp_path, "verify", *["--quick"] * quick) == 0
+        assert len(setups) == 1 and setups[0][1] == 8.0 and len(models) == 2
+
+    def test_oversized_shared_grid_exits_2(self, tmp_path, capsys):
+        # sigma_x0 = 0.1 needs 39922 nodes at t = 8: the run is refused with
+        # one line, where each spectral check used to fail on its own.
+        conf = tmp_path / "narrow.conf"
+        conf.write_text("sigma_x0 = 0.1\n", encoding="utf-8")
+        assert run_cli(tmp_path, "verify", "--quick", "--config", str(conf)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "times up to 8 need 3.99e+04 wave-number nodes" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.conf"]
 
     def test_opaque_barrier_passes_retardation_vacuously(self, tmp_path):
         # At 1000 eV no level crosses; verify states the count and T.

@@ -413,6 +413,12 @@ class TestIntegrateOde:
             integrate_ode(lambda t, x: x * x, 1.0, 0.0, 2.0)
         assert exc.value.t is not None
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_step_underflow_on_a_non_finite_rhs(self, value):
+        # A NaN step size once failed every step-size test and looped forever.
+        with pytest.raises(StepUnderflow), np.errstate(all="ignore"):
+            integrate_ode(lambda t, x: np.full_like(x, value), 1.0, 0.0, 1.0)
+
     def test_step_underflow_carries_last_sample(self):
         # With t_eval the failure reports the last sample returned before
         # the blow-up at t = 1, where x = 1 / (1 - t).

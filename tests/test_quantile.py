@@ -833,6 +833,14 @@ class TestProbabilityInVolume:
             assert 0.0 <= got <= 1.0
             assert abs(got - self._oracle(radius, d, field.sigma_x(t))) <= 1e-13
 
+    @pytest.mark.parametrize("width", [1e-170, 1e-300])
+    def test_a_width_whose_square_underflows_is_refused(self, width):
+        # sigma_x(0)^2 = 0: a = R d / s^2 raised ZeroDivisionError.
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(2.0, 0.0, 0.0), sigma_x0=width))
+        with pytest.raises(InvalidRange, match="not a positive float"):
+            probability_in_volume(field, sphere_seeds((0.0, 0.0, 0.0), 1.0), 0.0)
+
     @pytest.mark.parametrize("radius", [1e150, 1e100, 1e10])
     def test_a_ball_far_wider_than_the_packet_holds_all_of_it(self, radius):
         # R / s overflows (1e150 / 1e-160) or its square does: the second

@@ -1,5 +1,6 @@
 """Tests for the tunneling retardation operations."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import square_barrier_transmission
+from quantracer import numerics, tunneling
 from quantracer.cli import PRESETS
 from quantracer.errors import GridTooCoarse, InvalidRange
 from quantracer.numerics import build_kgrid
@@ -221,6 +223,34 @@ class TestDeltaPReport:
         for free in (FreeGaussianModel(DEFAULT_PACKET), shifted):
             with pytest.raises(InvalidRange):
                 delta_p_report(free, tunnel, x_values=[1.0], t_values=[1.0])
+
+    def test_refuses_a_pair_on_two_grids_or_masses(self, fig2):
+        # Both routes read one grid and one mass; a coarser grid on the same
+        # band keeps the spectrum, so only the grid check can refuse it.
+        spectrum, grid, free, _ = fig2
+        same, coarse = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=64)
+        assert same == spectrum
+        for tunnel in (tunneling_packet_model(spectrum, DEFAULT_BARRIER, coarse),
+                       tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid, mass=2.0)):
+            with pytest.raises(InvalidRange, match="one mass and one wave-number grid"):
+                delta_p_report(free, tunnel, x_values=[1.0], t_values=[1.0])
+
+    def test_runs_on_the_pair_it_is_given(self, fig2, monkeypatch):
+        # The decomposed route reads the pair's free model: a report builds
+        # no model, and a u-order already used solves no Gauss-Legendre
+        # eigenproblem again.
+        _, _, free, tunnel = fig2
+        delta_p_report(free, tunnel, x_values=[0.5, 3.0], t_values=[2.0, 8.0])
+        built = []
+        init = SpectralPacketModel.__init__
+        monkeypatch.setattr(SpectralPacketModel, "__init__",
+                            lambda self, *args, **kwargs: built.append(args)
+                            or init(self, *args, **kwargs))
+        misses = numerics._legendre.cache_info().misses
+        delta_p_report(free, tunnel, x_values=[0.5, 3.0], t_values=[2.0, 8.0])
+        assert built == [] and numerics._legendre.cache_info().misses == misses
+        assert not hasattr(tunneling, "leggauss")
+        assert "tol" not in inspect.signature(delta_p_report).parameters
 
     def test_memory_is_bounded(self):
         # One point at t = 60 on the 1766-node auto grid: the u-kernels
