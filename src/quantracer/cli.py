@@ -81,6 +81,12 @@ VELOCITY_WIDTHS = (1e-150, 1e150)
 
 TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
+# Relative tolerances (quad_rel, ode_rel) the CLI accepts.  Below 100 eps
+# tail tables refine to their panel limit (delta-p exits 3 at quad_rel
+# 1e-15), and integrate_ode floors its rtol there anyway; above 1 a step
+# or panel may keep no correct digit.
+RELATIVE_TOLERANCES = (100.0 * sys.float_info.epsilon, 1.0)
+
 
 class ConfigError(Exception):
     """Scenario configuration rejected before any numerics ran."""
@@ -201,6 +207,7 @@ def load_config_file(path: str) -> dict:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    lo, hi = RELATIVE_TOLERANCES
     for f in fields(ScenarioConfig):
         value = getattr(cfg, f.name)
         numbers = value if isinstance(value, tuple) else (value,)
@@ -208,6 +215,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if f.name in TOLERANCE_KEYS and not value > 0.0:
             raise ConfigError(f"{f.name} must be positive, got {value!r}")
+        if f.name in ("quad_rel", "ode_rel") and not lo <= value <= hi:
+            raise ConfigError(f"{f.name} = {value:g} is outside the relative-tolerance "
+                              f"range [{lo:.3g}, {hi:g}]")
     if cfg.t_step <= 0.0:
         raise ConfigError("t_step must be positive")
     if cfg.t_max < cfg.t_step:

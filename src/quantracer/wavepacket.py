@@ -355,45 +355,40 @@ def _free_coefficients(k):
     return k.astype(complex), one, zero, one, zero
 
 
-# Most (x, k) entries one pointwise field evaluation holds at once; longer
-# x batches are summed in row chunks, so memory stays bounded for any batch.
+# Most (x, wave) entries one pointwise field evaluation holds at once (two
+# waves a mode left of or inside the barrier); longer x batches are summed
+# in row chunks, so memory stays bounded for any batch.
 _FIELD_ENTRIES = 1 << 16
 
 
 def _region_waves(k, gamma, T, R, A, B, weights, rate):
-    """Per region (left, inside, right) its iq (q = k outside, gamma
-    inside) and [value, derivative] (len(k), 2) matrices with weights w:
-    left [w, ik w] on e^{ikx} and [w R, -ik w R] on e^{-ikx}, inside
-    [w A, i gamma w A] on e^{i gamma x} and [w B, -i gamma w B] on
-    e^{-i gamma x}, right [w T, ik w T] on e^{ikx}; then the time phase
-    rate, -i hbar k^2 / 2m.  Built once, not per call."""
+    """Per region (left, inside, right) its stacked exponents iq, their time
+    rates and one [value, derivative] matrix with weights w: left [ik, -ik]
+    on [w, ik w] over [w R, -ik w R], inside [i gamma, -i gamma] on
+    [w A, i gamma w A] over [w B, -i gamma w B], right ik on [w T, ik w T];
+    then the per-mode time phase rate, -i hbar k^2 / 2m, of shape (len(k),).
+    Built once, not per call."""
     ik, igamma = 1j * k, 1j * gamma
 
-    def stack(c, q):
-        return np.stack([weights * c, q * weights * c], axis=1)
-    return ((ik, stack(1.0, ik), stack(R, -ik)), (igamma, stack(A, igamma), stack(B, -igamma)),
-            (ik, stack(T, ik)), rate)
+    def region(*waves):
+        # (q, c) per wave e^{qx}: exponents, rates, rows [w c, q w c].
+        return (np.concatenate([q for q, _ in waves]), np.tile(rate, len(waves)),
+                np.concatenate([np.stack([weights * c, q * weights * c], axis=1)
+                                for q, c in waves]))
+    return (region((ik, 1.0), (-ik, R)), region((igamma, A), (-igamma, B)),
+            region((ik, T)), rate)
 
 
 def _region_fields(region: int, x, t: float, waves):
     """(psi, d psi/dx) in the last axis at x in one region (0 left, 1
     inside, 2 right): shape (2,) for a float x, (n, 2) for an (n, 1) column.
 
-    The time phase rides in the exponent, so the right region's wave
-    e^{ikx + rate t} is its one exponential.  The reflected wave
-    e^{-ikx + rate t} is the conjugate of the incident one, and the
-    under-barrier e^{-i gamma x + rate t} the reciprocal of
-    e^{i gamma x + rate t}, each times e^{2 rate t}: at most two
-    exponentials, the second over the modes only, not per (x, k) entry.
+    The time phase rides in the exponent, so every region is one complex
+    exponential over its stacked waves, e^{iqx + rate t}, and one product
+    with its [value, derivative] matrix (_region_waves).
     """
-    iq, *matrices = waves[region]
-    rate_t = waves[3] * t
-    wave = np.exp(iq * x + rate_t)
-    if region == 2:
-        return _rows(wave, matrices[0])
-    echo = np.exp(2.0 * rate_t)
-    second = wave.conj() * echo if region == 0 else echo / wave
-    return _rows(wave, matrices[0]) + _rows(second, matrices[1])
+    iq, rate, matrix = waves[region]
+    return _rows(np.exp(iq * x + rate * t), matrix)
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -406,9 +401,9 @@ def _mode_sums(x, t: float, waves, half_width):
     """(psi, d psi/dx) at x (see _region_fields): two complex numbers for
     a scalar x, whose region two comparisons pick and whose kernel alone
     runs, on the float; for an array, two arrays over its flattened
-    values, a _region_fields call per region in each row chunk of at most
-    _FIELD_ENTRIES (x, k) entries, each row with the bits of its scalar
-    call.  The free reference
+    values, a _region_fields call per row chunk of a region's points, each
+    chunk at most _FIELD_ENTRIES (x, stacked wave) entries and each row
+    with the bits of its scalar call.  The free reference
     passes half_width = -inf: at V = 0 every region has the same plane
     waves, and every point goes to the right region, the cheapest one.
     """
@@ -418,14 +413,14 @@ def _mode_sums(x, t: float, waves, half_width):
         return _region_fields(region, x, t, waves).tolist()
     flat = np.ravel(np.asarray(x, dtype=float))
     out = np.empty((flat.size, 2), dtype=complex)
-    rows = max(1, _FIELD_ENTRIES // waves[3].size)
-    for i in range(0, flat.size, rows):
-        xs, chunk = flat[i:i + rows], out[i:i + rows]
-        right = xs > half_width
-        left = (xs < -half_width) & ~right
-        for region, mask in enumerate((left, ~(left | right), right)):
-            if mask.any():
-                chunk[mask] = _region_fields(region, xs[mask, None], t, waves)
+    right = flat > half_width
+    left = (flat < -half_width) & ~right
+    for region, mask in enumerate((left, ~(left | right), right)):
+        points = np.flatnonzero(mask)
+        rows = max(1, _FIELD_ENTRIES // waves[region][0].size)
+        for i in range(0, points.size, rows):
+            chunk = points[i:i + rows]
+            out[chunk] = _region_fields(region, flat[chunk, None], t, waves)
     return out[:, 0], out[:, 1]
 
 
@@ -613,9 +608,10 @@ class SpectralPacketModel(PacketModel):
     density minima.  A phase-resolution guard raises GridTooCoarse instead
     of silently aliasing when an evaluation needs more nodes than the grid
     has.  Pointwise fields run _mode_sums with the time phase in the mode
-    exponent: one complex exponential over the modes and one product with
-    a (modes, 2) matrix give (psi, d psi/dx) right of the barrier (every
-    point of the free reference), two exponentials left of or inside it.
+    exponent: in every region one complex exponential over its stacked
+    waves and one product with their (waves, 2) matrix give (psi,
+    d psi/dx), over the modes right of the barrier (every point of the free
+    reference) and over twice them, e^{+-iqx}, left of or inside it.
     Each point sums on the smallest rung (_rung) the guard accepts at its
     |x| and t; converged at 8 nodes per phase period, a rung moves rho and
     j by about 1e-13 of the peak density.  Panel tables sum with

@@ -3,10 +3,13 @@
 The numeric oracles go through mpmath (arbitrary precision, series/continued
 fraction implementations) and never through the package under test, so the
 numbers asserted in the test suite are derived on an independent path.
+mode_fields is a per-mode cmath loop over a spectral model's own
+coefficients, written out without the package's stacked wave layout.
 heap_refine is a reference algorithm instead: the heap-based adaptive
 refinement the package's flat one must reproduce bit for bit.
 """
 
+import cmath
 import heapq
 
 import mpmath as mp
@@ -66,6 +69,26 @@ def square_barrier_transmission(k, height, half_width):
         return float(1 / (1 + 2 * V * a * a * k * k / (2 * E)))
     q = mp.sqrt(k * k - 2 * V)
     return float(1 / (1 + V**2 * mp.sin(2 * a * q) ** 2 / (4 * E * (E - V))))
+
+
+def mode_fields(x, t, k, gamma, T, R, A, B, weight, half_width, mass=1.0):
+    """psi and d psi/dx at (x, t) of sum_j weight_j phi_j(x) e^{-i k_j^2 t / 2m}
+    (hbar = 1), one mode at a time in cmath: phi = e^{ikx} + R e^{-ikx} for
+    x < -a, A e^{i gamma x} + B e^{-i gamma x} for -a <= x <= a and T e^{ikx}
+    for x > a, with a = half_width."""
+    psi = dpsi = 0j
+    modes = zip(*(np.asarray(c).tolist() for c in (k, gamma, T, R, A, B, weight)))
+    for kj, gj, tj, rj, aj, bj, wj in modes:
+        phase = wj * cmath.exp(-1j * kj * kj * t / (2.0 * mass))
+        if x < -half_width:
+            q, up, down = kj, cmath.exp(1j * kj * x), rj * cmath.exp(-1j * kj * x)
+        elif x > half_width:
+            q, up, down = kj, tj * cmath.exp(1j * kj * x), 0j
+        else:
+            q, up, down = gj, aj * cmath.exp(1j * gj * x), bj * cmath.exp(-1j * gj * x)
+        psi += phase * (up + down)
+        dpsi += phase * 1j * q * (up - down)
+    return psi, dpsi
 
 
 def heap_refine(eval_panels, partitions, tol, max_panels=4096):

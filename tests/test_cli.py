@@ -201,6 +201,32 @@ class TestConfigResolution:
         assert err.count("\n") == 1 and f"{line.split()[0]} must be positive" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tol.conf"]
 
+    @pytest.mark.parametrize("command, lines", [
+        # Refined to the 4096-panel limit for about 5 s, then exited 3.
+        ("delta-p", ["quad_rel = 1e-300", "quad_abs = 5e-324"]),
+        # Exited 1 on method_equivalence.
+        ("dissipative", ["ode_rel = 1e300"])])
+    def test_relative_tolerance_outside_its_range_exits_2(self, tmp_path, capsys,
+                                                          command, lines):
+        conf = tmp_path / "tol.conf"
+        conf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli(tmp_path, command, "--t-max", "1", "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        key = lines[0].split()[0]
+        assert err.count("\n") == 1 and f"{key} = " in err and "range [2.22e-14, 1]" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tol.conf"]
+
+    @pytest.mark.parametrize("key", ["quad_rel", "ode_rel"])
+    def test_relative_tolerance_range_ends(self, key):
+        # [100 eps, 1]: both ends are accepted, the next float out of either is not.
+        lo, hi = cli.RELATIVE_TOLERANCES
+        assert lo == 100.0 * np.finfo(float).eps and hi == 1.0
+        for value in (lo, hi):
+            validate_config(ScenarioConfig(**{key: value}))
+        for value in (math.nextafter(lo, 0.0), math.nextafter(hi, 2.0)):
+            with pytest.raises(cli.ConfigError, match=rf"^{key} = .* range \[2.22e-14, 1\]$"):
+                validate_config(ScenarioConfig(**{key: value}))
+
     @pytest.mark.parametrize("command, mass", [
         # sigma_v ** 2 overflowed in the 3D velocity field (an OverflowError
         # traceback), and an infinite sigma_v made the flow-map ODE loop.

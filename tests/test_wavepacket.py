@@ -40,6 +40,7 @@ from quantracer.wavepacket import (
     spectral_setup,
     tunneling_packet_model,
 )
+from oracles import mode_fields
 
 # mpmath oracles, frozen:
 NORMAL_TAIL_1SIGMA = 0.15865525393145705        # 0.5*erfc(1/sqrt(2))
@@ -409,9 +410,8 @@ class TestIndependentModeSum:
            t=st.floats(0.0, 10.0))
     def test_scalar_fields_match_a_written_out_mode_sum(self, spectral_models,
                                                         reference_modes, x, t):
-        # The kernel folds the time phase into its mode waves and takes the
-        # reflected and under-barrier waves from the incident ones; this sum
-        # shares none of that, only the coefficients.  Bounds are 1e-12 of
+        # The kernel folds the time phase into its stacked mode waves; this
+        # sum shares none of that, only the coefficients.  Bounds are 1e-12 of
         # the peak scale: sqrt(peak) for psi, times k_max for d psi/dx.
         _, grid, free_sp, tunnel = spectral_models
         k, weight, plane, barrier = reference_modes
@@ -426,6 +426,39 @@ class TestIndependentModeSum:
             assert abs(model.rho(x, t) - abs(psi) ** 2) <= 1e-12 * scale ** 2
             flux = (psi.conjugate() * dpsi).imag
             assert abs(model.current(x, t) - flux) <= 1e-12 * grid.k_max * scale ** 2
+
+
+class TestKernelOracle:
+    def test_fields_match_a_per_mode_cmath_loop(self):
+        # rho and current against oracles.mode_fields, which sums the
+        # model's own coefficients mode by mode with e^{+-ikx}, e^{+-i gamma x}
+        # and the time phase written out.  On a 100-node grid the guard picks
+        # the 64-node rung at t = 0.5 and the whole grid at t = 3.5 for these
+        # x, left of, inside and right of the barrier (x = +-a is inside),
+        # scalar and array.  Flipping the sign of the reflected half's
+        # exponent in _region_waves (e^{+ikx} for R) fails this test.
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=100)
+        a = DEFAULT_BARRIER.half_width
+        xs = np.array([-6.0, -0.5, -a, -0.1, a, 0.31, 6.0])
+        for model, edge in ((tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid), a),
+                            (spectral_free_model(spectrum, grid), -math.inf)):
+            assert model._sizes == [64, 100]
+            for t, n in ((0.5, 64), (3.5, 100)):
+                needed = model._check_resolution(np.abs(xs), t)
+                assert np.all(needed <= n) and (n == 64 or np.all(needed > 64))
+                nodes, weights = numerics._gauss_rule(grid.k_min, grid.k_max, n)
+                _, coefficients, weight = model._rule_waves(nodes, weights)
+                fields = [mode_fields(x, t, nodes, *coefficients, weight, edge)
+                          for x in xs.tolist()]
+                rho = np.array([abs(psi) ** 2 for psi, _ in fields])
+                current = np.array([(psi.conjugate() * dpsi).imag for psi, dpsi in fields])
+                bound = 1e-13 * model.peak_density(t)
+                for got_rho, got_current in (
+                        ([model.rho(x, t) for x in xs.tolist()],
+                         [model.current(x, t) for x in xs.tolist()]),
+                        (model.rho(xs, t), model.current(xs, t))):
+                    assert np.max(np.abs(np.subtract(got_rho, rho))) <= bound
+                    assert np.max(np.abs(np.subtract(got_current, current))) <= bound
 
 
 def _full_grid(model, x, t):
@@ -878,18 +911,31 @@ class TestTunnelingPacketModel:
         # 20 000 points x 386 modes would be ~120 MB per complex matrix in
         # one pass; the chunked pass peaks near a few entry budgets and
         # gives the same bits.
-        _, grid, _, tunnel = spectral_models
+        _, _, _, tunnel = spectral_models
         xs = np.linspace(-60.0, 60.0, 20_000)
-        tunnel.rho(xs[:3], 5.0)               # coefficient cache warm
-        tracemalloc.start()
-        try:
-            chunked = tunnel.rho(xs, 5.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        budget = 8 * 16 * wavepacket._FIELD_ENTRIES + 64 * xs.size
-        assert grid.size * xs.size > 50 * wavepacket._FIELD_ENTRIES
-        assert peak <= budget
+        chunked = _rho_within_budget(tunnel, xs, 5.0)
+        monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", 1 << 40)
+        assert np.array_equal(chunked[:1001], tunnel.rho(xs[:1001], 5.0))
+
+    def test_stacked_regions_are_chunked_by_their_width(self, spectral_models,
+                                                        monkeypatch):
+        # Left of and inside the barrier a point sums 2n stacked waves, so
+        # its row chunks hold half the rows of the right region's: every
+        # kernel call stays within _FIELD_ENTRIES (x, wave) entries, and the
+        # batch within test_long_batches_are_chunked's budget, same bits.
+        _, _, _, tunnel = spectral_models
+        xs = np.linspace(-60.0, DEFAULT_BARRIER.half_width, 20_000)
+        chunked = _rho_within_budget(tunnel, xs, 5.0)
+        entries, kernel = {}, wavepacket._region_fields
+
+        def counted(region, x, t, waves):
+            entries[region] = max(entries.get(region, 0), np.size(x) * waves[region][0].size)
+            return kernel(region, x, t, waves)
+        with monkeypatch.context() as patch:
+            patch.setattr(wavepacket, "_region_fields", counted)
+            assert np.array_equal(tunnel.rho(xs, 5.0), chunked)
+        assert sorted(entries) == [0, 1]
+        assert max(entries.values()) <= wavepacket._FIELD_ENTRIES
         monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", 1 << 40)
         assert np.array_equal(chunked[:1001], tunnel.rho(xs[:1001], 5.0))
 
@@ -898,6 +944,21 @@ class TestTunnelingPacketModel:
         lo, hi = tunnel.support_hint(3.0)
         assert tunnel.tail(hi + 5.0, 3.0) == 0.0
         assert tunnel.tail(lo - 1e6, 3.0) == pytest.approx(1.0, abs=1e-6)
+
+
+def _rho_within_budget(model, xs, t):
+    """model.rho(xs, t), asserting that its traced peak memory stays within
+    a few field-entry budgets plus 64 bytes a point, with the cache warm."""
+    assert model.grid.size * xs.size > 50 * wavepacket._FIELD_ENTRIES
+    model.rho(xs[:3], t)                  # coefficient cache warm
+    tracemalloc.start()
+    try:
+        values = model.rho(xs, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * wavepacket._FIELD_ENTRIES + 64 * xs.size
+    return values
 
 
 def assert_same_tables(batched, alone):
