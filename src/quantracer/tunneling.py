@@ -163,11 +163,12 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     # x to hint_hi: a table per t on the free reference's lattice, all
     # from one tail_tables call.
     term3s = free._tails(xs, ts, coeffs * kernel3)
+    waves = np.exp(1j * np.outer(k, xs))     # the e^{ikx} columns, for every t
     out = np.empty((4, xs.size, ts.size))
     for j, (coeff, term3) in enumerate(zip(coeffs, term3s)):
         # Per x, the u-quadrature starts at n_lambda Gauss-Legendre nodes
         # and doubles until that x's total moves by less than 0.1%.
-        psi = coeff[:, None] * np.exp(1j * np.outer(k, xs))
+        psi = coeff[:, None] * waves
         n = int(n_lambda)
         t1, t2 = u_terms(n, psi)
         total = c1 * t1 + c2 * t2 + c3 * term3

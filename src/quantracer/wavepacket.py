@@ -615,7 +615,8 @@ class SpectralPacketModel(PacketModel):
     Each point sums on the smallest rung (_rung) the guard accepts at its
     |x| and t; converged at 8 nodes per phase period, a rung moves rho and
     j by about 1e-13 of the peak density.  Panel tables sum with
-    _PanelWaves and the coefficients of _coeffs(t), on the whole grid.
+    _PanelWaves and the coefficients of _coeffs(t), on the whole grid, over
+    a lattice with its own pitch on each side of the barrier (_lattice).
     """
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
@@ -631,13 +632,16 @@ class SpectralPacketModel(PacketModel):
             grid.nodes, grid.weights)                   # T, R, A, B
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
-        # Lattice pitch: two periods of the fastest spatial beat of rho, so
-        # the first refinement pass already sees the oscillation.
-        osc_k = 2.0 * grid.k_max if barrier is not None else grid.k_max - grid.k_min
-        self._pitch = 4.0 * math.pi / osc_k
-        # Panel waves outside the barrier (q = k) and under it (q = gamma),
-        # kept across times; empty until the first table.
-        self._waves = (_PanelWaves(grid.nodes, 0.5 * self._pitch),
+        # Lattice pitches, two periods of rho's fastest beat on each side:
+        # right of the barrier (all of the free reference) the transmitted
+        # wave beats at |k - k'| <= k_max - k_min, left of it the incident
+        # and reflected waves at k + k' <= 2 k_max.
+        self._pitch_right = 4.0 * math.pi / (grid.k_max - grid.k_min)
+        self._pitch = 4.0 * math.pi / (2.0 * grid.k_max) if barrier else self._pitch_right
+        # Panel waves right of, left of (q = k) and under the barrier (q =
+        # gamma), kept across times; empty until the first table.
+        self._waves = (_PanelWaves(grid.nodes, 0.5 * self._pitch_right),
+                       _PanelWaves(grid.nodes, 0.5 * self._pitch),
                        _PanelWaves(gamma, edge if barrier else 1.0))
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
@@ -723,10 +727,11 @@ class SpectralPacketModel(PacketModel):
         Each panel lies wholly inside one region, as every table's panels
         do (the lattice makes +-a panel edges), and there the mode sum
         factors (see _PanelWaves; q = k outside the barrier, gamma inside),
-        with the model's kept lattice waves.  A panel across a barrier edge
-        or with a half-width off the lattice raises ValueError.  ``coeffs``
-        (a row per time) replaces the mode coefficients, for other plane-wave
-        sums on the free reference's lattice.
+        with the model's kept waves of the region's lattice (_lattice).  A
+        panel across a barrier edge or with a half-width off that lattice
+        raises ValueError.  ``coeffs`` (a row per time) replaces the mode
+        coefficients, for other plane-wave sums on the free reference's
+        lattice.
         """
         T, R, A, B = self._coefficients
         edge = self._modes[1]
@@ -734,11 +739,12 @@ class SpectralPacketModel(PacketModel):
         if coeffs is None:
             coeffs = self._coeffs(ts)
         reach = float(np.max(PANEL_NODES))
-        outside, under = self._waves
+        right_waves, left_waves, under = self._waves
         # Per region: waves, lattice origin, coefficients (a row per time)
         # of e^{iqx} and of e^{-iqx}.
         origin = edge if self.barrier is not None else 0.0
-        regions = ((outside, origin, coeffs * T, None), (outside, -origin, coeffs, coeffs * R),
+        regions = ((right_waves, origin, coeffs * T, None),
+                   (left_waves, -origin, coeffs, coeffs * R),
                    (under, 0.0, coeffs * A, coeffs * B))
 
         def values(table, mids, halves):
@@ -787,7 +793,7 @@ class SpectralPacketModel(PacketModel):
             return 0.0
         # rho has a curvature jump at +-a that a GL15-GL7 gap across it
         # underestimates, so the barrier edges are panel edges; one panel
-        # per pitch, as the tables start.
+        # per (left) pitch, as the tables start left of the barrier.
         n = min(512, max(8, math.ceil(abs(b - a) / self._pitch)))
         return integrate_adaptive(lambda xs: self.rho(xs, t), a, b, self.tol,
                                   initial_panels=n, points=self._cuts)
@@ -802,11 +808,13 @@ class SpectralPacketModel(PacketModel):
         The pitch is the model's pitch times 2^n, the rung that gives the
         unsnapped hint 8 to 509 panels (doubled again while the barrier's
         narrower inner panels would make it over 512).  Edges sit at
-        +-a + j * pitch outside the barrier (at j * pitch for the free
-        reference), and [-a, a] holds 2^m equal panels no wider than the
-        pitch, so the panel widths are time-independent.  The hint's ends
-        snap outward to the nearest edges; only edges near the hint are
-        made, so a barrier much wider than the hint costs nothing.  A
+        -a - j * pitch left of the barrier, at a + j * pitch_R right of it
+        (pitch_R the transmitted pitch doubled until it reaches the
+        pitch) and at j * pitch on the free reference, and [-a, a] holds
+        2^m equal panels no wider than the pitch, so the panel widths are
+        time-independent.  The hint's ends snap outward to the nearest
+        edges, each by at most its side's pitch; only edges near the hint
+        are made, so a barrier much wider than the hint costs nothing.  A
         non-finite t is an InvalidRange.
         """
         if not math.isfinite(t):
@@ -831,19 +839,21 @@ class SpectralPacketModel(PacketModel):
             return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
         a = self.barrier.half_width
         while True:
-            # The hint and lattice are symmetric: the edges in (0, hi] and
-            # one beyond are j * w inside (w = 2a / 2^m exactly, so 0 is an
-            # edge too when m > 0) and a + j * pitch outside.
+            # Per side the edges in (0, hi] and one beyond: j * w inside (w =
+            # 2a / 2^m exactly, so 0 is an edge too when m > 0), a + j * (the
+            # side's pitch) outside.
             m = max(0, math.ceil(math.log2(a) + 1.0 - math.log2(pitch)))
             if m == 0:
-                half = [np.array([a])]
+                inner = np.array([a])
             else:
                 w = math.ldexp(a, 1 - m)
-                half = [w * np.arange(1, min(2 ** (m - 1), math.ceil(hi / w)) + 1)]
-            if hi > a:
-                half.append(a + pitch * np.arange(1, math.ceil((hi - a) / pitch) + 1))
-            half = np.concatenate(half)
-            edges = np.concatenate([-half[::-1], [0.0] * (m > 0), half])
+                inner = w * np.arange(1, min(2 ** (m - 1), math.ceil(hi / w)) + 1)
+            pitch_r = self._pitch_right
+            while pitch_r < pitch:
+                pitch_r *= 2.0
+            left, right = [a + p * np.arange(1, math.ceil(max(0.0, hi - a) / p) + 1)
+                           for p in (pitch, pitch_r)]
+            edges = np.concatenate([-left[::-1], -inner[::-1], [0.0] * (m > 0), inner, right])
             if edges.size <= 513:
                 return edges
             pitch *= 2.0
@@ -915,8 +925,9 @@ class SpectralPacketModel(PacketModel):
 
     def support_hint(self, t) -> tuple[float, float]:
         """8 spreads beyond the fastest and slowest branches (both ways
-        with a barrier), snapped outward to the panel lattice (_lattice),
-        by at most one pitch, so tail() and the tables span one range."""
+        with a barrier), each end snapped outward to the panel lattice
+        (_lattice) by at most its side's pitch, so tail() and the tables
+        span one range."""
         edges = self._lattice(float(t))
         return float(edges[0]), float(edges[-1])
 

@@ -569,6 +569,16 @@ class TestDeltaPCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "need 7.03e+300 wave-number nodes" in err
 
+    @pytest.mark.parametrize("width", ["1000", "1e6"])
+    def test_wide_packet_runs_the_preset(self, tmp_path, width):
+        # A wide packet's hint doubles the left panel pitch many times.  The
+        # transmitted pitch must not scale with it: scaled by the same
+        # factor it puts the hint top at |x| = 3.35e4 for sigma_x0 = 1000,
+        # beyond the reach of the wave-number grid (GridTooCoarse, exit 3).
+        conf = tmp_path / "wide.conf"
+        conf.write_text(f"sigma_x0 = {width}\n", encoding="utf-8")
+        assert run_cli(tmp_path, "delta-p", "--preset", "fig2", "--config", str(conf)) == 0
+
     def test_x_inside_barrier_exits_2(self, tmp_path):
         conf = tmp_path / "dp.conf"
         conf.write_text("delta_x = 0.1\ndelta_t = 3\n", encoding="utf-8")

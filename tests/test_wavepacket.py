@@ -691,16 +691,19 @@ class TestTunnelingPacketModel:
 
     def test_panel_kernel_matches_pointwise(self, spectral_models):
         # Panels left of, right of and inside the barrier, with shared and
-        # distinct lattice widths (half a pitch times 2^-n, a / 2 inside
-        # the barrier); a width off the lattice and a panel across a
-        # barrier edge are refused.
+        # distinct lattice widths: half its side's pitch times 2^-n outside
+        # the barrier (the transmitted pitch right of it and on the whole
+        # free reference), a / 2 inside.  A width off the lattice, a
+        # left-pitch width right of the barrier (and a transmitted one left
+        # of it) and a panel across a barrier edge are refused.
         _, _, free_sp, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
         mids = np.array([-20.0, -5.0, -3.0, -a - 0.1, 0.0, a + 0.1,
                          3.0, 3.4, 25.0])
         rungs = np.array([0, 0, 0, 5, 1, 5, 0, 1, 1])
         for model in (free_sp, tunnel):
-            halves = 0.5 * model._pitch * np.exp2(-rungs)
+            pitch = np.where(mids > a, model._pitch_right, model._pitch)
+            halves = 0.5 * pitch * np.exp2(-rungs)
             if model.barrier is not None:
                 halves[4] = a / 2
             for t in (0.0, 5.0, 10.0):
@@ -710,6 +713,9 @@ class TestTunnelingPacketModel:
                 assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
             with pytest.raises(ValueError, match="off the panel lattice"):
                 panel_rho(model, 5.0, np.append(mids, -12.0), np.append(halves, 0.35))
+        for mid, half in ((12.0, 0.5 * tunnel._pitch), (-12.0, 0.5 * tunnel._pitch_right)):
+            with pytest.raises(ValueError, match="off the panel lattice"):
+                panel_rho(tunnel, 5.0, np.append(mids, mid), np.append(halves, half))
         for mid, half in ((-a, 0.2), (a, 0.3)):
             with pytest.raises(ValueError, match="crosses a barrier edge"):
                 panel_rho(tunnel, 5.0, np.append(mids, mid), np.append(halves, half))
@@ -734,30 +740,56 @@ class TestTunnelingPacketModel:
 
     def test_table_widths_sit_on_the_lattice(self):
         # Over t = 0, 0.5, ..., 10 every retained panel of a fresh model is
-        # a lattice panel or a bisection child of one: width pitch * 2^n
-        # outside the barrier, 2a * 2^-n inside.  Each table starts with 8
-        # to 512 panels, anchored at +-a (at 0 for the free reference), and
-        # the hint reaches at most one pitch past its unsnapped ends.
+        # a lattice panel or a bisection child of one: width (its side's
+        # pitch) * 2^n outside the barrier, 2a * 2^-n inside.  Left of the
+        # barrier the pitch is 4 pi / 2 k_max * 2^n; right of it, and on the
+        # whole free reference, the transmitted 4 pi / (k_max - k_min),
+        # doubled only until it reaches the left one (at t = 300 and 3000
+        # it is).  Each table starts with 8 to 512 panels, anchored at +-a
+        # (at 0 for the free reference), and each end of the hint reaches
+        # at most its side's pitch past the unsnapped end.
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
         a = DEFAULT_BARRIER.half_width
+        transmitted = 4.0 * math.pi / (grid.k_max - grid.k_min)
+
+        def rungs(lengths, base):
+            rung = np.log2(lengths / base)
+            return np.max(np.abs(rung - np.rint(rung)), initial=0.0)
         for model in (spectral_free_model(spectrum, grid),
                       tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
             anchor = 0.0 if model.barrier is None else a
-            for t in np.arange(0.0, 10.25, 0.5):
+            incident = transmitted if model.barrier is None else 2.0 * math.pi / grid.k_max
+            for t in [*np.arange(0.0, 10.25, 0.5), 300.0, 3000.0]:
+                edges = model._lattice(t)
+                assert 8 <= edges.size - 1 <= 512
+                left_pitch, right_pitch = edges[1] - edges[0], edges[-1] - edges[-2]
+                assert rungs(left_pitch, incident) <= 1e-9
+                assert rungs(right_pitch, transmitted) <= 1e-9
+                if model.barrier is not None:
+                    ratio = right_pitch / left_pitch
+                    assert ratio >= 1.0
+                    assert ratio < 2.0 or right_pitch == pytest.approx(transmitted)
+                for side, pitch in ((edges <= -anchor, left_pitch),
+                                    (edges >= anchor, right_pitch)):
+                    outer = np.abs(edges[side]) - anchor
+                    assert np.max(np.abs(outer / pitch - np.rint(outer / pitch))) <= 1e-9
+                reach = 8.0 * model.spread(t) + grid.k_max * t
+                if model.barrier is None:
+                    raw = (spectrum.x_bar + grid.k_min * t - 8.0 * model.spread(t),
+                           spectrum.x_bar + reach)
+                else:
+                    raw = (-abs(spectrum.x_bar) - reach, abs(spectrum.x_bar) + reach)
+                lo, hi = model.support_hint(t)
+                assert 0.0 <= raw[0] - lo <= left_pitch
+                assert 0.0 <= hi - raw[1] <= right_pitch
+                if t > 10.0:
+                    continue
                 panels = model.tail_panels(t)
                 widths = panels.his - panels.los
                 inside = (panels.los >= -anchor) & (panels.his <= anchor)
-                rung = np.log2(np.where(inside, 2.0 * anchor, model._pitch) / widths)
-                assert np.max(np.abs(rung - np.rint(rung))) <= 1e-9
-                edges = model._lattice(t)
-                assert 8 <= edges.size - 1 <= 512
-                pitch = edges[-1] - edges[-2]
-                outer = np.abs(edges[np.abs(edges) >= anchor]) - anchor
-                assert np.max(np.abs(outer / pitch - np.rint(outer / pitch))) <= 1e-9
-                reach = 8.0 * model.spread(t) + grid.k_max * t
-                raw_hi = spectrum.x_bar + reach if model.barrier is None \
-                    else abs(spectrum.x_bar) + reach
-                assert 0.0 <= model.support_hint(t)[1] - raw_hi <= pitch
+                right = panels.los >= anchor
+                base = np.where(inside, 2.0 * anchor, np.where(right, transmitted, incident))
+                assert rungs(widths, base) <= 1e-9
 
     @pytest.mark.parametrize("a", [20.0, 1e8, 1e300])
     def test_wide_barrier_lattice_stays_bounded(self, a):
@@ -800,7 +832,7 @@ class TestTunnelingPacketModel:
     def test_kept_waves_are_bounded(self):
         # After a sweep over t = 0, 0.5, ..., 10 and a tails() call read
         # at six x values off the lattice edges, each model keeps at most
-        # eight e^{iqh xi} matrices (measured 2 and 4), all of lattice
+        # eight e^{iqh xi} matrices (measured 2 and 5), all of lattice
         # widths, and both hold under 3 MiB (measured 2.4 MiB; 2.2 MiB with
         # shift rows relative to each batch's lowest mid).
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
@@ -824,6 +856,20 @@ class TestTunnelingPacketModel:
             assert len(kept) <= 8
             assert all(math.frexp(abs(h) / base)[0] == 0.5 for base, h in kept)
         assert held <= 3 * 2 ** 20
+
+    @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
+    def test_transmitted_reads_match_a_tight_tail(self, spectral_models, t):
+        # Table reads inside the transmitted-pitch panels right of the
+        # barrier, at seeded x off the lattice edges, against the pointwise
+        # tail() at quad_rel 1e-14 (measured <= 1.2e-15).
+        spectrum, grid, _, tunnel = spectral_models
+        tight = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid,
+                                       tol=Tolerances(quad_rel=1e-14))
+        a = DEFAULT_BARRIER.half_width
+        xs = np.random.default_rng(24).uniform(a, tunnel.support_hint(t)[1], 24)
+        reads = tunnel.tails(xs, t)
+        for x, read in zip(xs.tolist(), reads):
+            assert abs(read - tight.tail(x, t)) <= 1e-12
 
     def test_tail_panels_cut_at_barrier_edges(self, spectral_models):
         _, _, _, tunnel = spectral_models
