@@ -632,10 +632,9 @@ class SpectralPacketModel(PacketModel):
             grid.nodes, grid.weights)                   # T, R, A, B
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
-        # Lattice pitches, two periods of rho's fastest beat on each side:
-        # right of the barrier (all of the free reference) the transmitted
-        # wave beats at |k - k'| <= k_max - k_min, left of it the incident
-        # and reflected waves at k + k' <= 2 k_max.
+        # Lattice pitches, two periods of rho's fastest beat: k + k' <= 2
+        # k_max left of the barrier, |k - k'| <= k_max - k_min right of it
+        # (the transmitted wave alone) and on all of the free reference.
         self._pitch_right = 4.0 * math.pi / (grid.k_max - grid.k_min)
         self._pitch = 4.0 * math.pi / (2.0 * grid.k_max) if barrier else self._pitch_right
         # Panel waves right of, left of (q = k) and under the barrier (q =
@@ -727,11 +726,10 @@ class SpectralPacketModel(PacketModel):
         Each panel lies wholly inside one region, as every table's panels
         do (the lattice makes +-a panel edges), and there the mode sum
         factors (see _PanelWaves; q = k outside the barrier, gamma inside),
-        with the model's kept waves of the region's lattice (_lattice).  A
-        panel across a barrier edge or with a half-width off that lattice
-        raises ValueError.  ``coeffs`` (a row per time) replaces the mode
-        coefficients, for other plane-wave sums on the free reference's
-        lattice.
+        with the kept waves of the region's lattice (_lattice).  A panel
+        across a barrier edge or with a half-width off that lattice raises
+        ValueError.  ``coeffs`` (a row per time) replaces the mode
+        coefficients, for other plane-wave sums on the free lattice.
         """
         T, R, A, B = self._coefficients
         edge = self._modes[1]
@@ -807,15 +805,15 @@ class SpectralPacketModel(PacketModel):
 
         The pitch is the model's pitch times 2^n, the rung that gives the
         unsnapped hint 8 to 509 panels (doubled again while the barrier's
-        narrower inner panels would make it over 512).  Edges sit at
-        -a - j * pitch left of the barrier, at a + j * pitch_R right of it
-        (pitch_R the transmitted pitch doubled until it reaches the
-        pitch) and at j * pitch on the free reference, and [-a, a] holds
-        2^m equal panels no wider than the pitch, so the panel widths are
-        time-independent.  The hint's ends snap outward to the nearest
-        edges, each by at most its side's pitch; only edges near the hint
-        are made, so a barrier much wider than the hint costs nothing.  A
-        non-finite t is an InvalidRange.
+        narrower inner panels would make it over 512).  Edges sit at j *
+        pitch on the free reference; with a barrier at -a - j * pitch, at
+        a + j * pitch_R (the transmitted pitch doubled to reach the pitch,
+        halved while the top snaps out past the phase guard's headroom),
+        and 2^m equal panels no wider than the pitch fill [-a, a], so the
+        panel widths are time-independent.  The hint's ends snap
+        outward to the nearest edges, each by at most its side's pitch;
+        only edges near the hint are made, so a barrier much wider than the
+        hint costs nothing.  A non-finite t is an InvalidRange.
         """
         if not math.isfinite(t):
             raise InvalidRange(f"time must be finite, got t = {t}")
@@ -838,6 +836,7 @@ class SpectralPacketModel(PacketModel):
         if self.barrier is None:
             return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
         a = self.barrier.half_width
+        room = (_NODE_HEADROOM - 1.0) * (hi + abs(self.spectrum.x_bar) + v_hi * abs(t))
         while True:
             # Per side the edges in (0, hi] and one beyond: j * w inside (w =
             # 2a / 2^m exactly, so 0 is an edge too when m > 0), a + j * (the
@@ -851,6 +850,9 @@ class SpectralPacketModel(PacketModel):
             pitch_r = self._pitch_right
             while pitch_r < pitch:
                 pitch_r *= 2.0
+            # recommended_node_count leaves the guard's headroom for the snap.
+            while hi > a and a + pitch_r * math.ceil((hi - a) / pitch_r) - hi > room:
+                pitch_r *= 0.5
             left, right = [a + p * np.arange(1, math.ceil(max(0.0, hi - a) / p) + 1)
                            for p in (pitch, pitch_r)]
             edges = np.concatenate([-left[::-1], -inner[::-1], [0.0] * (m > 0), inner, right])
@@ -925,9 +927,8 @@ class SpectralPacketModel(PacketModel):
 
     def support_hint(self, t) -> tuple[float, float]:
         """8 spreads beyond the fastest and slowest branches (both ways
-        with a barrier), each end snapped outward to the panel lattice
-        (_lattice) by at most its side's pitch, so tail() and the tables
-        span one range."""
+        with a barrier), snapped outward to the panel lattice (_lattice),
+        each end by at most its side's pitch, so tail() and tables agree."""
         edges = self._lattice(float(t))
         return float(edges[0]), float(edges[-1])
 

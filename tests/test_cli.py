@@ -515,6 +515,15 @@ class TestTunnelCommand:
                                                       mass=cfg.mass)
         assert min(cfg.p_list) < transmitted
 
+    def test_wide_packet_runs_the_preset(self, tmp_path):
+        # The transmitted pitch (about 2.09 sigma_x0) would snap this
+        # packet's hint top at t = 0 out to 262.1, where the phase guard
+        # asks 84 of the 81 recommended nodes; the right pitch halves
+        # instead, so the snap stays within the guard's headroom.
+        conf = tmp_path / "wide.conf"
+        conf.write_text("sigma_x0 = 25\nt_max = 2\n", encoding="utf-8")
+        assert run_cli(tmp_path, "tunnel", "--preset", "fig2", "--config", str(conf)) == 0
+
     def test_coarse_k_grid_exits_3(self, tmp_path):
         assert run_cli(tmp_path, "tunnel", "--p-list", "0.5",
                        "--t-max", "8", "--k-nodes", "64") == 3

@@ -7,6 +7,7 @@ Oracle values were computed with the high-precision routines in
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -745,51 +746,66 @@ class TestTunnelingPacketModel:
         # barrier the pitch is 4 pi / 2 k_max * 2^n; right of it, and on the
         # whole free reference, the transmitted 4 pi / (k_max - k_min),
         # doubled only until it reaches the left one (at t = 300 and 3000
-        # it is).  Each table starts with 8 to 512 panels, anchored at +-a
-        # (at 0 for the free reference), and each end of the hint reaches
-        # at most its side's pitch past the unsnapped end.
-        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
+        # it is) and with a barrier halved only while the hint top snaps
+        # out past the phase guard's headroom (recommended_node_count's
+        # _NODE_HEADROOM); a sigma_x0 = 25 packet to t = 2 halves it.  Each
+        # table starts with 8 to 512 panels, anchored at +-a (at 0 for the
+        # free reference), and each end of the hint reaches at most its
+        # side's pitch past the unsnapped end.
         a = DEFAULT_BARRIER.half_width
-        transmitted = 4.0 * math.pi / (grid.k_max - grid.k_min)
+        cases = ((DEFAULT_PACKET, 10.0, [*np.arange(0.0, 10.25, 0.5), 300.0, 3000.0]),
+                 (replace(DEFAULT_PACKET, sigma_x0=25.0), 2.0, np.arange(0.0, 2.25, 0.5)))
 
         def rungs(lengths, base):
             rung = np.log2(lengths / base)
             return np.max(np.abs(rung - np.rint(rung)), initial=0.0)
-        for model in (spectral_free_model(spectrum, grid),
-                      tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
-            anchor = 0.0 if model.barrier is None else a
-            incident = transmitted if model.barrier is None else 2.0 * math.pi / grid.k_max
-            for t in [*np.arange(0.0, 10.25, 0.5), 300.0, 3000.0]:
-                edges = model._lattice(t)
-                assert 8 <= edges.size - 1 <= 512
-                left_pitch, right_pitch = edges[1] - edges[0], edges[-1] - edges[-2]
-                assert rungs(left_pitch, incident) <= 1e-9
-                assert rungs(right_pitch, transmitted) <= 1e-9
-                if model.barrier is not None:
-                    ratio = right_pitch / left_pitch
-                    assert ratio >= 1.0
-                    assert ratio < 2.0 or right_pitch == pytest.approx(transmitted)
-                for side, pitch in ((edges <= -anchor, left_pitch),
-                                    (edges >= anchor, right_pitch)):
-                    outer = np.abs(edges[side]) - anchor
-                    assert np.max(np.abs(outer / pitch - np.rint(outer / pitch))) <= 1e-9
-                reach = 8.0 * model.spread(t) + grid.k_max * t
-                if model.barrier is None:
-                    raw = (spectrum.x_bar + grid.k_min * t - 8.0 * model.spread(t),
-                           spectrum.x_bar + reach)
-                else:
-                    raw = (-abs(spectrum.x_bar) - reach, abs(spectrum.x_bar) + reach)
-                lo, hi = model.support_hint(t)
-                assert 0.0 <= raw[0] - lo <= left_pitch
-                assert 0.0 <= hi - raw[1] <= right_pitch
-                if t > 10.0:
-                    continue
-                panels = model.tail_panels(t)
-                widths = panels.his - panels.los
-                inside = (panels.los >= -anchor) & (panels.his <= anchor)
-                right = panels.los >= anchor
-                base = np.where(inside, 2.0 * anchor, np.where(right, transmitted, incident))
-                assert rungs(widths, base) <= 1e-9
+        halved = []
+        for packet, t_max, times in cases:
+            spectrum, grid = spectral_setup(packet, t_max=t_max)
+            transmitted = 4.0 * math.pi / (grid.k_max - grid.k_min)
+            for model in (spectral_free_model(spectrum, grid),
+                          tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
+                anchor = 0.0 if model.barrier is None else a
+                incident = transmitted if model.barrier is None else 2.0 * math.pi / grid.k_max
+                for t in times:
+                    edges = model._lattice(t)
+                    assert 8 <= edges.size - 1 <= 512
+                    left_pitch, right_pitch = edges[1] - edges[0], edges[-1] - edges[-2]
+                    assert rungs(left_pitch, incident) <= 1e-9
+                    assert rungs(right_pitch, transmitted) <= 1e-9
+                    for side, pitch in ((edges <= -anchor, left_pitch),
+                                        (edges >= anchor, right_pitch)):
+                        outer = np.abs(edges[side]) - anchor
+                        assert np.max(np.abs(outer / pitch - np.rint(outer / pitch))) <= 1e-9
+                    reach = 8.0 * model.spread(t) + grid.k_max * t
+                    if model.barrier is None:
+                        raw = (spectrum.x_bar + grid.k_min * t - 8.0 * model.spread(t),
+                               spectrum.x_bar + reach)
+                    else:
+                        raw = (-abs(spectrum.x_bar) - reach, abs(spectrum.x_bar) + reach)
+                    lo, hi = model.support_hint(t)
+                    assert 0.0 <= raw[0] - lo <= left_pitch
+                    assert 0.0 <= hi - raw[1] <= right_pitch
+                    if model.barrier is not None:
+                        room = (wavepacket._NODE_HEADROOM - 1.0) * (
+                            raw[1] + abs(spectrum.x_bar) + grid.k_max * t)
+                        assert hi - raw[1] <= room
+                        assert right_pitch < 2.0 * left_pitch or right_pitch < 1.01 * transmitted
+                        if right_pitch < 0.99 * max(left_pitch, transmitted):
+                            coarser = 2.0 * right_pitch
+                            snap = a + coarser * math.ceil((raw[1] - a) / coarser) - raw[1]
+                            assert snap > room
+                            halved.append((packet.sigma_x0, t))
+                    if t > t_max:
+                        continue
+                    panels = model.tail_panels(t)
+                    widths = panels.his - panels.los
+                    inside = (panels.los >= -anchor) & (panels.his <= anchor)
+                    right = panels.los >= anchor
+                    base = np.where(inside, 2.0 * anchor,
+                                    np.where(right, transmitted, incident))
+                    assert rungs(widths, base) <= 1e-9
+        assert halved and all(width == 25.0 for width, _ in halved)
 
     @pytest.mark.parametrize("a", [20.0, 1e8, 1e300])
     def test_wide_barrier_lattice_stays_bounded(self, a):
@@ -857,20 +873,6 @@ class TestTunnelingPacketModel:
             assert all(math.frexp(abs(h) / base)[0] == 0.5 for base, h in kept)
         assert held <= 3 * 2 ** 20
 
-    @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
-    def test_transmitted_reads_match_a_tight_tail(self, spectral_models, t):
-        # Table reads inside the transmitted-pitch panels right of the
-        # barrier, at seeded x off the lattice edges, against the pointwise
-        # tail() at quad_rel 1e-14 (measured <= 1.2e-15).
-        spectrum, grid, _, tunnel = spectral_models
-        tight = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid,
-                                       tol=Tolerances(quad_rel=1e-14))
-        a = DEFAULT_BARRIER.half_width
-        xs = np.random.default_rng(24).uniform(a, tunnel.support_hint(t)[1], 24)
-        reads = tunnel.tails(xs, t)
-        for x, read in zip(xs.tolist(), reads):
-            assert abs(read - tight.tail(x, t)) <= 1e-12
-
     def test_tail_panels_cut_at_barrier_edges(self, spectral_models):
         _, _, _, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
@@ -883,7 +885,12 @@ class TestTunnelingPacketModel:
     def test_tails_match_pointwise_tail(self, spectral_models):
         # One table per time, read at each x: unsorted, duplicated, on the
         # barrier edges, and clamped below and above the support hint.
-        _, _, free_sp, tunnel = spectral_models
+        # Tunneling reads at seeded x right of the barrier, inside its
+        # transmitted-pitch panels, also match tail() at quad_rel 1e-14
+        # (measured <= 1.2e-15).
+        spectrum, grid, free_sp, tunnel = spectral_models
+        tight = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid,
+                                       tol=Tolerances(quad_rel=1e-14))
         a = DEFAULT_BARRIER.half_width
         xs = np.array([3.0, -200.0, a, 1.1, 1.1, -a, -8.558, 200.0])
         for model in (free_sp, tunnel):
@@ -892,6 +899,10 @@ class TestTunnelingPacketModel:
                 assert tails.shape == xs.shape and tails[-1] == 0.0
                 for x, tail in zip(xs, tails):
                     assert abs(tail - model.tail(float(x), t)) <= 1e-12
+                if model is tunnel:
+                    seeded = np.random.default_rng(24).uniform(a, tunnel.support_hint(t)[1], 24)
+                    for x, tail in zip(seeded.tolist(), tunnel.tails(seeded, t)):
+                        assert abs(tail - tight.tail(x, t)) <= 1e-12
             assert model.tails([], 5.0).shape == (0,)
 
     def test_tails_refuse_a_nan_position(self, spectral_models):
