@@ -92,6 +92,13 @@ class ConfigError(Exception):
     """Scenario configuration rejected before any numerics ran."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors (a bad value, subcommand or preset) raise ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message.replace("\n", "\\n"))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Flat scenario description; precedence preset < config file < flags."""
@@ -663,7 +670,7 @@ def cmd_verify(cfg: ScenarioConfig, inject_fault: str) -> tuple[list, list]:
 # argument parsing
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quantracer",
         description="Quantile trajectories for time-dependent densities")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -733,8 +740,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = resolve_config(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

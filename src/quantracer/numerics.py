@@ -94,9 +94,13 @@ def _chebyshev(xi):
     return np.cos(np.arccos(xi)[..., None] * _ORDERS)
 
 
-def _mass_above(c, half, T):
-    """Interpolant mass over [x, panel top] from _CHEB_MASS coefficients c."""
-    return half * np.einsum("ij,...ij->...i", c, 1.0 - T)
+def _in_panel(lo, hi, base, c, x):
+    """Mass right of x in x's panel [lo, hi] (x beyond an edge reads that
+    edge): base, the mass above hi, plus the mass of the degree-20
+    interpolant over [x, hi], c its _CHEB_MASS coefficients."""
+    half = 0.5 * (hi - lo)
+    T = _chebyshev(np.clip(1.0 - (hi - x) / half, -1.0, 1.0))
+    return base + half * np.einsum("ij,...ij->...i", c, 1.0 - T)
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,8 @@ class Panels:
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
         i = np.minimum(np.searchsorted(self.his, flat), self.his.size - 1)
-        lo, hi = self.los[i], self.his[i]     # x's panel: the first with top >= x
-        half = 0.5 * (hi - lo)
-        T = _chebyshev(np.clip(1.0 - (hi - flat) / half, -1.0, 1.0))
         c = np.einsum("ij,kj->ki", _CHEB_MASS, self.nodes[i])    # einsum: no batch rounding
-        mass = self.upper[i + 1] + _mass_above(c, half, T)
+        mass = _in_panel(self.los[i], self.his[i], self.upper[i + 1], c, flat)
         mass = np.where(flat <= self.los[0], self.upper[0], mass)
         return float(mass[0]) if xs.ndim == 0 else mass.reshape(xs.shape)
 
@@ -169,10 +170,22 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
     return np.union1d(edges, inner) if inner else edges
 
 
-def _refine(panel_f, partitions, tol):
-    """Per initial partition, the (los, his, values, node values) of the
-    retained panels of an adaptive GL7/15 quadrature, in ascending order,
-    and its running total, all refined in lockstep (see adaptive_panels)."""
+def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Adaptive GL7/15 quadratures that keep their panels, refined in lockstep.
+
+    Each of ``partitions`` is one table's initial partition, finite and
+    strictly increasing; ``panel_f(table, mid, half)`` returns the
+    integrand at mid + half * PANEL_NODES for a batch of panels of the
+    tables ``table``, shape (n, 22).  Every table keeps its panels in flat
+    arrays and, each round, bisects its panel with the largest GL15-GL7
+    gap (the earliest made on ties) until its summed gaps satisfy
+    max(quad_abs, quad_rel * |total|).  One panel_f call evaluates all
+    initial panels and round r the r-th bisection of every table still
+    refining, so each table has its one-table build's panels and bits if
+    panel_f gives each row the bits it has alone.  Returns one Panels per
+    partition, in order.  Raises NonConvergence once a table needs
+    _MAX_PANELS panels or bisects one narrower than 1e-14 of its range.
+    """
     parts = [np.asarray(edges, dtype=float) for edges in partitions]
     sizes = [edges.size - 1 for edges in parts]
     los, his = np.concatenate([e[:-1] for e in parts]), np.concatenate([e[1:] for e in parts])
@@ -226,31 +239,9 @@ def _refine(panel_f, partitions, tol):
     los, his, vals = data[:, order]
     nodes = np.concatenate(chunks)[rows[kept][order, None], _DISTINCT]
     cuts = [0, *itertools.accumulate(kept.sum(axis=1).tolist())]
-    return [(los[a:b], his[a:b], vals[a:b], nodes[a:b], state[0])
+    return [Panels(los[a:b], his[a:b], vals[a:b], nodes[a:b], state[0],
+                   np.append(np.cumsum(vals[a:b][::-1])[::-1], 0.0))
             for a, b, state in zip(cuts, cuts[1:], states)]
-
-
-def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Adaptive GL7/15 quadratures that keep their panels, refined in lockstep.
-
-    Each of ``partitions`` is one table's initial partition, finite and
-    strictly increasing; ``panel_f(table, mid, half)`` returns the
-    integrand at mid + half * PANEL_NODES for a batch of panels of the
-    tables ``table``, shape (n, 22).  Every table keeps its panels in flat
-    arrays and, each round, bisects its panel with the largest GL15-GL7
-    gap (the earliest made on ties) until its summed gaps satisfy
-    max(quad_abs, quad_rel * |total|).  One panel_f call evaluates all
-    initial panels and round r the r-th bisection of every table still
-    refining, so each table has its one-table build's panels and bits if
-    panel_f gives each row the bits it has alone.  Returns one Panels per
-    partition.  Raises NonConvergence once a table needs _MAX_PANELS panels
-    or bisects one narrower than 1e-14 of its range.
-    """
-    tables = []
-    for los, his, values, nodes, total in _refine(panel_f, partitions, tol):
-        upper = np.append(np.cumsum(values[::-1])[::-1], 0.0)
-        tables.append(Panels(los, his, values, nodes, total, upper))
-    return tables
 
 
 def integrate_adaptive(
@@ -272,8 +263,7 @@ def integrate_adaptive(
     InvalidRange for a non-finite bound and NonConvergence after
     _MAX_PANELS panels.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidRange(f"integration bounds must be finite, got [{a}, {b}]")
     if a > b:
@@ -282,7 +272,7 @@ def integrate_adaptive(
     if b == a:
         return 0.0
     edges = initial_edges(a, b, max(1, int(initial_panels)), points)
-    return _refine(_at_panel_nodes(f), [edges], tol)[0][-1]
+    return adaptive_panels(_at_panel_nodes(f), [edges], tol)[0].total
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +439,14 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Each pair solves in its bracketing panel, the last one whose lower edge
     tail is >= P: a chord across the cell of a _GRID_CELLS grid whose tails
     straddle P, then _NEWTON_ROUNDS Newton steps kept in the panel (the
-    interpolant of rho is minus the slope).  x is returned once Panels.tail
-    straddles P across x +- delta, delta = (root_abs + 4 eps |x|) / 2, the
-    tail taken as the panel's edge tail beyond it: Brent's stop rule,
-    certified.  The arithmetic is elementwise, so a pair has the same bits
-    alone or in any batch; a pair that fails the test is solved by
-    find_root_monotone on the panel.  Raises NoSignChange for a level not in
-    (0, mass of the table].
+    interpolant of rho is minus the slope).  x is returned once Panels.tail's
+    in-panel read (_in_panel) straddles P across x +- delta, delta =
+    (root_abs + 4 eps |x|) / 2, an end beyond the panel reading its edge:
+    Brent's stop rule, certified.  The arithmetic is elementwise, so a pair
+    has the same bits alone or in any batch (quantile_position solves one
+    block of tail_tables at a time); a pair that fails the test is solved
+    by find_root_monotone on the panel.  Raises NoSignChange for a level
+    not in (0, mass of the table].
     """
     levels = np.asarray(levels, dtype=float).ravel()
     if not tables or not levels.size:
@@ -486,8 +477,7 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             u = np.fmin(np.fmax(u - (top - sums[:, 0]) / sums[:, 1], 0.0), 2.0)
     x = hi - u * half
     ends = x + np.multiply.outer((-1.0, 1.0), 0.5 * tol.root_abs + (0.5 * _ROOT_REL) * np.abs(x))
-    T = _chebyshev(1.0 - (hi - np.fmin(np.fmax(ends, lo), hi)) / half)
-    f = (base + _mass_above(coeffs[:, :22], half, T)) - P      # Panels.tail's arithmetic
+    f = _in_panel(lo, hi, base, coeffs[:, :22], ends) - P      # Panels.tail's read
     for j in np.flatnonzero(~(((ends[0] <= lo) | (f[0] >= 0.0)) & (f[1] <= 0.0))).tolist():
         x[j] = find_root_monotone(lambda x: tables[j // levels.size].tail(x) - P[j],
                                   (lo[j], hi[j]), tol)

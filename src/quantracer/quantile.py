@@ -157,9 +157,9 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
     """Unique x with model.tail(x, t) = P: a float for a scalar P and t, else
     an array of shape t.shape + P.shape.
 
-    A spectral model builds one panel table per time, all from one
-    ``tail_tables`` call, and solves every (time, level) on them in one
-    invert_tables call; other models invert their own ``tail`` over the
+    A spectral model builds one panel table per time with ``tail_tables``
+    and solves each block of tables in one invert_tables call, holding one
+    block at a time; other models invert their own ``tail`` over the
     support hint, one root solve per (time, level).  Each position has the
     bits it has alone.  An empty P or t reads nothing and returns an empty
     array.  Raises InvalidRange for a level outside (0, 1) or NaN, and
@@ -180,7 +180,7 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
             raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
                              f"t = {s:.6g} is {norm:.12g}", t_end=s)
     if isinstance(model, SpectralPacketModel):
-        xs = invert_tables(list(model.tail_tables(ts)), levels, tol)
+        xs = np.concatenate([invert_tables(block, levels, tol) for block in model.tail_tables(ts)])
     else:
         xs = [[find_root_monotone(lambda x: model.tail(x, s) - p, hint, tol)
                for p in levels.ravel().tolist()]

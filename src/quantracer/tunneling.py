@@ -106,7 +106,7 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     are built once per call and the two u-kernels once per u-order reached,
     on that order's cached Gauss-Legendre rule; each time t applies them to
     the (n_k, len(xs)) psi_x columns and reads term3 at every x from free's
-    panel tables, on its lattice, all from one tail_tables call (_tails).
+    panel tables, on its lattice, all from one tails call.
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -160,9 +160,8 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     phases = np.exp(-1j * k * spectrum.x_bar - 1j * HBAR * k * k * ts[:, None] / (2.0 * mass))
     coeffs = grid.weights * spectrum.amplitude(k) * phases
     # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
-    # x to hint_hi: a table per t on the free reference's lattice, all
-    # from one tail_tables call.
-    term3s = free._tails(xs, ts, coeffs * kernel3)
+    # x to hint_hi: a table per t on the free reference's lattice.
+    term3s = free.tails(xs, ts, coeffs * kernel3)
     waves = np.exp(1j * np.outer(k, xs))     # the e^{ikx} columns, for every t
     out = np.empty((4, xs.size, ts.size))
     for j, (coeff, term3) in enumerate(zip(coeffs, term3s)):
@@ -258,8 +257,8 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     """Evaluate both routes over a grid, row-major with t varying fastest.
 
     Both routes run on the given pair under its tolerances, all x of a time
-    at once: the direct route reads both tails from one tail_tables call
-    per model (SpectralPacketModel._tails), and the decomposed route runs
+    at once: the direct route reads both tails from one tails call per
+    model, and the decomposed route runs
     on ``free`` with u-kernels built once per order for the whole call.
     delta_p_direct and tail() stay the pointwise checks.
     """
@@ -268,7 +267,7 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     xs = np.asarray(default_x if x_values is None else x_values, dtype=float)
     ts = np.asarray(default_t if t_values is None else t_values, dtype=float)
     term1, term2, term3, totals = _decomposed_terms(free, barrier, xs, ts, n_lambda).reshape(4, -1)
-    direct = (free._tails(xs, ts) - tunneling._tails(xs, ts)).T.ravel()
+    direct = (free.tails(xs, ts) - tunneling.tails(xs, ts)).T.ravel()
     c1, c2, c3 = _term_weights(barrier, tunneling.mass)
     rel = np.abs(direct - totals) / np.maximum(direct, _AGREEMENT_FLOOR)
     grid = tuple((x, t) for x in xs.tolist() for t in ts.tolist())

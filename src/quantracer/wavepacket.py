@@ -780,25 +780,20 @@ class SpectralPacketModel(PacketModel):
         psi, dpsi = self._fields(x, float(t))
         return _shaped(x, _density(psi)), _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
 
-    def interval_mass(self, x1, x2, t) -> float:
-        t, x1, x2 = float(t), float(x1), float(x2)
-        if math.isnan(x1) or math.isnan(x2):
+    def tail(self, x, t) -> float:
+        """Mass right of x by an adaptive quadrature of rho over [x, hint top] (x
+        clamped to the hint), the pointwise check independent of the tables."""
+        t, x = float(t), float(x)
+        if math.isnan(x):
             raise InvalidRange("tail position is NaN")
         lo, hi = self.support_hint(t)
-        a = min(max(x1, lo), hi)   # outside the hint rho is ~1e-12 small
-        b = min(max(x2, lo), hi)
-        if a == b:
-            return 0.0
+        a = min(max(x, lo), hi)
         # rho has a curvature jump at +-a that a GL15-GL7 gap across it
         # underestimates, so the barrier edges are panel edges; one panel
         # per (left) pitch, as the tables start left of the barrier.
-        n = min(512, max(8, math.ceil(abs(b - a) / self._pitch)))
-        return integrate_adaptive(lambda xs: self.rho(xs, t), a, b, self.tol,
+        n = min(512, max(8, math.ceil((hi - a) / self._pitch)))
+        return integrate_adaptive(lambda xs: self.rho(xs, t), a, hi, self.tol,
                                   initial_panels=n, points=self._cuts)
-
-    def tail(self, x, t) -> float:
-        t = float(t)
-        return self.interval_mass(x, self.support_hint(t)[1], t)
 
     def _lattice(self, t: float) -> np.ndarray:
         """Initial panel edges of the tables at time t, over the support hint.
@@ -860,28 +855,15 @@ class SpectralPacketModel(PacketModel):
                 return edges
             pitch *= 2.0
 
-    def tail_panels(self, t) -> Panels:
-        """Retained GL7/15 panels of rho over the support hint at time t.
-
-        The initial panels are the lattice of _lattice(t): the barrier
-        edges are panel edges, no panel crosses a region boundary, and
-        every initial panel and its bisection children have a width the
-        model keeps its panel waves for across times.  Error control as in
-        tail(), which keeps the pointwise kernel and starts at its own x,
-        so it stays an independent check of these panels.  It is the
-        one-time call of tail_tables, with the same bits.
-        """
-        return next(self.tail_tables([t]))
-
-    def tail_tables(self, ts, low=-math.inf, coeffs=None) -> Iterator[Panels]:
-        """tail_panels(t) for each t of ts, with the bits of its one-time build,
-        yielded in order from lockstep passes (adaptive_panels) over blocks of
-        _TABLE_BLOCK times, a block when its first table is read, after the
-        phase guard over each table.  With ``low`` each table starts at the
+    def tail_tables(self, ts, low=-math.inf, coeffs=None) -> Iterator[list[Panels]]:
+        """Panel tables of rho over the support hint, one per t of ts, on
+        the lattice of _lattice(t), yielded in blocks: lists of up to
+        _TABLE_BLOCK tables from one lockstep pass (adaptive_panels), each
+        built when it is read, after the phase guard, and each table with
+        its one-time build's bits.  With ``low`` a table starts at the
         lattice edge at or below it (the last panel at most); ``coeffs`` (a
         row per time) replaces the mode coefficients, on the free reference
-        only (see _tails): on a barrier model the first read raises
-        ValueError."""
+        only (see tails): on a barrier model the first read raises ValueError."""
         if coeffs is not None and self.barrier is not None:
             raise ValueError("plane-wave coefficients need the free reference")
         ts = np.asarray(ts, dtype=float).ravel()
@@ -894,32 +876,22 @@ class SpectralPacketModel(PacketModel):
             for t, edges in zip(block, parts):
                 self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
             rho = self._panel_rho(block, None if coeffs is None else coeffs[i:i + _TABLE_BLOCK])
-            yield from adaptive_panels(rho, parts, self.tol)
+            yield adaptive_panels(rho, parts, self.tol)
 
-    def tails(self, x, t) -> np.ndarray:
-        """tail(x_i, t) at every x from one retained panel table.
-
-        The table starts at the lattice edge at or below min x (each x
-        clamped to the hint, as in tail()) and all x are read in one
-        Panels.tail call, so no x is a panel edge.  Its error control is
-        that of the widest tail; tail() stays the pointwise independent
-        check.  A NaN x raises InvalidRange.
-        """
-        return self._tails(x, [t])[0]
-
-    def _tails(self, x, ts, coeffs=None) -> np.ndarray:
-        """tails(x, t) at every t of ts, shape (len(ts), *x.shape), one
-        Panels.tail read per table of one tail_tables call; with ``coeffs``
-        (one row per time) the same integrals of |sum_j coeffs_j e^{ik_j x}|^2
-        on the free reference's lattice (the delta-p decomposition's
-        transmitted excess)."""
+    def tails(self, x, t, coeffs=None) -> np.ndarray:
+        """Tails at every x and time of t, shape t.shape + x.shape: a table
+        per time from tail_tables(t, min x), read at all x in one
+        Panels.tail call, with the widest tail's error control (tail() is
+        the independent check).  With ``coeffs`` (a row per time) the same
+        integrals of |sum_j coeffs_j e^{ik_j x}|^2 on the free reference's
+        lattice (the delta-p transmitted excess).  A NaN x is an InvalidRange."""
         x = np.asarray(x, dtype=float)
         low = np.min(x, initial=math.inf)     # NaN if any x is NaN
         if math.isnan(low):
             raise InvalidRange("tail position is NaN")
-        reads = [table.tail(np.clip(x, table.los[0], table.his[-1]))
-                 for table in self.tail_tables(ts, low, coeffs)]
-        return np.reshape(reads, (len(reads),) + x.shape)
+        times = np.asarray(t, dtype=float)
+        reads = [table.tail(x) for block in self.tail_tables(times, low, coeffs) for table in block]
+        return np.reshape(reads, times.shape + x.shape)
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.

@@ -73,22 +73,22 @@ def checks_by_name(manifest):
     return {c["name"]: c for c in manifest["checks"]}
 
 
-# Per flag: a cheap valid value, then nan, inf, negative, zero and
-# oversized values.  Every oversized size (grid times, k-nodes, u-order) is
-# refused before allocating, and a run on the valid values spans t <= 1, so
-# no draw can launch a long run.
+# Per flag: a cheap valid value, then nan, inf, negative, zero, oversized
+# and unparsable values.  Every oversized size (grid times, k-nodes,
+# u-order) is refused before allocating, and a run on the valid values
+# spans t <= 1, so no draw can launch a long run.
 CONTRACT_FLAGS = {
-    "--t-max": ("1", "nan", "inf", "-inf", "-1", "0", "1e6", "1e300"),
-    "--t-step": ("0.5", "nan", "inf", "-0.5", "0", "1e-300"),
-    "--p-list": ("0.3", "nan", "inf", "-0.5", "0", "1", "1e300", "0.5,0.3", ""),
-    "--lambda": ("0.1", "nan", "inf", "-0.1", "0", "1e300"),
-    "--barrier-height": ("10", "nan", "inf", "-10", "0", "1e300"),
-    "--barrier-halfwidth": ("0.3", "nan", "inf", "-0.3", "0", "1e300"),
-    "--k-nodes": ("0", "-1", "63", str(MAX_K_NODES + 1), "1000000000"),
+    "--t-max": ("1", "nan", "inf", "-inf", "-1", "0", "1e6", "1e300", "abc"),
+    "--t-step": ("0.5", "nan", "inf", "-0.5", "0", "1e-300", "abc"),
+    "--p-list": ("0.3", "nan", "inf", "-0.5", "0", "1", "1e300", "0.5,0.3", "", "abc"),
+    "--lambda": ("0.1", "nan", "inf", "-0.1", "0", "1e300", "abc"),
+    "--barrier-height": ("10", "nan", "inf", "-10", "0", "1e300", "abc"),
+    "--barrier-halfwidth": ("0.3", "nan", "inf", "-0.3", "0", "1e300", "abc"),
+    "--k-nodes": ("0", "-1", "63", str(MAX_K_NODES + 1), "1000000000", "1.5"),
 }
 CONTRACT_EXTRA = {
-    "tunnel": {"--snapshot-times": ("0", "nan", "inf", "-1")},
-    "delta-p": {"--n-lambda": ("32", "-5", "0", "15", "513", "1000000000")},
+    "tunnel": {"--snapshot-times": ("0", "nan", "inf", "-1", "abc")},
+    "delta-p": {"--n-lambda": ("32", "-5", "0", "15", "513", "1000000000", "1.5")},
 }
 
 
@@ -119,8 +119,10 @@ PACKET_KEYS = ("sigma_x0", "mass", *cli.TOLERANCE_KEYS)
 COMMAND_KEYS = {
     "free": PACKET_KEYS + ("x_bar", "v_bar"),
     "dissipative": PACKET_KEYS + ("x_bar", "v_bar"),
+    "tunnel": PACKET_KEYS + ("x_bar", "v_bar"),
     "delta-p": PACKET_KEYS + ("x_bar", "v_bar", "delta_x", "delta_t"),
     "sphere3d": PACKET_KEYS + ("radius", "center", "velocity"),
+    "verify": PACKET_KEYS + ("x_bar", "v_bar"),
 }
 EDGE_FLOATS = (0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-200, 1e-160, 1e160, 1e200,
                1e300, math.inf, -math.inf, math.nan)
@@ -134,8 +136,9 @@ def config_float(preset):
 
 @st.composite
 def config_file_case(draw):
-    """A cheap command and one to three of the config-only keys it reads,
-    each with its preset or drawn values (one to three for a tuple key)."""
+    """A command (verify runs --quick) and one to three of the config-only
+    keys it reads, each with its preset or drawn values (one to three for a
+    tuple key)."""
     command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
     keys = draw(st.sets(st.sampled_from(COMMAND_KEYS[command]), min_size=1, max_size=3))
     values = {}
@@ -282,6 +285,27 @@ class TestConfigResolution:
         assert err.count("\n") == 1 and "must be finite" in err
 
     @pytest.mark.parametrize("argv, words", [
+        (("free", "--t-max", "abc"), "argument --t-max: invalid float value: 'abc'"),
+        (("free", "--preset", "nope"), "argument --preset: invalid choice: 'nope'"),
+        (("free", "--k-nodes", "1.5"), "argument --k-nodes: invalid int value: '1.5'"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+        ((), "the following arguments are required: command"),
+        (("free", "--bogus", "x\ny"), "unrecognized arguments: --bogus x\\ny"),
+    ])
+    def test_unparsable_flags_exit_2_in_one_line(self, tmp_path, capsys, argv, words):
+        # argparse printed its usage and an error line, then raised SystemExit.
+        assert run_cli(tmp_path, *argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert err.startswith(f"configuration error: {words}")
+        assert not any(tmp_path.iterdir())
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["free", "--help"])
+        assert exc.value.code == 0 and "--t-max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, words", [
         (("sphere3d", "--preset", "fig3", "--t-max", "1e9"), "grid times"),
         (("free", "--t-max", "1e6", "--t-step", "1"), "grid times"),
         (("tunnel", "--t-max", "1e5"), "wave-number nodes"),
@@ -302,6 +326,8 @@ class TestConfigResolution:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=contract_argv())
+    @example(argv=["bogus", "--t-max=1"])
+    @example(argv=["free", "--preset=nope", "--t-max=1"])
     def test_any_flag_config_ends_in_a_contract_exit(self, tmp_path, capsys, argv):
         code = run_cli(tmp_path, *argv, "--out=run.csv")
         out, err = capsys.readouterr()
@@ -326,7 +352,8 @@ class TestConfigResolution:
         conf.write_text("".join(f"{key} = {' '.join(map(repr, v))}\n"
                                 for key, v in values.items()), encoding="utf-8")
         code = run_cli(tmp_path, command, "--config", str(conf), "--t-max", "1",
-                       "--t-step", "0.5", "--p-list", "0.5", "--out=run.csv")
+                       "--t-step", "0.5", "--p-list", "0.5", "--out=run.csv",
+                       *["--quick"] * (command == "verify"))
         out, err = capsys.readouterr()
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in out + err

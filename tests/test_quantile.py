@@ -55,6 +55,12 @@ def closed_form_velocity(params, P, t):
     return params.v_bar + params.sigma_v ** 2 * t * (x0 - params.x_bar) / (sig * params.sigma_x0)
 
 
+def table_at(model, t):
+    """The panel table tail_tables builds for the one time t."""
+    (block,) = model.tail_tables([t])
+    return block[0]
+
+
 def bracketing_panel(panels, P):
     """Edges of the last panel whose lower-edge tail is still >= P."""
     i = panels.upper.size - 1 - np.searchsorted(panels.upper[::-1], P)
@@ -177,7 +183,7 @@ class TestQuantilePosition:
         # The batched table solve keeps Brent's stop rule as a certificate
         # and lands within root_abs of brentq on the bracketing panel.
         model = tunnel_models[which]
-        panels = model.tail_panels(t)
+        panels = table_at(model, t)
         x = quantile_position(model, P, t)
         assert_certified(panels, P, x)
         lo, hi = bracketing_panel(panels, P)
@@ -228,7 +234,7 @@ class TestQuantilePosition:
         # At an edge the probe reads the panel below at its top; just above
         # it, the panel above integrates its whole interpolant.
         for model in tunnel_models:
-            panels = model.tail_panels(t)
+            panels = table_at(model, t)
             bound = 1e-15 * model.norm(t)
             for i, edge in enumerate(np.append(panels.los, panels.his[-1])):
                 assert abs(panels.tail(float(edge)) - panels.upper[i]) <= bound
@@ -246,7 +252,7 @@ class TestQuantilePosition:
         for model in tunnel_models:
             reference = SpectralPacketModel(model.spectrum, model.grid,
                                             model.barrier, tol=tight)
-            panels = model.tail_panels(t)
+            panels = table_at(model, t)
             lo, hi = model.support_hint(t)
             xs = np.concatenate([rng.uniform(lo, hi, 6),
                                  rng.normal(model.spectrum.x_bar + 2.0 * t,
@@ -337,7 +343,7 @@ class TestTableSolve:
         xs = quantile_position(model, levels, times)
         assert xs.shape == (len(times), len(levels))
         for t, row in zip(times, xs.tolist()):
-            panels = model.tail_panels(t)
+            panels = table_at(model, t)
             for P, x in zip(levels, row):
                 assert_certified(panels, P, x)
                 lo, hi = bracketing_panel(panels, P)
@@ -349,7 +355,7 @@ class TestTableSolve:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_level_at_an_edge_tail_returns_that_edge(self, tunnel_models, which):
-        panels = tunnel_models[which].tail_panels(5.0)
+        panels = table_at(tunnel_models[which], 5.0)
         # The first panel's edge, an inner one, and the last panel's.
         picks = [0, panels.los.size // 2, panels.los.size - 1]
         xs = invert_tables([panels], panels.upper[picks])[0]
@@ -359,7 +365,7 @@ class TestTableSolve:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_first_and_last_panels(self, tunnel_models, which):
-        panels = tunnel_models[which].tail_panels(10.0)
+        panels = table_at(tunnel_models[which], 10.0)
         levels = [0.5 * (panels.upper[0] + panels.upper[1]),
                   0.5 * panels.upper[-2], panels.upper[-2] * 1e-3]
         xs = invert_tables([panels], levels)[0]
@@ -376,7 +382,7 @@ class TestTableSolve:
         # jump there.  With a planted jump, a level inside it solves where
         # brentq does, certified in its bracketing panel: at the edge when
         # the jump is down, where the panel below crosses it when up.
-        panels = tunnel_models[1].tail_panels(5.0)
+        panels = table_at(tunnel_models[1], 5.0)
         i = panels.los.size // 2
         panels = replace(panels, upper=np.concatenate([panels.upper[:i + 1] - jump,
                                                        panels.upper[i + 1:]]))
@@ -395,7 +401,7 @@ class TestTableSolve:
 
     def test_level_above_the_table_raises_no_sign_change(self, tunnel_models):
         _, tunnel = tunnel_models
-        panels = tunnel.tail_panels(5.0)
+        panels = table_at(tunnel, 5.0)
         P = float(np.nextafter(panels.upper[0], 1.0))
         with pytest.raises(NoSignChange):
             invert_tables([panels], [0.3, P])
@@ -405,7 +411,7 @@ class TestTableSolve:
             invert_tables([panels], [0.0])
 
     def test_no_table_or_no_level_solves_nothing(self, tunnel_models):
-        panels = tunnel_models[0].tail_panels(1.0)
+        panels = table_at(tunnel_models[0], 1.0)
         assert invert_tables([], [0.3]).shape == (0, 1)
         assert invert_tables([panels] * 2, []).shape == (2, 0)
 

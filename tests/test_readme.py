@@ -1,0 +1,20 @@
+"""The README's Library example runs as documented."""
+
+import re
+from pathlib import Path
+
+from quantracer import DEFAULT_BARRIER
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs(capsys):
+    # The first python block of README.md, run as a script: a public
+    # rename that leaves it calling a removed name fails here.
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block.group(1), str(README), "exec"), {"__name__": "readme"})
+    trajectory, report = capsys.readouterr().out.splitlines()
+    position, kind = trajectory.split()
+    # P = 0.3 lies above the 0.0216 transmitted fraction: it reflects.
+    assert float(position) < -DEFAULT_BARRIER.half_width and kind == "completed"
+    assert report == "True True"

@@ -24,6 +24,7 @@ from quantracer.numerics import (
     integrate_adaptive,
     nodes_for_phase,
 )
+from quantracer.quantile import quantile_position
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
@@ -56,6 +57,12 @@ def spectral_models():
     free = spectral_free_model(spectrum, grid)
     tunnel = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
     return spectrum, grid, free, tunnel
+
+
+def table_at(model, t):
+    """The panel table tail_tables builds for the one time t."""
+    (block,) = model.tail_tables([t])
+    return block[0]
 
 
 def panel_rho(model, t, mids, halves):
@@ -798,7 +805,7 @@ class TestTunnelingPacketModel:
                             halved.append((packet.sigma_x0, t))
                     if t > t_max:
                         continue
-                    panels = model.tail_panels(t)
+                    panels = table_at(model, t)
                     widths = panels.his - panels.los
                     inside = (panels.los >= -anchor) & (panels.his <= anchor)
                     right = panels.los >= anchor
@@ -830,17 +837,17 @@ class TestTunnelingPacketModel:
     def test_tails_with_coefficients_need_the_free_reference(self, spectral_models):
         _, grid, free_sp, tunnel = spectral_models
         coeffs = free_sp._coeffs(2.0)
-        assert np.array_equal(free_sp._tails([0.5, 3.0], [2.0], coeffs)[0],
+        assert np.array_equal(free_sp.tails([0.5, 3.0], [2.0], coeffs)[0],
                               free_sp.tails([0.5, 3.0], 2.0))
         with pytest.raises(ValueError):
-            tunnel._tails([0.5], [2.0], coeffs)
+            tunnel.tails([0.5], [2.0], coeffs)
 
     def test_tail_tables_with_coefficients_need_the_free_reference(self, spectral_models):
         # Plane-wave coefficients on a barrier model would build a table of
         # no meaning, with or without a lowest read position.
         _, _, free_sp, tunnel = spectral_models
         coeffs = np.ones((1, free_sp.grid.size), dtype=complex)
-        assert next(free_sp.tail_tables([2.0], coeffs=coeffs)).total > 0.0
+        assert next(free_sp.tail_tables([2.0], coeffs=coeffs))[0].total > 0.0
         for low in (-math.inf, 0.5):
             with pytest.raises(ValueError, match="free reference"):
                 next(tunnel.tail_tables([2.0], low, coeffs))
@@ -862,7 +869,7 @@ class TestTunnelingPacketModel:
             before = tracemalloc.get_traced_memory()[0]
             for model in models:
                 for t in np.arange(0.0, 10.25, 0.5):
-                    model.tail_panels(t)
+                    table_at(model, t)
                 model.tails(xs, 7.25)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -877,7 +884,7 @@ class TestTunnelingPacketModel:
         _, _, _, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
         for t in (0.0, 10.0):
-            panels = tunnel.tail_panels(t)
+            panels = table_at(tunnel, t)
             assert (panels.los[0], panels.his[-1]) == tunnel.support_hint(t)
             assert np.array_equal(panels.los[1:], panels.his[:-1])
             assert -a in panels.los and a in panels.los
@@ -932,7 +939,7 @@ class TestTunnelingPacketModel:
         # OverflowError or a NaN-to-int ValueError.
         _, _, free_sp, tunnel = spectral_models
         for call in (lambda m: m.tail(1.0, t), lambda m: m.tails([1.0], t),
-                     lambda m: m.tail_panels(t)):
+                     lambda m: table_at(m, t)):
             for model in (free_sp, tunnel):
                 with pytest.raises(InvalidRange, match="finite") as exc:
                     call(model)
@@ -1041,7 +1048,8 @@ class TestBatchedTables:
     @given(ts=TIME_SETS, which=st.sampled_from([2, 3]))
     def test_batched_tables_equal_one_time_builds(self, spectral_models, ts, which):
         model = spectral_models[which]
-        assert_same_tables(model.tail_tables(ts), [model.tail_panels(t) for t in ts])
+        assert_same_tables(itertools.chain(*model.tail_tables(ts)),
+                           [table_at(model, t) for t in ts])
 
     @settings(max_examples=8, deadline=None)
     @given(ts=TIME_SETS)
@@ -1052,9 +1060,9 @@ class TestBatchedTables:
         ts = np.array(ts)
         coeffs = free_sp._coeffs(ts) * np.exp(0.7j * grid.nodes)
         xs = np.array([0.5, 1.7, 4.45])
-        batched = free_sp._tails(xs, ts, coeffs)
+        batched = free_sp.tails(xs, ts, coeffs)
         for i, t in enumerate(ts.tolist()):
-            assert np.array_equal(batched[i], free_sp._tails(xs, [t], coeffs[i:i + 1])[0])
+            assert np.array_equal(batched[i], free_sp.tails(xs, [t], coeffs[i:i + 1])[0])
 
     def test_batched_tables_on_the_largest_grid(self):
         # 4096 wave numbers, the CLI's largest grid: a row chunk holds 4
@@ -1068,7 +1076,8 @@ class TestBatchedTables:
         ts = [0.0, 2.5, 5.5, 10.0]
         for model in (spectral_free_model(spectrum, grid),
                       tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
-            assert_same_tables(model.tail_tables(ts), [model.tail_panels(t) for t in ts])
+            assert_same_tables(itertools.chain(*model.tail_tables(ts)),
+                               [table_at(model, t) for t in ts])
 
     def test_rows_keep_their_bits_in_any_batch(self, spectral_models):
         # The panel kernel on rows of three times: each row alone, in its
@@ -1107,40 +1116,47 @@ class TestBatchedTables:
             return build(panel_f, partitions, *args)
         monkeypatch.setattr(wavepacket, "_TABLE_BLOCK", 3)
         monkeypatch.setattr(wavepacket, "adaptive_panels", counted)
-        tables = tunnel.tail_tables(ts)
-        first = next(tables)
-        assert builds == [3]
-        assert_same_tables([first, *tables], [tunnel.tail_panels(t) for t in ts])
+        blocks = tunnel.tail_tables(ts)
+        first = next(blocks)
+        assert builds == [3] and len(first) == 3
+        assert_same_tables(itertools.chain(first, *blocks), [table_at(tunnel, t) for t in ts])
         assert builds[:3] == [3, 3, 2]
 
     def test_batched_build_memory_does_not_grow_with_times(self, monkeypatch):
-        # Tables of the fig2 tunneling model read one by one and dropped.
+        # Tables of the fig2 tunneling model read block by block and dropped.
         # Measured here: 2.8 MiB at 101 times (5351 panels, at most 71 a
         # table) and at 1001 times, 2.2 MiB with _FIELD_ENTRIES / 8: the
         # heaps and node values of one block of _TABLE_BLOCK tables (~1.2
         # KiB a panel) and row chunks of a quarter of _FIELD_ENTRIES complex
-        # entries.  One pass over all 101 times peaked at 7 MiB.
+        # entries.  One pass over all 101 times peaked at 7 MiB.  Inversions
+        # solve a block at a time too: quantile_position peaked at 2.95,
+        # 5.20 and 17.3 MiB at 101, 401 and 1601 times while it held every
+        # table of its call.
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
 
-        def peak(model, n):
+        def peak(read, n):
             ts = np.linspace(0.0, 10.0, n)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                for _ in model.tail_tables(ts):
-                    pass
+                read(ts)
                 return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
 
+        def build(ts):
+            for _ in model.tail_tables(ts):
+                pass
+
         for entries in (wavepacket._FIELD_ENTRIES // 8, wavepacket._FIELD_ENTRIES):
             monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", entries)
             model = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
-            for _ in model.tail_tables(np.linspace(0.0, 10.0, 33)):
-                pass                              # kept waves in place
-            small = peak(model, 101)
+            build(np.linspace(0.0, 10.0, 33))     # kept waves in place
+            small = peak(build, 101)
             assert small <= 4 * 16 * entries + wavepacket._TABLE_BLOCK * 80 * 1536
-        assert peak(model, 301) <= small + (1 << 18)
+        assert peak(build, 301) <= small + (1 << 18)
+        invert = lambda ts: quantile_position(model, [0.3], ts)
+        assert peak(invert, 1601) <= 1.25 * peak(invert, 101)
 
 
 class TestGaussian3DModel:
