@@ -60,8 +60,8 @@ UNIT_COMMENT = ("# units: hbar = m = 1; positions in hbar/sqrt(eV*m), "
 # Size limits checked before anything is allocated: the time grid, the
 # Gauss-Legendre k-grid (leggauss builds an n x n companion matrix; 4096
 # nodes take about 6 s and 0.3 GB, the auto count reaches it near t_max =
-# 140 for the stock packet) and the first u-order of the thickness
-# quadrature (its kernels are n x k-nodes; the order stops doubling at 512).
+# 140 for the stock packet) and the node count of the thickness
+# quadrature (its two kernels are n x k-nodes each).
 MAX_TIME_POINTS = 100_000
 MAX_K_NODES = 4096
 MAX_LAMBDA_NODES = 512
@@ -96,7 +96,7 @@ class _Parser(argparse.ArgumentParser):
     """A parser whose errors (a bad value, subcommand or preset) raise ConfigError."""
 
     def error(self, message):
-        raise ConfigError(message.replace("\n", "\\n"))
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -739,13 +739,19 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
+def _fail(message: str, code: int) -> int:
+    """Print message as one stderr line (a newline in a path or value is
+    escaped) and return the exit code."""
+    print(message.replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = resolve_config(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"configuration error: {exc}", 2)
     command = {
         "free": lambda: cmd_trajectories(cfg, "free"),
         "dissipative": lambda: cmd_trajectories(cfg, "dissipative"),
@@ -761,30 +767,25 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             tables, checks = command()
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"configuration error: {exc}", 2)
     except QuantracerError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 3
+        return _fail(f"numerical failure: {type(exc).__name__}: {exc}", 3)
     # A run that ends in exit 2 or 3 writes nothing: every output path is
     # checked before the first write.
     out = Path(cfg.out or DEFAULT_OUT[args.command])
     paths = [out.parent / (out.stem + suffix + out.suffix) for suffix, _, _ in tables]
     for path in paths + [_manifest_path(path) for path in paths]:
         if path.is_dir() or not path.parent.is_dir():
-            print(f"configuration error: cannot write {path}: it is a directory "
-                  "or its directory is missing", file=sys.stderr)
-            return 2
+            return _fail(f"configuration error: cannot write {path}: it is a "
+                         "directory or its directory is missing", 2)
     for path, (suffix, header, rows) in zip(paths, tables):
         try:
             write_csv(path, header, rows)
             write_manifest(path, args.command, cfg, checks,
                            time.perf_counter() - started)
         except OSError as exc:   # a read-only file or directory, a full disk, ...
-            print(f"configuration error: cannot write {path}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
+            return _fail(f"configuration error: cannot write {path}: "
+                         f"{exc.strerror or exc}", 2)
         if args.command != "verify":
             print(f"wrote {len(rows)} {(suffix[1:] + ' rows').lstrip()} to {path}")
     failed = [name for name, passed, _ in checks if not passed]

@@ -10,6 +10,7 @@ agreement is the main internal consistency check of the library.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -378,25 +379,14 @@ def sphere_seeds(center, radius: float) -> np.ndarray:
     if not (0.0 < radius < math.inf and np.isfinite(center).all()):
         raise InvalidRange(f"need a finite center and a finite positive radius, "
                            f"got radius {radius}")
-    dirs = []
-    for i in range(3):
-        for s in (1.0, -1.0):
-            d = np.zeros(3)
-            d[i] = s
-            dirs.append(d)
-    for i in range(3):
-        j = (i + 1) % 3
-        for si in (1.0, -1.0):
-            for sj in (1.0, -1.0):
-                d = np.zeros(3)
-                d[i] = si
-                d[j] = sj
-                dirs.append(d / math.sqrt(2.0))
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            for sz in (1.0, -1.0):
-                dirs.append(np.array([sx, sy, sz]) / math.sqrt(3.0))
-    return center + radius * np.array(dirs)
+    signs = (1.0, -1.0)
+    eye = np.eye(3)
+    axial = [s * eye[i] for i in range(3) for s in signs]
+    edge = [(si * eye[i] + sj * eye[(i + 1) % 3]) / math.sqrt(2.0)
+            for i in range(3) for si, sj in itertools.product(signs, repeat=2)]
+    corner = [np.array(s) / math.sqrt(3.0) for s in itertools.product(signs, repeat=3)]
+    # + 0.0 turns the -0.0 zeros of negative signs into +0.0
+    return center + radius * (np.array(axial + edge + corner) + 0.0)
 
 
 def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,

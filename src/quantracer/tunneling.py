@@ -102,11 +102,14 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     """term1, term2, term3 and the weighted total, shape (4, len(xs), len(ts)).
 
     The route reads spectrum, grid, mass and tolerances from ``free``, the
-    pair's spectral free model.  The barrier coefficients and the term3 kernel
-    are built once per call and the two u-kernels once per u-order reached,
-    on that order's cached Gauss-Legendre rule; each time t applies them to
-    the (n_k, len(xs)) psi_x columns and reads term3 at every x from free's
-    panel tables, on its lattice, all from one tails call.
+    pair's spectral free model.  The barrier coefficients, the term3 kernel
+    and the two u-kernels are built once per call, the latter on the
+    n_lambda-node Gauss-Legendre rule: the u-integrands are sums of
+    e^{2iau(k +- gamma)}, entire in u, so a fixed rule converges on them
+    geometrically.  Each time t applies both u-kernels to each x's psi row,
+    one matrix-vector product per x, so a point has the bits of its lone
+    call, and reads term3 at every x from free's panel tables, on its
+    lattice, all from one tails call.
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -124,36 +127,17 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     # term3 kernel is the u = 1 value of the term2 kernel
     kernel3 = (np.exp(2j * a * (k + gamma))
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
-    kernels: dict = {}
-
-    def u_terms(n: int, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if n not in kernels:
-            u, wu = _gauss_rule(0.0, 1.0, n)
-            ekm = np.outer(u, k - gamma)
-            ekp = np.outer(u, k + gamma)
-            for e in (ekm, ekp):
-                e *= 2j * a
-                np.exp(e, out=e)
-            # exp(2iauk) sin(2au gamma) written via exponentials so the
-            # under-barrier branch is the matching sinh, not a branch cut:
-            # it is (ekp - ekm) / 2i exactly.
-            kernel2 = ekp - ekm
-            kernel2 /= 2j * denom
-            # kernel1 = ((k + gamma) ekm - (k - gamma) ekp) / denom, in place
-            ekm *= k + gamma
-            ekp *= k - gamma
-            ekm -= ekp
-            ekm /= denom
-            kernels[n] = (wu, ekm, kernel2)
-        wu, kernel1, kernel2 = kernels[n]
-        i1 = kernel1 @ psi
-        i2 = kernel2 @ psi
-        return (wu @ (i1.real ** 2 + i1.imag ** 2),
-                wu @ (i2.real ** 2 + i2.imag ** 2))
-
+    u, wu = _gauss_rule(0.0, 1.0, int(n_lambda))
+    ekm = np.exp(2j * a * np.outer(u, k - gamma))
+    ekp = np.exp(2j * a * np.outer(u, k + gamma))
+    # (kernel1, kernel2) by (u, k).  kernel2 = exp(2iauk) sin(2au gamma) / D
+    # is written via exponentials so the under-barrier branch is the
+    # matching sinh, not a branch cut.
+    kernels = np.stack([((k + gamma) * ekm - (k - gamma) * ekp) / denom,
+                        (ekp - ekm) / (2j * denom)])
     x_far = float(np.max(np.abs(xs), initial=0.0))
     for t in ts.tolist():
-        # The psi_x columns reach x_far and term3 the top of the hint.
+        # The psi_x rows reach x_far and term3 the top of the hint.
         free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
     # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
     # split into x'-independent coefficients (a row per t) and exp(i k x').
@@ -162,26 +146,12 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
     # x to hint_hi: a table per t on the free reference's lattice.
     term3s = free.tails(xs, ts, coeffs * kernel3)
-    waves = np.exp(1j * np.outer(k, xs))     # the e^{ikx} columns, for every t
+    waves = np.exp(1j * np.outer(xs, k))     # the e^{ikx} rows, for every t
     out = np.empty((4, xs.size, ts.size))
     for j, (coeff, term3) in enumerate(zip(coeffs, term3s)):
-        # Per x, the u-quadrature starts at n_lambda Gauss-Legendre nodes
-        # and doubles until that x's total moves by less than 0.1%.
-        psi = coeff[:, None] * waves
-        n = int(n_lambda)
-        t1, t2 = u_terms(n, psi)
-        total = c1 * t1 + c2 * t2 + c3 * term3
-        todo = np.arange(xs.size)
-        while n < 512 and todo.size:
-            n *= 2
-            r1, r2 = u_terms(n, psi[:, todo])
-            refined = c1 * r1 + c2 * r2 + c3 * term3[todo]
-            moved = np.abs(refined - total[todo])
-            converged = moved <= 1e-3 * np.maximum(np.abs(refined),
-                                                   np.abs(total[todo]))
-            t1[todo], t2[todo], total[todo] = r1, r2, refined
-            todo = todo[~converged]
-        out[:, :, j] = t1, t2, term3, total
+        sums = (kernels[:, None] @ (waves * coeff)[:, :, None])[..., 0]
+        t1, t2 = np.einsum("u,cxu->cx", wu, sums.real ** 2 + sums.imag ** 2)
+        out[:, :, j] = t1, t2, term3, c1 * t1 + c2 * t2 + c3 * term3
     return out
 
 
@@ -195,10 +165,9 @@ def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
     of squared k-sums against a barrier scaled to half-width u*a; term3
     integrates a squared transmitted-excess density over positions beyond
     x.  Each is nonnegative as computed, so the weighted total certifies
-    delta_p >= 0.  The u-quadrature starts at n_lambda Gauss-Legendre
-    nodes and doubles until the total moves by less than 0.1%.  This is
-    the one-point call of the kernel delta_p_report runs per time, on a
-    free model built here from spectrum, grid, mass and tol.
+    delta_p >= 0.  The u-quadrature is the n_lambda-node Gauss-Legendre
+    rule.  This is the one-point call of the kernel delta_p_report runs
+    per time, on a free model built here from spectrum, grid, mass and tol.
     """
     free = spectral_free_model(spectrum, grid, mass=mass, tol=tol)
     terms = _decomposed_terms(free, barrier, [x], [t], n_lambda)
@@ -258,8 +227,8 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
 
     Both routes run on the given pair under its tolerances, all x of a time
     at once: the direct route reads both tails from one tails call per
-    model, and the decomposed route runs
-    on ``free`` with u-kernels built once per order for the whole call.
+    model, and the decomposed route runs on ``free`` with u-kernels built
+    once, on the n_lambda-node rule, for the whole call.
     delta_p_direct and tail() stay the pointwise checks.
     """
     barrier = _pair_barrier(free, tunneling)

@@ -392,9 +392,10 @@ def _region_fields(region: int, x, t: float, waves):
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, a 2-d ``a`` row by row: a BLAS product's rows change their bits
-    with its row count (OpenBLAS 0.3.31, 2 threads), a vector product's not."""
-    return a @ b if a.ndim == 1 else np.array([row @ b for row in a])
+    """a @ b, a 2-d ``a`` row by row, as one stacked product of (1, K) rows:
+    a BLAS matrix product's rows change their bits with its row count
+    (OpenBLAS 0.3.31, 2 threads), a vector product's not."""
+    return a @ b if a.ndim == 1 else (a[:, None] @ b)[:, 0]
 
 
 def _mode_sums(x, t: float, waves, half_width):

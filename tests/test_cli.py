@@ -398,6 +398,17 @@ class TestConfigResolution:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
         assert not any((tmp_path / "d").iterdir())
 
+    @pytest.mark.parametrize("flag, name", [("--config", "no\nfile"),
+                                            ("--out", "a\nb/x.csv")])
+    def test_a_path_with_a_newline_fails_in_one_line(self, tmp_path, capsys,
+                                                     flag, name):
+        # A missing config file and an --out in a missing directory.
+        code = run_cli(tmp_path, "free", "--p-list", "0.5", "--t-max", "1",
+                       flag, str(tmp_path / name))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+
     def test_small_n_lambda_rejected(self):
         with pytest.raises(Exception):
             validate_config(ScenarioConfig(n_lambda=8))

@@ -705,6 +705,21 @@ class TestSphereSeeds:
         assert np.allclose(seeds.mean(axis=0), [1.0, -2.0, 0.5], atol=1e-14)
         assert len({tuple(np.round(s, 12)) for s in seeds}) == 26
 
+    @pytest.mark.parametrize("center", [(1.0, -2.0, 0.5), (-0.0, 1.5, -0.0)])
+    def test_points_in_order(self, center):
+        # The sphere3d CSV's seed_id is this order.  Zeros of the directions
+        # are +0.0, so a -0.0 centre component reads +0.0 on every seed.
+        signs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                 (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
+                 (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1),
+                 (1, 0, 1), (-1, 0, 1), (1, 0, -1), (-1, 0, -1),
+                 (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+                 (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)]
+        radius = 3.0
+        expected = np.array([[c + radius * (s / math.sqrt(sum(map(abs, d))))
+                              for c, s in zip(center, d)] for d in signs])
+        assert sphere_seeds(center, radius).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("center, radius", [
         ((0.0, 0.0, 0.0), math.nan), ((0.0, 0.0, 0.0), math.inf),
         ((0.0, 0.0, 0.0), 0.0), ((0.0, math.nan, 0.0), 1.0), ((math.inf, 0.0, 0.0), 1.0),

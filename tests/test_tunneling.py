@@ -133,6 +133,37 @@ class TestDeltaPDecomposed:
                                   n_lambda=64)
         assert abs(coarse.total - fine.total) <= 1e-9 * abs(fine.total)
 
+    @pytest.mark.parametrize("height, half_width", [
+        (10.0, 0.3), (5.0, 0.5), (20.0, 1.0), (10.0, 2.0), (40.0, 3.0)])
+    def test_default_rule_is_converged(self, fig2, height, half_width):
+        # The u-integrands are entire in u: the default 32-node rule sits
+        # within 1e-10 of a 512-node one, also on thick barriers.
+        _, _, free, _ = fig2
+        barrier = BarrierSpec(height=height, half_width=half_width)
+        xs, ts = np.linspace(half_width + 0.2, half_width + 5.0, 12), [0.0, 3.0, 6.0, 10.0]
+        default = tunneling._decomposed_terms(free, barrier, xs, ts, 32)[3]
+        reference = tunneling._decomposed_terms(free, barrier, xs, ts, 512)[3]
+        assert np.max(np.abs(default - reference)) <= 1e-10
+
+    @pytest.mark.parametrize("n_lambda", [16, 32, 100])
+    def test_one_u_rule_per_call(self, fig2, monkeypatch, n_lambda):
+        _, _, free, _ = fig2
+        rules = []
+        gauss_rule = tunneling._gauss_rule
+        monkeypatch.setattr(tunneling, "_gauss_rule", lambda *args: rules.append(args)
+                            or gauss_rule(*args))
+        tunneling._decomposed_terms(free, DEFAULT_BARRIER, [0.5, 1.0, 4.0],
+                                    [0.0, 2.0, 6.0], n_lambda)
+        assert rules == [(0.0, 1.0, n_lambda)]
+
+    def test_a_point_has_the_bits_of_its_lone_call(self, fig2):
+        _, _, free, _ = fig2
+        xs, ts = np.linspace(0.5, 5.3, 61), [2.0, 6.0]
+        batch = tunneling._decomposed_terms(free, DEFAULT_BARRIER, xs, ts, 32)
+        for i in (0, 17, 42, 60):
+            alone = tunneling._decomposed_terms(free, DEFAULT_BARRIER, [xs[i]], ts, 32)
+            assert np.array_equal(batch[:, i], alone[:, 0])
+
     def test_rejects_small_n_lambda(self, fig2):
         spectrum, grid, _, _ = fig2
         with pytest.raises(InvalidRange):
@@ -254,7 +285,7 @@ class TestDeltaPReport:
 
     def test_memory_is_bounded(self):
         # One point at t = 60 on the 1766-node auto grid: the u-kernels
-        # live for one call at the orders reached, and term3 and both tails
+        # live for one call at one node count, and term3 and both tails
         # come from row-chunked factored panels.  The per-point route with
         # unchunked quadrature batches peaked at 85.7 MiB here.
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=60.0)
