@@ -60,8 +60,9 @@ UNIT_COMMENT = ("# units: hbar = m = 1; positions in hbar/sqrt(eV*m), "
 # Size limits checked before anything is allocated: the time grid, the
 # Gauss-Legendre k-grid (leggauss builds an n x n companion matrix; 4096
 # nodes take about 6 s and 0.3 GB, the auto count reaches it near t_max =
-# 140 for the stock packet) and the node count of the thickness
-# quadrature (its two kernels are n x k-nodes each).
+# 140 for the stock packet) and the least node count of the thickness
+# quadrature (its kernels peak at three n x k-node arrays, 97 MiB at
+# 512 x 4096, the most the library builds for any barrier).
 MAX_TIME_POINTS = 100_000
 MAX_K_NODES = 4096
 MAX_LAMBDA_NODES = 512
@@ -702,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated density snapshot times")
         if name == "delta-p":
             p.add_argument("--n-lambda", type=int,
-                           help="thickness-quadrature nodes (>= 16)")
+                           help="least thickness-quadrature node count (>= 16)")
         if name == "verify":
             p.add_argument("--inject-fault", choices=["flip-current"],
                            default="", help="harness sanity fault")

@@ -379,14 +379,13 @@ def sphere_seeds(center, radius: float) -> np.ndarray:
     if not (0.0 < radius < math.inf and np.isfinite(center).all()):
         raise InvalidRange(f"need a finite center and a finite positive radius, "
                            f"got radius {radius}")
-    signs = (1.0, -1.0)
-    eye = np.eye(3)
+    # Integer signs and axes: no direction has a -0.0 component.
+    signs, eye = (1, -1), np.eye(3, dtype=int)
     axial = [s * eye[i] for i in range(3) for s in signs]
     edge = [(si * eye[i] + sj * eye[(i + 1) % 3]) / math.sqrt(2.0)
             for i in range(3) for si, sj in itertools.product(signs, repeat=2)]
     corner = [np.array(s) / math.sqrt(3.0) for s in itertools.product(signs, repeat=3)]
-    # + 0.0 turns the -0.0 zeros of negative signs into +0.0
-    return center + radius * (np.array(axial + edge + corner) + 0.0)
+    return center + radius * np.array(axial + edge + corner)
 
 
 def trace_flowmap_3d(field: Gaussian3DModel, seeds, t_grid,

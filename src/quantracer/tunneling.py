@@ -97,19 +97,43 @@ def delta_p_direct(free: PacketModel, tunneling: PacketModel,
     return free.tail(x, t) - tunneling.tail(x, t)
 
 
+# Most (u, k) entries a u-kernel may hold: 512 u-nodes on 4096 k-nodes, the
+# largest n_lambda on the largest grid that the command line accepts.
+_MAX_U_ENTRIES = 512 * 4096
+
+
+def _u_nodes(a: float, k: np.ndarray, gamma: np.ndarray, n_lambda: int) -> int:
+    """Node count of the u-rule: n_lambda, or more where the barrier needs it.
+
+    The u-integrands are sums of exp(2iau (kappa' - conj kappa)), kappa =
+    k +- gamma: in s = 2u - 1 each is exp(i z s), |z| <= omega = a (spread
+    of Re kappa + 2 max |Im kappa|).  Gauss-Legendre integrates those to
+    rounding once its degree 2n - 1 passes |z| by a few |z|^(1/3), which
+    0.6 omega + 12 nodes does with room.  Above the barrier top they
+    oscillate: at v_bar = 10, V = 10, a = 3 (omega = 62) 32 nodes miss the
+    report's totals by 2e-5; the 49 given here match 196 to 5e-15 relative.
+    """
+    kappa = np.concatenate([k - gamma, k + gamma])
+    omega = a * (np.ptp(kappa.real) + 2.0 * np.max(np.abs(kappa.imag)))
+    n = max(int(n_lambda), math.ceil(0.6 * omega + 12.0))
+    if n * k.size > _MAX_U_ENTRIES:
+        raise InvalidRange(f"the barrier needs {n} u-nodes on {k.size} wave numbers, "
+                           f"above {_MAX_U_ENTRIES} kernel entries")
+    return n
+
+
 def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
                       xs, ts, n_lambda: int) -> np.ndarray:
     """term1, term2, term3 and the weighted total, shape (4, len(xs), len(ts)).
 
     The route reads spectrum, grid, mass and tolerances from ``free``, the
     pair's spectral free model.  The barrier coefficients, the term3 kernel
-    and the two u-kernels are built once per call, the latter on the
-    n_lambda-node Gauss-Legendre rule: the u-integrands are sums of
-    e^{2iau(k +- gamma)}, entire in u, so a fixed rule converges on them
-    geometrically.  Each time t applies both u-kernels to each x's psi row,
-    one matrix-vector product per x, so a point has the bits of its lone
-    call, and reads term3 at every x from free's panel tables, on its
-    lattice, all from one tails call.
+    and the two u-kernels are built once per call, the latter on one
+    Gauss-Legendre rule of at least n_lambda nodes (_u_nodes).  Each time
+    t applies both u-kernels to each x's psi row, one matrix-vector
+    product per x, so a point has the bits of its lone call, and reads
+    term3 at every x from free's panel tables, on its lattice, all from
+    one tails call.
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -127,14 +151,22 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     # term3 kernel is the u = 1 value of the term2 kernel
     kernel3 = (np.exp(2j * a * (k + gamma))
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
-    u, wu = _gauss_rule(0.0, 1.0, int(n_lambda))
-    ekm = np.exp(2j * a * np.outer(u, k - gamma))
-    ekp = np.exp(2j * a * np.outer(u, k + gamma))
-    # (kernel1, kernel2) by (u, k).  kernel2 = exp(2iauk) sin(2au gamma) / D
-    # is written via exponentials so the under-barrier branch is the
-    # matching sinh, not a branch cut.
-    kernels = np.stack([((k + gamma) * ekm - (k - gamma) * ekp) / denom,
-                        (ekp - ekm) / (2j * denom)])
+    u, wu = _gauss_rule(0.0, 1.0, _u_nodes(a, k, gamma, n_lambda))
+    # (kernel1, kernel2) by (u, k), built in place from ekm and ekp =
+    # exp(2iau (k -+ gamma)): kernel1 = ((k + gamma) ekm - (k - gamma) ekp) / D
+    # and kernel2 = exp(2iauk) sin(2au gamma) / D, written via exponentials
+    # so the under-barrier branch is the matching sinh, not a branch cut.
+    kernels = np.stack([k - gamma, k + gamma])[:, None] * u[:, None]
+    kernels *= 2j * a
+    np.exp(kernels, out=kernels)
+    ekm, ekp = kernels
+    kernel2 = ekp - ekm
+    kernel2 /= 2j * denom
+    ekm *= k + gamma
+    ekp *= k - gamma
+    ekm -= ekp
+    ekm /= denom
+    ekp[...] = kernel2
     x_far = float(np.max(np.abs(xs), initial=0.0))
     for t in ts.tolist():
         # The psi_x rows reach x_far and term3 the top of the hint.
@@ -165,9 +197,9 @@ def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
     of squared k-sums against a barrier scaled to half-width u*a; term3
     integrates a squared transmitted-excess density over positions beyond
     x.  Each is nonnegative as computed, so the weighted total certifies
-    delta_p >= 0.  The u-quadrature is the n_lambda-node Gauss-Legendre
-    rule.  This is the one-point call of the kernel delta_p_report runs
-    per time, on a free model built here from spectrum, grid, mass and tol.
+    delta_p >= 0; the u-rule has at least n_lambda nodes (_u_nodes).
+    This is the one-point call of the kernel delta_p_report runs per
+    time, on a free model built here from spectrum, grid, mass and tol.
     """
     free = spectral_free_model(spectrum, grid, mass=mass, tol=tol)
     terms = _decomposed_terms(free, barrier, [x], [t], n_lambda)
@@ -228,7 +260,7 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     Both routes run on the given pair under its tolerances, all x of a time
     at once: the direct route reads both tails from one tails call per
     model, and the decomposed route runs on ``free`` with u-kernels built
-    once, on the n_lambda-node rule, for the whole call.
+    once, on a rule of at least n_lambda nodes, for the whole call.
     delta_p_direct and tail() stay the pointwise checks.
     """
     barrier = _pair_barrier(free, tunneling)

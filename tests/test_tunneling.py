@@ -133,12 +133,19 @@ class TestDeltaPDecomposed:
                                   n_lambda=64)
         assert abs(coarse.total - fine.total) <= 1e-9 * abs(fine.total)
 
-    @pytest.mark.parametrize("height, half_width", [
-        (10.0, 0.3), (5.0, 0.5), (20.0, 1.0), (10.0, 2.0), (40.0, 3.0)])
-    def test_default_rule_is_converged(self, fig2, height, half_width):
-        # The u-integrands are entire in u: the default 32-node rule sits
-        # within 1e-10 of a 512-node one, also on thick barriers.
-        _, _, free, _ = fig2
+    @pytest.mark.parametrize("v_bar, height, half_width", [
+        (2.0, 10.0, 0.3), (2.0, 5.0, 0.5), (2.0, 20.0, 1.0), (2.0, 10.0, 2.0),
+        (2.0, 40.0, 3.0), (10.0, 10.0, 3.0), (10.0, 1.0, 5.0)])
+    def test_default_rule_is_converged(self, fig2, v_bar, height, half_width):
+        # Within 1e-10 of a 512-node rule at the default n_lambda, under the
+        # barrier top (the stock packet) and above it (v_bar = 10), where
+        # the u-integrands oscillate and a fixed 32-node rule misses by up
+        # to 8e-8 here.
+        if v_bar == DEFAULT_PACKET.v_bar:
+            free = fig2[2]
+        else:
+            packet = GaussianPacketParams(x_bar=-10.0, v_bar=v_bar, sigma_x0=2.5)
+            free = spectral_free_model(*spectral_setup(packet, t_max=10.0))
         barrier = BarrierSpec(height=height, half_width=half_width)
         xs, ts = np.linspace(half_width + 0.2, half_width + 5.0, 12), [0.0, 3.0, 6.0, 10.0]
         default = tunneling._decomposed_terms(free, barrier, xs, ts, 32)[3]
@@ -155,6 +162,16 @@ class TestDeltaPDecomposed:
         tunneling._decomposed_terms(free, DEFAULT_BARRIER, [0.5, 1.0, 4.0],
                                     [0.0, 2.0, 6.0], n_lambda)
         assert rules == [(0.0, 1.0, n_lambda)]
+
+    def test_refuses_a_u_rule_beyond_the_entry_limit(self, fig2):
+        # gamma depends on the height alone.  At the default height a
+        # half-width of 1000 needs 6732 u-nodes on the stock grid's 386
+        # wave numbers: refused before any kernel is built.
+        _, grid, _, _ = fig2
+        gamma, *_ = tunneling._barrier_coefficients(grid.nodes, DEFAULT_BARRIER)
+        assert tunneling._u_nodes(0.3, grid.nodes, gamma, 32) == 32
+        with pytest.raises(InvalidRange, match="u-nodes"):
+            tunneling._u_nodes(1000.0, grid.nodes, gamma, 32)
 
     def test_a_point_has_the_bits_of_its_lone_call(self, fig2):
         _, _, free, _ = fig2
