@@ -445,7 +445,7 @@ def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
     if cfg.snapshot_times:
         density_rows = []
         for t in cfg.snapshot_times:
-            lo, hi = tunnel.support_hint(t)
+            lo, hi = tunnel._reach(t)     # fixed by the packet, not by the panel lattice
             xs = np.linspace(lo, hi, 1001)
             dens = tunnel.rho(xs, t)
             density_rows.extend((t, x, r) for x, r in zip(xs, dens))

@@ -9,11 +9,11 @@ class NonConvergence(QuantracerError):
     """A quadrature or root solve stopped short of its tolerance.
 
     Adaptive quadrature raises it after its panel cap or on a panel too
-    narrow to split; ``value`` is then the running total and ``error`` its
-    summed error estimate.  find_root_monotone raises it for a NaN root
-    function (no value or error) and after its 200 iterations, with the
-    last iterate as ``value`` and the bracket width as ``error``.  Callers
-    can decide whether to accept a degraded result.
+    narrow to split; ``value`` is then the running total and ``error`` the
+    summed gaps of the panels left to split.  find_root_monotone raises it
+    for a NaN root function (no value or error) and after its 200
+    iterations, with the last iterate as ``value`` and the bracket width
+    as ``error``.  Callers can decide whether to accept a degraded result.
     """
 
     def __init__(self, message, value=None, error=None):

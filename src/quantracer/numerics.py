@@ -7,7 +7,6 @@ Everything here is pure and reentrant; internal units are hbar = 1, m = 1
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,8 +64,10 @@ DEFAULT_TOL = Tolerances()
 _GL7_X, _GL7_W = leggauss(7)
 _GL15_X, _GL15_W = leggauss(15)
 
-# Panels after which an adaptive quadrature raises NonConvergence.
-_MAX_PANELS = 4096
+# Panels after which an adaptive quadrature raises NonConvergence.  A build
+# down to a level takes _FIRST_ROUND initial panels in its first round, at
+# least _FIRST_CHUNK a table: a round costs about as much as 20-30 panels.
+_MAX_PANELS, _FIRST_ROUND, _FIRST_CHUNK = 4096, 32, 4
 
 # The 22 abscissae of one panel on [-1, 1]: the GL15 nodes, then the GL7 ones.
 PANEL_NODES = np.concatenate([_GL15_X, _GL7_X])
@@ -109,19 +110,19 @@ class Panels:
 
     ``values[i]`` is the GL15 integral over [los[i], his[i]] and
     ``nodes[i]`` the integrand at its 21 distinct PANEL_NODES; consecutive
-    panels share their edges exactly.  ``total`` is the running sum the
-    refinement kept, which is what integrate_adaptive returns.
-    ``upper[i]`` is the mass right of los[i] (the reverse cumulative
-    panel values), then 0 for the top edge.  Inside a panel the tail
-    integrates the degree-20 interpolant of its node values.
+    panels share their edges exactly.  ``upper[i]`` is the mass right of
+    los[i], the values summed from the top down (so a table built down to
+    an edge is the top of one built further, bit for bit), then 0 for the
+    top edge; ``total`` is upper[0].  Inside a panel the tail integrates
+    the degree-20 interpolant of its node values.
     """
 
     los: np.ndarray
     his: np.ndarray
     values: np.ndarray
     nodes: np.ndarray
-    total: float
     upper: np.ndarray
+    total = property(lambda self: float(self.upper[0]))
 
     def tail(self, x):
         """Mass right of x (a float, or an array of x's shape, each x with
@@ -170,78 +171,77 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
     return np.union1d(edges, inner) if inner else edges
 
 
-def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Adaptive GL7/15 quadratures that keep their panels, refined in lockstep.
+def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
+                    low: float = -math.inf, above: float = math.inf) -> list:
+    """Adaptive GL7/15 quadratures that keep their panels, refined panel by panel.
 
     Each of ``partitions`` is one table's initial partition, finite and
-    strictly increasing; ``panel_f(table, mid, half)`` returns the
-    integrand at mid + half * PANEL_NODES for a batch of panels of the
-    tables ``table``, shape (n, 22).  Every table keeps its panels in flat
-    arrays and, each round, bisects its panel with the largest GL15-GL7
-    gap (the earliest made on ties) until its summed gaps satisfy
-    max(quad_abs, quad_rel * |total|).  One panel_f call evaluates all
-    initial panels and round r the r-th bisection of every table still
-    refining, so each table has its one-table build's panels and bits if
-    panel_f gives each row the bits it has alone.  Returns one Panels per
-    partition, in order.  Raises NonConvergence once a table needs
-    _MAX_PANELS panels or bisects one narrower than 1e-14 of its range.
+    strictly increasing, of span W; ``panel_f(table, mid, half)`` returns
+    the integrand at mid + half * PANEL_NODES for a batch of panels of the
+    tables ``table``, shape (n, 22).  A panel of width w is kept when its
+    GL15-GL7 gap is at most (quad_abs w / W + quad_rel |value|) / 2, else
+    its halves are judged alone (as in Gander & Gautschi, BIT 40, 2000):
+    the gaps sum to at most (quad_abs + quad_rel sum |value|) / 2, within
+    max(quad_abs, quad_rel |total|) for a nonnegative integrand.  So a
+    table has the same panels above any edge however deep it is built,
+    and the same bits in any batch if panel_f gives each row the bits it
+    has alone.  A table starts at the initial panel holding ``low`` (the
+    last at most); with a finite ``above`` it takes initial panels from
+    the top, max(_FIRST_CHUNK, _FIRST_ROUND // tables) and then twice as
+    many each round, while its mass is below ``above``.  A round
+    evaluates every table's pending panels in one panel_f call.  Returns
+    one Panels per partition.  Raises NonConvergence once a table needs
+    more than _MAX_PANELS panels or bisects one narrower than 1e-14 of W.
     """
     parts = [np.asarray(edges, dtype=float) for edges in partitions]
-    sizes = [edges.size - 1 for edges in parts]
-    los, his = np.concatenate([e[:-1] for e in parts]), np.concatenate([e[1:] for e in parts])
-    vals, errs, ys = _eval_panels(panel_f, np.repeat(np.arange(len(parts)), sizes), los, his)
-    # Panels made, in order: lo, hi, value, error, node values (by chunk).
-    # errors and rows [k, j]: table k's j-th panel made (-inf, -1 once split
-    # or unused); round r's children take columns n + 2r and n + 2r + 1.
-    made, chunks, col = [a.tolist() for a in (los, his, vals, errs)], [ys], max(sizes)
-    errors, rows = np.full((len(parts), col + 64), -np.inf), np.full((len(parts), col + 64), -1)
-    states = []     # per table: running total, summed error, panel count, range
-    for k, (end, size, edges) in enumerate(zip(itertools.accumulate(sizes), sizes, parts)):
-        errors[k, :size], rows[k, :size] = errs[end - size:end], np.arange(end - size, end)
-        states.append([float(np.sum(vals[end - size:end])), float(np.sum(errs[end - size:end])),
-                       size, edges[-1] - edges[0]])
-    while ks := [k for k, (total, error, *_) in enumerate(states)
-                 if not error <= max(tol.quad_abs, tol.quad_rel * abs(total))]:
-        kk = np.array(ks)
-        at = np.argmax(errors[kk], axis=1)     # the largest, the earliest made on ties
-        picked = rows[kk, at].tolist()
-        errors[kk, at], rows[kk, at] = -np.inf, -1
-        los, his = [], []
-        for k, row in zip(ks, picked):
-            total, error, count, span = states[k]
-            lo, hi = made[0][row], made[1][row]
-            if count >= _MAX_PANELS or hi - lo < 1e-14 * span:
-                raise NonConvergence(f"quadrature needed more than {_MAX_PANELS} panels"
-                                     if count >= _MAX_PANELS else
-                                     "quadrature stalled on an unresolvable feature",
-                                     value=total, error=error)
-            los += (lo, 0.5 * (lo + hi))
-            his += (0.5 * (lo + hi), hi)
-        vals, errs, ys = _eval_panels(panel_f, np.repeat(kk, 2), los, his)
-        v, e = vals.tolist(), errs.tolist()
-        for j, (k, row) in enumerate(zip(ks, picked)):
-            state = states[k]
-            state[:3] = (state[0] + ((v[2 * j] + v[2 * j + 1]) - made[2][row]),
-                         state[1] + ((e[2 * j] + e[2 * j + 1]) - made[3][row]), state[2] + 1)
-        if col + 2 > errors.shape[1]:
-            errors = np.concatenate([errors, np.full(errors.shape, -np.inf)], axis=1)
-            rows = np.concatenate([rows, np.full(rows.shape, -1)], axis=1)
-        errors[kk, col:col + 2] = errs.reshape(-1, 2)
-        rows[kk, col:col + 2] = np.arange(len(made[0]), len(made[0]) + errs.size).reshape(-1, 2)
-        for column, new in zip(made, (los, his, v, e)):
-            column += new
-        chunks.append(ys)
-        col += 2
-    # Every table's kept panels, by table and then by lower edge.
-    kept = rows >= 0
-    data = np.array(made[:3])[:, rows[kept]]
-    order = np.lexsort((data[0], np.nonzero(kept)[0]))
-    los, his, vals = data[:, order]
-    nodes = np.concatenate(chunks)[rows[kept][order, None], _DISTINCT]
-    cuts = [0, *itertools.accumulate(kept.sum(axis=1).tolist())]
-    return [Panels(los[a:b], his[a:b], vals[a:b], nodes[a:b], state[0],
-                   np.append(np.cumsum(vals[a:b][::-1])[::-1], 0.0))
-            for a, b, state in zip(cuts, cuts[1:], states)]
+    flat, starts = np.concatenate(parts), np.cumsum([0] + [e.size for e in parts[:-1]])
+    spans, n = np.array([e[-1] - e[0] for e in parts]), len(parts)
+    # Per table: initial panels in [bottom, top) not taken yet, the next
+    # chunk's size, panels made and the mass of its kept panels.
+    tops = np.array([e.size - 1 for e in parts])
+    bottoms = np.minimum(tops - 1, [max(0, np.searchsorted(e, low, "right") - 1) for e in parts])
+    sizes = np.full(n, max(_FIRST_CHUNK, _FIRST_ROUND // n)) if above < math.inf else tops - bottoms
+    counts, mass = np.zeros(n, dtype=int), np.zeros(n)
+
+    def take(ks):
+        m = np.minimum(sizes[ks], tops[ks] - bottoms[ks])
+        tops[ks], sizes[ks], counts[ks] = tops[ks] - m, 2 * sizes[ks], counts[ks] + m
+        at = np.repeat(starts[ks] + tops[ks] - np.cumsum(m) + m, m) + np.arange(m.sum())
+        return np.repeat(ks, m), flat[at], flat[at + 1]
+
+    table, los, his = take(np.arange(n))
+    kept = []       # per round: table, lo, hi, value and node values of its kept panels
+    while table.size:
+        vals, errs, ys = _eval_panels(panel_f, table, los, his)
+        widths = his - los
+        ok = errs <= 0.5 * (tol.quad_abs * widths / spans[table] + tol.quad_rel * np.abs(vals))
+        kept.append((table[ok], los[ok], his[ok], vals[ok], ys[ok][:, _DISTINCT]))
+        split = table[~ok]
+        counts += np.bincount(split, minlength=n)
+        mass += np.bincount(table[ok], vals[ok], n)
+        held = mass + np.bincount(split, vals[~ok], n)
+        narrow = np.bincount(split, widths[~ok] < 1e-14 * spans[split], n) > 0
+        if (counts > _MAX_PANELS).any() or narrow.any():
+            k = int(np.argmax((counts > _MAX_PANELS) | narrow))
+            raise NonConvergence(f"quadrature needed more than {_MAX_PANELS} panels" if counts[k]
+                                 > _MAX_PANELS else "quadrature stalled on an unresolvable feature",
+                                 value=held[k], error=np.bincount(split, errs[~ok], n)[k])
+        more = (tops > bottoms) & (held < above)
+        if not (split.size or more.any()):
+            # All refined: the tables, by lower edge.  One goes on down where
+            # upper[0] is short of ``above`` and the running sum was not.
+            ts, lo, hi, v, nodes = (np.concatenate(c) for c in zip(*kept))
+            order = np.lexsort((lo, ts))
+            cuts = np.searchsorted(ts[order], np.arange(n + 1)).tolist()
+            lo, hi, v, nodes = lo[order], hi[order], v[order], nodes[order]
+            tables = [Panels(lo[a:b], hi[a:b], v[a:b], nodes[a:b],
+                             np.append(np.cumsum(v[a:b][::-1])[::-1], 0.0))
+                      for a, b in zip(cuts, cuts[1:])]
+            more = (tops > bottoms) & (np.array([p.total for p in tables]) < above)
+        lo, mid, hi = los[~ok], 0.5 * (los[~ok] + his[~ok]), his[~ok]
+        new = [take(np.flatnonzero(more))] if more.any() else []
+        table, los, his = (np.concatenate(c) for c in zip((split, lo, mid), (split, mid, hi), *new))
+    return tables
 
 
 def integrate_adaptive(
@@ -255,13 +255,13 @@ def integrate_adaptive(
 ):
     """Adaptive panel quadrature of a vectorized integrand on a finite [a, b].
 
-    The estimate satisfies |error| <= max(quad_abs, quad_rel * |value|) and is
-    deterministic for fixed inputs.  ``f`` must accept an ndarray of abscissae
-    (a scalar-broadcasting return is fine).  ``points`` inside (a, b) are
-    extra initial panel edges, for kinks and curvature jumps of the
-    integrand.  Reversed bounds give the negated integral.  Raises
-    InvalidRange for a non-finite bound and NonConvergence after
-    _MAX_PANELS panels.
+    The panel error estimates sum to at most (quad_abs + quad_rel sum
+    |panel value|) / 2 <= max(quad_abs, quad_rel |value|) for f of one
+    sign; the value is deterministic.  ``f`` must accept an ndarray of
+    abscissae (a scalar-broadcasting return is fine).  ``points`` inside
+    (a, b) are extra initial panel edges, for kinks and curvature jumps.
+    Reversed bounds give the negated integral.  Raises InvalidRange for a
+    non-finite bound and NonConvergence after _MAX_PANELS panels.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -458,9 +458,9 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     for table in tables:
         # The last panel whose lower-edge tail is >= P (upper[-1] = 0 < P).
         i = table.upper.size - 1 - np.searchsorted(table.upper[::-1], levels)
-        picks.append((table.los[i], table.his[i], table.upper[i + 1], table.nodes[i], levels))
-    lo, hi, base, nodes, P = (column[0] if len(tables) == 1 else np.concatenate(column)
-                              for column in zip(*picks))
+        picks.append((table.los[i], table.his[i], *table.upper[[i + 1, i]], table.nodes[i], levels))
+    lo, hi, base, edge, nodes, P = (column[0] if len(tables) == 1 else np.concatenate(column)
+                                    for column in zip(*picks))
     half = 0.5 * (hi - lo)
     coeffs = np.einsum("ij,kj->ki", _SOLVE, nodes)      # einsum: no batch rounding
     # Newton runs on u = (hi - x) / half in [0, 2], where tail - P is
@@ -475,7 +475,8 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         for _ in range(_NEWTON_ROUNDS):
             sums = np.einsum("ikj,ij->ik", scaled, _chebyshev(1.0 - u))
             u = np.fmin(np.fmax(u - (top - sums[:, 0]) / sums[:, 1], 0.0), 2.0)
-    x = hi - u * half
+    # A level equal to its panel's edge tail solves at that edge, exactly.
+    x = np.where(P == edge, lo, hi - u * half)
     ends = x + np.multiply.outer((-1.0, 1.0), 0.5 * tol.root_abs + (0.5 * _ROOT_REL) * np.abs(x))
     f = _in_panel(lo, hi, base, coeffs[:, :22], ends) - P      # Panels.tail's read
     for j in np.flatnonzero(~(((ends[0] <= lo) | (f[0] >= 0.0)) & (f[1] <= 0.0))).tolist():

@@ -158,15 +158,16 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
     """Unique x with model.tail(x, t) = P: a float for a scalar P and t, else
     an array of shape t.shape + P.shape.
 
-    A spectral model builds one panel table per time with ``tail_tables``
-    and solves each block of tables in one invert_tables call, holding one
-    block at a time; other models invert their own ``tail`` over the
-    support hint, one root solve per (time, level).  Each position has the
-    bits it has alone.  An empty P or t reads nothing and returns an empty
-    array.  Raises InvalidRange for a level outside (0, 1) or NaN, and
-    NormBelowP (t_end the first such time) where the total norm has
-    decayed to or below a level, before any table is built.  A ragged P
-    or t and a non-finite time are an InvalidRange too.
+    A spectral model builds one panel table per time with ``tail_tables``,
+    from the top only as deep as the highest level's quantile, and solves
+    each block in one invert_tables call, holding one block at a time;
+    other models invert their own ``tail`` over the support hint, one root
+    solve per (time, level).  Each position has the bits it has alone.  An
+    empty P or t reads nothing and returns an empty array.  Raises
+    InvalidRange for a level outside (0, 1) or NaN, and NormBelowP (t_end
+    the first such time) where the total norm has decayed to or below a
+    level, before any table is built.  A ragged P or t and a non-finite
+    time are an InvalidRange too.
     """
     levels = _levels(P)
     times = _floats(t, "t")
@@ -181,7 +182,8 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
             raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
                              f"t = {s:.6g} is {norm:.12g}", t_end=s)
     if isinstance(model, SpectralPacketModel):
-        xs = np.concatenate([invert_tables(block, levels, tol) for block in model.tail_tables(ts)])
+        xs = np.concatenate([invert_tables(block, levels, tol)
+                             for block in model.tail_tables(ts, above=levels.max())])
     else:
         xs = [[find_root_monotone(lambda x: model.tail(x, s) - p, hint, tol)
                for p in levels.ravel().tolist()]

@@ -796,34 +796,32 @@ class SpectralPacketModel(PacketModel):
         return integrate_adaptive(lambda xs: self.rho(xs, t), a, hi, self.tol,
                                   initial_panels=n, points=self._cuts)
 
+    def _reach(self, t: float) -> tuple[float, float]:
+        """The support hint before it snaps to the lattice: 8 spreads beyond
+        the fastest and slowest branches, both ways with a barrier."""
+        if not math.isfinite(t):
+            raise InvalidRange(f"time must be finite, got t = {t}")
+        pad, c, v_hi = 8.0 * self.spread(t), self.spectrum.x_bar, HBAR * self.grid.k_max / self.mass
+        if self.barrier is not None:    # the reflected branch goes as far as the transmitted
+            return -(abs(c) + v_hi * abs(t) + pad), abs(c) + v_hi * abs(t) + pad
+        return c + HBAR * self.grid.k_min / self.mass * t - pad, c + v_hi * t + pad
+
     def _lattice(self, t: float) -> np.ndarray:
         """Initial panel edges of the tables at time t, over the support hint.
 
         The pitch is the model's pitch times 2^n, the rung that gives the
-        unsnapped hint 8 to 509 panels (doubled again while the barrier's
-        narrower inner panels would make it over 512).  Edges sit at j *
-        pitch on the free reference; with a barrier at -a - j * pitch, at
-        a + j * pitch_R (the transmitted pitch doubled to reach the pitch,
-        halved while the top snaps out past the phase guard's headroom),
-        and 2^m equal panels no wider than the pitch fill [-a, a], so the
-        panel widths are time-independent.  The hint's ends snap
+        unsnapped hint (_reach) 8 to 509 panels (doubled again while the
+        barrier's narrower inner panels would make it over 512).  Edges sit
+        at j * pitch on the free reference; with a barrier at -a - j *
+        pitch, at a + j * pitch_R (the transmitted pitch doubled to reach
+        the pitch, halved while the top snaps out past the phase guard's
+        headroom), and 2^m equal panels no wider than the pitch fill [-a,
+        a], so the panel widths are time-independent.  The hint's ends snap
         outward to the nearest edges, each by at most its side's pitch;
         only edges near the hint are made, so a barrier much wider than the
         hint costs nothing.  A non-finite t is an InvalidRange.
         """
-        if not math.isfinite(t):
-            raise InvalidRange(f"time must be finite, got t = {t}")
-        pad = 8.0 * self.spread(t)
-        v_hi = HBAR * self.grid.k_max / self.mass
-        if self.barrier is not None:
-            # Reflected branch can travel as far left as the transmitted
-            # branch travels right, so take a symmetric bound.
-            hi = abs(self.spectrum.x_bar) + v_hi * abs(t) + pad
-            lo = -hi
-        else:
-            c = self.spectrum.x_bar
-            lo = c + HBAR * self.grid.k_min / self.mass * t - pad
-            hi = c + v_hi * t + pad
+        lo, hi = self._reach(t)
         pitch = self._pitch
         while hi - lo > 509.0 * pitch:
             pitch *= 2.0
@@ -832,7 +830,8 @@ class SpectralPacketModel(PacketModel):
         if self.barrier is None:
             return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
         a = self.barrier.half_width
-        room = (_NODE_HEADROOM - 1.0) * (hi + abs(self.spectrum.x_bar) + v_hi * abs(t))
+        room = (_NODE_HEADROOM - 1.0) * (
+            hi + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max / self.mass * abs(t))
         while True:
             # Per side the edges in (0, hi] and one beyond: j * w inside (w =
             # 2a / 2^m exactly, so 0 is an edge too when m > 0), a + j * (the
@@ -856,33 +855,32 @@ class SpectralPacketModel(PacketModel):
                 return edges
             pitch *= 2.0
 
-    def tail_tables(self, ts, low=-math.inf, coeffs=None) -> Iterator[list[Panels]]:
+    def tail_tables(self, ts, low=-math.inf, coeffs=None,
+                    above=math.inf) -> Iterator[list[Panels]]:
         """Panel tables of rho over the support hint, one per t of ts, on
         the lattice of _lattice(t), yielded in blocks: lists of up to
-        _TABLE_BLOCK tables from one lockstep pass (adaptive_panels), each
-        built when it is read, after the phase guard, and each table with
-        its one-time build's bits.  With ``low`` a table starts at the
-        lattice edge at or below it (the last panel at most); ``coeffs`` (a
-        row per time) replaces the mode coefficients, on the free reference
-        only (see tails): on a barrier model the first read raises ValueError."""
+        _TABLE_BLOCK tables from one adaptive_panels call, each built when
+        it is read, after the phase guard, with its one-time build's bits.
+        A table starts at the lattice edge at or below ``low`` (the last
+        panel at most), or where its mass from the top reaches ``above``:
+        the top of the whole table, bit for bit.  ``coeffs`` (a row per
+        time) replaces the mode coefficients, on the free reference only
+        (see tails): on a barrier model the first read raises ValueError."""
         if coeffs is not None and self.barrier is not None:
             raise ValueError("plane-wave coefficients need the free reference")
         ts = np.asarray(ts, dtype=float).ravel()
         for i in range(0, ts.size, _TABLE_BLOCK):
             block = ts[i:i + _TABLE_BLOCK].tolist()
             parts = [self._lattice(t) for t in block]
-            if low > -math.inf:
-                parts = [e[min(e.size - 2, max(0, int(np.searchsorted(e, low, "right")) - 1)):]
-                         for e in parts]
             for t, edges in zip(block, parts):
                 self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
             rho = self._panel_rho(block, None if coeffs is None else coeffs[i:i + _TABLE_BLOCK])
-            yield adaptive_panels(rho, parts, self.tol)
+            yield adaptive_panels(rho, parts, self.tol, low, above)
 
     def tails(self, x, t, coeffs=None) -> np.ndarray:
         """Tails at every x and time of t, shape t.shape + x.shape: a table
         per time from tail_tables(t, min x), read at all x in one
-        Panels.tail call, with the widest tail's error control (tail() is
+        Panels.tail call, each x with the bits of its own call (tail() is
         the independent check).  With ``coeffs`` (a row per time) the same
         integrals of |sum_j coeffs_j e^{ik_j x}|^2 on the free reference's
         lattice (the delta-p transmitted excess).  A NaN x is an InvalidRange."""
@@ -899,9 +897,8 @@ class SpectralPacketModel(PacketModel):
         return 1.0
 
     def support_hint(self, t) -> tuple[float, float]:
-        """8 spreads beyond the fastest and slowest branches (both ways
-        with a barrier), snapped outward to the panel lattice (_lattice),
-        each end by at most its side's pitch, so tail() and tables agree."""
+        """_reach(t) snapped outward to the panel lattice (_lattice), each
+        end by at most its side's pitch, so tail() and tables agree."""
         edges = self._lattice(float(t))
         return float(edges[0]), float(edges[-1])
 

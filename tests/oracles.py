@@ -5,12 +5,11 @@ fraction implementations) and never through the package under test, so the
 numbers asserted in the test suite are derived on an independent path.
 mode_fields is a per-mode cmath loop over a spectral model's own
 coefficients, written out without the package's stacked wave layout.
-heap_refine is a reference algorithm instead: the heap-based adaptive
-refinement the package's flat one must reproduce bit for bit.
+recursive_refine is a reference algorithm instead: the panel-by-panel
+adaptive refinement the package's lockstep one must reproduce bit for bit.
 """
 
 import cmath
-import heapq
 
 import mpmath as mp
 import numpy as np
@@ -91,45 +90,37 @@ def mode_fields(x, t, k, gamma, T, R, A, B, weight, half_width, mass=1.0):
     return psi, dpsi
 
 
-def heap_refine(eval_panels, partitions, tol, max_panels=4096):
-    """Per partition, (los, his, values, node values, total) of the adaptive
-    GL7/15 refinement with one heap per table, refined in lockstep.
+def recursive_refine(eval_panels, partitions, tol, max_panels=4096):
+    """Per partition, (los, his, values, node values, upper) of the adaptive
+    GL7/15 refinement that judges one panel at a time.
 
-    Each round pops every unconverged table's panel with the largest error
-    estimate (the earliest pushed on ties, by a push counter) and evaluates
-    both halves of all of them in one eval_panels(table, los, his) call,
-    which returns each panel's value, error estimate and node values.
-    Totals take the children's sum minus the parent, in Python floats.
+    Depth first, from each initial panel up: eval_panels(table, los, his)
+    of that one panel gives its value, error estimate and node values; a
+    panel of width w in a partition of span W is kept when its error is
+    at most (quad_abs w / W + quad_rel |value|) / 2, else its halves are
+    judged in turn.  upper sums the kept values from the top down, in
+    Python floats.
     """
-    parts = [np.asarray(edges, dtype=float) for edges in partitions]
-    states = [[[], 0.0, 0.0, edges.size - 1, 0] for edges in parts]
-    batch = [(k, e[:-1].tolist(), e[1:].tolist(), 0.0, 0.0) for k, e in enumerate(parts)]
-    while batch:
-        sizes = [len(los) for _, los, *_ in batch]
-        vals, errs, ys = eval_panels(
-            np.array([k for k, los, *_ in batch for _ in los]),
-            [lo for _, los, *_ in batch for lo in los],
-            [hi for _, _, his, *_ in batch for hi in his])
-        start = 0
-        for (k, los, his, v, e), n in zip(batch, sizes):
-            state, rows, start = states[k], slice(start, start + n), start + n
-            state[1] += float(np.sum(vals[rows])) - v
-            state[2] += float(np.sum(errs[rows])) - e
-            for lo, hi, pv, pe, py in zip(los, his, vals[rows], errs[rows], ys[rows]):
-                heapq.heappush(state[0], (-pe, state[4], lo, hi, pv, pe, py))
-                state[4] += 1
-        batch = []
-        for k, (heap, total, total_err, n_panels, _) in enumerate(states):
-            if total_err <= max(tol.quad_abs, tol.quad_rel * abs(total)):
-                continue
-            if n_panels >= max_panels:
-                raise RuntimeError("too many panels")
-            _, _, lo, hi, v, e, _ = heapq.heappop(heap)
-            states[k][3] += 1
-            batch.append((k, (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi), v, e))
     out = []
-    for heap, total, *_ in states:
-        heap.sort(key=lambda entry: entry[2])
-        los, his, values = np.array([entry[2:5] for entry in heap]).T
-        out.append((los, his, values, np.array([entry[6] for entry in heap]), total))
+    for k, edges in enumerate(np.asarray(e, dtype=float) for e in partitions):
+        span, kept = edges[-1] - edges[0], []
+
+        def judge(lo, hi):
+            (value,), (error,), (nodes,) = eval_panels(np.array([k]), [lo], [hi])
+            if error <= 0.5 * (tol.quad_abs * (hi - lo) / span + tol.quad_rel * abs(value)):
+                kept.append((lo, hi, value, nodes))
+                if len(kept) > max_panels:
+                    raise RuntimeError("too many panels")
+                return
+            judge(lo, 0.5 * (lo + hi))
+            judge(0.5 * (lo + hi), hi)
+
+        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            judge(lo, hi)
+        upper = [0.0]
+        for _, _, value, _ in reversed(kept):
+            upper.append(upper[-1] + value)
+        los, his, values = np.array([panel[:3] for panel in kept]).T
+        out.append((los, his, values, np.array([panel[3] for panel in kept]),
+                    np.array(upper[::-1])))
     return out

@@ -512,6 +512,23 @@ class TestTunnelCommand:
         worst = max(abs(float(r["lag"])) for r in rows)
         assert worst <= 1e-6
 
+    def test_snapshot_rows_do_not_follow_the_panel_lattice(self, tmp_path, monkeypatch):
+        # The 1001 x per time span the packet's reach, not the support hint
+        # snapped to the panel lattice: halving the lattice pitches moves
+        # the hint but no row.
+        argv = ("tunnel", "--p-list", "0.5", "--t-max", "4", "--snapshot-times", "0,2.5")
+        dens = tmp_path / "tunnel_trajectories_density.csv"
+        assert run_cli(tmp_path, *argv) == 0
+        rows = dens.read_bytes()
+        init = SpectralPacketModel.__init__
+
+        def finer(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._pitch, self._pitch_right = 0.5 * self._pitch, 0.5 * self._pitch_right
+        monkeypatch.setattr(SpectralPacketModel, "__init__", finer)
+        assert run_cli(tmp_path, *argv) == 0
+        assert dens.read_bytes() == rows
+
     def test_snapshot_blocks_normalized(self, tmp_path):
         assert run_cli(tmp_path, "tunnel", "--p-list", "0.5", "--t-max", "4",
                        "--snapshot-times", "0,2") == 0

@@ -29,7 +29,7 @@ from quantracer.numerics import (
 from quantracer.numerics import _at_panel_nodes, _eval_panels
 from quantracer.wavepacket import FreeGaussianModel, GaussianPacketParams
 
-from oracles import erfc_highprec, heap_refine, normal_tail_quantile
+from oracles import erfc_highprec, normal_tail_quantile, recursive_refine
 
 erfc = math.erfc
 
@@ -175,10 +175,11 @@ class TestIntegrateAdaptive:
         np.testing.assert_array_equal(panels.tail(xs.reshape(2, -1)), reads.reshape(2, -1))
         assert panels.tail(-np.inf) == panels.upper[0] and panels.tail(np.inf) == 0.0
 
-    def test_flat_refinement_keeps_the_heap_refinements_bits(self):
-        # The flat refinement picks each table's largest estimate, the
-        # earliest made on ties, as a heap keyed by (-error, push order)
-        # does.  Panels of equal width on one side of 0 tie exactly here.
+    def test_refinement_keeps_the_recursive_references_bits(self):
+        # Each panel is kept or bisected on its own gap, as a reference
+        # that judges one panel at a time does: the lockstep rounds and
+        # their batches change no bit.  Panels of equal width on one side
+        # of 0 tie exactly here.
         def tied(table, mid, half):
             weight = np.where(mid < 0.0, 1.0, 2.0) * (1.0 + table)
             return weight[:, None] * (1.0 + half[:, None] ** 3 * PANEL_NODES ** 20)
@@ -195,15 +196,51 @@ class TestIntegrateAdaptive:
             def eval_panels(table, los, his):
                 vals, errs, ys = _eval_panels(panel_f, table, los, his)
                 return vals, errs, ys[:, [c for c in range(22) if c != 15 + 3]]
-            expected = heap_refine(eval_panels, partitions, tol)
+            expected = recursive_refine(eval_panels, partitions, tol)
             got = adaptive_panels(panel_f, partitions, tol)
             assert len(got) == len(expected)
-            for table, edges, (los, his, values, nodes, total) in zip(got, partitions, expected):
+            for table, edges, (los, his, values, nodes, upper) in zip(got, partitions, expected):
                 assert los.size > len(edges) - 1        # refined beyond the partition
                 for name, want in (("los", los), ("his", his), ("values", values),
-                                   ("nodes", nodes)):
+                                   ("nodes", nodes), ("upper", upper)):
                     np.testing.assert_array_equal(getattr(table, name), want, err_msg=name)
-                assert table.total == total
+                assert table.total == upper[0]
+
+    def test_a_table_built_down_to_a_level_is_the_top_of_the_whole_table(self):
+        # Built from the top down in chunks until its mass reaches
+        # ``above``, or from the initial panel holding ``low`` up, a table
+        # is the top rows of the whole one, bit for bit.
+        smooth = _at_panel_nodes(lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2))
+        edges = np.linspace(-6.0, 6.0, 49)
+        (whole,) = adaptive_panels(smooth, [edges])
+        cuts = [adaptive_panels(smooth, [edges], above=above)[0]
+                for above in (1e-6, 0.3, 1.2, 2.5, 10.0)]
+        cuts += [adaptive_panels(smooth, [edges], low=low)[0] for low in (-7.0, -0.1, 5.9, 7.0)]
+        for cut in cuts:
+            n = cut.los.size
+            for name in ("los", "his", "values", "nodes"):
+                np.testing.assert_array_equal(getattr(cut, name), getattr(whole, name)[-n:])
+            np.testing.assert_array_equal(cut.upper, whole.upper[-n - 1:])
+        shallower = [cut.los.size < whole.los.size for cut in cuts]
+        assert shallower == [True] * 4 + [False] * 2 + [True] * 3
+        for above, cut in zip((1e-6, 0.3, 1.2, 2.5), cuts):
+            assert cut.upper[0] >= above
+        assert cuts[-4].los[0] == -6.0 and cuts[-1].los[0] == 5.75
+
+    def test_a_build_stopped_by_its_running_sum_alone_goes_on(self, monkeypatch):
+        # A first chunk of 4 panels whose values, bottom up, sum to 1 +
+        # 2^-52 = above; summed from the top, as upper is, they round to 1.
+        # The table takes the next chunk, so upper[0] reaches ``above``.
+        monkeypatch.setattr(quantracer.numerics, "_FIRST_ROUND", 4)
+        values = {4.0: 2.0 ** -53, 5.0: 2.0 ** -53, 6.0: 0.0, 7.0: 1.0}
+
+        def fake(panel_f, table, los, his):
+            vals = np.array([values.get(lo, 0.25) for lo in los.tolist()])
+            return vals, np.zeros_like(vals), np.zeros((vals.size, 22))
+        monkeypatch.setattr(quantracer.numerics, "_eval_panels", fake)
+        (table,) = adaptive_panels(None, [np.arange(9.0)], above=1.0 + 2.0 ** -52)
+        assert table.los.tolist() == list(range(8)) and table.upper[4] == 1.0
+        assert table.total == 2.0
 
     def test_points_become_panel_edges(self):
         # |x - 0.3| has a kink at 0.3: as an edge, one GL15 panel per side

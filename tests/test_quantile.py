@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.integrate import dblquad
 from scipy.optimize import brentq
 from scipy.special import erfcinv
 
-from quantracer import quantile, wavepacket
+from quantracer import numerics, quantile, wavepacket
 from quantracer.errors import InvalidRange, NormBelowP, NoSignChange, VelocitySingular
 from quantracer.numerics import Tolerances, find_root_monotone, invert_tables, nodes_for_phase
 from quantracer.quantile import (
@@ -151,7 +152,8 @@ class TestQuantilePosition:
         builds = []
         tail_tables = SpectralPacketModel.tail_tables
         monkeypatch.setattr(SpectralPacketModel, "tail_tables",
-                            lambda self, ts: builds.extend(ts) or tail_tables(self, ts))
+                            lambda self, ts, **kw: builds.extend(ts)
+                            or tail_tables(self, ts, **kw))
         xs = quantile_position(model, levels, t)
         assert xs.shape == levels.shape
         assert xs.ravel().tolist() == scalar
@@ -316,7 +318,8 @@ class TestQuantilePosition:
         builds = []
         tail_tables = SpectralPacketModel.tail_tables
         monkeypatch.setattr(SpectralPacketModel, "tail_tables",
-                            lambda self, ts: builds.append(len(ts)) or tail_tables(self, ts))
+                            lambda self, ts, **kw: builds.append(len(ts))
+                            or tail_tables(self, ts, **kw))
         xs = quantile_position(tunnel, levels, ts)
         assert xs.shape == (3, 12, 2) and builds == [36]
         assert xs[2, 11].tolist() == quantile_position(tunnel, levels, 10.0).tolist()
@@ -328,6 +331,47 @@ class TestQuantilePosition:
         with pytest.raises(NormBelowP) as raised:
             quantile_position(m, [0.3, 0.5], [1.0, 6.0, 9.0, 8.0, 2.0])
         assert raised.value.t_end == 9.0
+
+
+class TestTablesBuiltToTheirLevels:
+    """An inversion builds each table from the hint top down, only until its
+    mass reaches the highest level: the top of the whole table, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.floats(0.0, 10.0), which=st.sampled_from([0, 1]),
+           levels=st.lists(st.floats(0.005, 0.995), min_size=1, max_size=3))
+    def test_an_inversions_table_is_the_top_of_the_whole_table(
+            self, tunnel_models, t, which, levels):
+        model, solved = tunnel_models[which], []
+        solve = quantile.invert_tables
+        with mock.patch.object(quantile, "invert_tables",
+                               lambda block, *args: solved.extend(block) or solve(block, *args)):
+            quantile_position(model, levels, t)
+        (built,), whole = solved, table_at(model, t)
+        n = built.los.size
+        assert built.upper[0] >= max(levels)
+        for name in ("los", "his", "values", "nodes"):
+            assert np.array_equal(getattr(built, name), getattr(whole, name)[-n:]), name
+        assert np.array_equal(built.upper, whole.upper[-n - 1:])
+
+    def test_one_level_evaluates_fewer_panels_than_the_whole_tables(self, tunnel_models,
+                                                                    monkeypatch):
+        # One call over three times takes 10 initial panels from each table
+        # top first (a lone time takes 32, more than the stock t = 0 lattice
+        # has: there a round costs more than the panels it would save).
+        evaluated = []
+        evaluate = numerics._eval_panels
+        monkeypatch.setattr(numerics, "_eval_panels", lambda panel_f, table, los, his: (
+            evaluated.append(len(los)) or evaluate(panel_f, table, los, his)))
+        ts = [0.0, 5.0, 10.0]
+        for model in tunnel_models:
+            counts = []
+            for build in (lambda: list(model.tail_tables(ts)),
+                          lambda: quantile_position(model, 0.02, ts)):
+                evaluated.clear()
+                build()
+                counts.append(sum(evaluated))
+            assert 0 < counts[1] < counts[0]
 
 
 class TestTableSolve:

@@ -367,10 +367,10 @@ class TestRetardationScan:
         for name in calls:
             original = getattr(SpectralPacketModel, name)
 
-            def counted(self, *args, _name=name, _original=original):
+            def counted(self, *args, _name=name, _original=original, **kw):
                 # Tables built, one per time; field calls, one per call.
                 calls[_name] += len(args[0]) if _name == "tail_tables" else 1
-                return _original(self, *args)
+                return _original(self, *args, **kw)
             monkeypatch.setattr(SpectralPacketModel, name, counted)
         verdicts = retardation_scan(free, tunnel, levels, times)
         assert calls == {"tail_tables": 42, "density_and_current": 0}
@@ -385,7 +385,8 @@ class TestRetardationScan:
         builds = []
         tail_tables = SpectralPacketModel.tail_tables
         monkeypatch.setattr(SpectralPacketModel, "tail_tables",
-                            lambda self, ts: builds.extend(ts) or tail_tables(self, ts))
+                            lambda self, ts, **kw: builds.extend(ts)
+                            or tail_tables(self, ts, **kw))
         assert retardation_scan(free, tunnel, [], np.linspace(0.0, 8.0, 5)) == []
         assert builds == []
 

@@ -912,6 +912,15 @@ class TestTunnelingPacketModel:
                         assert abs(tail - tight.tail(x, t)) <= 1e-12
             assert model.tails([], 5.0).shape == (0,)
 
+    def test_a_tail_read_keeps_the_bits_of_its_lone_call(self, spectral_models):
+        # A call's table starts at its lowest x; above that edge it is the
+        # top of the whole table, so every x reads the bits of its own call.
+        _, _, free_sp, tunnel = spectral_models
+        xs = np.concatenate([np.random.default_rng(28).uniform(-40.0, 30.0, 10), [-0.3, 0.3]])
+        for model in (free_sp, tunnel):
+            for t in (0.0, 5.0, 10.0):
+                assert model.tails(xs, t).tolist() == [model.tails([x], t)[0] for x in xs]
+
     def test_tails_refuse_a_nan_position(self, spectral_models):
         # A NaN x raises rather than reading as a tail of 0; +-inf clamps
         # to the support hint.
