@@ -359,8 +359,7 @@ def _trace_table(model, p_list, times, tol):
     sentinel row carrying the exact termination time and kind; positions
     have no finite value there.  The worst gap is NaN when any gap is.
     """
-    rows = []
-    gaps = []
+    rows, gaps = [], []
     for P in p_list:
         cdf = trace_trajectory_cdf(model, P, times, tol)
         ode = trace_trajectory_ode(model, P, float(times[0]), float(times[-1]),
@@ -496,11 +495,8 @@ def cmd_sphere3d(cfg: ScenarioConfig) -> tuple[list, list]:
     flow = trace_flowmap_3d(field, seeds, times, tol)
     enclosed = [probability_in_volume(field, flow.points_at(i), float(t), tol)
                 for i, t in enumerate(flow.times)]
-    rows = []
-    for s in range(flow.paths.shape[0]):
-        for i, t in enumerate(flow.times):
-            x, y, z = flow.paths[s, i]
-            rows.append((s, t, x, y, z, enclosed[i]))
+    rows = [(s, t, *flow.paths[s, i], enclosed[i])
+            for s in range(flow.paths.shape[0]) for i, t in enumerate(flow.times)]
     spread = float(np.max(enclosed) - np.min(enclosed))
     checks = [("conservation_3d", spread <= 1e-4,
                f"enclosed probability spread = {spread:.3e} "
@@ -550,11 +546,8 @@ def _check_unitarity(cfg: ScenarioConfig, tol: Tolerances):
     count = 25 if cfg.quick else 100
     defects = []
     for _ in range(count):
-        k = rng.uniform(0.2, 6.0)
-        height = rng.uniform(0.0, 20.0)
-        half_width = rng.uniform(0.05, 1.0)
-        mode = scattering_mode(k, BarrierSpec(height=height,
-                                              half_width=half_width))
+        mode = scattering_mode(rng.uniform(0.2, 6.0), BarrierSpec(
+            height=rng.uniform(0.0, 20.0), half_width=rng.uniform(0.05, 1.0)))
         defects.append(abs(abs(mode.T) ** 2 + abs(mode.R) ** 2 - 1.0))
     worst = float(np.max(defects))
     return worst <= 1e-12, f"max ||T|^2 + |R|^2 - 1| = {worst:.3e} ({count} modes)"

@@ -65,9 +65,10 @@ _GL7_X, _GL7_W = leggauss(7)
 _GL15_X, _GL15_W = leggauss(15)
 
 # Panels after which an adaptive quadrature raises NonConvergence.  A build
-# down to a level takes _FIRST_ROUND initial panels in its first round, at
-# least _FIRST_CHUNK a table: a round costs about as much as 20-30 panels.
-_MAX_PANELS, _FIRST_ROUND, _FIRST_CHUNK = 4096, 32, 4
+# down to a level takes at least _FIRST_ROUND initial panels in its first
+# round, _FIRST_CHUNK a table (a round costs about as much as 20-30 panels),
+# then _NEXT_CHUNK a table and twice as many each later round.
+_MAX_PANELS, _FIRST_ROUND, _FIRST_CHUNK, _NEXT_CHUNK = 4096, 32, 4, 2
 
 # The 22 abscissae of one panel on [-1, 1]: the GL15 nodes, then the GL7 ones.
 PANEL_NODES = np.concatenate([_GL15_X, _GL7_X])
@@ -172,7 +173,7 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
 
 
 def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
-                    low: float = -math.inf, above: float = math.inf) -> list:
+                    low: float = -math.inf, above: float = math.inf, depths=math.inf) -> list:
     """Adaptive GL7/15 quadratures that keep their panels, refined panel by panel.
 
     Each of ``partitions`` is one table's initial partition, finite and
@@ -187,8 +188,10 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
     and the same bits in any batch if panel_f gives each row the bits it
     has alone.  A table starts at the initial panel holding ``low`` (the
     last at most); with a finite ``above`` it takes initial panels from
-    the top, max(_FIRST_CHUNK, _FIRST_ROUND // tables) and then twice as
-    many each round, while its mass is below ``above``.  A round
+    the top while its mass is below ``above``: first down to the panel
+    holding its entry of ``depths`` (one, or one per table), at least
+    max(_FIRST_CHUNK, _FIRST_ROUND // tables), then _NEXT_CHUNK, twice
+    as many each round.  The depths size the work, not a bit.  A round
     evaluates every table's pending panels in one panel_f call.  Returns
     one Panels per partition.  Raises NonConvergence once a table needs
     more than _MAX_PANELS panels or bisects one narrower than 1e-14 of W.
@@ -200,7 +203,10 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
     # chunk's size, panels made and the mass of its kept panels.
     tops = np.array([e.size - 1 for e in parts])
     bottoms = np.minimum(tops - 1, [max(0, np.searchsorted(e, low, "right") - 1) for e in parts])
-    sizes = np.full(n, max(_FIRST_CHUNK, _FIRST_ROUND // n)) if above < math.inf else tops - bottoms
+    sizes = tops - bottoms
+    if above < math.inf:    # down to the panel holding each depth, at least a floor
+        deep = [(e > d).sum() for e, d in zip(parts, np.broadcast_to(depths, n))]
+        sizes = np.maximum(max(_FIRST_CHUNK, _FIRST_ROUND // n), deep)
     counts, mass = np.zeros(n, dtype=int), np.zeros(n)
 
     def take(ks):
@@ -210,6 +216,7 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
         return np.repeat(ks, m), flat[at], flat[at + 1]
 
     table, los, his = take(np.arange(n))
+    sizes[:] = _NEXT_CHUNK
     kept = []       # per round: table, lo, hi, value and node values of its kept panels
     while table.size:
         vals, errs, ys = _eval_panels(panel_f, table, los, his)

@@ -855,6 +855,19 @@ class SpectralPacketModel(PacketModel):
                 return edges
             pitch *= 2.0
 
+    def _depths(self, ts, P: float) -> list:
+        """Where tables at times ts for levels up to P must reach anyway: the uncut
+        Gaussian's quantile, z = Phi^-1(1 - P) by Newton on the concave log Q from
+        above, raised by 1e-3 spread(t) over the cut's 2.706e-4 (stock packet), and at
+        least a barrier's edge a: beyond a, no tunneled quantile leads its free twin."""
+        p = max(min(P, 1.0 - P), 1e-300)
+        z = math.sqrt(2.0 * math.log(0.5 / p))
+        for _ in range(4):
+            q = 0.5 * math.erfc(z / math.sqrt(2.0))
+            z += math.log(q / p) * q * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+        z, v = math.copysign(z, 0.5 - P) + 1e-3, HBAR * self.spectrum.k_bar / self.mass
+        return [max(self.spectrum.x_bar + v * t + self.spread(t) * z, self._modes[1]) for t in ts]
+
     def tail_tables(self, ts, low=-math.inf, coeffs=None,
                     above=math.inf) -> Iterator[list[Panels]]:
         """Panel tables of rho over the support hint, one per t of ts, on
@@ -863,9 +876,10 @@ class SpectralPacketModel(PacketModel):
         it is read, after the phase guard, with its one-time build's bits.
         A table starts at the lattice edge at or below ``low`` (the last
         panel at most), or where its mass from the top reaches ``above``:
-        the top of the whole table, bit for bit.  ``coeffs`` (a row per
-        time) replaces the mode coefficients, on the free reference only
-        (see tails): on a barrier model the first read raises ValueError."""
+        the top of the whole table, bit for bit.  Its first round goes down
+        to _depths(ts, above), a guess that sizes the work only.  ``coeffs`` (a
+        row per time) replaces the mode coefficients, on the free reference
+        only (see tails): on a barrier model the first read raises ValueError."""
         if coeffs is not None and self.barrier is not None:
             raise ValueError("plane-wave coefficients need the free reference")
         ts = np.asarray(ts, dtype=float).ravel()
@@ -875,7 +889,8 @@ class SpectralPacketModel(PacketModel):
             for t, edges in zip(block, parts):
                 self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
             rho = self._panel_rho(block, None if coeffs is None else coeffs[i:i + _TABLE_BLOCK])
-            yield adaptive_panels(rho, parts, self.tol, low, above)
+            depths = self._depths(block, above) if above < math.inf else math.inf
+            yield adaptive_panels(rho, parts, self.tol, low, above, depths)
 
     def tails(self, x, t, coeffs=None) -> np.ndarray:
         """Tails at every x and time of t, shape t.shape + x.shape: a table
@@ -908,11 +923,9 @@ class SpectralPacketModel(PacketModel):
 
 def spectral_free_model(spectrum: SpectralFunction, grid: KGrid, *,
                         mass: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> SpectralPacketModel:
-    """Free packet built from the same truncated spectral function.
-
-    This is the reference for barrier comparisons; it uses the identical
-    grid and spectrum, not the closed-form Gaussian.
-    """
+    """Free packet on the same grid and 6 sigma cut spectrum: the reference for
+    barrier comparisons (``tunnel``'s x_free), not the closed-form Gaussian,
+    whose stock-packet quantiles lie up to 2.706e-4 away (P = 0.002, t = 10)."""
     return SpectralPacketModel(spectrum, grid, None, mass=mass, tol=tol)
 
 
@@ -1020,17 +1033,23 @@ class Gaussian3DModel:
         (1 - e^(-2a))/(2a), the last factor 1 at a = 0.  Its error is
         rounding's, absolute (~1e-16); a ball far from the packet, which
         rounding can leave at -1e-33, reads 0, and a NaN stays NaN.  The second
-        term is 0 (not inf * 0) where |R - d| >= 40 s or R/s overflows.
-        InvalidRange where s^2 underflows to 0 or overflows."""
+        term is 0 (not inf * 0) where |R - d| >= 40 s or R/s overflows.  Where
+        that cancels to O(r^3), r = R/s < 1/4 and a < 1, the sum over j + k < 10 of
+        sqrt(2/pi) e^(-d^2/2s^2) r^3 (-r^2/2)^j a^2k / (j! (2k+1)! (2j+2k+3)) keeps
+        relative digits.  InvalidRange where s^2 underflows to 0 or overflows."""
         s = self.sigma_x(t)
         if not 0.0 < s * s < math.inf:
             raise InvalidRange(f"sigma_x(t)^2 = {s:.3g}^2 at t = {t:.3g} is not a positive float")
         d = float(np.linalg.norm(center - self.center(t)))
-        a = radius * d / s ** 2
+        r, a = radius / s, radius * d / s ** 2
+        if r < 0.25 and a < 1.0:
+            return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (d / s) * (d / s)) * r ** 3 * sum(
+                (-0.5 * r * r) ** j * a ** (2 * k) / math.factorial(j) / math.factorial(2 * k + 1)
+                / (2 * (j + k) + 3) for j in range(10) for k in range(10 - j))
         shape = -math.expm1(-2.0 * a) / (2.0 * a) if a > 0.0 else 1.0
         z = (radius - d) / s
-        spill = (math.sqrt(2.0 / math.pi) * (radius / s) * math.exp(-0.5 * z ** 2) * shape
-                 if abs(z) < 40.0 and radius / s < math.inf else 0.0)
+        spill = (math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * z ** 2) * shape
+                 if abs(z) < 40.0 and r < math.inf else 0.0)
         return max(0.5 * (math.erf((radius - d) / (math.sqrt(2.0) * s))
                           + math.erf((radius + d) / (math.sqrt(2.0) * s))) - spill, 0.0)
 

@@ -226,12 +226,28 @@ class TestIntegrateAdaptive:
         for above, cut in zip((1e-6, 0.3, 1.2, 2.5), cuts):
             assert cut.upper[0] >= above
         assert cuts[-4].los[0] == -6.0 and cuts[-1].los[0] == 5.75
+        # A first round down to a depth above, inside or below the panel
+        # that holds the level, one per table of one build: each table is
+        # the whole one's top, and the depth only moves where it stops.
+        for above in (0.3, 1.2, 2.5):
+            j = np.searchsorted(edges, whole.los[whole.upper[:-1] >= above][-1], "right") - 1
+            depths = [edges[j + 1] + 0.1, edges[j] + 0.1, edges[j] - 2.0]
+            built = adaptive_panels(smooth, [edges] * 3, above=above, depths=depths)
+            for cut in built:
+                n = cut.los.size
+                for name in ("los", "his", "values", "nodes"):
+                    np.testing.assert_array_equal(getattr(cut, name), getattr(whole, name)[-n:])
+                np.testing.assert_array_equal(cut.upper, whole.upper[-n - 1:])
+                assert cut.upper[0] >= above
+            assert built[2].los[0] <= depths[2] < built[1].los[0]
 
     def test_a_build_stopped_by_its_running_sum_alone_goes_on(self, monkeypatch):
         # A first chunk of 4 panels whose values, bottom up, sum to 1 +
         # 2^-52 = above; summed from the top, as upper is, they round to 1.
-        # The table takes the next chunk, so upper[0] reaches ``above``.
+        # The table takes the next chunk (4 panels here), so upper[0] reaches
+        # ``above``.
         monkeypatch.setattr(quantracer.numerics, "_FIRST_ROUND", 4)
+        monkeypatch.setattr(quantracer.numerics, "_NEXT_CHUNK", 4)
         values = {4.0: 2.0 ** -53, 5.0: 2.0 ** -53, 6.0: 0.0, 7.0: 1.0}
 
         def fake(panel_f, table, los, his):

@@ -26,6 +26,7 @@ from quantracer.quantile import (
     trace_trajectory_cdf,
     trace_trajectory_ode,
 )
+from quantracer.tunneling import retardation_scan
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
@@ -39,6 +40,8 @@ from quantracer.wavepacket import (
     spectral_setup,
     tunneling_packet_model,
 )
+
+from oracles import gaussian_ball_mass_offset
 
 # mpmath oracle, frozen: sqrt(2/pi) * integral of r^2 exp(-r^2/2) over [0, 3]
 BALL_MASS_3SIGMA = 0.970709113465112
@@ -356,9 +359,10 @@ class TestTablesBuiltToTheirLevels:
 
     def test_one_level_evaluates_fewer_panels_than_the_whole_tables(self, tunnel_models,
                                                                     monkeypatch):
-        # One call over three times takes 10 initial panels from each table
-        # top first (a lone time takes 32, more than the stock t = 0 lattice
-        # has: there a round costs more than the panels it would save).
+        # One call over three times takes at least 10 initial panels from
+        # each table top first, down to the panel holding its depth (a lone
+        # time takes 32, more than the stock t = 0 lattice has: there a round
+        # costs more than the panels it would save).
         evaluated = []
         evaluate = numerics._eval_panels
         monkeypatch.setattr(numerics, "_eval_panels", lambda panel_f, table, los, his: (
@@ -372,6 +376,68 @@ class TestTablesBuiltToTheirLevels:
                 build()
                 counts.append(sum(evaluated))
             assert 0 < counts[1] < counts[0]
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+           which=st.sampled_from([0, 1]),
+           levels=st.lists(st.floats(0.005, 0.995), min_size=1, max_size=3), data=st.data())
+    def test_a_depth_guess_changes_no_bit(self, tunnel_models, times, which, levels, data):
+        # The first round's depth sizes the work only: at the hint top (the
+        # floor alone), at the hint bottom (the whole table) or at a random
+        # lattice edge per time, every position keeps the bits it has with
+        # the derived depth.
+        model = tunnel_models[which]
+        want = quantile_position(model, levels, times).tolist()
+        lattices = {t: model._lattice(t) for t in times}
+        picks = {t: data.draw(st.integers(0, edges.size - 1)) for t, edges in lattices.items()}
+        for guess in (lambda t: lattices[t][-1], lambda t: lattices[t][0],
+                      lambda t: lattices[t][picks[t]]):
+            with mock.patch.object(SpectralPacketModel, "_depths",
+                                   lambda self, ts, P: [guess(t) for t in ts]):
+                assert quantile_position(model, levels, times).tolist() == want
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """(table, lower edge) of every panel evaluated, batch by batch."""
+        seen = []
+        evaluate = numerics._eval_panels
+        monkeypatch.setattr(numerics, "_eval_panels", lambda panel_f, table, los, his: (
+            seen.append((np.array(table), np.array(los))) or evaluate(panel_f, table, los, his)))
+        return seen
+
+    @pytest.mark.parametrize("P", [0.01, 0.5])
+    def test_free_tables_stop_at_most_one_panel_below_their_quantile(self, tunnel_models,
+                                                                     evaluated, P):
+        # The first round goes down to the panel holding the closed-form
+        # quantile (raised by its margin): of the 21 stock tables none
+        # evaluates more than one lattice panel below the quantile's.
+        free, times = tunnel_models[0], np.linspace(0.0, 10.0, 21)
+        xs = quantile_position(free, P, times)
+        table, los = (np.concatenate(column) for column in zip(*evaluated))
+        for k, t in enumerate(times.tolist()):
+            edges = free._lattice(t)
+            holding = np.searchsorted(edges, xs[k], "right") - 1
+            assert holding - np.searchsorted(edges, los[table == k].min()) <= 1
+
+    @pytest.mark.parametrize(("P", "most"), [(0.008, 402), (0.02, 417), (0.4, 614), (0.55, 702)])
+    def test_one_level_scans_evaluate_no_more_panels_than_measured(self, tunnel_models,
+                                                                   evaluated, P, most):
+        # A level scanned alone over the 21 stock times on both models, as
+        # the retardation benchmark does; the counts are this schedule's
+        # (chunks from the hint top evaluated 566, 645, 873 and 975).
+        retardation_scan(*tunnel_models, [P], np.linspace(0.0, 10.0, 21))
+        assert sum(los.size for _, los in evaluated) <= most
+
+    def test_spectral_free_quantiles_sit_within_3e_4_of_the_closed_form(self, tunnel_models):
+        # The 6 sigma cut spectrum is another packet than the closed-form
+        # Gaussian: its quantiles lie up to 2.706e-4 away (P = 0.002, t =
+        # 10), the figure README and spectral_free_model state.
+        levels = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.98]
+        times = np.linspace(0.0, 10.0, 21)
+        xs = quantile_position(tunnel_models[0], levels, times)
+        want = [[closed_form_position(DEFAULT_PACKET, P, t) for P in levels] for t in times]
+        assert np.max(np.abs(xs - want)) <= 3e-4
 
 
 class TestTableSolve:
@@ -897,6 +963,19 @@ class TestProbabilityInVolume:
             got = probability_in_volume(field, points, t)
             assert 0.0 <= got <= 1.0
             assert abs(got - self._oracle(radius, d, field.sigma_x(t))) <= 1e-13
+
+    @pytest.mark.parametrize("ratio", [4e-4, 1e-6])
+    @pytest.mark.parametrize("offset", [0.0, math.sqrt(14.0) / 2.5, 3.0])
+    def test_a_small_ball_keeps_its_relative_digits(self, ratio, offset):
+        # R / s = 4e-4 is a 1e-3 ball at s = 2.5.  The closed form's terms
+        # cancel to O((R/s)^3) there (it read 2.9e-7 relative off at offset
+        # sqrt(14) / 2.5); the small-ball series keeps the digits.
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(2.0, 0.0, 0.0), sigma_x0=2.5))
+        s = field.sigma_x(1.0)
+        got = field._ball_mass(np.array([2.0 + offset * s, 0.0, 0.0]), ratio * s, 1.0)
+        want = gaussian_ball_mass_offset(ratio, offset)
+        assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("width", [1e-170, 1e-300])
     def test_a_width_whose_square_underflows_is_refused(self, width):
