@@ -128,14 +128,23 @@ class Panels:
     def tail(self, x):
         """Mass right of x (a float, or an array of x's shape, each x with
         its scalar read's bits), from stored values only: ``upper`` at and
-        below every panel edge, 0 above the top."""
+        below every panel edge, 0 above the top (read_tails)."""
         xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
-        i = np.minimum(np.searchsorted(self.his, flat), self.his.size - 1)
-        c = np.einsum("ij,kj->ki", _CHEB_MASS, self.nodes[i])    # einsum: no batch rounding
-        mass = _in_panel(self.los[i], self.his[i], self.upper[i + 1], c, flat)
-        mass = np.where(flat <= self.los[0], self.upper[0], mass)
+        mass = read_tails([self], xs.ravel())[0]
         return float(mass[0]) if xs.ndim == 0 else mass.reshape(xs.shape)
+
+
+def read_tails(tables, x) -> np.ndarray:
+    """Panels.tail of every table at every x of a 1-d x, shape (len(tables),
+    x.size): a searchsorted per table, then one _CHEB_MASS einsum and one
+    _in_panel call over every (table, x) pair, each with its lone read's bits."""
+    rows = [np.minimum(np.searchsorted(p.his, x), p.his.size - 1) for p in tables]
+    lo, hi, base, nodes = (np.concatenate(c) for c in zip(*[
+        (p.los[i], p.his[i], p.upper[i + 1], p.nodes[i]) for p, i in zip(tables, rows)]))
+    c = np.einsum("ij,kj->ki", _CHEB_MASS, nodes)    # einsum: no batch rounding
+    mass = _in_panel(lo, hi, base, c, np.tile(x, len(tables))).reshape(len(tables), x.size)
+    ends = np.array([(p.los[0], p.total) for p in tables])
+    return np.where(x <= ends[:, :1], ends[:, 1:], mass)
 
 
 def _at_panel_nodes(f):
@@ -172,7 +181,7 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
     return np.union1d(edges, inner) if inner else edges
 
 
-def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
+def adaptive_panels(panel_f, partitions, tol=DEFAULT_TOL,
                     low: float = -math.inf, above: float = math.inf, depths=math.inf) -> list:
     """Adaptive GL7/15 quadratures that keep their panels, refined panel by panel.
 
@@ -180,15 +189,16 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
     strictly increasing, of span W; ``panel_f(table, mid, half)`` returns
     the integrand at mid + half * PANEL_NODES for a batch of panels of the
     tables ``table``, shape (n, 22).  A panel of width w is kept when its
-    GL15-GL7 gap is at most (quad_abs w / W + quad_rel |value|) / 2, else
-    its halves are judged alone (as in Gander & Gautschi, BIT 40, 2000):
-    the gaps sum to at most (quad_abs + quad_rel sum |value|) / 2, within
-    max(quad_abs, quad_rel |total|) for a nonnegative integrand.  So a
-    table has the same panels above any edge however deep it is built,
-    and the same bits in any batch if panel_f gives each row the bits it
-    has alone.  A table starts at the initial panel holding ``low`` (the
-    last at most); with a finite ``above`` it takes initial panels from
-    the top while its mass is below ``above``: first down to the panel
+    GL15-GL7 gap is at most (quad_abs w / W + quad_rel |value|) / 2 under
+    ``tol`` (one Tolerances, or one per table), else its halves are judged
+    alone (as in Gander & Gautschi, BIT 40, 2000): the gaps sum to at most
+    (quad_abs + quad_rel sum |value|) / 2, within max(quad_abs, quad_rel
+    |total|) for a nonnegative integrand.  So a table has the same panels
+    above any edge however deep it is built, and the same bits in any
+    batch if panel_f gives each row the bits it has alone.  A table starts
+    at the initial panel holding ``low`` (the last at most); with a finite
+    ``above`` it takes initial panels from the top while its mass is below
+    ``above``: first down to the panel
     holding its entry of ``depths`` (one, or one per table), at least
     max(_FIRST_CHUNK, _FIRST_ROUND // tables), then _NEXT_CHUNK, twice
     as many each round.  The depths size the work, not a bit.  A round
@@ -199,6 +209,7 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
     parts = [np.asarray(edges, dtype=float) for edges in partitions]
     flat, starts = np.concatenate(parts), np.cumsum([0] + [e.size for e in parts[:-1]])
     spans, n = np.array([e[-1] - e[0] for e in parts]), len(parts)
+    tols = np.array([(t.quad_abs, t.quad_rel) for t in np.broadcast_to(np.array(tol), n)])
     # Per table: initial panels in [bottom, top) not taken yet, the next
     # chunk's size, panels made and the mass of its kept panels.
     tops = np.array([e.size - 1 for e in parts])
@@ -221,7 +232,7 @@ def adaptive_panels(panel_f, partitions, tol: Tolerances = DEFAULT_TOL,
     while table.size:
         vals, errs, ys = _eval_panels(panel_f, table, los, his)
         widths = his - los
-        ok = errs <= 0.5 * (tol.quad_abs * widths / spans[table] + tol.quad_rel * np.abs(vals))
+        ok = errs <= 0.5 * (tols[table, 0] * widths / spans[table] + tols[table, 1] * np.abs(vals))
         kept.append((table[ok], los[ok], his[ok], vals[ok], ys[ok][:, _DISTINCT]))
         split = table[~ok]
         counts += np.bincount(split, minlength=n)

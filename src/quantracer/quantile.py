@@ -24,7 +24,7 @@ from .numerics import (
     integrate_ode,
     invert_tables,
 )
-from .wavepacket import Gaussian3DModel, PacketModel, SpectralPacketModel
+from .wavepacket import Gaussian3DModel, PacketModel, SpectralPacketModel, lockstep_tables
 
 __all__ = [
     "Termination",
@@ -156,40 +156,45 @@ def _levels(P) -> np.ndarray:
 
 def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
     """Unique x with model.tail(x, t) = P: a float for a scalar P and t, else
-    an array of shape t.shape + P.shape.
+    an array of shape t.shape + P.shape; for a tuple of models, their
+    positions on a leading axis.
 
-    A spectral model builds one panel table per time with ``tail_tables``,
-    from the top only as deep as the highest level's quantile, and solves
-    each block in one invert_tables call, holding one block at a time;
-    other models invert their own ``tail`` over the support hint, one root
-    solve per (time, level).  Each position has the bits it has alone.  An
-    empty P or t reads nothing and returns an empty array.  Raises
-    InvalidRange for a level outside (0, 1) or NaN, and NormBelowP (t_end
-    the first such time) where the total norm has decayed to or below a
-    level, before any table is built.  A ragged P or t and a non-finite
-    time are an InvalidRange too.
+    Spectral models build one panel table per time and model in one
+    lockstep pass per block of times (lockstep_tables), from the top only
+    as deep as the highest level's quantile, and solve each block in one
+    invert_tables call, holding one block at a time; other models invert
+    their own ``tail`` over the support hint, one root solve per (time,
+    level).  Each position has the bits it has alone.  An empty P or t
+    reads nothing and returns an empty array.  Raises InvalidRange for a
+    level outside (0, 1) or NaN, and NormBelowP (t_end the first such time)
+    where the total norm has decayed to or below a level, before any table
+    is built.  A ragged P or t and a non-finite time are an InvalidRange too.
     """
+    if isinstance(model, tuple) and not all(isinstance(m, SpectralPacketModel) for m in model):
+        return np.stack([quantile_position(m, P, t, tol) for m in model])
+    models = model if isinstance(model, tuple) else (model,)
     levels = _levels(P)
     times = _floats(t, "t")
     if not np.isfinite(times).all():
         raise InvalidRange("every time must be finite")
+    shape = (len(models),) * isinstance(model, tuple) + times.shape + levels.shape
     if levels.size == 0 or times.size == 0:
-        return np.empty(times.shape + levels.shape)
+        return np.empty(shape)
     ts = times.ravel().tolist()
-    for s in ts:
-        norm = model.norm(s)
+    for s, m in itertools.product(ts, models):
+        norm = m.norm(s)
         if np.any(levels >= norm):
             raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
                              f"t = {s:.6g} is {norm:.12g}", t_end=s)
-    if isinstance(model, SpectralPacketModel):
-        xs = np.concatenate([invert_tables(block, levels, tol)
-                             for block in model.tail_tables(ts, above=levels.max())])
+    if isinstance(models[0], SpectralPacketModel):
+        xs = np.concatenate([invert_tables(block, levels, tol).reshape(len(models), -1, levels.size)
+                             for block in lockstep_tables([(m, None) for m in models], ts,
+                                                          above=levels.max())], axis=1)
     else:
         xs = [[find_root_monotone(lambda x: model.tail(x, s) - p, hint, tol)
                for p in levels.ravel().tolist()]
               for s, hint in zip(ts, map(model.support_hint, ts))]
-    return float(xs[0][0]) if times.ndim == levels.ndim == 0 else np.reshape(
-        xs, times.shape + levels.shape)
+    return float(np.ravel(xs)[0]) if shape == () else np.reshape(xs, shape)
 
 
 # ---------------------------------------------------------------------------

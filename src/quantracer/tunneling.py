@@ -28,7 +28,9 @@ from .wavepacket import (
     BarrierSpec,
     PacketModel,
     SpectralFunction,
+    _FIELD_ENTRIES,
     _barrier_coefficients,
+    lockstep_tails,
     spectral_free_model,
 )
 
@@ -123,17 +125,18 @@ def _u_nodes(a: float, k: np.ndarray, gamma: np.ndarray, n_lambda: int) -> int:
 
 
 def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
-                      xs, ts, n_lambda: int) -> np.ndarray:
-    """term1, term2, term3 and the weighted total, shape (4, len(xs), len(ts)).
+                      xs, ts, n_lambda: int, direct=()) -> np.ndarray:
+    """term1, term2, term3, the weighted total and the tails of each of the
+    ``direct`` models, shape (4 + len(direct), len(xs), len(ts)).
 
     The route reads spectrum, grid, mass and tolerances from ``free``, the
     pair's spectral free model.  The barrier coefficients, the term3 kernel
     and the two u-kernels are built once per call, the latter on one
-    Gauss-Legendre rule of at least n_lambda nodes (_u_nodes).  Each time
-    t applies both u-kernels to each x's psi row, one matrix-vector
-    product per x, so a point has the bits of its lone call, and reads
-    term3 at every x from free's panel tables, on its lattice, all from
-    one tails call.
+    Gauss-Legendre rule of at least n_lambda nodes (_u_nodes), and applied
+    to up to _FIELD_ENTRIES (time, x, k) entries at once, in one stack of
+    matrix-vector products, one per (time, x): a point has its lone bits.
+    term3, on free's lattice, and the direct tails come from one
+    lockstep_tails call.
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -152,10 +155,22 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     kernel3 = (np.exp(2j * a * (k + gamma))
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
     u, wu = _gauss_rule(0.0, 1.0, _u_nodes(a, k, gamma, n_lambda))
+    x_far = float(np.max(np.abs(xs), initial=0.0))
+    for t in ts.tolist():
+        # The psi_x rows reach x_far and term3 the top of the hint.
+        free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
+    # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
+    # split into x'-independent coefficients (a row per t) and exp(i k x').
+    phases = np.exp(-1j * k * spectrum.x_bar - 1j * HBAR * k * k * ts[:, None] / (2.0 * mass))
+    coeffs = grid.weights * spectrum.amplitude(k) * phases
+    # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
+    # x to hint_hi: a table per t on the free reference's lattice.
+    tails = lockstep_tails([(free, coeffs * kernel3)] + [(m, None) for m in direct], xs, ts)
     # (kernel1, kernel2) by (u, k), built in place from ekm and ekp =
     # exp(2iau (k -+ gamma)): kernel1 = ((k + gamma) ekm - (k - gamma) ekp) / D
     # and kernel2 = exp(2iauk) sin(2au gamma) / D, written via exponentials
-    # so the under-barrier branch is the matching sinh, not a branch cut.
+    # so the under-barrier branch is the matching sinh, not a branch cut;
+    # built after the tables, so the pass does not hold them.
     kernels = np.stack([k - gamma, k + gamma])[:, None] * u[:, None]
     kernels *= 2j * a
     np.exp(kernels, out=kernels)
@@ -167,23 +182,15 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     ekm -= ekp
     ekm /= denom
     ekp[...] = kernel2
-    x_far = float(np.max(np.abs(xs), initial=0.0))
-    for t in ts.tolist():
-        # The psi_x rows reach x_far and term3 the top of the hint.
-        free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
-    # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
-    # split into x'-independent coefficients (a row per t) and exp(i k x').
-    phases = np.exp(-1j * k * spectrum.x_bar - 1j * HBAR * k * k * ts[:, None] / (2.0 * mass))
-    coeffs = grid.weights * spectrum.amplitude(k) * phases
-    # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
-    # x to hint_hi: a table per t on the free reference's lattice.
-    term3s = free.tails(xs, ts, coeffs * kernel3)
     waves = np.exp(1j * np.outer(xs, k))     # the e^{ikx} rows, for every t
-    out = np.empty((4, xs.size, ts.size))
-    for j, (coeff, term3) in enumerate(zip(coeffs, term3s)):
-        sums = (kernels[:, None] @ (waves * coeff)[:, :, None])[..., 0]
-        t1, t2 = np.einsum("u,cxu->cx", wu, sums.real ** 2 + sums.imag ** 2)
-        out[:, :, j] = t1, t2, term3, c1 * t1 + c2 * t2 + c3 * term3
+    out = np.empty((4 + len(direct), xs.size, ts.size))
+    out[2], out[4:] = tails[0].T, tails[1:].transpose(0, 2, 1)
+    rows = max(1, _FIELD_ENTRIES // max(1, waves.size))     # times a stack holds
+    for i in range(0, ts.size, rows):
+        sums = (kernels[:, None, None] @ (waves * coeffs[i:i + rows, None])[..., None])
+        out[:2, :, i:i + rows] = np.einsum(
+            "u,ctxu->cxt", wu, sums[..., 0].real ** 2 + sums[..., 0].imag ** 2)
+    out[3] = c1 * out[0] + c2 * out[1] + c3 * out[2]
     return out
 
 
@@ -257,18 +264,20 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
                    n_lambda: int = 32) -> DeltaPReport:
     """Evaluate both routes over a grid, row-major with t varying fastest.
 
-    Both routes run on the given pair under its tolerances, all x of a time
-    at once: the direct route reads both tails from one tails call per
-    model, and the decomposed route runs on ``free`` with u-kernels built
-    once, on a rule of at least n_lambda nodes, for the whole call.
-    delta_p_direct and tail() stay the pointwise checks.
+    Both routes run on the given pair under its tolerances, all x at once;
+    the decomposed route on ``free``, with u-kernels built once on a rule of
+    at least n_lambda nodes.  Its term3 tables and both direct ones come
+    from one lockstep pass and one read per block of times, each with the
+    bits of its lone build: the routes share only the grid, the free lattice
+    and its panel waves.  delta_p_direct and tail() stay the pointwise checks.
     """
     barrier = _pair_barrier(free, tunneling)
     default_x, default_t = default_delta_p_grid(barrier)
     xs = np.asarray(default_x if x_values is None else x_values, dtype=float)
     ts = np.asarray(default_t if t_values is None else t_values, dtype=float)
-    term1, term2, term3, totals = _decomposed_terms(free, barrier, xs, ts, n_lambda).reshape(4, -1)
-    direct = (free.tails(xs, ts) - tunneling.tails(xs, ts)).T.ravel()
+    term1, term2, term3, totals, free_tails, tunnel_tails = _decomposed_terms(
+        free, barrier, xs, ts, n_lambda, (free, tunneling)).reshape(6, -1)
+    direct = free_tails - tunnel_tails
     c1, c2, c3 = _term_weights(barrier, tunneling.mass)
     rel = np.abs(direct - totals) / np.maximum(direct, _AGREEMENT_FLOOR)
     grid = tuple((x, t) for x in xs.tolist() for t in ts.tolist())
@@ -313,15 +322,14 @@ def retardation_scan(free: PacketModel, tunneling: PacketModel,
     For every P the tunneled quantile must not lead the free one at any
     grid time where it has already crossed the barrier edge.  The pair must
     be spectral (as for delta_p_report), so no norm decays below a level.
-    One quantile_position call per model inverts every level at every
-    grid time, on one table per time.
+    One quantile_position call inverts every level at every grid time for
+    both models, from one lockstep pass and one invert_tables call per block.
     """
     edge = _pair_barrier(free, tunneling).half_width
     ts = _time_grid(t_grid)
     levels = _levels(P_list).ravel()
     # Positions by (t, P).
-    x_tun = quantile_position(tunneling, levels, ts, tol)
-    x_free = quantile_position(free, levels, ts, tol)
+    x_free, x_tun = quantile_position((free, tunneling), levels, ts, tol)
     verdicts = []
     for j, P in enumerate(levels.tolist()):
         lead = x_tun[:, j] - x_free[:, j]

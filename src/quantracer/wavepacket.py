@@ -30,6 +30,7 @@ from .numerics import (
     build_kgrid,
     integrate_adaptive,
     nodes_for_phase,
+    read_tails,
 )
 
 __all__ = [
@@ -229,7 +230,9 @@ class PacketModel(abc.ABC):
 
     @abc.abstractmethod
     def support_hint(self, t) -> tuple[float, float]:
-        """Interval holding all but ~1e-12 of the probability at time t."""
+        """Interval holding all but a far-field trace of the probability at
+        time t: below 1e-15 beyond each end for the closed-form packets,
+        up to 4.4e-10 for the stock spectral ones (SpectralPacketModel)."""
 
     @abc.abstractmethod
     def spread(self, t) -> float:
@@ -495,7 +498,8 @@ _KEPT_WIDTHS = 16
 # count as lattice ones: rounding of the panel edges, nothing more.
 _ULPS = 16.0 * np.finfo(float).eps
 
-# Most tables one lockstep pass builds (a pass holds all their panels).
+# Most times one lockstep pass builds tables for, a table per time and
+# source (a pass holds all their panels).
 _TABLE_BLOCK = 32
 
 # Most rows of one BLAS product: with OpenBLAS 0.3.31 on 2 threads a row's
@@ -742,9 +746,10 @@ class SpectralPacketModel(PacketModel):
         # Per region: waves, lattice origin, coefficients (a row per time)
         # of e^{iqx} and of e^{-iqx}.
         origin = edge if self.barrier is not None else 0.0
-        regions = ((right_waves, origin, coeffs * T, None),
-                   (left_waves, -origin, coeffs, coeffs * R),
-                   (under, 0.0, coeffs * A, coeffs * B))
+        regions = [(right_waves, origin, coeffs * T, None)]
+        if self.barrier is not None:    # the free reference's panels all lie right
+            regions += [(left_waves, -origin, coeffs, coeffs * R),
+                        (under, 0.0, coeffs * A, coeffs * B)]
 
         def values(table, mids, halves):
             # Regions by the outermost nodes, not the panel edges: a panel
@@ -868,44 +873,13 @@ class SpectralPacketModel(PacketModel):
         z, v = math.copysign(z, 0.5 - P) + 1e-3, HBAR * self.spectrum.k_bar / self.mass
         return [max(self.spectrum.x_bar + v * t + self.spread(t) * z, self._modes[1]) for t in ts]
 
-    def tail_tables(self, ts, low=-math.inf, coeffs=None,
-                    above=math.inf) -> Iterator[list[Panels]]:
-        """Panel tables of rho over the support hint, one per t of ts, on
-        the lattice of _lattice(t), yielded in blocks: lists of up to
-        _TABLE_BLOCK tables from one adaptive_panels call, each built when
-        it is read, after the phase guard, with its one-time build's bits.
-        A table starts at the lattice edge at or below ``low`` (the last
-        panel at most), or where its mass from the top reaches ``above``:
-        the top of the whole table, bit for bit.  Its first round goes down
-        to _depths(ts, above), a guess that sizes the work only.  ``coeffs`` (a
-        row per time) replaces the mode coefficients, on the free reference
-        only (see tails): on a barrier model the first read raises ValueError."""
-        if coeffs is not None and self.barrier is not None:
-            raise ValueError("plane-wave coefficients need the free reference")
-        ts = np.asarray(ts, dtype=float).ravel()
-        for i in range(0, ts.size, _TABLE_BLOCK):
-            block = ts[i:i + _TABLE_BLOCK].tolist()
-            parts = [self._lattice(t) for t in block]
-            for t, edges in zip(block, parts):
-                self._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
-            rho = self._panel_rho(block, None if coeffs is None else coeffs[i:i + _TABLE_BLOCK])
-            depths = self._depths(block, above) if above < math.inf else math.inf
-            yield adaptive_panels(rho, parts, self.tol, low, above, depths)
+    def tail_tables(self, ts, low=-math.inf, coeffs=None, above=math.inf) -> Iterator[list[Panels]]:
+        """lockstep_tables with this model (and ``coeffs``) the one source."""
+        return lockstep_tables([(self, coeffs)], ts, low, above)
 
     def tails(self, x, t, coeffs=None) -> np.ndarray:
-        """Tails at every x and time of t, shape t.shape + x.shape: a table
-        per time from tail_tables(t, min x), read at all x in one
-        Panels.tail call, each x with the bits of its own call (tail() is
-        the independent check).  With ``coeffs`` (a row per time) the same
-        integrals of |sum_j coeffs_j e^{ik_j x}|^2 on the free reference's
-        lattice (the delta-p transmitted excess).  A NaN x is an InvalidRange."""
-        x = np.asarray(x, dtype=float)
-        low = np.min(x, initial=math.inf)     # NaN if any x is NaN
-        if math.isnan(low):
-            raise InvalidRange("tail position is NaN")
-        times = np.asarray(t, dtype=float)
-        reads = [table.tail(x) for block in self.tail_tables(times, low, coeffs) for table in block]
-        return np.reshape(reads, times.shape + x.shape)
+        """lockstep_tails with this model (and ``coeffs``) the one source."""
+        return lockstep_tails([(self, coeffs)], x, t)[0]
 
     def norm(self, t) -> float:
         # Modes are orthonormal and the spectrum has unit mass on the grid.
@@ -913,12 +887,66 @@ class SpectralPacketModel(PacketModel):
 
     def support_hint(self, t) -> tuple[float, float]:
         """_reach(t) snapped outward to the panel lattice (_lattice), each
-        end by at most its side's pitch, so tail() and tables agree."""
+        end by at most its side's pitch, so tail() and tables agree.  The 6
+        sigma spectral cut leaves a far field: out to the phase guard's
+        reach, the stock pair holds up to 3.3e-10 (free) and 4.4e-10
+        (tunneling) beyond one end over t in [0, 10]."""
         edges = self._lattice(float(t))
         return float(edges[0]), float(edges[-1])
 
     def spread(self, t) -> float:
         return float(_width_at(self._sigma_x0, self._sigma_v, float(t)))
+
+
+def lockstep_tables(sources, ts, low=-math.inf, above=math.inf) -> Iterator[list[Panels]]:
+    """Panel tables of each source at every t of ts, yielded per block of up
+    to _TABLE_BLOCK times as one list, source by source, from one
+    adaptive_panels pass run when the block is read.  A source is (model,
+    coeffs): a spectral model's rho or, with ``coeffs`` (a row per time),
+    |sum_j coeffs_j e^{ik_j x}|^2 on a free reference's lattice (on a barrier
+    model the first read raises ValueError).  A table lies on _lattice(t),
+    after the phase guard, under its model's tolerances, each panel with
+    the bits of its lone build.  It starts at the lattice edge at or below ``low`` (the
+    last panel at most), or where its mass from the top reaches ``above``:
+    the top of the whole table, bit for bit; its first round goes down to
+    _depths(ts, above), a guess that sizes the work only."""
+    if any(coeffs is not None and model.barrier is not None for model, coeffs in sources):
+        raise ValueError("plane-wave coefficients need the free reference")
+    ts = np.asarray(ts, dtype=float).ravel()
+    for i in range(0, ts.size, _TABLE_BLOCK):
+        block = ts[i:i + _TABLE_BLOCK].tolist()
+        n, parts, rhos, tols, depths = len(block), [], [], [], []
+        for model, coeffs in sources:
+            parts += [model._lattice(t) for t in block]
+            for t, edges in zip(block, parts[-n:]):
+                model._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
+            rhos.append(model._panel_rho(block, None if coeffs is None else coeffs[i:i + n]))
+            tols += [model.tol] * n
+            depths += model._depths(block, above) if above < math.inf else [math.inf] * n
+
+        def panel_f(table, mids, halves):    # each source's panels to its own model
+            out = np.empty((mids.size, PANEL_NODES.size))
+            for s, rho in enumerate(rhos):
+                mine = np.flatnonzero(table // n == s)
+                out[mine] = rho(table[mine] - s * n, mids[mine], halves[mine])
+            return out
+        yield adaptive_panels(panel_f, parts, tols, low, above, depths)
+
+
+def lockstep_tails(sources, x, t) -> np.ndarray:
+    """Tails of each source (see lockstep_tables) at every x and time of t,
+    shape (len(sources),) + t.shape + x.shape: per block of times one pass,
+    from the lattice edge at or below min x, and one read_tails call, each
+    (table, x) with its lone Panels.tail bits.  A NaN x is an InvalidRange."""
+    x = np.asarray(x, dtype=float)
+    low = np.min(x, initial=math.inf)     # NaN if any x is NaN
+    if math.isnan(low):
+        raise InvalidRange("tail position is NaN")
+    times = np.asarray(t, dtype=float)
+    reads = [np.empty((len(sources), 0, x.size))] + [
+        read_tails(block, x.ravel()).reshape(len(sources), len(block) // len(sources), x.size)
+        for block in lockstep_tables(sources, times, low)]
+    return np.concatenate(reads, axis=1).reshape((len(sources),) + times.shape + x.shape)
 
 
 def spectral_free_model(spectrum: SpectralFunction, grid: KGrid, *,
@@ -1030,9 +1058,10 @@ class Gaussian3DModel:
         form: with s = sigma_x(t), d the ball's offset from the packet
         center and a = R d / s^2 it is (erf((R - d)/(sqrt2 s)) +
         erf((R + d)/(sqrt2 s)))/2 - sqrt(2/pi) (R/s) exp(-(R - d)^2/(2 s^2))
-        (1 - e^(-2a))/(2a), the last factor 1 at a = 0.  Its error is
-        rounding's, absolute (~1e-16); a ball far from the packet, which
-        rounding can leave at -1e-33, reads 0, and a NaN stays NaN.  The second
+        (1 - e^(-2a))/(2a), the last factor 1 at a = 0, the erf sum written
+        erfc((d - R)/(sqrt2 s)) - erfc((d + R)/(sqrt2 s)) where d > R: a far ball
+        keeps relative digits (1e-20 at R = s, d = 10 s), one below 0 reads 0,
+        and a NaN stays NaN.  The second
         term is 0 (not inf * 0) where |R - d| >= 40 s or R/s overflows.  Where
         that cancels to O(r^3), r = R/s < 1/4 and a < 1, the sum over j + k < 10 of
         sqrt(2/pi) e^(-d^2/2s^2) r^3 (-r^2/2)^j a^2k / (j! (2k+1)! (2j+2k+3)) keeps
@@ -1050,8 +1079,9 @@ class Gaussian3DModel:
         z = (radius - d) / s
         spill = (math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * z ** 2) * shape
                  if abs(z) < 40.0 and r < math.inf else 0.0)
-        return max(0.5 * (math.erf((radius - d) / (math.sqrt(2.0) * s))
-                          + math.erf((radius + d) / (math.sqrt(2.0) * s))) - spill, 0.0)
+        near, far = (radius - d) / (math.sqrt(2.0) * s), (radius + d) / (math.sqrt(2.0) * s)
+        inner = math.erf(near) + math.erf(far) if d <= radius else math.erfc(-near) - math.erfc(far)
+        return max(0.5 * inner - spill, 0.0)
 
     def velocity(self, points, t):
         """Component-wise free-Gaussian velocity field."""

@@ -81,12 +81,13 @@ def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
 def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
     # The tracer opens a quantile.inversion span per call of the
     # quantile_position binding of tunneling.  A scan makes one such call
-    # per model with the whole time grid, which builds the model's tables of
-    # up to 32 times in one wavepacket.adaptive_panels call (not wrapped by
-    # the tracer) and solves every (t, P) in one quantile.invert_tables call,
-    # not through the root binding the tracer counts; delta_p_report builds
-    # its direct and term3 tables the same way and solves nothing.  A path
-    # round these bindings would read 0 inversions.
+    # for the (free, tunneling) pair with the whole time grid, which builds
+    # both models' tables of up to 32 times in one wavepacket.adaptive_panels
+    # call (not wrapped by the tracer) and solves every (model, t, P) of the
+    # block in one quantile.invert_tables call, not through the root binding
+    # the tracer counts; delta_p_report builds its direct and term3 tables
+    # in one pass the same way and solves nothing.  A path round these
+    # bindings would read 0 inversions.
     counts = {"evals": 0, "solves": 0, "inversions": 0, "builds": 0, "tables": 0}
     grids = []
     solve, invert = quantile.find_root_monotone, tunneling.quantile_position
@@ -120,12 +121,18 @@ def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
     tunnel = wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER, grid)
     times = np.linspace(0.0, 2.0, 3)
     tunneling.retardation_scan(free, tunnel, [0.01, 0.3], times)
-    assert counts["inversions"] == 2 and (counts["evals"], counts["solves"]) == (0, 2)
-    assert [grid.tolist() for grid in grids] == [times.tolist()] * 2
-    assert (counts["builds"], counts["tables"]) == (2, 6)
+    assert counts["inversions"] == 1 and (counts["evals"], counts["solves"]) == (0, 1)
+    assert [grid.tolist() for grid in grids] == [times.tolist()]
+    assert (counts["builds"], counts["tables"]) == (1, 6)
     counts.update(evals=0, solves=0, inversions=0, builds=0, tables=0)
     tunneling.delta_p_report(free, tunnel, [0.5, 1.5], [0.0, 1.0, 2.0])
-    assert counts == {"evals": 0, "solves": 0, "inversions": 0, "builds": 3, "tables": 9}
+    assert counts == {"evals": 0, "solves": 0, "inversions": 0, "builds": 1, "tables": 9}
+    # Blocks of two times: still one inversion for the pair, and one pass
+    # and one invert_tables call per block.
+    counts.update(evals=0, solves=0, inversions=0, builds=0, tables=0)
+    monkeypatch.setattr(wavepacket, "_TABLE_BLOCK", 2)
+    tunneling.retardation_scan(free, tunnel, [0.01, 0.3], times)
+    assert counts == {"evals": 0, "solves": 2, "inversions": 1, "builds": 2, "tables": 6}
 
 
 def test_ode_trace_steps_through_the_traced_ode_binding(monkeypatch):

@@ -153,10 +153,10 @@ class TestQuantilePosition:
         scalar = [quantile_position(model, P, t) for P in levels.ravel().tolist()]
         assert all(type(x) is float for x in scalar)
         builds = []
-        tail_tables = SpectralPacketModel.tail_tables
-        monkeypatch.setattr(SpectralPacketModel, "tail_tables",
-                            lambda self, ts, **kw: builds.extend(ts)
-                            or tail_tables(self, ts, **kw))
+        lockstep = quantile.lockstep_tables
+        monkeypatch.setattr(quantile, "lockstep_tables",
+                            lambda sources, ts, **kw: builds.extend(ts)
+                            or lockstep(sources, ts, **kw))
         xs = quantile_position(model, levels, t)
         assert xs.shape == levels.shape
         assert xs.ravel().tolist() == scalar
@@ -178,6 +178,7 @@ class TestQuantilePosition:
             raise AssertionError("an empty level list read the model")
         for name in ("norm", "tail_tables"):
             monkeypatch.setattr(SpectralPacketModel, name, refuse)
+        monkeypatch.setattr(quantile, "lockstep_tables", lambda *args, **kw: pytest.fail("built"))
         xs = quantile_position(tunnel_models[1], levels, 1.0)
         assert xs.shape == np.shape(levels)
 
@@ -314,15 +315,15 @@ class TestQuantilePosition:
 
     def test_array_of_times_keeps_its_shape(self, tunnel_models, monkeypatch):
         # A (3, 12) time array across a table block edge, with a (2,) level
-        # array: positions of shape (3, 12, 2) from one tail_tables call.
+        # array: positions of shape (3, 12, 2) from one lockstep_tables call.
         _, tunnel = tunnel_models
         ts = np.linspace(0.0, 10.0, 36).reshape(3, 12)
         levels = np.array([0.02, 0.6])
         builds = []
-        tail_tables = SpectralPacketModel.tail_tables
-        monkeypatch.setattr(SpectralPacketModel, "tail_tables",
-                            lambda self, ts, **kw: builds.append(len(ts))
-                            or tail_tables(self, ts, **kw))
+        lockstep = quantile.lockstep_tables
+        monkeypatch.setattr(quantile, "lockstep_tables",
+                            lambda sources, ts, **kw: builds.append(len(ts))
+                            or lockstep(sources, ts, **kw))
         xs = quantile_position(tunnel, levels, ts)
         assert xs.shape == (3, 12, 2) and builds == [36]
         assert xs[2, 11].tolist() == quantile_position(tunnel, levels, 10.0).tolist()
@@ -632,7 +633,7 @@ class TestTraceTrajectoryCdf:
     @pytest.mark.parametrize("P", [0.0, -0.1, 1.0, math.nan])
     def test_rejects_a_level_before_building_tables(self, tunnel_models, monkeypatch, P):
         _, tunnel = tunnel_models
-        monkeypatch.setattr(type(tunnel), "tail_tables", lambda *args: pytest.fail("built"))
+        monkeypatch.setattr(quantile, "lockstep_tables", lambda *args, **kw: pytest.fail("built"))
         with pytest.raises(InvalidRange):
             trace_trajectory_cdf(tunnel, P, np.linspace(0.0, 10.0, 41))
 
@@ -976,6 +977,18 @@ class TestProbabilityInVolume:
         got = field._ball_mass(np.array([2.0 + offset * s, 0.0, 0.0]), ratio * s, 1.0)
         want = gaussian_ball_mass_offset(ratio, offset)
         assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("d, mass", [(15.0, 3.88652287310018e-08),
+                                         (25.0, 1.0061104899510884e-20)])
+    def test_a_far_ball_keeps_its_relative_digits(self, d, mass):
+        # R = s = 2.5, d from the packet center.  Both erf terms sit near 1
+        # there: their difference read 2e-10 relative off at d = 15 and 0.0
+        # at d = 25; the erfc difference keeps the digits.
+        field = Gaussian3DModel(Gaussian3DParams(center=(0.0, 0.0, 0.0),
+                                                 velocity=(0.0, 0.0, 0.0), sigma_x0=2.5))
+        got = field._ball_mass(np.array([0.0, d, 0.0]), 2.5, 0.0)
+        assert gaussian_ball_mass_offset(1.0, d / 2.5) == pytest.approx(mass, rel=1e-15)
+        assert abs(got - mass) <= 1e-13 * mass
 
     @pytest.mark.parametrize("width", [1e-170, 1e-300])
     def test_a_width_whose_square_underflows_is_refused(self, width):

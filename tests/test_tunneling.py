@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import square_barrier_transmission
-from quantracer import numerics, tunneling
+from quantracer import numerics, quantile, tunneling
 from quantracer.cli import PRESETS
 from quantracer.errors import GridTooCoarse, InvalidRange
 from quantracer.numerics import build_kgrid
@@ -358,22 +358,27 @@ class TestRetardationScan:
             assert np.max((v.x_tunnel - v.x_free)[beyond]) == v.worst_margin
 
     def test_one_table_per_model_and_time(self, fig2, monkeypatch):
-        # fig2: 17 levels x 21 times share 2 x 21 tables and sample no
-        # velocity; the positions are those of one-level inversions.
+        # fig2: 17 levels x 21 times share 2 x 21 tables of one lockstep
+        # pass and sample no velocity; the positions are those of one-level
+        # inversions.
         _, _, free, tunnel = fig2
         levels = PRESETS["fig2"]["p_list"]
         times = np.linspace(0.0, 10.0, 21)
-        calls = {"tail_tables": 0, "density_and_current": 0}
-        for name in calls:
-            original = getattr(SpectralPacketModel, name)
+        calls = {"passes": 0, "tables": 0, "density_and_current": 0}
+        lockstep, field = quantile.lockstep_tables, SpectralPacketModel.density_and_current
 
-            def counted(self, *args, _name=name, _original=original, **kw):
-                # Tables built, one per time; field calls, one per call.
-                calls[_name] += len(args[0]) if _name == "tail_tables" else 1
-                return _original(self, *args, **kw)
-            monkeypatch.setattr(SpectralPacketModel, name, counted)
+        def counted_tables(sources, ts, **kw):
+            calls["passes"] += 1
+            calls["tables"] += len(sources) * len(ts)
+            return lockstep(sources, ts, **kw)
+
+        def counted_field(self, *args):
+            calls["density_and_current"] += 1
+            return field(self, *args)
+        monkeypatch.setattr(quantile, "lockstep_tables", counted_tables)
+        monkeypatch.setattr(SpectralPacketModel, "density_and_current", counted_field)
         verdicts = retardation_scan(free, tunnel, levels, times)
-        assert calls == {"tail_tables": 42, "density_and_current": 0}
+        assert calls == {"passes": 1, "tables": 42, "density_and_current": 0}
         assert [v.P for v in verdicts] == list(levels)
         v = verdicts[3]
         assert v.times.tolist() == times.tolist()
@@ -383,10 +388,10 @@ class TestRetardationScan:
     def test_empty_level_list_builds_no_table(self, fig2, monkeypatch):
         _, _, free, tunnel = fig2
         builds = []
-        tail_tables = SpectralPacketModel.tail_tables
-        monkeypatch.setattr(SpectralPacketModel, "tail_tables",
-                            lambda self, ts, **kw: builds.extend(ts)
-                            or tail_tables(self, ts, **kw))
+        lockstep = quantile.lockstep_tables
+        monkeypatch.setattr(quantile, "lockstep_tables",
+                            lambda sources, ts, **kw: builds.extend(ts)
+                            or lockstep(sources, ts, **kw))
         assert retardation_scan(free, tunnel, [], np.linspace(0.0, 8.0, 5)) == []
         assert builds == []
 
@@ -425,6 +430,96 @@ class TestRetardationScan:
             verdicts = retardation_scan(free, tunnel, [0.1, 0.3],
                                         np.arange(0.0, 11.0, 2.0))
             assert all(v.ok for v in verdicts)
+
+
+# 1 to 5 sorted distinct times in [0, 10].
+FEW_TIMES = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5, unique=True).map(sorted)
+
+
+class TestOnePassPerPair:
+    """Both routes of delta_p_report and both models of retardation_scan
+    build their tables in one lockstep pass per block of times and read
+    them in one batched read: every field and verdict keeps the bits of
+    separate one-model passes."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(ts=FEW_TIMES, xs=st.lists(st.floats(0.31, 8.0), min_size=1, max_size=5))
+    def test_report_fields_equal_separate_passes(self, fig2, ts, xs):
+        _, _, free, tunnel = fig2
+        report = delta_p_report(free, tunnel, x_values=xs, t_values=ts)
+        direct = (free.tails(xs, ts) - tunnel.tails(xs, ts)).T.ravel()
+        terms = tunneling._decomposed_terms(free, DEFAULT_BARRIER, xs, ts, 32).reshape(4, -1)
+        c1, c2, c3 = _term_weights(DEFAULT_BARRIER, tunnel.mass)
+        assert np.array_equal(report.dp_direct, direct)
+        for got, want in zip((report.dp_term1, report.dp_term2, report.dp_term3, report.dp_total),
+                             (c1 * terms[0], c2 * terms[1], c3 * terms[2], terms[3])):
+            assert np.array_equal(got, want)
+        assert np.array_equal(report.agreement_rel,
+                              np.abs(direct - terms[3]) / np.maximum(direct, 1e-9))
+        assert np.array_equal(report.positivity_ok, direct >= -1e-6)
+
+    @settings(max_examples=10, deadline=None)
+    @given(ts=FEW_TIMES, levels=st.lists(st.floats(0.005, 0.995), min_size=1, max_size=3))
+    def test_verdicts_equal_one_model_inversions(self, fig2, ts, levels):
+        _, _, free, tunnel = fig2
+        verdicts = retardation_scan(free, tunnel, levels, ts)
+        x_tun, x_free = quantile_position(tunnel, levels, ts), quantile_position(free, levels, ts)
+        for j, v in enumerate(verdicts):
+            assert np.array_equal(v.x_tunnel, x_tun[:, j])
+            assert np.array_equal(v.x_free, x_free[:, j])
+            lead, beyond = x_tun[:, j] - x_free[:, j], x_tun[:, j] > DEFAULT_BARRIER.half_width
+            assert v.checked == beyond.sum()
+            assert v.worst_margin == np.max(lead[beyond], initial=-math.inf)
+            assert v.worst_margin_all == lead.max()
+
+    @pytest.mark.parametrize("xs, ts", [([], [1.0, 2.0]), ([0.5, 1.0], []), ([], [])])
+    def test_an_empty_grid_gives_an_empty_report(self, fig2, xs, ts):
+        _, _, free, tunnel = fig2
+        report = delta_p_report(free, tunnel, x_values=xs, t_values=ts)
+        assert report.grid == () and report.dp_direct.shape == report.dp_total.shape == (0,)
+
+    def test_a_pair_of_models_inverts_to_their_own_positions(self, fig2):
+        # quantile_position over a tuple stacks its models' positions on a
+        # leading axis; closed-form models in it invert one by one.
+        _, _, free, tunnel = fig2
+        closed = FreeGaussianModel(DEFAULT_PACKET)
+        ts, levels = [0.0, 4.5, 10.0], [0.01, 0.4]
+        pair = quantile_position((free, tunnel), levels, ts)
+        assert pair.shape == (2, 3, 2)
+        assert np.array_equal(pair[1], quantile_position(tunnel, levels, ts))
+        assert quantile_position((tunnel, free), 0.3, 2.0).tolist() == [
+            quantile_position(tunnel, 0.3, 2.0), quantile_position(free, 0.3, 2.0)]
+        mixed = quantile_position((closed, tunnel), levels, ts)
+        assert np.array_equal(mixed[0], quantile_position(closed, levels, ts))
+        assert np.array_equal(mixed[1], pair[1])
+        assert quantile_position((free, tunnel), [], ts).shape == (2, 3, 0)
+
+    @pytest.mark.parametrize("n", [101, 401])
+    def test_memory_is_bounded_by_one_block(self, fig2, n):
+        # A pass holds up to 3 x 32 tables.  Measured here on the fig2 pair:
+        # delta_p_report at 12 x peaked at 4.6 and 10.0 MiB at 101 and 401
+        # times (4.1 and 9.5 MiB with a pass per model); the growth is the
+        # report's coefficient rows, three complex rows of the grid per
+        # time.  retardation_scan at two levels peaked at 2.6 and 2.7 MiB
+        # (2.2 and 2.3 MiB with a pass per model).
+        _, grid, free, tunnel = fig2
+        xs, levels = np.linspace(0.5, 5.3, 12), [0.01, 0.3]
+        # Kept waves in place before measuring.
+        delta_p_report(free, tunnel, xs, np.linspace(0.0, 10.0, 33))
+        retardation_scan(free, tunnel, levels, np.linspace(0.0, 10.0, 33))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        ts = np.linspace(0.0, 10.0, n)
+        rows = (n - 101) * 4 * 16 * grid.size
+        assert peak(lambda: delta_p_report(free, tunnel, xs, ts)) <= 6 * 2 ** 20 + rows
+        assert peak(lambda: retardation_scan(free, tunnel, levels, ts)) <= 3 * 2 ** 20
 
 
 class TestPacketTransmission:

@@ -1044,6 +1044,18 @@ def assert_same_tables(batched, alone):
         assert b.total == a.total
 
 
+def assert_same_tops(batched, alone):
+    """Two sequences of Panels built down to a level, each table the top of
+    its twin, bit for bit."""
+    batched, alone = list(batched), list(alone)
+    assert len(batched) == len(alone)
+    for b, a in zip(batched, alone):
+        n = min(b.los.size, a.los.size)
+        for name in ("los", "his", "values", "nodes"):
+            assert np.array_equal(getattr(b, name)[-n:], getattr(a, name)[-n:]), name
+        assert np.array_equal(b.upper[-n - 1:], a.upper[-n - 1:])
+
+
 # Sorted sets of 1 to 25 distinct times in [0, 10], of every size alike.
 TIME_SETS = st.integers(1, 25).flatmap(lambda n: st.lists(
     st.floats(0.0, 10.0), min_size=n, max_size=n, unique=True).map(sorted))
@@ -1166,6 +1178,124 @@ class TestBatchedTables:
         assert peak(build, 301) <= small + (1 << 18)
         invert = lambda ts: quantile_position(model, [0.3], ts)
         assert peak(invert, 1601) <= 1.25 * peak(invert, 101)
+
+
+def test_mass_beyond_each_hint_end_is_within_the_stated_bound(spectral_models):
+    # A pointwise quadrature of rho from each end of the support hint out to
+    # the phase guard's reach (where the k-grid stops resolving the packet),
+    # on the stock pair at the 21 stock times.  Measured here: at most
+    # 3.30e-10 beyond the free model's top, 3.06e-10 below its bottom,
+    # 7.1e-12 beyond the tunneling top and 4.40e-10 below its bottom, all at
+    # t = 0: the far field of the 6 sigma spectral cut.
+    spectrum, grid, free, tunnel = spectral_models
+    reach = grid.size * 2.0 * math.pi / (8.0 * (grid.k_max - grid.k_min))
+    tol = Tolerances(quad_rel=1e-6, quad_abs=1e-20)
+    for model, t in itertools.product((free, tunnel), np.linspace(0.0, 10.0, 21).tolist()):
+        lo, hi = model.support_hint(t)
+        far = reach - abs(spectrum.x_bar) - grid.k_max * t - 1e-9
+        model._check_resolution(far, t)
+        for a, b in ((hi, far), (-far, lo)):
+            mass = integrate_adaptive(lambda x: model.rho(x, t), a, b, tol, initial_panels=32)
+            assert 0.0 < mass <= 5e-10
+
+
+# 1 to 4 sorted distinct times in [0, 10], x values anywhere around the
+# hints (below the first edge, above the top) and NaN.
+FEW_TIMES = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4, unique=True).map(sorted)
+XS = st.lists(st.floats(-60.0, 60.0) | st.sampled_from([-1e3, 1e3, math.nan]),
+              min_size=1, max_size=6)
+
+
+class TestLockstepPass:
+    """One pass over several sources, (model, coeffs) pairs, gives every
+    table and every read the bits of its one-source build."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(ts=FEW_TIMES, low=st.just(-math.inf) | st.floats(-30.0, 30.0),
+           above=st.just(math.inf) | st.floats(0.005, 0.995), xs=XS)
+    def test_each_table_and_read_keeps_its_bits(self, spectral_models, ts, low, above, xs):
+        _, grid, free, tunnel = spectral_models
+        coeffs = free._coeffs(ts) * np.exp(0.7j * grid.nodes)
+        sources = [(free, None), (tunnel, None), (free, coeffs)]
+        (block,) = wavepacket.lockstep_tables(sources, ts, low, above)
+        n = len(ts)
+        for s, (model, c) in enumerate(sources):
+            (alone,) = model.tail_tables(ts, low, c, above)
+            if above == math.inf:
+                assert_same_tables(block[s * n:(s + 1) * n], alone)
+            else:   # the first round's size, set by the pass's table count, sizes the work only
+                assert_same_tops(block[s * n:(s + 1) * n], alone)
+        xs = np.array(xs)
+        reads = numerics.read_tails(block, xs)
+        assert reads.shape == (3 * n, xs.size)
+        lone = [[table.tail(x) for x in xs.tolist()] for table in block]
+        assert np.array_equal(reads, lone, equal_nan=True)
+        assert np.isnan(reads[:, np.isnan(xs)]).all()
+        assert (reads[:, xs == 1e3] == 0.0).all()
+        assert (reads[:, xs == -1e3].T == [t.total for t in block]).all()
+
+    @settings(max_examples=8, deadline=None)
+    @given(ts=FEW_TIMES, xs=XS)
+    def test_lockstep_tails_are_the_one_source_tails(self, spectral_models, ts, xs):
+        # Tails of all sources in one pass and one read; a NaN x is refused
+        # before any table is built, as by each model's tails.
+        _, grid, free, tunnel = spectral_models
+        coeffs = free._coeffs(ts) * np.exp(-0.4j * grid.nodes)
+        sources = [(free, coeffs), (free, None), (tunnel, None)]
+        if np.isnan(xs).any():
+            for call in (lambda: wavepacket.lockstep_tails(sources, xs, ts),
+                         lambda: tunnel.tails(xs, ts)):
+                with pytest.raises(InvalidRange):
+                    call()
+            return
+        tails = wavepacket.lockstep_tails(sources, xs, ts)
+        assert tails.shape == (3, len(ts), len(xs))
+        for got, (model, c) in zip(tails, sources):
+            assert np.array_equal(got, model.tails(xs, ts, c))
+
+    def test_blocks_hold_every_source_and_keep_their_bits(self, spectral_models, monkeypatch):
+        # Blocks of three times, two sources: each block is one pass of
+        # both sources' tables, source by source; times keep their shape.
+        _, _, free, tunnel = spectral_models
+        ts = np.linspace(0.0, 10.0, 8)
+        builds = []
+        build = wavepacket.adaptive_panels
+
+        def counted(panel_f, partitions, *args):
+            builds.append(len(partitions))
+            return build(panel_f, partitions, *args)
+        monkeypatch.setattr(wavepacket, "_TABLE_BLOCK", 3)
+        monkeypatch.setattr(wavepacket, "adaptive_panels", counted)
+        blocks = list(wavepacket.lockstep_tables([(tunnel, None), (free, None)], ts))
+        assert builds == [6, 6, 4] and [len(b) for b in blocks] == builds
+        for s, model in enumerate((tunnel, free)):
+            halves = [b[s * len(b) // 2:(s + 1) * len(b) // 2] for b in blocks]
+            assert_same_tables(itertools.chain(*halves), [table_at(model, t) for t in ts.tolist()])
+        xs = [0.5, 3.0, -12.0]
+        tails = wavepacket.lockstep_tails([(tunnel, None), (free, None)], xs, ts.reshape(2, 4))
+        assert tails.shape == (2, 2, 4, 3)
+        assert np.array_equal(tails[1, 1, 3], free.tails(xs, 10.0))
+        assert wavepacket.lockstep_tails([(tunnel, None)], xs, []).shape == (1, 0, 3)
+
+    def test_each_table_keeps_its_models_tolerances(self, spectral_models):
+        # A pair under different tolerances: one pass judges each table by
+        # its own model's, so it has the bits of its lone build.
+        spectrum, grid, free, _ = spectral_models
+        loose = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid,
+                                       tol=Tolerances(quad_rel=1e-6, quad_abs=1e-9))
+        ts = [0.0, 5.0, 10.0]
+        (block,) = wavepacket.lockstep_tables([(free, None), (loose, None)], ts)
+        assert_same_tables(block[3:], next(loose.tail_tables(ts)))
+        assert_same_tables(block[:3], next(free.tail_tables(ts)))
+        strict = next(tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid).tail_tables(ts))
+        assert sum(t.los.size for t in block[3:]) < sum(t.los.size for t in strict)
+
+    def test_plane_wave_coefficients_on_a_barrier_model_are_refused(self, spectral_models):
+        _, grid, free, tunnel = spectral_models
+        coeffs = free._coeffs([1.0])
+        blocks = wavepacket.lockstep_tables([(free, None), (tunnel, coeffs)], [1.0])
+        with pytest.raises(ValueError, match="free reference"):
+            next(blocks)
 
 
 class TestGaussian3DModel:
