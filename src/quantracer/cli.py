@@ -60,7 +60,8 @@ UNIT_COMMENT = ("# units: hbar = m = 1; positions in hbar/sqrt(eV*m), "
 # Size limits checked before anything is allocated: the time grid, the
 # Gauss-Legendre k-grid (leggauss builds an n x n companion matrix; 4096
 # nodes take about 6 s and 0.3 GB, the auto count reaches it near t_max =
-# 140 for the stock packet) and the least node count of the thickness
+# 825 for the stock packet, sooner where a barrier resonance sits near the
+# band) and the least node count of the thickness
 # quadrature (its kernels peak at three n x k-node arrays, 97 MiB at
 # 512 x 4096, the most the library builds for any barrier).
 MAX_TIME_POINTS = 100_000
@@ -279,20 +280,21 @@ def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _spectral_pair(cfg: ScenarioConfig, tol: Tolerances):
-    """(free, tunneling) models on one k-grid, sized once for times up to cfg.t_max."""
+    """(free, tunneling) models on one k-grid, sized once for times up to
+    cfg.t_max and for the barrier's resonances."""
     packet = _packet(cfg)
+    barrier = BarrierSpec(cfg.barrier_height, cfg.barrier_halfwidth)
     n_nodes = cfg.k_nodes
     if not n_nodes:
         try:
             n_nodes = recommended_node_count(packet.k_bar, packet.sigma_k, packet.x_bar,
-                                             cfg.t_max, mass=packet.mass)
+                                             cfg.t_max, mass=packet.mass, barrier=barrier)
         except InvalidRange:        # more nodes than a float can count
             n_nodes = math.inf
         if n_nodes > MAX_K_NODES:
-            raise ConfigError(f"times up to {cfg.t_max:g} need {n_nodes:.3g} wave-number "
-                              f"nodes, above the limit {MAX_K_NODES}")
+            raise ConfigError(f"times up to {cfg.t_max:g} need {n_nodes:.3g} wave-number nodes "
+                              f"for this packet and barrier, above the limit {MAX_K_NODES}")
     spectrum, grid = spectral_setup(packet, cfg.t_max, n_nodes=n_nodes)
-    barrier = BarrierSpec(cfg.barrier_height, cfg.barrier_halfwidth)
     return (spectral_free_model(spectrum, grid, mass=cfg.mass, tol=tol),
             tunneling_packet_model(spectrum, barrier, grid, mass=cfg.mass, tol=tol))
 

@@ -27,6 +27,7 @@ __all__ = [
     "PANEL_NODES",
     "build_kgrid",
     "nodes_for_phase",
+    "max_phase_rate",
     "find_root_monotone",
     "invert_tables",
     "integrate_ode",
@@ -300,7 +301,11 @@ def integrate_adaptive(
 
 @dataclass(frozen=True)
 class KGrid:
-    """Fixed Gauss-Legendre grid over a band of non-negative wave numbers."""
+    """Fixed Gauss-Legendre grid over a band of non-negative wave numbers.
+
+    The spectral models' phase guard (nodes_for_phase) bounds the error of
+    Gauss-Legendre sums: nodes and weights are the rule's on [k_min, k_max].
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -343,7 +348,8 @@ def build_kgrid(k_mean, k_width, n_nodes=256) -> KGrid:
     return KGrid(*_gauss_rule(lo, hi, int(n_nodes)), k_min=lo, k_max=hi)
 
 
-# leggauss(n) solves an n x n eigenproblem (about 18 ms at n = 386): keep it.
+# leggauss(n) solves an n x n eigenproblem (about 3 ms at n = 104, 18 ms at
+# 386, 6 s at 4096): keep it.
 _legendre = functools.lru_cache(maxsize=16)(leggauss)
 
 
@@ -354,22 +360,49 @@ def _gauss_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-# Quadrature nodes per oscillation period of a phase factor that the
-# phase-resolution guard demands.
-_NODES_PER_PERIOD = 8
+# The k-sum error target, a fraction of the spectral peak, and the ellipses
+# E_rho, rho = e^beta, of its bound (past beta = 2 the Gaussian's growth wins).
+_K_TOL = 1e-15
+_BETAS = np.geomspace(1e-6, 2.0, 1000)
 
 
-def nodes_for_phase(max_phase_rate, k_lo, k_hi, minimum=64):
-    """Node count that keeps >= _NODES_PER_PERIOD quadrature nodes per
-    oscillation period of exp(i*phase(k)), given the largest |d phase/dk|
-    over the evaluation domain; an array of rates gives a float array of
-    counts, each with the bits of its rate's own count."""
-    need = _NODES_PER_PERIOD * (abs(max_phase_rate) * (k_hi - k_lo) / (2.0 * math.pi))
-    one = isinstance(need, float)
-    if not (math.isfinite(need) if one else np.isfinite(need).all()):
-        raise InvalidRange(f"phase rate {np.max(np.abs(max_phase_rate)):g} "
-                           f"needs unboundedly many nodes")
-    return max(int(minimum), math.ceil(need)) if one else np.maximum(minimum, np.ceil(need))
+def _ellipse_terms(rho_max: float):
+    """(b, c, 2 beta) per ellipse below rho_max, the n-node bound being
+    e^(omega b + c) rho^(-2n): b = sinh(beta) its semi-minor axis; c the log
+    of 64/15 / (rho^2 - 1) / _K_TOL, of the Gaussian's growth e^((N_SIGMA
+    b/2)^2) and, under a pole's ellipse rho_max, of |T| ~ (rho_max - 1) /
+    (rho_max - rho)."""
+    beta = _BETAS[_BETAS < math.log(rho_max)]
+    rho, b = np.exp(beta), np.sinh(beta)
+    c = math.log(64.0 / 15.0 / _K_TOL) - np.log(rho * rho - 1.0) + (0.5 * N_SIGMA * b) ** 2
+    if rho_max < math.inf:
+        c += np.log((rho_max - 1.0) / (rho_max - rho))
+    return b, c, 2.0 * beta
+
+
+def nodes_for_phase(max_phase_rate, k_lo, k_hi, *, rho_max=math.inf, minimum=64) -> int:
+    """Least n (at least ``minimum``) whose n-point Gauss-Legendre error bound
+    on a Gaussian spectrum cut at N_SIGMA, times a phase exp(i phi(k)) with
+    |phi'| <= max_phase_rate on [k_lo, k_hi], is _K_TOL of the peak: (64/15)
+    M rho^(-2n) / (rho^2 - 1) (Trefethen, *Approximation Theory and
+    Approximation Practice*, Thm 19.3) at the best ellipse E_rho below
+    rho_max, a pole's; on E_rho |exp(i phi)| <= e^(omega b), omega the rate
+    times (k_hi - k_lo) / 2.  InvalidRange where no ellipse gives a count."""
+    b, c, two_beta = _ellipse_terms(rho_max)
+    omega = abs(max_phase_rate) * 0.5 * (k_hi - k_lo)
+    need = float(np.min((omega * b + c) / two_beta, initial=math.inf))
+    if not math.isfinite(need):
+        raise InvalidRange(f"phase rate {max_phase_rate:g} needs unboundedly many nodes")
+    return max(int(minimum), math.ceil(need))
+
+
+def max_phase_rate(n: int, k_lo, k_hi, *, rho_max=math.inf) -> float:
+    """Largest rate with nodes_for_phase(rate, minimum=1) <= n (negative if none)."""
+    b, c, two_beta = _ellipse_terms(rho_max)
+    rate = float(np.max((n * two_beta - c) / b, initial=-math.inf)) / (0.5 * (k_hi - k_lo))
+    while rate > 0.0 and nodes_for_phase(rate, k_lo, k_hi, rho_max=rho_max, minimum=1) > n:
+        rate *= 1.0 - 1e-12      # rounding at the ceiling
+    return rate
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidRange
-from .numerics import DEFAULT_TOL, KGrid, Tolerances, _gauss_rule
+from .numerics import DEFAULT_TOL, KGrid, Tolerances, _gauss_rule, max_phase_rate
 from .quantile import _levels, _time_grid, quantile_position
 from .wavepacket import (
     HBAR,
@@ -29,7 +29,9 @@ from .wavepacket import (
     PacketModel,
     SpectralFunction,
     _FIELD_ENTRIES,
+    _TABLE_BLOCK,
     _barrier_coefficients,
+    _pole_rho,
     lockstep_tails,
     spectral_free_model,
 )
@@ -130,13 +132,15 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     ``direct`` models, shape (4 + len(direct), len(xs), len(ts)).
 
     The route reads spectrum, grid, mass and tolerances from ``free``, the
-    pair's spectral free model.  The barrier coefficients, the term3 kernel
-    and the two u-kernels are built once per call, the latter on one
-    Gauss-Legendre rule of at least n_lambda nodes (_u_nodes), and applied
-    to up to _FIELD_ENTRIES (time, x, k) entries at once, in one stack of
-    matrix-vector products, one per (time, x): a point has its lone bits.
-    term3, on free's lattice, and the direct tails come from one
-    lockstep_tails call.
+    pair's spectral free model, after its phase guard under the barrier's
+    poles (the kernels divide by D).  The barrier coefficients, the term3
+    kernel and the two u-kernels are built once per call, the latter on one
+    Gauss-Legendre rule of at least n_lambda nodes (_u_nodes).  Per block
+    of _TABLE_BLOCK times the coefficient rows, one lockstep_tails call for
+    term3 (on free's lattice) and the direct tails, and the u-sums: up to
+    _FIELD_ENTRIES (time, x, k) entries at once, in one stack of
+    matrix-vector products, one per (time, x), so a point has its lone bits
+    and memory stays bounded for any number of times.
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
@@ -156,21 +160,15 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
     u, wu = _gauss_rule(0.0, 1.0, _u_nodes(a, k, gamma, n_lambda))
     x_far = float(np.max(np.abs(xs), initial=0.0))
+    rho = _pole_rho(barrier, mass, grid.k_min, grid.k_max)
+    limit = max_phase_rate(grid.size, grid.k_min, grid.k_max, rho_max=rho), rho
     for t in ts.tolist():
         # The psi_x rows reach x_far and term3 the top of the hint.
-        free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
-    # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
-    # split into x'-independent coefficients (a row per t) and exp(i k x').
-    phases = np.exp(-1j * k * spectrum.x_bar - 1j * HBAR * k * k * ts[:, None] / (2.0 * mass))
-    coeffs = grid.weights * spectrum.amplitude(k) * phases
-    # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
-    # x to hint_hi: a table per t on the free reference's lattice.
-    tails = lockstep_tails([(free, coeffs * kernel3)] + [(m, None) for m in direct], xs, ts)
+        free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t, limit)
     # (kernel1, kernel2) by (u, k), built in place from ekm and ekp =
     # exp(2iau (k -+ gamma)): kernel1 = ((k + gamma) ekm - (k - gamma) ekp) / D
     # and kernel2 = exp(2iauk) sin(2au gamma) / D, written via exponentials
-    # so the under-barrier branch is the matching sinh, not a branch cut;
-    # built after the tables, so the pass does not hold them.
+    # so the under-barrier branch is the matching sinh, not a branch cut.
     kernels = np.stack([k - gamma, k + gamma])[:, None] * u[:, None]
     kernels *= 2j * a
     np.exp(kernels, out=kernels)
@@ -184,12 +182,23 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
     ekp[...] = kernel2
     waves = np.exp(1j * np.outer(xs, k))     # the e^{ikx} rows, for every t
     out = np.empty((4 + len(direct), xs.size, ts.size))
-    out[2], out[4:] = tails[0].T, tails[1:].transpose(0, 2, 1)
     rows = max(1, _FIELD_ENTRIES // max(1, waves.size))     # times a stack holds
-    for i in range(0, ts.size, rows):
-        sums = (kernels[:, None, None] @ (waves * coeffs[i:i + rows, None])[..., None])
-        out[:2, :, i:i + rows] = np.einsum(
-            "u,ctxu->cxt", wu, sums[..., 0].real ** 2 + sums[..., 0].imag ** 2)
+    for i in range(0, ts.size, _TABLE_BLOCK):
+        block = ts[i:i + _TABLE_BLOCK]
+        # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
+        # split into x'-independent coefficients (a row per t) and exp(i k x').
+        phases = np.exp(-1j * k * spectrum.x_bar
+                        - 1j * HBAR * k * k * block[:, None] / (2.0 * mass))
+        coeffs = grid.weights * spectrum.amplitude(k) * phases
+        # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
+        # x to hint_hi: a table per t on the free reference's lattice.
+        tails = lockstep_tails([(free, coeffs * kernel3)] + [(m, None) for m in direct], xs, block)
+        out[[2, *range(4, 4 + len(direct))], :, i:i + block.size] = tails.transpose(0, 2, 1)
+        for j in range(i, i + block.size, rows):
+            part = coeffs[j - i:j - i + rows]
+            sums = (kernels[:, None, None] @ (waves * part[:, None])[..., None])
+            out[:2, :, j:j + len(part)] = np.einsum(
+                "u,ctxu->cxt", wu, sums[..., 0].real ** 2 + sums[..., 0].imag ** 2)
     out[3] = c1 * out[0] + c2 * out[1] + c3 * out[2]
     return out
 

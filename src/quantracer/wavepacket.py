@@ -9,7 +9,6 @@ positions in hbar/sqrt(eV*m), times in hbar/eV, energies in eV.
 from __future__ import annotations
 
 import abc
-import bisect
 import functools
 import math
 from collections.abc import Iterator
@@ -25,10 +24,10 @@ from .numerics import (
     KGrid,
     Panels,
     Tolerances,
-    _gauss_rule,
     adaptive_panels,
     build_kgrid,
     integrate_adaptive,
+    max_phase_rate,
     nodes_for_phase,
     read_tails,
 )
@@ -232,7 +231,7 @@ class PacketModel(abc.ABC):
     def support_hint(self, t) -> tuple[float, float]:
         """Interval holding all but a far-field trace of the probability at
         time t: below 1e-15 beyond each end for the closed-form packets,
-        up to 4.4e-10 for the stock spectral ones (SpectralPacketModel)."""
+        up to 4.2e-10 for the stock spectral ones (SpectralPacketModel)."""
 
     @abc.abstractmethod
     def spread(self, t) -> float:
@@ -356,6 +355,45 @@ def _free_coefficients(k):
     one = np.ones(k.shape, dtype=complex)
     zero = np.zeros(k.shape, dtype=complex)
     return k.astype(complex), one, zero, one, zero
+
+
+def _barrier_poles(barrier: BarrierSpec, mass: float, k_lo: float, k_hi: float) -> np.ndarray:
+    """The poles k (Re k > 0; none at V = 0) of T near the band [k_lo, k_hi],
+    which R, A and B share (all divide by D), by Newton on D's factors
+    (k + gamma) -+ (k - gamma) e^{2ia gamma}, k = sqrt(gamma^2 + 2mV/hbar^2):
+    from gamma_n = n pi / 2a, sign (-1)^n, and Im k ~ -gamma_n^2 / (a
+    k_n^2), for the n (at least 1, at most 4096 about the centre) whose k_n
+    lies within 8 half-bands of the band's centre.  Seeds that do not
+    converge, or reach the removable root gamma = 0, are dropped."""
+    q, a = 2.0 * mass * barrier.height / HBAR ** 2, barrier.half_width
+    if q == 0.0:
+        return np.empty(0, dtype=complex)
+    c, h = 0.5 * (k_hi + k_lo), 0.5 * (k_hi - k_lo)
+    lo, mid, hi = (min(2.0 / math.pi * a * math.sqrt(max(0.0, k * abs(k) - q)), 1e15)
+                   for k in (c - 8.0 * h, c, c + 8.0 * h))
+    n = np.arange(max(1, math.floor(max(lo, mid - 2048))), math.ceil(min(hi, mid + 2048)) + 2)
+    gamma = n * (math.pi / (2.0 * a))
+    gamma = gamma * (1.0 - 1j / (a * np.sqrt(gamma * gamma + q)))
+    sign = np.where(n % 2 == 1, -1.0, 1.0)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            k = np.sqrt(gamma * gamma + q)
+            wave = sign * np.exp(2j * a * gamma)
+            f = (k + gamma) - (k - gamma) * wave
+            slope = (gamma / k + 1.0) - (gamma / k - 1.0 + 2j * a * (k - gamma)) * wave
+            gamma = gamma - f / slope
+        found = (np.abs(f) <= 1e-9 * np.abs(k)) & (np.abs(gamma) > 1e-6 * math.sqrt(q))
+        return np.sqrt(gamma * gamma + q)[found]
+
+
+@functools.lru_cache(maxsize=64)
+def _pole_rho(barrier: BarrierSpec | None, mass: float, k_lo: float, k_hi: float) -> float:
+    """rho of the Bernstein ellipse E_rho of [k_lo, k_hi] through T's nearest
+    pole (its mirror -conj k lies further out), inf without a barrier."""
+    if barrier is None:
+        return math.inf
+    z = (_barrier_poles(barrier, mass, k_lo, k_hi) - 0.5 * (k_hi + k_lo)) / (0.5 * (k_hi - k_lo))
+    return float(np.min(np.abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)), initial=math.inf))
 
 
 # Most (x, wave) entries one pointwise field evaluation holds at once (two
@@ -612,16 +650,16 @@ class SpectralPacketModel(PacketModel):
     per mode, never by finite differences, so the current stays clean near
     density minima.  A phase-resolution guard raises GridTooCoarse instead
     of silently aliasing when an evaluation needs more nodes than the grid
-    has.  Pointwise fields run _mode_sums with the time phase in the mode
-    exponent: in every region one complex exponential over its stacked
-    waves and one product with their (waves, 2) matrix give (psi,
+    has: the Gauss-Legendre bound of nodes_for_phase, under the barrier's
+    nearest pole (_pole_rho), gives once the largest phase rate the grid
+    resolves, and each call compares its own rate with it.  Every sum runs
+    on the whole grid.  Pointwise fields run _mode_sums with the time phase
+    in the mode exponent: in every region one complex exponential over its
+    stacked waves and one product with their (waves, 2) matrix give (psi,
     d psi/dx), over the modes right of the barrier (every point of the free
-    reference) and over twice them, e^{+-iqx}, left of or inside it.
-    Each point sums on the smallest rung (_rung) the guard accepts at its
-    |x| and t; converged at 8 nodes per phase period, a rung moves rho and
-    j by about 1e-13 of the peak density.  Panel tables sum with
-    _PanelWaves and the coefficients of _coeffs(t), on the whole grid, over
-    a lattice with its own pitch on each side of the barrier (_lattice).
+    reference) and over twice them, e^{+-iqx}, left of or inside it.  Panel
+    tables sum with _PanelWaves and the coefficients of _coeffs(t) over a
+    lattice with its own pitch on each side of the barrier (_lattice).
     """
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
@@ -633,8 +671,16 @@ class SpectralPacketModel(PacketModel):
         self.mass = float(mass)
         self.tol = tol
         edge = -math.inf if barrier is None else barrier.half_width
-        waves, (gamma, *self._coefficients), self._base_coeffs = self._rule_waves(
-            grid.nodes, grid.weights)                   # T, R, A, B
+        k = grid.nodes
+        gamma, *self._coefficients = (_free_coefficients(k) if barrier is None   # T, R, A, B
+                                      else _barrier_coefficients(k, barrier, self.mass))
+        self._base_coeffs = (grid.weights * spectrum.amplitude(k)
+                             * np.exp(-1j * k * spectrum.x_bar) / math.sqrt(2.0 * math.pi))
+        # Time-independent factor of the mode phases, -i hbar k^2.
+        self._phase_rate = -1j * HBAR * k ** 2
+        # Region waves and edge, in _mode_sums order.
+        self._modes = (_region_waves(k, gamma, *self._coefficients, self._base_coeffs,
+                                     self._phase_rate / (2.0 * self.mass)), edge)
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
         # Lattice pitches, two periods of rho's fastest beat: k + k' <= 2
@@ -649,79 +695,40 @@ class SpectralPacketModel(PacketModel):
                        _PanelWaves(gamma, edge if barrier else 1.0))
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
-        # Time-independent factor of the mode phases, -i hbar k^2.
-        self._phase_rate = -1j * HBAR * grid.nodes ** 2
-        # Region waves and edge, in _mode_sums order.
-        self._modes = (waves, edge)
-        # Pointwise rungs (_rung): node counts 64 * 2^j below the grid's, then the grid's.
-        self._sizes = [64 << j for j in range(grid.size.bit_length()) if 64 << j < grid.size]
-        self._sizes.append(grid.size)
-        self._rungs = [None] * (len(self._sizes) - 1) + [waves]
-
-    def _rule_waves(self, nodes, weights):
-        """Region waves of the modes at these wave numbers and weights, their
-        (gamma, T, R, A, B) and their coefficients at t = 0."""
-        coefficients = (_free_coefficients(nodes) if self.barrier is None
-                        else _barrier_coefficients(nodes, self.barrier, self.mass))
-        base = (weights * self.spectrum.amplitude(nodes)
-                * np.exp(-1j * nodes * self.spectrum.x_bar) / math.sqrt(2.0 * math.pi))
-        rate = -1j * HBAR * nodes ** 2 / (2.0 * self.mass)
-        return _region_waves(nodes, *coefficients, base, rate), coefficients, base
-
-    def _rung(self, j: int):
-        """Region waves of the Gauss-Legendre rule of _sizes[j] nodes on the
-        grid's band, built on first use; the grid itself if that is not such
-        a rule, and the next rung if the rule's nodes raise DegenerateK."""
-        waves = self._rungs[j]
-        if waves is None:
-            g = self.grid
-            # A rule's end weights are below its middle one: a midpoint grid
-            # is refused before leggauss(g.size) runs (4 s at 4096 nodes).
-            gauss = (g.weights[0] < g.weights[g.size // 2] and np.array_equal(
-                _gauss_rule(g.k_min, g.k_max, g.size), (g.nodes, g.weights)))
-            try:
-                waves = (self._rule_waves(*_gauss_rule(g.k_min, g.k_max, self._sizes[j]))[0]
-                         if gauss else self._rungs[-1])
-            except DegenerateK:
-                waves = self._rung(j + 1)
-            self._rungs[j] = waves
-        return waves
+        # The phase guard's limit: the pole's ellipse, the largest rate the grid resolves.
+        self._rho_max = _pole_rho(barrier, self.mass, grid.k_min, grid.k_max)
+        self._max_rate = max_phase_rate(grid.size, grid.k_min, grid.k_max, rho_max=self._rho_max)
 
     def _coeffs(self, ts) -> np.ndarray:
         """Mode coefficients at each time of ts (or at one t), (n_t, n_k)."""
         phases = np.exp(np.outer(ts, self._phase_rate) / (2.0 * self.mass))
         return self._base_coeffs * phases
 
-    def _check_resolution(self, x_abs, t: float):
-        """Nodes the phase guard asks for at each |x| of x_abs (a float or an
-        array) at time t; GridTooCoarse where the most exceeds the grid."""
-        # Upper bound on |d phase/dk| across all mode branches at this |x|.
+    def _check_resolution(self, x_abs: float, t: float, limit=None) -> None:
+        """GridTooCoarse (InvalidRange for a NaN) where the phase rate at
+        |x| = x_abs and time t, |x| + |x_bar| + hbar k_max |t| / m (a bound
+        on |d phase/dk| over every mode branch), exceeds the largest the
+        grid resolves: the model's own, or ``limit`` = (rate, pole rho)."""
         rate = x_abs + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max * abs(t) / self.mass
-        needed = nodes_for_phase(rate, self.grid.k_min, self.grid.k_max, minimum=1)
-        most = needed if isinstance(needed, int) else np.max(needed, initial=1.0)
-        if self.grid.size < most:
+        most, rho = limit or (self._max_rate, self._rho_max)
+        if not rate <= most:
+            g = self.grid
             raise GridTooCoarse(
-                f"wave-number grid has {self.grid.size} nodes but evaluating "
-                f"out to |x| = {np.max(x_abs):.4g} at t = {t:.4g} needs >= {most:.0f}"
-            )
-        return needed
+                f"wave-number grid has {g.size} nodes but evaluating out to |x| = {x_abs:.4g} "
+                f"at t = {t:.4g} needs >= "
+                f"{nodes_for_phase(rate, g.k_min, g.k_max, rho_max=rho, minimum=g.size + 1)}")
 
     def _fields(self, x, t: float):
-        """(psi, d psi/dx) at x through _mode_sums, after the phase guard, on
-        the smallest rung (_rung) with the nodes it asks for at each point's
-        own |x|: two complex numbers for a scalar x, two rows over the
-        flattened x of an array, a _mode_sums call per rung."""
-        edge = self._modes[1]
+        """(psi, d psi/dx) at x through _mode_sums on the whole grid, after
+        the phase guard at the largest |x|: two complex numbers for a scalar
+        x, two rows over the flattened x of an array."""
         if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
-            j = bisect.bisect_left(self._sizes, self._check_resolution(abs(x), t))
-            return _mode_sums(x, t, self._rung(j), edge)
-        x = np.ravel(np.asarray(x, dtype=float))
-        rungs = np.searchsorted(self._sizes, self._check_resolution(np.abs(x), t))
-        fields = np.empty((2, x.size), dtype=complex)
-        for j in np.unique(rungs).tolist():
-            fields[:, rungs == j] = _mode_sums(x[rungs == j], t, self._rung(j), edge)
-        return fields
+            self._check_resolution(abs(x), t)
+        else:
+            x = np.ravel(np.asarray(x, dtype=float))
+            self._check_resolution(float(np.max(np.abs(x), initial=0.0)), t)
+        return _mode_sums(x, t, *self._modes)
 
     def _panel_rho(self, ts, coeffs=None):
         """Density on the nodes mid + half * PANEL_NODES of batches of panels,
@@ -812,53 +819,9 @@ class SpectralPacketModel(PacketModel):
         return c + HBAR * self.grid.k_min / self.mass * t - pad, c + v_hi * t + pad
 
     def _lattice(self, t: float) -> np.ndarray:
-        """Initial panel edges of the tables at time t, over the support hint.
-
-        The pitch is the model's pitch times 2^n, the rung that gives the
-        unsnapped hint (_reach) 8 to 509 panels (doubled again while the
-        barrier's narrower inner panels would make it over 512).  Edges sit
-        at j * pitch on the free reference; with a barrier at -a - j *
-        pitch, at a + j * pitch_R (the transmitted pitch doubled to reach
-        the pitch, halved while the top snaps out past the phase guard's
-        headroom), and 2^m equal panels no wider than the pitch fill [-a,
-        a], so the panel widths are time-independent.  The hint's ends snap
-        outward to the nearest edges, each by at most its side's pitch;
-        only edges near the hint are made, so a barrier much wider than the
-        hint costs nothing.  A non-finite t is an InvalidRange.
-        """
-        lo, hi = self._reach(t)
-        pitch = self._pitch
-        while hi - lo > 509.0 * pitch:
-            pitch *= 2.0
-        while hi - lo < 8.0 * pitch:
-            pitch *= 0.5
-        if self.barrier is None:
-            return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
-        a = self.barrier.half_width
-        room = (_NODE_HEADROOM - 1.0) * (
-            hi + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max / self.mass * abs(t))
-        while True:
-            # Per side the edges in (0, hi] and one beyond: j * w inside (w =
-            # 2a / 2^m exactly, so 0 is an edge too when m > 0), a + j * (the
-            # side's pitch) outside.
-            m = max(0, math.ceil(math.log2(a) + 1.0 - math.log2(pitch)))
-            if m == 0:
-                inner = np.array([a])
-            else:
-                w = math.ldexp(a, 1 - m)
-                inner = w * np.arange(1, min(2 ** (m - 1), math.ceil(hi / w)) + 1)
-            pitch_r = self._pitch_right
-            while pitch_r < pitch:
-                pitch_r *= 2.0
-            # recommended_node_count leaves the guard's headroom for the snap.
-            while hi > a and a + pitch_r * math.ceil((hi - a) / pitch_r) - hi > room:
-                pitch_r *= 0.5
-            left, right = [a + p * np.arange(1, math.ceil(max(0.0, hi - a) / p) + 1)
-                           for p in (pitch, pitch_r)]
-            edges = np.concatenate([-left[::-1], -inner[::-1], [0.0] * (m > 0), inner, right])
-            if edges.size <= 513:
-                return edges
-            pitch *= 2.0
+        """Initial panel edges of the tables at time t (_lattice_edges over
+        the unsnapped hint, _reach).  A non-finite t is an InvalidRange."""
+        return _lattice_edges(*self._reach(t), self._pitch, self._pitch_right, self.barrier)
 
     def _depths(self, ts, P: float) -> list:
         """Where tables at times ts for levels up to P must reach anyway: the uncut
@@ -889,13 +852,55 @@ class SpectralPacketModel(PacketModel):
         """_reach(t) snapped outward to the panel lattice (_lattice), each
         end by at most its side's pitch, so tail() and tables agree.  The 6
         sigma spectral cut leaves a far field: out to the phase guard's
-        reach, the stock pair holds up to 3.3e-10 (free) and 4.4e-10
+        reach, the stock pair holds up to 3.2e-10 (free) and 4.2e-10
         (tunneling) beyond one end over t in [0, 10]."""
         edges = self._lattice(float(t))
         return float(edges[0]), float(edges[-1])
 
     def spread(self, t) -> float:
         return float(_width_at(self._sigma_x0, self._sigma_v, float(t)))
+
+
+def _lattice_edges(lo: float, hi: float, pitch: float, pitch_r: float,
+                   barrier: BarrierSpec | None) -> np.ndarray:
+    """Initial panel edges of tables over the unsnapped hint [lo, hi].
+
+    The pitch is ``pitch`` (the model's base pitch, left of a barrier)
+    times 2^n, the least n that gives [lo, hi] 8 to 509 panels (doubled
+    again while the barrier's narrower inner panels would make it over
+    512).  Edges sit at j * pitch on the free reference; with a barrier at
+    -a - j * pitch, at a + j * pitch_r (the transmitted pitch, doubled to
+    reach the pitch), and 2^m equal panels no wider than the pitch fill
+    [-a, a], so the panel widths are time-independent.  The ends snap
+    outward to the nearest edges, each by at most its side's pitch; only
+    edges near the hint are made, so a barrier much wider than the hint
+    costs nothing.  No pitch shrinks as [lo, hi] widens.
+    """
+    while hi - lo > 509.0 * pitch:
+        pitch *= 2.0
+    while hi - lo < 8.0 * pitch:
+        pitch *= 0.5
+    if barrier is None:
+        return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
+    a = barrier.half_width
+    while True:
+        # Per side the edges in (0, hi] and one beyond: j * w inside (w =
+        # 2a / 2^m exactly, so 0 is an edge too when m > 0), a + j * (the
+        # side's pitch) outside.
+        m = max(0, math.ceil(math.log2(a) + 1.0 - math.log2(pitch)))
+        if m == 0:
+            inner = np.array([a])
+        else:
+            w = math.ldexp(a, 1 - m)
+            inner = w * np.arange(1, min(2 ** (m - 1), math.ceil(hi / w)) + 1)
+        while pitch_r < pitch:
+            pitch_r *= 2.0
+        left, right = [a + p * np.arange(1, math.ceil(max(0.0, hi - a) / p) + 1)
+                       for p in (pitch, pitch_r)]
+        edges = np.concatenate([-left[::-1], -inner[::-1], [0.0] * (m > 0), inner, right])
+        if edges.size <= 513:
+            return edges
+        pitch *= 2.0
 
 
 def lockstep_tables(sources, ts, low=-math.inf, above=math.inf) -> Iterator[list[Panels]]:
@@ -964,35 +969,41 @@ def tunneling_packet_model(spectrum: SpectralFunction, barrier: BarrierSpec,
     return SpectralPacketModel(spectrum, grid, barrier, mass=mass, tol=tol)
 
 
-# Factor recommended_node_count puts on the guard's node count.
-_NODE_HEADROOM = 1.15
+def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float, t_max: float, *,
+                           mass: float = 1.0, barrier: BarrierSpec | None = None) -> int:
+    """Least even wave-number node count whose phase guard admits every
+    table and field of the support hint at times in [0, t_max].
 
-
-def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float,
-                           t_max: float, *, mass: float = 1.0) -> int:
-    """Wave-number node count that keeps the phase guard satisfied.
-
-    Sized for evaluations anywhere inside the tunneling-packet support out
-    to t_max, with a little headroom so tail quadrature never trips the
-    guard mid-run.
+    The rate (nodes_for_phase) is the guard's at the hint's end as it snaps
+    at t_max: the reach |x_bar| + hbar k_max t_max / m + 8 spread(t_max),
+    both ways as with a barrier, plus the lattice's coarsest pitch there
+    (no snap goes further, and no pitch shrinks with time).  ``barrier``
+    (None for the free reference) caps the ellipses at T's nearest pole
+    (_pole_rho).
     """
     k_hi = k_bar + N_SIGMA * sigma_k
     k_lo = max(0.0, k_bar - N_SIGMA * sigma_k)
-    sigma_x0 = 1.0 / (2.0 * sigma_k)
-    sigma_v = HBAR * sigma_k / mass
+    if not k_lo < k_hi:     # an empty band, which build_kgrid refuses
+        return 64
     v_hi = HBAR * k_hi / mass
-    half = abs(x_bar) + v_hi * t_max + 8.0 * _width_at(sigma_x0, sigma_v, t_max)
-    rate = half + abs(x_bar) + v_hi * t_max
-    n = nodes_for_phase(rate, k_lo, k_hi)
-    return int(math.ceil(_NODE_HEADROOM * n))
+    reach = abs(x_bar) + v_hi * t_max + 8.0 * _width_at(1.0 / (2.0 * sigma_k),
+                                                        HBAR * sigma_k / mass, t_max)
+    pitch_r = 4.0 * math.pi / (k_hi - k_lo)      # as SpectralPacketModel's
+    pitch = 4.0 * math.pi / (2.0 * k_hi) if barrier else pitch_r
+    snap = (float(np.max(np.diff(_lattice_edges(-reach, reach, pitch, pitch_r, barrier))))
+            if reach < math.inf else reach)      # an infinite rate is an InvalidRange below
+    n = nodes_for_phase(reach + snap + abs(x_bar) + v_hi * t_max, k_lo, k_hi,
+                        rho_max=_pole_rho(barrier, mass, k_lo, k_hi))
+    return n + n % 2    # even, so k_bar (gamma = 0 where V = hbar^2 k_bar^2 / 2m) is no node
 
 
-def spectral_setup(params: GaussianPacketParams, t_max: float, *,
-                   n_nodes: int | None = None) -> tuple[SpectralFunction, KGrid]:
-    """Build a grid and truncated spectrum sized for evaluations out to t_max."""
+def spectral_setup(params: GaussianPacketParams, t_max: float, *, n_nodes: int | None = None,
+                   barrier: BarrierSpec | None = None) -> tuple[SpectralFunction, KGrid]:
+    """Build a grid and truncated spectrum sized for evaluations out to t_max
+    (recommended_node_count under ``barrier``, unless n_nodes is given)."""
     if n_nodes is None:
-        n_nodes = recommended_node_count(params.k_bar, params.sigma_k,
-                                         params.x_bar, t_max, mass=params.mass)
+        n_nodes = recommended_node_count(params.k_bar, params.sigma_k, params.x_bar,
+                                         t_max, mass=params.mass, barrier=barrier)
     grid = build_kgrid(params.k_bar, params.sigma_k, n_nodes=n_nodes)
     return SpectralFunction.for_packet(params, grid), grid
 

@@ -309,7 +309,7 @@ class TestConfigResolution:
         (("sphere3d", "--preset", "fig3", "--t-max", "1e9"), "grid times"),
         (("free", "--t-max", "1e6", "--t-step", "1"), "grid times"),
         (("tunnel", "--t-max", "1e5"), "wave-number nodes"),
-        (("delta-p", "--t-max", "500"), "wave-number nodes"),
+        (("delta-p", "--t-max", "1000"), "wave-number nodes"),
         (("tunnel", "--k-nodes", str(MAX_K_NODES + 1)), "k_nodes"),
         (("tunnel", "--t-max", "1e300"), "wave-number nodes"),
         (("free", "--t-max", "1", "--t-step", "1e-310"), "grid times"),
@@ -571,10 +571,9 @@ class TestTunnelCommand:
         assert min(cfg.p_list) < transmitted
 
     def test_wide_packet_runs_the_preset(self, tmp_path):
-        # The transmitted pitch (about 2.09 sigma_x0) would snap this
-        # packet's hint top at t = 0 out to 262.1, where the phase guard
-        # asks 84 of the 81 recommended nodes; the right pitch halves
-        # instead, so the snap stays within the guard's headroom.
+        # The transmitted pitch (about 2.09 sigma_x0) snaps this packet's
+        # hint top at t = 0 out to 262.1; recommended_node_count sizes the
+        # guard's rate at the reach plus that pitch, so the run passes.
         conf = tmp_path / "wide.conf"
         conf.write_text("sigma_x0 = 25\nt_max = 2\n", encoding="utf-8")
         assert run_cli(tmp_path, "tunnel", "--preset", "fig2", "--config", str(conf)) == 0
@@ -619,7 +618,7 @@ class TestDeltaPCommand:
 
     def test_report_time_beyond_the_node_limit_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "dp.conf"
-        conf.write_text("delta_t = 3 500\n", encoding="utf-8")
+        conf.write_text("delta_t = 3 1000\n", encoding="utf-8")
         assert run_cli(tmp_path, "delta-p", "--t-max", "2", "--config", str(conf)) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "wave-number nodes" in err
@@ -631,7 +630,7 @@ class TestDeltaPCommand:
         conf.write_text("x_bar = 1e300\n", encoding="utf-8")
         assert run_cli(tmp_path, "tunnel", "--t-max", "2", "--config", str(conf)) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "need 7.03e+300 wave-number nodes" in err
+        assert err.count("\n") == 1 and "need 1.2e+300 wave-number nodes" in err
 
     @pytest.mark.parametrize("width", ["1000", "1e6"])
     def test_wide_packet_runs_the_preset(self, tmp_path, width):
@@ -739,15 +738,34 @@ class TestVerifyCommand:
         assert len(setups) == 1 and setups[0][1] == 8.0 and len(models) == 2
 
     def test_oversized_shared_grid_exits_2(self, tmp_path, capsys):
-        # sigma_x0 = 0.1 needs 39922 nodes at t = 8: the run is refused with
+        # sigma_x0 = 0.1 needs 7004 nodes at t = 8: the run is refused with
         # one line, where each spectral check used to fail on its own.
         conf = tmp_path / "narrow.conf"
         conf.write_text("sigma_x0 = 0.1\n", encoding="utf-8")
         assert run_cli(tmp_path, "verify", "--quick", "--config", str(conf)) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert "times up to 8 need 3.99e+04 wave-number nodes" in err
+        assert "times up to 8 need 7e+03 wave-number nodes" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.conf"]
+
+    @pytest.mark.parametrize("command", ["tunnel", "delta-p", "verify"])
+    @pytest.mark.parametrize("config, t_max, nodes", [
+        ("v_bar = 5\nbarrier_halfwidth = 3\n", "6", ("5.64e+03", "5.67e+03", "5.65e+03")),
+        ("x_bar = -20\nv_bar = 3\nsigma_x0 = 5\nbarrier_height = 4.4\nbarrier_halfwidth = 5\n",
+         "12", ("6.27e+03", "6.27e+03", "6.26e+03"))], ids=["v5-a3", "v3-a5"])
+    def test_a_resonant_barrier_is_refused_up_front(self, tmp_path, capsys, command, config,
+                                                    t_max, nodes):
+        # T's nearest pole lies on the ellipse rho = 1.0041 (1.0037) of the
+        # band, so the grid needs thousands of nodes where the phase alone
+        # asks for about 100.  tunnel sizes for t_max, delta-p for its last
+        # report time (10) and verify for 8.
+        conf = tmp_path / "resonant.conf"
+        conf.write_text(config, encoding="utf-8")
+        assert run_cli(tmp_path, command, "--t-max", t_max, "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        n = nodes[["tunnel", "delta-p", "verify"].index(command)]
+        assert err.count("\n") == 1 and f"need {n} wave-number nodes" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["resonant.conf"]
 
     def test_opaque_barrier_passes_retardation_vacuously(self, tmp_path):
         # At 1000 eV no level crosses; verify states the count and T.

@@ -24,9 +24,10 @@ from quantracer.numerics import (
     initial_edges,
     integrate_adaptive,
     integrate_ode,
+    max_phase_rate,
     nodes_for_phase,
 )
-from quantracer.numerics import _at_panel_nodes, _eval_panels
+from quantracer.numerics import _at_panel_nodes, _eval_panels, _gauss_rule
 from quantracer.wavepacket import FreeGaussianModel, GaussianPacketParams
 
 from oracles import erfc_highprec, normal_tail_quantile, recursive_refine
@@ -304,9 +305,50 @@ class TestBuildKGrid:
             build_kgrid(2.0, 0.2, n_nodes=32)
 
     def test_nodes_for_phase_scales(self):
+        # The Gauss-Legendre bound at rate 90 on [0.8, 3.2] (omega = 108)
+        # asks for 86 nodes: above omega / 2, where a rule starts to resolve
+        # e^{i omega s}, and below the 275 of 8 nodes per phase period.  A
+        # pole caps the ellipses: far off (rho 6.4) it costs one node, near
+        # the band (rho 1.01) thousands.
         n = nodes_for_phase(max_phase_rate=90.0, k_lo=0.8, k_hi=3.2)
-        assert n >= 8 * 90.0 * 2.4 / (2 * math.pi) - 1
+        assert n == 86 and 0.5 * 90.0 * 1.2 < n < 8 * 90.0 * 2.4 / (2 * math.pi)
         assert nodes_for_phase(0.0, 0.8, 3.2) == 64
+        assert nodes_for_phase(0.0, 0.8, 3.2, minimum=1) == 23
+        assert nodes_for_phase(90.0, 0.8, 3.2, rho_max=6.4) == 87
+        assert nodes_for_phase(90.0, 0.8, 3.2, rho_max=1.01) == 2302
+        assert nodes_for_phase(180.0, 0.8, 3.2) > nodes_for_phase(90.0, 0.8, 3.2, minimum=1)
+        with pytest.raises(InvalidRange):
+            nodes_for_phase(math.inf, 0.8, 3.2)
+        with pytest.raises(InvalidRange):
+            nodes_for_phase(1.0, 0.8, 3.2, rho_max=1.0 + 1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4096), rho_max=st.just(math.inf) | st.floats(1.001, 10.0),
+           band=st.sampled_from([(0.8, 3.2), (1.88, 2.12), (0.0, 32.0)]))
+    def test_max_phase_rate_is_the_guard_limit(self, n, rho_max, band):
+        # The largest rate n nodes resolve: nodes_for_phase asks for at most
+        # n there and for more just above it.
+        rate = max_phase_rate(n, *band, rho_max=rho_max)
+        if rate < 0.0:      # not even a constant phase
+            assert nodes_for_phase(0.0, *band, rho_max=rho_max, minimum=1) > n
+            return
+        assert nodes_for_phase(rate, *band, rho_max=rho_max, minimum=1) <= n
+        assert nodes_for_phase(rate * (1.0 + 1e-9), *band, rho_max=rho_max, minimum=1) > n
+
+    @pytest.mark.parametrize("rate", [20.0, 60.0, 90.0, 150.0])
+    def test_the_bound_holds_on_a_gaussian_chirp(self, rate):
+        # The stock spectrum times e^{i rate k}: on the bound's n nodes the
+        # sum is within 1e-14 of a 4n-node one; at 3/4 of them it is not
+        # (above 1e-12) wherever the count is above the 64-node minimum.
+        def gauss_sum(n):
+            k, w = _gauss_rule(0.8, 3.2, n)
+            amplitude = (2.0 * math.pi * 0.04) ** -0.25 * np.exp(-((k - 2.0) / 0.4) ** 2)
+            return np.sum(w * amplitude * np.exp(1j * rate * k))
+        n = nodes_for_phase(rate, 0.8, 3.2)
+        reference = gauss_sum(4 * n)
+        assert abs(gauss_sum(n) - reference) <= 1e-14
+        if n > 64:
+            assert abs(gauss_sum(3 * n // 4) - reference) > 1e-12
 
 
 class TestFindRootMonotone:

@@ -15,7 +15,7 @@ from scipy.special import erfcinv
 
 from quantracer import numerics, quantile, wavepacket
 from quantracer.errors import InvalidRange, NormBelowP, NoSignChange, VelocitySingular
-from quantracer.numerics import Tolerances, find_root_monotone, invert_tables, nodes_for_phase
+from quantracer.numerics import Tolerances, find_root_monotone, invert_tables
 from quantracer.quantile import (
     DENSITY_FLOOR_REL,
     probability_in_volume,
@@ -675,30 +675,21 @@ class TestTraceTrajectoryOde:
         assert len(diffs) == len(grid)
         assert max(diffs) <= 1e-5
 
-    def test_tunneling_trace_sums_the_smallest_admissible_rung(self, tunnel_models,
-                                                                monkeypatch):
-        # Every mode sum of the trace uses the smallest Gauss-Legendre rung
-        # (64 * 2^j nodes below the grid's, then the grid) with the nodes
-        # the phase guard asks for at its |x| and t: a fall-back to the
-        # whole grid at every point fails here, and so does a rung below
-        # what the guard asks for.
+    def test_tunneling_trace_sums_the_whole_grid(self, tunnel_models, monkeypatch):
+        # Every mode sum of the trace runs on all the grid's modes, and its
+        # phase guard only compares rates: no call evaluates the bound
+        # (nodes_for_phase), which thousands of rhs calls would pay for.
         _, tunnel = tunnel_models
-        grid, x_bar = tunnel.grid, tunnel.spectrum.x_bar
-        ladder = [64, 128, 256, grid.size]
-        sums = []
+        sums, bounds = [], []
         kernel = wavepacket._region_fields
 
         def counted(region, x, t, waves):
-            sums.append((float(np.max(np.abs(x))), t, waves[3].size))
+            sums.append(waves[3].size)
             return kernel(region, x, t, waves)
         monkeypatch.setattr(wavepacket, "_region_fields", counted)
+        monkeypatch.setattr(wavepacket, "nodes_for_phase", lambda *a, **k: bounds.append(a))
         trace_trajectory_ode(tunnel, 0.3, 0.0, 2.0)
-        assert len(sums) > 100
-        for x, t, modes in sums:
-            needed = nodes_for_phase(x + abs(x_bar) + grid.k_max * t,
-                                     grid.k_min, grid.k_max, minimum=1)
-            assert modes == min(n for n in ladder if n >= needed)
-        assert max(modes for *_, modes in sums) < grid.size
+        assert len(sums) > 100 and set(sums) == {tunnel.grid.size} and not bounds
 
     @pytest.mark.parametrize("t_eval, floor_rel", [
         (None, DENSITY_FLOOR_REL), (np.linspace(0.0, 4.0, 17), DENSITY_FLOOR_REL),

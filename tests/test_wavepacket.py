@@ -39,6 +39,7 @@ from quantracer.wavepacket import (
     SpectralFunction,
     scattering_mode,
     spectral_free_model,
+    recommended_node_count,
     spectral_setup,
     tunneling_packet_model,
 )
@@ -440,23 +441,19 @@ class TestKernelOracle:
     def test_fields_match_a_per_mode_cmath_loop(self):
         # rho and current against oracles.mode_fields, which sums the
         # model's own coefficients mode by mode with e^{+-ikx}, e^{+-i gamma x}
-        # and the time phase written out.  On a 100-node grid the guard picks
-        # the 64-node rung at t = 0.5 and the whole grid at t = 3.5 for these
-        # x, left of, inside and right of the barrier (x = +-a is inside),
-        # scalar and array.  Flipping the sign of the reflected half's
-        # exponent in _region_waves (e^{+ikx} for R) fails this test.
+        # and the time phase written out, over the whole 100-node grid, at
+        # these x left of, inside and right of the barrier (x = +-a is
+        # inside), scalar and array.  Flipping the sign of the reflected
+        # half's exponent in _region_waves (e^{+ikx} for R) fails this test.
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=100)
         a = DEFAULT_BARRIER.half_width
         xs = np.array([-6.0, -0.5, -a, -0.1, a, 0.31, 6.0])
         for model, edge in ((tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid), a),
                             (spectral_free_model(spectrum, grid), -math.inf)):
-            assert model._sizes == [64, 100]
-            for t, n in ((0.5, 64), (3.5, 100)):
-                needed = model._check_resolution(np.abs(xs), t)
-                assert np.all(needed <= n) and (n == 64 or np.all(needed > 64))
-                nodes, weights = numerics._gauss_rule(grid.k_min, grid.k_max, n)
-                _, coefficients, weight = model._rule_waves(nodes, weights)
-                fields = [mode_fields(x, t, nodes, *coefficients, weight, edge)
+            # gamma is the wave number of the under-barrier panel waves.
+            coefficients = (model._waves[2].q, *model._coefficients)
+            for t in (0.5, 3.5):
+                fields = [mode_fields(x, t, grid.nodes, *coefficients, model._base_coeffs, edge)
                           for x in xs.tolist()]
                 rho = np.array([abs(psi) ** 2 for psi, _ in fields])
                 current = np.array([(psi.conjugate() * dpsi).imag for psi, dpsi in fields])
@@ -469,68 +466,50 @@ class TestKernelOracle:
                     assert np.max(np.abs(np.subtract(got_current, current))) <= bound
 
 
+def _guard_reach(model, t):
+    """Largest |x| the phase guard admits at time t, to rounding (m = 1)."""
+    return model._max_rate - abs(model.spectrum.x_bar) - HBAR * model.grid.k_max * t
+
+
 def _full_grid(model, x, t):
-    """(rho, current) at x summed over the model's whole grid, whatever
-    rung its pointwise fields pick."""
+    """(rho, current) at x summed over the model's whole grid by _mode_sums."""
     psi, dpsi = wavepacket._mode_sums(x, t, *model._modes)
     return wavepacket._density(psi), (HBAR / model.mass) * wavepacket._flux(psi, dpsi)
 
 
-def _guard_reach(model, t):
-    """Largest |x| the phase guard admits at time t, to rounding (m = 1)."""
-    grid = model.grid
-    return (grid.size * 2.0 * math.pi / (8.0 * (grid.k_max - grid.k_min))
-            - abs(model.spectrum.x_bar) - HBAR * grid.k_max * t)
-
-
 class TestRungs:
-    """Pointwise fields sum on the smallest Gauss-Legendre rule of 64 * 2^j
-    nodes (or the grid) that the phase guard accepts at each point."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(u=st.floats(-1.0, 1.0), t=st.floats(0.0, 10.0), as_array=st.booleans())
-    def test_rung_sums_match_the_whole_grid(self, spectral_models, u, t, as_array):
-        # rho and j within 1e-11 of the peak density, and so j / rho within
-        # 2e-11 peak (1 + |v|) / rho wherever rho is above 2e-11 peak.
-        _, _, free_sp, tunnel = spectral_models
-        for model in (free_sp, tunnel):
-            x = 0.999 * u * _guard_reach(model, t)
-            arg = np.array([x, -x, 0.5 * x]) if as_array else x
-            rho, cur = model.density_and_current(arg, t)
-            rho_full, cur_full = _full_grid(model, np.atleast_1d(arg), t)
-            peak = model.peak_density(t)
-            assert np.max(np.abs(rho - rho_full)) <= 1e-11 * peak
-            assert np.max(np.abs(cur - cur_full)) <= 1e-11 * peak
-            ok = rho_full >= 2e-11 * peak
-            v_full = cur_full[ok] / rho_full[ok]
-            v = np.atleast_1d(cur)[ok] / np.atleast_1d(rho)[ok]
-            assert np.all(np.abs(v - v_full) <= 2e-11 * peak * (1.0 + np.abs(v_full))
-                          / rho_full[ok])
+    """Pointwise fields once summed on a ladder of smaller Gauss-Legendre
+    rules (rungs); the grid is now sized by the rule that guards it, so
+    every pointwise sum runs on the whole grid, after one scalar guard."""
 
     def test_a_point_has_its_own_bits_in_any_batch(self, spectral_models):
-        # Points across every rung and region, alone, with far-off points
-        # and in one batch, all with the bits of their scalar call.
-        _, _, free_sp, tunnel = spectral_models
+        # Points across the guard's reach and every region, alone, with
+        # far-off points and in one batch, all with the bits of their scalar
+        # call and of the whole-grid sum, and those of oracles' per-mode
+        # loop to 1e-13 of the peak.
+        _, grid, free_sp, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
-        for model in (free_sp, tunnel):
-            rungs = set()
+        for model, edge in ((free_sp, -math.inf), (tunnel, a)):
+            coefficients = (model._waves[2].q, *model._coefficients)
             for t in (0.0, 4.5, 10.0):
                 reach = 0.999 * _guard_reach(model, t)
                 xs = np.concatenate([np.linspace(-reach, reach, 41), [-a, -0.1, a, 2.0]])
-                rungs |= set(np.searchsorted(model._sizes,
-                                             model._check_resolution(np.abs(xs), t)).tolist())
                 batch = model.density_and_current(xs, t)
                 for i, x in enumerate(xs.tolist()):
                     alone = model.density_and_current(x, t)
                     far = model.density_and_current(np.array([x, -reach, reach]), t)
                     for one, many, among in zip(alone, batch, far):
                         assert one.hex() == float(many[i]).hex() == float(among[0]).hex()
-            assert rungs == set(range(len(model._sizes)))
+                    assert alone == _full_grid(model, x, t)
+                    if i % 8 == 0:
+                        psi, dpsi = mode_fields(x, t, grid.nodes, *coefficients,
+                                                model._base_coeffs, edge)
+                        assert abs(alone[0] - abs(psi) ** 2) <= 1e-13 * model.peak_density(t)
 
     def test_a_hand_made_grid_keeps_the_whole_grid_kernel(self, spectral_models):
         # Midpoint nodes, and the Gauss-Legendre rule of a slightly wider
-        # band, are not the rule of their grid's band: no smaller rung, so
-        # every point has the bits of the whole-grid sum.
+        # band: every point has the bits of the whole-grid sum (the guard's
+        # bound assumes the rule of the grid's band, so here it is nominal).
         _, band, _, _ = spectral_models
         cell = (band.k_max - band.k_min) / band.size
         midpoint = (band.k_min + cell * (np.arange(band.size) + 0.5), np.full(band.size, cell))
@@ -549,13 +528,14 @@ class TestRungs:
                     assert model.density_and_current(x, t) == _full_grid(model, x, t)
 
     def test_guard_trips_where_the_grid_runs_out(self, spectral_models):
-        # The guard still asks nodes_for_phase at the largest |x| of a call,
-        # and raises exactly where that exceeds the grid, whatever the rungs.
+        # The guard compares the rate at the largest |x| of a call with the
+        # largest the grid resolves, and raises where nodes_for_phase asks
+        # for more nodes than the grid has, to 1e-9 of the rate.
         spectrum, grid, free_sp, tunnel = spectral_models
 
-        def needed(x, t):
+        def needed(model, x, t):
             return nodes_for_phase(abs(x) + abs(spectrum.x_bar) + HBAR * grid.k_max * t,
-                                   grid.k_min, grid.k_max, minimum=1)
+                                   grid.k_min, grid.k_max, rho_max=model._rho_max, minimum=1)
         for model in (free_sp, tunnel):
             for t in (0.0, 7.0):
                 ok, bad = 0.0, 1e6          # bisect to adjacent floats
@@ -566,35 +546,11 @@ class TestRungs:
                         ok = mid
                     except GridTooCoarse:
                         bad = mid
-                assert needed(ok, t) <= grid.size < needed(bad, t)
+                rate = bad + abs(spectrum.x_bar) + HBAR * grid.k_max * t
+                assert needed(model, ok, t) <= grid.size < needed(model, bad + 1e-9 * rate, t)
                 model.rho(np.array([0.5, -ok, 3.0]), t)
-                with pytest.raises(GridTooCoarse):
+                with pytest.raises(GridTooCoarse, match=f"needs >= {grid.size + 1}"):
                     model.rho(np.array([0.5, -bad, 3.0]), t)
-
-    def test_a_64_node_grid_is_its_own_only_rung(self):
-        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=64)
-        xs = np.array([-8.0, -0.1, 2.0])
-        for model in (spectral_free_model(spectrum, grid),
-                      tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)):
-            assert model._sizes == [64]
-            rho, cur = model.density_and_current(xs, 0.0)
-            assert np.array_equal(rho, _full_grid(model, xs, 0.0)[0])
-            assert np.array_equal(cur, _full_grid(model, xs, 0.0)[1])
-            with pytest.raises(GridTooCoarse):
-                model.rho(30.0, 10.0)
-
-    def test_a_degenerate_rung_defers_to_the_next(self, spectral_models):
-        # A barrier whose top sits on a 64-node rung's wave number: that rung
-        # raises DegenerateK, so its points sum on the 128-node rung.
-        spectrum, grid, _, _ = spectral_models
-        k = numerics._gauss_rule(grid.k_min, grid.k_max, 64)[0][20]
-        barrier = BarrierSpec(height=k * k / 2.0, half_width=0.3)
-        model = tunneling_packet_model(spectrum, barrier, grid)
-        x, t = -10.0, 0.0
-        assert model._check_resolution(abs(x), t) <= 64
-        psi, dpsi = wavepacket._mode_sums(x, t, model._rung(1), barrier.half_width)
-        assert model.rho(x, t) == wavepacket._density(psi)
-        assert model._rungs[0] is model._rungs[1]
 
 
 class TestTunnelingPacketModel:
@@ -753,12 +709,11 @@ class TestTunnelingPacketModel:
         # barrier the pitch is 4 pi / 2 k_max * 2^n; right of it, and on the
         # whole free reference, the transmitted 4 pi / (k_max - k_min),
         # doubled only until it reaches the left one (at t = 300 and 3000
-        # it is) and with a barrier halved only while the hint top snaps
-        # out past the phase guard's headroom (recommended_node_count's
-        # _NODE_HEADROOM); a sigma_x0 = 25 packet to t = 2 halves it.  Each
-        # table starts with 8 to 512 panels, anchored at +-a (at 0 for the
-        # free reference), and each end of the hint reaches at most its
-        # side's pitch past the unsnapped end.
+        # it is).  Each table starts with 8 to 512 panels, anchored at +-a
+        # (at 0 for the free reference), each end of the hint reaches at
+        # most its side's pitch past the unsnapped end, and up to t_max the
+        # phase guard of the grid recommended_node_count sizes (for no
+        # barrier) admits both snapped ends.
         a = DEFAULT_BARRIER.half_width
         cases = ((DEFAULT_PACKET, 10.0, [*np.arange(0.0, 10.25, 0.5), 300.0, 3000.0]),
                  (replace(DEFAULT_PACKET, sigma_x0=25.0), 2.0, np.arange(0.0, 2.25, 0.5)))
@@ -766,7 +721,6 @@ class TestTunnelingPacketModel:
         def rungs(lengths, base):
             rung = np.log2(lengths / base)
             return np.max(np.abs(rung - np.rint(rung)), initial=0.0)
-        halved = []
         for packet, t_max, times in cases:
             spectrum, grid = spectral_setup(packet, t_max=t_max)
             transmitted = 4.0 * math.pi / (grid.k_max - grid.k_min)
@@ -794,17 +748,10 @@ class TestTunnelingPacketModel:
                     assert 0.0 <= raw[0] - lo <= left_pitch
                     assert 0.0 <= hi - raw[1] <= right_pitch
                     if model.barrier is not None:
-                        room = (wavepacket._NODE_HEADROOM - 1.0) * (
-                            raw[1] + abs(spectrum.x_bar) + grid.k_max * t)
-                        assert hi - raw[1] <= room
                         assert right_pitch < 2.0 * left_pitch or right_pitch < 1.01 * transmitted
-                        if right_pitch < 0.99 * max(left_pitch, transmitted):
-                            coarser = 2.0 * right_pitch
-                            snap = a + coarser * math.ceil((raw[1] - a) / coarser) - raw[1]
-                            assert snap > room
-                            halved.append((packet.sigma_x0, t))
                     if t > t_max:
                         continue
+                    model._check_resolution(max(-lo, hi), t)
                     panels = table_at(model, t)
                     widths = panels.his - panels.los
                     inside = (panels.los >= -anchor) & (panels.his <= anchor)
@@ -812,7 +759,6 @@ class TestTunnelingPacketModel:
                     base = np.where(inside, 2.0 * anchor,
                                     np.where(right, transmitted, incident))
                     assert rungs(widths, base) <= 1e-9
-        assert halved and all(width == 25.0 for width, _ in halved)
 
     @pytest.mark.parametrize("a", [20.0, 1e8, 1e300])
     def test_wide_barrier_lattice_stays_bounded(self, a):
@@ -981,11 +927,11 @@ class TestTunnelingPacketModel:
             assert np.max(np.abs(chunked - one_pass)) <= bound * np.max(one_pass)
 
     def test_long_batches_are_chunked(self, spectral_models, monkeypatch):
-        # 20 000 points x 386 modes would be ~120 MB per complex matrix in
+        # 40 000 points x 104 modes would be ~66 MB per complex matrix in
         # one pass; the chunked pass peaks near a few entry budgets and
         # gives the same bits.
         _, _, _, tunnel = spectral_models
-        xs = np.linspace(-60.0, 60.0, 20_000)
+        xs = np.linspace(-60.0, 60.0, 40_000)
         chunked = _rho_within_budget(tunnel, xs, 5.0)
         monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", 1 << 40)
         assert np.array_equal(chunked[:1001], tunnel.rho(xs[:1001], 5.0))
@@ -997,7 +943,7 @@ class TestTunnelingPacketModel:
         # kernel call stays within _FIELD_ENTRIES (x, wave) entries, and the
         # batch within test_long_batches_are_chunked's budget, same bits.
         _, _, _, tunnel = spectral_models
-        xs = np.linspace(-60.0, DEFAULT_BARRIER.half_width, 20_000)
+        xs = np.linspace(-60.0, DEFAULT_BARRIER.half_width, 40_000)
         chunked = _rho_within_budget(tunnel, xs, 5.0)
         entries, kernel = {}, wavepacket._region_fields
 
@@ -1180,19 +1126,197 @@ class TestBatchedTables:
         assert peak(invert, 1601) <= 1.25 * peak(invert, 101)
 
 
+def _pair_on(packet, spectrum, grid, barrier=DEFAULT_BARRIER):
+    return (spectral_free_model(spectrum, grid),
+            tunneling_packet_model(spectrum, barrier, grid))
+
+
+def _worst_gaps(coarse, fine, times):
+    """Largest |coarse - fine| of rho, j and tails over the coarse model's
+    hint at each time, and of the quantile levels, in x over spread(t) and
+    in probability (fine's tail at coarse's quantile)."""
+    gaps = dict.fromkeys(("rho", "j", "tail", "x", "P"), 0.0)
+    for t in times.tolist():
+        xs = np.linspace(*coarse.support_hint(t), 801)
+        for name, a, b in zip(("rho", "j"), coarse.density_and_current(xs, t),
+                              fine.density_and_current(xs, t)):
+            gaps[name] = max(gaps[name], float(np.max(np.abs(a - b))))
+    xs = np.linspace(*coarse.support_hint(float(times[-1])), 201)
+    gaps["tail"] = float(np.max(np.abs(coarse.tails(xs, times) - fine.tails(xs, times))))
+    levels = [0.005, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9]
+    mine, theirs = quantile_position(coarse, levels, times), quantile_position(fine, levels, times)
+    for i, t in enumerate(times.tolist()):
+        gaps["x"] = max(gaps["x"], float(np.max(np.abs(mine[i] - theirs[i]))) / coarse.spread(t))
+        gaps["P"] = max(gaps["P"], float(np.max(np.abs(fine.tails(mine[i], [t])[0] - levels))))
+    return gaps
+
+
+class TestGridNeed:
+    """recommended_node_count sizes a grid that sums every spectral number
+    as a grid of twice its nodes does, to 1e-12, and no coarser grid passes
+    the phase guard."""
+
+    def test_stock_counts_are_pinned(self):
+        # The stock barrier's nearest pole (rho 6.41) costs no node here.
+        for t_max, n in ((10.0, 104), (40.0, 256)):
+            for barrier in (None, DEFAULT_BARRIER):
+                assert recommended_node_count(2.0, 0.2, -10.0, t_max, barrier=barrier) == n
+        assert recommended_node_count(2.0, 0.02, -10.0, 40.0) == 64
+
+    @pytest.mark.parametrize("sigma_x0, t_max", [(2.5, 10.0), (2.5, 40.0), (25.0, 10.0),
+                                                 (25.0, 40.0)])
+    def test_a_grid_of_twice_the_nodes_agrees(self, sigma_x0, t_max):
+        # Over the whole hint at 21 times in [0, t_max], both models: rho, j
+        # and tails within 1e-12, quantiles within 1e-12 in probability and
+        # of the width (measured: 4.4e-15, 3.3e-15, 1.5e-14, 3.4e-14 and
+        # 1.2e-13 of the width at most).
+        packet = replace(DEFAULT_PACKET, sigma_x0=sigma_x0)
+        spectrum, grid = spectral_setup(packet, t_max, barrier=DEFAULT_BARRIER)
+        fine = spectral_setup(packet, t_max, n_nodes=2 * grid.size)[1]
+        times = np.linspace(0.0, t_max, 21)
+        for coarse, twice in zip(_pair_on(packet, spectrum, grid), _pair_on(packet, spectrum, fine)):
+            assert max(_worst_gaps(coarse, twice, times).values()) <= 1e-12
+
+    def test_a_grid_below_the_bound_is_refused(self):
+        # One node short of the bound (the count rounds it up to even), the
+        # guard refuses the point the count is sized for: the tunneling
+        # hint's reach at t_max plus its coarsest pitch, past which no
+        # snapped end goes.  The bound sits above the measured
+        # cliff (|x| + |x_bar| + k_max t bounds the modes' phase rates from
+        # above): cut to 70 % of it (179 of 256 nodes), the refused grid
+        # read with the guard off misses by 3e-6 (190 nodes, by 4e-13).
+        packet, t_max = DEFAULT_PACKET, 40.0
+        spectrum, grid = spectral_setup(packet, t_max, barrier=DEFAULT_BARRIER)
+        fine = spectral_setup(packet, t_max, n_nodes=2 * grid.size)[1]
+        times = np.linspace(0.0, t_max, 21)
+        tunnel = _pair_on(packet, spectrum, grid)[1]
+        sized = tunnel._reach(t_max)[1] + np.max(np.diff(tunnel._lattice(t_max)))
+        bound = nodes_for_phase(sized + abs(packet.x_bar) + grid.k_max * t_max, grid.k_min,
+                                grid.k_max, rho_max=tunnel._rho_max)
+        assert grid.size == bound + bound % 2 == 256
+        for model in _pair_on(packet, spectrum, grid):
+            model.rho(sized, t_max)
+        for n in (bound - 1, int(0.7 * grid.size)):
+            short = spectral_setup(packet, t_max, n_nodes=n)[1]
+            misses = []
+            for model, twice in zip(_pair_on(packet, spectrum, short),
+                                    _pair_on(packet, spectrum, fine)):
+                with pytest.raises(GridTooCoarse):
+                    model.rho(sized, t_max)
+                if n < bound - 1:
+                    model._max_rate = math.inf          # the guard off
+                    gaps = _worst_gaps(model, twice, times)
+                    misses.append(max(gaps["rho"], gaps["j"], gaps["tail"]))
+            assert max(misses, default=1.0) > 1e-12     # the tunneling model's
+
+
+# The resonant barriers: (packet, barrier, t_max, nearest pole of T, its rho).
+RESONANT = [
+    (GaussianPacketParams(x_bar=-10.0, v_bar=5.0, sigma_x0=2.5), BarrierSpec(10.0, 3.0), 6.0,
+     4.502186314369353 - 0.004479273083734722j, 1.0041107918725762),
+    (GaussianPacketParams(x_bar=-20.0, v_bar=3.0, sigma_x0=5.0), BarrierSpec(4.4, 5.0), 12.0,
+     2.9828465010013456 - 0.00220676739306599j, 1.0036862187753113),
+]
+
+
+class TestBarrierPoles:
+    """The poles of T cap the ellipses of the bound: a grid resolves a
+    resonant barrier or refuses it."""
+
+    @pytest.mark.parametrize("barrier, band", [
+        (DEFAULT_BARRIER, (0.8, 3.2)), (BarrierSpec(10.0, 3.0), (3.8, 6.2)),
+        (BarrierSpec(4.4, 5.0), (2.4, 3.6)), (BarrierSpec(10.0, 1.0), (3.8, 6.2)),
+        (BarrierSpec(1.0, 0.5), (0.8, 3.2)), (BarrierSpec(20.0, 0.8), (0.8, 3.2))])
+    def test_poles_match_mpmath_from_the_same_seeds(self, barrier, band):
+        # mpmath.findroot's Newton at 30 digits on (k + g) -+ (k - g)
+        # e^{2iag} from the seeds g_n = n pi / 2a (1 - i / (a k_n)), n = 1..N
+        # (past the band by 9 half-bands): every pole is one of its roots,
+        # and every root inside the ellipses the bound reaches (rho < e^2)
+        # is a pole.
+        mpmath = pytest.importorskip("mpmath")
+        poles = wavepacket._barrier_poles(barrier, 1.0, *band)
+        a, q = barrier.half_width, 2.0 * barrier.height
+        c, h = 0.5 * (band[0] + band[1]), 0.5 * (band[1] - band[0])
+        roots = []
+        with mpmath.workdps(30):
+            for n in range(1, math.ceil(2.0 * a * (c + 9.0 * h) / math.pi) + 2):
+                g_n, sign = n * math.pi / (2.0 * a), (-1) ** n
+                k = lambda g: mpmath.sqrt(g * g + q)
+                wave = lambda g: sign * mpmath.exp(2j * a * g)
+                g = mpmath.findroot(
+                    lambda g: (k(g) + g) - (k(g) - g) * wave(g), g_n * (1.0 - 1j / (a * math.hypot(
+                        g_n, math.sqrt(q)))), solver="newton", maxsteps=100,
+                    df=lambda g: (g / k(g) + 1) - (g / k(g) - 1 + 2j * a * (k(g) - g)) * wave(g))
+                if abs(g) > 1e-6:
+                    roots.append(complex(k(g)))
+        roots = np.array(roots)
+        assert poles.size and all(np.min(np.abs(roots - k)) <= 1e-12 * abs(k) for k in poles)
+        z = (roots - c) / h
+        near = roots[np.abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)) < math.exp(2.0)]
+        assert all(np.min(np.abs(poles - k)) <= 1e-12 * abs(k) for k in near)
+
+    def test_the_stock_pole_leaves_the_count_alone(self):
+        # T's nearest pole, 5.4227 - 1.8607i, sits on the ellipse rho 6.41
+        # of the stock band; the counts are the phase's alone
+        # (test_stock_counts_are_pinned).
+        poles = wavepacket._barrier_poles(DEFAULT_BARRIER, 1.0, 0.8, 3.2)
+        nearest = poles[np.argmin(np.abs(poles - 2.0))]
+        assert abs(nearest - (5.4227038864605825 - 1.8607268892286075j)) <= 1e-12
+        assert wavepacket._pole_rho(DEFAULT_BARRIER, 1.0, 0.8, 3.2) == pytest.approx(6.412287, abs=1e-6)
+
+    @pytest.mark.parametrize("case", range(len(RESONANT)))
+    def test_a_resonant_barrier_is_refused(self, case):
+        # The phase alone asks for about 100 nodes; T's pole next to the
+        # band for thousands, past the CLI's 4096.  A grid sized without
+        # the barrier refuses the barrier's model at its first point.
+        packet, barrier, t_max, pole, rho = RESONANT[case]
+        band = (packet.k_bar - 6.0 * packet.sigma_k, packet.k_bar + 6.0 * packet.sigma_k)
+        assert abs(wavepacket._barrier_poles(barrier, 1.0, *band) - pole).min() <= 1e-12
+        assert wavepacket._pole_rho(barrier, 1.0, *band) == pytest.approx(rho, rel=1e-9)
+        args = (packet.k_bar, packet.sigma_k, packet.x_bar, t_max)
+        assert recommended_node_count(*args) < 128
+        assert recommended_node_count(*args, barrier=barrier) > 4096
+        spectrum, grid = spectral_setup(packet, t_max)
+        model = tunneling_packet_model(spectrum, barrier, grid)
+        with pytest.raises(GridTooCoarse):
+            model.rho(packet.x_bar, 0.0)
+
+    def test_a_near_resonance_is_sized_and_holds(self):
+        # v_bar 5, a 1: T's pole on rho 1.095.  The barrier's count (308)
+        # agrees with twice its nodes to 1e-12 (quantiles in probability:
+        # in x, 5e-12 of the width where the density at a level is small);
+        # the phase's alone (108) is refused, and read with the guard off
+        # misses by 4e-9.
+        packet, barrier, t_max = replace(RESONANT[0][0]), BarrierSpec(10.0, 1.0), 6.0
+        spectrum, grid = spectral_setup(packet, t_max, barrier=barrier)
+        assert grid.size == 308
+        fine = spectral_setup(packet, t_max, n_nodes=2 * grid.size)[1]
+        short = spectral_setup(packet, t_max)[1]
+        times = np.linspace(0.0, t_max, 13)
+        twice = tunneling_packet_model(spectrum, barrier, fine)
+        gaps = _worst_gaps(tunneling_packet_model(spectrum, barrier, grid), twice, times)
+        assert max(gaps["rho"], gaps["j"], gaps["tail"], gaps["P"]) <= 1e-12
+        phase_only = tunneling_packet_model(spectrum, barrier, short)
+        assert short.size == 108
+        with pytest.raises(GridTooCoarse):
+            phase_only.rho(0.0, 0.0)
+        phase_only._max_rate = math.inf
+        assert _worst_gaps(phase_only, twice, times)["rho"] > 1e-9
+
+
 def test_mass_beyond_each_hint_end_is_within_the_stated_bound(spectral_models):
     # A pointwise quadrature of rho from each end of the support hint out to
     # the phase guard's reach (where the k-grid stops resolving the packet),
     # on the stock pair at the 21 stock times.  Measured here: at most
-    # 3.30e-10 beyond the free model's top, 3.06e-10 below its bottom,
-    # 7.1e-12 beyond the tunneling top and 4.40e-10 below its bottom, all at
-    # t = 0: the far field of the 6 sigma spectral cut.
-    spectrum, grid, free, tunnel = spectral_models
-    reach = grid.size * 2.0 * math.pi / (8.0 * (grid.k_max - grid.k_min))
+    # 3.23e-10 beyond the free model's top, 2.95e-10 below its bottom,
+    # 6.8e-12 beyond the tunneling top (t = 0.5) and 4.22e-10 below its
+    # bottom, the rest at t = 0: the far field of the 6 sigma spectral cut.
+    # The guard's reach lies beyond both snapped ends of every hint.
     tol = Tolerances(quad_rel=1e-6, quad_abs=1e-20)
-    for model, t in itertools.product((free, tunnel), np.linspace(0.0, 10.0, 21).tolist()):
+    for model, t in itertools.product(spectral_models[2:], np.linspace(0.0, 10.0, 21).tolist()):
         lo, hi = model.support_hint(t)
-        far = reach - abs(spectrum.x_bar) - grid.k_max * t - 1e-9
+        far = _guard_reach(model, t) * (1.0 - 1e-12)
+        assert far > max(-lo, hi)
         model._check_resolution(far, t)
         for a, b in ((hi, far), (-far, lo)):
             mass = integrate_adaptive(lambda x: model.rho(x, t), a, b, tol, initial_panels=32)
