@@ -482,6 +482,29 @@ class TestRungs:
     rules (rungs); the grid is now sized by the rule that guards it, so
     every pointwise sum runs on the whole grid, after one scalar guard."""
 
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.floats(-1.0, 1.0), t=st.floats(0.0, 10.0), as_array=st.booleans())
+    def test_rung_sums_match_the_whole_grid(self, spectral_models, u, t, as_array):
+        # Anywhere the guard admits, rho and j are the whole-grid sums to the
+        # bit, so within 1e-11 of the peak density, and j / rho within
+        # 2e-11 peak (1 + |v|) / rho wherever rho is above 2e-11 peak.
+        _, _, free_sp, tunnel = spectral_models
+        for model in (free_sp, tunnel):
+            x = 0.999 * u * _guard_reach(model, t)
+            arg = np.array([x, -x, 0.5 * x]) if as_array else x
+            rho, cur = model.density_and_current(arg, t)
+            rho_full, cur_full = _full_grid(model, np.atleast_1d(arg), t)
+            assert np.array_equal(np.atleast_1d(rho), rho_full)
+            assert np.array_equal(np.atleast_1d(cur), cur_full)
+            peak = model.peak_density(t)
+            assert np.max(np.abs(rho - rho_full)) <= 1e-11 * peak
+            assert np.max(np.abs(cur - cur_full)) <= 1e-11 * peak
+            ok = rho_full >= 2e-11 * peak
+            v_full = cur_full[ok] / rho_full[ok]
+            v = np.atleast_1d(cur)[ok] / np.atleast_1d(rho)[ok]
+            assert np.all(np.abs(v - v_full) <= 2e-11 * peak * (1.0 + np.abs(v_full))
+                          / rho_full[ok])
+
     def test_a_point_has_its_own_bits_in_any_batch(self, spectral_models):
         # Points across the guard's reach and every region, alone, with
         # far-off points and in one batch, all with the bits of their scalar
