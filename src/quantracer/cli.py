@@ -420,7 +420,8 @@ def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
         raise ConfigError(f"tunnel P values must be at least MIN_CROSSING_LEVEL = "
                           f"{MIN_CROSSING_LEVEL:g}, got {min(cfg.p_list):g}")
     tol = _tolerances(cfg)
-    free, tunnel = _spectral_pair(cfg, tol)
+    # The wave-number grid must resolve the latest snapshot, not only t_max.
+    free, tunnel = _spectral_pair(replace(cfg, t_max=max((cfg.t_max, *cfg.snapshot_times))), tol)
     verdicts = retardation_scan(free, tunnel, cfg.p_list, _time_grid(cfg),
                                 tol=tol)
     rows = [(v.P, *row) for v in verdicts for row in

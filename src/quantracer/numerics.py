@@ -495,7 +495,7 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     (root_abs + 4 eps |x|) / 2, an end beyond the panel reading its edge:
     Brent's stop rule, certified.  The arithmetic is elementwise, so a pair
     has the same bits alone or in any batch (quantile_position solves one
-    block of tail_tables at a time); a pair that fails the test is solved
+    block of lockstep_tables at a time); a pair that fails the test is solved
     by find_root_monotone on the panel.  Raises NoSignChange for a level
     not in (0, mass of the table].
     """

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidRange
-from .numerics import DEFAULT_TOL, KGrid, Tolerances, _gauss_rule, max_phase_rate
+from .numerics import DEFAULT_TOL, KGrid, Tolerances, _gauss_rule
 from .quantile import _levels, _time_grid, quantile_position
 from .wavepacket import (
     HBAR,
@@ -31,9 +31,9 @@ from .wavepacket import (
     _FIELD_ENTRIES,
     _TABLE_BLOCK,
     _barrier_coefficients,
-    _pole_rho,
     lockstep_tails,
     spectral_free_model,
+    tunneling_packet_model,
 )
 
 
@@ -126,24 +126,25 @@ def _u_nodes(a: float, k: np.ndarray, gamma: np.ndarray, n_lambda: int) -> int:
     return n
 
 
-def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
+def _decomposed_terms(free: PacketModel, tunneling: PacketModel,
                       xs, ts, n_lambda: int, direct=()) -> np.ndarray:
     """term1, term2, term3, the weighted total and the tails of each of the
     ``direct`` models, shape (4 + len(direct), len(xs), len(ts)).
 
-    The route reads spectrum, grid, mass and tolerances from ``free``, the
-    pair's spectral free model, after its phase guard under the barrier's
-    poles (the kernels divide by D).  The barrier coefficients, the term3
-    kernel and the two u-kernels are built once per call, the latter on one
-    Gauss-Legendre rule of at least n_lambda nodes (_u_nodes).  Per block
-    of _TABLE_BLOCK times the coefficient rows, one lockstep_tails call for
-    term3 (on free's lattice) and the direct tails, and the u-sums: up to
-    _FIELD_ENTRIES (time, x, k) entries at once, in one stack of
-    matrix-vector products, one per (time, x), so a point has its lone bits
-    and memory stays bounded for any number of times.
+    The route reads spectrum, grid, mass and tolerances from ``free`` and
+    the barrier from ``tunneling``, after the latter's phase guard (under
+    the barrier's poles: the kernels divide by D).  The barrier
+    coefficients, the term3 kernel and the u-kernels are built once per
+    call, these on one Gauss-Legendre rule of at least n_lambda nodes
+    (_u_nodes).  Per block of _TABLE_BLOCK times the coefficient rows, one
+    lockstep_tails call for term3 (on free's lattice) and the direct tails,
+    and the u-sums: up to _FIELD_ENTRIES (time, x, k) entries at once, in
+    one stack of matrix-vector products, one per (time, x), so a point has
+    its lone bits and memory stays bounded for any number of times.
     """
     if n_lambda < 16:
         raise InvalidRange("n_lambda must be at least 16")
+    barrier = tunneling.barrier
     a = barrier.half_width
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -160,11 +161,9 @@ def _decomposed_terms(free: PacketModel, barrier: BarrierSpec,
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
     u, wu = _gauss_rule(0.0, 1.0, _u_nodes(a, k, gamma, n_lambda))
     x_far = float(np.max(np.abs(xs), initial=0.0))
-    rho = _pole_rho(barrier, mass, grid.k_min, grid.k_max)
-    limit = max_phase_rate(grid.size, grid.k_min, grid.k_max, rho_max=rho), rho
     for t in ts.tolist():
-        # The psi_x rows reach x_far and term3 the top of the hint.
-        free._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t, limit)
+        # The psi_x rows reach x_far and term3 the top of free's hint.
+        tunneling._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
     # (kernel1, kernel2) by (u, k), built in place from ekm and ekp =
     # exp(2iau (k -+ gamma)): kernel1 = ((k + gamma) ekm - (k - gamma) ekp) / D
     # and kernel2 = exp(2iauk) sin(2au gamma) / D, written via exponentials
@@ -215,10 +214,11 @@ def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
     x.  Each is nonnegative as computed, so the weighted total certifies
     delta_p >= 0; the u-rule has at least n_lambda nodes (_u_nodes).
     This is the one-point call of the kernel delta_p_report runs per
-    time, on a free model built here from spectrum, grid, mass and tol.
+    time, on the pair of models built here from spectrum, grid, mass and tol.
     """
     free = spectral_free_model(spectrum, grid, mass=mass, tol=tol)
-    terms = _decomposed_terms(free, barrier, [x], [t], n_lambda)
+    tunneling = tunneling_packet_model(spectrum, barrier, grid, mass=mass, tol=tol)
+    terms = _decomposed_terms(free, tunneling, [x], [t], n_lambda)
     return DeltaPTerms(*(float(v) for v in terms[:, 0, 0]))
 
 
@@ -285,7 +285,7 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     xs = np.asarray(default_x if x_values is None else x_values, dtype=float)
     ts = np.asarray(default_t if t_values is None else t_values, dtype=float)
     term1, term2, term3, totals, free_tails, tunnel_tails = _decomposed_terms(
-        free, barrier, xs, ts, n_lambda, (free, tunneling)).reshape(6, -1)
+        free, tunneling, xs, ts, n_lambda, (free, tunneling)).reshape(6, -1)
     direct = free_tails - tunnel_tails
     c1, c2, c3 = _term_weights(barrier, tunneling.mass)
     rel = np.abs(direct - totals) / np.maximum(direct, _AGREEMENT_FLOOR)

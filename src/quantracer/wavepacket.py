@@ -554,53 +554,59 @@ def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _PanelWaves:
-    """Factored sums of the waves e^{+-iqx} over one wave-number set, on panels.
+    """One table region: the panels whose nodes lie in the open ``bounds``,
+    and the factored sums of its waves e^{+-iqx} over one wave-number set.
 
-    On a panel with midpoint m and half-width h, e^{iq(m + h xi)} =
-    e^{iqm} e^{iqh xi}: equal-width panels of any times share a product
-    with the (n_q, 22) matrix e^{iqh xi}.  A lattice panel (m = o + h + j 2h,
-    o a barrier edge outside the barrier, else 0) takes the row
-    exp(iq (o + h + j 2h)) from a kept window of at most one chunk's rows
-    per origin, or computes it; a panel off its lattice takes exp(iqm).
+    The region's density is |u e^{iqx} + d e^{-iqx}|^2 summed over q, with u
+    and d a source's coefficient rows times the mode factors ``up`` and
+    ``down`` (rows; no e^{-iqx} wave for down None): T right of a barrier,
+    1 and R left of it (q = k), A and B under it (q = gamma).  On a panel
+    with midpoint m and half-width h, e^{iq(m + h xi)} = e^{iqm} e^{iqh
+    xi}: equal-width panels of any times share a product with the (n_q, 22)
+    matrix e^{iqh xi}.  A lattice panel (m = origin + h + j 2h; the origin
+    is the region's barrier edge outside the barrier, else 0) takes the row
+    exp(iq (origin + h + j 2h)) from a kept window of at most one chunk's
+    rows, or computes it; a panel off its lattice takes exp(iqm).
     Half-widths are base * 2^m (others raise ValueError), each with its
-    matrix and rows kept in ``kept``, up to _KEPT_WIDTHS of them.  e^{-iqm}
-    is the conjugate of e^{iqm} for real q, its inverse for complex q.
-    Rows are summed in chunks of at most _FIELD_ENTRIES (panel, q) entries
-    and keep the bits they have alone: own phase rows, _rowwise products,
-    and numpy's elidable temporary on the left of every complex product
-    (past 256 KiB numpy computes x * temporary in the temporary's buffer,
-    and complex products do not commute bit for bit).
+    matrix and window kept in ``kept``, up to _KEPT_WIDTHS of them.
+    e^{-iqm} is the conjugate of e^{iqm} for real q, its inverse for
+    complex q.  Rows are summed in chunks of at most _FIELD_ENTRIES (panel,
+    q) entries and keep the bits they have alone: own phase rows, _rowwise
+    products, and numpy's elidable temporary on the left of every complex
+    product (past 256 KiB numpy computes x * temporary in the temporary's
+    buffer, and complex products do not commute bit for bit).
     """
 
-    def __init__(self, q: np.ndarray, base: float):
-        self.q = q
-        self.iq = 1j * q
-        self.base = base
+    def __init__(self, q: np.ndarray, base: float, origin: float, bounds: tuple,
+                 up, down=None):
+        self.q, self.iq, self.base = q, 1j * q, base
+        self.origin, self.bounds, self.up, self.down = origin, bounds, up, down
         self.kept: dict = {}
 
     def _entry(self, h: float) -> list:
-        # [e^{iqh xi}, {origin: (lowest j, kept rows)}]; -h gives e^{-iqx}.
+        # [e^{iqh xi}, lowest j, kept rows]; -h gives e^{-iqx}.
         if h in self.kept:
             return self.kept[h]
-        entry = [np.exp(np.outer(self.iq, h * PANEL_NODES)), {}]
+        entry = [np.exp(np.outer(self.iq, h * PANEL_NODES)), 0.0,
+                 np.empty((0, self.q.size), dtype=complex)]
         if len(self.kept) < _KEPT_WIDTHS:
             self.kept[h] = entry
         return entry
 
-    def _phases(self, mids, h: float, origin: float, entry: list) -> np.ndarray:
+    def _phases(self, mids, h: float, entry: list) -> np.ndarray:
         """e^{iqm} at each mid, (len(mids), n_q), row by row."""
-        step = 2.0 * h
-        j = np.rint((mids - (origin + h)) / step)
-        spot = origin + h + j * step
-        on = np.abs(mids - spot) <= _ULPS * np.maximum(abs(origin + h), np.abs(mids))
-        low, kept = entry[1].get(origin, (0.0, np.empty((0, self.q.size), dtype=complex)))
+        step, start = 2.0 * h, self.origin + h
+        j = np.rint((mids - start) / step)
+        spot = start + j * step
+        on = np.abs(mids - spot) <= _ULPS * np.maximum(abs(start), np.abs(mids))
+        _, low, kept = entry
         if on.any():
             lo, hi = j[on].min(), j[on].max()
             if kept.size:
                 lo, hi = min(lo, low), max(hi, low + len(kept) - 1)
             if hi - lo < max(1, _FIELD_ENTRIES // self.q.size) and hi - lo + 1 > len(kept):
-                low, kept = lo, np.exp(np.outer(origin + h + np.arange(lo, hi + 1) * step, self.iq))
-                entry[1][origin] = (low, kept)
+                low, kept = lo, np.exp(np.outer(start + np.arange(lo, hi + 1) * step, self.iq))
+                entry[1:] = low, kept
         i = j - low
         fresh = ~on | (i < 0) | (i >= len(kept))
         phases = kept[np.where(fresh, 0, i).astype(int)] if kept.size else np.empty(
@@ -609,10 +615,9 @@ class _PanelWaves:
             phases[fresh] = np.exp(np.outer(np.where(on, spot, mids)[fresh], self.iq))
         return phases
 
-    def rho(self, table, mids, halves, origin: float, up, down=None) -> np.ndarray:
-        """|u e^{iqx} + d e^{-iqx}|^2 summed over q on the panels' nodes, with
-        u = up[table] and d = down[table] (no e^{-iqx} wave for down None)
-        the coefficients of each panel's time."""
+    def rho(self, table, mids, halves, up, down) -> np.ndarray:
+        """The region's density on the panels' nodes, u = up[table] and d =
+        down[table] the rows of each panel's time (down None: no e^{-iqx})."""
         # Lattice half-widths snap to their exact value.
         widths = self.base * np.exp2(np.rint(np.log2(halves / self.base)))
         if (np.abs(halves - widths) > _ULPS * (np.abs(mids) + halves)).any():
@@ -628,7 +633,7 @@ class _PanelWaves:
             sel = np.flatnonzero(widths == h)
             for i in range(0, sel.size, rows):
                 chunk = sel[i:i + rows]
-                phases = self._phases(mids[chunk], h, origin, entry)
+                phases = self._phases(mids[chunk], h, entry)
                 c = table[chunk]
                 psi = _rowwise(up[c] * phases, entry[0])
                 if down is not None and back is None:
@@ -638,6 +643,31 @@ class _PanelWaves:
                     psi += _rowwise(down[c] / phases, back[0])
                 out[chunk] = psi.real ** 2 + psi.imag ** 2
         return out
+
+
+def _panel_values(regions, table, mids, halves) -> np.ndarray:
+    """Density on the nodes mid + half * PANEL_NODES of panels of many
+    sources, panel i at table table[i]: the panel kernel of lockstep_tables.
+
+    ``regions`` holds per (source, region) the source's first table, the
+    region's _PanelWaves and the source's coefficient rows (a row per
+    table) times the region's factors up and down.  Each panel goes, in
+    one pass, to the one region of its source whose open bounds hold its
+    outermost nodes, not its edges: a panel ending on a barrier edge still
+    has all its nodes on one side.  A panel across one raises ValueError.
+    """
+    reach = float(np.max(PANEL_NODES))
+    lo, hi = mids - reach * halves, mids + reach * halves
+    picks = [np.flatnonzero((table >= first) & (table < first + len(up))
+                            & (lo > waves.bounds[0]) & (hi < waves.bounds[1]))
+             for first, waves, up, _ in regions]
+    if sum(pick.size for pick in picks) < mids.size:    # the bounds are disjoint
+        raise ValueError("a panel crosses a barrier edge")
+    out = np.empty((mids.size, PANEL_NODES.size))
+    for pick, (first, waves, up, down) in zip(picks, regions):
+        if pick.size:
+            out[pick] = waves.rho(table[pick] - first, mids[pick], halves[pick], up, down)
+    return out
 
 
 class SpectralPacketModel(PacketModel):
@@ -658,8 +688,10 @@ class SpectralPacketModel(PacketModel):
     stacked waves and one product with their (waves, 2) matrix give (psi,
     d psi/dx), over the modes right of the barrier (every point of the free
     reference) and over twice them, e^{+-iqx}, left of or inside it.  Panel
-    tables sum with _PanelWaves and the coefficients of _coeffs(t) over a
-    lattice with its own pitch on each side of the barrier (_lattice).
+    tables sum over a lattice with its own pitch on each side of the
+    barrier (_lattice), in table regions built once here (_PanelWaves:
+    right of, left of and under the barrier; the free reference's right
+    region alone), each with its origin, bounds and mode factors.
     """
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
@@ -672,14 +704,15 @@ class SpectralPacketModel(PacketModel):
         self.tol = tol
         edge = -math.inf if barrier is None else barrier.half_width
         k = grid.nodes
-        gamma, *self._coefficients = (_free_coefficients(k) if barrier is None   # T, R, A, B
-                                      else _barrier_coefficients(k, barrier, self.mass))
+        # gamma, T, R, A, B; the free reference's are exact, T = 1.
+        gamma, T, R, A, B = self._coefficients = (_free_coefficients(k) if barrier is None
+                                                  else _barrier_coefficients(k, barrier, self.mass))
         self._base_coeffs = (grid.weights * spectrum.amplitude(k)
                              * np.exp(-1j * k * spectrum.x_bar) / math.sqrt(2.0 * math.pi))
         # Time-independent factor of the mode phases, -i hbar k^2.
         self._phase_rate = -1j * HBAR * k ** 2
         # Region waves and edge, in _mode_sums order.
-        self._modes = (_region_waves(k, gamma, *self._coefficients, self._base_coeffs,
+        self._modes = (_region_waves(k, *self._coefficients, self._base_coeffs,
                                      self._phase_rate / (2.0 * self.mass)), edge)
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-edge, edge)
@@ -688,11 +721,14 @@ class SpectralPacketModel(PacketModel):
         # (the transmitted wave alone) and on all of the free reference.
         self._pitch_right = 4.0 * math.pi / (grid.k_max - grid.k_min)
         self._pitch = 4.0 * math.pi / (2.0 * grid.k_max) if barrier else self._pitch_right
-        # Panel waves right of, left of (q = k) and under the barrier (q =
-        # gamma), kept across times; empty until the first table.
-        self._waves = (_PanelWaves(grid.nodes, 0.5 * self._pitch_right),
-                       _PanelWaves(grid.nodes, 0.5 * self._pitch),
-                       _PanelWaves(gamma, edge if barrier else 1.0))
+        # Table regions right of, left of (q = k) and under the barrier (q =
+        # gamma), each on its side's lattice (_lattice), their waves kept
+        # across times; the free reference's panels all lie right.
+        right = _PanelWaves(k, 0.5 * self._pitch_right, 0.0 if barrier is None else edge,
+                            (edge, math.inf), T)
+        self._regions = [right] if barrier is None else [
+            right, _PanelWaves(k, 0.5 * self._pitch, -edge, (-math.inf, -edge), 1.0, R),
+            _PanelWaves(gamma, edge, 0.0, (-edge, edge), A, B)]
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
         # The phase guard's limit: the pole's ellipse, the largest rate the grid resolves.
@@ -704,15 +740,14 @@ class SpectralPacketModel(PacketModel):
         phases = np.exp(np.outer(ts, self._phase_rate) / (2.0 * self.mass))
         return self._base_coeffs * phases
 
-    def _check_resolution(self, x_abs: float, t: float, limit=None) -> None:
+    def _check_resolution(self, x_abs: float, t: float) -> None:
         """GridTooCoarse (InvalidRange for a NaN) where the phase rate at
         |x| = x_abs and time t, |x| + |x_bar| + hbar k_max |t| / m (a bound
         on |d phase/dk| over every mode branch), exceeds the largest the
-        grid resolves: the model's own, or ``limit`` = (rate, pole rho)."""
+        grid resolves under the model's barrier poles."""
         rate = x_abs + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max * abs(t) / self.mass
-        most, rho = limit or (self._max_rate, self._rho_max)
-        if not rate <= most:
-            g = self.grid
+        if not rate <= self._max_rate:
+            g, rho = self.grid, self._rho_max
             raise GridTooCoarse(
                 f"wave-number grid has {g.size} nodes but evaluating out to |x| = {x_abs:.4g} "
                 f"at t = {t:.4g} needs >= "
@@ -729,52 +764,6 @@ class SpectralPacketModel(PacketModel):
             x = np.ravel(np.asarray(x, dtype=float))
             self._check_resolution(float(np.max(np.abs(x), initial=0.0)), t)
         return _mode_sums(x, t, *self._modes)
-
-    def _panel_rho(self, ts, coeffs=None):
-        """Density on the nodes mid + half * PANEL_NODES of batches of panels,
-        each at its own time: values(table, mids, halves) takes panel i at
-        time ts[table[i]].
-
-        Each panel lies wholly inside one region, as every table's panels
-        do (the lattice makes +-a panel edges), and there the mode sum
-        factors (see _PanelWaves; q = k outside the barrier, gamma inside),
-        with the kept waves of the region's lattice (_lattice).  A panel
-        across a barrier edge or with a half-width off that lattice raises
-        ValueError.  ``coeffs`` (a row per time) replaces the mode
-        coefficients, for other plane-wave sums on the free lattice.
-        """
-        T, R, A, B = self._coefficients
-        edge = self._modes[1]
-        ts = np.asarray(ts, dtype=float).ravel().tolist()
-        if coeffs is None:
-            coeffs = self._coeffs(ts)
-        reach = float(np.max(PANEL_NODES))
-        right_waves, left_waves, under = self._waves
-        # Per region: waves, lattice origin, coefficients (a row per time)
-        # of e^{iqx} and of e^{-iqx}.
-        origin = edge if self.barrier is not None else 0.0
-        regions = [(right_waves, origin, coeffs * T, None)]
-        if self.barrier is not None:    # the free reference's panels all lie right
-            regions += [(left_waves, -origin, coeffs, coeffs * R),
-                        (under, 0.0, coeffs * A, coeffs * B)]
-
-        def values(table, mids, halves):
-            # Regions by the outermost nodes, not the panel edges: a panel
-            # ending on a barrier edge still has all its nodes on one side.
-            lo, hi = mids - reach * halves, mids + reach * halves
-            right = lo > edge
-            left = ~right & (hi < -edge)
-            inside = (lo > -edge) & (hi < edge)
-            if not (right | left | inside).all():
-                raise ValueError("a panel crosses a barrier edge")
-            out = np.empty((mids.size, PANEL_NODES.size))
-            for mask, (waves, start, up, down) in zip((right, left, inside), regions):
-                if mask.any():
-                    out[mask] = waves.rho(table[mask], mids[mask], halves[mask],
-                                          start, up, down)
-            return out
-
-        return values
 
     def amplitude(self, x, t):
         """Summed complex amplitude psi(x, t)."""
@@ -909,10 +898,13 @@ def lockstep_tables(sources, ts, low=-math.inf, above=math.inf) -> Iterator[list
     adaptive_panels pass run when the block is read.  A source is (model,
     coeffs): a spectral model's rho or, with ``coeffs`` (a row per time),
     |sum_j coeffs_j e^{ik_j x}|^2 on a free reference's lattice (on a barrier
-    model the first read raises ValueError).  A table lies on _lattice(t),
-    after the phase guard, under its model's tolerances, each panel with
-    the bits of its lone build.  It starts at the lattice edge at or below ``low`` (the
-    last panel at most), or where its mass from the top reaches ``above``:
+    model the first read raises ValueError).  Per block each source's
+    coefficient rows are computed once, and one kernel (_panel_values)
+    sends every panel to its (source, region).  A table lies on
+    _lattice(t), after the phase guard, under its model's tolerances, each
+    panel with the bits of its lone build.  It starts at the lattice edge
+    at or below ``low`` (the last panel at most), or where its mass from
+    the top reaches ``above``:
     the top of the whole table, bit for bit; its first round goes down to
     _depths(ts, above), a guess that sizes the work only."""
     if any(coeffs is not None and model.barrier is not None for model, coeffs in sources):
@@ -920,22 +912,18 @@ def lockstep_tables(sources, ts, low=-math.inf, above=math.inf) -> Iterator[list
     ts = np.asarray(ts, dtype=float).ravel()
     for i in range(0, ts.size, _TABLE_BLOCK):
         block = ts[i:i + _TABLE_BLOCK].tolist()
-        n, parts, rhos, tols, depths = len(block), [], [], [], []
+        n, parts, regions, tols, depths = len(block), [], [], [], []
         for model, coeffs in sources:
             parts += [model._lattice(t) for t in block]
             for t, edges in zip(block, parts[-n:]):
                 model._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
-            rhos.append(model._panel_rho(block, None if coeffs is None else coeffs[i:i + n]))
+            rows = model._coeffs(block) if coeffs is None else coeffs[i:i + n]
+            regions += [(len(tols), waves, rows * waves.up, None if waves.down is None
+                         else rows * waves.down) for waves in model._regions]
             tols += [model.tol] * n
             depths += model._depths(block, above) if above < math.inf else [math.inf] * n
-
-        def panel_f(table, mids, halves):    # each source's panels to its own model
-            out = np.empty((mids.size, PANEL_NODES.size))
-            for s, rho in enumerate(rhos):
-                mine = np.flatnonzero(table // n == s)
-                out[mine] = rho(table[mine] - s * n, mids[mine], halves[mine])
-            return out
-        yield adaptive_panels(panel_f, parts, tols, low, above, depths)
+        yield adaptive_panels(functools.partial(_panel_values, regions), parts, tols, low,
+                              above, depths)
 
 
 def lockstep_tails(sources, x, t) -> np.ndarray:

@@ -5,8 +5,13 @@ Tier-1 does not run the benchmark, so a rename or a return-type change
 that would break one of its spans or counters fails here instead.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import quantracer
 from quantracer import cli, numerics, quantile, tunneling, wavepacket
 
 TRACED = {
@@ -197,3 +202,25 @@ def test_each_field_call_reaches_the_mode_kernel_once(monkeypatch):
                         calls.clear()
                         getattr(model, name)(arg, 0.5)
                         assert len(calls) == 1 and np.size(calls[0]) == 1
+
+
+def test_each_workload_runs_a_part_and_passes_its_check(monkeypatch, tmp_path):
+    # perfbench/workloads.py, loaded as it is (no bytecode written next to
+    # it): the stock models, then one part of each workload, checked by
+    # that workload's own check.  A change to a call the workloads make
+    # fails here, not only in a benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    models = workloads.build_models(quantracer)
+    assert set(workloads.WORKLOADS) == {"retardation", "delta-p", "ode-trace"}
+    for name, part in (("retardation", 0), ("delta-p", 0), ("ode-trace", -1)):
+        workload = workloads.WORKLOADS[name](quantracer, models, 2601, tmp_path)
+        workload.prepare()
+        i = part % len(workload.parts)
+        outcome = workload.check(i, workload.parts[i].call())
+        assert outcome.attempted == workload.parts[i].ops
+        assert outcome.failed == 0, outcome.problems

@@ -440,12 +440,14 @@ class TestFreeCommand:
             assert row["status"] == "ok"
 
     def test_csv_bytes_are_stable_across_reruns(self, tmp_path):
-        argv = ("free", "--p-list", "0.3,0.7", "--t-max", "3")
-        assert run_cli(tmp_path, *argv) == 0
-        first = (tmp_path / "free_trajectories.csv").read_bytes()
-        assert run_cli(tmp_path, *argv) == 0
-        second = (tmp_path / "free_trajectories.csv").read_bytes()
-        assert first == second
+        # Every CSV of a run, the spectral commands' included.
+        for argv in (("free", "--p-list", "0.3,0.7", "--t-max", "3"),
+                     ("tunnel", "--preset", "fig2", "--snapshot-times", "0,5"),
+                     ("delta-p", "--preset", "fig2")):
+            assert run_cli(tmp_path, *argv) == 0
+            first = {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")}
+            assert run_cli(tmp_path, *argv) == 0
+            assert {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")} == first
 
     def test_csv_uses_lf_endings_and_17_digits(self, tmp_path):
         assert run_cli(tmp_path, "free", "--p-list", "0.5",
@@ -546,6 +548,28 @@ class TestTunnelCommand:
                  if float(r["t"]) == 0.0]
         xs, ys = zip(*block)
         assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("times", ["12", "1e300", "0,5,10"])
+    def test_snapshots_size_the_grid(self, tmp_path, capsys, times):
+        # The grid is sized for the latest snapshot as well as for t_max
+        # (10): a snapshot at 12 runs (it exited 3, GridTooCoarse), one at
+        # 1e300 needs more nodes than a float counts and exits 2 with one
+        # line, and snapshots up to t_max leave the trajectory rows as they
+        # are without snapshots.
+        argv = ("tunnel", "--preset", "fig2")
+        code = run_cli(tmp_path, *argv, "--snapshot-times", times)
+        if times == "1e300":
+            err = capsys.readouterr().err
+            assert code == 2 and err.count("\n") == 1
+            assert "times up to 1e+300 need inf wave-number nodes" in err
+            return
+        assert code == 0
+        names = checks_by_name(read_manifest(tmp_path / "tunnel_trajectories_density.csv"))
+        assert all(names[f"snapshot_mass_t{t}"]["passed"] for t in times.split(","))
+        if times == "0,5,10":
+            rows = (tmp_path / "tunnel_trajectories.csv").read_bytes()
+            assert run_cli(tmp_path, *argv) == 0
+            assert (tmp_path / "tunnel_trajectories.csv").read_bytes() == rows
 
     @pytest.mark.parametrize("level", ["1e-12", "1e-13", "9.9e-7"])
     def test_level_below_the_crossing_floor_exits_2(self, tmp_path, capsys, level):

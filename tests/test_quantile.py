@@ -214,22 +214,18 @@ class TestQuantilePosition:
         # pointwise points on this inversion, a partial panel per probe ~110.
         _, tunnel = tunnel_models
         seen = {"points": 0, "panels": 0}
-        rho, panel_rho = tunnel.rho, tunnel._panel_rho
+        rho, kernel = tunnel.rho, wavepacket._panel_values
 
         def counted_rho(x, t):
             seen["points"] += np.size(x)
             return rho(x, t)
 
-        def counted_panel_rho(ts, coeffs=None):
-            values = panel_rho(ts, coeffs)
-
-            def counted(table, mids, halves):
-                seen["panels"] += mids.size
-                return values(table, mids, halves)
-            return counted
+        def counted_kernel(regions, table, mids, halves):
+            seen["panels"] += mids.size
+            return kernel(regions, table, mids, halves)
 
         monkeypatch.setattr(tunnel, "rho", counted_rho)
-        monkeypatch.setattr(tunnel, "_panel_rho", counted_panel_rho)
+        monkeypatch.setattr(wavepacket, "_panel_values", counted_kernel)
         x = quantile_position(tunnel, 0.01, 10.0)
         assert x > DEFAULT_BARRIER.half_width
         assert seen["points"] == 0

@@ -148,20 +148,20 @@ class TestDeltaPDecomposed:
         else:
             packet = GaussianPacketParams(x_bar=-10.0, v_bar=v_bar, sigma_x0=2.5)
             free = spectral_free_model(*spectral_setup(packet, t_max=10.0, barrier=barrier))
+        tunnel = tunneling_packet_model(free.spectrum, barrier, free.grid)
         xs, ts = np.linspace(half_width + 0.2, half_width + 5.0, 12), [0.0, 3.0, 6.0, 10.0]
-        default = tunneling._decomposed_terms(free, barrier, xs, ts, 32)[3]
-        reference = tunneling._decomposed_terms(free, barrier, xs, ts, 512)[3]
+        default = tunneling._decomposed_terms(free, tunnel, xs, ts, 32)[3]
+        reference = tunneling._decomposed_terms(free, tunnel, xs, ts, 512)[3]
         assert np.max(np.abs(default - reference)) <= 1e-10
 
     @pytest.mark.parametrize("n_lambda", [16, 32, 100])
     def test_one_u_rule_per_call(self, fig2, monkeypatch, n_lambda):
-        _, _, free, _ = fig2
+        _, _, free, tunnel = fig2
         rules = []
         gauss_rule = tunneling._gauss_rule
         monkeypatch.setattr(tunneling, "_gauss_rule", lambda *args: rules.append(args)
                             or gauss_rule(*args))
-        tunneling._decomposed_terms(free, DEFAULT_BARRIER, [0.5, 1.0, 4.0],
-                                    [0.0, 2.0, 6.0], n_lambda)
+        tunneling._decomposed_terms(free, tunnel, [0.5, 1.0, 4.0], [0.0, 2.0, 6.0], n_lambda)
         assert rules == [(0.0, 1.0, n_lambda)]
 
     def test_refuses_a_u_rule_beyond_the_entry_limit(self, fig2):
@@ -175,11 +175,11 @@ class TestDeltaPDecomposed:
             tunneling._u_nodes(1000.0, grid.nodes, gamma, 32)
 
     def test_a_point_has_the_bits_of_its_lone_call(self, fig2):
-        _, _, free, _ = fig2
+        _, _, free, tunnel = fig2
         xs, ts = np.linspace(0.5, 5.3, 61), [2.0, 6.0]
-        batch = tunneling._decomposed_terms(free, DEFAULT_BARRIER, xs, ts, 32)
+        batch = tunneling._decomposed_terms(free, tunnel, xs, ts, 32)
         for i in (0, 17, 42, 60):
-            alone = tunneling._decomposed_terms(free, DEFAULT_BARRIER, [xs[i]], ts, 32)
+            alone = tunneling._decomposed_terms(free, tunnel, [xs[i]], ts, 32)
             assert np.array_equal(batch[:, i], alone[:, 0])
 
     def test_rejects_small_n_lambda(self, fig2):
@@ -452,7 +452,7 @@ class TestOnePassPerPair:
         _, _, free, tunnel = fig2
         report = delta_p_report(free, tunnel, x_values=xs, t_values=ts)
         direct = (free.tails(xs, ts) - tunnel.tails(xs, ts)).T.ravel()
-        terms = tunneling._decomposed_terms(free, DEFAULT_BARRIER, xs, ts, 32).reshape(4, -1)
+        terms = tunneling._decomposed_terms(free, tunnel, xs, ts, 32).reshape(4, -1)
         c1, c2, c3 = _term_weights(DEFAULT_BARRIER, tunnel.mass)
         assert np.array_equal(report.dp_direct, direct)
         for got, want in zip((report.dp_term1, report.dp_term2, report.dp_term3, report.dp_total),

@@ -66,9 +66,19 @@ def table_at(model, t):
     return block[0]
 
 
+def block_kernel(sources, ts):
+    """The panel kernel lockstep_tables hands adaptive_panels for one block
+    of times: panel i at table table[i], source table[i] // len(ts)."""
+    kernels = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wavepacket, "adaptive_panels", lambda panel_f, *args: kernels.append(panel_f))
+        next(wavepacket.lockstep_tables(sources, ts))
+    return kernels[0]
+
+
 def panel_rho(model, t, mids, halves):
     """The panel kernel at one time t."""
-    return model._panel_rho([t])(np.zeros(mids.size, dtype=int), mids, halves)
+    return block_kernel([(model, None)], [t])(np.zeros(mids.size, dtype=int), mids, halves)
 
 
 def assert_tail_monotone(model, t, n_points=200):
@@ -450,8 +460,7 @@ class TestKernelOracle:
         xs = np.array([-6.0, -0.5, -a, -0.1, a, 0.31, 6.0])
         for model, edge in ((tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid), a),
                             (spectral_free_model(spectrum, grid), -math.inf)):
-            # gamma is the wave number of the under-barrier panel waves.
-            coefficients = (model._waves[2].q, *model._coefficients)
+            coefficients = model._coefficients       # gamma, T, R, A, B
             for t in (0.5, 3.5):
                 fields = [mode_fields(x, t, grid.nodes, *coefficients, model._base_coeffs, edge)
                           for x in xs.tolist()]
@@ -513,7 +522,7 @@ class TestRungs:
         _, grid, free_sp, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
         for model, edge in ((free_sp, -math.inf), (tunnel, a)):
-            coefficients = (model._waves[2].q, *model._coefficients)
+            coefficients = model._coefficients
             for t in (0.0, 4.5, 10.0):
                 reach = 0.999 * _guard_reach(model, t)
                 xs = np.concatenate([np.linspace(-reach, reach, 41), [-a, -0.1, a, 2.0]])
@@ -706,24 +715,35 @@ class TestTunnelingPacketModel:
         for mid, half in ((-a, 0.2), (a, 0.3)):
             with pytest.raises(ValueError, match="crosses a barrier edge"):
                 panel_rho(tunnel, 5.0, np.append(mids, mid), np.append(halves, half))
+        # The regions' open bounds are pairwise disjoint: no panel is summed twice.
+        for model in (free_sp, tunnel):
+            bounds = sorted(waves.bounds for waves in model._regions)
+            assert all(hi <= lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
 
     @pytest.mark.parametrize("t", [0.0, 5.0, 10.0])
     def test_shift_rows_match_pointwise(self, spectral_models, t):
-        # Runs of lattice panels (kept rows of lattice phases, one window
-        # per width and region origin) and their bisection children, left
-        # of, inside and right of the barrier.
+        # One mixed batch of both models' runs of lattice panels (kept rows
+        # of lattice phases, one window per region and width) and their
+        # bisection children, left of, inside and right of the barrier, the
+        # ones next to it ending on +-a.
         _, _, free_sp, tunnel = spectral_models
-        for model in (free_sp, tunnel):
+        models = (free_sp, tunnel)
+        values = block_kernel([(model, None) for model in models], [t])
+        parts = []
+        for i, model in enumerate(models):
             edges = model._lattice(t)
             mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
             kids = np.concatenate([mids - 0.5 * halves, mids + 0.5 * halves])
-            for m, h in ((mids, halves), (kids, np.tile(0.5 * halves, 2))):
-                fast = panel_rho(model, t, m, h)
-                slow = model.rho(m[:, None] + h[:, None] * PANEL_NODES, t)
-                assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
-            rows = [len(kept) for waves in model._waves for entry in waves.kept.values()
-                    for _, kept in entry[1].values()]
-            assert max(rows) >= mids.size // 2
+            parts += [(i, mids, halves), (i, kids, np.tile(0.5 * halves, 2))]
+        fast = values(*(np.concatenate(column) for column in
+                        zip(*((np.full(m.size, i), m, h) for i, m, h in parts))))
+        for i, m, h in parts:
+            slow = models[i].rho(m[:, None] + h[:, None] * PANEL_NODES, t)
+            assert np.max(np.abs(fast[:m.size] - slow)) <= 1e-12 * np.max(slow)
+            fast = fast[m.size:]
+        for model in models:
+            rows = [len(entry[2]) for waves in model._regions for entry in waves.kept.values()]
+            assert max(rows) >= (model._lattice(t).size - 1) // 2
 
     def test_table_widths_sit_on_the_lattice(self):
         # Over t = 0, 0.5, ..., 10 every retained panel of a fresh model is
@@ -844,7 +864,7 @@ class TestTunnelingPacketModel:
         finally:
             tracemalloc.stop()
         for model in models:
-            kept = [(waves.base, h) for waves in model._waves for h in waves.kept]
+            kept = [(waves.base, h) for waves in model._regions for h in waves.kept]
             assert len(kept) <= 8
             assert all(math.frexp(abs(h) / base)[0] == 0.5 for base, h in kept)
         assert held <= 3 * 2 ** 20
@@ -1070,28 +1090,33 @@ class TestBatchedTables:
                                [table_at(model, t) for t in ts])
 
     def test_rows_keep_their_bits_in_any_batch(self, spectral_models):
-        # The panel kernel on rows of three times: each row alone, in its
-        # time's group and in the whole batch, including a group of one row
-        # (the one inner panel of a width) and an off-lattice panel.
-        _, _, _, tunnel = spectral_models
+        # The panel kernel on a mixed batch, the tunneling and the free
+        # tables of three times: lattice panels in every region (those next
+        # to the barrier end on +-a) and their bisection children, each row
+        # alone, in its table's group and in the whole batch, including a
+        # group of one row (the one inner panel of a width) and off-lattice
+        # panels.
+        _, _, free, tunnel = spectral_models
         ts = [0.0, 4.5, 10.0]
-        values = tunnel._panel_rho(ts)
+        values = block_kernel([(tunnel, None), (free, None)], ts)
         table, mids, halves = [], [], []
-        for i, t in enumerate(ts):
-            edges = tunnel._lattice(t)
-            n = edges.size - 1
-            table += [i] * (n + 1)
-            mids += (0.5 * (edges[1:] + edges[:-1])).tolist() + [-7.0 - 0.37 * i]
-            halves += (0.5 * np.diff(edges)).tolist() + [tunnel._pitch / 8]
+        for i, (model, t) in enumerate(itertools.product((tunnel, free), ts)):
+            edges = model._lattice(t)
+            m, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            mids += [*m, *(m - 0.5 * h), *(m + 0.5 * h), -7.0 - 0.37 * i]
+            halves += [*h, *(0.5 * h), *(0.5 * h), model._pitch / 8]
+            table += [i] * (len(mids) - len(table))
         table, mids, halves = np.array(table), np.array(mids), np.array(halves)
         table[-1], mids[-1], halves[-1] = 1, 0.15, 0.075      # alone at its width
         batch = values(table, mids, halves)
         for i in range(mids.size):
             alone = values(table[i:i + 1], mids[i:i + 1], halves[i:i + 1])
             assert np.array_equal(alone[0], batch[i])
-        for i in range(len(ts)):
+        for i in range(2 * len(ts)):
             rows = table == i
             assert np.array_equal(values(table[rows], mids[rows], halves[rows]), batch[rows])
+        a = DEFAULT_BARRIER.half_width
+        assert all({-a, a} <= set(tunnel._lattice(t).tolist()) for t in ts)
 
     def test_blocks_are_built_as_they_are_read(self, spectral_models, monkeypatch):
         # Blocks of three times: the tables keep their one-time bits across
@@ -1416,8 +1441,17 @@ class TestLockstepPass:
         blocks = list(wavepacket.lockstep_tables([(tunnel, None), (free, None)], ts))
         assert builds == [6, 6, 4] and [len(b) for b in blocks] == builds
         for s, model in enumerate((tunnel, free)):
-            halves = [b[s * len(b) // 2:(s + 1) * len(b) // 2] for b in blocks]
-            assert_same_tables(itertools.chain(*halves), [table_at(model, t) for t in ts.tolist()])
+            tables = [table for b in blocks for table in b[s * len(b) // 2:(s + 1) * len(b) // 2]]
+            assert_same_tables(tables, [table_at(model, t) for t in ts.tolist()])
+            # Each source's panels hold bisection children, off its lattice.
+            assert any(not np.isin(table.los, model._lattice(t)).all()
+                       for table, t in zip(tables, ts.tolist()))
+        # The tunneling panels lie in every region, the ones next to the barrier ending on +-a.
+        a = DEFAULT_BARRIER.half_width
+        los, his = (np.concatenate([getattr(table, name) for b in blocks for table in b[:len(b) // 2]])
+                    for name in ("los", "his"))
+        assert (his <= -a).any() and ((los >= -a) & (his <= a)).any() and (los >= a).any()
+        assert -a in his and a in los
         xs = [0.5, 3.0, -12.0]
         tails = wavepacket.lockstep_tails([(tunnel, None), (free, None)], xs, ts.reshape(2, 4))
         assert tails.shape == (2, 2, 4, 3)
