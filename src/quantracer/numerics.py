@@ -415,6 +415,17 @@ _ROOT_REL = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAXITER = 200
 
 
+def _upper_normal_quantile(p: float) -> float:
+    """Phi^-1(1 - p) for p in (0, 1): four Newton steps on the concave log Q from above,
+    from sqrt(2 ln(0.5 / q)) at q = min(p, 1 - p) floored at 1e-300, signed by 0.5 - p."""
+    q_min = max(min(p, 1.0 - p), 1e-300)
+    z = math.sqrt(2.0 * math.log(0.5 / q_min))
+    for _ in range(4):
+        q = 0.5 * math.erfc(z / math.sqrt(2.0))
+        z += math.log(q / q_min) * q * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+    return math.copysign(z, 0.5 - p)
+
+
 def find_root_monotone(g, bracket, tol: Tolerances = DEFAULT_TOL) -> float:
     """Root of a monotone function within ``bracket``.
 
@@ -630,7 +641,10 @@ def integrate_ode(
     step and step control of Hairer, Norsett & Wanner, *Solving ODEs I*,
     II.4, at ode_rel / ode_abs.  It follows scipy's RK45 and ``solve_ivp``
     step for step and returns their bits after their rhs calls: 2, then 6
-    per step tried.  ``x0`` may be a scalar or a 1-d state vector.  The
+    per step tried.  The stage, weight and error sums stay ndarray.dot: OpenBLAS
+    sums a one-row product as a left-to-right FMA chain, which Python floats
+    (no math.fma before 3.13) cannot reproduce; one component's step control
+    runs on floats.  ``x0`` may be a scalar or a 1-d state vector.  The
     path is sampled at ``t_eval`` (strictly increasing within [t0, t1])
     when given, otherwise at t0 and each step end.  ``stop`` is an optional
     event g(t, x), evaluated at t0 and at each step end: the path stops
@@ -663,18 +677,18 @@ def integrate_ode(
         return OdePath(times=np.array([t0]), states=y0[None, :].copy(),
                        stop_reason="completed")
 
-    def fun(t, y):
-        return np.asarray(rhs(t, y), dtype=float)
-
     rtol, atol = max(tol.ode_rel, 100 * np.finfo(float).eps), tol.ode_abs
-    f = fun(t0, y0)
-    h_abs = _first_step(fun, t0, y0, f, t1, rtol, atol)
+    # K[6] is the rhs at each step's start (FSAL); stages read K through views made once.
     K = np.empty((7, y0.size))
+    K[6] = rhs(t0, y0)
+    h_abs = _first_step(rhs, t0, y0, K[6], t1, rtol, atol)
+    stages, KB, KE = [(s, _DP_C[s], K[:s].T, _DP_A[s, :s]) for s in range(1, 6)], K[:6].T, K.T
     t, y, i_eval, stopped = t0, y0, 0, False
     times, states = ([t0], [y0]) if t_eval is None else ([], [])
     while not stopped and t < t1:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
+        K[0] = K[6]
         while True:     # shrink until the step passes, then grow for the next
             if not h_abs >= min_step:     # a NaN rhs makes h_abs NaN
                 t_last, y_last = (times[-1], states[-1]) if times else (t0, y0)
@@ -683,13 +697,16 @@ def integrate_ode(
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:6].T, _DP_B)
-            f_new = K[6] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            for s, c, k, a in stages:
+                K[s] = rhs(t + c * h, y + k.dot(a) * h)
+            y_new = y + h * KB.dot(_DP_B)
+            K[6] = rhs(t + h, y_new)
+            e = KE.dot(_DP_E) * h       # scipy's error norm, on floats for one component
+            if y.size == 1:     # max puts a NaN y_new first: it returns it, as np.maximum does
+                e = e.item() / (atol + max(abs(y_new.item()), abs(y.item())) * rtol)
+                error_norm = math.sqrt(e * e)
+            else:
+                error_norm = _rms(e / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol))
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -697,7 +714,7 @@ def integrate_ode(
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        t_old, y_old, t, y = t, y, t_new, y_new
 
         at = None
         if stop is not None:

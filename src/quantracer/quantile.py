@@ -1,7 +1,7 @@
 """Quantile kinematics over packet models.
 
 Tail-probability evaluation, quantile inversion (one batched table solve
-for a spectral model, monotone root finding for a closed-form one),
+for a spectral model, a certified closed form for a closed-form one),
 trajectory tracing by repeated CDF inversion and by velocity-field ODE
 (conserved, lossy, and 3D), and probability transport through spherical
 flow maps.  The two 1D tracing routes are independent on purpose: their
@@ -18,13 +18,16 @@ import numpy as np
 
 from .errors import InvalidRange, NormBelowP, StepUnderflow, VelocitySingular
 from .numerics import (
+    _ROOT_REL,
     DEFAULT_TOL,
     Tolerances,
+    _upper_normal_quantile,
     find_root_monotone,
     integrate_ode,
     invert_tables,
 )
-from .wavepacket import Gaussian3DModel, PacketModel, SpectralPacketModel, lockstep_tables
+from .wavepacket import (DissipativeGaussianModel, Gaussian3DModel, PacketModel,
+                         SpectralPacketModel, lockstep_tables)
 
 __all__ = [
     "Termination",
@@ -162,9 +165,9 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
     Spectral models build one panel table per time and model in one
     lockstep pass per block of times (lockstep_tables), from the top only
     as deep as the highest level's quantile, and solve each block in one
-    invert_tables call, holding one block at a time; other models invert
-    their own ``tail`` over the support hint, one root solve per (time,
-    level).  Each position has the bits it has alone.  An empty P or t
+    invert_tables call, holding one block at a time; other models solve each
+    (time, level) alone (_position), a closed-form Gaussian certified in closed
+    form.  Each position has the bits it has alone.  An empty P or t
     reads nothing and returns an empty array.  Raises InvalidRange for a
     level outside (0, 1) or NaN, and NormBelowP (t_end the first such time)
     where the total norm has decayed to or below a level, before any table
@@ -180,21 +183,31 @@ def quantile_position(model: PacketModel, P, t, tol: Tolerances = DEFAULT_TOL):
     shape = (len(models),) * isinstance(model, tuple) + times.shape + levels.shape
     if levels.size == 0 or times.size == 0:
         return np.empty(shape)
-    ts = times.ravel().tolist()
+    ts, top = times.ravel().tolist(), float(levels.max())
     for s, m in itertools.product(ts, models):
         norm = m.norm(s)
-        if np.any(levels >= norm):
-            raise NormBelowP(f"requested P = {np.max(levels)} but total norm at "
+        if top >= norm:
+            raise NormBelowP(f"requested P = {top} but total norm at "
                              f"t = {s:.6g} is {norm:.12g}", t_end=s)
     if isinstance(models[0], SpectralPacketModel):
         xs = np.concatenate([invert_tables(block, levels, tol).reshape(len(models), -1, levels.size)
                              for block in lockstep_tables([(m, None) for m in models], ts,
-                                                          above=levels.max())], axis=1)
+                                                          above=top)], axis=1)
     else:
-        xs = [[find_root_monotone(lambda x: model.tail(x, s) - p, hint, tol)
-               for p in levels.ravel().tolist()]
-              for s, hint in zip(ts, map(model.support_hint, ts))]
+        xs = [[_position(model, p, s, tol) for p in levels.ravel().tolist()] for s in ts]
     return float(np.ravel(xs)[0]) if shape == () else np.reshape(xs, shape)
+
+
+def _position(model: PacketModel, P: float, t: float, tol: Tolerances) -> float:
+    """x with model.tail(x, t) = P: a closed-form Gaussian's c + sigma_x Phi^-1(1 - P / norm) where
+    tail straddles P across x -+ (root_abs + 4 eps |x|) / 2, else (or if NaN) Brent's root."""
+    if isinstance(model, DissipativeGaussianModel):
+        p = model.params
+        x = p.center(t) + p.sigma_x(t) * _upper_normal_quantile(P / model.norm(t))
+        delta = 0.5 * tol.root_abs + (0.5 * _ROOT_REL) * abs(x)
+        if math.isfinite(x) and model.tail(x - delta, t) >= P >= model.tail(x + delta, t):
+            return x
+    return find_root_monotone(lambda x: model.tail(x, t) - P, model.support_hint(t), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +323,7 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         if (t, x) == anchor:
             fields[anchor] = triple
         last[:] = (t, x), triple
-        rho = max(float(triple[0]), triple[2])
-        return np.array([(float(triple[1]) - model.loss_tail(x, t)) / rho])
+        return (float(triple[1]) - model.loss_tail(x, t)) / max(float(triple[0]), triple[2])
 
     def floor_margin(t, y):
         x = float(y[0])

@@ -24,6 +24,7 @@ from .numerics import (
     KGrid,
     Panels,
     Tolerances,
+    _upper_normal_quantile,
     adaptive_panels,
     build_kgrid,
     integrate_adaptive,
@@ -275,9 +276,11 @@ class DissipativeGaussianModel(PacketModel):
     def density_and_current(self, x, t):
         p = self.params
         sig = p.sigma_x(t)
-        offset = np.asarray(x, dtype=float) - p.center(t)
+        scalar = isinstance(x, float)   # floats but for one np.exp, as math.exp rounds otherwise
+        offset = (float(x) if scalar else np.asarray(x, dtype=float)) - p.center(t)
         z = offset / sig
-        rho = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sig)
+        gauss = np.exp(-0.5 * z * z)
+        rho = (float(gauss) if scalar else gauss) / (math.sqrt(2.0 * math.pi) * sig)
         # Velocity: v_bar plus the dilation term of the spreading width.
         velocity = p.v_bar + p.sigma_v ** 2 * t * offset / sig ** 2
         survival = self.norm(t)
@@ -779,6 +782,10 @@ class SpectralPacketModel(PacketModel):
         return _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
 
     def density_and_current(self, x, t):
+        if isinstance(x, float):    # the ODE route's one point: the guard, then the kernel
+            self._check_resolution(abs(x), float(t))
+            psi, dpsi = _mode_sums(x, float(t), *self._modes)
+            return _density(psi), (HBAR / self.mass) * _flux(psi, dpsi)
         psi, dpsi = self._fields(x, float(t))
         return _shaped(x, _density(psi)), _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
 
@@ -813,16 +820,10 @@ class SpectralPacketModel(PacketModel):
         return _lattice_edges(*self._reach(t), self._pitch, self._pitch_right, self.barrier)
 
     def _depths(self, ts, P: float) -> list:
-        """Where tables at times ts for levels up to P must reach anyway: the uncut
-        Gaussian's quantile, z = Phi^-1(1 - P) by Newton on the concave log Q from
-        above, raised by 1e-3 spread(t) over the cut's 2.706e-4 (stock packet), and at
-        least a barrier's edge a: beyond a, no tunneled quantile leads its free twin."""
-        p = max(min(P, 1.0 - P), 1e-300)
-        z = math.sqrt(2.0 * math.log(0.5 / p))
-        for _ in range(4):
-            q = 0.5 * math.erfc(z / math.sqrt(2.0))
-            z += math.log(q / p) * q * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
-        z, v = math.copysign(z, 0.5 - P) + 1e-3, HBAR * self.spectrum.k_bar / self.mass
+        """Where tables at times ts for levels up to P must reach anyway: the uncut Gaussian's
+        quantile Phi^-1(1 - P), raised by 1e-3 spread(t) over the cut's 2.706e-4 (stock packet),
+        and at least a barrier's edge a: beyond a, no tunneled quantile leads its free twin."""
+        z, v = _upper_normal_quantile(P) + 1e-3, HBAR * self.spectrum.k_bar / self.mass
         return [max(self.spectrum.x_bar + v * t + self.spread(t) * z, self._modes[1]) for t in ts]
 
     def tail_tables(self, ts, low=-math.inf, coeffs=None, above=math.inf) -> Iterator[list[Panels]]:

@@ -57,11 +57,11 @@ def test_counted_results_keep_their_fields():
 
 def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
     # The tracer counts numerics.root.evals by rebinding
-    # quantile.find_root_monotone and wrapping its argument 0.  Closed-form
-    # models still invert through that binding; a spectral model solves all
-    # its (time, level) pairs in one quantile.invert_tables call, which the
-    # tracer does not wrap, so its root counters read 0 for spectral
-    # inversions.
+    # quantile.find_root_monotone and wrapping its argument 0.  A closed-form
+    # model's certified guess makes no root call; an uncertified one falls
+    # back through that binding.  A spectral model solves all its (time,
+    # level) pairs in one quantile.invert_tables call, which the tracer does
+    # not wrap, so its root counters read 0 for spectral inversions.
     evals, solves = [], []
     solve, invert = quantile.find_root_monotone, quantile.invert_tables
     assert invert is numerics.invert_tables
@@ -74,7 +74,12 @@ def test_inversion_solves_through_the_traced_root_binding(monkeypatch):
         return invert(tables, *args)
     monkeypatch.setattr(quantile, "find_root_monotone", counted_solve)
     monkeypatch.setattr(quantile, "invert_tables", counted_invert)
-    quantile.quantile_position(wavepacket.FreeGaussianModel(wavepacket.DEFAULT_PACKET), 0.3, 1.0)
+    free = wavepacket.FreeGaussianModel(wavepacket.DEFAULT_PACKET)
+    quantile.quantile_position(free, 0.3, 1.0)
+    assert evals == [] and solves == []
+    with monkeypatch.context() as patch:
+        patch.setattr(quantile, "_upper_normal_quantile", lambda p: 1.0)
+        quantile.quantile_position(free, 0.3, 1.0)
     assert len(evals) >= 3 and solves == []
     evals.clear()
     spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=1.0)

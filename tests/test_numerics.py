@@ -28,7 +28,15 @@ from quantracer.numerics import (
     nodes_for_phase,
 )
 from quantracer.numerics import _at_panel_nodes, _eval_panels, _gauss_rule
-from quantracer.wavepacket import FreeGaussianModel, GaussianPacketParams
+from quantracer.quantile import quantile_position, quantile_velocity
+from quantracer.wavepacket import (
+    DEFAULT_BARRIER,
+    DEFAULT_PACKET,
+    FreeGaussianModel,
+    GaussianPacketParams,
+    spectral_setup,
+    tunneling_packet_model,
+)
 
 from oracles import erfc_highprec, normal_tail_quantile, recursive_refine
 
@@ -621,6 +629,25 @@ class TestSameBitsAsSolveIvp:
         np.testing.assert_array_equal(path.states, expected.states)
         assert path.states.shape == expected.states.shape
         assert len(calls) == nfev
+
+    @pytest.mark.parametrize("P", [0.008, 0.35])    # transmitted, reflected
+    def test_stock_tunneling_field(self, P):
+        # The ODE route's own problem: a float-valued rhs, the quantile
+        # velocity of the stock tunneling packet, from a scalar x0 and from
+        # a one-element x0 alike.
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=2.0)
+        tunnel = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
+        x0 = quantile_position(tunnel, P, 0.0)
+        field = lambda t, x: quantile_velocity(tunnel, float(x[0]), t)
+        expected, nfev = _solve_ivp_path(lambda t, x: [field(t, x)], x0, 2.0, DEFAULT_TOL,
+                                         None, None)
+        for start in (x0, [x0], np.array([x0])):
+            calls = []
+            path = integrate_ode(lambda t, x: calls.append(t) or field(t, x), start, 0.0, 2.0)
+            np.testing.assert_array_equal(path.times, expected.times)
+            np.testing.assert_array_equal(path.states, expected.states)
+            assert path.states.shape == expected.states.shape
+            assert len(calls) == nfev
 
 
 def _run_fresh(code, cwd=None):

@@ -35,6 +35,7 @@ from quantracer.wavepacket import (
     FreeGaussianModel,
     Gaussian3DModel,
     Gaussian3DParams,
+    GaussianPacketParams,
     SpectralPacketModel,
     spectral_free_model,
     spectral_setup,
@@ -132,6 +133,38 @@ class TestQuantilePosition:
             P = lossy.norm(t) - 1e-6
             x = quantile_position(lossy, P, t)
             assert lossy.tail(x, t) == pytest.approx(P, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_width=st.floats(-6.0, 6.0), loss_rate=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+           fraction=st.floats(1e-9, 1.0 - 1e-9), t=st.floats(0.0, 20.0),
+           x_bar=st.floats(-50.0, 50.0), v_bar=st.floats(-5.0, 5.0))
+    def test_closed_form_inversion_is_certified_near_brent(self, log_width, loss_rate,
+                                                           fraction, t, x_bar, v_bar):
+        # A closed-form position is c + sigma_x Phi^-1(1 - P / norm), kept
+        # only if the tail straddles P across x -+ delta, delta = (root_abs
+        # + 4 eps |x|) / 2; otherwise it is Brent's root, to the bit.
+        model = DissipativeGaussianModel(
+            GaussianPacketParams(x_bar, v_bar, 10.0 ** log_width), loss_rate)
+        P = fraction * model.norm(t)
+        x = quantile_position(model, P, t)
+        brent = find_root_monotone(lambda y: model.tail(y, t) - P, model.support_hint(t))
+        delta = 0.5 * (1e-10 + 4.0 * np.finfo(float).eps * max(abs(x), abs(brent)))
+        assert model.tail(x - delta, t) >= P >= model.tail(x + delta, t) or x == brent
+        # A sign change lies within delta of x and within 2 delta of Brent's
+        # root; farther apart, the tail rounds to P all across the gap.
+        assert (abs(x - brent) <= 3.0 * delta
+                or model.tail(x + math.copysign(delta, brent - x), t) == P)
+
+    @pytest.mark.parametrize("guess", [math.nan, 1.0])
+    def test_an_uncertified_closed_form_guess_falls_back_to_brent(self, guess):
+        # A NaN guess is not read by the tail (which refuses NaN); a wrong
+        # one fails the bracket test.  Both solve by Brent on the support hint.
+        model = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        P, t = 0.3, 2.0
+        with mock.patch.object(quantile, "_upper_normal_quantile", lambda p: guess):
+            x = quantile_position(model, P, t)
+        assert x == find_root_monotone(lambda y: model.tail(y, t) - P, model.support_hint(t))
+        assert x != quantile_position(model, P, t)
 
     def test_round_trip_spectral_models(self, tunnel_models):
         free_sp, tunnel = tunnel_models

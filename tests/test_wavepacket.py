@@ -186,6 +186,18 @@ class TestFreeGaussianModel:
             assert np.shape(got) == np.shape(expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.floats(-60.0, 40.0), t=st.floats(0.0, 20.0), as_numpy=st.booleans(),
+           rate=st.sampled_from([0.0, DEFAULT_LOSS_RATE, 1.5]))
+    def test_a_scalar_and_a_one_point_array_give_the_same_bits(self, x, t, as_numpy, rate):
+        # A float x is evaluated on floats but for one np.exp, which must
+        # round as the array's (math.exp does not, in a few percent of x).
+        model = DissipativeGaussianModel(DEFAULT_PACKET, rate)
+        pair = model.density_and_current(np.float64(x) if as_numpy else x, t)
+        for got, expected in zip(pair, model.density_and_current(np.array([x]), t)):
+            assert np.shape(got) == () and np.shape(expected) == (1,)
+            assert np.float64(got).tobytes() == expected.tobytes()
+
     def test_vectorized_shapes(self):
         m = FreeGaussianModel(DEFAULT_PACKET)
         xs = np.zeros((4, 3))
