@@ -51,7 +51,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("quad_rel", "quad_abs", "root_abs", "ode_rel", "ode_abs"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 
 

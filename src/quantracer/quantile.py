@@ -443,11 +443,14 @@ def probability_in_volume(field: Gaussian3DModel, surface_points, t: float,
     mass, mean radius), and the packet's mass in it is the closed form of
     Gaussian3DModel._ball_mass: exact to rounding for any radius and
     offset, so ``tol`` is not read, and exactly 0 for a zero radius.
-    Raises InvalidRange for a non-finite point, radius or time, or a 0 or inf sigma_x(t)^2.
+    Raises InvalidRange for no points, a non-finite point, radius or time,
+    or a 0 or inf sigma_x(t)^2.
     """
     pts = np.asarray(surface_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidRange("surface_points must have shape (m, 3)")
+    if not pts.shape[0]:
+        raise InvalidRange("surface_points holds no points: an empty cloud spans no ball")
     if not (np.isfinite(pts).all() and math.isfinite(t)):
         raise InvalidRange(f"surface points and time must be finite, got t = {t}")
     center = pts.mean(axis=0)

@@ -86,9 +86,9 @@ class GaussianPacketParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_x0 <= 0.0:
+        if not self.sigma_x0 > 0.0:
             raise ValueError("sigma_x0 must be positive")
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:
             raise ValueError("mass must be positive")
 
     @property
@@ -123,9 +123,9 @@ class BarrierSpec:
     half_width: float  # > 0
 
     def __post_init__(self):
-        if self.height < 0.0:
+        if not self.height >= 0.0:
             raise ValueError("barrier height must be non-negative")
-        if self.half_width <= 0.0:
+        if not self.half_width > 0.0:
             raise ValueError("barrier half_width must be positive")
 
 
@@ -149,7 +149,7 @@ class SpectralFunction:
 
     @classmethod
     def truncated_gaussian(cls, k_bar, sigma_k, x_bar, support) -> "SpectralFunction":
-        if sigma_k <= 0.0:
+        if not sigma_k > 0.0:
             raise ValueError("sigma_k must be positive")
         lo = max(float(support[0]), 0.0)
         hi = float(support[1])
@@ -259,7 +259,7 @@ class DissipativeGaussianModel(PacketModel):
     """
 
     def __init__(self, params: GaussianPacketParams, loss_rate: float = 0.0):
-        if loss_rate < 0.0:
+        if not loss_rate >= 0.0:
             raise ValueError("loss_rate must be non-negative")
         self.params = params
         self.loss_rate = float(loss_rate)
@@ -353,13 +353,6 @@ def _barrier_coefficients(k, barrier: BarrierSpec, mass: float = 1.0):
     return gamma, T, R, A, B
 
 
-def _free_coefficients(k):
-    """Exact V = 0 coefficients (gamma, T, R, A, B) = (k, 1, 0, 1, 0)."""
-    one = np.ones(k.shape, dtype=complex)
-    zero = np.zeros(k.shape, dtype=complex)
-    return k.astype(complex), one, zero, one, zero
-
-
 def _barrier_poles(barrier: BarrierSpec, mass: float, k_lo: float, k_hi: float) -> np.ndarray:
     """The poles k (Re k > 0; none at V = 0) of T near the band [k_lo, k_hi],
     which R, A and B share (all divide by D), by Newton on D's factors
@@ -405,34 +398,12 @@ def _pole_rho(barrier: BarrierSpec | None, mass: float, k_lo: float, k_hi: float
 _FIELD_ENTRIES = 1 << 16
 
 
-def _region_waves(k, gamma, T, R, A, B, weights, rate):
-    """Per region (left, inside, right) its stacked exponents iq, their time
-    rates and one [value, derivative] matrix with weights w: left [ik, -ik]
-    on [w, ik w] over [w R, -ik w R], inside [i gamma, -i gamma] on
-    [w A, i gamma w A] over [w B, -i gamma w B], right ik on [w T, ik w T];
-    then the per-mode time phase rate, -i hbar k^2 / 2m, of shape (len(k),).
-    Built once, not per call."""
-    ik, igamma = 1j * k, 1j * gamma
-
-    def region(*waves):
-        # (q, c) per wave e^{qx}: exponents, rates, rows [w c, q w c].
-        return (np.concatenate([q for q, _ in waves]), np.tile(rate, len(waves)),
-                np.concatenate([np.stack([weights * c, q * weights * c], axis=1)
-                                for q, c in waves]))
-    return (region((ik, 1.0), (-ik, R)), region((igamma, A), (-igamma, B)),
-            region((ik, T)), rate)
-
-
-def _region_fields(region: int, x, t: float, waves):
-    """(psi, d psi/dx) in the last axis at x in one region (0 left, 1
-    inside, 2 right): shape (2,) for a float x, (n, 2) for an (n, 1) column.
-
-    The time phase rides in the exponent, so every region is one complex
-    exponential over its stacked waves, e^{iqx + rate t}, and one product
-    with its [value, derivative] matrix (_region_waves).
-    """
-    iq, rate, matrix = waves[region]
-    return _rows(np.exp(iq * x + rate * t), matrix)
+def _region_fields(region: _Region, x, t: float):
+    """(psi, d psi/dx) in the last axis at x in one region: shape (2,) for
+    a float x, (n, 2) for an (n, 1) column.  The time phase rides in the
+    exponent, so it is one complex exponential over the region's stacked
+    waves, e^{iqx + rate t}, and one product with its matrix (_Region)."""
+    return _rows(np.exp(region.exponents * x + region.rates * t), region.matrix)
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -442,30 +413,32 @@ def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b if a.ndim == 1 else (a[:, None] @ b)[:, 0]
 
 
-def _mode_sums(x, t: float, waves, half_width):
-    """(psi, d psi/dx) at x (see _region_fields): two complex numbers for
-    a scalar x, whose region two comparisons pick and whose kernel alone
-    runs, on the float; for an array, two arrays over its flattened
-    values, a _region_fields call per row chunk of a region's points, each
-    chunk at most _FIELD_ENTRIES (x, stacked wave) entries and each row
-    with the bits of its scalar call.  The free reference
-    passes half_width = -inf: at V = 0 every region has the same plane
-    waves, and every point goes to the right region, the cheapest one.
+def _mode_sums(x, t: float, regions):
+    """(psi, d psi/dx) at x over ``regions`` (right of, left of and under a
+    barrier; the free reference's one): two complex numbers for a scalar
+    x, whose region two float compares pick and whose kernel alone runs;
+    for an array, two arrays over its flattened values, a _region_fields
+    call per row chunk of a region's points, each chunk at most
+    _FIELD_ENTRIES (x, stacked wave) entries and each row with the bits of
+    its scalar call.  A point lies right above the right region's lower
+    bound (-inf on the free reference: every point), else left below the
+    left region's upper bound, else under the barrier, x = +-a included.
     """
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
-        region = 2 if x > half_width else 0 if x < -half_width else 1
-        return _region_fields(region, x, t, waves).tolist()
+        region = (regions[0] if x > regions[0].bounds[0]
+                  else regions[1] if x < regions[1].bounds[1] else regions[2])
+        return _region_fields(region, x, t).tolist()
     flat = np.ravel(np.asarray(x, dtype=float))
     out = np.empty((flat.size, 2), dtype=complex)
-    right = flat > half_width
-    left = (flat < -half_width) & ~right
-    for region, mask in enumerate((left, ~(left | right), right)):
+    right = flat > regions[0].bounds[0]
+    left = ~right & (flat < regions[1].bounds[1]) if len(regions) > 1 else ~right
+    for region, mask in zip(regions, (right, left, ~(left | right))):
         points = np.flatnonzero(mask)
-        rows = max(1, _FIELD_ENTRIES // waves[region][0].size)
+        rows = max(1, _FIELD_ENTRIES // region.exponents.size)
         for i in range(0, points.size, rows):
             chunk = points[i:i + rows]
-            out[chunk] = _region_fields(region, flat[chunk, None], t, waves)
+            out[chunk] = _region_fields(region, flat[chunk, None], t)
     return out[:, 0], out[:, 1]
 
 
@@ -490,8 +463,9 @@ class ScatteringMode:
 
     Piecewise form: e^{ikx} + R e^{-ikx} left of the barrier,
     A e^{i gamma x} + B e^{-i gamma x} inside, T e^{ikx} to the right.
-    value and derivative run the spectral packets' kernel (_mode_sums) on
-    this one mode at t = 0, so a scalar x gives a complex number.
+    value and derivative run the spectral packets' point kernel (_mode_sums)
+    on three one-mode regions (_barrier_regions, unit weight, t = 0): x =
+    +-a lies under the barrier, and a scalar x gives a complex number.
     """
 
     k: float
@@ -503,18 +477,16 @@ class ScatteringMode:
     B: complex
 
     def __post_init__(self):
-        # One-mode waves, at t = 0 with unit weight, and the region edge.
-        k, gamma, *coefficients = [np.array([c]) for c in
-                                   (self.k, self.gamma, self.T, self.R, self.A, self.B)]
-        object.__setattr__(self, "_modes", (
-            _region_waves(k, gamma, *coefficients, np.ones(1), np.zeros(1)),
-            self.barrier.half_width))
+        k, *coefficients = (np.array([c]) for c in (self.k, self.gamma, self.T, self.R,
+                                                     self.A, self.B))
+        object.__setattr__(self, "_regions", _barrier_regions(
+            k, coefficients, self.barrier.half_width, np.ones(1), np.zeros(1)))
 
     def value(self, x):
-        return _shaped(x, _mode_sums(x, 0.0, *self._modes)[0])
+        return _shaped(x, _mode_sums(x, 0.0, self._regions)[0])
 
     def derivative(self, x):
-        return _shaped(x, _mode_sums(x, 0.0, *self._modes)[1])
+        return _shaped(x, _mode_sums(x, 0.0, self._regions)[1])
 
 
 def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> ScatteringMode:
@@ -556,23 +528,27 @@ def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([part @ b for part in np.array_split(a, -(-a.shape[0] // _PRODUCT_ROWS))])
 
 
-class _PanelWaves:
-    """One table region: the panels whose nodes lie in the open ``bounds``,
-    and the factored sums of its waves e^{+-iqx} over one wave-number set.
+class _Region:
+    """One region of a mode set, built once and read by both kernels: the
+    waves u e^{iqx} + d e^{-iqx} over wave numbers q with mode factors
+    ``up`` and ``down`` (no e^{-iqx} wave for down None), T right of a
+    barrier, 1 and R left of it (q = k), A and B under it (q = gamma), or
+    T = 1 on all of the free reference; and its open ``bounds``.
 
-    The region's density is |u e^{iqx} + d e^{-iqx}|^2 summed over q, with u
-    and d a source's coefficient rows times the mode factors ``up`` and
-    ``down`` (rows; no e^{-iqx} wave for down None): T right of a barrier,
-    1 and R left of it (q = k), A and B under it (q = gamma).  On a panel
-    with midpoint m and half-width h, e^{iq(m + h xi)} = e^{iqm} e^{iqh
-    xi}: equal-width panels of any times share a product with the (n_q, 22)
-    matrix e^{iqh xi}.  A lattice panel (m = origin + h + j 2h; the origin
-    is the region's barrier edge outside the barrier, else 0) takes the row
-    exp(iq (origin + h + j 2h)) from a kept window of at most one chunk's
-    rows, or computes it; a panel off its lattice takes exp(iqm).
-    Half-widths are base * 2^m (others raise ValueError), each with its
-    matrix and window kept in ``kept``, up to _KEPT_WIDTHS of them.
-    e^{-iqm} is the conjugate of e^{iqm} for real q, its inverse for
+    The point kernel (_region_fields) reads the stack: ``exponents`` [iq,
+    -iq], their time ``rates`` and the ``matrix`` of rows [w up, iq w up]
+    over [w down, -iq w down], w the mode weights.  The panel kernel (rho)
+    sums |u e^{iqx} + d e^{-iqx}|^2 over q, u and d a source's coefficient
+    rows times up and down, on panels whose nodes lie in the bounds.  On a
+    panel with midpoint m and half-width h, e^{iq(m + h xi)} = e^{iqm}
+    e^{iqh xi}: equal-width panels of any times share a product with the
+    (n_q, 22) matrix e^{iqh xi}.  A lattice panel (m = origin + h + j 2h;
+    the origin is the region's barrier edge outside the barrier, else 0)
+    takes the row exp(iq (origin + h + j 2h)) from a kept window of at most
+    one chunk's rows, or computes it; a panel off its lattice takes
+    exp(iqm).  Half-widths are base * 2^m (others raise ValueError), each
+    with its matrix and window kept in ``kept``, up to _KEPT_WIDTHS of
+    them.  e^{-iqm} is the conjugate of e^{iqm} for real q, its inverse for
     complex q.  Rows are summed in chunks of at most _FIELD_ENTRIES (panel,
     q) entries and keep the bits they have alone: own phase rows, _rowwise
     products, and numpy's elidable temporary on the left of every complex
@@ -580,11 +556,16 @@ class _PanelWaves:
     buffer, and complex products do not commute bit for bit).
     """
 
-    def __init__(self, q: np.ndarray, base: float, origin: float, bounds: tuple,
-                 up, down=None):
+    def __init__(self, q: np.ndarray, up, down, bounds: tuple, weights: np.ndarray,
+                 rate: np.ndarray, base: float, origin: float):
         self.q, self.iq, self.base = q, 1j * q, base
         self.origin, self.bounds, self.up, self.down = origin, bounds, up, down
         self.kept: dict = {}
+        waves = [(self.iq, up)] + ([] if down is None else [(-self.iq, down)])
+        self.exponents = np.concatenate([iq for iq, _ in waves])
+        self.rates = np.tile(rate, len(waves))
+        self.matrix = np.concatenate([np.stack([weights * c, iq * weights * c], axis=1)
+                                      for iq, c in waves])
 
     def _entry(self, h: float) -> list:
         # [e^{iqh xi}, lowest j, kept rows]; -h gives e^{-iqx}.
@@ -648,12 +629,24 @@ class _PanelWaves:
         return out
 
 
+def _barrier_regions(k, coefficients, a: float, weights, rate,
+                     pitches=(math.nan, math.nan)) -> list:
+    """The regions right of, left of and under a barrier of half-width a
+    (_mode_sums' order) for modes k with coefficients (gamma, T, R, A, B),
+    on the side lattices of ``pitches`` (right, left): NaN for a
+    ScatteringMode, which builds no panels."""
+    gamma, T, R, A, B = coefficients
+    return [_Region(k, T, None, (a, math.inf), weights, rate, 0.5 * pitches[0], a),
+            _Region(k, 1.0, R, (-math.inf, -a), weights, rate, 0.5 * pitches[1], -a),
+            _Region(gamma, A, B, (-a, a), weights, rate, a, 0.0)]
+
+
 def _panel_values(regions, table, mids, halves) -> np.ndarray:
     """Density on the nodes mid + half * PANEL_NODES of panels of many
     sources, panel i at table table[i]: the panel kernel of lockstep_tables.
 
     ``regions`` holds per (source, region) the source's first table, the
-    region's _PanelWaves and the source's coefficient rows (a row per
+    _Region and the source's coefficient rows (a row per
     table) times the region's factors up and down.  Each panel goes, in
     one pass, to the one region of its source whose open bounds hold its
     outermost nodes, not its edges: a panel ending on a barrier edge still
@@ -662,14 +655,14 @@ def _panel_values(regions, table, mids, halves) -> np.ndarray:
     reach = float(np.max(PANEL_NODES))
     lo, hi = mids - reach * halves, mids + reach * halves
     picks = [np.flatnonzero((table >= first) & (table < first + len(up))
-                            & (lo > waves.bounds[0]) & (hi < waves.bounds[1]))
-             for first, waves, up, _ in regions]
+                            & (lo > region.bounds[0]) & (hi < region.bounds[1]))
+             for first, region, up, _ in regions]
     if sum(pick.size for pick in picks) < mids.size:    # the bounds are disjoint
         raise ValueError("a panel crosses a barrier edge")
     out = np.empty((mids.size, PANEL_NODES.size))
-    for pick, (first, waves, up, down) in zip(picks, regions):
+    for pick, (first, region, up, down) in zip(picks, regions):
         if pick.size:
-            out[pick] = waves.rho(table[pick] - first, mids[pick], halves[pick], up, down)
+            out[pick] = region.rho(table[pick] - first, mids[pick], halves[pick], up, down)
     return out
 
 
@@ -686,15 +679,14 @@ class SpectralPacketModel(PacketModel):
     has: the Gauss-Legendre bound of nodes_for_phase, under the barrier's
     nearest pole (_pole_rho), gives once the largest phase rate the grid
     resolves, and each call compares its own rate with it.  Every sum runs
-    on the whole grid.  Pointwise fields run _mode_sums with the time phase
-    in the mode exponent: in every region one complex exponential over its
-    stacked waves and one product with their (waves, 2) matrix give (psi,
-    d psi/dx), over the modes right of the barrier (every point of the free
-    reference) and over twice them, e^{+-iqx}, left of or inside it.  Panel
-    tables sum over a lattice with its own pitch on each side of the
-    barrier (_lattice), in table regions built once here (_PanelWaves:
-    right of, left of and under the barrier; the free reference's right
-    region alone), each with its origin, bounds and mode factors.
+    on the whole grid, in regions built once here that both kernels read
+    (_Region: right of, left of and under the barrier; the free
+    reference's one).  A point's (psi, d psi/dx) (_mode_sums) is one
+    complex exponential over its region's stacked waves, the time phase in
+    the exponent, and one product with their (waves, 2) matrix: the modes
+    right of the barrier (every point of the free reference), twice them,
+    e^{+-iqx}, left of or inside it.  Panel tables sum over a lattice with
+    its own pitch on each side of the barrier (_lattice).
     """
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
@@ -705,33 +697,25 @@ class SpectralPacketModel(PacketModel):
         self.barrier = barrier
         self.mass = float(mass)
         self.tol = tol
-        edge = -math.inf if barrier is None else barrier.half_width
         k = grid.nodes
-        # gamma, T, R, A, B; the free reference's are exact, T = 1.
-        gamma, T, R, A, B = self._coefficients = (_free_coefficients(k) if barrier is None
-                                                  else _barrier_coefficients(k, barrier, self.mass))
         self._base_coeffs = (grid.weights * spectrum.amplitude(k)
                              * np.exp(-1j * k * spectrum.x_bar) / math.sqrt(2.0 * math.pi))
         # Time-independent factor of the mode phases, -i hbar k^2.
         self._phase_rate = -1j * HBAR * k ** 2
-        # Region waves and edge, in _mode_sums order.
-        self._modes = (_region_waves(k, *self._coefficients, self._base_coeffs,
-                                     self._phase_rate / (2.0 * self.mass)), edge)
-        # Curvature jumps of rho, kept as panel edges by every quadrature.
-        self._cuts = () if barrier is None else (-edge, edge)
+        rate = self._phase_rate / (2.0 * self.mass)
         # Lattice pitches, two periods of rho's fastest beat: k + k' <= 2
         # k_max left of the barrier, |k - k'| <= k_max - k_min right of it
         # (the transmitted wave alone) and on all of the free reference.
         self._pitch_right = 4.0 * math.pi / (grid.k_max - grid.k_min)
         self._pitch = 4.0 * math.pi / (2.0 * grid.k_max) if barrier else self._pitch_right
-        # Table regions right of, left of (q = k) and under the barrier (q =
-        # gamma), each on its side's lattice (_lattice), their waves kept
-        # across times; the free reference's panels all lie right.
-        right = _PanelWaves(k, 0.5 * self._pitch_right, 0.0 if barrier is None else edge,
-                            (edge, math.inf), T)
-        self._regions = [right] if barrier is None else [
-            right, _PanelWaves(k, 0.5 * self._pitch, -edge, (-math.inf, -edge), 1.0, R),
-            _PanelWaves(gamma, edge, 0.0, (-edge, edge), A, B)]
+        # The regions in _mode_sums order, their panel matrices kept across times.
+        self._regions = _barrier_regions(
+            k, _barrier_coefficients(k, barrier, self.mass), barrier.half_width,
+            self._base_coeffs, rate, (self._pitch_right, self._pitch)) if barrier else [
+            _Region(k, 1.0, None, (-math.inf, math.inf), self._base_coeffs, rate,
+                    0.5 * self._pitch_right, 0.0)]
+        # Curvature jumps of rho, kept as panel edges by every quadrature.
+        self._cuts = () if barrier is None else (-barrier.half_width, barrier.half_width)
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
         self._sigma_v = HBAR * spectrum.sigma_k / self.mass
         # The phase guard's limit: the pole's ellipse, the largest rate the grid resolves.
@@ -750,6 +734,8 @@ class SpectralPacketModel(PacketModel):
         grid resolves under the model's barrier poles."""
         rate = x_abs + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max * abs(t) / self.mass
         if not rate <= self._max_rate:
+            if math.isnan(rate):    # not the bound's "phase rate nan" message
+                raise InvalidRange(f"field {'time' if math.isnan(t) else 'position'} is NaN")
             g, rho = self.grid, self._rho_max
             raise GridTooCoarse(
                 f"wave-number grid has {g.size} nodes but evaluating out to |x| = {x_abs:.4g} "
@@ -766,7 +752,7 @@ class SpectralPacketModel(PacketModel):
         else:
             x = np.ravel(np.asarray(x, dtype=float))
             self._check_resolution(float(np.max(np.abs(x), initial=0.0)), t)
-        return _mode_sums(x, t, *self._modes)
+        return _mode_sums(x, t, self._regions)
 
     def amplitude(self, x, t):
         """Summed complex amplitude psi(x, t)."""
@@ -784,7 +770,7 @@ class SpectralPacketModel(PacketModel):
     def density_and_current(self, x, t):
         if isinstance(x, float):    # the ODE route's one point: the guard, then the kernel
             self._check_resolution(abs(x), float(t))
-            psi, dpsi = _mode_sums(x, float(t), *self._modes)
+            psi, dpsi = _mode_sums(x, float(t), self._regions)
             return _density(psi), (HBAR / self.mass) * _flux(psi, dpsi)
         psi, dpsi = self._fields(x, float(t))
         return _shaped(x, _density(psi)), _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
@@ -824,7 +810,8 @@ class SpectralPacketModel(PacketModel):
         quantile Phi^-1(1 - P), raised by 1e-3 spread(t) over the cut's 2.706e-4 (stock packet),
         and at least a barrier's edge a: beyond a, no tunneled quantile leads its free twin."""
         z, v = _upper_normal_quantile(P) + 1e-3, HBAR * self.spectrum.k_bar / self.mass
-        return [max(self.spectrum.x_bar + v * t + self.spread(t) * z, self._modes[1]) for t in ts]
+        edge = self._regions[0].bounds[0]     # the barrier's right edge, or -inf
+        return [max(self.spectrum.x_bar + v * t + self.spread(t) * z, edge) for t in ts]
 
     def tail_tables(self, ts, low=-math.inf, coeffs=None, above=math.inf) -> Iterator[list[Panels]]:
         """lockstep_tables with this model (and ``coeffs``) the one source."""
@@ -919,8 +906,8 @@ def lockstep_tables(sources, ts, low=-math.inf, above=math.inf) -> Iterator[list
             for t, edges in zip(block, parts[-n:]):
                 model._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
             rows = model._coeffs(block) if coeffs is None else coeffs[i:i + n]
-            regions += [(len(tols), waves, rows * waves.up, None if waves.down is None
-                         else rows * waves.down) for waves in model._regions]
+            regions += [(len(tols), region, rows * region.up, None if region.down is None
+                         else rows * region.down) for region in model._regions]
             tols += [model.tol] * n
             depths += model._depths(block, above) if above < math.inf else [math.inf] * n
         yield adaptive_panels(functools.partial(_panel_values, regions), parts, tols, low,
@@ -1016,9 +1003,9 @@ class Gaussian3DParams:
         object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
         if len(self.center) != 3 or len(self.velocity) != 3:
             raise ValueError("center and velocity must have three components")
-        if self.sigma_x0 <= 0.0:
+        if not self.sigma_x0 > 0.0:
             raise ValueError("sigma_x0 must be positive")
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:
             raise ValueError("mass must be positive")
 
     @functools.cached_property

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from quantracer.wavepacket import (
     DEFAULT_BARRIER,
     DEFAULT_LOSS_RATE,
     DEFAULT_PACKET,
+    DEFAULT_PACKET_3D,
     DissipativeGaussianModel,
     FreeGaussianModel,
     Gaussian3DModel,
@@ -712,9 +714,9 @@ class TestTraceTrajectoryOde:
         sums, bounds = [], []
         kernel = wavepacket._region_fields
 
-        def counted(region, x, t, waves):
-            sums.append(waves[3].size)
-            return kernel(region, x, t, waves)
+        def counted(region, x, t):
+            sums.append(region.q.size)
+            return kernel(region, x, t)
         monkeypatch.setattr(wavepacket, "_region_fields", counted)
         monkeypatch.setattr(wavepacket, "nodes_for_phase", lambda *a, **k: bounds.append(a))
         trace_trajectory_ode(tunnel, 0.3, 0.0, 2.0)
@@ -1044,6 +1046,14 @@ class TestProbabilityInVolume:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2 ** 20
+
+    def test_refuses_an_empty_cloud(self):
+        # The mean of no points is NaN: its own message, and no RuntimeWarning.
+        field = Gaussian3DModel(DEFAULT_PACKET_3D)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidRange, match="no points"):
+                probability_in_volume(field, np.empty((0, 3)), 1.0)
 
     @pytest.mark.parametrize("value, t", [(math.nan, 1.0), (math.inf, 1.0),
                                           (0.0, math.nan)],

@@ -4,6 +4,7 @@ Oracle values were computed with the high-precision routines in
 ``oracles.py`` before the implementation and are frozen here as literals.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -89,6 +90,37 @@ def assert_tail_monotone(model, t, n_points=200):
     tails = [model.tail(x, t) for x in xs]
     diffs = np.diff(tails)
     assert np.all(diffs <= 4e-9), f"tail increased by {diffs.max()} at t={t}"
+
+
+# One positivity check per field, each given NaN, which `x <= 0` let pass.
+_NAN_FIELDS = {
+    "Tolerances.quad_rel": functools.partial(Tolerances, quad_rel=math.nan),
+    "Tolerances.quad_abs": functools.partial(Tolerances, quad_abs=math.nan),
+    "Tolerances.root_abs": functools.partial(Tolerances, root_abs=math.nan),
+    "Tolerances.ode_rel": functools.partial(Tolerances, ode_rel=math.nan),
+    "Tolerances.ode_abs": functools.partial(Tolerances, ode_abs=math.nan),
+    "GaussianPacketParams.sigma_x0": functools.partial(GaussianPacketParams, 0.0, 1.0, math.nan),
+    "GaussianPacketParams.mass": functools.partial(GaussianPacketParams, 0.0, 1.0, 2.5,
+                                                   mass=math.nan),
+    "BarrierSpec.height": functools.partial(BarrierSpec, math.nan, 0.3),
+    "BarrierSpec.half_width": functools.partial(BarrierSpec, 10.0, math.nan),
+    "DissipativeGaussianModel.loss_rate": functools.partial(DissipativeGaussianModel,
+                                                            DEFAULT_PACKET, math.nan),
+    "Gaussian3DParams.sigma_x0": functools.partial(Gaussian3DParams, (0.0, 0.0, 0.0),
+                                                   (2.0, 0.0, 0.0), math.nan),
+    "Gaussian3DParams.mass": functools.partial(Gaussian3DParams, (0.0, 0.0, 0.0),
+                                               (2.0, 0.0, 0.0), 2.5, mass=math.nan),
+    "SpectralFunction.sigma_k": functools.partial(SpectralFunction.truncated_gaussian,
+                                                  2.0, math.nan, -10.0, (0.8, 3.2)),
+}
+
+
+@pytest.mark.parametrize("build", _NAN_FIELDS.values(), ids=_NAN_FIELDS.keys())
+def test_nan_fails_every_positivity_check(build):
+    # Tolerances(ode_rel=nan) gave a false velocity_singular verdict at t = 0,
+    # quad_rel=nan ran to the panel cap, a NaN loss rate to a NaN root function.
+    with pytest.raises(ValueError, match="must be"):
+        build()
 
 
 class TestGaussianPacketParams:
@@ -466,13 +498,13 @@ class TestKernelOracle:
         # and the time phase written out, over the whole 100-node grid, at
         # these x left of, inside and right of the barrier (x = +-a is
         # inside), scalar and array.  Flipping the sign of the reflected
-        # half's exponent in _region_waves (e^{+ikx} for R) fails this test.
+        # half's exponent in _Region (e^{+ikx} for R) fails this test.
         spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=100)
         a = DEFAULT_BARRIER.half_width
         xs = np.array([-6.0, -0.5, -a, -0.1, a, 0.31, 6.0])
         for model, edge in ((tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid), a),
                             (spectral_free_model(spectrum, grid), -math.inf)):
-            coefficients = model._coefficients       # gamma, T, R, A, B
+            coefficients = _region_coefficients(model)
             for t in (0.5, 3.5):
                 fields = [mode_fields(x, t, grid.nodes, *coefficients, model._base_coeffs, edge)
                           for x in xs.tolist()]
@@ -487,6 +519,18 @@ class TestKernelOracle:
                     assert np.max(np.abs(np.subtract(got_current, current))) <= bound
 
 
+def _region_coefficients(model):
+    """(gamma, T, R, A, B) as a model's regions hold them (right, left,
+    under); the free reference's one region, plane waves, gives (k, 1, 0,
+    1, 0), of which oracles.mode_fields reads only T right of -inf."""
+    if len(model._regions) == 1:
+        (right,) = model._regions
+        one = np.full(right.q.shape, right.up, dtype=complex)
+        return right.q, one, 0 * one, one, 0 * one
+    right, left, under = model._regions
+    return under.q, right.up, left.down, under.up, under.down
+
+
 def _guard_reach(model, t):
     """Largest |x| the phase guard admits at time t, to rounding (m = 1)."""
     return model._max_rate - abs(model.spectrum.x_bar) - HBAR * model.grid.k_max * t
@@ -494,7 +538,7 @@ def _guard_reach(model, t):
 
 def _full_grid(model, x, t):
     """(rho, current) at x summed over the model's whole grid by _mode_sums."""
-    psi, dpsi = wavepacket._mode_sums(x, t, *model._modes)
+    psi, dpsi = wavepacket._mode_sums(x, t, model._regions)
     return wavepacket._density(psi), (HBAR / model.mass) * wavepacket._flux(psi, dpsi)
 
 
@@ -534,7 +578,7 @@ class TestRungs:
         _, grid, free_sp, tunnel = spectral_models
         a = DEFAULT_BARRIER.half_width
         for model, edge in ((free_sp, -math.inf), (tunnel, a)):
-            coefficients = model._coefficients
+            coefficients = _region_coefficients(model)
             for t in (0.0, 4.5, 10.0):
                 reach = 0.999 * _guard_reach(model, t)
                 xs = np.concatenate([np.linspace(-reach, reach, 41), [-a, -0.1, a, 2.0]])
@@ -595,6 +639,60 @@ class TestRungs:
                 model.rho(np.array([0.5, -ok, 3.0]), t)
                 with pytest.raises(GridTooCoarse, match=f"needs >= {grid.size + 1}"):
                     model.rho(np.array([0.5, -bad, 3.0]), t)
+
+
+class TestRegionDispatch:
+    """_mode_sums sends each point to one region by the regions' own
+    bounds: right above the right region's lower bound, else left below
+    the left region's upper bound, else under the barrier."""
+
+    @pytest.mark.parametrize("t", [0.0, 4.5, 10.0])
+    def test_the_barrier_edges_lie_under_the_barrier(self, spectral_models, t):
+        # x = +-a has the bits of the under region's kernel, the next float
+        # out those of its side's region, scalar and in one array.
+        _, _, _, tunnel = spectral_models
+        right, left, under = tunnel._regions
+        a = DEFAULT_BARRIER.half_width
+        points = ((-a, under), (a, under), (math.nextafter(-a, -math.inf), left),
+                  (math.nextafter(a, math.inf), right))
+        psi, dpsi = tunnel._fields(np.array([x for x, _ in points]), t)
+        for i, (x, region) in enumerate(points):
+            expected = wavepacket._region_fields(region, x, t).tolist()
+            assert tunnel._fields(x, t) == expected == [psi[i], dpsi[i]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.floats(-1.0, 1.0), t=st.floats(0.0, 10.0))
+    def test_every_free_point_lies_in_its_one_region(self, spectral_models, u, t):
+        # The free reference's one region has lower bound -inf: any x the
+        # guard admits, the barrier's edges among them, has its kernel's bits.
+        _, _, free_sp, _ = spectral_models
+        (region,) = free_sp._regions
+        a = DEFAULT_BARRIER.half_width
+        xs = np.array([0.999 * u * _guard_reach(free_sp, t), -a, a, 0.0])
+        psi, dpsi = free_sp._fields(xs, t)
+        for i, x in enumerate(xs.tolist()):
+            expected = wavepacket._region_fields(region, x, t).tolist()
+            assert free_sp._fields(x, t) == expected == [psi[i], dpsi[i]]
+
+    def test_a_scattering_mode_reads_its_regions(self):
+        # value and derivative at +-a and either side: _mode_sums over the
+        # mode's three one-mode regions, the region its bounds pick, to the
+        # bit, and the written-out piecewise form to 1e-14.
+        a = 0.4
+        mode = scattering_mode(1.7, BarrierSpec(height=6.0, half_width=a))
+        right, left, under = mode._regions
+        points = [(-a - 0.05, left, 0), (math.nextafter(-a, -math.inf), left, 0), (-a, under, 1),
+                  (-a + 0.05, under, 1), (a - 0.05, under, 1), (a, under, 1),
+                  (math.nextafter(a, math.inf), right, 2), (a + 0.05, right, 2)]
+        xs = np.array([x for x, _, _ in points])
+        values, slopes = mode.value(xs), mode.derivative(xs)
+        for i, (x, region, piece) in enumerate(points):
+            psi, dpsi = wavepacket._mode_sums(x, 0.0, mode._regions)
+            assert [psi, dpsi] == wavepacket._region_fields(region, x, 0.0).tolist()
+            assert mode.value(x) == psi == values[i]
+            assert mode.derivative(x) == dpsi == slopes[i]
+            vals, ders = _region_values(mode, x)
+            assert abs(psi - vals[piece]) <= 1e-14 and abs(dpsi - ders[piece]) <= 1e-14
 
 
 class TestTunnelingPacketModel:
@@ -679,8 +777,10 @@ class TestTunnelingPacketModel:
         t = 10.0
         for model in (free_sp, tunnel):
             for x in (math.nan, np.array([math.nan])):
-                with pytest.raises(InvalidRange):
+                with pytest.raises(InvalidRange, match="position is NaN"):
                     model.density_and_current(x, t)
+            with pytest.raises(InvalidRange, match="time is NaN"):
+                model.density_and_current(0.0, math.nan)
             ok, bad = 0.0, 1e6          # bisect to adjacent floats
             while math.nextafter(ok, math.inf) < bad:
                 mid = 0.5 * (ok + bad)
@@ -1002,13 +1102,14 @@ class TestTunnelingPacketModel:
         chunked = _rho_within_budget(tunnel, xs, 5.0)
         entries, kernel = {}, wavepacket._region_fields
 
-        def counted(region, x, t, waves):
-            entries[region] = max(entries.get(region, 0), np.size(x) * waves[region][0].size)
-            return kernel(region, x, t, waves)
+        def counted(region, x, t):
+            i = tunnel._regions.index(region)      # 0 right, 1 left, 2 under
+            entries[i] = max(entries.get(i, 0), np.size(x) * region.exponents.size)
+            return kernel(region, x, t)
         with monkeypatch.context() as patch:
             patch.setattr(wavepacket, "_region_fields", counted)
             assert np.array_equal(tunnel.rho(xs, 5.0), chunked)
-        assert sorted(entries) == [0, 1]
+        assert sorted(entries) == [1, 2]
         assert max(entries.values()) <= wavepacket._FIELD_ENTRIES
         monkeypatch.setattr(wavepacket, "_FIELD_ENTRIES", 1 << 40)
         assert np.array_equal(chunked[:1001], tunnel.rho(xs[:1001], 5.0))
