@@ -303,6 +303,8 @@ def _spectral_pair(cfg: ScenarioConfig, tol: Tolerances):
 # CSV and manifest emission
 
 def _fmt(value) -> str:
+    if isinstance(value, float):    # most cells, np.float64 among them
+        return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -318,7 +320,7 @@ def write_csv(path: Path, header: list, rows) -> None:
         fh.write(UNIT_COMMENT + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _manifest_path(data_path: Path) -> Path:

@@ -319,11 +319,11 @@ class KGrid:
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not np.all(np.diff(nodes) > 0.0):     # a NaN node or weight fails
             raise ValueError("nodes must be strictly increasing")
-        if nodes[0] < 0.0:
+        if not nodes[0] >= 0.0:
             raise ValueError("all nodes must be non-negative")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):
             raise ValueError("weights must be positive")
 
     @property
@@ -600,7 +600,8 @@ def _rms(v):
 
 
 def _first_step(fun, t0, y0, f0, t1, rtol, atol):
-    """Initial step of Hairer, Norsett & Wanner, II.4, for error order 4."""
+    """Initial step of Hairer, Norsett & Wanner, II.4, for error order 4, as a
+    float: a numpy scalar would make every later step size and time one."""
     span = t1 - t0
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
@@ -610,7 +611,7 @@ def _first_step(fun, t0, y0, f0, t1, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, span)
+    return float(min(100 * h0, h1, span))
 
 
 def _dense_output(K, t_old, t, y_old):
@@ -643,8 +644,10 @@ def integrate_ode(
     step for step and returns their bits after their rhs calls: 2, then 6
     per step tried.  The stage, weight and error sums stay ndarray.dot: OpenBLAS
     sums a one-row product as a left-to-right FMA chain, which Python floats
-    (no math.fma before 3.13) cannot reproduce; one component's step control
-    runs on floats.  ``x0`` may be a scalar or a 1-d state vector.  The
+    (no math.fma before 3.13) cannot reproduce.  Times and step sizes are
+    floats; so are one component's state, stage inputs and error norm (each
+    sum read with .item()), and rhs and stop still get a fresh 1-element
+    array.  ``x0`` may be a scalar or a 1-d state vector.  The
     path is sampled at ``t_eval`` (strictly increasing within [t0, t1])
     when given, otherwise at t0 and each step end.  ``stop`` is an optional
     event g(t, x), evaluated at t0 and at each step end: the path stops
@@ -683,7 +686,9 @@ def integrate_ode(
     K[6] = rhs(t0, y0)
     h_abs = _first_step(rhs, t0, y0, K[6], t1, rtol, atol)
     stages, KB, KE = [(s, _DP_C[s], K[:s].T, _DP_A[s, :s]) for s in range(1, 6)], K[:6].T, K.T
-    t, y, i_eval, stopped = t0, y0, 0, False
+    # x is the state as the fresh array rhs and stop get; one component's y is a float.
+    one = y0.size == 1
+    t, y, i_eval, stopped = t0, y0.item() if one else y0, 0, False
     times, states = ([t0], [y0]) if t_eval is None else ([], [])
     while not stopped and t < t1:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -698,15 +703,23 @@ def integrate_ode(
             h = t_new - t
             h_abs = abs(h)
             for s, c, k, a in stages:
-                K[s] = rhs(t + c * h, y + k.dot(a) * h)
-            y_new = y + h * KB.dot(_DP_B)
-            K[6] = rhs(t + h, y_new)
-            e = KE.dot(_DP_E) * h       # scipy's error norm, on floats for one component
-            if y.size == 1:     # max puts a NaN y_new first: it returns it, as np.maximum does
-                e = e.item() / (atol + max(abs(y_new.item()), abs(y.item())) * rtol)
+                z = k.dot(a)    # a fresh array: one component's stage input goes in it
+                if one:
+                    z[0] = y + z.item() * h
+                K[s] = rhs(t + c * h, z if one else y + z * h)
+            z = KB.dot(_DP_B)
+            y_new = y + h * (z.item() if one else z)
+            if one:
+                z[0] = y_new
+            x_new = z if one else y_new
+            K[6] = rhs(t + h, x_new)
+            e = KE.dot(_DP_E)       # scipy's error norm, on floats for one component
+            if one:     # max puts a NaN y_new first: it returns it, as np.maximum does
+                e = e.item() * h / (atol + max(abs(y_new), abs(y)) * rtol)
                 error_norm = math.sqrt(e * e)
             else:
-                error_norm = _rms(e / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol))
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = float(_rms(e * h / scale))
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -714,15 +727,15 @@ def integrate_ode(
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t_old, y_old, t, y = t, y, t_new, y_new
+        t_old, y_old, t, y, x = t, y, t_new, y_new, x_new
 
         at = None
         if stop is not None:
-            g_new = stop(t, y)
+            g_new = stop(t, x)
             if g_old >= 0 and g_new <= 0:       # g falls through zero
                 at = _dense_output(K, t_old, t, y_old)
                 t = find_root_monotone(lambda s: stop(s, at(s)), (t_old, t), _EVENT_TOL)
-                y, stopped = at(t), True
+                x, stopped = at(t), True
             g_old = g_new
         if t_eval is not None:
             j = int(np.searchsorted(t_eval, t, side="right"))
@@ -733,7 +746,7 @@ def integrate_ode(
                 i_eval = j
         if t_eval is None or stopped:
             times.append(t)
-            states.append(y)
+            states.append(x)
     return OdePath(times=np.array(times, dtype=float),
                    states=np.array(states).reshape(len(times), y0.size),
                    stop_reason="stopped" if stopped else "completed",

@@ -125,20 +125,14 @@ def quantile_velocity(model: PacketModel, x: float, t: float, *,
                       floor_rel: float = DENSITY_FLOOR_REL) -> float:
     """Quantile velocity at (x, t): current over density, minus the loss
     tail over density for lossy models (the integro-differential form)."""
-    return _field_velocity(model, x, t, *model.density_and_current(x, t),
-                           floor_rel * model.peak_density(t))
-
-
-def _field_velocity(model: PacketModel, x, t, rho, cur, floor: float) -> float:
-    """quantile_velocity from (rho, current) at (x, t) and the floor at t."""
+    rho, cur = model.density_and_current(x, t)
     rho = float(rho)
-    if rho <= floor:
+    if rho <= floor_rel * model.peak_density(t):
         raise VelocitySingular(
             f"density {rho:.3e} at x = {x:.6g}, t = {t:.6g} is below the floor",
             t=t, x=x,
         )
-    loss_tail = model.loss_tail(x, t)
-    return (float(cur) - loss_tail) / rho
+    return (float(cur) - model.loss_tail(x, t)) / rho
 
 
 def _floats(values, name: str) -> np.ndarray:
@@ -311,26 +305,29 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         if sampled.size:
             t_stop = float(sampled.max())
 
-    # (rho, j, floor) of the rhs calls made exactly at a sample, by (t, x):
-    # each segment's anchor and each accepted step end (evaluated for the
-    # next step; floor_margin sees the match).  Sample velocities reuse them.
-    fields = {}
-    last = [None, None]     # (t, x) of the latest rhs call and its triple
+    # The latest rhs call's (t, x, rho - floor), which floor_margin reads at
+    # each step end, and the velocity of every segment anchor and step end
+    # above the floor, which its sample reuses.
+    last, velocities = (), {}
 
     def rhs(t, y):
-        x = float(y[0])
-        triple = (*model.density_and_current(x, t), floor_rel * model.peak_density(t))
-        if (t, x) == anchor:
-            fields[anchor] = triple
-        last[:] = (t, x), triple
-        return (float(triple[1]) - model.loss_tail(x, t)) / max(float(triple[0]), triple[2])
+        nonlocal last
+        x = y.item()
+        rho, cur = model.density_and_current(x, t)
+        floor = floor_rel * model.peak_density(t)
+        v = (cur - model.loss_tail(x, t)) / max(rho, floor)
+        last = t, x, rho - floor, v
+        if t == t_cur and rho > floor:      # a segment's anchor
+            velocities[t, x] = v
+        return v
 
     def floor_margin(t, y):
-        x = float(y[0])
-        if last[0] == (t, x):
-            fields[t, x] = last[1]
-            return float(last[1][0]) - last[1][2]
-        return float(model.rho(x, t)) - floor_rel * model.peak_density(t)
+        x = y.item()
+        if last[:2] == (t, x):      # a step end
+            if last[2] > 0.0:
+                velocities[t, x] = last[3]
+            return last[2]
+        return model.rho(x, t) - floor_rel * model.peak_density(t)
 
     x_cur = quantile_position(model, P, t0, tol)
     t_cur = t0
@@ -372,16 +369,15 @@ def trace_trajectory_ode(model: PacketModel, P: float, t0: float, t1: float,
         x_cur = quantile_position(model, P, t_cur, tol)
         record(t_cur, x_cur)
 
-    times = np.array(times)
-    xs = np.array(xs)
-    vs = np.empty_like(xs)
-    for i, (tt, xx) in enumerate(zip(times, xs)):
-        triple = fields.get((tt, xx)) or (*model.density_and_current(xx, tt),
-                                          floor_rel * model.peak_density(tt))
-        try:
-            vs[i] = _field_velocity(model, xx, tt, *triple)
-        except VelocitySingular:
-            vs[i] = math.nan
+    vs = []
+    for tt, xx in zip(times, xs):
+        v = velocities.get((tt, xx))
+        if v is None:
+            try:
+                v = quantile_velocity(model, xx, tt, floor_rel=floor_rel)
+            except VelocitySingular:
+                v = math.nan
+        vs.append(v)
     return QuantileTrajectory(P=P, times=times, positions=xs, velocities=vs,
                               termination=termination,
                               floor_episodes=floor_episodes)

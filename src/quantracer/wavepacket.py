@@ -263,9 +263,20 @@ class DissipativeGaussianModel(PacketModel):
             raise ValueError("loss_rate must be non-negative")
         self.params = params
         self.loss_rate = float(loss_rate)
+        self._at = (math.nan,)
+
+    def _moments(self, t) -> tuple:
+        """(t, sigma_x, center, norm) at a scalar t, kept for the last t: an
+        ODE trace's rhs reads them for its field, its floor and its loss tail."""
+        t = float(t)
+        if t != self._at[0]:
+            p = self.params
+            self._at = (t, p.sigma_x(t), p.center(t),
+                        math.exp(-self.loss_rate * t) if self.loss_rate else 1.0)
+        return self._at
 
     def norm(self, t) -> float:
-        return math.exp(-self.loss_rate * float(t)) if self.loss_rate else 1.0
+        return self._moments(t)[3]
 
     def rho(self, x, t):
         return self.density_and_current(x, t)[0]
@@ -274,16 +285,14 @@ class DissipativeGaussianModel(PacketModel):
         return self.density_and_current(x, t)[1]
 
     def density_and_current(self, x, t):
-        p = self.params
-        sig = p.sigma_x(t)
+        _, sig, c, survival = self._moments(t)
         scalar = isinstance(x, float)   # floats but for one np.exp, as math.exp rounds otherwise
-        offset = (float(x) if scalar else np.asarray(x, dtype=float)) - p.center(t)
+        offset = (float(x) if scalar else np.asarray(x, dtype=float)) - c
         z = offset / sig
         gauss = np.exp(-0.5 * z * z)
         rho = (float(gauss) if scalar else gauss) / (math.sqrt(2.0 * math.pi) * sig)
         # Velocity: v_bar plus the dilation term of the spreading width.
-        velocity = p.v_bar + p.sigma_v ** 2 * t * offset / sig ** 2
-        survival = self.norm(t)
+        velocity = self.params.v_bar + self.params.sigma_v ** 2 * t * offset / sig ** 2
         return survival * rho, survival * (rho * velocity)
 
     def loss(self, x, t):
@@ -296,16 +305,15 @@ class DissipativeGaussianModel(PacketModel):
     def tail(self, x, t) -> float:
         if math.isnan(x):
             raise InvalidRange("tail position is NaN")
-        z = (float(x) - self.params.center(t)) / (math.sqrt(2.0) * self.params.sigma_x(t))
-        return self.norm(t) * (0.5 * math.erfc(z))
+        _, sig, c, survival = self._moments(t)
+        return survival * (0.5 * math.erfc((float(x) - c) / (math.sqrt(2.0) * sig)))
 
     def support_hint(self, t) -> tuple[float, float]:
-        c = self.params.center(t)
-        pad = 8.0 * self.params.sigma_x(t)
-        return (c - pad, c + pad)
+        _, sig, c, _ = self._moments(t)
+        return (c - 8.0 * sig, c + 8.0 * sig)
 
     def spread(self, t) -> float:
-        return float(self.params.sigma_x(t))
+        return float(self._moments(t)[1])
 
 
 # The norm-conserving closed-form packet: DissipativeGaussianModel(params).
@@ -402,15 +410,12 @@ def _region_fields(region: _Region, x, t: float):
     """(psi, d psi/dx) in the last axis at x in one region: shape (2,) for
     a float x, (n, 2) for an (n, 1) column.  The time phase rides in the
     exponent, so it is one complex exponential over the region's stacked
-    waves, e^{iqx + rate t}, and one product with its matrix (_Region)."""
-    return _rows(np.exp(region.exponents * x + region.rates * t), region.matrix)
-
-
-def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, a 2-d ``a`` row by row, as one stacked product of (1, K) rows:
-    a BLAS matrix product's rows change their bits with its row count
-    (OpenBLAS 0.3.31, 2 threads), a vector product's not."""
-    return a @ b if a.ndim == 1 else (a[:, None] @ b)[:, 0]
+    waves, e^{iqx + rate t}, and one product with its matrix (_Region); a
+    column's rows go as one stacked product of (1, K) rows, since a BLAS
+    matrix product's rows change their bits with its row count (OpenBLAS
+    0.3.31, 2 threads), a vector product's not."""
+    waves = np.exp(region.exponents * x + region.rates * t)
+    return waves @ region.matrix if waves.ndim == 1 else (waves[:, None] @ region.matrix)[:, 0]
 
 
 def _mode_sums(x, t: float, regions):
@@ -491,7 +496,7 @@ class ScatteringMode:
 
 def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> ScatteringMode:
     """Matched scattering state for a unit wave incident from the left."""
-    if k <= 0.0:
+    if not k > 0.0:     # NaN too
         raise DegenerateK("wave number must be positive")
     gamma, T, R, A, B = _barrier_coefficients(np.array([float(k)]), barrier, mass)
     return ScatteringMode(k=float(k), barrier=barrier, gamma=complex(gamma[0]),
@@ -768,9 +773,11 @@ class SpectralPacketModel(PacketModel):
         return _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
 
     def density_and_current(self, x, t):
-        if isinstance(x, float):    # the ODE route's one point: the guard, then the kernel
-            self._check_resolution(abs(x), float(t))
-            psi, dpsi = _mode_sums(x, float(t), self._regions)
+        if isinstance(x, float):    # the ODE route's one point: the guard, then its region's kernel
+            t, r = float(t), self._regions
+            self._check_resolution(abs(x), t)
+            psi, dpsi = _region_fields(r[0] if x > r[0].bounds[0] else r[1] if x < r[1].bounds[1]
+                                       else r[2], x, t).tolist()
             return _density(psi), (HBAR / self.mass) * _flux(psi, dpsi)
         psi, dpsi = self._fields(x, float(t))
         return _shaped(x, _density(psi)), _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))

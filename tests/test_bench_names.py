@@ -181,19 +181,19 @@ def test_scalar_fields_do_not_go_through_rho_or_current(monkeypatch):
 def test_each_field_call_reaches_the_mode_kernel_once(monkeypatch):
     # The tracer counts each rho, current or density_and_current call as one
     # field evaluation of np.size(x) points.  That holds if each call, for
-    # a scalar and for a one-point array, runs the mode kernel once and
-    # none of the other two methods.
+    # a scalar and for a one-point array, runs the mode kernel (one
+    # region's sum) once and none of the other two methods.
     names = ("rho", "current", "density_and_current")
-    kernel = wavepacket._mode_sums
+    kernel = wavepacket._region_fields
     calls = []
 
-    def counted_kernel(x, *args):
+    def counted_kernel(region, x, t):
         calls.append(x)
-        return kernel(x, *args)
+        return kernel(region, x, t)
 
     def refuse(self, x, t):
         raise AssertionError("a field method called another one")
-    monkeypatch.setattr(wavepacket, "_mode_sums", counted_kernel)
+    monkeypatch.setattr(wavepacket, "_region_fields", counted_kernel)
     spectrum, grid = wavepacket.spectral_setup(wavepacket.DEFAULT_PACKET, t_max=1.0)
     for model in (wavepacket.spectral_free_model(spectrum, grid),
                   wavepacket.tunneling_packet_model(spectrum, wavepacket.DEFAULT_BARRIER,

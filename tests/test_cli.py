@@ -34,6 +34,7 @@ from quantracer.cli import (
     main,
     resolve_config,
     validate_config,
+    write_csv,
 )
 from quantracer.numerics import Tolerances
 from quantracer.tunneling import packet_transmission_probability
@@ -421,6 +422,23 @@ class TestConfigResolution:
         values = load_config_file(str(conf))
         assert values == {"p_list": (0.2, 0.4), "k_nodes": 128,
                           "quick": True, "out": "xy.csv"}
+
+
+class TestWriteCsv:
+    def test_each_cell_type_has_its_exact_text(self, tmp_path):
+        # Floats (np.float64 among them) take 17 significant digits, signs
+        # of zero and infinity kept; bools are words, integers digits, and a
+        # comma inside a string becomes a semicolon.
+        row = [True, np.bool_(False), 7, np.int64(-3), "a,b", 0.1, np.float64(1 / 3),
+               math.nan, math.inf, -math.inf, -0.0, 5e-324]
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["c"] * len(row), [row])
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == cli.UNIT_COMMENT and lines[1] == ",".join(["c"] * len(row))
+        assert lines[2].split(",") == [
+            "true", "false", "7", "-3", "a;b", "0.10000000000000001", "0.33333333333333331",
+            "nan", "inf", "-inf", "-0", "4.9406564584124654e-324"]
+        assert lines[3:] == [""]
 
 
 class TestFreeCommand:

@@ -16,6 +16,7 @@ from quantracer.errors import InvalidRange, NonConvergence, NoSignChange, StepUn
 from quantracer.numerics import (
     DEFAULT_TOL,
     PANEL_NODES,
+    KGrid,
     OdePath,
     Tolerances,
     adaptive_panels,
@@ -28,10 +29,12 @@ from quantracer.numerics import (
     nodes_for_phase,
 )
 from quantracer.numerics import _at_panel_nodes, _eval_panels, _gauss_rule
-from quantracer.quantile import quantile_position, quantile_velocity
+from quantracer.quantile import quantile_position, quantile_velocity, trace_trajectory_ode
 from quantracer.wavepacket import (
     DEFAULT_BARRIER,
+    DEFAULT_LOSS_RATE,
     DEFAULT_PACKET,
+    DissipativeGaussianModel,
     FreeGaussianModel,
     GaussianPacketParams,
     spectral_setup,
@@ -278,6 +281,25 @@ class TestIntegrateAdaptive:
                                   points=(0.3,)) == pytest.approx(-exact, abs=1e-15)
         edges = initial_edges(-1.0, 2.0, 3, (0.3, 2.0, 7.0))
         np.testing.assert_array_equal(edges, [-1.0, 0.0, 0.3, 1.0, 2.0])
+
+
+class TestKGrid:
+    @pytest.mark.parametrize("nodes, weights, message", [
+        ([1.0, math.nan, 3.0], [0.5, math.nan, 0.5], "increasing"),
+        ([1.0, math.nan, 3.0], [0.5, 0.5, 0.5], "increasing"),
+        ([math.nan], [1.0], "non-negative"),
+        ([1.0, 2.0, 3.0], [0.5, math.nan, 0.5], "weights"),
+        ([1.0, 2.0, 3.0], [0.5, 0.0, 0.5], "weights"),
+        ([-1.0, 2.0, 3.0], [0.5, 0.5, 0.5], "non-negative"),
+        ([1.0, 1.0, 3.0], [0.5, 0.5, 0.5], "increasing"),
+    ])
+    def test_refuses_nan_and_bad_nodes_or_weights(self, nodes, weights, message):
+        with pytest.raises(ValueError, match=message):
+            KGrid(np.array(nodes), np.array(weights), 0.5, 3.5)
+
+    def test_accepts_a_valid_grid(self):
+        grid = KGrid(np.array([0.0, 2.0, 3.0]), np.array([0.5, 1.0, 0.5]), 0.0, 3.5)
+        assert grid.size == 3
 
 
 class TestBuildKGrid:
@@ -648,6 +670,49 @@ class TestSameBitsAsSolveIvp:
             np.testing.assert_array_equal(path.states, expected.states)
             assert path.states.shape == expected.states.shape
             assert len(calls) == nfev
+
+    @pytest.mark.parametrize("start", ["scalar", "list", "array"])
+    def test_lossy_field_with_a_stop_and_samples(self, start):
+        # The dissipative fig1 packet (loss rate 0.1), whose velocity takes
+        # the loss tail: x_0.5 sampled on the preset's half-unit grid and
+        # stopped where it passes -3, near t = 4.5.
+        lossy = DissipativeGaussianModel(DEFAULT_PACKET, DEFAULT_LOSS_RATE)
+        x0 = quantile_position(lossy, 0.5, 0.0)
+        field = lambda t, x: quantile_velocity(lossy, float(x[0]), t)
+        stop = lambda t, x: -3.0 - x[0]
+        t_eval = np.arange(0.0, 6.51, 0.5)
+        expected, nfev = _solve_ivp_path(lambda t, x: [field(t, x)], x0, 6.5, DEFAULT_TOL,
+                                         stop, t_eval)
+        assert expected.stop_reason == "stopped" and 4.0 < expected.stop_time < 5.0
+        calls = []
+        path = integrate_ode(lambda t, x: calls.append(t) or field(t, x),
+                             {"scalar": x0, "list": [x0], "array": np.array([x0])}[start],
+                             0.0, 6.5, stop=stop, t_eval=t_eval)
+        assert path.stop_reason == "stopped" and path.stop_time == expected.stop_time
+        np.testing.assert_array_equal(path.times, expected.times)
+        np.testing.assert_array_equal(path.states, expected.states)
+        assert path.states.shape == expected.states.shape
+        assert len(calls) == nfev
+
+    @pytest.mark.parametrize("P", [0.008, 0.35])    # transmitted, reflected
+    def test_tunneling_trace_replays_solve_ivp(self, P):
+        # trace_trajectory_ode with its own rhs, density-floor event and
+        # sample velocities, on the stock tunneling packet over [0, 10]: no
+        # floor episode, so its path is solve_ivp's on quantile_velocity and
+        # each velocity quantile_velocity's at its sample, to the bit.
+        spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=10.0)
+        tunnel = tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid)
+        x0 = quantile_position(tunnel, P, 0.0)
+        expected, _ = _solve_ivp_path(
+            lambda t, x: [quantile_velocity(tunnel, float(x[0]), t)], x0, 10.0, DEFAULT_TOL,
+            None, None)
+        traj = trace_trajectory_ode(tunnel, P, 0.0, 10.0)
+        assert traj.termination.kind == "completed" and traj.floor_episodes == 0
+        np.testing.assert_array_equal(traj.times, expected.times)
+        np.testing.assert_array_equal(traj.positions, expected.states[:, 0])
+        np.testing.assert_array_equal(traj.velocities, [
+            quantile_velocity(tunnel, x, t)
+            for t, x in zip(expected.times.tolist(), expected.states[:, 0].tolist())])
 
 
 def _run_fresh(code, cwd=None):

@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -374,6 +375,14 @@ class TestScatteringMode:
             scattering_mode(-1.0, barrier)
         with pytest.raises(DegenerateK):
             scattering_mode(math.sqrt(2.0 * barrier.height), barrier)
+
+    def test_a_nan_wave_number_is_not_positive(self):
+        # NaN fails the positivity check itself, before any coefficient is
+        # computed: no RuntimeWarning, not the coefficients' overflow error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateK, match="wave number must be positive"):
+                scattering_mode(math.nan, BarrierSpec(height=10.0, half_width=0.3))
 
 
 class TestSpectralFunction:
