@@ -268,12 +268,12 @@ class DissipativeGaussianModel(PacketModel):
     def _moments(self, t) -> tuple:
         """(t, sigma_x, center, norm) at a scalar t, kept for the last t: an
         ODE trace's rhs reads them for its field, its floor and its loss tail."""
-        t = float(t)
-        if t != self._at[0]:
+        t, at = float(t), self._at     # one read: another thread may replace it
+        if t != at[0]:
             p = self.params
-            self._at = (t, p.sigma_x(t), p.center(t),
-                        math.exp(-self.loss_rate * t) if self.loss_rate else 1.0)
-        return self._at
+            at = self._at = (t, p.sigma_x(t), p.center(t),
+                             math.exp(-self.loss_rate * t) if self.loss_rate else 1.0)
+        return at
 
     def norm(self, t) -> float:
         return self._moments(t)[3]
