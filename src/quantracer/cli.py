@@ -22,11 +22,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import InvalidRange, QuantracerError
-from .numerics import Tolerances
+from .numerics import Tolerances, kgrid_band
 from .quantile import (
     probability_in_volume,
     sphere_seeds,
@@ -77,10 +76,6 @@ MIN_CROSSING_LEVEL = 1e-6
 # hint x_bar +- 10 sigma_x0 collapses to one float (1e-20 at x_bar = -10).
 PACKET_WIDTHS = (1e-6, 1e6)
 
-# Velocity widths sigma_v = hbar / (2 mass sigma_x0) the CLI accepts: the 3D
-# velocity field squares sigma_v, which overflows above 1.3e154 (mass < 1.5e-155).
-VELOCITY_WIDTHS = (1e-150, 1e150)
-
 TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 # Relative tolerances (quad_rel, ode_rel) the CLI accepts.  Below 100 eps
@@ -108,7 +103,6 @@ class ScenarioConfig:
     x_bar: float = -10.0
     v_bar: float = 2.0
     sigma_x0: float = 2.5
-    mass: float = 1.0
     loss_rate: float = 0.1
     barrier_height: float = 10.0
     barrier_halfwidth: float = 0.3
@@ -231,15 +225,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("t_step must be positive")
     if cfg.t_max < cfg.t_step:
         raise ConfigError("t_max must be at least one t_step")
-    if cfg.sigma_x0 <= 0.0 or cfg.mass <= 0.0:
-        raise ConfigError("sigma_x0 and mass must be positive")
     if not PACKET_WIDTHS[0] <= cfg.sigma_x0 <= PACKET_WIDTHS[1]:
         raise ConfigError(f"sigma_x0 = {cfg.sigma_x0:g} is outside the packet-width range "
                           f"[{PACKET_WIDTHS[0]:g}, {PACKET_WIDTHS[1]:g}]")
-    sigma_v = _packet(cfg).sigma_v
-    if not VELOCITY_WIDTHS[0] <= sigma_v <= VELOCITY_WIDTHS[1]:
-        raise ConfigError(f"mass = {cfg.mass:g} gives the velocity width sigma_v = {sigma_v:.3g}, "
-                          f"outside [{VELOCITY_WIDTHS[0]:g}, {VELOCITY_WIDTHS[1]:g}]")
     if cfg.loss_rate < 0.0:
         raise ConfigError("lambda (loss rate) must be nonnegative")
     if cfg.barrier_height < 0.0 or cfg.barrier_halfwidth <= 0.0:
@@ -266,8 +254,7 @@ def _tolerances(cfg: ScenarioConfig) -> Tolerances:
 
 
 def _packet(cfg: ScenarioConfig) -> GaussianPacketParams:
-    return GaussianPacketParams(x_bar=cfg.x_bar, v_bar=cfg.v_bar,
-                                sigma_x0=cfg.sigma_x0, mass=cfg.mass)
+    return GaussianPacketParams(x_bar=cfg.x_bar, v_bar=cfg.v_bar, sigma_x0=cfg.sigma_x0)
 
 
 def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
@@ -283,20 +270,25 @@ def _spectral_pair(cfg: ScenarioConfig, tol: Tolerances):
     """(free, tunneling) models on one k-grid, sized once for times up to
     cfg.t_max and for the barrier's resonances."""
     packet = _packet(cfg)
+    try:    # before the sizing, which would read a band below k = 0 as "inf nodes"
+        kgrid_band(packet.k_bar, packet.sigma_k)
+    except InvalidRange as exc:
+        raise ConfigError(f"v_bar = {cfg.v_bar:g}, sigma_x0 = {cfg.sigma_x0:g}: {exc}; "
+                          "spectral packets need v_bar * sigma_x0 > 3") from exc
     barrier = BarrierSpec(cfg.barrier_height, cfg.barrier_halfwidth)
     n_nodes = cfg.k_nodes
     if not n_nodes:
         try:
             n_nodes = recommended_node_count(packet.k_bar, packet.sigma_k, packet.x_bar,
-                                             cfg.t_max, mass=packet.mass, barrier=barrier)
+                                             cfg.t_max, barrier=barrier)
         except InvalidRange:        # more nodes than a float can count
             n_nodes = math.inf
         if n_nodes > MAX_K_NODES:
             raise ConfigError(f"times up to {cfg.t_max:g} need {n_nodes:.3g} wave-number nodes "
                               f"for this packet and barrier, above the limit {MAX_K_NODES}")
     spectrum, grid = spectral_setup(packet, cfg.t_max, n_nodes=n_nodes)
-    return (spectral_free_model(spectrum, grid, mass=cfg.mass, tol=tol),
-            tunneling_packet_model(spectrum, barrier, grid, mass=cfg.mass, tol=tol))
+    return (spectral_free_model(spectrum, grid, tol=tol),
+            tunneling_packet_model(spectrum, barrier, grid, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +315,18 @@ def write_csv(path: Path, header: list, rows) -> None:
             fh.write(",".join(map(_fmt, row)) + "\n")
 
 
+def _scipy_version() -> str:
+    """The manifest's scipy version, which the library never imports (only its
+    tests): a loaded scipy's, else the installed one's, else "absent"."""
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    import importlib.metadata   # about 25 ms, so only once a manifest is written
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return "absent"
+
+
 def _manifest_path(data_path: Path) -> Path:
     return Path(str(data_path) + ".manifest.json")
 
@@ -341,7 +345,7 @@ def write_manifest(data_path: Path, command: str, cfg: ScenarioConfig,
         "wall_clock_s": round(wall_clock, 3),
         "versions": {
             "quantracer": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__, "scipy": _scipy_version(),
         },
         "checks": [{"name": n, "passed": bool(p), "detail": d}
                    for n, p, d in checks],
@@ -432,8 +436,7 @@ def cmd_tunnel(cfg: ScenarioConfig) -> tuple[list, list]:
     checked = sum(v.checked for v in verdicts)
     min_lag_beyond = -max(v.worst_margin for v in verdicts)
     min_lag_all = -max(v.worst_margin_all for v in verdicts)
-    transmitted = packet_transmission_probability(tunnel.spectrum, tunnel.barrier,
-                                                  tunnel.grid, mass=cfg.mass)
+    transmitted = packet_transmission_probability(tunnel.spectrum, tunnel.barrier, tunnel.grid)
     checks = [
         ("retardation_beyond_edge", all(v.ok for v in verdicts),
          f"{checked} beyond-edge comparisons, min lag beyond barrier edge = "
@@ -489,8 +492,7 @@ def cmd_delta_p(cfg: ScenarioConfig) -> tuple[list, list]:
 
 def cmd_sphere3d(cfg: ScenarioConfig) -> tuple[list, list]:
     tol = _tolerances(cfg)
-    params = Gaussian3DParams(center=cfg.center, velocity=cfg.velocity,
-                              sigma_x0=cfg.sigma_x0, mass=cfg.mass)
+    params = Gaussian3DParams(center=cfg.center, velocity=cfg.velocity, sigma_x0=cfg.sigma_x0)
     field = Gaussian3DModel(params)
     seeds = sphere_seeds(cfg.center, cfg.radius)
     times = _time_grid(cfg)
@@ -530,7 +532,7 @@ def _verify_pair(cfg: ScenarioConfig, tol: Tolerances):
     share, sized for t = 8, the latest time they read."""
     free, tunnel = _spectral_pair(replace(cfg, t_max=8.0), tol)
     return free, tunnel, packet_transmission_probability(
-        tunnel.spectrum, tunnel.barrier, tunnel.grid, mass=cfg.mass)
+        tunnel.spectrum, tunnel.barrier, tunnel.grid)
 
 
 def _check_method_equivalence(cfg: ScenarioConfig, tol: Tolerances, pair):

@@ -26,6 +26,7 @@ __all__ = [
     "initial_edges",
     "PANEL_NODES",
     "build_kgrid",
+    "kgrid_band",
     "nodes_for_phase",
     "max_phase_rate",
     "find_root_monotone",
@@ -335,16 +336,21 @@ class KGrid:
 N_SIGMA = 6.0
 
 
+def kgrid_band(k_mean, k_width) -> tuple[float, float]:
+    """The band k_mean -+ N_SIGMA k_width; an InvalidRange where it is empty
+    or reaches k <= 0: every mode is incident from the left, so a cut at 0
+    would make another packet than the Gaussian."""
+    lo, hi = k_mean - N_SIGMA * k_width, k_mean + N_SIGMA * k_width
+    if not 0.0 < lo < hi:   # NaN too
+        raise InvalidRange(f"wave-number band [{lo:.4g}, {hi:.4g}] is empty or reaches k <= 0")
+    return lo, hi
+
+
 def build_kgrid(k_mean, k_width, n_nodes=256) -> KGrid:
-    """Gauss-Legendre nodes/weights on [max(0, k_mean - N_SIGMA*k_width), k_mean + N_SIGMA*k_width]."""
+    """Gauss-Legendre nodes/weights on kgrid_band(k_mean, k_width)."""
     if n_nodes < 64:
         raise ValueError("n_nodes must be at least 64")
-    hi = k_mean + N_SIGMA * k_width
-    if hi <= 0.0:
-        raise InvalidRange("upper wave-number bound must be positive")
-    lo = max(0.0, k_mean - N_SIGMA * k_width)
-    if hi <= lo:
-        raise InvalidRange("empty wave-number interval")
+    lo, hi = kgrid_band(k_mean, k_width)
     return KGrid(*_gauss_rule(lo, hi, int(n_nodes)), k_min=lo, k_max=hi)
 
 

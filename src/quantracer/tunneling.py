@@ -46,14 +46,14 @@ class DeltaPTerms(NamedTuple):
     total: float
 
 
-def _term_weights(barrier: BarrierSpec, mass: float) -> tuple[float, float, float]:
+def _term_weights(barrier: BarrierSpec) -> tuple[float, float, float]:
     """Weights (c1, c2, c3) of term1, term2 and term3 in the tail deficit.
 
     Beyond the barrier the packets are sum_k c_k e^{ikx'} and
     sum_k c_k T_k e^{ikx'}, c_k the coefficients at t over sqrt(2 pi), so
     integrating e^{i(k'-k)x'} over x' > x makes the deficit at x the form
     sum conj(c_k) c_k' e^{i(k'-k)x} K, K = i (1 - conj(T_k) T_k') / (k' - k).
-    With q = k^2 - gamma^2 = 2mV/hbar^2, D = 4 k gamma / T and 0 <= y <= 2a,
+    With q = k^2 - gamma^2 = 2V/hbar^2, D = 4 k gamma / T and 0 <= y <= 2a,
         K1(y) = e^{iky} ((k + gamma) e^{-i gamma y} - (k - gamma) e^{i gamma y}) / D,
         K2(y) = e^{iky} sin(gamma y) / D,    K3 = K2(2a)   (|2q K3| = |R|),
     K splits into Gram kernels (an identity in k, k'; the y-integrals are
@@ -66,22 +66,22 @@ def _term_weights(barrier: BarrierSpec, mass: float) -> tuple[float, float, floa
     c3 = 4q^2 / 2 pi = c1 q / a.  The direct route checks the sum (tests).
     """
     a = barrier.half_width
-    q = 2.0 * mass * barrier.height / HBAR ** 2
+    q = 2.0 * barrier.height / HBAR ** 2
     c1 = (2.0 * a / math.pi) * q
     return c1, c1 * 4.0 * q, c1 * q / a
 
 
 def _pair_barrier(free: PacketModel, tunneling: PacketModel) -> BarrierSpec:
     """Barrier of a (free, tunneling) pair of spectral packets, after checking
-    that both share one spectrum, mass and grid (both delta-p routes read one)."""
+    that both share one spectrum and grid (both delta-p routes read one)."""
     barrier = getattr(tunneling, "barrier", None)
     if barrier is None:
         raise InvalidRange("tunneling model carries no barrier")
     if getattr(free, "spectrum", None) != tunneling.spectrum:
         raise InvalidRange("models must share one spectral function")
-    if (free.mass != tunneling.mass or not np.array_equal(free.grid.nodes, tunneling.grid.nodes)
+    if (not np.array_equal(free.grid.nodes, tunneling.grid.nodes)
             or not np.array_equal(free.grid.weights, tunneling.grid.weights)):
-        raise InvalidRange("models must share one mass and one wave-number grid")
+        raise InvalidRange("models must share one wave-number grid")
     return barrier
 
 
@@ -131,7 +131,7 @@ def _decomposed_terms(free: PacketModel, tunneling: PacketModel,
     """term1, term2, term3, the weighted total and the tails of each of the
     ``direct`` models, shape (4 + len(direct), len(xs), len(ts)).
 
-    The route reads spectrum, grid, mass and tolerances from ``free`` and
+    The route reads spectrum, grid and tolerances from ``free`` and
     the barrier from ``tunneling``, after the latter's phase guard (under
     the barrier's poles: the kernels divide by D).  The barrier
     coefficients, the term3 kernel and the u-kernels are built once per
@@ -151,11 +151,11 @@ def _decomposed_terms(free: PacketModel, tunneling: PacketModel,
     if np.any(xs <= a):
         raise InvalidRange(
             f"x = {xs[xs <= a][0]:.4g} is not beyond the barrier edge {a:.4g}")
-    spectrum, grid, mass = free.spectrum, free.grid, free.mass
+    spectrum, grid = free.spectrum, free.grid
     k = grid.nodes
-    gamma, T, *_ = _barrier_coefficients(k, barrier, mass)
+    gamma, T, *_ = _barrier_coefficients(k, barrier)
     denom = 4.0 * k * gamma / T
-    c1, c2, c3 = _term_weights(barrier, mass)
+    c1, c2, c3 = _term_weights(barrier)
     # term3 kernel is the u = 1 value of the term2 kernel
     kernel3 = (np.exp(2j * a * (k + gamma))
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
@@ -184,10 +184,10 @@ def _decomposed_terms(free: PacketModel, tunneling: PacketModel,
     rows = max(1, _FIELD_ENTRIES // max(1, waves.size))     # times a stack holds
     for i in range(0, ts.size, _TABLE_BLOCK):
         block = ts[i:i + _TABLE_BLOCK]
-        # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2m),
+        # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2),
         # split into x'-independent coefficients (a row per t) and exp(i k x').
         phases = np.exp(-1j * k * spectrum.x_bar
-                        - 1j * HBAR * k * k * block[:, None] / (2.0 * mass))
+                        - 1j * HBAR * k * k * block[:, None] / 2.0)
         coeffs = grid.weights * spectrum.amplitude(k) * phases
         # term3 integrates the transmitted excess |sum c3 e^{ikx'}|^2 from each
         # x to hint_hi: a table per t on the free reference's lattice.
@@ -204,8 +204,7 @@ def _decomposed_terms(free: PacketModel, tunneling: PacketModel,
 
 def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
                        grid: KGrid, x: float, t: float, n_lambda: int = 32,
-                       *, mass: float = 1.0,
-                       tol: Tolerances = DEFAULT_TOL) -> DeltaPTerms:
+                       *, tol: Tolerances = DEFAULT_TOL) -> DeltaPTerms:
     """Positive-definite three-term route to the tail deficit at (x, t).
 
     term1 and term2 are integrals over a thickness fraction u in [0, 1]
@@ -214,10 +213,10 @@ def delta_p_decomposed(spectrum: SpectralFunction, barrier: BarrierSpec,
     x.  Each is nonnegative as computed, so the weighted total certifies
     delta_p >= 0; the u-rule has at least n_lambda nodes (_u_nodes).
     This is the one-point call of the kernel delta_p_report runs per
-    time, on the pair of models built here from spectrum, grid, mass and tol.
+    time, on the pair of models built here from spectrum, grid and tol.
     """
-    free = spectral_free_model(spectrum, grid, mass=mass, tol=tol)
-    tunneling = tunneling_packet_model(spectrum, barrier, grid, mass=mass, tol=tol)
+    free = spectral_free_model(spectrum, grid, tol=tol)
+    tunneling = tunneling_packet_model(spectrum, barrier, grid, tol=tol)
     terms = _decomposed_terms(free, tunneling, [x], [t], n_lambda)
     return DeltaPTerms(*(float(v) for v in terms[:, 0, 0]))
 
@@ -287,7 +286,7 @@ def delta_p_report(free: PacketModel, tunneling: PacketModel,
     term1, term2, term3, totals, free_tails, tunnel_tails = _decomposed_terms(
         free, tunneling, xs, ts, n_lambda, (free, tunneling)).reshape(6, -1)
     direct = free_tails - tunnel_tails
-    c1, c2, c3 = _term_weights(barrier, tunneling.mass)
+    c1, c2, c3 = _term_weights(barrier)
     rel = np.abs(direct - totals) / np.maximum(direct, _AGREEMENT_FLOOR)
     grid = tuple((x, t) for x in xs.tolist() for t in ts.tolist())
     return DeltaPReport(grid=grid, dp_direct=direct, dp_term1=c1 * term1,
@@ -354,14 +353,13 @@ def retardation_scan(free: PacketModel, tunneling: PacketModel,
 
 
 def packet_transmission_probability(spectrum: SpectralFunction,
-                                    barrier: BarrierSpec, grid: KGrid, *,
-                                    mass: float = 1.0) -> float:
+                                    barrier: BarrierSpec, grid: KGrid) -> float:
     """Asymptotic transmitted probability sum w |T(k)|^2 |psi~(k)|^2.
 
     Quantile trajectories with P below this value end up transmitted;
     above it they reverse in front of the barrier.
     """
-    _, T, *_ = _barrier_coefficients(grid.nodes, barrier, mass)
+    _, T, *_ = _barrier_coefficients(grid.nodes, barrier)
     amp = spectrum.amplitude(grid.nodes)
     return float(np.sum(grid.weights * (T.real ** 2 + T.imag ** 2)
                         * (amp.real ** 2 + amp.imag ** 2)))

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DegenerateK, GridTooCoarse, InvalidRange, QuantracerError
 from .numerics import (
     DEFAULT_TOL,
-    N_SIGMA,
     PANEL_NODES,
     KGrid,
     Panels,
@@ -28,6 +27,7 @@ from .numerics import (
     adaptive_panels,
     build_kgrid,
     integrate_adaptive,
+    kgrid_band,
     max_phase_rate,
     nodes_for_phase,
     read_tails,
@@ -83,13 +83,10 @@ class GaussianPacketParams:
     x_bar: float          # mean position at t = 0
     v_bar: float          # mean drift velocity
     sigma_x0: float       # initial spatial width, > 0
-    mass: float = 1.0
 
     def __post_init__(self):
         if not self.sigma_x0 > 0.0:
             raise ValueError("sigma_x0 must be positive")
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
 
     @property
     def sigma_p(self) -> float:
@@ -97,12 +94,12 @@ class GaussianPacketParams:
 
     @functools.cached_property
     def sigma_v(self) -> float:
-        return self.sigma_p / self.mass
+        return self.sigma_p
 
     @property
     def k_bar(self) -> float:
         """Mean wave number of the matching spectral function."""
-        return self.mass * self.v_bar / HBAR
+        return self.v_bar / HBAR
 
     @property
     def sigma_k(self) -> float:
@@ -325,10 +322,10 @@ FreeGaussianModel = DissipativeGaussianModel
 # ---------------------------------------------------------------------------
 
 
-def _barrier_coefficients(k, barrier: BarrierSpec, mass: float = 1.0):
+def _barrier_coefficients(k, barrier: BarrierSpec):
     """Vectorized matching coefficients (gamma, T, R, A, B) at wave numbers k.
 
-    gamma is the principal square root of k^2 - 2 m V / hbar^2.  Under the
+    gamma is the principal square root of k^2 - 2 V / hbar^2.  Under the
     barrier that puts gamma on the positive imaginary axis, so the interior
     component decays and T -> 1 stays continuous as V -> 0.  T comes from
     the closed-form denominator; A, B, R then follow from continuity of
@@ -337,11 +334,11 @@ def _barrier_coefficients(k, barrier: BarrierSpec, mass: float = 1.0):
     """
     k = np.asarray(k, dtype=float)
     a = barrier.half_width
-    two_m_v = 2.0 * mass * barrier.height / HBAR ** 2
-    gamma = np.sqrt(np.asarray(k * k - two_m_v, dtype=complex))
+    two_v = 2.0 * barrier.height / HBAR ** 2
+    gamma = np.sqrt(np.asarray(k * k - two_v, dtype=complex))
     # Below ~1e-5 relative the 1/gamma cancellation in A, B costs more than
     # six digits; the degeneracy is measure zero, so refuse rather than drift.
-    if np.any(np.abs(gamma) <= 1e-5 * np.sqrt(k * k + two_m_v)):
+    if np.any(np.abs(gamma) <= 1e-5 * np.sqrt(k * k + two_v)):
         raise DegenerateK(
             "a wave number sits at the barrier-top degeneracy gamma = 0; "
             "shift the grid or node count"
@@ -361,15 +358,15 @@ def _barrier_coefficients(k, barrier: BarrierSpec, mass: float = 1.0):
     return gamma, T, R, A, B
 
 
-def _barrier_poles(barrier: BarrierSpec, mass: float, k_lo: float, k_hi: float) -> np.ndarray:
+def _barrier_poles(barrier: BarrierSpec, k_lo: float, k_hi: float) -> np.ndarray:
     """The poles k (Re k > 0; none at V = 0) of T near the band [k_lo, k_hi],
     which R, A and B share (all divide by D), by Newton on D's factors
-    (k + gamma) -+ (k - gamma) e^{2ia gamma}, k = sqrt(gamma^2 + 2mV/hbar^2):
+    (k + gamma) -+ (k - gamma) e^{2ia gamma}, k = sqrt(gamma^2 + 2V/hbar^2):
     from gamma_n = n pi / 2a, sign (-1)^n, and Im k ~ -gamma_n^2 / (a
     k_n^2), for the n (at least 1, at most 4096 about the centre) whose k_n
     lies within 8 half-bands of the band's centre.  Seeds that do not
     converge, or reach the removable root gamma = 0, are dropped."""
-    q, a = 2.0 * mass * barrier.height / HBAR ** 2, barrier.half_width
+    q, a = 2.0 * barrier.height / HBAR ** 2, barrier.half_width
     if q == 0.0:
         return np.empty(0, dtype=complex)
     c, h = 0.5 * (k_hi + k_lo), 0.5 * (k_hi - k_lo)
@@ -391,12 +388,12 @@ def _barrier_poles(barrier: BarrierSpec, mass: float, k_lo: float, k_hi: float) 
 
 
 @functools.lru_cache(maxsize=64)
-def _pole_rho(barrier: BarrierSpec | None, mass: float, k_lo: float, k_hi: float) -> float:
+def _pole_rho(barrier: BarrierSpec | None, k_lo: float, k_hi: float) -> float:
     """rho of the Bernstein ellipse E_rho of [k_lo, k_hi] through T's nearest
     pole (its mirror -conj k lies further out), inf without a barrier."""
     if barrier is None:
         return math.inf
-    z = (_barrier_poles(barrier, mass, k_lo, k_hi) - 0.5 * (k_hi + k_lo)) / (0.5 * (k_hi - k_lo))
+    z = (_barrier_poles(barrier, k_lo, k_hi) - 0.5 * (k_hi + k_lo)) / (0.5 * (k_hi - k_lo))
     return float(np.min(np.abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)), initial=math.inf))
 
 
@@ -494,11 +491,11 @@ class ScatteringMode:
         return _shaped(x, _mode_sums(x, 0.0, self._regions)[1])
 
 
-def scattering_mode(k: float, barrier: BarrierSpec, mass: float = 1.0) -> ScatteringMode:
+def scattering_mode(k: float, barrier: BarrierSpec) -> ScatteringMode:
     """Matched scattering state for a unit wave incident from the left."""
     if not k > 0.0:     # NaN too
         raise DegenerateK("wave number must be positive")
-    gamma, T, R, A, B = _barrier_coefficients(np.array([float(k)]), barrier, mass)
+    gamma, T, R, A, B = _barrier_coefficients(np.array([float(k)]), barrier)
     return ScatteringMode(k=float(k), barrier=barrier, gamma=complex(gamma[0]),
                           T=complex(T[0]), R=complex(R[0]),
                           A=complex(A[0]), B=complex(B[0]))
@@ -675,7 +672,7 @@ class SpectralPacketModel(PacketModel):
     """Packet built as a weighted sum of modes over a wave-number grid.
 
     The amplitude is sum_j w_j psi~(k_j) phi_{k_j}(x) exp(-i k_j x_bar
-    - i hbar k_j^2 t / 2m), with phi the matched modes of ``barrier``; with
+    - i hbar k_j^2 t / 2), with phi the matched modes of ``barrier``; with
     ``barrier=None`` they are the V = 0 modes, plane waves, and the model is
     the free reference.  The spatial derivative is taken analytically
     per mode, never by finite differences, so the current stays clean near
@@ -695,19 +692,17 @@ class SpectralPacketModel(PacketModel):
     """
 
     def __init__(self, spectrum: SpectralFunction, grid: KGrid,
-                 barrier: BarrierSpec | None, *, mass: float = 1.0,
-                 tol: Tolerances = DEFAULT_TOL):
+                 barrier: BarrierSpec | None, *, tol: Tolerances = DEFAULT_TOL):
         self.spectrum = spectrum
         self.grid = grid
         self.barrier = barrier
-        self.mass = float(mass)
         self.tol = tol
         k = grid.nodes
         self._base_coeffs = (grid.weights * spectrum.amplitude(k)
                              * np.exp(-1j * k * spectrum.x_bar) / math.sqrt(2.0 * math.pi))
         # Time-independent factor of the mode phases, -i hbar k^2.
         self._phase_rate = -1j * HBAR * k ** 2
-        rate = self._phase_rate / (2.0 * self.mass)
+        rate = self._phase_rate / 2.0
         # Lattice pitches, two periods of rho's fastest beat: k + k' <= 2
         # k_max left of the barrier, |k - k'| <= k_max - k_min right of it
         # (the transmitted wave alone) and on all of the free reference.
@@ -715,29 +710,29 @@ class SpectralPacketModel(PacketModel):
         self._pitch = 4.0 * math.pi / (2.0 * grid.k_max) if barrier else self._pitch_right
         # The regions in _mode_sums order, their panel matrices kept across times.
         self._regions = _barrier_regions(
-            k, _barrier_coefficients(k, barrier, self.mass), barrier.half_width,
+            k, _barrier_coefficients(k, barrier), barrier.half_width,
             self._base_coeffs, rate, (self._pitch_right, self._pitch)) if barrier else [
             _Region(k, 1.0, None, (-math.inf, math.inf), self._base_coeffs, rate,
                     0.5 * self._pitch_right, 0.0)]
         # Curvature jumps of rho, kept as panel edges by every quadrature.
         self._cuts = () if barrier is None else (-barrier.half_width, barrier.half_width)
         self._sigma_x0 = 1.0 / (2.0 * spectrum.sigma_k)
-        self._sigma_v = HBAR * spectrum.sigma_k / self.mass
+        self._sigma_v = HBAR * spectrum.sigma_k
         # The phase guard's limit: the pole's ellipse, the largest rate the grid resolves.
-        self._rho_max = _pole_rho(barrier, self.mass, grid.k_min, grid.k_max)
+        self._rho_max = _pole_rho(barrier, grid.k_min, grid.k_max)
         self._max_rate = max_phase_rate(grid.size, grid.k_min, grid.k_max, rho_max=self._rho_max)
 
     def _coeffs(self, ts) -> np.ndarray:
         """Mode coefficients at each time of ts (or at one t), (n_t, n_k)."""
-        phases = np.exp(np.outer(ts, self._phase_rate) / (2.0 * self.mass))
+        phases = np.exp(np.outer(ts, self._phase_rate) / 2.0)
         return self._base_coeffs * phases
 
     def _check_resolution(self, x_abs: float, t: float) -> None:
         """GridTooCoarse (InvalidRange for a NaN) where the phase rate at
-        |x| = x_abs and time t, |x| + |x_bar| + hbar k_max |t| / m (a bound
+        |x| = x_abs and time t, |x| + |x_bar| + hbar k_max |t| (a bound
         on |d phase/dk| over every mode branch), exceeds the largest the
         grid resolves under the model's barrier poles."""
-        rate = x_abs + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max * abs(t) / self.mass
+        rate = x_abs + abs(self.spectrum.x_bar) + HBAR * self.grid.k_max * abs(t)
         if not rate <= self._max_rate:
             if math.isnan(rate):    # not the bound's "phase rate nan" message
                 raise InvalidRange(f"field {'time' if math.isnan(t) else 'position'} is NaN")
@@ -770,7 +765,7 @@ class SpectralPacketModel(PacketModel):
 
     def current(self, x, t):
         psi, dpsi = self._fields(x, float(t))
-        return _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
+        return _shaped(x, HBAR * _flux(psi, dpsi))
 
     def density_and_current(self, x, t):
         if isinstance(x, float):    # the ODE route's one point: the guard, then its region's kernel
@@ -778,9 +773,9 @@ class SpectralPacketModel(PacketModel):
             self._check_resolution(abs(x), t)
             psi, dpsi = _region_fields(r[0] if x > r[0].bounds[0] else r[1] if x < r[1].bounds[1]
                                        else r[2], x, t).tolist()
-            return _density(psi), (HBAR / self.mass) * _flux(psi, dpsi)
+            return _density(psi), HBAR * _flux(psi, dpsi)
         psi, dpsi = self._fields(x, float(t))
-        return _shaped(x, _density(psi)), _shaped(x, (HBAR / self.mass) * _flux(psi, dpsi))
+        return _shaped(x, _density(psi)), _shaped(x, HBAR * _flux(psi, dpsi))
 
     def tail(self, x, t) -> float:
         """Mass right of x by an adaptive quadrature of rho over [x, hint top] (x
@@ -802,10 +797,10 @@ class SpectralPacketModel(PacketModel):
         the fastest and slowest branches, both ways with a barrier."""
         if not math.isfinite(t):
             raise InvalidRange(f"time must be finite, got t = {t}")
-        pad, c, v_hi = 8.0 * self.spread(t), self.spectrum.x_bar, HBAR * self.grid.k_max / self.mass
+        pad, c, v_hi = 8.0 * self.spread(t), self.spectrum.x_bar, HBAR * self.grid.k_max
         if self.barrier is not None:    # the reflected branch goes as far as the transmitted
             return -(abs(c) + v_hi * abs(t) + pad), abs(c) + v_hi * abs(t) + pad
-        return c + HBAR * self.grid.k_min / self.mass * t - pad, c + v_hi * t + pad
+        return c + HBAR * self.grid.k_min * t - pad, c + v_hi * t + pad
 
     def _lattice(self, t: float) -> np.ndarray:
         """Initial panel edges of the tables at time t (_lattice_edges over
@@ -816,7 +811,7 @@ class SpectralPacketModel(PacketModel):
         """Where tables at times ts for levels up to P must reach anyway: the uncut Gaussian's
         quantile Phi^-1(1 - P), raised by 1e-3 spread(t) over the cut's 2.706e-4 (stock packet),
         and at least a barrier's edge a: beyond a, no tunneled quantile leads its free twin."""
-        z, v = _upper_normal_quantile(P) + 1e-3, HBAR * self.spectrum.k_bar / self.mass
+        z, v = _upper_normal_quantile(P) + 1e-3, HBAR * self.spectrum.k_bar
         edge = self._regions[0].bounds[0]     # the barrier's right edge, or -inf
         return [max(self.spectrum.x_bar + v * t + self.spread(t) * z, edge) for t in ts]
 
@@ -938,46 +933,42 @@ def lockstep_tails(sources, x, t) -> np.ndarray:
 
 
 def spectral_free_model(spectrum: SpectralFunction, grid: KGrid, *,
-                        mass: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> SpectralPacketModel:
+                        tol: Tolerances = DEFAULT_TOL) -> SpectralPacketModel:
     """Free packet on the same grid and 6 sigma cut spectrum: the reference for
     barrier comparisons (``tunnel``'s x_free), not the closed-form Gaussian,
     whose stock-packet quantiles lie up to 2.706e-4 away (P = 0.002, t = 10)."""
-    return SpectralPacketModel(spectrum, grid, None, mass=mass, tol=tol)
+    return SpectralPacketModel(spectrum, grid, None, tol=tol)
 
 
 def tunneling_packet_model(spectrum: SpectralFunction, barrier: BarrierSpec,
-                           grid: KGrid, *, mass: float = 1.0,
-                           tol: Tolerances = DEFAULT_TOL) -> SpectralPacketModel:
+                           grid: KGrid, *, tol: Tolerances = DEFAULT_TOL) -> SpectralPacketModel:
     """Packet scattering off the square barrier, mode by mode."""
-    return SpectralPacketModel(spectrum, grid, barrier, mass=mass, tol=tol)
+    return SpectralPacketModel(spectrum, grid, barrier, tol=tol)
 
 
 def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float, t_max: float, *,
-                           mass: float = 1.0, barrier: BarrierSpec | None = None) -> int:
+                           barrier: BarrierSpec | None = None) -> int:
     """Least even wave-number node count whose phase guard admits every
     table and field of the support hint at times in [0, t_max].
 
     The rate (nodes_for_phase) is the guard's at the hint's end as it snaps
-    at t_max: the reach |x_bar| + hbar k_max t_max / m + 8 spread(t_max),
+    at t_max: the reach |x_bar| + hbar k_max t_max + 8 spread(t_max),
     both ways as with a barrier, plus the lattice's coarsest pitch there
     (no snap goes further, and no pitch shrinks with time).  ``barrier``
     (None for the free reference) caps the ellipses at T's nearest pole
-    (_pole_rho).
+    (_pole_rho).  A band build_kgrid refuses is an InvalidRange here too.
     """
-    k_hi = k_bar + N_SIGMA * sigma_k
-    k_lo = max(0.0, k_bar - N_SIGMA * sigma_k)
-    if not k_lo < k_hi:     # an empty band, which build_kgrid refuses
-        return 64
-    v_hi = HBAR * k_hi / mass
+    k_lo, k_hi = kgrid_band(k_bar, sigma_k)
+    v_hi = HBAR * k_hi
     reach = abs(x_bar) + v_hi * t_max + 8.0 * _width_at(1.0 / (2.0 * sigma_k),
-                                                        HBAR * sigma_k / mass, t_max)
+                                                        HBAR * sigma_k, t_max)
     pitch_r = 4.0 * math.pi / (k_hi - k_lo)      # as SpectralPacketModel's
     pitch = 4.0 * math.pi / (2.0 * k_hi) if barrier else pitch_r
     snap = (float(np.max(np.diff(_lattice_edges(-reach, reach, pitch, pitch_r, barrier))))
             if reach < math.inf else reach)      # an infinite rate is an InvalidRange below
     n = nodes_for_phase(reach + snap + abs(x_bar) + v_hi * t_max, k_lo, k_hi,
-                        rho_max=_pole_rho(barrier, mass, k_lo, k_hi))
-    return n + n % 2    # even, so k_bar (gamma = 0 where V = hbar^2 k_bar^2 / 2m) is no node
+                        rho_max=_pole_rho(barrier, k_lo, k_hi))
+    return n + n % 2    # even, so k_bar (gamma = 0 where V = hbar^2 k_bar^2 / 2) is no node
 
 
 def spectral_setup(params: GaussianPacketParams, t_max: float, *, n_nodes: int | None = None,
@@ -986,7 +977,7 @@ def spectral_setup(params: GaussianPacketParams, t_max: float, *, n_nodes: int |
     (recommended_node_count under ``barrier``, unless n_nodes is given)."""
     if n_nodes is None:
         n_nodes = recommended_node_count(params.k_bar, params.sigma_k, params.x_bar,
-                                         t_max, mass=params.mass, barrier=barrier)
+                                         t_max, barrier=barrier)
     grid = build_kgrid(params.k_bar, params.sigma_k, n_nodes=n_nodes)
     return SpectralFunction.for_packet(params, grid), grid
 
@@ -1003,7 +994,6 @@ class Gaussian3DParams:
     center: tuple[float, float, float]
     velocity: tuple[float, float, float]
     sigma_x0: float
-    mass: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -1012,12 +1002,10 @@ class Gaussian3DParams:
             raise ValueError("center and velocity must have three components")
         if not self.sigma_x0 > 0.0:
             raise ValueError("sigma_x0 must be positive")
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
 
     @functools.cached_property
     def sigma_v(self) -> float:
-        return HBAR / (2.0 * self.sigma_x0) / self.mass
+        return HBAR / (2.0 * self.sigma_x0)
 
     def sigma_x(self, t) -> float:
         return _width_at(self.sigma_x0, self.sigma_v, t)

@@ -83,15 +83,15 @@ def square_barrier_transmission(k, height, half_width):
     return float(1 / (1 + V**2 * mp.sin(2 * a * q) ** 2 / (4 * E * (E - V))))
 
 
-def mode_fields(x, t, k, gamma, T, R, A, B, weight, half_width, mass=1.0):
-    """psi and d psi/dx at (x, t) of sum_j weight_j phi_j(x) e^{-i k_j^2 t / 2m}
-    (hbar = 1), one mode at a time in cmath: phi = e^{ikx} + R e^{-ikx} for
+def mode_fields(x, t, k, gamma, T, R, A, B, weight, half_width):
+    """psi and d psi/dx at (x, t) of sum_j weight_j phi_j(x) e^{-i k_j^2 t / 2}
+    (hbar = m = 1), one mode at a time in cmath: phi = e^{ikx} + R e^{-ikx} for
     x < -a, A e^{i gamma x} + B e^{-i gamma x} for -a <= x <= a and T e^{ikx}
     for x > a, with a = half_width."""
     psi = dpsi = 0j
     modes = zip(*(np.asarray(c).tolist() for c in (k, gamma, T, R, A, B, weight)))
     for kj, gj, tj, rj, aj, bj, wj in modes:
-        phase = wj * cmath.exp(-1j * kj * kj * t / (2.0 * mass))
+        phase = wj * cmath.exp(-1j * kj * kj * t / 2.0)
         if x < -half_width:
             q, up, down = kj, cmath.exp(1j * kj * x), rj * cmath.exp(-1j * kj * x)
         elif x > half_width:

@@ -10,7 +10,8 @@ import math
 import os
 import platform
 import re
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -111,12 +112,12 @@ def contract_argv(draw):
 # the ones each fuzzed command reads.  Every float is drawn as that value, an
 # edge float or a random magnitude.
 CONFIG_ONLY = {
-    "sigma_x0": 2.5, "x_bar": -10.0, "v_bar": 2.0, "mass": 1.0, "radius": 2.5,
+    "sigma_x0": 2.5, "x_bar": -10.0, "v_bar": 2.0, "radius": 2.5,
     "center": (0.0, 0.0, 0.0), "velocity": (2.0, 0.0, 0.0), "quad_rel": 1e-9,
     "quad_abs": 1e-12, "root_abs": 1e-10, "ode_rel": 1e-8, "ode_abs": 1e-10,
     "delta_x": (0.5, 1.0), "delta_t": (0.5, 1.0),
 }
-PACKET_KEYS = ("sigma_x0", "mass", *cli.TOLERANCE_KEYS)
+PACKET_KEYS = ("sigma_x0", *cli.TOLERANCE_KEYS)
 COMMAND_KEYS = {
     "free": PACKET_KEYS + ("x_bar", "v_bar"),
     "dissipative": PACKET_KEYS + ("x_bar", "v_bar"),
@@ -231,24 +232,17 @@ class TestConfigResolution:
             with pytest.raises(cli.ConfigError, match=rf"^{key} = .* range \[2.22e-14, 1\]$"):
                 validate_config(ScenarioConfig(**{key: value}))
 
-    @pytest.mark.parametrize("command, mass", [
-        # sigma_v ** 2 overflowed in the 3D velocity field (an OverflowError
-        # traceback), and an infinite sigma_v made the flow-map ODE loop.
-        ("sphere3d", "1e-300"), ("sphere3d", "5e-324"),
-        # sigma_v = 2e-301 is below the range's floor.
-        ("free", "1e300")])
-    def test_mass_outside_the_velocity_width_range_exits_2(self, tmp_path, capsys,
-                                                           command, mass):
+    @pytest.mark.parametrize("command", ["free", "tunnel", "sphere3d"])
+    def test_a_mass_in_a_config_file_exits_2(self, tmp_path, capsys, command):
+        # Units are hbar = m = 1: another mass is a rescaling of lengths
+        # (README), not a key.
         conf = tmp_path / "mass.conf"
-        conf.write_text(f"mass = {mass}\n", encoding="utf-8")
+        conf.write_text("mass = 2\n", encoding="utf-8")
         assert run_cli(tmp_path, command, "--t-max", "1", "--config", str(conf)) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"mass = {float(mass):g} gives" in err
+        assert err.count("\n") == 1 and "unknown key 'mass'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mass.conf"]
-
-    def test_masses_inside_the_velocity_width_range_are_accepted(self):
-        for mass in (1e-140, 1e140):
-            validate_config(ScenarioConfig(mass=mass))
+        assert "mass" not in {f.name for f in fields(ScenarioConfig)}
 
     def test_sphere3d_spread_past_its_cap_exits_2(self, tmp_path, capsys):
         # sigma_x(t) ** 2 overflowed in the velocity field at t = 1e200.
@@ -342,7 +336,7 @@ class TestConfigResolution:
     # Two inputs that escaped as tracebacks, from Tolerances() and from
     # sigma_v ** 2 in the 3D velocity field; both are now refused.
     @example(case=("free", {"ode_abs": (0.0,)}))
-    @example(case=("sphere3d", {"mass": (1e-300,)}))
+    @example(case=("sphere3d", {"sigma_x0": (1e-160,)}))
     def test_any_config_file_ends_in_a_contract_exit(self, tmp_path, capsys, case):
         # The config-only keys, which the flag fuzzer above cannot reach;
         # delta-p gets one report time unless delta_t is drawn.
@@ -493,6 +487,19 @@ class TestFreeCommand:
                             "python": platform.python_version(),
                             "numpy": np.__version__, "scipy": scipy.__version__}
 
+    def test_manifest_reads_scipy_without_importing_it(self, monkeypatch):
+        # The library needs no scipy: without a loaded scipy the version
+        # comes from the installed metadata, and "absent" without one.
+        import importlib.metadata
+
+        def missing(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.delitem(sys.modules, "scipy")
+        assert cli._scipy_version() == scipy.__version__ and "scipy" not in sys.modules
+        monkeypatch.setattr(importlib.metadata, "version", missing)
+        assert cli._scipy_version() == "absent"
+
 
 class TestDissipativeCommand:
     def test_termination_row_has_exact_time(self, tmp_path):
@@ -603,13 +610,11 @@ class TestTunnelCommand:
         # Levels below the transmitted fraction cross the barrier, so the
         # preset's retardation check compares something.
         cfg = resolve_config(build_parser().parse_args(["tunnel", "--preset", "fig2"]))
-        packet = GaussianPacketParams(x_bar=cfg.x_bar, v_bar=cfg.v_bar,
-                                      sigma_x0=cfg.sigma_x0, mass=cfg.mass)
+        packet = GaussianPacketParams(x_bar=cfg.x_bar, v_bar=cfg.v_bar, sigma_x0=cfg.sigma_x0)
         spectrum, grid = spectral_setup(packet, cfg.t_max)
         barrier = BarrierSpec(height=cfg.barrier_height,
                               half_width=cfg.barrier_halfwidth)
-        transmitted = packet_transmission_probability(spectrum, barrier, grid,
-                                                      mass=cfg.mass)
+        transmitted = packet_transmission_probability(spectrum, barrier, grid)
         assert min(cfg.p_list) < transmitted
 
     def test_wide_packet_runs_the_preset(self, tmp_path):
@@ -779,15 +784,33 @@ class TestVerifyCommand:
         assert run_cli(tmp_path, "verify", *["--quick"] * quick) == 0
         assert len(setups) == 1 and setups[0][1] == 8.0 and len(models) == 2
 
+    @pytest.mark.parametrize("argv", [("tunnel", "--preset", "fig2"),
+                                      ("tunnel", "--preset", "fig2", "--k-nodes", "128"),
+                                      ("delta-p", "--preset", "fig2"), ("verify", "--quick")])
+    @pytest.mark.parametrize("v_bar", ["0.5", "1.0"])
+    def test_a_band_reaching_k0_exits_2(self, tmp_path, capsys, argv, v_bar):
+        # The grid cut the band at k = 0: tunnel exited 0 tracing another
+        # packet (its free twin 0.224 from the Gaussian at 0.5) and delta-p
+        # exited 1.  The refusal comes before the grid is sized or built.
+        conf = tmp_path / "slow.conf"
+        conf.write_text(f"v_bar = {v_bar}\n", encoding="utf-8")
+        assert run_cli(tmp_path, *argv, "--config", str(conf)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert f"v_bar = {float(v_bar):g}, sigma_x0 = 2.5: wave-number band [" in err
+        assert "reaches k <= 0; spectral packets need v_bar * sigma_x0 > 3" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["slow.conf"]
+
     def test_oversized_shared_grid_exits_2(self, tmp_path, capsys):
-        # sigma_x0 = 0.1 needs 7004 nodes at t = 8: the run is refused with
-        # one line, where each spectral check used to fail on its own.
+        # sigma_x0 = 0.2 at v_bar = 16 (its band [1, 31] above k = 0) needs
+        # 5242 nodes at t = 8: the run is refused with one line, where each
+        # spectral check used to fail on its own.
         conf = tmp_path / "narrow.conf"
-        conf.write_text("sigma_x0 = 0.1\n", encoding="utf-8")
+        conf.write_text("sigma_x0 = 0.2\nv_bar = 16\n", encoding="utf-8")
         assert run_cli(tmp_path, "verify", "--quick", "--config", str(conf)) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert "times up to 8 need 7e+03 wave-number nodes" in err
+        assert "times up to 8 need 5.24e+03 wave-number nodes" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.conf"]
 
     @pytest.mark.parametrize("command", ["tunnel", "delta-p", "verify"])

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import os
@@ -37,6 +38,7 @@ from quantracer.wavepacket import (
     DissipativeGaussianModel,
     FreeGaussianModel,
     GaussianPacketParams,
+    recommended_node_count,
     spectral_setup,
     tunneling_packet_model,
 )
@@ -329,6 +331,17 @@ class TestBuildKGrid:
     def test_negative_band_rejected(self):
         with pytest.raises(InvalidRange):
             build_kgrid(-5.0, 0.2, n_nodes=128)
+
+    @pytest.mark.parametrize("k_mean", [0.5, 1.0, 1.2, math.nan])
+    def test_a_band_reaching_k0_is_refused(self, k_mean):
+        # Every mode is incident from the left: the band k_mean -+ 6 * 0.2
+        # was cut at k = 0, which built another packet than the Gaussian.
+        # 1.2 - 6 * 0.2 rounds to -2.2e-16.
+        for build in (functools.partial(build_kgrid, n_nodes=128),
+                      functools.partial(recommended_node_count, x_bar=-10.0, t_max=10.0)):
+            with pytest.raises(InvalidRange, match="reaches k <= 0"):
+                build(k_mean, 0.2)
+        assert build_kgrid(1.2 + 1e-15, 0.2, n_nodes=64).k_min > 0.0
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -725,9 +738,9 @@ def _run_fresh(code, cwd=None):
 
 
 def test_package_import_loads_no_scipy():
-    # erfc is math.erfc, and the library's only scipy import is cli's
-    # ``import scipy`` for the manifest's version field, so importing the
-    # package stays numpy-only.
+    # erfc is math.erfc, and the library imports no scipy (cli reads its
+    # version from the installed metadata), so importing the package stays
+    # numpy-only.
     code = ("import sys, quantracer; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run_fresh(code).strip() == "[]"
@@ -738,8 +751,7 @@ def test_library_runs_load_no_scipy_submodule(tmp_path):
     # Dormand-Prince loop and the mass in a 3D ball takes math.erf:
     # inversions, a retardation scan, trajectories on both routes, a 3D
     # flow map and its enclosed probability, and CLI runs of every ODE
-    # command leave scipy.integrate, scipy.optimize and scipy.special
-    # unloaded.
+    # command, manifests included, leave every scipy module unloaded.
     code = """if True:
         import sys
         import numpy as np
@@ -762,8 +774,7 @@ def test_library_runs_load_no_scipy_submodule(tmp_path):
             assert cli.main([command, "--t-max", "1", "--p-list", "0.5"]) == 0
         assert cli.main(["sphere3d", "--t-max", "2"]) == 0
         assert cli.main(["verify", "--quick"]) == 0
-        print(sorted(m for m in sys.modules if m.startswith(
-            ("scipy.integrate", "scipy.optimize", "scipy.special"))))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """
     assert _run_fresh(code, cwd=tmp_path).strip().splitlines()[-1] == "[]"
     for name in ("tunnel_trajectories", "free_trajectories",

@@ -238,7 +238,7 @@ class TestDeltaPReport:
         xs, ts = [2.9, 0.45, 60.0, 1.3, 2.9], [7.5, 0.0, 3.0]
         report = delta_p_report(free, tunnel, x_values=xs, t_values=ts)
         assert report.grid == tuple((x, t) for x in xs for t in ts)
-        weights = _term_weights(DEFAULT_BARRIER, tunnel.mass)
+        weights = _term_weights(DEFAULT_BARRIER)
         for i, (x, t) in enumerate(report.grid):
             terms = delta_p_decomposed(spectrum, DEFAULT_BARRIER, grid, x, t)
             assert abs(report.dp_direct[i]
@@ -274,15 +274,17 @@ class TestDeltaPReport:
                 delta_p_report(free, tunnel, x_values=[1.0], t_values=[1.0])
 
     def test_refuses_a_pair_on_two_grids_or_masses(self, fig2):
-        # Both routes read one grid and one mass; a coarser grid on the same
-        # band keeps the spectrum, so only the grid check can refuse it.
+        # Both routes read one grid; a coarser grid on the same band keeps
+        # the spectrum, so only the grid check can refuse it.  The units
+        # hbar = m = 1 fix the mass, so no model is built with another.
         spectrum, grid, free, _ = fig2
         same, coarse = spectral_setup(DEFAULT_PACKET, t_max=10.0, n_nodes=64)
         assert same == spectrum
-        for tunnel in (tunneling_packet_model(spectrum, DEFAULT_BARRIER, coarse),
-                       tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid, mass=2.0)):
-            with pytest.raises(InvalidRange, match="one mass and one wave-number grid"):
-                delta_p_report(free, tunnel, x_values=[1.0], t_values=[1.0])
+        with pytest.raises(InvalidRange, match="one wave-number grid"):
+            delta_p_report(free, tunneling_packet_model(spectrum, DEFAULT_BARRIER, coarse),
+                           x_values=[1.0], t_values=[1.0])
+        with pytest.raises(TypeError, match="mass"):
+            tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid, mass=2.0)
 
     def test_runs_on_the_pair_it_is_given(self, fig2, monkeypatch):
         # The decomposed route reads the pair's free model: a report builds
@@ -453,7 +455,7 @@ class TestOnePassPerPair:
         report = delta_p_report(free, tunnel, x_values=xs, t_values=ts)
         direct = (free.tails(xs, ts) - tunnel.tails(xs, ts)).T.ravel()
         terms = tunneling._decomposed_terms(free, tunnel, xs, ts, 32).reshape(4, -1)
-        c1, c2, c3 = _term_weights(DEFAULT_BARRIER, tunnel.mass)
+        c1, c2, c3 = _term_weights(DEFAULT_BARRIER)
         assert np.array_equal(report.dp_direct, direct)
         for got, want in zip((report.dp_term1, report.dp_term2, report.dp_term3, report.dp_total),
                              (c1 * terms[0], c2 * terms[1], c3 * terms[2], terms[3])):

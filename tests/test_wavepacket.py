@@ -4,6 +4,7 @@ Oracle values were computed with the high-precision routines in
 ``oracles.py`` before the implementation and are frozen here as literals.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -101,16 +102,12 @@ _NAN_FIELDS = {
     "Tolerances.ode_rel": functools.partial(Tolerances, ode_rel=math.nan),
     "Tolerances.ode_abs": functools.partial(Tolerances, ode_abs=math.nan),
     "GaussianPacketParams.sigma_x0": functools.partial(GaussianPacketParams, 0.0, 1.0, math.nan),
-    "GaussianPacketParams.mass": functools.partial(GaussianPacketParams, 0.0, 1.0, 2.5,
-                                                   mass=math.nan),
     "BarrierSpec.height": functools.partial(BarrierSpec, math.nan, 0.3),
     "BarrierSpec.half_width": functools.partial(BarrierSpec, 10.0, math.nan),
     "DissipativeGaussianModel.loss_rate": functools.partial(DissipativeGaussianModel,
                                                             DEFAULT_PACKET, math.nan),
     "Gaussian3DParams.sigma_x0": functools.partial(Gaussian3DParams, (0.0, 0.0, 0.0),
                                                    (2.0, 0.0, 0.0), math.nan),
-    "Gaussian3DParams.mass": functools.partial(Gaussian3DParams, (0.0, 0.0, 0.0),
-                                               (2.0, 0.0, 0.0), 2.5, mass=math.nan),
     "SpectralFunction.sigma_k": functools.partial(SpectralFunction.truncated_gaussian,
                                                   2.0, math.nan, -10.0, (0.8, 3.2)),
 }
@@ -122,6 +119,36 @@ def test_nan_fails_every_positivity_check(build):
     # quad_rel=nan ran to the panel cap, a NaN loss rate to a NaN root function.
     with pytest.raises(ValueError, match="must be"):
         build()
+
+
+@pytest.mark.parametrize("M, a", [(0.5, 0.3), (2.0, 0.3), (1836.0, 0.01)])
+def test_another_mass_is_a_length_rescaling(M, a):
+    # Units are hbar = m = 1.  A mass-M particle obeys the m = 1 equation in
+    # y = sqrt(M) x, so the m = 1 results with lengths and velocities times
+    # sqrt(M) and wave numbers over sqrt(M) are the textbook mass-M ones,
+    # once positions are divided back by sqrt(M).
+    s, x_bar, v_bar, sigma0 = math.sqrt(M), -10.0, 2.0, 2.5
+    model = FreeGaussianModel(GaussianPacketParams(x_bar * s, v_bar * s, sigma0 * s))
+    for t in (0.0, 1.0, 5.0, 10.0):
+        centre = x_bar + v_bar * t
+        width = sigma0 * math.sqrt(1.0 + (HBAR * t / (2.0 * M * sigma0 ** 2)) ** 2)
+        assert model.params.center(t) / s == pytest.approx(centre, rel=1e-15)
+        assert model.params.sigma_x(t) / s == pytest.approx(width, rel=1e-14)
+        for P, z in ((0.1, 1.2815515655446004), (0.5, 0.0), (0.9, -1.2815515655446004)):
+            assert quantile_position(model, P, t) / s == pytest.approx(centre + width * z,
+                                                                       abs=1e-9)
+    # The square barrier's T at energies below and above V = 10: the
+    # textbook e^{-2ika} / (cos 2qa - i (k^2 + q^2) / (2kq) sin 2qa), with
+    # k = sqrt(2 M E) / hbar and q = sqrt(2 M (E - V)) / hbar.
+    V = 10.0
+    for E in (2.0, 7.0, 12.0, 30.0):
+        k, q = math.sqrt(2.0 * M * E) / HBAR, cmath.sqrt(2.0 * M * (E - V)) / HBAR
+        want = cmath.exp(-2j * k * a) / (cmath.cos(2.0 * q * a) - 1j * (k * k + q * q)
+                                         / (2.0 * k * q) * cmath.sin(2.0 * q * a))
+        got = scattering_mode(k / s, BarrierSpec(height=V, half_width=a * s)).T
+        assert abs(got - want) <= 1e-12 * abs(want)
+    with pytest.raises(TypeError, match="mass"):
+        GaussianPacketParams(x_bar, v_bar, sigma0, mass=M)
 
 
 class TestGaussianPacketParams:
@@ -141,7 +168,7 @@ class TestGaussianPacketParams:
         with pytest.raises(ValueError):
             GaussianPacketParams(x_bar=0.0, v_bar=0.0, sigma_x0=0.0)
         with pytest.raises(ValueError):
-            GaussianPacketParams(x_bar=0.0, v_bar=0.0, sigma_x0=1.0, mass=-1.0)
+            GaussianPacketParams(x_bar=0.0, v_bar=0.0, sigma_x0=-1.0)
 
 
 class TestFreeGaussianModel:
@@ -548,7 +575,7 @@ def _guard_reach(model, t):
 def _full_grid(model, x, t):
     """(rho, current) at x summed over the model's whole grid by _mode_sums."""
     psi, dpsi = wavepacket._mode_sums(x, t, model._regions)
-    return wavepacket._density(psi), (HBAR / model.mass) * wavepacket._flux(psi, dpsi)
+    return wavepacket._density(psi), HBAR * wavepacket._flux(psi, dpsi)
 
 
 class TestRungs:
@@ -1404,7 +1431,7 @@ class TestBarrierPoles:
         # and every root inside the ellipses the bound reaches (rho < e^2)
         # is a pole.
         mpmath = pytest.importorskip("mpmath")
-        poles = wavepacket._barrier_poles(barrier, 1.0, *band)
+        poles = wavepacket._barrier_poles(barrier, *band)
         a, q = barrier.half_width, 2.0 * barrier.height
         c, h = 0.5 * (band[0] + band[1]), 0.5 * (band[1] - band[0])
         roots = []
@@ -1429,10 +1456,10 @@ class TestBarrierPoles:
         # T's nearest pole, 5.4227 - 1.8607i, sits on the ellipse rho 6.41
         # of the stock band; the counts are the phase's alone
         # (test_stock_counts_are_pinned).
-        poles = wavepacket._barrier_poles(DEFAULT_BARRIER, 1.0, 0.8, 3.2)
+        poles = wavepacket._barrier_poles(DEFAULT_BARRIER, 0.8, 3.2)
         nearest = poles[np.argmin(np.abs(poles - 2.0))]
         assert abs(nearest - (5.4227038864605825 - 1.8607268892286075j)) <= 1e-12
-        assert wavepacket._pole_rho(DEFAULT_BARRIER, 1.0, 0.8, 3.2) == pytest.approx(6.412287, abs=1e-6)
+        assert wavepacket._pole_rho(DEFAULT_BARRIER, 0.8, 3.2) == pytest.approx(6.412287, abs=1e-6)
 
     @pytest.mark.parametrize("case", range(len(RESONANT)))
     def test_a_resonant_barrier_is_refused(self, case):
@@ -1441,8 +1468,8 @@ class TestBarrierPoles:
         # the barrier refuses the barrier's model at its first point.
         packet, barrier, t_max, pole, rho = RESONANT[case]
         band = (packet.k_bar - 6.0 * packet.sigma_k, packet.k_bar + 6.0 * packet.sigma_k)
-        assert abs(wavepacket._barrier_poles(barrier, 1.0, *band) - pole).min() <= 1e-12
-        assert wavepacket._pole_rho(barrier, 1.0, *band) == pytest.approx(rho, rel=1e-9)
+        assert abs(wavepacket._barrier_poles(barrier, *band) - pole).min() <= 1e-12
+        assert wavepacket._pole_rho(barrier, *band) == pytest.approx(rho, rel=1e-9)
         args = (packet.k_bar, packet.sigma_k, packet.x_bar, t_max)
         assert recommended_node_count(*args) < 128
         assert recommended_node_count(*args, barrier=barrier) > 4096
