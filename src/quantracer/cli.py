@@ -316,15 +316,15 @@ def write_csv(path: Path, header: list, rows) -> None:
 
 
 def _scipy_version() -> str:
-    """The manifest's scipy version, which the library never imports (only its
-    tests): a loaded scipy's, else the installed one's, else "absent"."""
-    if "scipy" in sys.modules:
-        return sys.modules["scipy"].__version__
-    import importlib.metadata   # about 25 ms, so only once a manifest is written
+    """The manifest's scipy version, "absent" where scipy is not installed
+    (the library needs none; its tests do).  Importing the top-level
+    package costs less than reading the installed metadata, whose
+    importlib.metadata pulls in the email package."""
     try:
-        return importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
+        import scipy
+    except ImportError:
         return "absent"
+    return scipy.__version__
 
 
 def _manifest_path(data_path: Path) -> Path:

@@ -132,9 +132,10 @@ class SpectralFunction:
 
     The amplitude is (2 pi sigma_k^2)^(-1/4) exp(-(k - k_bar)^2 / (4 sigma_k^2))
     restricted to [k_lo, k_hi] and scaled by ``norm`` so the retained
-    |amplitude|^2 mass is exactly one.  Negative wave numbers never
-    contribute (k_lo >= 0), so every superposition built from it moves with
-    a positive spectrum.
+    |amplitude|^2 mass is exactly one.  The support must lie in k >= 0
+    (a ValueError otherwise, not a cut at 0 that would make another
+    packet), so every superposition built from it moves with a positive
+    spectrum.
     """
 
     k_bar: float
@@ -148,10 +149,9 @@ class SpectralFunction:
     def truncated_gaussian(cls, k_bar, sigma_k, x_bar, support) -> "SpectralFunction":
         if not sigma_k > 0.0:
             raise ValueError("sigma_k must be positive")
-        lo = max(float(support[0]), 0.0)
-        hi = float(support[1])
-        if hi <= lo:
-            raise ValueError("empty spectral support")
+        lo, hi = float(support[0]), float(support[1])
+        if not 0.0 <= lo < hi:     # NaN too
+            raise ValueError(f"spectral support [{lo:g}, {hi:g}] is empty or reaches k < 0")
         # Retained |amplitude|^2 mass of the unit Gaussian on [lo, hi].
         scale = math.sqrt(2.0) * sigma_k
         mass = 0.5 * (math.erfc((lo - k_bar) / scale) - math.erfc((hi - k_bar) / scale))

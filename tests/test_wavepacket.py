@@ -431,6 +431,10 @@ class TestSpectralFunction:
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
             SpectralFunction.truncated_gaussian(2.0, 0.2, 0.0, (-3.0, -1.0))
+        # A support reaching below k = 0 was cut there, a NaN one accepted.
+        for support in ((-0.7, 1.7), (math.nan, 1.7)):
+            with pytest.raises(ValueError, match="is empty or reaches k < 0"):
+                SpectralFunction.truncated_gaussian(0.5, 0.2, -10.0, support)
 
 
 class TestSpectralFreeModel:
