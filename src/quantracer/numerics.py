@@ -103,7 +103,7 @@ def _in_panel(lo, hi, base, c, x):
     edge): base, the mass above hi, plus the mass of the degree-20
     interpolant over [x, hi], c its _CHEB_MASS coefficients."""
     half = 0.5 * (hi - lo)
-    T = _chebyshev(np.clip(1.0 - (hi - x) / half, -1.0, 1.0))
+    T = _chebyshev(np.minimum(np.maximum(1.0 - (hi - x) / half, -1.0), 1.0))
     return base + half * np.einsum("ij,...ij->...i", c, 1.0 - T)
 
 
@@ -183,16 +183,17 @@ def initial_edges(a: float, b: float, n: int, points=()) -> np.ndarray:
     return np.union1d(edges, inner) if inner else edges
 
 
-def adaptive_panels(panel_f, partitions, tol=DEFAULT_TOL,
+def adaptive_panels(panel_f, edges, lengths, tol=DEFAULT_TOL,
                     low: float = -math.inf, above: float = math.inf, depths=math.inf) -> list:
     """Adaptive GL7/15 quadratures that keep their panels, refined panel by panel.
 
-    Each of ``partitions`` is one table's initial partition, finite and
-    strictly increasing, of span W; ``panel_f(table, mid, half)`` returns
-    the integrand at mid + half * PANEL_NODES for a batch of panels of the
-    tables ``table``, shape (n, 22).  A panel of width w is kept when its
-    GL15-GL7 gap is at most (quad_abs w / W + quad_rel |value|) / 2 under
-    ``tol`` (one Tolerances, or one per table), else its halves are judged
+    ``edges`` holds each table's initial partition, finite and strictly
+    increasing, of span W: table i's are the next lengths[i] entries.
+    ``panel_f(table, mid, half)`` returns the integrand at mid + half *
+    PANEL_NODES for a batch of panels of the tables ``table``, shape (n,
+    22).  A panel of width w is kept when its GL15-GL7 gap is at most
+    (quad_abs w / W + quad_rel |value|) / 2 under ``tol`` (one Tolerances,
+    or a (quad_abs, quad_rel) row per table), else its halves are judged
     alone (as in Gander & Gautschi, BIT 40, 2000): the gaps sum to at most
     (quad_abs + quad_rel sum |value|) / 2, within max(quad_abs, quad_rel
     |total|) for a nonnegative integrand.  So a table has the same panels
@@ -200,33 +201,34 @@ def adaptive_panels(panel_f, partitions, tol=DEFAULT_TOL,
     batch if panel_f gives each row the bits it has alone.  A table starts
     at the initial panel holding ``low`` (the last at most); with a finite
     ``above`` it takes initial panels from the top while its mass is below
-    ``above``: first down to the panel
-    holding its entry of ``depths`` (one, or one per table), at least
-    max(_FIRST_CHUNK, _FIRST_ROUND // tables), then _NEXT_CHUNK, twice
-    as many each round.  The depths size the work, not a bit.  A round
-    evaluates every table's pending panels in one panel_f call.  Returns
-    one Panels per partition.  Raises NonConvergence once a table needs
+    ``above``: first down to the panel holding its entry of ``depths``
+    (one, or one per table), at least max(_FIRST_CHUNK, _FIRST_ROUND //
+    tables), then _NEXT_CHUNK, twice as many each round.  The depths size
+    the work, not a bit.  Set-up is array operations over all tables, and
+    a round evaluates every table's pending panels in one panel_f call.
+    Returns one Panels per table; raises NonConvergence once a table needs
     more than _MAX_PANELS panels or bisects one narrower than 1e-14 of W.
     """
-    parts = [np.asarray(edges, dtype=float) for edges in partitions]
-    flat, starts = np.concatenate(parts), np.cumsum([0] + [e.size for e in parts[:-1]])
-    spans, n = np.array([e[-1] - e[0] for e in parts]), len(parts)
-    tols = np.array([(t.quad_abs, t.quad_rel) for t in np.broadcast_to(np.array(tol), n)])
+    flat, lengths = np.asarray(edges, dtype=float), np.asarray(lengths)
+    n, starts = lengths.size, lengths.cumsum() - lengths
+    spans = flat[starts + lengths - 1] - flat[starts]
+    qa, qr = np.transpose(tol) if not isinstance(tol, Tolerances) else (
+        np.full(n, tol.quad_abs), np.full(n, tol.quad_rel))
     # Per table: initial panels in [bottom, top) not taken yet, the next
     # chunk's size, panels made and the mass of its kept panels.
-    tops = np.array([e.size - 1 for e in parts])
-    bottoms = np.minimum(tops - 1, [max(0, np.searchsorted(e, low, "right") - 1) for e in parts])
+    tops = lengths - 1
+    bottoms = np.minimum(tops - 1, np.maximum(0, np.add.reduceat(flat <= low, starts) - 1))
     sizes = tops - bottoms
     if above < math.inf:    # down to the panel holding each depth, at least a floor
-        deep = [(e > d).sum() for e, d in zip(parts, np.broadcast_to(depths, n))]
+        deep = np.add.reduceat(flat > np.broadcast_to(depths, n).repeat(lengths), starts)
         sizes = np.maximum(max(_FIRST_CHUNK, _FIRST_ROUND // n), deep)
     counts, mass = np.zeros(n, dtype=int), np.zeros(n)
 
     def take(ks):
         m = np.minimum(sizes[ks], tops[ks] - bottoms[ks])
         tops[ks], sizes[ks], counts[ks] = tops[ks] - m, 2 * sizes[ks], counts[ks] + m
-        at = np.repeat(starts[ks] + tops[ks] - np.cumsum(m) + m, m) + np.arange(m.sum())
-        return np.repeat(ks, m), flat[at], flat[at + 1]
+        at = (starts[ks] + tops[ks] - m.cumsum() + m).repeat(m) + np.arange(m.sum())
+        return ks.repeat(m), flat[at], flat[at + 1]
 
     table, los, his = take(np.arange(n))
     sizes[:] = _NEXT_CHUNK
@@ -234,32 +236,32 @@ def adaptive_panels(panel_f, partitions, tol=DEFAULT_TOL,
     while table.size:
         vals, errs, ys = _eval_panels(panel_f, table, los, his)
         widths = his - los
-        ok = errs <= 0.5 * (tols[table, 0] * widths / spans[table] + tols[table, 1] * np.abs(vals))
+        ok = errs <= 0.5 * (qa[table] * widths / spans[table] + qr[table] * np.abs(vals))
         kept.append((table[ok], los[ok], his[ok], vals[ok], ys[ok][:, _DISTINCT]))
-        split = table[~ok]
+        split, lo, hi = table[~ok], los[~ok], his[~ok]
         counts += np.bincount(split, minlength=n)
-        mass += np.bincount(table[ok], vals[ok], n)
+        mass += np.bincount(kept[-1][0], kept[-1][3], n)
         held = mass + np.bincount(split, vals[~ok], n)
-        narrow = np.bincount(split, widths[~ok] < 1e-14 * spans[split], n) > 0
-        if (counts > _MAX_PANELS).any() or narrow.any():
-            k = int(np.argmax((counts > _MAX_PANELS) | narrow))
+        narrow = widths[~ok] < 1e-14 * spans[split]
+        if np.count_nonzero(narrow) or np.count_nonzero(counts > _MAX_PANELS):
+            k = int(np.argmax((counts > _MAX_PANELS) | (np.bincount(split, narrow, n) > 0)))
             raise NonConvergence(f"quadrature needed more than {_MAX_PANELS} panels" if counts[k]
                                  > _MAX_PANELS else "quadrature stalled on an unresolvable feature",
                                  value=held[k], error=np.bincount(split, errs[~ok], n)[k])
         more = (tops > bottoms) & (held < above)
-        if not (split.size or more.any()):
+        if not (split.size or np.count_nonzero(more)):
             # All refined: the tables, by lower edge.  One goes on down where
             # upper[0] is short of ``above`` and the running sum was not.
-            ts, lo, hi, v, nodes = (np.concatenate(c) for c in zip(*kept))
-            order = np.lexsort((lo, ts))
+            ts, l, h, v, nodes = (np.concatenate(c) for c in zip(*kept))
+            order = np.lexsort((l, ts))
             cuts = np.searchsorted(ts[order], np.arange(n + 1)).tolist()
-            lo, hi, v, nodes = lo[order], hi[order], v[order], nodes[order]
-            tables = [Panels(lo[a:b], hi[a:b], v[a:b], nodes[a:b],
-                             np.append(np.cumsum(v[a:b][::-1])[::-1], 0.0))
+            l, h, v, nodes = l[order], h[order], v[order], nodes[order]
+            tables = [Panels(l[a:b], h[a:b], v[a:b], nodes[a:b],
+                             np.concatenate((np.cumsum(v[a:b][::-1])[::-1], [0.0])))
                       for a, b in zip(cuts, cuts[1:])]
             more = (tops > bottoms) & (np.array([p.total for p in tables]) < above)
-        lo, mid, hi = los[~ok], 0.5 * (los[~ok] + his[~ok]), his[~ok]
-        new = [take(np.flatnonzero(more))] if more.any() else []
+        mid = 0.5 * (lo + hi)
+        new = [take(more.nonzero()[0])] if np.count_nonzero(more) else []
         table, los, his = (np.concatenate(c) for c in zip((split, lo, mid), (split, mid, hi), *new))
     return tables
 
@@ -292,7 +294,7 @@ def integrate_adaptive(
     if b == a:
         return 0.0
     edges = initial_edges(a, b, max(1, int(initial_panels)), points)
-    return adaptive_panels(_at_panel_nodes(f), [edges], tol)[0].total
+    return adaptive_panels(_at_panel_nodes(f), edges, [edges.size], tol)[0].total
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +521,16 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     levels = np.asarray(levels, dtype=float).ravel()
     if not tables or not levels.size:
         return np.empty((len(tables), levels.size))
-    if not levels.min() > 0.0 or levels.max() > min(table.upper[0] for table in tables):
+    los, his, nodes, upper = (np.concatenate(c) for c in zip(*[
+        (table.los, table.his, table.nodes, table.upper) for table in tables]))
+    first = np.array([0] + [table.upper.size for table in tables[:-1]]).cumsum()  # in upper
+    if not levels.min() > 0.0 or levels.max() > upper[first].min():
         raise NoSignChange(f"levels {levels.min()} to {levels.max()} are not all in (0, "
                            f"mass of the table]")
-    picks = []
-    for table in tables:
-        # The last panel whose lower-edge tail is >= P (upper[-1] = 0 < P).
-        i = table.upper.size - 1 - np.searchsorted(table.upper[::-1], levels)
-        picks.append((table.los[i], table.his[i], *table.upper[[i + 1, i]], table.nodes[i], levels))
-    lo, hi, base, edge, nodes, P = (column[0] if len(tables) == 1 else np.concatenate(column)
-                                    for column in zip(*picks))
+    # The last panel whose lower-edge tail is >= P (each table's upper ends in 0 < P).
+    i = (np.add.reduceat(upper[:, None] >= levels, first) + first[:, None] - 1).ravel()
+    panel, P = i - np.arange(len(tables)).repeat(levels.size), np.tile(levels, len(tables))
+    lo, hi, base, edge, nodes = los[panel], his[panel], upper[i + 1], upper[i], nodes[panel]
     half = 0.5 * (hi - lo)
     coeffs = np.einsum("ij,kj->ki", _SOLVE, nodes)      # einsum: no batch rounding
     # Newton runs on u = (hi - x) / half in [0, 2], where tail - P is
@@ -547,7 +549,7 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     x = np.where(P == edge, lo, hi - u * half)
     ends = x + np.multiply.outer((-1.0, 1.0), 0.5 * tol.root_abs + (0.5 * _ROOT_REL) * np.abs(x))
     f = _in_panel(lo, hi, base, coeffs[:, :22], ends) - P      # Panels.tail's read
-    for j in np.flatnonzero(~(((ends[0] <= lo) | (f[0] >= 0.0)) & (f[1] <= 0.0))).tolist():
+    for j in (~(((ends[0] <= lo) | (f[0] >= 0.0)) & (f[1] <= 0.0))).nonzero()[0].tolist():
         x[j] = find_root_monotone(lambda x: tables[j // levels.size].tail(x) - P[j],
                                   (lo[j], hi[j]), tol)
     return x.reshape(len(tables), levels.size)

@@ -161,9 +161,6 @@ def _decomposed_terms(free: PacketModel, tunneling: PacketModel,
                - np.exp(2j * a * (k - gamma))) / (2j * denom)
     u, wu = _gauss_rule(0.0, 1.0, _u_nodes(a, k, gamma, n_lambda))
     x_far = float(np.max(np.abs(xs), initial=0.0))
-    for t in ts.tolist():
-        # The psi_x rows reach x_far and term3 the top of free's hint.
-        tunneling._check_resolution(max(x_far, abs(free.support_hint(t)[1])), t)
     # (kernel1, kernel2) by (u, k), built in place from ekm and ekp =
     # exp(2iau (k -+ gamma)): kernel1 = ((k + gamma) ekm - (k - gamma) ekp) / D
     # and kernel2 = exp(2iauk) sin(2au gamma) / D, written via exponentials
@@ -184,6 +181,9 @@ def _decomposed_terms(free: PacketModel, tunneling: PacketModel,
     rows = max(1, _FIELD_ENTRIES // max(1, waves.size))     # times a stack holds
     for i in range(0, ts.size, _TABLE_BLOCK):
         block = ts[i:i + _TABLE_BLOCK]
+        edges, counts = free._lattices(block)     # psi_x reaches x_far, term3 free's lattice top
+        for top, t in zip(np.abs(edges[counts.cumsum() - 1]).tolist(), block.tolist()):
+            tunneling._check_resolution(max(x_far, top), t)
         # Spectral integrand psi~(k) exp(i k (x' - x_bar) - i hbar k^2 t / 2),
         # split into x'-independent coefficients (a row per t) and exp(i k x').
         phases = np.exp(-1j * k * spectrum.x_bar

@@ -586,7 +586,7 @@ class _Region:
         spot = start + j * step
         on = np.abs(mids - spot) <= _ULPS * np.maximum(abs(start), np.abs(mids))
         _, low, kept = entry
-        if on.any():
+        if np.count_nonzero(on):
             lo, hi = j[on].min(), j[on].max()
             if kept.size:
                 lo, hi = min(lo, low), max(hi, low + len(kept) - 1)
@@ -597,7 +597,7 @@ class _Region:
         fresh = ~on | (i < 0) | (i >= len(kept))
         phases = kept[np.where(fresh, 0, i).astype(int)] if kept.size else np.empty(
             (mids.size, self.q.size), dtype=complex)
-        if fresh.any():
+        if np.count_nonzero(fresh):
             phases[fresh] = np.exp(np.outer(np.where(on, spot, mids)[fresh], self.iq))
         return phases
 
@@ -606,7 +606,7 @@ class _Region:
         down[table] the rows of each panel's time (down None: no e^{-iqx})."""
         # Lattice half-widths snap to their exact value.
         widths = self.base * np.exp2(np.rint(np.log2(halves / self.base)))
-        if (np.abs(halves - widths) > _ULPS * (np.abs(mids) + halves)).any():
+        if np.count_nonzero(np.abs(halves - widths) > _ULPS * (np.abs(mids) + halves)):
             raise ValueError("a panel half-width is off the panel lattice")
         # A chunk holds about four (rows, n_q) arrays at once.
         rows = max(1, _FIELD_ENTRIES // (4 * self.q.size))
@@ -616,7 +616,7 @@ class _Region:
         for h in np.unique(widths).tolist():
             entry = self._entry(h)
             back = None if down is None or np.isrealobj(self.q) else self._entry(-h)
-            sel = np.flatnonzero(widths == h)
+            sel = (widths == h).nonzero()[0]
             for i in range(0, sel.size, rows):
                 chunk = sel[i:i + rows]
                 phases = self._phases(mids[chunk], h, entry)
@@ -656,8 +656,8 @@ def _panel_values(regions, table, mids, halves) -> np.ndarray:
     """
     reach = float(np.max(PANEL_NODES))
     lo, hi = mids - reach * halves, mids + reach * halves
-    picks = [np.flatnonzero((table >= first) & (table < first + len(up))
-                            & (lo > region.bounds[0]) & (hi < region.bounds[1]))
+    picks = [((table >= first) & (table < first + len(up))
+              & (lo > region.bounds[0]) & (hi < region.bounds[1])).nonzero()[0]
              for first, region, up, _ in regions]
     if sum(pick.size for pick in picks) < mids.size:    # the bounds are disjoint
         raise ValueError("a panel crosses a barrier edge")
@@ -792,28 +792,35 @@ class SpectralPacketModel(PacketModel):
         return integrate_adaptive(lambda xs: self.rho(xs, t), a, hi, self.tol,
                                   initial_panels=n, points=self._cuts)
 
-    def _reach(self, t: float) -> tuple[float, float]:
-        """The support hint before it snaps to the lattice: 8 spreads beyond
-        the fastest and slowest branches, both ways with a barrier."""
-        if not math.isfinite(t):
-            raise InvalidRange(f"time must be finite, got t = {t}")
-        pad, c, v_hi = 8.0 * self.spread(t), self.spectrum.x_bar, HBAR * self.grid.k_max
+    def _reach(self, t):
+        """The support hint before it snaps to the lattice, at a time or an
+        array of them: 8 spreads beyond the fastest and slowest branches,
+        both ways with a barrier.  A non-finite time is an InvalidRange."""
+        if np.count_nonzero(bad := ~np.isfinite(t)):
+            raise InvalidRange(f"time must be finite, got t = {np.ravel(t)[np.ravel(bad)][0]}")
+        pad, c = 8.0 * _width_at(self._sigma_x0, self._sigma_v, t), self.spectrum.x_bar
         if self.barrier is not None:    # the reflected branch goes as far as the transmitted
-            return -(abs(c) + v_hi * abs(t) + pad), abs(c) + v_hi * abs(t) + pad
-        return c + HBAR * self.grid.k_min * t - pad, c + v_hi * t + pad
+            hi = abs(c) + HBAR * self.grid.k_max * abs(t) + pad
+            return -hi, hi
+        return c + HBAR * self.grid.k_min * t - pad, c + HBAR * self.grid.k_max * t + pad
+
+    def _lattices(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Initial panel edges and counts of the tables at times ts (_lattice_edges, _reach)."""
+        return _lattice_edges(*self._reach(np.asarray(ts, dtype=float)), self._pitch,
+                              self._pitch_right, self.barrier)
 
     def _lattice(self, t: float) -> np.ndarray:
-        """Initial panel edges of the tables at time t (_lattice_edges over
-        the unsnapped hint, _reach).  A non-finite t is an InvalidRange."""
-        return _lattice_edges(*self._reach(t), self._pitch, self._pitch_right, self.barrier)
+        """The edges of _lattices at the one time t."""
+        return self._lattices([t])[0]
 
-    def _depths(self, ts, P: float) -> list:
+    def _depths(self, ts, P: float) -> np.ndarray:
         """Where tables at times ts for levels up to P must reach anyway: the uncut Gaussian's
         quantile Phi^-1(1 - P), raised by 1e-3 spread(t) over the cut's 2.706e-4 (stock packet),
         and at least a barrier's edge a: beyond a, no tunneled quantile leads its free twin."""
         z, v = _upper_normal_quantile(P) + 1e-3, HBAR * self.spectrum.k_bar
         edge = self._regions[0].bounds[0]     # the barrier's right edge, or -inf
-        return [max(self.spectrum.x_bar + v * t + self.spread(t) * z, edge) for t in ts]
+        spread = _width_at(self._sigma_x0, self._sigma_v, ts)
+        return np.maximum(self.spectrum.x_bar + v * ts + spread * z, edge)
 
     def tail_tables(self, ts, low=-math.inf, coeffs=None, above=math.inf) -> Iterator[list[Panels]]:
         """lockstep_tables with this model (and ``coeffs``) the one source."""
@@ -840,9 +847,10 @@ class SpectralPacketModel(PacketModel):
         return float(_width_at(self._sigma_x0, self._sigma_v, float(t)))
 
 
-def _lattice_edges(lo: float, hi: float, pitch: float, pitch_r: float,
-                   barrier: BarrierSpec | None) -> np.ndarray:
-    """Initial panel edges of tables over the unsnapped hint [lo, hi].
+def _lattice_edges(lo, hi, pitch: float, pitch_r: float,
+                   barrier: BarrierSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """Initial panel edges of tables over the unsnapped hints [lo, hi] (a
+    hint per table), all tables' edges in one array, and each one's count.
 
     The pitch is ``pitch`` (the model's base pitch, left of a barrier)
     times 2^n, the least n that gives [lo, hi] 8 to 509 panels (doubled
@@ -853,33 +861,42 @@ def _lattice_edges(lo: float, hi: float, pitch: float, pitch_r: float,
     [-a, a], so the panel widths are time-independent.  The ends snap
     outward to the nearest edges, each by at most its side's pitch; only
     edges near the hint are made, so a barrier much wider than the hint
-    costs nothing.  No pitch shrinks as [lo, hi] widens.
+    costs nothing.  No pitch shrinks as [lo, hi] widens.  An edge depends on
+    its table's pitch and place alone: one pass builds every table.
     """
-    while hi - lo > 509.0 * pitch:
-        pitch *= 2.0
-    while hi - lo < 8.0 * pitch:
-        pitch *= 0.5
+    span, pitch = hi - lo, np.full(lo.shape, pitch)
+    while np.count_nonzero(wide := span > 509.0 * pitch):
+        pitch[wide] *= 2.0
+    while np.count_nonzero(narrow := span < 8.0 * pitch):
+        pitch[narrow] *= 0.5
     if barrier is None:
-        return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
-    a = barrier.half_width
+        counts = (np.ceil(hi / pitch) - (first := np.floor(lo / pitch))).astype(int) + 1
+        j = (first - counts.cumsum() + counts).repeat(counts)     # first - the table's offset
+        return pitch.repeat(counts) * (j + np.arange(j.size)), counts
+    a, pitch_r = barrier.half_width, np.full(lo.shape, pitch_r)
+    frac, exp = math.frexp(2.0 * a)
     while True:
-        # Per side the edges in (0, hi] and one beyond: j * w inside (w =
-        # 2a / 2^m exactly, so 0 is an edge too when m > 0), a + j * (the
-        # side's pitch) outside.
-        m = max(0, math.ceil(math.log2(a) + 1.0 - math.log2(pitch)))
-        if m == 0:
-            inner = np.array([a])
-        else:
-            w = math.ldexp(a, 1 - m)
-            inner = w * np.arange(1, min(2 ** (m - 1), math.ceil(hi / w)) + 1)
-        while pitch_r < pitch:
-            pitch_r *= 2.0
-        left, right = [a + p * np.arange(1, math.ceil(max(0.0, hi - a) / p) + 1)
-                       for p in (pitch, pitch_r)]
-        edges = np.concatenate([-left[::-1], -inner[::-1], [0.0] * (m > 0), inner, right])
-        if edges.size <= 513:
-            return edges
-        pitch *= 2.0
+        # Per side the edges in (0, hi] and one beyond: j * w inside (w = 2a / 2^m for
+        # the least m >= 0 with w <= pitch; 0 is an edge too when m > 0, a alone when
+        # m = 0), a + j * (the side's pitch) outside.
+        f, e = np.frexp(pitch)
+        m = exp - e + (frac > f)
+        w, inner = np.ldexp(a, 1 - np.maximum(m, 1)), np.ldexp(0.5, np.maximum(m, 1))
+        inner = np.minimum(inner, np.ceil(hi / w))
+        while np.count_nonzero(short := pitch_r < pitch):
+            pitch_r[short] *= 2.0
+        left, right = (np.ceil(np.maximum(0.0, hi - a) / p) for p in (pitch, pitch_r))
+        counts = (left + right + 2.0 * inner + (m > 0)).astype(int)
+        if not np.count_nonzero(big := counts > 513):
+            break
+        pitch[big] *= 2.0
+    # Signed places: 0 the middle edge (a when m = 0), +-inner the outermost inner ones.
+    table = np.arange(counts.size).repeat(counts)
+    j = np.arange(table.size) - (counts.cumsum() - counts + inner + left)[table]
+    j += (j >= 0) & (m <= 0)[table]
+    k = np.abs(j) - inner[table]
+    return np.where(k <= 0, w[table] * j, np.sign(j) * (
+        a + np.where(j > 0, pitch_r[table], pitch[table]) * k)), counts
 
 
 def lockstep_tables(sources, ts, low=-math.inf, above=math.inf) -> Iterator[list[Panels]]:
@@ -889,31 +906,36 @@ def lockstep_tables(sources, ts, low=-math.inf, above=math.inf) -> Iterator[list
     coeffs): a spectral model's rho or, with ``coeffs`` (a row per time),
     |sum_j coeffs_j e^{ik_j x}|^2 on a free reference's lattice (on a barrier
     model the first read raises ValueError).  Per block each source's
-    coefficient rows are computed once, and one kernel (_panel_values)
-    sends every panel to its (source, region).  A table lies on
-    _lattice(t), after the phase guard, under its model's tolerances, each
-    panel with the bits of its lone build.  It starts at the lattice edge
-    at or below ``low`` (the last panel at most), or where its mass from
-    the top reaches ``above``:
-    the top of the whole table, bit for bit; its first round goes down to
-    _depths(ts, above), a guess that sizes the work only."""
+    lattices (_lattices), coefficient rows and depths are array operations
+    over its tables, handed on as one edge array with counts, and one
+    kernel (_panel_values) sends every panel to its (source, region).  A
+    table lies on _lattice(t), after the phase guard at its ends, under its
+    model's tolerances, each panel with the bits of its lone build.  It starts at
+    the lattice edge at or below ``low`` (the last panel at most), or where
+    its mass from the top reaches ``above``: the top of the whole table,
+    bit for bit; its first round goes down to _depths(ts, above), a guess
+    that sizes the work only."""
     if any(coeffs is not None and model.barrier is not None for model, coeffs in sources):
         raise ValueError("plane-wave coefficients need the free reference")
     ts = np.asarray(ts, dtype=float).ravel()
     for i in range(0, ts.size, _TABLE_BLOCK):
-        block = ts[i:i + _TABLE_BLOCK].tolist()
-        n, parts, regions, tols, depths = len(block), [], [], [], []
-        for model, coeffs in sources:
-            parts += [model._lattice(t) for t in block]
-            for t, edges in zip(block, parts[-n:]):
-                model._check_resolution(max(-float(edges[0]), float(edges[-1])), t)
+        block = ts[i:i + _TABLE_BLOCK]
+        n, parts, regions, depths = block.size, [], [], []
+        for s, (model, coeffs) in enumerate(sources):
+            edges, counts = model._lattices(block)
+            ends = counts.cumsum()      # the phase guard, at each table's farther end
+            far = np.maximum(-edges[ends - counts], edges[ends - 1])
+            for x, t in zip(far.tolist(), block.tolist()):
+                model._check_resolution(x, t)
+            parts.append((edges, counts))
             rows = model._coeffs(block) if coeffs is None else coeffs[i:i + n]
-            regions += [(len(tols), region, rows * region.up, None if region.down is None
+            regions += [(s * n, region, rows * region.up, None if region.down is None
                          else rows * region.down) for region in model._regions]
-            tols += [model.tol] * n
-            depths += model._depths(block, above) if above < math.inf else [math.inf] * n
-        yield adaptive_panels(functools.partial(_panel_values, regions), parts, tols, low,
-                              above, depths)
+            depths.append(model._depths(block, above) if above < math.inf else np.full(n, math.inf))
+        tols = np.array([(m.tol.quad_abs, m.tol.quad_rel) for m, _ in sources]).repeat(n, axis=0)
+        yield adaptive_panels(functools.partial(_panel_values, regions),
+                              *(np.concatenate(c) for c in zip(*parts)), tols, low, above,
+                              np.concatenate(depths))
 
 
 def lockstep_tails(sources, x, t) -> np.ndarray:
@@ -964,7 +986,8 @@ def recommended_node_count(k_bar: float, sigma_k: float, x_bar: float, t_max: fl
                                                         HBAR * sigma_k, t_max)
     pitch_r = 4.0 * math.pi / (k_hi - k_lo)      # as SpectralPacketModel's
     pitch = 4.0 * math.pi / (2.0 * k_hi) if barrier else pitch_r
-    snap = (float(np.max(np.diff(_lattice_edges(-reach, reach, pitch, pitch_r, barrier))))
+    snap = (float(np.max(np.diff(_lattice_edges(np.array([-reach]), np.array([reach]), pitch,
+                                                pitch_r, barrier)[0])))
             if reach < math.inf else reach)      # an infinite rate is an InvalidRange below
     n = nodes_for_phase(reach + snap + abs(x_bar) + v_hi * t_max, k_lo, k_hi,
                         rho_max=_pole_rho(barrier, k_lo, k_hi))

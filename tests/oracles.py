@@ -6,10 +6,12 @@ numbers asserted in the test suite are derived on an independent path.
 mode_fields is a per-mode cmath loop over a spectral model's own
 coefficients, written out without the package's stacked wave layout.
 recursive_refine is a reference algorithm instead: the panel-by-panel
-adaptive refinement the package's lockstep one must reproduce bit for bit.
+adaptive refinement the package's lockstep one must reproduce bit for bit;
+lattice_edges likewise builds one table's initial panel edges alone.
 """
 
 import cmath
+import math
 
 import mpmath as mp
 import numpy as np
@@ -137,3 +139,37 @@ def recursive_refine(eval_panels, partitions, tol, max_panels=4096):
         out.append((los, his, values, np.array([panel[3] for panel in kept]),
                     np.array(upper[::-1])))
     return out
+
+
+def lattice_edges(lo, hi, pitch, pitch_r, barrier):
+    """One table's initial panel edges over the unsnapped hint [lo, hi],
+    built alone in Python floats, as the package built them before its
+    tables' lattices came in blocks: the pitch doubles (or halves) until
+    [lo, hi] holds 8 to 509 panels, and with a barrier of half-width a
+    again while more than 513 edges would be made.  Edges sit at j * pitch
+    without a barrier; with one at -a - j * pitch, at a + j * pitch_r
+    (doubled until it reaches the pitch) and at j * w inside, w = 2a / 2^m
+    for the least m >= 0 with w <= pitch, taken from the logarithms (a
+    alone when m = 0)."""
+    while hi - lo > 509.0 * pitch:
+        pitch *= 2.0
+    while hi - lo < 8.0 * pitch:
+        pitch *= 0.5
+    if barrier is None:
+        return pitch * np.arange(math.floor(lo / pitch), math.ceil(hi / pitch) + 1)
+    a = barrier.half_width
+    while True:
+        m = max(0, math.ceil(math.log2(a) + 1.0 - math.log2(pitch)))
+        if m == 0:
+            inner = np.array([a])
+        else:
+            w = math.ldexp(a, 1 - m)
+            inner = w * np.arange(1, min(2 ** (m - 1), math.ceil(hi / w)) + 1)
+        while pitch_r < pitch:
+            pitch_r *= 2.0
+        left, right = [a + p * np.arange(1, math.ceil(max(0.0, hi - a) / p) + 1)
+                       for p in (pitch, pitch_r)]
+        edges = np.concatenate([-left[::-1], -inner[::-1], [0.0] * (m > 0), inner, right])
+        if edges.size <= 513:
+            return edges
+        pitch *= 2.0

@@ -118,10 +118,10 @@ def test_scan_and_report_go_through_the_traced_bindings(monkeypatch):
         grids.append(np.array(t))
         return invert(model, P, t, *args)
 
-    def counted_build(panel_f, partitions, *args):
+    def counted_build(panel_f, edges, lengths, *args):
         counts["builds"] += 1
-        counts["tables"] += len(partitions)
-        return build(panel_f, partitions, *args)
+        counts["tables"] += len(lengths)
+        return build(panel_f, edges, lengths, *args)
     monkeypatch.setattr(quantile, "find_root_monotone", counted_solve)
     monkeypatch.setattr(quantile, "invert_tables", counted_table_solve)
     monkeypatch.setattr(tunneling, "quantile_position", counted_invert)

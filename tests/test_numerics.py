@@ -45,6 +45,13 @@ from quantracer.wavepacket import (
 
 from oracles import erfc_highprec, normal_tail_quantile, recursive_refine
 
+
+def flat(partitions):
+    """adaptive_panels' (edges, lengths) form of a list of partitions."""
+    edges = [np.asarray(e, dtype=float) for e in partitions]
+    return np.concatenate(edges), [e.size for e in edges]
+
+
 erfc = math.erfc
 
 
@@ -122,7 +129,7 @@ class TestIntegrateAdaptive:
         def panel_f(table, mid, half):
             return f(mid[:, None] + half[:, None] * PANEL_NODES)
 
-        (panels,) = adaptive_panels(panel_f, [edges], DEFAULT_TOL)
+        (panels,) = adaptive_panels(panel_f, *flat([edges]), DEFAULT_TOL)
         assert panels.los.size > edges.size - 1          # some were bisected
         assert panels.los[0] == -5.0 and panels.his[-1] == 4.0
         assert np.array_equal(panels.los[1:], panels.his[:-1])
@@ -142,7 +149,7 @@ class TestIntegrateAdaptive:
         def panel_f(table, mid, half):
             return f(mid[:, None] + half[:, None] * PANEL_NODES)
 
-        (panels,) = adaptive_panels(panel_f, [np.linspace(-5.0, 4.0, 9)], DEFAULT_TOL)
+        (panels,) = adaptive_panels(panel_f, *flat([np.linspace(-5.0, 4.0, 9)]), DEFAULT_TOL)
         mids = 0.5 * (panels.los + panels.his)
         halves = 0.5 * (panels.his - panels.los)
         # The GL15 columns, then the GL7 ones but the shared middle node.
@@ -162,7 +169,7 @@ class TestIntegrateAdaptive:
         def panel_f(table, mid, half):
             return f(mid[:, None] + half[:, None] * PANEL_NODES)
 
-        (panels,) = adaptive_panels(panel_f, [[-1.0, 0.5, 2.0]], DEFAULT_TOL)
+        (panels,) = adaptive_panels(panel_f, *flat([[-1.0, 0.5, 2.0]]), DEFAULT_TOL)
         scale = np.max(np.abs(f(np.linspace(-1.0, 2.0, 301))))
         np.testing.assert_array_equal(panels.tail(panels.his), panels.upper[1:])
         np.testing.assert_array_equal(panels.tail(panels.los), panels.upper[:-1])
@@ -179,7 +186,7 @@ class TestIntegrateAdaptive:
         def panel_f(table, mid, half):
             return f(mid[:, None] + half[:, None] * PANEL_NODES)
 
-        (panels,) = adaptive_panels(panel_f, [np.linspace(-5.0, 4.0, 9)], DEFAULT_TOL)
+        (panels,) = adaptive_panels(panel_f, *flat([np.linspace(-5.0, 4.0, 9)]), DEFAULT_TOL)
         xs = np.concatenate([np.random.default_rng(3).uniform(-6.0, 5.0, 200), panels.los,
                              panels.his, [-np.inf, np.inf]])
         reads = panels.tail(xs)
@@ -211,7 +218,7 @@ class TestIntegrateAdaptive:
                 vals, errs, ys = _eval_panels(panel_f, table, los, his)
                 return vals, errs, ys[:, [c for c in range(22) if c != 15 + 3]]
             expected = recursive_refine(eval_panels, partitions, tol)
-            got = adaptive_panels(panel_f, partitions, tol)
+            got = adaptive_panels(panel_f, *flat(partitions), tol)
             assert len(got) == len(expected)
             for table, edges, (los, his, values, nodes, upper) in zip(got, partitions, expected):
                 assert los.size > len(edges) - 1        # refined beyond the partition
@@ -226,10 +233,11 @@ class TestIntegrateAdaptive:
         # is the top rows of the whole one, bit for bit.
         smooth = _at_panel_nodes(lambda x: np.exp(-x * x / 2) * (1.0 + np.cos(6.0 * x) ** 2))
         edges = np.linspace(-6.0, 6.0, 49)
-        (whole,) = adaptive_panels(smooth, [edges])
-        cuts = [adaptive_panels(smooth, [edges], above=above)[0]
+        (whole,) = adaptive_panels(smooth, *flat([edges]))
+        cuts = [adaptive_panels(smooth, *flat([edges]), above=above)[0]
                 for above in (1e-6, 0.3, 1.2, 2.5, 10.0)]
-        cuts += [adaptive_panels(smooth, [edges], low=low)[0] for low in (-7.0, -0.1, 5.9, 7.0)]
+        cuts += [adaptive_panels(smooth, *flat([edges]), low=low)[0]
+                 for low in (-7.0, -0.1, 5.9, 7.0)]
         for cut in cuts:
             n = cut.los.size
             for name in ("los", "his", "values", "nodes"):
@@ -246,7 +254,7 @@ class TestIntegrateAdaptive:
         for above in (0.3, 1.2, 2.5):
             j = np.searchsorted(edges, whole.los[whole.upper[:-1] >= above][-1], "right") - 1
             depths = [edges[j + 1] + 0.1, edges[j] + 0.1, edges[j] - 2.0]
-            built = adaptive_panels(smooth, [edges] * 3, above=above, depths=depths)
+            built = adaptive_panels(smooth, *flat([edges] * 3), above=above, depths=depths)
             for cut in built:
                 n = cut.los.size
                 for name in ("los", "his", "values", "nodes"):
@@ -268,7 +276,7 @@ class TestIntegrateAdaptive:
             vals = np.array([values.get(lo, 0.25) for lo in los.tolist()])
             return vals, np.zeros_like(vals), np.zeros((vals.size, 22))
         monkeypatch.setattr(quantracer.numerics, "_eval_panels", fake)
-        (table,) = adaptive_panels(None, [np.arange(9.0)], above=1.0 + 2.0 ** -52)
+        (table,) = adaptive_panels(None, *flat([np.arange(9.0)]), above=1.0 + 2.0 ** -52)
         assert table.los.tolist() == list(range(8)) and table.upper[4] == 1.0
         assert table.total == 2.0
 

@@ -452,14 +452,18 @@ class TestTablesBuiltToTheirLevels:
             holding = np.searchsorted(edges, xs[k], "right") - 1
             assert holding - np.searchsorted(edges, los[table == k].min()) <= 1
 
-    @pytest.mark.parametrize(("P", "most"), [(0.008, 402), (0.02, 417), (0.4, 614), (0.55, 702)])
+    @pytest.mark.parametrize(("P", "most", "rounds"),
+                             [(0.008, 402, 4), (0.02, 417, 4), (0.4, 614, 5), (0.55, 702, 5)])
     def test_one_level_scans_evaluate_no_more_panels_than_measured(self, tunnel_models,
-                                                                   evaluated, P, most):
+                                                                   evaluated, P, most, rounds):
         # A level scanned alone over the 21 stock times on both models, as
         # the retardation benchmark does; the counts are this schedule's
-        # (chunks from the hint top evaluated 566, 645, 873 and 975).
+        # (chunks from the hint top evaluated 566, 645, 873 and 975).  The
+        # rounds (one _eval_panels call each) pin the adaptive work, so a
+        # change to the pass's bookkeeping cannot move it.
         retardation_scan(*tunnel_models, [P], np.linspace(0.0, 10.0, 21))
         assert sum(los.size for _, los in evaluated) <= most
+        assert len(evaluated) == rounds
 
     def test_spectral_free_quantiles_sit_within_3e_4_of_the_closed_form(self, tunnel_models):
         # The 6 sigma cut spectrum is another packet than the closed-form
@@ -540,6 +544,28 @@ class TestTableSolve:
         assert abs(x - oracle) <= 1e-10
         if jump < 0:
             assert abs(x - panels.los[i]) <= 1e-10
+
+    def test_a_block_solves_each_pair_with_its_lone_bits(self, tunnel_models):
+        # Both models' tables at three times (of different panel counts) in
+        # one call, at levels that include an edge tail of one of them: each
+        # (table, level) has the bits of its table's lone solve, and the
+        # edge level solves at that edge.  A level above one table's mass
+        # is refused for the whole block.
+        tables = [table_at(model, t) for model in tunnel_models for t in (0.0, 3.5, 9.0)]
+        assert len({table.los.size for table in tables}) > 2
+        i = tables[4].los.size // 2
+        levels = [0.003, 0.2, float(tables[4].upper[i]), 0.5, 0.97]
+        block = invert_tables(tables, levels)
+        for table, row in zip(tables, block):
+            assert row.tobytes() == invert_tables([table], levels)[0].tobytes()
+            assert row.tolist() == [invert_tables([table], [P])[0, 0] for P in levels]
+            for P, x in zip(levels, row.tolist()):
+                assert_certified(table, P, x)      # in bracketing_panel's panel
+        assert block[4, 2] == tables[4].los[i]
+        cut = next(tunnel_models[1].tail_tables(np.linspace(0.0, 10.0, 21), above=0.005))[-1]
+        assert cut.total < 0.5
+        with pytest.raises(NoSignChange):
+            invert_tables(tables + [cut], [0.005, 0.5])
 
     def test_level_above_the_table_raises_no_sign_change(self, tunnel_models):
         _, tunnel = tunnel_models

@@ -46,7 +46,7 @@ from quantracer.wavepacket import (
     spectral_setup,
     tunneling_packet_model,
 )
-from oracles import mode_fields
+from oracles import lattice_edges, mode_fields
 
 # mpmath oracles, frozen:
 NORMAL_TAIL_1SIGMA = 0.15865525393145705        # 0.5*erfc(1/sqrt(2))
@@ -1198,6 +1198,48 @@ def assert_same_tops(batched, alone):
         assert np.array_equal(b.upper[-n - 1:], a.upper[-n - 1:])
 
 
+@pytest.fixture(scope="module")
+def lattice_models(spectral_models):
+    """(model, t_max, t) for lattices that change inside [0, t_max] near t:
+    the free reference's pitch doubles between t = 0.75 and 0.8; on the
+    t_max = 160 grid the stock barrier's left pitch doubles between 101.5
+    and 102, and a 300-wide barrier (V = 0) doubles its pitch for its
+    inner panels (over 512 panels) at some times near 60, not at others.
+    The stock tunneling model keeps one pitch over [0, 10]."""
+    _, _, free, tunnel = spectral_models
+    spectrum, grid = spectral_setup(DEFAULT_PACKET, t_max=160.0, barrier=DEFAULT_BARRIER)
+    return [(free, 10.0, 0.78), (tunnel, 10.0, 5.0),
+            (tunneling_packet_model(spectrum, DEFAULT_BARRIER, grid), 160.0, 101.75),
+            (tunneling_packet_model(spectrum, BarrierSpec(0.0, 300.0), grid), 160.0, 60.0)]
+
+
+class TestBlockLattice:
+    """_lattices builds a block's lattices at once, each table's edges with
+    the bits of its lone build."""
+
+    def test_the_chosen_times_straddle_a_change_of_lattice(self, lattice_models):
+        for model, _, t in lattice_models[::2] + lattice_models[3:]:
+            widths = {tuple(np.unique(np.diff(model._lattice(s)).round(9)))
+                      for s in np.linspace(t - 1.0, t + 1.0, 41)}
+            assert len(widths) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.integers(0, 3), data=st.data())
+    def test_block_lattices_are_the_lone_ones_bit_for_bit(self, lattice_models, which, data):
+        model, t_max, t = lattice_models[which]
+        ts = data.draw(st.lists(st.one_of(st.floats(t - 1.0, t + 1.0), st.floats(0.0, t_max)),
+                                min_size=1, max_size=40))
+        edges, counts = model._lattices(ts)
+        lone = [model._lattice(s) for s in ts]
+        assert [e.tobytes() for e in np.split(edges, counts.cumsum()[:-1])] == [
+            e.tobytes() for e in lone]
+        for s, e in zip(ts, lone):
+            reach = model._reach(s)
+            assert e.tobytes() == lattice_edges(*reach, model._pitch, model._pitch_right,
+                                                model.barrier).tobytes()
+            assert (e[0], e[-1]) == model.support_hint(s)
+
+
 # Sorted sets of 1 to 25 distinct times in [0, 10], of every size alike.
 TIME_SETS = st.integers(1, 25).flatmap(lambda n: st.lists(
     st.floats(0.0, 10.0), min_size=n, max_size=n, unique=True).map(sorted))
@@ -1279,9 +1321,9 @@ class TestBatchedTables:
         builds = []
         build = wavepacket.adaptive_panels
 
-        def counted(panel_f, partitions, *args):
-            builds.append(len(partitions))
-            return build(panel_f, partitions, *args)
+        def counted(panel_f, edges, lengths, *args):
+            builds.append(len(lengths))
+            return build(panel_f, edges, lengths, *args)
         monkeypatch.setattr(wavepacket, "_TABLE_BLOCK", 3)
         monkeypatch.setattr(wavepacket, "adaptive_panels", counted)
         blocks = tunnel.tail_tables(ts)
@@ -1586,9 +1628,9 @@ class TestLockstepPass:
         builds = []
         build = wavepacket.adaptive_panels
 
-        def counted(panel_f, partitions, *args):
-            builds.append(len(partitions))
-            return build(panel_f, partitions, *args)
+        def counted(panel_f, edges, lengths, *args):
+            builds.append(len(lengths))
+            return build(panel_f, edges, lengths, *args)
         monkeypatch.setattr(wavepacket, "_TABLE_BLOCK", 3)
         monkeypatch.setattr(wavepacket, "adaptive_panels", counted)
         blocks = list(wavepacket.lockstep_tables([(tunnel, None), (free, None)], ts))
