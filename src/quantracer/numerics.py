@@ -507,16 +507,17 @@ def invert_tables(tables, levels, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     (len(tables), levels.size), from one batched solve.
 
     Each pair solves in its bracketing panel, the last one whose lower edge
-    tail is >= P: a chord across the cell of a _GRID_CELLS grid whose tails
+    tail is >= P (found for all pairs at once, by counting each table's
+    upper entries >= P): a chord across the cell of a _GRID_CELLS grid whose tails
     straddle P, then _NEWTON_ROUNDS Newton steps kept in the panel (the
     interpolant of rho is minus the slope).  x is returned once Panels.tail's
     in-panel read (_in_panel) straddles P across x +- delta, delta =
     (root_abs + 4 eps |x|) / 2, an end beyond the panel reading its edge:
     Brent's stop rule, certified.  The arithmetic is elementwise, so a pair
     has the same bits alone or in any batch (quantile_position solves one
-    block of lockstep_tables at a time); a pair that fails the test is solved
-    by find_root_monotone on the panel.  Raises NoSignChange for a level
-    not in (0, mass of the table].
+    block of lockstep_tables at a time); a pair that fails the test is
+    solved by find_root_monotone on the panel.  Raises NoSignChange for a
+    level not in (0, mass of the smallest table].
     """
     levels = np.asarray(levels, dtype=float).ravel()
     if not tables or not levels.size:

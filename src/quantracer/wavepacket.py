@@ -818,9 +818,8 @@ class SpectralPacketModel(PacketModel):
         quantile Phi^-1(1 - P), raised by 1e-3 spread(t) over the cut's 2.706e-4 (stock packet),
         and at least a barrier's edge a: beyond a, no tunneled quantile leads its free twin."""
         z, v = _upper_normal_quantile(P) + 1e-3, HBAR * self.spectrum.k_bar
-        edge = self._regions[0].bounds[0]     # the barrier's right edge, or -inf
-        spread = _width_at(self._sigma_x0, self._sigma_v, ts)
-        return np.maximum(self.spectrum.x_bar + v * ts + spread * z, edge)
+        spread, edge = _width_at(self._sigma_x0, self._sigma_v, ts), self._regions[0].bounds[0]
+        return np.maximum(self.spectrum.x_bar + v * ts + spread * z, edge)    # edge a, or -inf
 
     def tail_tables(self, ts, low=-math.inf, coeffs=None, above=math.inf) -> Iterator[list[Panels]]:
         """lockstep_tables with this model (and ``coeffs``) the one source."""
